@@ -445,7 +445,8 @@ impl ArtifactWriter {
     }
 
     /// Writes `BENCH_<name>.json` into `$UFOTM_BENCH_OUT` (default: the
-    /// current directory) and returns the path.
+    /// current directory), creating that directory if it is missing, and
+    /// returns the path.
     ///
     /// # Panics
     ///
@@ -453,11 +454,17 @@ impl ArtifactWriter {
     /// its artifact would look like a passing run with missing data.
     pub fn finish(&self) -> std::path::PathBuf {
         let dir = std::env::var("UFOTM_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.name));
-        std::fs::write(&path, self.to_json())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        let path = self.write_into(std::path::Path::new(&dir));
         println!();
         println!("wrote {} ({} runs)", path.display(), self.runs.len());
+        path
+    }
+
+    fn write_into(&self, dir: &std::path::Path) -> std::path::PathBuf {
+        let path = dir.join(format!("BENCH_{}.json", self.name));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, self.to_json()))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         path
     }
 }
@@ -511,5 +518,17 @@ mod tests {
         // Nothing that would break a strict JSON parser survives: no raw
         // control characters anywhere in the artifact.
         assert!(json.chars().all(|c| c as u32 >= 0x20));
+    }
+
+    #[test]
+    fn artifact_writer_creates_a_missing_output_directory() {
+        let dir = std::env::temp_dir()
+            .join(format!("ufotm-bench-out-{}", std::process::id()))
+            .join("fresh/subdir");
+        assert!(!dir.exists());
+        let art = ArtifactWriter::new("mkdir_test");
+        let path = art.write_into(&dir);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), art.to_json());
+        std::fs::remove_dir_all(dir.parent().unwrap().parent().unwrap()).unwrap();
     }
 }

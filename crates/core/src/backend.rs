@@ -116,40 +116,40 @@ pub trait TmBackend {
     /// cross-validation hook; single-path backends ignore it.
     fn force_failover_next(&mut self) {}
 
-    /// `(fast, slow)` commit counts so far for this thread, for hybrid
-    /// backends that split commits across a fast and a slow path.
-    /// Single-path backends report everything as fast… which is the
-    /// default `(0, 0)` unless overridden.
-    fn commit_counts(&mut self) -> (u64, u64) {
-        (0, 0)
+    /// This handle's commit-path and robustness counters so far.
+    /// Single-path backends have nothing to split and keep the all-zero
+    /// default. (Not plain `stats`: the native handles already have an
+    /// inherent `stats(&self)` returning their own counter structs, and
+    /// on a `&mut` handle a `&mut self` trait method of that name would
+    /// shadow it.)
+    fn backend_stats(&mut self) -> BackendStats {
+        BackendStats::default()
     }
+}
 
-    /// Number of fast→slow failovers taken so far on this thread
-    /// (hybrid backends only; defaults to 0).
-    fn failovers(&mut self) -> u64 {
-        0
-    }
-
-    /// Transactions completed on a serial-irrevocable last-resort tier
-    /// (hybrid backends with a watchdog; defaults to 0). Reported
-    /// identically by the simulated and native hybrids so robustness
-    /// observability is substrate-independent.
-    fn serial_commits(&mut self) -> u64 {
-        0
-    }
-
+/// One snapshot of a backend handle's counters, reported identically by
+/// the simulated and native hybrids so failover and robustness
+/// observability is substrate-independent (cross-validation compares
+/// deltas of these field by field).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BackendStats {
+    /// Transactions committed on the fast path.
+    pub fast_commits: u64,
+    /// Transactions committed on anything the driver fell back to (the
+    /// slow path, the lock, the serial tier).
+    pub slow_commits: u64,
+    /// Fast→slow failovers taken.
+    pub failovers: u64,
+    /// The part of `slow_commits` that completed on a serial-irrevocable
+    /// last-resort tier (hybrid backends with a watchdog).
+    pub serial_commits: u64,
     /// Ownership records reclaimed from dead/orphaned owners (native
     /// fault-tolerant backends: stolen TL2 stripe locks plus discarded
-    /// unsealed slow-path transactions; defaults to 0).
-    fn orphan_reclaims(&mut self) -> u64 {
-        0
-    }
-
+    /// unsealed slow-path transactions).
+    pub orphan_reclaims: u64,
     /// Sealed slow-path commits of dead workers finished by a helper
-    /// (native fault-tolerant backends; defaults to 0).
-    fn helper_completions(&mut self) -> u64 {
-        0
-    }
+    /// (native fault-tolerant backends).
+    pub helper_completions: u64,
 }
 
 /// Which substrate a run executes on; carried by the stamp harness's
@@ -326,10 +326,6 @@ mod tests {
         };
         b.force_failover_next(); // must be a harmless no-op
         increment_n(&mut b, Addr(8), 1);
-        assert_eq!(b.commit_counts(), (0, 0));
-        assert_eq!(b.failovers(), 0);
-        assert_eq!(b.serial_commits(), 0);
-        assert_eq!(b.orphan_reclaims(), 0);
-        assert_eq!(b.helper_completions(), 0);
+        assert_eq!(b.backend_stats(), BackendStats::default());
     }
 }

@@ -42,7 +42,7 @@ pub use audit::{
     audit_events, audit_events_durable, audit_log, AuditReport, AuditViolation, CommitPath,
     TxnRecord,
 };
-pub use backend::{BackendKind, Stop, TmBackend, TxScope};
+pub use backend::{BackendKind, BackendStats, Stop, TmBackend, TxScope};
 pub use lockbase::LockShared;
 pub use phtm::PhtmShared;
 pub use policy::{BtmUfoFaultPolicy, HybridPolicy};

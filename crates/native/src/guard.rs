@@ -36,18 +36,19 @@
 //!
 //! Everything here is raw Linux syscalls (`mmap`/`mprotect`/
 //! `rt_sigaction`/`memfd_create`) via inline assembly — the workspace has
-//! no libc dependency. The module is gated on the `mprotect-guard`
-//! feature *and* `cfg(all(target_os = "linux", target_arch = "x86_64"))`;
-//! elsewhere (and when `UFOTM_SKIP_GUARD` is set, e.g. under
-//! ThreadSanitizer) the heap falls back to plain boxed storage and
-//! [`available`] reports `false`.
+//! no libc dependency. The implementation exists under
+//! `cfg(all(target_os = "linux", target_arch = "x86_64"))`; elsewhere
+//! `DualMapping`/`Window` are uninhabited (the heap's matches on them
+//! compile everywhere but can never be reached), and there — or when
+//! `UFOTM_SKIP_GUARD` is set, e.g. under ThreadSanitizer — the heap uses
+//! plain boxed storage and [`available`] reports `false`.
 
-/// Whether the guard is compiled in *and* usable at runtime (right
-/// platform, not disabled via the `UFOTM_SKIP_GUARD` environment
-/// variable).
+/// Whether the guard is usable: right platform, and not disabled via the
+/// `UFOTM_SKIP_GUARD` environment variable.
 #[must_use]
 pub fn available() -> bool {
-    imp::compiled_in() && std::env::var_os("UFOTM_SKIP_GUARD").is_none()
+    cfg!(all(target_os = "linux", target_arch = "x86_64"))
+        && std::env::var_os("UFOTM_SKIP_GUARD").is_none()
 }
 
 /// Guard observability counters for one heap.
@@ -66,18 +67,9 @@ pub struct GuardStats {
     pub faults_after_window: u64,
 }
 
-#[cfg(all(
-    feature = "mprotect-guard",
-    target_os = "linux",
-    target_arch = "x86_64"
-))]
 pub(crate) use imp::{DualMapping, Window};
 
-#[cfg(all(
-    feature = "mprotect-guard",
-    target_os = "linux",
-    target_arch = "x86_64"
-))]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod imp {
     //! The real (x86_64 Linux) implementation. All `unsafe` in the crate
@@ -89,10 +81,6 @@ mod imp {
 
     use super::GuardStats;
     use crate::chaos::{lock_recover, FailSite, NativeChaos};
-
-    pub(crate) fn compiled_in() -> bool {
-        true
-    }
 
     // ---- raw syscalls ----------------------------------------------------
 
@@ -614,16 +602,52 @@ mod imp {
     }
 }
 
-#[cfg(not(all(
-    feature = "mprotect-guard",
-    target_os = "linux",
-    target_arch = "x86_64"
-)))]
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod imp {
-    //! Stub for platforms without the guard (or with the feature off):
-    //! the heap always uses boxed storage and guard stats read all-zero.
+    //! Platforms without the guard: the same two types, uninhabited, so
+    //! the heap always uses boxed storage and its code needs no `cfg`.
 
-    pub(crate) fn compiled_in() -> bool {
-        false
+    use std::marker::PhantomData;
+    use std::sync::atomic::AtomicU64;
+
+    use super::GuardStats;
+    use crate::chaos::NativeChaos;
+
+    #[derive(Debug)]
+    pub(crate) enum DualMapping {}
+
+    #[derive(Debug)]
+    pub(crate) struct Window<'a>(std::convert::Infallible, PhantomData<&'a DualMapping>);
+
+    impl DualMapping {
+        /// Never builds a mapping here; the caller falls back to boxed
+        /// storage.
+        pub(crate) fn new(_bytes: usize) -> Option<Self> {
+            None
+        }
+
+        pub(crate) fn word(&self, _w: usize) -> &AtomicU64 {
+            match *self {}
+        }
+
+        pub(crate) fn shadow_word(&self, _w: usize) -> &AtomicU64 {
+            match *self {}
+        }
+
+        pub(crate) fn open_window(
+            &self,
+            _word_idxs: impl Iterator<Item = usize>,
+            _chaos: Option<(&NativeChaos, usize)>,
+        ) -> Window<'_> {
+            match *self {}
+        }
+
+        pub(crate) fn stats(&self) -> GuardStats {
+            match *self {}
+        }
+
+        pub(crate) fn last_fault_offset(&self) -> Option<usize> {
+            match *self {}
+        }
     }
 }

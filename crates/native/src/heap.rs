@@ -12,14 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chaos::NativeChaos;
-use crate::guard::{self, GuardStats};
-
-#[cfg(all(
-    feature = "mprotect-guard",
-    target_os = "linux",
-    target_arch = "x86_64"
-))]
-use crate::guard::DualMapping;
+use crate::guard::{self, DualMapping, GuardStats};
 
 /// Word-addressed shared storage for a native TM heap.
 #[derive(Debug)]
@@ -27,11 +20,6 @@ pub(crate) enum WordHeap {
     /// Plain boxed atomics: no guard, identical public/shadow views.
     Boxed(Box<[AtomicU64]>),
     /// Dual-mapped guardable storage.
-    #[cfg(all(
-        feature = "mprotect-guard",
-        target_os = "linux",
-        target_arch = "x86_64"
-    ))]
     Mapped(DualMapping),
 }
 
@@ -39,13 +27,7 @@ pub(crate) enum WordHeap {
 /// Dropping it lifts the page protection.
 #[derive(Debug)]
 pub(crate) struct CommitWindow<'a> {
-    #[cfg(all(
-        feature = "mprotect-guard",
-        target_os = "linux",
-        target_arch = "x86_64"
-    ))]
     _win: Option<guard::Window<'a>>,
-    _heap: std::marker::PhantomData<&'a WordHeap>,
 }
 
 impl WordHeap {
@@ -53,11 +35,6 @@ impl WordHeap {
     /// mapping when [`guard::available`] and falling back to boxed
     /// atomics otherwise.
     pub(crate) fn new(words: u64) -> Self {
-        #[cfg(all(
-            feature = "mprotect-guard",
-            target_os = "linux",
-            target_arch = "x86_64"
-        ))]
         if guard::available() {
             if let Some(m) = DualMapping::new(words as usize * 8) {
                 return WordHeap::Mapped(m);
@@ -72,11 +49,6 @@ impl WordHeap {
     pub(crate) fn word(&self, w: usize) -> &AtomicU64 {
         match self {
             WordHeap::Boxed(b) => &b[w],
-            #[cfg(all(
-                feature = "mprotect-guard",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))]
             WordHeap::Mapped(m) => m.word(w),
         }
     }
@@ -87,11 +59,6 @@ impl WordHeap {
     pub(crate) fn shadow_word(&self, w: usize) -> &AtomicU64 {
         match self {
             WordHeap::Boxed(b) => &b[w],
-            #[cfg(all(
-                feature = "mprotect-guard",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))]
             WordHeap::Mapped(m) => m.shadow_word(w),
         }
     }
@@ -124,24 +91,10 @@ impl WordHeap {
                 if let Some((c, tid)) = chaos {
                     let _ = c.strike(tid, crate::chaos::FailSite::GuardWindow);
                 }
-                CommitWindow {
-                    #[cfg(all(
-                        feature = "mprotect-guard",
-                        target_os = "linux",
-                        target_arch = "x86_64"
-                    ))]
-                    _win: None,
-                    _heap: std::marker::PhantomData,
-                }
+                CommitWindow { _win: None }
             }
-            #[cfg(all(
-                feature = "mprotect-guard",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))]
             WordHeap::Mapped(m) => CommitWindow {
                 _win: Some(m.open_window(word_idxs, chaos)),
-                _heap: std::marker::PhantomData,
             },
         }
     }
@@ -151,11 +104,6 @@ impl WordHeap {
     pub(crate) fn guard_stats(&self) -> GuardStats {
         match self {
             WordHeap::Boxed(_) => GuardStats::default(),
-            #[cfg(all(
-                feature = "mprotect-guard",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))]
             WordHeap::Mapped(m) => m.stats(),
         }
     }
@@ -164,11 +112,6 @@ impl WordHeap {
     pub(crate) fn last_fault_offset(&self) -> Option<usize> {
         match self {
             WordHeap::Boxed(_) => None,
-            #[cfg(all(
-                feature = "mprotect-guard",
-                target_os = "linux",
-                target_arch = "x86_64"
-            ))]
             WordHeap::Mapped(m) => m.last_fault_offset(),
         }
     }

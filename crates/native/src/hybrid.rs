@@ -4,9 +4,10 @@
 //!
 //! Each [`HybridThread`] runs transactions on the TL2 fast path
 //! ([`NativeTxn`]) until `failover_after` consecutive aborts (with
-//! jittered exponential backoff between attempts, the policy shape of
-//! `ufotm_core::HybridPolicy`), then executes **one** transaction on the
-//! USTM slow path ([`NativeUstmTxn`]) and returns to the fast path.
+//! jittered exponential backoff between attempts, the schedule of
+//! `ufotm_core::HybridPolicy` at fixed constants), then executes **one**
+//! transaction on the USTM slow path ([`NativeUstmTxn`]) and returns to
+//! the fast path.
 //!
 //! ## The mode gate
 //!
@@ -32,33 +33,25 @@
 //! drained, the only code touching USTM-written lines during a slow
 //! commit is USTM itself.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use ufotm_core::{Stop, TmBackend, TxScope};
+use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
 use ufotm_machine::Addr;
-use ufotm_ustm::UstmAbort;
 
-use crate::chaos::{self, lock_recover, FailSite};
+use crate::chaos::{lock_recover, FailSite};
 use crate::guard::GuardStats;
+use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
 use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
-/// Failover/backoff policy for the native hybrid — the same shape as
-/// the simulated `HybridPolicy`'s retry knobs, with jitter on by
-/// default (real threads, unlike sim CPUs, gain nothing from
-/// deterministic lockstep backoff).
+/// Failover policy for the native hybrid: the two watchdog thresholds
+/// callers actually vary (the backoff schedule between fast-path retries
+/// is fixed).
 #[derive(Clone, Copy, Debug)]
 pub struct NativeHybridPolicy {
     /// Consecutive fast-path aborts before one slow-path execution.
     pub failover_after: u32,
-    /// Base spin units for fast-path retry backoff.
-    pub backoff_base: u64,
-    /// Backoff doubles per abort up to `base << cap`.
-    pub backoff_cap_exp: u32,
-    /// ± percentage of random jitter applied to each backoff.
-    pub backoff_jitter_pct: u64,
     /// Slow-path attempts before escalating to the serial-irrevocable
     /// tier (the native mirror of the simulator's third watchdog tier).
     pub serial_after: u32,
@@ -68,13 +61,18 @@ impl Default for NativeHybridPolicy {
     fn default() -> Self {
         NativeHybridPolicy {
             failover_after: 4,
-            backoff_base: 50,
-            backoff_cap_exp: 7,
-            backoff_jitter_pct: 25,
             serial_after: 8,
         }
     }
 }
+
+/// Fast-path retry backoff: `BASE << min(aborts, CAP_EXP)` spin units,
+/// ± `JITTER_PCT`% — the simulated `HybridPolicy`'s default schedule,
+/// with jitter on (real threads, unlike sim CPUs, gain nothing from
+/// deterministic lockstep backoff).
+const BACKOFF_BASE: u64 = 50;
+const BACKOFF_CAP_EXP: u32 = 7;
+const BACKOFF_JITTER_PCT: u64 = 25;
 
 /// Shared native hybrid state: the TL2 world (which owns the word
 /// heap), the USTM ownership table, and the mode gate.
@@ -371,30 +369,13 @@ impl<'a> HybridThread<'a> {
         x
     }
 
-    /// Jittered exponential backoff between fast-path retries
-    /// (`base << min(n, cap)` ± `jitter_pct`%, the `HybridPolicy`
-    /// schedule with jitter).
+    /// Jittered exponential backoff between fast-path retries (the
+    /// `BACKOFF_*` schedule above).
     fn backoff(&mut self, consecutive: u32) {
-        let p = self.shared.policy;
-        let base = p.backoff_base << consecutive.min(p.backoff_cap_exp);
-        let spin = if p.backoff_jitter_pct == 0 {
-            base
-        } else {
-            let span = base * p.backoff_jitter_pct / 100;
-            base - span + self.next_rand() % (2 * span + 1)
-        };
-        spin_work(spin);
+        let base = BACKOFF_BASE << consecutive.min(BACKOFF_CAP_EXP);
+        let span = base * BACKOFF_JITTER_PCT / 100;
+        spin_work(base - span + self.next_rand() % (2 * span + 1));
         std::thread::yield_now();
-    }
-
-    /// Registers a fast-path transaction, quiescing while any slow-path
-    /// transaction is pending; see [`NativeHybrid::gate_enter`].
-    fn enter_fast(&self) {
-        self.shared.gate_enter();
-    }
-
-    fn exit_fast(&self) {
-        self.shared.gate_exit();
     }
 
     /// One fast-path attempt; `Some(r)` on commit.
@@ -405,20 +386,11 @@ impl<'a> HybridThread<'a> {
         // Held-flag first, then the body: if this worker dies at an
         // injected failpoint inside the attempt, `reap_dead` can see the
         // flag and give its gate registration back.
-        self.enter_fast();
+        self.shared.gate_enter();
         self.shared.fast_held[self.tid].store(1, Ordering::SeqCst);
-        self.fast.begin();
-        let committed = match body(&mut self.fast) {
-            Ok(r) => self.fast.commit().is_ok().then_some(r),
-            Err(Stop) => {
-                if self.fast.is_active() {
-                    self.fast.drop_attempt();
-                }
-                None
-            }
-        };
+        let committed = self.fast.attempt(|t| body(t));
         self.shared.fast_held[self.tid].store(0, Ordering::SeqCst);
-        self.exit_fast();
+        self.shared.gate_exit();
         committed
     }
 
@@ -456,24 +428,8 @@ impl<'a> HybridThread<'a> {
                 }
             }
             attempts += 1;
-            self.slow.begin();
-            match body(&mut self.slow) {
-                Ok(r) => match self.slow.commit() {
-                    Ok(()) => break Some(r),
-                    Err(UstmAbort::Killed { .. }) => self.slow.wait_for_killer(),
-                    Err(_) => {}
-                },
-                Err(Stop) => {
-                    if self.slow.is_active() {
-                        // The body surfaced a hand-made Stop with the
-                        // attempt still live: roll it back and retry.
-                        let _ = self.slow.abort_explicit();
-                    } else {
-                        // Protocol abort (killed): pause behind the
-                        // killer before retrying.
-                        self.slow.wait_for_killer();
-                    }
-                }
+            if let Some(r) = self.slow.attempt(|t| body(t)) {
+                break Some(r);
             }
         };
         shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
@@ -606,119 +562,76 @@ impl TmBackend for HybridThread<'_> {
         HybridThread::force_failover_next(self);
     }
 
-    fn commit_counts(&mut self) -> (u64, u64) {
-        // Serial commits count on the "slow" side, mirroring the
-        // simulated backend's sw + lock + serial rollup.
-        (
-            self.fast.stats.commits,
-            self.slow.stats.commits + self.serial_commits,
-        )
-    }
-
-    fn failovers(&mut self) -> u64 {
-        self.failovers
-    }
-
-    fn serial_commits(&mut self) -> u64 {
-        self.serial_commits
-    }
-
-    fn orphan_reclaims(&mut self) -> u64 {
-        self.shared.tl2.orphan_steals() + self.shared.ustm.orphan_releases()
-    }
-
-    fn helper_completions(&mut self) -> u64 {
-        self.shared.ustm.helper_completions()
+    fn backend_stats(&mut self) -> BackendStats {
+        BackendStats {
+            fast_commits: self.fast.stats.commits,
+            // Serial commits count on the "slow" side, mirroring the
+            // simulated backend's sw + lock + serial rollup.
+            slow_commits: self.slow.stats.commits + self.serial_commits,
+            failovers: self.failovers,
+            serial_commits: self.serial_commits,
+            orphan_reclaims: self.shared.tl2.orphan_steals() + self.shared.ustm.orphan_releases(),
+            helper_completions: self.shared.ustm.helper_completions(),
+        }
     }
 }
 
-/// One worker's join outcome from [`run_hybrid_threads_collect`]; see
-/// [`crate::tl2::NativeOutcome`].
-#[derive(Clone, Debug)]
-pub struct HybridOutcome<R> {
-    /// Worker tid (outcomes are returned in tid order).
-    pub tid: usize,
-    /// The worker's merged counters at join time.
-    pub stats: HybridStats,
-    /// The body's result, or the rendered panic payload.
-    pub result: Result<R, String>,
+/// One worker's join outcome from [`run_hybrid_threads_collect`].
+pub type HybridOutcome<R> = Outcome<HybridStats, R>;
+
+impl WorkerWorld for NativeHybrid {
+    type Handle<'a> = HybridThread<'a>;
+    type Stats = HybridStats;
+
+    fn handle<'a>(&'a self, barrier: &'a Barrier, tid: usize, threads: usize) -> HybridThread<'a> {
+        HybridThread::new(self, Some(barrier), tid, threads)
+    }
+
+    fn stats(handle: &HybridThread<'_>) -> HybridStats {
+        handle.stats()
+    }
+
+    /// Marks the worker dead and reaps it immediately: its USTM leavings
+    /// are helper-completed or discarded, its TL2 stripe locks swept, and
+    /// any gate registration it died holding is repaired, so survivors
+    /// keep committing while the corpse is still warm.
+    fn on_death(&self, tid: usize) {
+        self.tl2.liveness().mark_dead(tid);
+        self.reap_dead(tid);
+    }
+
+    fn after_deaths(&self) {
+        self.reap_all_dead();
+    }
 }
 
 /// Runs `body` on `threads` real OS threads over `shared`, each with
 /// its own [`HybridThread`] handle and a common phase barrier, and
-/// collects **every** worker's outcome. A panicked worker is marked
-/// dead and immediately reaped (in-thread, before it exits): its USTM
-/// leavings are helper-completed or discarded, its TL2 stripe locks
-/// swept, and any gate registration it died holding is repaired, so
-/// survivors keep committing while the corpse is still warm.
-///
-/// Bodies that may be killed by panic injection must not use the phase
-/// barrier (a dead worker never arrives).
+/// collects **every** worker's outcome; a panicked worker is reaped
+/// in-thread (see [`run_threads_collect`](crate::run_threads_collect)
+/// for the contract, including the no-barrier rule for killable bodies).
 pub fn run_hybrid_threads_collect<R: Send>(
     shared: &NativeHybrid,
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> Vec<HybridOutcome<R>> {
-    assert!(threads >= 1, "at least one thread");
-    let barrier = Barrier::new(threads);
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = &barrier;
-                let body = &body;
-                scope.spawn(move || {
-                    let mut th = HybridThread::new(shared, Some(barrier), tid, threads);
-                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
-                    let stats = th.stats();
-                    let result = r.map_err(|payload| {
-                        shared.tl2.liveness().mark_dead(tid);
-                        shared.reap_dead(tid);
-                        chaos::panic_message(payload.as_ref())
-                    });
-                    HybridOutcome { tid, stats, result }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("hybrid worker wrapper itself panicked"))
-            .collect::<Vec<_>>()
-    });
-    if outcomes.iter().any(|o| o.result.is_err()) {
-        shared.reap_all_dead();
-    }
-    outcomes
+    run_workers_collect(shared, threads, body)
 }
 
-/// Runs `body` on `threads` real OS threads over `shared`, each with
-/// its own [`HybridThread`] handle and a common phase barrier. Returns
-/// the merged stats and each thread's result (in tid order).
+/// [`run_hybrid_threads_collect`], folded into the merged stats and each
+/// thread's result (in tid order).
 ///
 /// # Panics
 ///
-/// Panics if any worker panicked, naming every dead tid with its
-/// payload and per-thread counters. Use [`run_hybrid_threads_collect`]
-/// to observe the survivors instead.
+/// Panics if any worker panicked, naming every dead tid with its payload
+/// and per-thread counters.
 pub fn run_hybrid_threads<R: Send>(
     shared: &NativeHybrid,
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> (HybridStats, Vec<R>) {
-    let outcomes = run_hybrid_threads_collect(shared, threads, body);
-    let mut stats = HybridStats::default();
-    let mut results = Vec::with_capacity(threads);
-    let mut deaths = Vec::new();
-    for o in outcomes {
-        stats.merge(&o.stats);
-        match o.result {
-            Ok(r) => results.push(r),
-            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
-        }
-    }
-    assert!(
-        deaths.is_empty(),
-        "hybrid worker thread(s) panicked: {}",
-        deaths.join("; ")
-    );
-    (stats, results)
+    merged(
+        run_hybrid_threads_collect(shared, threads, body),
+        HybridStats::merge,
+    )
 }

@@ -15,11 +15,18 @@
 //! * [`guard`] — the `mprotect`/SIGSEGV strong-atomicity guard standing
 //!   in for the paper's UFO bits: USTM commit windows page-protect the
 //!   public heap view, racing plain accesses fault, get classified, and
-//!   re-execute after the window (feature `mprotect-guard`, Linux
-//!   x86_64 only; disable at runtime with `UFOTM_SKIP_GUARD=1`).
+//!   re-execute after the window (Linux x86_64 only, by target `cfg`;
+//!   disable at runtime with `UFOTM_SKIP_GUARD=1`).
 //! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the failover
 //!   driver: TL2 fast path, USTM slow path after `failover_after`
-//!   consecutive aborts with jittered backoff, PhTM-style mode gate.
+//!   consecutive aborts with jittered backoff, serial tier after
+//!   `serial_after` failed slow attempts, PhTM-style mode gate.
+//!
+//! Each path has exactly one single-shot attempt step
+//! ([`NativeTxn::attempt`], [`NativeUstmTxn::attempt`]) that every retry
+//! loop wraps, and the four `run_*threads*` entry points are type-pinned
+//! wrappers over one worker runner (one scoped-thread spawn loop
+//! for the whole crate) returning one [`Outcome`] shape.
 //!
 //! The sim and native implementations are cross-validated
 //! (`crates/stamp`'s `cross_validate` suite): the same transaction
@@ -48,6 +55,7 @@
 pub mod chaos;
 pub mod guard;
 mod heap;
+mod runner;
 mod tl2;
 
 pub mod hybrid;
@@ -59,6 +67,7 @@ pub use hybrid::{
     run_hybrid_threads, run_hybrid_threads_collect, HybridOutcome, HybridStats, HybridThread,
     NativeHybrid, NativeHybridPolicy,
 };
+pub use runner::Outcome;
 pub use tl2::{
     run_threads, run_threads_collect, spin_work, DebugWindow, NativeOutcome, NativeStats,
     NativeThread, NativeTl2, NativeTxn,

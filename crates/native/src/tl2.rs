@@ -35,25 +35,17 @@
 //! clock version merely invalidates concurrent readers.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use ufotm_core::{Stop, TmBackend, TxScope};
+use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
 use ufotm_machine::Addr;
-use ufotm_tl2::Tl2Abort;
+use ufotm_tl2::{stripe_index, Tl2Abort};
 
-use crate::chaos::{self, FailSite, Liveness, NativeChaos, MAX_WORKERS};
+use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
 use crate::heap::{CommitWindow, WordHeap};
-
-/// Same stripe hash as the simulated TL2 (`Tl2Shared::lock_index`), so a
-/// given address contends on the "same" stripe in both worlds.
-const STRIPE_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Cache-line granularity of the stripes, matching the simulated
-/// machine's 64-byte lines.
-const LINE_BYTES: u64 = 64;
+use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
 
 /// Burns roughly `cycles` iterations of a pause-hinted busy loop — the
 /// native stand-in for the simulator's cycle-charged `work`.
@@ -192,9 +184,10 @@ impl NativeTl2 {
         w
     }
 
+    /// The simulated TL2's stripe hash over the same 64-byte lines, so a
+    /// given address contends on the same stripe in both worlds.
     fn stripe_of(&self, addr: Addr) -> usize {
-        let line = addr.0 / LINE_BYTES;
-        ((line.wrapping_mul(STRIPE_MULT) >> 33) & self.mask) as usize
+        stripe_index(addr.line(), self.mask)
     }
 
     /// Plain (non-transactional) load, for setup and verification phases.
@@ -620,19 +613,36 @@ impl<'a> NativeTxn<'a> {
         spin_work(16u64 << self.consecutive_aborts.min(6));
     }
 
+    /// One single-shot attempt: begin, run `body`, commit. `Some(r)` iff
+    /// the body returned `Ok(r)` **and** the commit succeeded; otherwise
+    /// the attempt is rolled back and counted. Every TL2 retry loop in
+    /// the crate ([`NativeTxn::run`], [`NativeThread`], the hybrid's fast
+    /// path) is a loop around this.
+    #[inline]
+    pub fn attempt<R, E>(
+        &mut self,
+        body: impl FnOnce(&mut NativeTxn<'a>) -> Result<R, E>,
+    ) -> Option<R> {
+        self.begin();
+        match body(self) {
+            Ok(r) => self.commit().is_ok().then_some(r),
+            Err(_) => {
+                // A body may surface its own error while the attempt is
+                // still live (e.g. a fabricated abort): drop it cleanly.
+                if self.active {
+                    self.drop_attempt();
+                }
+                None
+            }
+        }
+    }
+
     /// Runs `body` as a transaction, retrying with exponential backoff
     /// until commit, and returns its result.
     pub fn run<R>(&mut self, mut body: impl FnMut(&mut NativeTxn<'a>) -> Result<R, Tl2Abort>) -> R {
         loop {
-            self.begin();
-            if let Ok(r) = body(self) {
-                if self.commit().is_ok() {
-                    return r;
-                }
-            } else if self.active {
-                // A body may surface its own error while the attempt is
-                // still live (e.g. a fabricated abort): drop it cleanly.
-                self.drop_attempt();
+            if let Some(r) = self.attempt(&mut body) {
+                return r;
             }
             self.backoff();
         }
@@ -689,18 +699,8 @@ impl<'a> NativeThread<'a> {
 impl TmBackend for NativeThread<'_> {
     fn transaction<R>(&mut self, mut body: impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
         loop {
-            self.txn.begin();
-            match body(&mut self.txn) {
-                Ok(r) => {
-                    if self.txn.commit().is_ok() {
-                        return r;
-                    }
-                }
-                Err(Stop) => {
-                    if self.txn.is_active() {
-                        self.txn.drop_attempt();
-                    }
-                }
+            if let Some(r) = self.txn.attempt(|t| body(t)) {
+                return r;
             }
             self.txn.backoff();
         }
@@ -730,33 +730,46 @@ impl TmBackend for NativeThread<'_> {
         self.threads
     }
 
-    fn orphan_reclaims(&mut self) -> u64 {
-        self.txn.shared.orphan_steals()
+    fn backend_stats(&mut self) -> BackendStats {
+        BackendStats {
+            fast_commits: self.txn.stats.commits,
+            orphan_reclaims: self.txn.shared.orphan_steals(),
+            ..BackendStats::default()
+        }
     }
 }
 
-/// One worker's join outcome from [`run_threads_collect`]: its per-thread
-/// counters survive even when the body panicked, so torture tests can
-/// assert that the *surviving* threads still committed.
-#[derive(Clone, Debug)]
-pub struct NativeOutcome<R> {
-    /// Worker tid (outcomes are returned in tid order).
-    pub tid: usize,
-    /// The worker's event counters at join time.
-    pub stats: NativeStats,
-    /// The body's result, or the rendered panic payload.
-    pub result: Result<R, String>,
+/// One worker's join outcome from [`run_threads_collect`].
+pub type NativeOutcome<R> = Outcome<NativeStats, R>;
+
+impl WorkerWorld for NativeTl2 {
+    type Handle<'a> = NativeThread<'a>;
+    type Stats = NativeStats;
+
+    fn handle<'a>(&'a self, barrier: &'a Barrier, tid: usize, threads: usize) -> NativeThread<'a> {
+        NativeThread::new(self, barrier, tid, threads)
+    }
+
+    fn stats(handle: &NativeThread<'_>) -> NativeStats {
+        handle.stats()
+    }
+
+    /// Marks the worker dead so survivors start stealing its stripe
+    /// locks while still running.
+    fn on_death(&self, tid: usize) {
+        self.liveness.mark_dead(tid);
+    }
+
+    /// Sweeps the stripe table for orphans no live waiter touched.
+    fn after_deaths(&self) {
+        self.sweep_orphans();
+    }
 }
 
 /// Runs `body` on `threads` real OS threads over `shared`, each with its
 /// own [`NativeThread`] handle and a common phase barrier, and collects
-/// **every** worker's outcome — a panicked worker is marked dead in the
-/// liveness registry (in-thread, before it exits, so survivors start
-/// reclaiming its locks while still running), its panic payload is
-/// rendered into the outcome, and its counters survive.
-///
-/// After all workers join, if any died, the stripe table is swept for
-/// remaining orphans.
+/// **every** worker's outcome: a worker's death is survivable (its locks
+/// are stolen, its counters and panic payload come back in its outcome).
 ///
 /// Bodies that may be killed by panic injection must not use the phase
 /// barrier: a dead worker never arrives and the survivors would wait
@@ -766,65 +779,23 @@ pub fn run_threads_collect<R: Send>(
     threads: usize,
     body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
 ) -> Vec<NativeOutcome<R>> {
-    assert!(threads >= 1, "at least one thread");
-    let barrier = Barrier::new(threads);
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = &barrier;
-                let body = &body;
-                scope.spawn(move || {
-                    let mut th = NativeThread::new(shared, barrier, tid, threads);
-                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
-                    let stats = th.stats();
-                    let result = r.map_err(|payload| {
-                        shared.liveness.mark_dead(tid);
-                        chaos::panic_message(payload.as_ref())
-                    });
-                    NativeOutcome { tid, stats, result }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("native worker wrapper itself panicked"))
-            .collect::<Vec<_>>()
-    });
-    if outcomes.iter().any(|o| o.result.is_err()) {
-        shared.sweep_orphans();
-    }
-    outcomes
+    run_workers_collect(shared, threads, body)
 }
 
-/// Runs `body` on `threads` real OS threads over `shared`, each with its
-/// own [`NativeThread`] handle and a common phase barrier. Returns the
-/// merged stats and each thread's result (in tid order).
+/// [`run_threads_collect`], folded into the merged stats and each
+/// thread's result (in tid order).
 ///
 /// # Panics
 ///
 /// Panics if any worker panicked, naming every dead tid with its payload
-/// and per-thread counters. Use [`run_threads_collect`] to observe the
-/// survivors instead.
+/// and per-thread counters.
 pub fn run_threads<R: Send>(
     shared: &NativeTl2,
     threads: usize,
     body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
 ) -> (NativeStats, Vec<R>) {
-    let outcomes = run_threads_collect(shared, threads, body);
-    let mut stats = NativeStats::default();
-    let mut results = Vec::with_capacity(threads);
-    let mut deaths = Vec::new();
-    for o in outcomes {
-        stats.merge(&o.stats);
-        match o.result {
-            Ok(r) => results.push(r),
-            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
-        }
-    }
-    assert!(
-        deaths.is_empty(),
-        "native worker thread(s) panicked: {}",
-        deaths.join("; ")
-    );
-    (stats, results)
+    merged(
+        run_threads_collect(shared, threads, body),
+        NativeStats::merge,
+    )
 }

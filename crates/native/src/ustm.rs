@@ -48,17 +48,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ufotm_core::{Stop, TxScope};
-use ufotm_machine::Addr;
-use ufotm_ustm::UstmAbort;
+use ufotm_machine::{Addr, LineAddr, LINE_BYTES};
+use ufotm_ustm::{bin_index, UstmAbort};
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::tl2::{spin_work, NativeTl2};
-
-/// Same Fibonacci hash as the simulated otable (`Otable::index_of`), so
-/// a given line chains into the "same" bin in both worlds.
-const BIN_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-const LINE_BYTES: u64 = 64;
 
 // Status-slot phases (low 8 bits of the packed word).
 const PHASE_INACTIVE: u64 = 0;
@@ -148,8 +142,10 @@ impl NativeUstm {
         }
     }
 
+    /// The simulated otable's bin hash, so a given line chains into the
+    /// same bin in both worlds.
     fn bin_index(&self, line: u64) -> usize {
-        (line.wrapping_mul(BIN_MULT) >> 32 & self.mask) as usize
+        bin_index(LineAddr(line), self.mask) as usize
     }
 
     /// Locks a bin by index, recovering from poison instead of cascading
@@ -848,6 +844,35 @@ impl<'a> NativeUstmTxn<'a> {
         }
     }
 
+    /// One single-shot attempt: begin, run `body`, commit. `Some(r)` iff
+    /// the body returned `Ok(r)` **and** the commit succeeded. A failed
+    /// attempt is rolled back (explicitly, if the body surfaced its own
+    /// error with the transaction still live) and, if it was killed,
+    /// parks behind its killer before returning — so callers just loop.
+    /// Both USTM retry loops ([`NativeUstmTxn::run`] and the hybrid's
+    /// slow path) are loops around this.
+    #[inline]
+    pub fn attempt<R, E>(
+        &mut self,
+        body: impl FnOnce(&mut NativeUstmTxn<'a>) -> Result<R, E>,
+    ) -> Option<R> {
+        self.begin();
+        let committed = match body(self) {
+            Ok(r) => self.commit().is_ok().then_some(r),
+            Err(_) => {
+                if self.active {
+                    let _ = self.abort_explicit();
+                }
+                None
+            }
+        };
+        if committed.is_none() {
+            // No-op unless this attempt ended in `Killed`.
+            self.wait_for_killer();
+        }
+        committed
+    }
+
     /// Runs `body` as a transaction, retrying (with killer-waits) until
     /// commit, and returns its result. Explicit aborts re-issue, like
     /// the simulated `UstmTxn::run`.
@@ -856,21 +881,8 @@ impl<'a> NativeUstmTxn<'a> {
         mut body: impl FnMut(&mut NativeUstmTxn<'a>) -> Result<R, UstmAbort>,
     ) -> R {
         loop {
-            self.begin();
-            match body(self) {
-                Ok(r) => match self.commit() {
-                    Ok(()) => return r,
-                    Err(UstmAbort::Killed { .. }) => self.wait_for_killer(),
-                    Err(_) => {}
-                },
-                Err(UstmAbort::Killed { .. }) => self.wait_for_killer(),
-                Err(UstmAbort::Explicit | UstmAbort::RetryWoken) => {
-                    if self.active {
-                        // The body surfaced its own abort without going
-                        // through `abort_explicit`: roll back for it.
-                        let _ = self.abort_explicit();
-                    }
-                }
+            if let Some(r) = self.attempt(&mut body) {
+                return r;
             }
         }
     }

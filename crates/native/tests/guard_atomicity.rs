@@ -160,18 +160,23 @@ fn ustm_commits_with_concurrent_plain_traffic() {
     let b = Addr(4096 + 256);
     const ROUNDS: u64 = 200;
     let stop = AtomicBool::new(false);
+    let started = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let plain = scope.spawn(|| {
             let mut n = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 h.poke(b, n);
+                started.store(true, Ordering::Release);
                 assert_eq!(h.peek(b), n, "plain word torn by a commit window");
                 n += 1;
             }
             n
         });
 
+        // Handshake: the commits below must race live plain traffic, so
+        // do not start them until the plain thread has poked at least once.
+        wait_until(|| started.load(Ordering::Acquire));
         let mut txn = ufotm_native::NativeUstmTxn::new(h.tl2(), h.ustm(), 0);
         for i in 1..=ROUNDS {
             txn.run(|t| {

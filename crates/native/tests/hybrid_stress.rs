@@ -211,7 +211,13 @@ fn all_slow_path_counter_is_exact() {
         }
     });
     assert_eq!(h.peek(COUNTER), THREADS as u64 * PER);
-    assert_eq!(stats.slow.commits, THREADS as u64 * PER);
+    // A forced-slow transaction whose USTM attempts keep getting killed
+    // escalates to the serial tier after `serial_after` tries and commits
+    // there, so the exact invariant is over both tiers together.
+    assert_eq!(
+        stats.slow.commits + stats.serial_commits,
+        THREADS as u64 * PER
+    );
     assert_eq!(stats.fast.begins, 0, "everything was forced slow");
     assert_eq!(stats.forced_failovers, THREADS as u64 * PER);
 }

@@ -311,7 +311,7 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
         let mut probe = HybridThread::new(&h, None, 0, THREADS);
         match site {
             FailSite::Tl2LockHeld => assert!(
-                TmBackend::orphan_reclaims(&mut probe) > 0,
+                probe.backend_stats().orphan_reclaims > 0,
                 "{label}: death with stripe locks held must force a steal"
             ),
             FailSite::UstmCommit => assert!(
@@ -473,7 +473,6 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     let h = world(NativeHybridPolicy {
         failover_after: 1,
         serial_after: 2,
-        ..NativeHybridPolicy::default()
     });
     let mut plan = ChaosPlan::quiet(0xDEAD);
     plan.abort_pmil[FailSite::Tl2Read.index()] = 1000;
@@ -506,7 +505,7 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     assert!(stats.failovers >= 2 * N);
     let mut probe = HybridThread::new(&h, None, 0, THREADS);
     assert_eq!(
-        TmBackend::serial_commits(&mut probe),
+        probe.backend_stats().serial_commits,
         0,
         "per-thread counter"
     );

@@ -10,7 +10,9 @@
 //! translating [`TxAbort`] to the opaque [`Stop`] token and back.
 //! Simulated results are therefore byte-identical either way.
 
-use ufotm_core::{nont_load, nont_store, Stop, TmBackend, TmThread, Tx, TxAbort, TxScope};
+use ufotm_core::{
+    nont_load, nont_store, BackendStats, Stop, TmBackend, TmThread, Tx, TxAbort, TxScope,
+};
 use ufotm_machine::{Addr, PlainAccess};
 use ufotm_sim::Ctx;
 
@@ -135,7 +137,7 @@ impl TmBackend for SimBackend<'_> {
         self.force_next = true;
     }
 
-    fn commit_counts(&mut self) -> (u64, u64) {
+    fn backend_stats(&mut self) -> BackendStats {
         // Fast path = hardware commits; slow path = everything the driver
         // fell back to (software STM, the lock, serial mode). The counters
         // are world-global, so per-thread deltas are only meaningful in
@@ -143,18 +145,13 @@ impl TmBackend for SimBackend<'_> {
         // suite runs.
         self.ctx.with(|w| {
             let s = &w.shared.tm.stats;
-            (
-                s.hw_commits,
-                s.sw_commits + s.lock_commits + s.serial_commits,
-            )
+            BackendStats {
+                fast_commits: s.hw_commits,
+                slow_commits: s.sw_commits + s.lock_commits + s.serial_commits,
+                failovers: s.total_failovers(),
+                serial_commits: s.serial_commits,
+                ..BackendStats::default()
+            }
         })
-    }
-
-    fn failovers(&mut self) -> u64 {
-        self.ctx.with(|w| w.shared.tm.stats.total_failovers())
-    }
-
-    fn serial_commits(&mut self) -> u64 {
-        self.ctx.with(|w| w.shared.tm.stats.serial_commits)
     }
 }

@@ -8,21 +8,16 @@
 //! test for robust contention management and the source of its periodic
 //! cache overflows (long prefixes overflow the L1).
 //!
-//! The workload is written once against [`TmBackend`] and runs on both
-//! substrates: [`run`] on the simulated machine (cycle-charged,
-//! deterministic), [`run_native`] on host atomics — TL2-only or the
-//! failover hybrid, per `spec.backend`.
+//! The workload is one [`Workload`] impl, written once against
+//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
+//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
+//! — TL2-only or the failover hybrid, per `spec.backend`.
 
-use ufotm_core::{BackendKind, TmBackend};
-use ufotm_machine::{Addr, Machine};
+use ufotm_core::TmBackend;
+use ufotm_machine::Addr;
 
-use crate::backend::SimBackend;
-use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
-};
+use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
 use crate::structures::{HashSet, Peek, SortedList};
-use crate::world::StampWorld;
 
 /// genome parameters.
 #[derive(Clone, Copy, Debug)]
@@ -54,18 +49,6 @@ impl GenomeParams {
         self.set_base().add_words(self.buckets)
     }
 
-    /// One past the last static byte (for native heap sizing): the
-    /// bucket array plus the list-head word.
-    fn static_end(&self) -> Addr {
-        self.list_head().add_words(1)
-    }
-
-    /// Transactional-allocation headroom for native heaps: one node per
-    /// raw segment in each of the two structures, with slack.
-    fn native_alloc_words(&self) -> u64 {
-        (self.segments as u64 * 2 + 64) * 8
-    }
-
     /// The number of distinct segments the seed produces — deterministic,
     /// so both the ops count and the verifier know it up front.
     fn distinct_segments(&self, seed: u64) -> Vec<u64> {
@@ -86,132 +69,106 @@ fn segment(seed: u64, i: usize) -> u64 {
     (x % (1 << 16)) % 977 + (x % 7) * 1000 + 1 // never 0 (0 = null key)
 }
 
-/// One thread's whole run, written once against the backend traits.
-fn phase_body<B: TmBackend>(b: &mut B, p: GenomeParams, seed: u64) {
-    let set = HashSet::new(p.set_base(), p.buckets);
-    let list = SortedList::new(p.list_head());
-    let (start, end) = chunk(p.segments, b.threads(), b.tid());
-    // Phase 1: de-duplicate into the hash set. Remember which keys
-    // *we* inserted first — exactly those are ours to assemble.
-    let mut mine = Vec::new();
-    for i in start..end {
-        let key = segment(seed, i);
-        let fresh = b.transaction(|tx| set.insert(tx, key));
-        if fresh {
-            mine.push(key);
-        }
-        b.compute(30);
+impl Workload for GenomeParams {
+    /// The bucket array plus the list-head word.
+    fn static_end(&self) -> Addr {
+        self.list_head().add_words(1)
     }
-    b.barrier();
-    // Phase 2: sorted assembly (the contention stress).
-    for key in mine {
-        let inserted = b.transaction(|tx| list.insert(tx, key, key ^ 1));
-        assert!(inserted, "key {key} was uniquely ours");
-        b.compute(20);
-    }
-    b.barrier();
-    // Phase 3: matching — read-mostly probes against the set (the
-    // bulk of STAMP genome's runtime; embarrassingly parallel).
-    for i in start..end {
-        let key = segment(seed, i);
-        let probes = [key, key ^ 3, key.wrapping_add(17)];
-        let hits = b.transaction(|tx| {
-            let mut hits = 0u64;
-            for p in probes {
-                if set.contains(tx, p)? {
-                    hits += 1;
-                }
-            }
-            Ok(hits)
-        });
-        assert!(hits >= 1, "own segment must be present");
-        b.compute(120);
-    }
-}
 
-/// Host-side verification, shared by both substrates: the final list must
-/// contain exactly the distinct segments, in sorted order, and the hash
-/// set must agree.
-fn check_final(p: GenomeParams, seed: u64, peek: &Peek<'_>) {
-    let set = HashSet::new(p.set_base(), p.buckets);
-    let list = SortedList::new(p.list_head());
-    let expected = p.distinct_segments(seed);
-    let keys = list.peek_keys(peek);
-    assert!(
-        keys.windows(2).all(|w| w[0] < w[1]),
-        "list must be strictly sorted"
-    );
-    assert_eq!(
-        keys, expected,
-        "list contents diverge from the distinct segments"
-    );
-    let mut set_keys = set.peek_all(peek);
-    set_keys.sort_unstable();
-    assert_eq!(set_keys, expected, "hash set contents diverge");
+    /// One node per raw segment in each of the two structures, with
+    /// slack.
+    fn native_alloc_words(&self) -> u64 {
+        (self.segments as u64 * 2 + 64) * 8
+    }
+
+    /// One transaction per raw segment in phases 1 and 3, plus one per
+    /// distinct segment in phase 2 — deterministic from the seed.
+    fn ops(&self, seed: u64) -> u64 {
+        (self.segments * 2 + self.distinct_segments(seed).len()) as u64
+    }
+
+    fn body<B: TmBackend>(&self, b: &mut B, seed: u64) {
+        let p = *self;
+        let set = HashSet::new(p.set_base(), p.buckets);
+        let list = SortedList::new(p.list_head());
+        let (start, end) = chunk(p.segments, b.threads(), b.tid());
+        // Phase 1: de-duplicate into the hash set. Remember which keys
+        // *we* inserted first — exactly those are ours to assemble.
+        let mut mine = Vec::new();
+        for i in start..end {
+            let key = segment(seed, i);
+            let fresh = b.transaction(|tx| set.insert(tx, key));
+            if fresh {
+                mine.push(key);
+            }
+            b.compute(30);
+        }
+        b.barrier();
+        // Phase 2: sorted assembly (the contention stress).
+        for key in mine {
+            let inserted = b.transaction(|tx| list.insert(tx, key, key ^ 1));
+            assert!(inserted, "key {key} was uniquely ours");
+            b.compute(20);
+        }
+        b.barrier();
+        // Phase 3: matching — read-mostly probes against the set (the
+        // bulk of STAMP genome's runtime; embarrassingly parallel).
+        for i in start..end {
+            let key = segment(seed, i);
+            let probes = [key, key ^ 3, key.wrapping_add(17)];
+            let hits = b.transaction(|tx| {
+                let mut hits = 0u64;
+                for p in probes {
+                    if set.contains(tx, p)? {
+                        hits += 1;
+                    }
+                }
+                Ok(hits)
+            });
+            assert!(hits >= 1, "own segment must be present");
+            b.compute(120);
+        }
+    }
+
+    /// The final list must contain exactly the distinct segments, in
+    /// sorted order, and the hash set must agree.
+    fn verify(&self, seed: u64, peek: &Peek<'_>) {
+        let p = *self;
+        let set = HashSet::new(p.set_base(), p.buckets);
+        let list = SortedList::new(p.list_head());
+        let expected = p.distinct_segments(seed);
+        let keys = list.peek_keys(peek);
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "list must be strictly sorted"
+        );
+        assert_eq!(
+            keys, expected,
+            "list contents diverge from the distinct segments"
+        );
+        let mut set_keys = set.peek_all(peek);
+        set_keys.sort_unstable();
+        assert_eq!(set_keys, expected, "hash set contents diverge");
+    }
 }
 
 /// Runs genome under `spec` on the simulated machine.
 ///
 /// # Panics
 ///
-/// Panics if verification fails (see `check_final`'s invariants).
+/// Panics if verification fails (see [`Workload::verify`]'s invariants).
 pub fn run(spec: &RunSpec, params: &GenomeParams) -> RunOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let threads = spec.threads;
-
-    let setup = move |_m: &mut Machine, _w: &mut StampWorld| {
-        // Bucket array and list head start zeroed; nothing to do.
-    };
-
-    let make_body = move |tid: usize| -> crate::harness::WorkBody {
-        Box::new(move |t, ctx| {
-            let mut b = SimBackend::new(t, ctx, tid, threads);
-            phase_body(&mut b, p, seed);
-        })
-    };
-
-    let verify = move |m: &Machine, _w: &StampWorld| {
-        check_final(p, seed, &|a| m.peek(a));
-    };
-
-    run_workload(spec, setup, make_body, verify)
+    harness::run_sim(spec, params)
 }
 
-/// Runs genome on a native backend — host-atomics TL2 or the failover
-/// hybrid, per `spec.backend`: the *same* `phase_body` on real OS
-/// threads, verified by the same host-side dedup/sort replay.
+/// Runs genome on a native backend: the *same* body on real OS threads,
+/// verified by the same host-side dedup/sort replay.
 ///
 /// # Panics
 ///
 /// Panics if verification fails or `spec.backend` is simulated.
 pub fn run_native(spec: &RunSpec, params: &GenomeParams) -> NativeOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    // One transaction per raw segment in phases 1 and 3, plus one per
-    // distinct segment in phase 2 — deterministic from the seed.
-    let ops = (p.segments * 2 + p.distinct_segments(seed).len()) as u64;
-    if spec.backend == BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), p.native_alloc_words(), spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |_t| {},
-            |th| phase_body(th, p, seed),
-            |t| check_final(p, seed, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), p.native_alloc_words());
-        run_native_workload(
-            spec,
-            &heap,
-            |_h| {},
-            |th| phase_body(th, p, seed),
-            |h| check_final(p, seed, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    harness::run_native(spec, params)
 }
 
 #[cfg(test)]

@@ -2,23 +2,32 @@
 //! workload threads, verifies, and collects the numbers the benchmark
 //! drivers report.
 //!
+//! A STAMP workload is one [`Workload`] impl — layout, setup, one
+//! backend-generic thread body, verification — and the harness owns the
+//! only two drivers: [`run_sim`] on the simulated machine and
+//! [`run_native`] on real OS threads (TL2-only or the failover hybrid,
+//! per `spec.backend`).
+//!
 //! Simulated-address conventions: the first 4 KiB belong to the harness
 //! (the phase barrier lives there); workload static data starts at 4 KiB;
 //! the shared heap and TM metadata are placed by
 //! [`TmSharedLayout::standard`](ufotm_core::TmSharedLayout).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use ufotm_core::{BackendKind, HybridPolicy, RunReport, SystemKind, TmShared, TmThread};
+use ufotm_core::{BackendKind, HybridPolicy, RunReport, SystemKind, TmBackend, TmShared, TmThread};
 use ufotm_machine::{AbortReason, Addr, Machine, MachineConfig};
 use ufotm_native::{
-    run_hybrid_threads, run_threads, HybridStats, HybridThread, NativeHybrid, NativeHybridPolicy,
-    NativeStats, NativeThread, NativeTl2,
+    run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeStats,
+    NativeTl2,
 };
 use ufotm_sim::{Ctx, HandoffMode, Sim, ThreadFn};
 use ufotm_tl2::Tl2Stats;
 use ufotm_ustm::UstmStats;
 
+use crate::backend::SimBackend;
+use crate::structures::Peek;
 use crate::world::{Barrier, StampWorld};
 
 /// Simulated address of the harness barrier counter.
@@ -57,10 +66,10 @@ pub struct RunSpec {
     /// determinism regression tests can prove it.
     pub broadcast_handoff: bool,
     /// Which execution substrate runs the workload. [`run_workload`]
-    /// requires [`BackendKind::Simulated`]; the `run_native` entry points
-    /// require [`BackendKind::NativeTl2`] or [`BackendKind::NativeHybrid`]
-    /// (where `kind`, `policy`, `machine` and the engine knobs are
-    /// meaningless and ignored).
+    /// (and so [`run_sim`]) requires [`BackendKind::Simulated`];
+    /// [`run_native`] requires [`BackendKind::NativeTl2`] or
+    /// [`BackendKind::NativeHybrid`] (where `kind`, `policy`, `machine`
+    /// and the engine knobs are meaningless and ignored).
     pub backend: BackendKind,
 }
 
@@ -210,8 +219,8 @@ pub fn run_workload(
     assert_eq!(
         spec.backend,
         BackendKind::Simulated,
-        "run_workload drives the simulator; use the workload's run_native \
-         for BackendKind::NativeTl2"
+        "run_workload drives the simulator; use run_native for the native \
+         backends"
     );
     let cfg = spec.machine_config();
     let mut layout = ufotm_core::TmSharedLayout::standard(&cfg);
@@ -283,6 +292,77 @@ pub fn run_workload(
     }
 }
 
+/// One STAMP workload: a parameter set that knows its memory layout, how
+/// to populate and verify it through host-side closures, and the one
+/// thread body — generic over [`TmBackend`] — that every substrate runs.
+///
+/// `setup` and `verify` see memory only through the closure triple
+/// [`BstMap::host_insert`](crate::structures::BstMap::host_insert) takes
+/// (`peek`, `poke`, `alloc`), so the same code populates a simulated
+/// machine and a native heap.
+pub trait Workload: Copy + Send + Sync + 'static {
+    /// One past the last static byte (native heaps allocate above it).
+    fn static_end(&self) -> Addr;
+
+    /// Words of transactional-allocation headroom a native heap needs
+    /// (aborted attempts leak their allocations, so include slack);
+    /// 0 for a workload that never allocates.
+    fn native_alloc_words(&self) -> u64 {
+        0
+    }
+
+    /// Logical transactions one run commits — the ops/sec numerator.
+    fn ops(&self, seed: u64) -> u64;
+
+    /// Populates initial state; runs before any worker starts. Memory
+    /// starts zeroed, which is all some workloads need.
+    fn setup(
+        &self,
+        _seed: u64,
+        _peek: &Peek<'_>,
+        _poke: &mut dyn FnMut(Addr, u64),
+        _alloc: &mut dyn FnMut(u64) -> Addr,
+    ) {
+    }
+
+    /// One thread's whole run.
+    fn body<B: TmBackend>(&self, b: &mut B, seed: u64);
+
+    /// Checks the final memory image, panicking on a violated invariant.
+    fn verify(&self, seed: u64, peek: &Peek<'_>);
+}
+
+/// Runs `w` under `spec` on the simulated machine: `setup` through
+/// `Machine::peek`/`poke` and the world's heap allocator (host-side, no
+/// cycles charged), `body` on every simulated CPU through a
+/// [`SimBackend`], `verify` on the final machine.
+///
+/// # Panics
+///
+/// Panics if `spec.backend` is not simulated or verification fails.
+pub fn run_sim<W: Workload>(spec: &RunSpec, w: &W) -> RunOutcome {
+    let (w, seed, threads) = (*w, spec.seed, spec.threads);
+    run_workload(
+        spec,
+        |m, world| {
+            // `peek` and `poke` both need the machine; they are never
+            // live in the same call, so a RefCell arbitrates.
+            let m = RefCell::new(m);
+            let heap = &mut world.tm.heap;
+            w.setup(
+                seed,
+                &|a| m.borrow().peek(a),
+                &mut |a, v| m.borrow_mut().poke(a, v),
+                &mut |words| heap.alloc_line_aligned(words).expect("setup heap"),
+            );
+        },
+        |tid| -> WorkBody {
+            Box::new(move |t, ctx| w.body(&mut SimBackend::new(t, ctx, tid, threads), seed))
+        },
+        |m, _| w.verify(seed, &|a| m.peek(a)),
+    )
+}
+
 /// Collected results of one native-backend run. Wall-clock timing is the
 /// *caller's* job (`ufotm-bench` wraps `run_native` in its host-metrics
 /// measurement); this crate stays free of host clocks.
@@ -318,42 +398,6 @@ pub fn native_heap(static_end: Addr, alloc_words: u64) -> NativeTl2 {
     NativeTl2::new(base_word + alloc_words, 1 << 12, base_word)
 }
 
-/// Runs one configuration on the native backend: `setup` populates the
-/// heap, every thread runs `body` through its [`NativeThread`] handle,
-/// `verify` checks invariants on the final heap (panicking on violation).
-///
-/// # Panics
-///
-/// Panics if `spec.backend` is not [`BackendKind::NativeTl2`], or if
-/// `verify` (or a worker) panics.
-pub fn run_native_workload(
-    spec: &RunSpec,
-    heap: &NativeTl2,
-    setup: impl FnOnce(&NativeTl2),
-    body: impl Fn(&mut NativeThread<'_>) + Sync,
-    verify: impl FnOnce(&NativeTl2),
-    ops: u64,
-) -> NativeOutcome {
-    assert_eq!(
-        spec.backend,
-        BackendKind::NativeTl2,
-        "run_native_workload drives host atomics; use run_workload for \
-         the simulated backend"
-    );
-    setup(heap);
-    let (stats, _) = run_threads(heap, spec.threads, body);
-    verify(heap);
-    NativeOutcome {
-        threads: spec.threads,
-        ops,
-        stats,
-        hybrid: HybridStats {
-            fast: stats,
-            ..HybridStats::default()
-        },
-    }
-}
-
 /// Builds native hybrid shared state with a heap sized like
 /// [`native_heap`] (statics ending at `static_end` plus `alloc_words` of
 /// transactional headroom), a 4096-stripe lock table, and a 1024-bin USTM
@@ -371,37 +415,49 @@ pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -
     )
 }
 
-/// Runs one configuration on the native hybrid backend: `setup`
-/// populates the heap, every thread runs `body` through its
-/// [`HybridThread`] handle, `verify` checks invariants on the final heap
-/// (panicking on violation).
+/// Runs `w` on real OS threads — host-atomics TL2 or the failover
+/// hybrid, per `spec.backend`: the same `setup`, `body` and `verify` as
+/// [`run_sim`], over a native heap sized from the workload's layout.
 ///
 /// # Panics
 ///
-/// Panics if `spec.backend` is not [`BackendKind::NativeHybrid`], or if
-/// `verify` (or a worker) panics.
-pub fn run_native_hybrid_workload(
-    spec: &RunSpec,
-    shared: &NativeHybrid,
-    setup: impl FnOnce(&NativeTl2),
-    body: impl Fn(&mut HybridThread<'_>) + Sync,
-    verify: impl FnOnce(&NativeTl2),
-    ops: u64,
-) -> NativeOutcome {
-    assert_eq!(
-        spec.backend,
-        BackendKind::NativeHybrid,
-        "run_native_hybrid_workload drives the native hybrid; use \
-         run_native_workload for BackendKind::NativeTl2"
-    );
-    setup(shared.tl2());
-    let (stats, _) = run_hybrid_threads(shared, spec.threads, body);
-    verify(shared.tl2());
-    NativeOutcome {
-        threads: spec.threads,
-        ops,
-        stats: stats.fast,
-        hybrid: stats,
+/// Panics if `spec.backend` is simulated, or if verification (or a
+/// worker) panics.
+pub fn run_native<W: Workload>(spec: &RunSpec, w: &W) -> NativeOutcome {
+    let (seed, threads) = (spec.seed, spec.threads);
+    let around = |heap: &NativeTl2, workers: &dyn Fn() -> HybridStats| {
+        w.setup(
+            seed,
+            &|a| heap.peek(a),
+            &mut |a, v| heap.poke(a, v),
+            &mut |words| heap.host_alloc(words),
+        );
+        let hybrid = workers();
+        w.verify(seed, &|a| heap.peek(a));
+        NativeOutcome {
+            threads,
+            ops: w.ops(seed),
+            stats: hybrid.fast,
+            hybrid,
+        }
+    };
+    match spec.backend {
+        BackendKind::NativeTl2 => {
+            let heap = native_heap(w.static_end(), w.native_alloc_words());
+            around(&heap, &|| HybridStats {
+                fast: run_threads(&heap, threads, |th| w.body(th, seed)).0,
+                ..HybridStats::default()
+            })
+        }
+        BackendKind::NativeHybrid => {
+            let world = native_hybrid_world(w.static_end(), w.native_alloc_words(), threads);
+            around(world.tl2(), &|| {
+                run_hybrid_threads(&world, threads, |th| w.body(th, seed)).0
+            })
+        }
+        BackendKind::Simulated => {
+            panic!("run_native drives real threads; use run_sim for the simulated backend")
+        }
     }
 }
 

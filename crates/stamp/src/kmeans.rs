@@ -8,19 +8,17 @@
 //! threads hammering `K` accumulator lines. High contention = few clusters.
 //! Between iterations, thread 0 recomputes the centres at a barrier.
 //!
-//! The workload is written once against [`TmBackend`] and runs on both
-//! substrates: [`run`] on the simulated machine (cycle-charged,
-//! deterministic), [`run_native`] on host atomics (wall-clock ops/sec).
+//! The workload is one [`Workload`] impl, written once against
+//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
+//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
+//! (wall-clock ops/sec) — TL2-only or the failover hybrid, per
+//! `spec.backend`.
 
 use ufotm_core::TmBackend;
-use ufotm_machine::{Addr, Machine, LINE_WORDS};
+use ufotm_machine::{Addr, LINE_WORDS};
 
-use crate::backend::SimBackend;
-use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
-};
-use crate::world::StampWorld;
+use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::structures::Peek;
 
 /// kmeans parameters.
 #[derive(Clone, Copy, Debug)]
@@ -88,11 +86,6 @@ impl KmeansParams {
         self.accs_base()
             .add_words(k as u64 * LINE_WORDS + field as u64)
     }
-
-    /// One past the last static byte (for native heap sizing).
-    fn static_end(&self) -> Addr {
-        Addr(self.accs_base().0 + self.clusters as u64 * 64)
-    }
 }
 
 /// Deterministic point generator (xorshift on the seed).
@@ -124,118 +117,137 @@ fn nearest(point: &[u64], centers: &[Vec<u64>]) -> usize {
     best
 }
 
-/// Populates points and initial centres (= the first K points) through
-/// whatever plain-store the substrate provides.
-fn setup_data(p: KmeansParams, seed: u64, poke: &mut dyn FnMut(Addr, u64)) {
-    for i in 0..p.points {
-        for d in 0..p.dims {
-            poke(p.point(i, d), coord(seed, i, d));
-        }
+impl Workload for KmeansParams {
+    fn static_end(&self) -> Addr {
+        Addr(self.accs_base().0 + self.clusters as u64 * 64)
     }
-    for k in 0..p.clusters {
-        for d in 0..p.dims {
-            poke(p.center(k, d), coord(seed, k, d));
-        }
-    }
-}
 
-/// One thread's whole run, written once against the backend traits.
-fn assign_body<B: TmBackend>(b: &mut B, p: KmeansParams) {
-    let (start, end) = chunk(p.points, b.threads(), b.tid());
-    for iter in 0..p.iterations {
-        for i in start..end {
-            // Plain reads of the point and all centres, plus the
-            // distance computation.
-            let mut pt = vec![0u64; p.dims];
-            for (d, v) in pt.iter_mut().enumerate() {
-                *v = b.plain_load(p.point(i, d));
-            }
-            let mut centers = vec![vec![0u64; p.dims]; p.clusters];
-            for (k, c) in centers.iter_mut().enumerate() {
-                for (d, v) in c.iter_mut().enumerate() {
-                    *v = b.plain_load(p.center(k, d));
-                }
-            }
-            b.compute((p.clusters * p.dims * 3) as u64);
-            let k = nearest(&pt, &centers);
-            // The transaction: fold the point into accumulator k.
-            b.transaction(|tx| {
-                let c = tx.read(p.acc(k, 0))?;
-                tx.write(p.acc(k, 0), c + 1)?;
-                for (d, v) in pt.iter().enumerate() {
-                    let s = tx.read(p.acc(k, d + 1))?;
-                    tx.write(p.acc(k, d + 1), s + v)?;
-                }
-                Ok(())
-            });
-        }
-        b.barrier();
-        if b.tid() == 0 && iter + 1 < p.iterations {
-            // Recompute centres and reset accumulators for the next
-            // pass (plain accesses: everyone else is at the barrier).
-            for k in 0..p.clusters {
-                let count = b.plain_load(p.acc(k, 0));
-                // Not `checked_div`: the accumulator loads must be
-                // skipped entirely for an empty cluster, or the
-                // simulated access count (and thus cycle totals)
-                // would change.
-                #[allow(clippy::manual_checked_ops)]
-                if count > 0 {
-                    for d in 0..p.dims {
-                        let sum = b.plain_load(p.acc(k, d + 1));
-                        b.plain_store(p.center(k, d), sum / count);
-                    }
-                }
-                b.plain_store(p.acc(k, 0), 0);
-                for d in 0..p.dims {
-                    b.plain_store(p.acc(k, d + 1), 0);
-                }
-            }
-        }
-        b.barrier();
+    /// One transaction per point per iteration.
+    fn ops(&self, _seed: u64) -> u64 {
+        (self.points * self.iterations) as u64
     }
-}
 
-/// Host-side replay of the final accumulators: same integer arithmetic,
-/// same tie-breaks — exact on both substrates regardless of commit order.
-fn check_final(p: KmeansParams, seed: u64, peek: &dyn Fn(Addr) -> u64) {
-    let mut centers: Vec<Vec<u64>> = (0..p.clusters)
-        .map(|k| (0..p.dims).map(|d| coord(seed, k, d)).collect())
-        .collect();
-    let mut counts = vec![0u64; p.clusters];
-    let mut sums = vec![vec![0u64; p.dims]; p.clusters];
-    for iter in 0..p.iterations {
-        counts.iter_mut().for_each(|c| *c = 0);
-        sums.iter_mut()
-            .for_each(|s| s.iter_mut().for_each(|v| *v = 0));
+    /// Populates points and initial centres (= the first K points).
+    fn setup(
+        &self,
+        seed: u64,
+        _peek: &Peek<'_>,
+        poke: &mut dyn FnMut(Addr, u64),
+        _alloc: &mut dyn FnMut(u64) -> Addr,
+    ) {
+        let p = *self;
         for i in 0..p.points {
-            let pt: Vec<u64> = (0..p.dims).map(|d| coord(seed, i, d)).collect();
-            let k = nearest(&pt, &centers);
-            counts[k] += 1;
-            for (d, v) in pt.iter().enumerate() {
-                sums[k][d] += v;
+            for d in 0..p.dims {
+                poke(p.point(i, d), coord(seed, i, d));
             }
         }
-        if iter + 1 < p.iterations {
-            for k in 0..p.clusters {
-                for d in 0..p.dims {
-                    if let Some(c) = sums[k][d].checked_div(counts[k]) {
-                        centers[k][d] = c;
+        for k in 0..p.clusters {
+            for d in 0..p.dims {
+                poke(p.center(k, d), coord(seed, k, d));
+            }
+        }
+    }
+
+    fn body<B: TmBackend>(&self, b: &mut B, _seed: u64) {
+        let p = *self;
+        let (start, end) = chunk(p.points, b.threads(), b.tid());
+        for iter in 0..p.iterations {
+            for i in start..end {
+                // Plain reads of the point and all centres, plus the
+                // distance computation.
+                let mut pt = vec![0u64; p.dims];
+                for (d, v) in pt.iter_mut().enumerate() {
+                    *v = b.plain_load(p.point(i, d));
+                }
+                let mut centers = vec![vec![0u64; p.dims]; p.clusters];
+                for (k, c) in centers.iter_mut().enumerate() {
+                    for (d, v) in c.iter_mut().enumerate() {
+                        *v = b.plain_load(p.center(k, d));
+                    }
+                }
+                b.compute((p.clusters * p.dims * 3) as u64);
+                let k = nearest(&pt, &centers);
+                // The transaction: fold the point into accumulator k.
+                b.transaction(|tx| {
+                    let c = tx.read(p.acc(k, 0))?;
+                    tx.write(p.acc(k, 0), c + 1)?;
+                    for (d, v) in pt.iter().enumerate() {
+                        let s = tx.read(p.acc(k, d + 1))?;
+                        tx.write(p.acc(k, d + 1), s + v)?;
+                    }
+                    Ok(())
+                });
+            }
+            b.barrier();
+            if b.tid() == 0 && iter + 1 < p.iterations {
+                // Recompute centres and reset accumulators for the next
+                // pass (plain accesses: everyone else is at the barrier).
+                for k in 0..p.clusters {
+                    let count = b.plain_load(p.acc(k, 0));
+                    // Not `checked_div`: the accumulator loads must be
+                    // skipped entirely for an empty cluster, or the
+                    // simulated access count (and thus cycle totals)
+                    // would change.
+                    #[allow(clippy::manual_checked_ops)]
+                    if count > 0 {
+                        for d in 0..p.dims {
+                            let sum = b.plain_load(p.acc(k, d + 1));
+                            b.plain_store(p.center(k, d), sum / count);
+                        }
+                    }
+                    b.plain_store(p.acc(k, 0), 0);
+                    for d in 0..p.dims {
+                        b.plain_store(p.acc(k, d + 1), 0);
+                    }
+                }
+            }
+            b.barrier();
+        }
+    }
+
+    /// Host-side replay of the final accumulators: same integer
+    /// arithmetic, same tie-breaks — exact on both substrates regardless
+    /// of commit order.
+    fn verify(&self, seed: u64, peek: &Peek<'_>) {
+        let p = *self;
+        let mut centers: Vec<Vec<u64>> = (0..p.clusters)
+            .map(|k| (0..p.dims).map(|d| coord(seed, k, d)).collect())
+            .collect();
+        let mut counts = vec![0u64; p.clusters];
+        let mut sums = vec![vec![0u64; p.dims]; p.clusters];
+        for iter in 0..p.iterations {
+            counts.iter_mut().for_each(|c| *c = 0);
+            sums.iter_mut()
+                .for_each(|s| s.iter_mut().for_each(|v| *v = 0));
+            for i in 0..p.points {
+                let pt: Vec<u64> = (0..p.dims).map(|d| coord(seed, i, d)).collect();
+                let k = nearest(&pt, &centers);
+                counts[k] += 1;
+                for (d, v) in pt.iter().enumerate() {
+                    sums[k][d] += v;
+                }
+            }
+            if iter + 1 < p.iterations {
+                for k in 0..p.clusters {
+                    for d in 0..p.dims {
+                        if let Some(c) = sums[k][d].checked_div(counts[k]) {
+                            centers[k][d] = c;
+                        }
                     }
                 }
             }
         }
-    }
-    let total: u64 = counts.iter().sum();
-    assert_eq!(total, p.points as u64);
-    for k in 0..p.clusters {
-        assert_eq!(
-            peek(p.acc(k, 0)),
-            counts[k],
-            "cluster {k} count diverged (lost transactional updates?)"
-        );
-        for d in 0..p.dims {
-            assert_eq!(peek(p.acc(k, d + 1)), sums[k][d], "cluster {k} dim {d} sum");
+        let total: u64 = counts.iter().sum();
+        assert_eq!(total, p.points as u64);
+        for k in 0..p.clusters {
+            assert_eq!(
+                peek(p.acc(k, 0)),
+                counts[k],
+                "cluster {k} count diverged (lost transactional updates?)"
+            );
+            for d in 0..p.dims {
+                assert_eq!(peek(p.acc(k, d + 1)), sums[k][d], "cluster {k} dim {d} sum");
+            }
         }
     }
 }
@@ -249,60 +261,17 @@ fn check_final(p: KmeansParams, seed: u64, peek: &dyn Fn(Addr) -> u64) {
 /// recomputation exactly — integer arithmetic makes the result independent
 /// of commit order).
 pub fn run(spec: &RunSpec, params: &KmeansParams) -> RunOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let threads = spec.threads;
-
-    let setup = move |m: &mut Machine, _w: &mut StampWorld| {
-        setup_data(p, seed, &mut |a, v| m.poke(a, v));
-    };
-
-    let make_body = move |tid: usize| -> crate::harness::WorkBody {
-        Box::new(move |t, ctx| {
-            let mut b = SimBackend::new(t, ctx, tid, threads);
-            assign_body(&mut b, p);
-        })
-    };
-
-    let verify = move |m: &Machine, _w: &StampWorld| {
-        check_final(p, seed, &|a| m.peek(a));
-    };
-
-    run_workload(spec, setup, make_body, verify)
+    harness::run_sim(spec, params)
 }
 
-/// Runs kmeans on a native backend — host-atomics TL2 or the failover
-/// hybrid, per `spec.backend`: the *same* `assign_body` on real OS
-/// threads, verified by the same host replay.
+/// Runs kmeans on a native backend: the *same* body on real OS threads,
+/// verified by the same host replay.
 ///
 /// # Panics
 ///
 /// Panics if verification fails or `spec.backend` is simulated.
 pub fn run_native(spec: &RunSpec, params: &KmeansParams) -> NativeOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let ops = (p.points * p.iterations) as u64;
-    if spec.backend == ufotm_core::BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), 0, spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |t| setup_data(p, seed, &mut |a, v| t.poke(a, v)),
-            |th| assign_body(th, p),
-            |t| check_final(p, seed, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), 0);
-        run_native_workload(
-            spec,
-            &heap,
-            |h| setup_data(p, seed, &mut |a, v| h.poke(a, v)),
-            |th| assign_body(th, p),
-            |h| check_final(p, seed, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    harness::run_native(spec, params)
 }
 
 #[cfg(test)]

@@ -17,17 +17,18 @@
 //! * [`ssca2`] — an extension workload (STAMP's graph-construction kernel):
 //!   tiny scalable transactions, the low-contention end of the spectrum.
 //!
-//! Every workload is written once against `ufotm-core`'s [`Tx`] facade and
-//! runs unchanged on all nine [`SystemKind`]s; each verifies its own
-//! invariants against the final memory image. The [`harness`] module wires
-//! workload bodies, machine configuration, and result collection together
-//! for the benchmark drivers in `ufotm-bench`.
-//!
-//! Two workloads (kmeans and ssca2) are additionally written against the
-//! substrate-agnostic [`TmBackend`](ufotm_core::TmBackend) traits via
-//! [`backend::SimBackend`], so the *same body* also runs on `ufotm-native`'s
-//! host-atomics TL2 (`kmeans::run_native`, `ssca2::run_native`) for
-//! wall-clock throughput and sim-vs-native cross-validation.
+//! [`micro`] is written against `ufotm-core`'s [`Tx`] facade (it forces
+//! failover per *attempt*, below the backend traits) and runs on all nine
+//! [`SystemKind`]s. The four STAMP workloads are each one [`Workload`]
+//! impl — layout, setup, verification, and a single thread body generic
+//! over the substrate-agnostic [`TmBackend`](ufotm_core::TmBackend) —
+//! and the [`harness`] owns the
+//! only two drivers: `run_sim` puts that body on the deterministic
+//! machine through [`backend::SimBackend`] (all nine systems), and
+//! `run_native` puts the *same body* on `ufotm-native`'s real threads
+//! (TL2-only or the failover hybrid) for wall-clock throughput and
+//! sim-vs-native cross-validation. Each workload's `run`/`run_native`
+//! forward to those two.
 //!
 //! [`Tx`]: ufotm_core::Tx
 //! [`SystemKind`]: ufotm_core::SystemKind
@@ -46,5 +47,5 @@ pub mod vacation;
 mod world;
 
 pub use backend::SimBackend;
-pub use harness::{NativeOutcome, RunOutcome, RunSpec};
+pub use harness::{NativeOutcome, RunOutcome, RunSpec, Workload};
 pub use world::{Barrier, StampWorld};

@@ -8,18 +8,16 @@
 //! extension: every TM system should scale here, with hybrids committing
 //! ~everything in hardware.
 //!
-//! Like kmeans, the body is written once against [`TmBackend`]: [`run`]
-//! executes it on the simulator, [`run_native`] on host atomics.
+//! Like kmeans, the workload is one [`Workload`] impl written once
+//! against [`TmBackend`]: [`run`] executes it on the simulator,
+//! [`run_native`] on host atomics (TL2-only or the failover hybrid, per
+//! `spec.backend`).
 
 use ufotm_core::TmBackend;
-use ufotm_machine::{Addr, Machine, LINE_WORDS};
+use ufotm_machine::{Addr, LINE_WORDS};
 
-use crate::backend::SimBackend;
-use crate::harness::{
-    chunk, native_heap, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec,
-    STATIC_BASE,
-};
-use crate::world::StampWorld;
+use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::structures::Peek;
 
 /// ssca2 parameters.
 #[derive(Clone, Copy, Debug)]
@@ -44,11 +42,6 @@ impl Ssca2Params {
     fn node(&self, n: usize) -> Addr {
         STATIC_BASE.add_words(n as u64 * LINE_WORDS)
     }
-
-    /// One past the last static byte (for native heap sizing).
-    fn static_end(&self) -> Addr {
-        self.node(self.nodes)
-    }
 }
 
 /// Deterministic edge stream.
@@ -62,56 +55,76 @@ fn edge(seed: u64, i: usize, nodes: usize) -> (u64, u64) {
     (src, dst)
 }
 
-/// One thread's whole run: insert its chunk of the edge stream.
-fn insert_body<B: TmBackend>(b: &mut B, p: Ssca2Params, seed: u64) {
-    let (start, end) = chunk(p.edges, b.threads(), b.tid());
-    for i in start..end {
-        let (src, dst) = edge(seed, i, p.nodes);
-        let node = p.node(src as usize);
-        b.transaction(|tx| {
-            // Edge cell: [dst, next].
-            let cell = tx.alloc(2)?;
-            tx.write(cell, dst)?;
-            let head = tx.read(node)?;
-            tx.write(cell.add_words(1), head)?;
-            tx.write(node, cell.0)?;
-            let deg = tx.read(node.add_words(1))?;
-            tx.write(node.add_words(1), deg + 1)?;
-            Ok(())
-        });
-        b.compute(40);
+impl Workload for Ssca2Params {
+    fn static_end(&self) -> Addr {
+        self.node(self.nodes)
     }
-}
 
-/// Walks every adjacency list in the final heap and compares it, as a
-/// multiset, against the generated edge stream; degrees must sum to the
-/// edge count. Works on both substrates (aborted native allocations leak
-/// unreferenced cells, which a reachability walk never visits).
-fn check_final(p: Ssca2Params, seed: u64, peek: &dyn Fn(Addr) -> u64) {
-    // Expected multiset of targets per source.
-    let mut expected: Vec<Vec<u64>> = vec![Vec::new(); p.nodes];
-    for i in 0..p.edges {
-        let (src, dst) = edge(seed, i, p.nodes);
-        expected[src as usize].push(dst);
+    /// 2 words per edge, with generous slack because every aborted
+    /// attempt leaks its cell (bump allocator).
+    fn native_alloc_words(&self) -> u64 {
+        self.edges as u64 * 2 * 64
     }
-    let mut total_degree = 0u64;
-    for (n, exp) in expected.iter_mut().enumerate() {
-        let node = p.node(n);
-        let mut got = Vec::new();
-        let mut cur = peek(node);
-        while cur != 0 {
-            let cell = Addr(cur);
-            got.push(peek(cell));
-            cur = peek(cell.add_words(1));
+
+    /// One transaction per edge.
+    fn ops(&self, _seed: u64) -> u64 {
+        self.edges as u64
+    }
+
+    /// Inserts this thread's chunk of the edge stream.
+    fn body<B: TmBackend>(&self, b: &mut B, seed: u64) {
+        let p = *self;
+        let (start, end) = chunk(p.edges, b.threads(), b.tid());
+        for i in start..end {
+            let (src, dst) = edge(seed, i, p.nodes);
+            let node = p.node(src as usize);
+            b.transaction(|tx| {
+                // Edge cell: [dst, next].
+                let cell = tx.alloc(2)?;
+                tx.write(cell, dst)?;
+                let head = tx.read(node)?;
+                tx.write(cell.add_words(1), head)?;
+                tx.write(node, cell.0)?;
+                let deg = tx.read(node.add_words(1))?;
+                tx.write(node.add_words(1), deg + 1)?;
+                Ok(())
+            });
+            b.compute(40);
         }
-        let deg = peek(node.add_words(1));
-        assert_eq!(deg as usize, got.len(), "node {n}: degree vs list length");
-        total_degree += deg;
-        got.sort_unstable();
-        exp.sort_unstable();
-        assert_eq!(got, *exp, "node {n}: adjacency multiset");
     }
-    assert_eq!(total_degree, p.edges as u64);
+
+    /// Walks every adjacency list in the final heap and compares it, as
+    /// a multiset, against the generated edge stream; degrees must sum to
+    /// the edge count. Works on both substrates (aborted native
+    /// allocations leak unreferenced cells, which a reachability walk
+    /// never visits).
+    fn verify(&self, seed: u64, peek: &Peek<'_>) {
+        let p = *self;
+        // Expected multiset of targets per source.
+        let mut expected: Vec<Vec<u64>> = vec![Vec::new(); p.nodes];
+        for i in 0..p.edges {
+            let (src, dst) = edge(seed, i, p.nodes);
+            expected[src as usize].push(dst);
+        }
+        let mut total_degree = 0u64;
+        for (n, exp) in expected.iter_mut().enumerate() {
+            let node = p.node(n);
+            let mut got = Vec::new();
+            let mut cur = peek(node);
+            while cur != 0 {
+                let cell = Addr(cur);
+                got.push(peek(cell));
+                cur = peek(cell.add_words(1));
+            }
+            let deg = peek(node.add_words(1));
+            assert_eq!(deg as usize, got.len(), "node {n}: degree vs list length");
+            total_degree += deg;
+            got.sort_unstable();
+            exp.sort_unstable();
+            assert_eq!(got, *exp, "node {n}: adjacency multiset");
+        }
+        assert_eq!(total_degree, p.edges as u64);
+    }
 }
 
 /// Runs ssca2 under `spec` on the simulated machine.
@@ -122,45 +135,17 @@ fn check_final(p: Ssca2Params, seed: u64, peek: &dyn Fn(Addr) -> u64) {
 /// exactly the generated targets for that source (as a multiset), and the
 /// degree fields must sum to the edge count.
 pub fn run(spec: &RunSpec, params: &Ssca2Params) -> RunOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let threads = spec.threads;
-
-    let setup = move |_m: &mut Machine, _w: &mut StampWorld| {};
-
-    let make_body = move |tid: usize| -> crate::harness::WorkBody {
-        Box::new(move |t, ctx| {
-            let mut b = SimBackend::new(t, ctx, tid, threads);
-            insert_body(&mut b, p, seed);
-        })
-    };
-
-    let verify = move |m: &Machine, _w: &StampWorld| {
-        check_final(p, seed, &|a| m.peek(a));
-    };
-
-    run_workload(spec, setup, make_body, verify)
+    harness::run_sim(spec, params)
 }
 
-/// Runs ssca2 on the native host-atomics TL2 backend.
+/// Runs ssca2 on a native backend: the *same* body on real OS threads,
+/// verified by the same adjacency walk.
 ///
 /// # Panics
 ///
-/// Panics if verification fails or `spec.backend` is not native.
+/// Panics if verification fails or `spec.backend` is simulated.
 pub fn run_native(spec: &RunSpec, params: &Ssca2Params) -> NativeOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    // Allocation headroom: 2 words per edge, with generous slack because
-    // every aborted attempt leaks its cell (bump allocator).
-    let heap = native_heap(p.static_end(), p.edges as u64 * 2 * 64);
-    run_native_workload(
-        spec,
-        &heap,
-        |_| {},
-        |th| insert_body(th, p, seed),
-        |h| check_final(p, seed, &|a| h.peek(a)),
-        p.edges as u64,
-    )
+    harness::run_native(spec, params)
 }
 
 #[cfg(test)]
@@ -219,5 +204,12 @@ mod tests {
         let out = run_native(&RunSpec::native(4), &tiny());
         assert_eq!(out.ops, 120);
         assert_eq!(out.stats.commits, 120, "one commit per edge");
+    }
+
+    #[test]
+    fn ssca2_verifies_on_native_hybrid() {
+        let out = run_native(&RunSpec::native_hybrid(4), &tiny());
+        assert_eq!(out.ops, 120);
+        assert_eq!(out.total_commits(), 120, "one commit per edge across paths");
     }
 }

@@ -13,25 +13,20 @@
 //! central stress for hybrid designs. The high-contention configuration
 //! concentrates fewer queries on a hot id range.
 //!
-//! The workload is written once against [`TmBackend`] and runs on both
-//! substrates: [`run`] on the simulated machine (cycle-charged,
-//! deterministic), [`run_native`] on host atomics — TL2-only or the
-//! failover hybrid, per `spec.backend`.
+//! The workload is one [`Workload`] impl, written once against
+//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
+//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
+//! — TL2-only or the failover hybrid, per `spec.backend`.
 //!
 //! Simplifications vs. STAMP: relations are repriced rather than deleted
 //! (BST deletion adds no new TM behaviour), and customer records accumulate
 //! reservation counts instead of linked reservation lists.
 
-use ufotm_core::{BackendKind, TmBackend};
-use ufotm_machine::{Addr, Machine, SimRng};
+use ufotm_core::TmBackend;
+use ufotm_machine::{Addr, SimRng};
 
-use crate::backend::SimBackend;
-use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
-};
+use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
 use crate::structures::{BstMap, Peek};
-use crate::world::StampWorld;
 
 /// Table indices.
 const TABLES: usize = 3;
@@ -94,19 +89,6 @@ impl VacationParams {
     fn customer_root(&self) -> Addr {
         STATIC_BASE.add_words(TABLES as u64)
     }
-
-    /// One past the last static byte (for native heap sizing). Only the
-    /// four root cells are static; everything else is heap nodes.
-    fn static_end(&self) -> Addr {
-        STATIC_BASE.add_words(TABLES as u64 + 1)
-    }
-
-    /// Transactional-allocation headroom for native heaps: every initial
-    /// relation/customer node plus every possible insert task, 8 words
-    /// each, with slack.
-    fn native_alloc_words(&self) -> u64 {
-        ((TABLES * self.relations + self.customers + self.total_tasks) as u64 + 64) * 8
-    }
 }
 
 /// Shuffled-feeling but deterministic pseudo-random stream for setup.
@@ -119,120 +101,140 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
     x
 }
 
-/// Populates the tables and customers through whatever peek/poke/alloc
-/// the substrate provides (non-transactional; runs before the workers).
-fn setup_data(
-    p: VacationParams,
-    seed: u64,
-    peek: &Peek<'_>,
-    poke: &mut dyn FnMut(Addr, u64),
-    alloc: &mut dyn FnMut(u64) -> Addr,
-) {
-    // Relation node values: [total, free, price, 0]
-    // Customer node values: [reservations, spent, 0, 0]
-    for t in 0..TABLES {
-        let map = BstMap::new(p.table_root(t));
-        for i in 0..p.relations {
-            // Insert ids in mixed order to keep the BST shallow.
-            let id = mix(seed, t as u64, i as u64) % p.id_space as u64;
-            let price = 50 + mix(seed, id, t as u64 + 7) % 450;
-            let total = 3 + mix(seed, id, 99) % 5;
-            map.host_insert(peek, poke, alloc, id, &[total, total, price, 0]);
+impl Workload for VacationParams {
+    /// Only the four root cells are static; everything else is heap
+    /// nodes.
+    fn static_end(&self) -> Addr {
+        STATIC_BASE.add_words(TABLES as u64 + 1)
+    }
+
+    /// Every initial relation/customer node plus every possible insert
+    /// task, 8 words each, with slack.
+    fn native_alloc_words(&self) -> u64 {
+        ((TABLES * self.relations + self.customers + self.total_tasks) as u64 + 64) * 8
+    }
+
+    /// One transaction per task.
+    fn ops(&self, _seed: u64) -> u64 {
+        self.total_tasks as u64
+    }
+
+    /// Populates the tables and customers (non-transactional; runs before
+    /// the workers).
+    fn setup(
+        &self,
+        seed: u64,
+        peek: &Peek<'_>,
+        poke: &mut dyn FnMut(Addr, u64),
+        alloc: &mut dyn FnMut(u64) -> Addr,
+    ) {
+        let p = *self;
+        // Relation node values: [total, free, price, 0]
+        // Customer node values: [reservations, spent, 0, 0]
+        for t in 0..TABLES {
+            let map = BstMap::new(p.table_root(t));
+            for i in 0..p.relations {
+                // Insert ids in mixed order to keep the BST shallow.
+                let id = mix(seed, t as u64, i as u64) % p.id_space as u64;
+                let price = 50 + mix(seed, id, t as u64 + 7) % 450;
+                let total = 3 + mix(seed, id, 99) % 5;
+                map.host_insert(peek, poke, alloc, id, &[total, total, price, 0]);
+            }
+        }
+        let customers = BstMap::new(p.customer_root());
+        for c in 0..p.customers {
+            customers.host_insert(peek, poke, alloc, c as u64, &[0, 0, 0, 0]);
         }
     }
-    let customers = BstMap::new(p.customer_root());
-    for c in 0..p.customers {
-        customers.host_insert(peek, poke, alloc, c as u64, &[0, 0, 0, 0]);
-    }
-}
 
-/// One thread's whole run, written once against the backend traits.
-fn task_body<B: TmBackend>(b: &mut B, p: VacationParams, seed: u64) {
-    let tid = b.tid();
-    let mut rng = SimRng::seed_from_u64(seed ^ (tid as u64) << 32);
-    let range = (p.id_space * p.query_range_pct / 100).max(1) as u64;
-    let (start, end) = chunk(p.total_tasks, b.threads(), tid);
-    for _ in start..end {
-        let action = rng.gen_range(0..100);
-        if action < p.reserve_pct as u64 {
-            // Reservation task: one long transaction.
-            let customer = rng.gen_range(0..p.customers as u64);
-            let queries: Vec<(usize, u64)> = (0..p.queries)
-                .map(|_| (rng.gen_index(0..TABLES), rng.gen_range(0..range)))
-                .collect();
-            b.transaction(|tx| {
-                let mut best: Option<(Addr, u64)> = None;
-                for &(table, id) in &queries {
-                    let map = BstMap::new(p.table_root(table));
-                    if let Some(node) = map.lookup(tx, id)? {
+    fn body<B: TmBackend>(&self, b: &mut B, seed: u64) {
+        let p = *self;
+        let tid = b.tid();
+        let mut rng = SimRng::seed_from_u64(seed ^ (tid as u64) << 32);
+        let range = (p.id_space * p.query_range_pct / 100).max(1) as u64;
+        let (start, end) = chunk(p.total_tasks, b.threads(), tid);
+        for _ in start..end {
+            let action = rng.gen_range(0..100);
+            if action < p.reserve_pct as u64 {
+                // Reservation task: one long transaction.
+                let customer = rng.gen_range(0..p.customers as u64);
+                let queries: Vec<(usize, u64)> = (0..p.queries)
+                    .map(|_| (rng.gen_index(0..TABLES), rng.gen_range(0..range)))
+                    .collect();
+                b.transaction(|tx| {
+                    let mut best: Option<(Addr, u64)> = None;
+                    for &(table, id) in &queries {
+                        let map = BstMap::new(p.table_root(table));
+                        if let Some(node) = map.lookup(tx, id)? {
+                            let free = map.value(tx, node, 1)?;
+                            let price = map.value(tx, node, 2)?;
+                            if free > 0 && best.is_none_or(|(_, bp)| price < bp) {
+                                best = Some((node, price));
+                            }
+                        }
+                        tx.work(20)?;
+                    }
+                    if let Some((node, price)) = best {
+                        let map = BstMap::new(p.table_root(0)); // field helpers only
                         let free = map.value(tx, node, 1)?;
-                        let price = map.value(tx, node, 2)?;
-                        if free > 0 && best.is_none_or(|(_, bp)| price < bp) {
-                            best = Some((node, price));
+                        if free > 0 {
+                            map.set_value(tx, node, 1, free - 1)?;
+                            let cust = BstMap::new(p.customer_root());
+                            let cnode = cust.lookup(tx, customer)?.expect("customer exists");
+                            let n = cust.value(tx, cnode, 0)?;
+                            let spent = cust.value(tx, cnode, 1)?;
+                            cust.set_value(tx, cnode, 0, n + 1)?;
+                            cust.set_value(tx, cnode, 1, spent + price)?;
                         }
                     }
-                    tx.work(20)?;
-                }
-                if let Some((node, price)) = best {
-                    let map = BstMap::new(p.table_root(0)); // field helpers only
-                    let free = map.value(tx, node, 1)?;
-                    if free > 0 {
-                        map.set_value(tx, node, 1, free - 1)?;
-                        let cust = BstMap::new(p.customer_root());
-                        let cnode = cust.lookup(tx, customer)?.expect("customer exists");
-                        let n = cust.value(tx, cnode, 0)?;
-                        let spent = cust.value(tx, cnode, 1)?;
-                        cust.set_value(tx, cnode, 0, n + 1)?;
-                        cust.set_value(tx, cnode, 1, spent + price)?;
+                    Ok(())
+                });
+            } else {
+                // Table update task: insert or reprice a relation.
+                let table = rng.gen_index(0..TABLES);
+                let id = rng.gen_range(0..p.id_space as u64);
+                let price = 50 + rng.gen_range(0..450);
+                b.transaction(|tx| {
+                    let map = BstMap::new(p.table_root(table));
+                    if let Some(node) = map.lookup(tx, id)? {
+                        map.set_value(tx, node, 2, price)?;
+                    } else {
+                        let total = 3 + (id % 5);
+                        map.insert(tx, id, &[total, total, price, 0])?;
                     }
-                }
-                Ok(())
-            });
-        } else {
-            // Table update task: insert or reprice a relation.
-            let table = rng.gen_index(0..TABLES);
-            let id = rng.gen_range(0..p.id_space as u64);
-            let price = 50 + rng.gen_range(0..450);
-            b.transaction(|tx| {
-                let map = BstMap::new(p.table_root(table));
-                if let Some(node) = map.lookup(tx, id)? {
-                    map.set_value(tx, node, 2, price)?;
-                } else {
-                    let total = 3 + (id % 5);
-                    map.insert(tx, id, &[total, total, price, 0])?;
-                }
-                Ok(())
-            });
+                    Ok(())
+                });
+            }
         }
     }
-}
 
-/// Host-side verification, shared by both substrates: for every table,
-/// `Σ (total − free) == Σ customers' reservations`, and every relation
-/// keeps `0 ≤ free ≤ total`.
-fn check_final(p: VacationParams, peek: &Peek<'_>) {
-    let mut reserved_by_tables = 0u64;
-    for t in 0..TABLES {
-        let map = BstMap::new(p.table_root(t));
-        map.peek_each(peek, |_key, vals| {
-            let (total, free) = (vals[0], vals[1]);
-            assert!(free <= total, "free {free} > total {total} in table {t}");
-            reserved_by_tables += total - free;
+    /// For every table, `Σ (total − free) == Σ customers' reservations`,
+    /// and every relation keeps `0 ≤ free ≤ total`.
+    fn verify(&self, _seed: u64, peek: &Peek<'_>) {
+        let p = *self;
+        let mut reserved_by_tables = 0u64;
+        for t in 0..TABLES {
+            let map = BstMap::new(p.table_root(t));
+            map.peek_each(peek, |_key, vals| {
+                let (total, free) = (vals[0], vals[1]);
+                assert!(free <= total, "free {free} > total {total} in table {t}");
+                reserved_by_tables += total - free;
+            });
+        }
+        let mut reserved_by_customers = 0u64;
+        let mut spent = 0u64;
+        let cust = BstMap::new(p.customer_root());
+        cust.peek_each(peek, |_key, vals| {
+            reserved_by_customers += vals[0];
+            spent += vals[1];
         });
-    }
-    let mut reserved_by_customers = 0u64;
-    let mut spent = 0u64;
-    let cust = BstMap::new(p.customer_root());
-    cust.peek_each(peek, |_key, vals| {
-        reserved_by_customers += vals[0];
-        spent += vals[1];
-    });
-    assert_eq!(
-        reserved_by_tables, reserved_by_customers,
-        "reservation conservation violated"
-    );
-    if reserved_by_customers > 0 {
-        assert!(spent >= reserved_by_customers * 50, "prices below minimum");
+        assert_eq!(
+            reserved_by_tables, reserved_by_customers,
+            "reservation conservation violated"
+        );
+        if reserved_by_customers > 0 {
+            assert!(spent >= reserved_by_customers * 50, "prices below minimum");
+        }
     }
 }
 
@@ -240,110 +242,19 @@ fn check_final(p: VacationParams, peek: &Peek<'_>) {
 ///
 /// # Panics
 ///
-/// Panics if verification fails (see `check_final`'s invariants).
+/// Panics if verification fails (see [`Workload::verify`]'s invariants).
 pub fn run(spec: &RunSpec, params: &VacationParams) -> RunOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let threads = spec.threads;
-
-    let setup = move |m: &mut Machine, w: &mut StampWorld| {
-        // host_insert walks with immutable peeks of the machine while
-        // allocating from the world's heap (disjoint borrows); each
-        // insert's pokes are staged and applied after its walk, exactly
-        // the peek-then-poke order of the pre-port setup code.
-        let mut pending: Vec<(Addr, u64)> = Vec::new();
-        let mut do_insert =
-            |m: &mut Machine, w: &mut StampWorld, map: BstMap, key: u64, vals: [u64; 4]| {
-                pending.clear();
-                let heap = &mut w.tm.heap;
-                map.host_insert(
-                    &|a| m.peek(a),
-                    &mut |a, v| pending.push((a, v)),
-                    &mut |words| heap.alloc_line_aligned(words).expect("setup heap"),
-                    key,
-                    &vals,
-                );
-                for &(a, v) in &pending {
-                    m.poke(a, v);
-                }
-            };
-        for t in 0..TABLES {
-            let map = BstMap::new(p.table_root(t));
-            for i in 0..p.relations {
-                let id = mix(seed, t as u64, i as u64) % p.id_space as u64;
-                let price = 50 + mix(seed, id, t as u64 + 7) % 450;
-                let total = 3 + mix(seed, id, 99) % 5;
-                do_insert(m, w, map, id, [total, total, price, 0]);
-            }
-        }
-        let customers = BstMap::new(p.customer_root());
-        for c in 0..p.customers {
-            do_insert(m, w, customers, c as u64, [0, 0, 0, 0]);
-        }
-    };
-
-    let make_body = move |tid: usize| -> crate::harness::WorkBody {
-        Box::new(move |t, ctx| {
-            let mut b = SimBackend::new(t, ctx, tid, threads);
-            task_body(&mut b, p, seed);
-        })
-    };
-
-    let verify = move |m: &Machine, _w: &StampWorld| {
-        check_final(p, &|a| m.peek(a));
-    };
-
-    run_workload(spec, setup, make_body, verify)
+    harness::run_sim(spec, params)
 }
 
-/// Runs vacation on a native backend — host-atomics TL2 or the failover
-/// hybrid, per `spec.backend`: the *same* `task_body` on real OS
+/// Runs vacation on a native backend: the *same* body on real OS
 /// threads, verified by the same conservation check.
 ///
 /// # Panics
 ///
 /// Panics if verification fails or `spec.backend` is simulated.
 pub fn run_native(spec: &RunSpec, params: &VacationParams) -> NativeOutcome {
-    let p = *params;
-    let seed = spec.seed;
-    let ops = p.total_tasks as u64;
-    if spec.backend == BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), p.native_alloc_words(), spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |t| {
-                setup_data(
-                    p,
-                    seed,
-                    &|a| t.peek(a),
-                    &mut |a, v| t.poke(a, v),
-                    &mut |w| t.host_alloc(w),
-                )
-            },
-            |th| task_body(th, p, seed),
-            |t| check_final(p, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), p.native_alloc_words());
-        run_native_workload(
-            spec,
-            &heap,
-            |h| {
-                setup_data(
-                    p,
-                    seed,
-                    &|a| h.peek(a),
-                    &mut |a, v| h.poke(a, v),
-                    &mut |w| h.host_alloc(w),
-                )
-            },
-            |th| task_body(th, p, seed),
-            |h| check_final(p, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    harness::run_native(spec, params)
 }
 
 #[cfg(test)]

@@ -21,28 +21,26 @@
 //! The hybrid scripts run at transaction granularity through the
 //! [`TmBackend`] trait — the same generic script on the simulated
 //! UfoHybrid driver and the native TL2+USTM failover driver — and label
-//! each transaction's commit path from `commit_counts()` deltas,
+//! each transaction's commit path from [`TmBackend::backend_stats`] deltas,
 //! including a forced fast→slow failover via `force_failover_next()`.
 
 use std::sync::{Arc, Mutex};
 
-use ufotm_core::TmBackend;
+use ufotm_core::{BackendStats, TmBackend};
 use ufotm_machine::{Addr, Machine, MachineConfig};
 use ufotm_native::{
     HybridThread, NativeHybrid, NativeHybridPolicy, NativeTl2, NativeTxn, NativeUstm, NativeUstmTxn,
 };
 use ufotm_sim::{Ctx, Sim, ThreadFn};
-use ufotm_tl2::{Tl2Abort, Tl2Config, Tl2Shared, Tl2Txn};
+use ufotm_tl2::{stripe_index, Tl2Abort, Tl2Config, Tl2Shared, Tl2Txn};
 use ufotm_ustm::{UstmAbort, UstmConfig, UstmShared, UstmTxn};
 
 const X: Addr = Addr(512);
 const LOCK_ENTRIES: u64 = 4096;
 
-/// The stripe both implementations hash a line to (kept in sync with
-/// `Tl2Shared::lock_index` / `NativeTl2::stripe_of` — if either drifts,
-/// the classification assertions below catch it).
-fn stripe(addr: Addr) -> u64 {
-    ((addr.0 / 64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) & (LOCK_ENTRIES - 1)
+/// The stripe both implementations hash a line to.
+fn stripe(addr: Addr) -> usize {
+    stripe_index(addr.line(), LOCK_ENTRIES - 1)
 }
 
 /// An address past `from` on a different stripe than X.
@@ -430,9 +428,13 @@ fn ustm_serial_rmw_mix_final_heaps_agree() {
 
 // --- Hybrid: transaction-granularity scripts over TmBackend ------------
 
-/// Labels one transaction's commit path from a `commit_counts()` delta.
-fn path(fast: u64, slow: u64) -> &'static str {
-    match (fast, slow) {
+/// Labels one transaction's commit path from the [`BackendStats`] before
+/// and after it.
+fn path(before: BackendStats, after: BackendStats) -> &'static str {
+    match (
+        after.fast_commits - before.fast_commits,
+        after.slow_commits - before.slow_commits,
+    ) {
         (1, 0) => "fast",
         (0, 1) => "slow",
         _ => "mixed",
@@ -446,28 +448,24 @@ fn path(fast: u64, slow: u64) -> &'static str {
 /// values, per-transaction path labels, and failover counts must agree.
 fn hybrid_script<B: TmBackend>(b: &mut B) -> Vec<String> {
     let mut ev = Vec::new();
-    let (f0, s0) = b.commit_counts();
+    let s0 = b.backend_stats();
     let v = b.transaction(|tx| {
         let v = tx.read(X)?;
         tx.write(X, v + 7)?;
         tx.read(X)
     });
-    let (f1, s1) = b.commit_counts();
-    ev.push(format!("rmw: {v}, path {}", path(f1 - f0, s1 - s0)));
+    let s1 = b.backend_stats();
+    ev.push(format!("rmw: {v}, path {}", path(s0, s1)));
 
-    let failovers_before = b.failovers();
     b.force_failover_next();
     let v = b.transaction(|tx| {
         let v = tx.read(X)?;
         tx.write(X, v * 3)?;
         tx.read(X)
     });
-    let (f2, s2) = b.commit_counts();
-    ev.push(format!("forced: {v}, path {}", path(f2 - f1, s2 - s1)));
-    ev.push(format!(
-        "failovers taken: {}",
-        b.failovers() - failovers_before
-    ));
+    let s2 = b.backend_stats();
+    ev.push(format!("forced: {v}, path {}", path(s1, s2)));
+    ev.push(format!("failovers taken: {}", s2.failovers - s1.failovers));
 
     // The forced failover is one-shot: the next transaction goes back to
     // the fast path on both drivers.
@@ -476,11 +474,8 @@ fn hybrid_script<B: TmBackend>(b: &mut B) -> Vec<String> {
         tx.write(X, v + 1)?;
         tx.read(X)
     });
-    let (f3, s3) = b.commit_counts();
-    ev.push(format!(
-        "after forced: {v}, path {}",
-        path(f3 - f2, s3 - s2)
-    ));
+    let s3 = b.backend_stats();
+    ev.push(format!("after forced: {v}, path {}", path(s2, s3)));
     ev.push(format!("final X: {}", b.plain_load(X)));
     ev
 }

@@ -128,6 +128,16 @@ pub struct Tl2Shared {
     mask: u64,
 }
 
+/// The version-lock stripe `line` hashes to in a table of `mask + 1`
+/// entries. The one stripe hash of the workspace: the simulated lock
+/// table, the native TL2 and the cross-validation scripts all call it,
+/// so a given line contends on the same stripe on both substrates.
+#[inline]
+#[must_use]
+pub fn stripe_index(line: LineAddr, mask: u64) -> usize {
+    ((line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) & mask) as usize
+}
+
 impl Tl2Shared {
     /// Words of simulated memory TL2 needs for a lock table of
     /// `lock_entries` entries (plus one line for the global clock).
@@ -160,7 +170,7 @@ impl Tl2Shared {
     }
 
     fn lock_index(&self, line: LineAddr) -> usize {
-        ((line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) & self.mask) as usize
+        stripe_index(line, self.mask)
     }
 
     fn lock_addr(&self, index: usize) -> Addr {

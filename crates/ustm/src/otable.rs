@@ -74,6 +74,16 @@ pub struct Otable {
 /// Bytes per bin (two words: tag+metadata, chain pointer).
 pub(crate) const BIN_BYTES: u64 = 16;
 
+/// The ownership-table bin `line` chains into in a table of `mask + 1`
+/// bins (Fibonacci hashing over the line number). The one bin hash of the
+/// workspace: the simulated otable and the native USTM both call it, so a
+/// given line chains into the same bin on both substrates.
+#[inline]
+#[must_use]
+pub fn bin_index(line: LineAddr, mask: u64) -> u64 {
+    (line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & mask
+}
+
 impl Otable {
     /// Creates a table with `bins` bins (a power of two) whose bin array
     /// starts at simulated address `base` (the caller reserves
@@ -107,8 +117,7 @@ impl Otable {
     /// The hash bin index for a line.
     #[must_use]
     pub fn index_of(&self, line: LineAddr) -> u64 {
-        // Fibonacci hashing over the line number.
-        (line.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask
+        bin_index(line, self.mask)
     }
 
     /// The simulated address of a bin (what barriers load/store).
