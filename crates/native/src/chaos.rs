@@ -9,11 +9,11 @@
 //! seeds and failpoint mixes; a failing cell echoes its seed so the schedule
 //! replays.
 //!
-//! The module also owns the [`Liveness`] registry: a per-worker dead flag,
-//! heartbeat, and ownership epoch. Runners mark a worker dead the moment its
-//! body unwinds (`catch_unwind`), which makes death *precise* — survivors only
-//! reclaim locks whose stamped owner has actually terminated, never one that
-//! is merely slow. Epochs guard against tid reuse: a stolen lock stamped with
+//! The module also owns the [`Liveness`] registry: a per-worker dead flag and
+//! ownership epoch. Runners mark a worker dead the moment its body unwinds
+//! (`catch_unwind`), which makes death *precise* — survivors only reclaim
+//! locks whose stamped owner has actually terminated, never one that is
+//! merely slow. Epochs guard against tid reuse: a stolen lock stamped with
 //! a stale epoch is never confused with the reincarnated worker's fresh locks.
 
 use std::panic::panic_any;
@@ -475,7 +475,7 @@ pub struct ChaosReport {
     pub site_hits: [u64; SITES],
 }
 
-/// Per-worker liveness registry: dead flags, heartbeats, and ownership epochs.
+/// Per-worker liveness registry: dead flags and ownership epochs.
 ///
 /// Death is *precise*: only a runner that has observed the worker's body
 /// unwind calls [`Liveness::mark_dead`], so reclamation never steals from a
@@ -484,7 +484,6 @@ pub struct ChaosReport {
 /// orphaned locks of its previous incarnation.
 pub struct Liveness {
     dead: Box<[AtomicU64]>,
-    beats: Box<[AtomicU64]>,
     epochs: Box<[AtomicU64]>,
 }
 
@@ -508,7 +507,6 @@ impl Liveness {
     pub fn new() -> Self {
         Liveness {
             dead: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
-            beats: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
             epochs: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -529,17 +527,6 @@ impl Liveness {
     /// Whether `tid` has been marked dead.
     pub fn is_dead(&self, tid: usize) -> bool {
         self.dead[tid].load(Ordering::SeqCst) != 0
-    }
-
-    /// Record a heartbeat for `tid` (diagnostics only; never used to infer
-    /// death).
-    pub fn beat(&self, tid: usize) {
-        self.beats[tid].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Heartbeats recorded for `tid`.
-    pub fn beats(&self, tid: usize) -> u64 {
-        self.beats[tid].load(Ordering::Relaxed)
     }
 
     /// Current ownership epoch of `tid`.

@@ -17,19 +17,32 @@
 //! (PhTM-style — fast transactions subscribe to a slow-mode stop word,
 //! like the simulated hardware path subscribing to the serial gate):
 //!
-//! * A fast transaction registers in `fast_inflight`, then checks
-//!   `slow_mode`; if a slow transaction is pending it deregisters and
-//!   spin-yields until the mode clears.
-//! * A slow transaction raises `slow_mode`, then waits for
-//!   `fast_inflight` to drain before running. Multiple slow
-//!   transactions run concurrently — USTM's ownership table is the
-//!   concurrency control within the slow mode.
+//! * A fast transaction registers by storing 1 to **its own worker's**
+//!   gate flag (`fast_held[tid]`, one flag per 128-byte line, written by
+//!   nobody else while the worker lives), then checks `slow_mode` and
+//!   `serial_mode`; if either is raised it clears the flag and
+//!   spin-yields until both drop. Leaving is one `Release` store of 0. In
+//!   fast mode a transaction therefore writes no gate word another
+//!   worker reads or writes: the only line two fast workers share for
+//!   writing is the TL2 clock.
+//! * A slow transaction raises `slow_mode`, then waits for every
+//!   worker's flag (and the anonymous count below) to read zero before
+//!   running. Multiple slow transactions run concurrently — USTM's
+//!   ownership table is the concurrency control within the slow mode.
 //!
-//! Plain accesses ([`NativeHybrid::peek`]/[`NativeHybrid::poke`], and
-//! the backend's `plain_load`/`plain_store` which route through them)
-//! register in the same inflight count as fast transactions, so the
-//! gate also closes the plain-access hole the `mprotect` guard cannot
-//! cover on unguarded (boxed/TSan/non-x86_64) heaps: with the gate
+//! This is a Dekker handshake, all four accesses `SeqCst`: the fast side
+//! stores its flag then loads the modes, the slow side bumps a mode then
+//! loads the flags, so either the fast side sees the mode and backs off
+//! or the slow side sees the flag and waits for it. A flag is also the
+//! record [`NativeHybrid::reap_dead`] clears when its worker dies
+//! registered.
+//!
+//! Plain accesses with no worker identity ([`NativeHybrid::peek`]/
+//! [`NativeHybrid::poke`], and the backend's `plain_load`/`plain_store`
+//! which route through them) register in one shared count,
+//! `plain_inflight`, that slow transactions drain alongside the flags.
+//! So the gate also closes the plain-access hole the `mprotect` guard
+//! cannot cover on unguarded (boxed/TSan/non-x86_64) heaps: with the gate
 //! drained, the only code touching USTM-written lines during a slow
 //! commit is USTM itself.
 
@@ -74,6 +87,17 @@ const BACKOFF_BASE: u64 = 50;
 const BACKOFF_CAP_EXP: u32 = 7;
 const BACKOFF_JITTER_PCT: u64 = 25;
 
+/// One worker's fast-path gate registration, alone on its line (128
+/// bytes: adjacent-line prefetchers pair 64-byte lines), so registering
+/// costs no coherence traffic between workers.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct GateFlag(AtomicU64);
+
+// Two flags of the `fast_held` slice never share a 128-byte line.
+const _: () =
+    assert!(std::mem::align_of::<GateFlag>() == 128 && std::mem::size_of::<GateFlag>() == 128);
+
 /// Shared native hybrid state: the TL2 world (which owns the word
 /// heap), the USTM ownership table, and the mode gate.
 #[derive(Debug)]
@@ -82,17 +106,18 @@ pub struct NativeHybrid {
     ustm: NativeUstm,
     /// Count of slow-path transactions pending or running.
     slow_mode: AtomicU64,
-    /// Count of fast-path transactions currently executing.
-    fast_inflight: AtomicU64,
+    /// Count of anonymous plain accessors ([`NativeHybrid::peek`]/
+    /// [`NativeHybrid::poke`]) currently inside the gate.
+    plain_inflight: AtomicU64,
     /// Nonzero while a serial-irrevocable transaction runs; both paths
     /// subscribe to it (fast via the gate, slow via attempt parking).
     serial_mode: AtomicU64,
     /// Serializes serial-tier transactions.
     serial_gate: Mutex<()>,
-    /// Per-tid flag: this tid currently holds a `fast_inflight`
-    /// registration. Lets [`NativeHybrid::reap_dead`] repair the gate
-    /// when a worker dies between register and deregister.
-    fast_held: Box<[AtomicU64]>,
+    /// Per-tid gate flag: nonzero while this tid's fast-path transaction
+    /// is registered in the gate. Written only by its worker — and by
+    /// [`NativeHybrid::reap_dead`] once that worker is dead.
+    fast_held: Box<[GateFlag]>,
     /// Per-tid flag: this tid currently holds a `slow_mode`
     /// registration.
     slow_held: Box<[AtomicU64]>,
@@ -117,10 +142,10 @@ impl NativeHybrid {
             tl2: NativeTl2::new(heap_words, lock_entries, alloc_base_word),
             ustm: NativeUstm::new(threads, otable_bins),
             slow_mode: AtomicU64::new(0),
-            fast_inflight: AtomicU64::new(0),
+            plain_inflight: AtomicU64::new(0),
             serial_mode: AtomicU64::new(0),
             serial_gate: Mutex::new(()),
-            fast_held: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            fast_held: (0..threads).map(|_| GateFlag::default()).collect(),
             slow_held: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             policy,
         }
@@ -130,19 +155,15 @@ impl NativeHybrid {
     /// its USTM leavings (helper-completing a sealed commit — done
     /// first, while any gate registration the corpse leaked still holds
     /// the fast path off unguarded heaps), its orphaned TL2 stripe
-    /// locks, and finally any `fast_inflight`/`slow_mode` registration
-    /// it died holding (which would otherwise wedge the gate forever).
-    /// Idempotent and safe to call from multiple survivors — the held
-    /// flags are consumed by CAS.
+    /// locks, and finally any gate registration it died holding — its
+    /// fast flag or its `slow_mode` count — which would otherwise wedge
+    /// the gate forever. Idempotent and safe to call from multiple
+    /// survivors: the flag is simply cleared, the `slow_mode` count is
+    /// given back by whoever wins the CAS on `slow_held`.
     pub fn reap_dead(&self, tid: usize) {
         self.ustm.reclaim_dead(&self.tl2, tid);
         self.tl2.sweep_orphans();
-        if self.fast_held[tid]
-            .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.fast_held[tid].0.store(0, Ordering::SeqCst);
         if self.slow_held[tid]
             .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -173,53 +194,111 @@ impl NativeHybrid {
         &self.ustm
     }
 
-    /// Registers a fast-path transaction *or* a plain accessor in
-    /// `fast_inflight`, quiescing while any slow-path transaction is
-    /// pending (the PhTM-style stop-word subscription). Routing plain
-    /// accesses through the same gate closes the hole the `mprotect`
-    /// guard cannot cover on unguarded (boxed/TSan/non-x86_64) heaps:
-    /// a pending slow commit drains plain accessors exactly like fast
-    /// transactions before touching the heap.
-    fn gate_enter(&self) {
-        // Delay-only failpoint (anonymous stream): widens the window in
-        // which a plain accessor sits between registering and checking.
-        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
-        loop {
-            self.fast_inflight.fetch_add(1, Ordering::SeqCst);
-            if self.slow_mode.load(Ordering::SeqCst) == 0
-                && self.serial_mode.load(Ordering::SeqCst) == 0
-            {
-                return;
-            }
-            self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
-            while self.slow_mode.load(Ordering::SeqCst) != 0
-                || self.serial_mode.load(Ordering::SeqCst) != 0
-            {
-                std::thread::yield_now();
-            }
+    /// Whether no slow-path and no serial transaction is pending — the
+    /// stop words both kinds of gate entry subscribe to (PhTM-style).
+    fn fast_mode(&self) -> bool {
+        self.slow_mode.load(Ordering::SeqCst) == 0 && self.serial_mode.load(Ordering::SeqCst) == 0
+    }
+
+    fn park_until_fast_mode(&self) {
+        while !self.fast_mode() {
+            std::thread::yield_now();
         }
     }
 
-    fn gate_exit(&self) {
-        self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
+    /// Registers worker `tid`'s fast-path transaction in the gate: raise
+    /// its own flag, then check the modes; quiesce (flag down) while a
+    /// slow-path or serial transaction is pending.
+    fn fast_enter(&self, tid: usize) {
+        // Delay-only failpoint (anonymous stream): widens the window
+        // between arriving at the gate and registering in it.
+        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
+        let flag = &self.fast_held[tid].0;
+        loop {
+            flag.store(1, Ordering::SeqCst);
+            if self.fast_mode() {
+                return;
+            }
+            flag.store(0, Ordering::Release);
+            self.park_until_fast_mode();
+        }
+    }
+
+    /// Deregisters. `Release` pairs with the drain's load of this flag in
+    /// [`NativeHybrid::fast_side_drained`]: a slow transaction that reads
+    /// the 0 sees everything the fast transaction did. Entry needs
+    /// `SeqCst` to order its store before its own loads of the modes;
+    /// nothing this worker does after leaving depends on such an order.
+    fn fast_exit(&self, tid: usize) {
+        self.fast_held[tid].0.store(0, Ordering::Release);
+    }
+
+    /// [`NativeHybrid::fast_enter`] for a plain accessor with no worker
+    /// identity: registers in the shared `plain_inflight` count. Routing
+    /// plain accesses through the gate closes the hole the `mprotect`
+    /// guard cannot cover on unguarded (boxed/TSan/non-x86_64) heaps: a
+    /// pending slow commit drains plain accessors exactly like fast
+    /// transactions before touching the heap.
+    fn plain_enter(&self) {
+        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
+        loop {
+            self.plain_inflight.fetch_add(1, Ordering::SeqCst);
+            if self.fast_mode() {
+                return;
+            }
+            self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
+            self.park_until_fast_mode();
+        }
+    }
+
+    fn plain_exit(&self) {
+        self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether the fast side of the gate is empty: every worker's flag
+    /// and the anonymous count read zero. Slow and serial transactions
+    /// raise their mode first, then wait for this.
+    fn fast_side_drained(&self) -> bool {
+        self.plain_inflight.load(Ordering::SeqCst) == 0
+            && self
+                .fast_held
+                .iter()
+                .all(|flag| flag.0.load(Ordering::SeqCst) == 0)
+    }
+
+    /// Registers `tid`'s slow-path transaction: raise `slow_mode`, then
+    /// drain the fast side.
+    fn slow_enter(&self, tid: usize) {
+        // Held-flag first: a worker that dies registered is repaired by
+        // `reap_dead`, which gives back only what the flag records.
+        self.slow_held[tid].store(1, Ordering::SeqCst);
+        self.slow_mode.fetch_add(1, Ordering::SeqCst);
+        while !self.fast_side_drained() {
+            std::thread::yield_now();
+        }
+    }
+
+    fn slow_exit(&self, tid: usize) {
+        self.slow_mode.fetch_sub(1, Ordering::SeqCst);
+        self.slow_held[tid].store(0, Ordering::SeqCst);
     }
 
     /// Plain (non-transactional) load, gated against slow-path commit
     /// windows; see [`NativeTl2::peek`].
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
-        self.gate_enter();
+        self.plain_enter();
         let v = self.tl2.peek(addr);
-        self.gate_exit();
+        self.plain_exit();
         v
     }
 
     /// Plain (non-transactional) store, gated against slow-path commit
     /// windows; see [`NativeTl2::poke`].
     pub fn poke(&self, addr: Addr, value: u64) {
-        self.gate_enter();
+        self.plain_enter();
         self.tl2.poke(addr, value);
-        self.gate_exit();
+        self.plain_exit();
     }
 
     /// Host-side allocation from the shared bump allocator.
@@ -315,6 +394,19 @@ impl<'a> HybridThread<'a> {
     /// Creates the handle for thread `tid` of `threads`. `barrier` is
     /// the shared phase barrier; pass `None` for single-threaded
     /// protocol scripts that never call [`TmBackend::barrier`].
+    ///
+    /// At most one live `HybridThread` may exist per `tid` of a given
+    /// [`NativeHybrid`]: the handle is the sole writer of its tid's gate
+    /// flag (two would clear each other's registration), and creating it
+    /// revives the tid in the liveness registry ([`NativeTxn::new`]),
+    /// which already assumes any previous incarnation is gone. A tid may
+    /// be reused once its previous handle has been dropped, or its worker
+    /// has died and been reaped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is not below the `threads` the shared state was
+    /// built for.
     #[must_use]
     pub fn new(
         shared: &'a NativeHybrid,
@@ -383,14 +475,11 @@ impl<'a> HybridThread<'a> {
         &mut self,
         body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>,
     ) -> Option<R> {
-        // Held-flag first, then the body: if this worker dies at an
-        // injected failpoint inside the attempt, `reap_dead` can see the
-        // flag and give its gate registration back.
-        self.shared.gate_enter();
-        self.shared.fast_held[self.tid].store(1, Ordering::SeqCst);
+        // Registered for the whole attempt: if this worker dies at an
+        // injected failpoint inside it, `reap_dead` clears the flag.
+        self.shared.fast_enter(self.tid);
         let committed = self.fast.attempt(|t| body(t));
-        self.shared.fast_held[self.tid].store(0, Ordering::SeqCst);
-        self.shared.gate_exit();
+        self.shared.fast_exit(self.tid);
         committed
     }
 
@@ -403,11 +492,7 @@ impl<'a> HybridThread<'a> {
     /// runs, so the serial tier's drain always terminates.
     fn run_slow<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
         let shared = self.shared;
-        shared.slow_held[self.tid].store(1, Ordering::SeqCst);
-        shared.slow_mode.fetch_add(1, Ordering::SeqCst);
-        while shared.fast_inflight.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
+        shared.slow_enter(self.tid);
         let mut attempts = 0u32;
         let committed = loop {
             if attempts >= shared.policy.serial_after {
@@ -416,24 +501,18 @@ impl<'a> HybridThread<'a> {
             if shared.serial_mode.load(Ordering::SeqCst) != 0 {
                 // Park: hand the mode back so the serial tier can drain,
                 // re-register once it completes.
-                shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
-                shared.slow_held[self.tid].store(0, Ordering::SeqCst);
+                shared.slow_exit(self.tid);
                 while shared.serial_mode.load(Ordering::SeqCst) != 0 {
                     std::thread::yield_now();
                 }
-                shared.slow_held[self.tid].store(1, Ordering::SeqCst);
-                shared.slow_mode.fetch_add(1, Ordering::SeqCst);
-                while shared.fast_inflight.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
+                shared.slow_enter(self.tid);
             }
             attempts += 1;
             if let Some(r) = self.slow.attempt(|t| body(t)) {
                 break Some(r);
             }
         };
-        shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
-        shared.slow_held[self.tid].store(0, Ordering::SeqCst);
+        shared.slow_exit(self.tid);
         match committed {
             Some(r) => r,
             None => {
@@ -458,9 +537,7 @@ impl<'a> HybridThread<'a> {
             // Dead workers can never deregister; give their
             // registrations back before judging the drain.
             shared.reap_all_dead();
-            if shared.fast_inflight.load(Ordering::SeqCst) == 0
-                && shared.slow_mode.load(Ordering::SeqCst) == 0
-            {
+            if shared.fast_side_drained() && shared.slow_mode.load(Ordering::SeqCst) == 0 {
                 break;
             }
             std::thread::yield_now();

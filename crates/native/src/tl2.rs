@@ -12,12 +12,17 @@
 //! * **begin** — sample the global clock into `rv`.
 //! * **read** — pre-sample the stripe lock, load the word, post-sample;
 //!   valid iff both samples are unlocked, equal, and `version <= rv`.
-//! * **write** — buffer in a `BTreeMap` (lazy versioning).
+//! * **write** — buffer in an address-sorted `Vec` (lazy versioning;
+//!   binary-search insert, so publication walks ascending addresses).
 //! * **commit** — acquire write-stripe locks in sorted stripe order
 //!   (single-shot CAS, [`Tl2Abort::LockBusy`] on contention), bump the
 //!   clock to get `wv`, validate the read set
 //!   ([`Tl2Abort::CommitValidation`] on failure), publish the write set
 //!   with `Release` stores, release each lock stamped `wv`.
+//!
+//! An attempt allocates nothing once its handle is warm: the read set,
+//! the write set and commit's stripe/held scratch are `Vec`s owned by the
+//! [`NativeTxn`], cleared — never dropped — between attempts.
 //!
 //! A stripe lock word is `version << 1` when free and
 //! `(((epoch << 8) | owner_tid) << 1) | 1` when held, so readers
@@ -34,7 +39,6 @@
 //! still holds pre-transaction data, and restamping it with a fresh
 //! clock version merely invalidates concurrent readers.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -362,7 +366,14 @@ pub struct NativeTxn<'a> {
     pub(crate) tid: usize,
     rv: u64,
     reads: Vec<usize>,
-    writes: BTreeMap<u64, u64>,
+    /// Write set as `(byte address, value)`, sorted by address, one entry
+    /// per word.
+    writes: Vec<(u64, u64)>,
+    /// Commit scratch: the write set's stripes, sorted and deduplicated.
+    stripes: Vec<usize>,
+    /// Commit scratch: `(stripe, displaced lock word)` per lock this
+    /// commit holds, in acquisition (= stripe) order.
+    held: Vec<(usize, u64)>,
     active: bool,
     consecutive_aborts: u32,
     /// Event counters for this handle.
@@ -387,13 +398,18 @@ impl<'a> NativeTxn<'a> {
             tid,
             rv: 0,
             reads: Vec::new(),
-            writes: BTreeMap::new(),
+            writes: Vec::new(),
+            stripes: Vec::new(),
+            held: Vec::new(),
             active: false,
             consecutive_aborts: 0,
             stats: NativeStats::default(),
         }
     }
 
+    /// This handle's held-lock stamp. Read from the registry per commit,
+    /// not cached at construction: a [`crate::NativeUstmTxn`] created for
+    /// the same tid afterwards revives it again and advances the epoch.
     fn my_lock_word(&self) -> u64 {
         let epoch = self.shared.liveness.epoch(self.tid);
         ((epoch << 8) | self.tid as u64) << 1 | 1
@@ -412,7 +428,6 @@ impl<'a> NativeTxn<'a> {
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
         assert!(!self.active, "nested native transactions are not supported");
-        self.shared.liveness.beat(self.tid);
         self.rv = self.shared.clock.load(Ordering::Acquire);
         self.reads.clear();
         self.writes.clear();
@@ -446,8 +461,10 @@ impl<'a> NativeTxn<'a> {
             self.fail(Tl2Abort::ReadValidation);
             return Err(Tl2Abort::ReadValidation);
         }
-        if let Some(&v) = self.writes.get(&addr.0) {
-            return Ok(v);
+        if !self.writes.is_empty() {
+            if let Ok(i) = self.write_slot(addr) {
+                return Ok(self.writes[i].1);
+            }
         }
         let w = self.shared.word_index(addr);
         let s = self.shared.stripe_of(addr);
@@ -477,8 +494,17 @@ impl<'a> NativeTxn<'a> {
     pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         let _ = self.shared.word_index(addr); // bounds-check now, not at publish
-        self.writes.insert(addr.0, value);
+        match self.write_slot(addr) {
+            Ok(i) => self.writes[i].1 = value,
+            Err(i) => self.writes.insert(i, (addr.0, value)),
+        }
         Ok(())
+    }
+
+    /// Where `addr` sits in the sorted write set (`Ok`), or where it
+    /// would be inserted (`Err`).
+    fn write_slot(&self, addr: Addr) -> Result<usize, usize> {
+        self.writes.binary_search_by_key(&addr.0, |&(a, _)| a)
     }
 
     /// Transactionally allocates `words` fresh words (bump allocator).
@@ -514,83 +540,29 @@ impl<'a> NativeTxn<'a> {
             self.fail(Tl2Abort::CommitValidation);
             return Err(Tl2Abort::CommitValidation);
         }
-        // Phase 1: acquire write locks in canonical (sorted) stripe order.
-        let mut stripes: Vec<usize> = self
-            .writes
-            .keys()
-            .map(|&a| self.shared.stripe_of(Addr(a)))
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        let mine = self.my_lock_word();
-        let mut held: Vec<(usize, u64)> = Vec::with_capacity(stripes.len());
-        for &s in &stripes {
-            let mut cur = self.shared.locks[s].load(Ordering::Relaxed);
-            if cur & 1 == 1 && self.shared.try_reclaim(s, cur) {
-                cur = self.shared.locks[s].load(Ordering::Relaxed);
+        let wv = match self.lock_and_validate() {
+            Ok(wv) => wv,
+            Err(abort) => {
+                for &(s, displaced) in &self.held {
+                    self.shared.locks[s].store(displaced, Ordering::Release);
+                }
+                self.fail(abort);
+                return Err(abort);
             }
-            let acquired = cur & 1 == 0
-                && self.shared.locks[s]
-                    .compare_exchange(cur, mine, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok();
-            if !acquired {
-                self.rollback_locks(&held);
-                self.fail(Tl2Abort::LockBusy);
-                return Err(Tl2Abort::LockBusy);
-            }
-            held.push((s, cur));
-        }
-        // Locks held, nothing published yet: a panic injected here
-        // orphans the stripes, and a steal is still sound.
-        if self.shared.chaos.strike(self.tid, FailSite::Tl2LockHeld) {
-            self.rollback_locks(&held);
-            self.fail(Tl2Abort::LockBusy);
-            return Err(Tl2Abort::LockBusy);
-        }
-        // Phase 2: increment the global clock.
-        let wv = self.shared.clock.fetch_add(1, Ordering::AcqRel) + 1;
-        // Phase 3: validate the read set (like the simulated TL2, no
-        // rv+1 == wv shortcut — identical classification on both sides).
-        // A stripe this commit itself write-locked must be validated
-        // against the version it *displaced* in phase 1: acquisition
-        // overwrote the packed version word, but the simulated TL2's
-        // struct lock keeps `version` visible while held, and a
-        // concurrent commit may have bumped it past rv mid-body.
-        for &s in &self.reads {
-            let l = self.shared.locks[s].load(Ordering::Acquire);
-            let bad = if l == mine {
-                let displaced = held
-                    .iter()
-                    .find(|&&(hs, _)| hs == s)
-                    .expect("self-held stripe missing from held set")
-                    .1;
-                displaced >> 1 > self.rv
-            } else if l & 1 == 1 {
-                // Still abort this attempt, but free a dead owner's
-                // stripe so the retry does not hit the same wall.
-                self.shared.try_reclaim(s, l);
-                true
-            } else {
-                l >> 1 > self.rv
-            };
-            if bad {
-                self.rollback_locks(&held);
-                self.fail(Tl2Abort::CommitValidation);
-                return Err(Tl2Abort::CommitValidation);
-            }
-        }
-        // Phase 4: publish the write set. Delay-only failpoint: a panic
-        // mid-publication would tear the heap with no redo record to
-        // recover from ([`FailSite::Tl2WriteBack`] is not panic-safe).
+        };
+        // Phase 4: publish the write set, ascending by address. Delay-only
+        // failpoint: a panic mid-publication would tear the heap with no
+        // redo record to recover from ([`FailSite::Tl2WriteBack`] is not
+        // panic-safe).
         let _ = self.shared.chaos.strike(self.tid, FailSite::Tl2WriteBack);
-        for (&a, &v) in &self.writes {
+        for &(a, v) in &self.writes {
             self.shared
                 .heap
                 .word((a / 8) as usize)
                 .store(v, Ordering::Release);
         }
         // Phase 5: release locks stamped with the new version.
-        for &(s, _) in &held {
+        for &(s, _) in &self.held {
             self.shared.locks[s].store(wv << 1, Ordering::Release);
         }
         self.writes.clear();
@@ -601,10 +573,71 @@ impl<'a> NativeTxn<'a> {
         Ok(())
     }
 
-    fn rollback_locks(&self, held: &[(usize, u64)]) {
-        for &(s, old) in held {
-            self.shared.locks[s].store(old, Ordering::Release);
+    /// Commit phases 1–3: lock the write set's stripes, bump the clock,
+    /// validate the read set; returns the new version. On `Err`,
+    /// `self.held` names exactly the locks taken so far, for the caller
+    /// to roll back.
+    fn lock_and_validate(&mut self) -> Result<u64, Tl2Abort> {
+        let shared = self.shared;
+        let mine = self.my_lock_word();
+        // Phase 1: acquire write locks in canonical (sorted) stripe order.
+        self.stripes.clear();
+        self.stripes
+            .extend(self.writes.iter().map(|&(a, _)| shared.stripe_of(Addr(a))));
+        self.stripes.sort_unstable();
+        self.stripes.dedup();
+        self.held.clear();
+        for &s in &self.stripes {
+            let mut cur = shared.locks[s].load(Ordering::Relaxed);
+            if cur & 1 == 1 && shared.try_reclaim(s, cur) {
+                cur = shared.locks[s].load(Ordering::Relaxed);
+            }
+            let acquired = cur & 1 == 0
+                && shared.locks[s]
+                    .compare_exchange(cur, mine, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok();
+            if !acquired {
+                return Err(Tl2Abort::LockBusy);
+            }
+            self.held.push((s, cur));
         }
+        // Locks held, nothing published yet: a panic injected here
+        // orphans the stripes, and a steal is still sound.
+        if shared.chaos.strike(self.tid, FailSite::Tl2LockHeld) {
+            return Err(Tl2Abort::LockBusy);
+        }
+        // Phase 2: increment the global clock.
+        let wv = shared.clock.fetch_add(1, Ordering::AcqRel) + 1;
+        // Phase 3: validate the read set (like the simulated TL2, no
+        // rv+1 == wv shortcut — identical classification on both sides).
+        // A stripe this commit itself write-locked must be validated
+        // against the version it *displaced* in phase 1: acquisition
+        // overwrote the packed version word, but the simulated TL2's
+        // struct lock keeps `version` visible while held, and a
+        // concurrent commit may have bumped it past rv mid-body.
+        for &s in &self.reads {
+            let l = shared.locks[s].load(Ordering::Acquire);
+            let bad = if l == mine {
+                let displaced = self
+                    .held
+                    .iter()
+                    .find(|&&(hs, _)| hs == s)
+                    .expect("self-held stripe missing from held set")
+                    .1;
+                displaced >> 1 > self.rv
+            } else if l & 1 == 1 {
+                // Still abort this attempt, but free a dead owner's
+                // stripe so the retry does not hit the same wall.
+                shared.try_reclaim(s, l);
+                true
+            } else {
+                l >> 1 > self.rv
+            };
+            if bad {
+                return Err(Tl2Abort::CommitValidation);
+            }
+        }
+        Ok(wv)
     }
 
     pub(crate) fn backoff(&self) {

@@ -457,7 +457,6 @@ impl<'a> NativeUstmTxn<'a> {
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
         assert!(!self.active, "nested native transactions are not supported");
-        self.heap.liveness().beat(self.tid);
         self.ts = self.ustm.next_ts.fetch_add(1, Ordering::SeqCst) + 1;
         self.my_slot()
             .store(pack(self.ts, 0, PHASE_ACTIVE), Ordering::SeqCst);

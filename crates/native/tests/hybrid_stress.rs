@@ -5,7 +5,9 @@
 //! the heap uses plain boxed atomics and every USTM/hybrid
 //! synchronization path is visible to the race detector.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
@@ -220,4 +222,95 @@ fn all_slow_path_counter_is_exact() {
     );
     assert_eq!(stats.fast.begins, 0, "everything was forced slow");
     assert_eq!(stats.forced_failovers, THREADS as u64 * PER);
+}
+
+/// How long a parked body lingers once the other side has been told to
+/// go: long enough that a gate which let the other side through would be
+/// caught in the act. A correct gate passes however the scheduler
+/// behaves — lingering can only turn a wrong pass into a failure.
+const LINGER: Duration = Duration::from_millis(50);
+
+/// The gate, fast side registered first: while tid 0 sits inside a
+/// fast-path body its gate flag is up, so tid 1's slow-path transaction
+/// must wait in its drain and cannot run its body until tid 0 has left.
+/// (That no two gate flags share a 128-byte line is a `const` assertion
+/// beside `GateFlag` in `src/hybrid.rs`.)
+#[test]
+fn slow_transaction_waits_for_a_parked_fast_body() {
+    let (h, slow_ran) = (&world(2), &AtomicBool::new(false));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (asking_tx, asking_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut th = HybridThread::new(h, None, 0, 2);
+            let mut first = true;
+            th.transaction(|tx| {
+                let v = tx.read(COUNTER)?;
+                if std::mem::take(&mut first) {
+                    entered_tx.send(()).unwrap();
+                    asking_rx.recv().unwrap();
+                    std::thread::sleep(LINGER);
+                    assert!(
+                        !slow_ran.load(Ordering::SeqCst),
+                        "a slow-path body ran beside a registered fast transaction"
+                    );
+                }
+                tx.write(COUNTER, v + 1)
+            });
+            assert_eq!(th.stats().fast.commits, 1);
+        });
+        s.spawn(move || {
+            let mut th = HybridThread::new(h, None, 1, 2);
+            entered_rx.recv().unwrap();
+            asking_tx.send(()).unwrap();
+            th.force_failover_next();
+            th.transaction(|tx| {
+                slow_ran.store(true, Ordering::SeqCst);
+                tx.write(ACCT_A, 1)
+            });
+            assert_eq!(th.stats().slow.commits, 1);
+        });
+    });
+    assert!(slow_ran.load(Ordering::SeqCst));
+    assert_eq!((h.peek(COUNTER), h.peek(ACCT_A)), (1, 1));
+}
+
+/// The gate, roles reversed and the fast side anonymous: while tid 0
+/// sits inside a slow-path body `slow_mode` is raised, so a tid-less
+/// [`NativeHybrid::poke`] from another thread parks at the gate and
+/// returns only after the slow transaction has committed.
+#[test]
+fn anonymous_poke_waits_for_a_parked_slow_body() {
+    let (h, poke_returned) = (&world(1), &AtomicBool::new(false));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (poking_tx, poking_rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut th = HybridThread::new(h, None, 0, 1);
+            let mut first = true;
+            th.force_failover_next();
+            th.transaction(|tx| {
+                let v = tx.read(COUNTER)?;
+                if std::mem::take(&mut first) {
+                    entered_tx.send(()).unwrap();
+                    poking_rx.recv().unwrap();
+                    std::thread::sleep(LINGER);
+                    assert!(
+                        !poke_returned.load(Ordering::SeqCst),
+                        "a plain store got through the gate beside a slow-path body"
+                    );
+                }
+                tx.write(COUNTER, v + 1)
+            });
+            assert_eq!(th.stats().slow.commits, 1);
+        });
+        s.spawn(move || {
+            entered_rx.recv().unwrap();
+            poking_tx.send(()).unwrap();
+            h.poke(ACCT_B, 7);
+            poke_returned.store(true, Ordering::SeqCst);
+        });
+    });
+    assert!(poke_returned.load(Ordering::SeqCst));
+    assert_eq!((h.peek(COUNTER), h.peek(ACCT_B)), (1, 7));
 }

@@ -198,3 +198,120 @@ fn write_skew_on_disjoint_stripes_matches_tl2_validation() {
     assert_eq!(shared.peek(X), 1);
     assert_eq!(shared.peek(y), 0);
 }
+
+/// The sorted-`Vec` write set under its worst insertion order: 1 000
+/// distinct words written from the highest address down (every insert
+/// lands at the front), every tenth one overwritten twice.
+#[test]
+fn descending_writes_and_overwrites_keep_the_last_value_per_word() {
+    const WORDS: u64 = 1000;
+    let shared = heap();
+    let word = |i: u64| Addr(8 * (1000 + i));
+    let last = |i: u64| {
+        if i.is_multiple_of(10) {
+            3 * i + 9
+        } else {
+            i + 1
+        }
+    };
+    let mut a = NativeTxn::new(&shared, 0);
+    a.begin();
+    for i in (0..WORDS).rev() {
+        a.write(word(i), i + 1).unwrap();
+        if i.is_multiple_of(10) {
+            a.write(word(i), 2 * i + 7).unwrap();
+            assert_eq!(a.read(word(i)).unwrap(), 2 * i + 7);
+            a.write(word(i), 3 * i + 9).unwrap();
+        }
+        assert_eq!(a.read(word(i)).unwrap(), last(i), "read-own-write {i}");
+    }
+    for i in 0..WORDS {
+        assert_eq!(a.read(word(i)).unwrap(), last(i), "read-own-write {i}");
+        assert_eq!(shared.peek(word(i)), 0, "nothing publishes before commit");
+    }
+    a.commit().unwrap();
+    assert_eq!(a.stats.total_aborts(), 0);
+    let mut b = NativeTxn::new(&shared, 1);
+    b.begin();
+    for i in 0..WORDS {
+        assert_eq!(shared.peek(word(i)), last(i), "word {i} not published");
+        assert_eq!(b.read(word(i)).unwrap(), last(i), "word {i} unreadable");
+    }
+    b.commit().unwrap();
+}
+
+/// Two words of one 64-byte line share a stripe, and commit must lock it
+/// once: a second acquisition would find the commit's own lock and abort.
+/// Against a held stripe the pair costs one `LockBusy`, not two, and
+/// leaves the holder's lock word exactly as it found it.
+#[test]
+fn two_words_of_one_line_take_one_stripe_lock() {
+    let shared = heap();
+    let x2 = Addr(X.0 + 8);
+    let mut a = NativeTxn::new(&shared, 0);
+    let write_pair = |a: &mut NativeTxn<'_>, v: u64| {
+        a.begin();
+        a.write(x2, v + 1).unwrap();
+        a.write(X, v).unwrap();
+        a.commit()
+    };
+
+    let free = shared.debug_lock_stripe(X, 7);
+    assert_eq!(free & 1, 0);
+    assert_eq!(write_pair(&mut a, 10), Err(Tl2Abort::LockBusy));
+    assert_eq!(a.stats.lock_busy_aborts, 1);
+    assert_eq!(a.stats.total_aborts(), 1);
+    let hold = shared.debug_lock_stripe(X, 7);
+    assert_eq!(hold, 7 << 1 | 1, "the failed commit disturbed the holder");
+    shared.debug_restore_stripe(X, free);
+
+    assert_eq!(write_pair(&mut a, 20), Ok(()));
+    assert_eq!(a.stats.total_aborts(), 1, "one stripe, locked once");
+    assert_eq!((shared.peek(X), shared.peek(x2)), (20, 21));
+    // Released, stamped with the commit's version.
+    let after = shared.debug_lock_stripe(X, 7);
+    shared.debug_restore_stripe(X, after);
+    assert_eq!(after, shared.clock_now() << 1);
+}
+
+/// The handle reuses its write set and its commit scratch across
+/// attempts. An attempt that aborted — at commit with locks already
+/// taken, or dropped mid-body — must leave nothing behind for a shorter
+/// attempt that follows: no stale write published, no stale stripe
+/// locked, released or restamped.
+#[test]
+fn a_shorter_attempt_after_an_abort_publishes_nothing_from_the_first() {
+    let shared = heap();
+    let y = distinct_stripe_addr(&shared, Addr(1024), X);
+    let z = distinct_stripe_addr(&shared, Addr(y.0 + 64), y);
+    let w = Addr(4096);
+    let mut a = NativeTxn::new(&shared, 0);
+
+    // Three stripes, the last write's held by someone else: LockBusy
+    // with up to two locks taken and rolled back.
+    let raw = shared.debug_lock_stripe(z, 9);
+    a.begin();
+    a.write(X, 1).unwrap();
+    a.write(y, 2).unwrap();
+    a.write(z, 3).unwrap();
+    assert_eq!(a.commit(), Err(Tl2Abort::LockBusy));
+    shared.debug_restore_stripe(z, raw);
+    // A longer write set still, abandoned mid-body.
+    a.begin();
+    for addr in [X, y, z, Addr(X.0 + 8)] {
+        a.write(addr, 4).unwrap();
+    }
+    a.drop_attempt();
+
+    a.begin();
+    assert_eq!(a.read(X).unwrap(), 0, "stale buffered write read back");
+    a.write(w, 5).unwrap();
+    a.commit().unwrap();
+    assert_eq!(shared.peek(w), 5);
+    for addr in [X, y, z, Addr(X.0 + 8)] {
+        assert_eq!(shared.peek(addr), 0, "{addr:?} leaked from an abort");
+        let lock = shared.debug_lock_stripe(addr, 9);
+        shared.debug_restore_stripe(addr, lock);
+        assert_eq!(lock, 0, "{addr:?}'s stripe was touched by a later commit");
+    }
+}
