@@ -9,30 +9,51 @@
 //! granularity with `mprotect(2)`:
 //!
 //! * The native heap is a `memfd` file mapped **twice**: a *public* view
-//!   (all plain accesses and the TL2 fast path go through it) and a
-//!   *shadow* view of the same physical pages (the USTM commit write-back
-//!   goes through it, so the writer itself never faults).
-//! * During a native-USTM commit window the pages holding the write set
-//!   are flipped to `PROT_NONE` on the public view only. A racing plain
+//!   (every plain access goes through it) and a *shadow* view of the same
+//!   physical pages, never protected, which every transactional path uses —
+//!   TL2 reads and write-back, USTM reads and commit write-back, the serial
+//!   tier. Transactions are kept out of commit windows by protocol
+//!   (ownership, the hybrid's mode gate), so they never needed the guard
+//!   and never pay for it. (Until a heap's first commit window no page of
+//!   it can be closed, and the transactional view is simply the public
+//!   mapping: a heap whose slow path never runs does not pay a second set
+//!   of PTEs for its pages.)
+//! * A native-USTM commit window **closes** (`PROT_NONE`, public view only)
+//!   those pages of its write set that are still open. A racing plain
 //!   access to those pages takes a real SIGSEGV.
+//! * Protection is **sticky**: dropping the window only lowers the region's
+//!   window bit. The pages stay closed, so the next commit to them issues
+//!   no syscall and no TLB shootdown; a page is reopened lazily, by the
+//!   fault handler, the first time a plain access touches it with no
+//!   window open. The price of a slow commit moves to the plain access
+//!   that really lands on a page a slow commit has written — the paper's
+//!   cost model.
 //! * The installed SIGSEGV handler classifies the fault: if the address
-//!   falls in a registered guarded region it is a plain access racing a
-//!   commit window — the handler counts it, records the address, spins
-//!   (with `sched_yield`) until every window closes, and returns, which
-//!   *re-executes* the faulting instruction. The plain access therefore
+//!   falls in a registered guarded region it is a plain access to a closed
+//!   page — the handler counts it, records the address, spins (with
+//!   `sched_yield`) until that region's window bit is clear, reopens the
+//!   one page (`mprotect(RW)`), and returns, which *re-executes* the
+//!   faulting instruction. A plain access that raced a window therefore
 //!   completes after the commit, serialized — detected and deferred, never
 //!   lost and never torn. Faults outside every registered region restore
 //!   the previously-installed disposition and return, so the re-executed
 //!   instruction reaches the old handler (or the default crash) untouched.
+//! * Committers and reopening handlers exclude each other through one
+//!   state word per region (bit 0 = window open, the rest = handlers
+//!   mid-reopen): a committer CASes 0→1, a handler waits for bit 0 to
+//!   clear and adds 2, so no page is reopened under an open window and no
+//!   window opens over a page half-way through a reopen. The same word
+//!   serializes committers on one heap.
 //!
 //! ## Limits vs. the paper's UFO bits (docs/ARCHITECTURE.md §5)
 //!
 //! Page granularity means false sharing: a plain access to an *unrelated*
-//! word on a guarded page stalls for the window too (correct, just
-//! slower), where UFO bits would have let it through. And the guard is
-//! only raised during the commit window (redo-log USTM publishes lazily),
-//! not for the whole transaction as eager UFO acquisition would — the
-//! window is exactly the span in which intermediate state exists.
+//! word on a closed page faults and reopens it (and stalls for the window,
+//! if one is open) — correct, just slower — where UFO bits would have let
+//! it through. And the guard only *holds* during the commit window
+//! (redo-log USTM publishes lazily), not for the whole transaction as eager
+//! UFO acquisition would — the window is exactly the span in which
+//! intermediate state exists.
 //!
 //! Everything here is raw Linux syscalls (`mmap`/`mprotect`/
 //! `rt_sigaction`/`memfd_create`) via inline assembly — the workspace has
@@ -62,8 +83,10 @@ pub struct GuardStats {
     /// window — each one a strong-atomicity event: detected, stalled past
     /// the window, then re-executed.
     pub faults_in_window: u64,
-    /// Faults attributed to this heap that arrived just after the last
-    /// window closed (the access simply re-executes; still never lost).
+    /// Faults on this heap's pages that found no window open: lazy reopens
+    /// of a page an earlier window left closed, and accesses that faulted
+    /// just as a window dropped. The handler reopens the page and the
+    /// access re-executes; still never lost.
     pub faults_after_window: u64,
 }
 
@@ -76,11 +99,11 @@ mod imp {
     //! lives in this module: raw syscalls, the signal handler, and the
     //! word views over the two mappings.
 
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Mutex, MutexGuard, Once};
+    use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::sync::Once;
 
     use super::GuardStats;
-    use crate::chaos::{lock_recover, FailSite, NativeChaos};
+    use crate::chaos::{FailSite, NativeChaos};
 
     // ---- raw syscalls ----------------------------------------------------
 
@@ -210,12 +233,28 @@ mod imp {
         [const { AtomicU64::new(0) }; MAX_REGIONS];
     static REGION_LAST_FAULT: [AtomicUsize; MAX_REGIONS] =
         [const { AtomicUsize::new(0) }; MAX_REGIONS];
+    /// Commit windows opened on the region. Here, not in the
+    /// [`DualMapping`]: a counter every committer bumps must not share a
+    /// cache line with the base addresses every heap access reads.
+    static REGION_WINDOWS: [AtomicU64; MAX_REGIONS] = [const { AtomicU64::new(0) }; MAX_REGIONS];
 
-    /// Count of open commit windows across all regions. The handler spins
-    /// while this is nonzero; one global counter over-blocks slightly
-    /// (a fault in heap A waits for heap B's window too) but keeps the
-    /// handler's condition a single load.
-    static ACTIVE_WINDOWS: AtomicU64 = AtomicU64::new(0);
+    /// Per-region protocol word excluding committers and reopening
+    /// handlers from each other: bit 0 ([`WINDOW_OPEN`]) is set while a
+    /// commit window is open on the region, the bits above count handlers
+    /// mid-reopen ([`REOPENING`] each). A committer CASes 0 → `WINDOW_OPEN`
+    /// (so it also waits out other committers on the same heap); a handler
+    /// waits for bit 0 to clear, then adds `REOPENING`. Per region, so a
+    /// fault in heap A never waits for heap B's window.
+    static REGION_STATE: [AtomicU64; MAX_REGIONS] = [const { AtomicU64::new(0) }; MAX_REGIONS];
+    /// Address of the region's per-page closed flags (one `AtomicU8` per
+    /// page, owned by the [`DualMapping`]): nonzero = the page is
+    /// `PROT_NONE` on the public view. Only the holder of the state word —
+    /// a committer, or a handler mid-reopen — changes a page's protection
+    /// or its flag. Published before `REGION_BASE`.
+    static REGION_CLOSED: [AtomicUsize; MAX_REGIONS] = [const { AtomicUsize::new(0) }; MAX_REGIONS];
+
+    const WINDOW_OPEN: u64 = 1;
+    const REOPENING: u64 = 2;
 
     static INSTALL: Once = Once::new();
     static INSTALL_OK: AtomicUsize = AtomicUsize::new(0);
@@ -249,8 +288,8 @@ mod imp {
     }
 
     /// The classifying SIGSEGV handler. Async-signal-safe: atomics,
-    /// `sched_yield`, and `rt_sigaction` only — and no longer just by
-    /// construction: the D9 `signal-unsafe-reachable` pass walks
+    /// `sched_yield`, `mprotect`, and `rt_sigaction` only — and no longer
+    /// just by construction: the D9 `signal-unsafe-reachable` pass walks
     /// everything reachable from here and fails `cargo xtask analyze` on
     /// any allocation, lock, panic, or stdio drifting in.
     // SAFETY: installed via rt_sigaction with SA_SIGINFO, so the kernel
@@ -276,32 +315,72 @@ mod imp {
             if fault_addr < base || fault_addr >= base + len {
                 continue;
             }
-            // Ours: a plain access raced a commit window on this heap.
+            // Ours: a plain access touched a closed page of this heap.
             REGION_LAST_FAULT[slot].store(fault_addr, Ordering::SeqCst);
-            if ACTIVE_WINDOWS.load(Ordering::SeqCst) == 0 {
-                // The window closed between the fault and this load; the
-                // page is readable/writable again and re-execution
-                // succeeds immediately.
+            let state = &REGION_STATE[slot];
+            if state.load(Ordering::SeqCst) & WINDOW_OPEN == 0 {
+                // No window: an earlier one left the page closed (or just
+                // dropped). Reopen it below and re-execute.
                 REGION_FAULTS_AFTER[slot].fetch_add(1, Ordering::SeqCst);
-                return;
+            } else {
+                REGION_FAULTS_IN[slot].fetch_add(1, Ordering::SeqCst);
             }
-            REGION_FAULTS_IN[slot].fetch_add(1, Ordering::SeqCst);
-            // Stall until every window closes, then return: the kernel
-            // re-executes the faulting instruction, so the access lands
-            // strictly after the commit — strong atomicity by deferral.
+            // Stall until this region's window drops, then register as a
+            // reopener in the same step, so that no window can open until
+            // the page is consistently open again. Returning re-executes
+            // the faulting instruction, so an access that raced a window
+            // lands strictly after the commit — strong atomicity by
+            // deferral.
             let mut spins: u64 = 0;
-            while ACTIVE_WINDOWS.load(Ordering::SeqCst) != 0 {
-                sched_yield();
-                spins += 1;
-                if spins > 1 << 32 {
-                    // A window has been open for minutes: a committer is
-                    // wedged. Fall back to the previous disposition so
-                    // the re-fault (the page is still PROT_NONE) crashes
-                    // loudly instead of hanging this thread forever.
-                    restore_previous_disposition();
-                    return;
+            loop {
+                let cur = state.load(Ordering::SeqCst);
+                if cur & WINDOW_OPEN != 0 {
+                    sched_yield();
+                    spins += 1;
+                    if spins > 1 << 32 {
+                        // A window has been open for minutes: a committer
+                        // is wedged. Fall back to the previous disposition
+                        // so the re-fault (the page is still PROT_NONE)
+                        // crashes loudly instead of hanging this thread
+                        // forever.
+                        restore_previous_disposition();
+                        return;
+                    }
+                } else if state
+                    .compare_exchange(cur, cur + REOPENING, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                {
+                    break;
                 }
             }
+            let page = (fault_addr - base) / PAGE_BYTES;
+            let flags = REGION_CLOSED[slot].load(Ordering::SeqCst) as *const AtomicU8;
+            // SAFETY: `flags` is the live `DualMapping`'s array of one flag
+            // per page of the region (published before `REGION_BASE`, and
+            // heaps are dropped only with plain accessors quiesced), and
+            // `page` < len / PAGE_BYTES by the range check above.
+            let closed = unsafe { &*flags.add(page) };
+            // Another handler may have reopened the page since the fault.
+            if closed.load(Ordering::SeqCst) != 0 {
+                // SAFETY: one whole page inside our public mapping.
+                let rc = unsafe {
+                    syscall3(
+                        SYS_MPROTECT,
+                        base + page * PAGE_BYTES,
+                        PAGE_BYTES,
+                        PROT_READ | PROT_WRITE,
+                    )
+                };
+                if rc == 0 {
+                    closed.store(0, Ordering::SeqCst);
+                } else {
+                    // The kernel refused (out of VMAs): the page stays
+                    // closed, so crash loudly on the re-fault rather than
+                    // fault here forever.
+                    restore_previous_disposition();
+                }
+            }
+            state.fetch_sub(REOPENING, Ordering::SeqCst);
             return;
         }
         // Not ours (a genuine segfault elsewhere in the process): put the
@@ -350,27 +429,37 @@ mod imp {
 
     // ---- the dual mapping -------------------------------------------------
 
-    /// One `memfd` mapped twice: the public view (guardable) and the
-    /// shadow view (always writable; the USTM write-back path).
+    /// One `memfd` mapped twice: the public view (guardable; plain
+    /// accesses) and the shadow view (always writable; every transactional
+    /// path).
     #[derive(Debug)]
     pub(crate) struct DualMapping {
         public_base: usize,
         shadow_base: usize,
+        /// Base of the view transactions use: `public_base` until the
+        /// heap's first commit window, `shadow_base` from then on. No page
+        /// can be closed before a window has opened, so until then the
+        /// public view is as fault-free as the shadow one, and a heap whose
+        /// slow path never runs keeps one set of PTEs (one RSS charge) for
+        /// its pages instead of two. Written once, so reading it costs
+        /// what reading `shadow_base` would.
+        txn_base: AtomicUsize,
         bytes: usize,
         fd: i32,
         slot: usize,
-        windows_opened: AtomicU64,
-        /// Serializes commit windows on this heap: concurrent committers
-        /// would otherwise race each other's `mprotect` transitions.
-        window_gate: Mutex<()>,
+        /// Per page: nonzero while the page is `PROT_NONE` on the public
+        /// view. The handler reaches it through `REGION_CLOSED[slot]`.
+        closed: Box<[AtomicU8]>,
     }
 
     // SAFETY: the mappings are process-wide shared memory accessed only
-    // through `&AtomicU64` views; the raw base addresses are plain data.
+    // through `&AtomicU64` views; the raw base addresses are plain data and
+    // `closed` is a boxed slice of atomics.
     unsafe impl Send for DualMapping {}
-    // SAFETY: shared references only hand out `&AtomicU64` word views, and
-    // the window gate (a `Mutex`) serializes the only non-atomic state
-    // transitions (the mprotect flips).
+    // SAFETY: shared references only hand out `&AtomicU64` word views; the
+    // closed flags are atomics, and the region's state word serializes the
+    // only non-atomic state transitions (the mprotect flips) among
+    // committers and reopening handlers.
     unsafe impl Sync for DualMapping {}
 
     fn mmap_shared(fd: i32, bytes: usize) -> Option<usize> {
@@ -427,9 +516,11 @@ mod imp {
             };
             // Claim a registry slot with a CAS to the claimed sentinel —
             // never touching slots owned by other live heaps — then fill
-            // in this slot's length and counters, and publish the real
-            // base *last* (the handler skips both 0 and the sentinel, so
-            // it never sees a half-registered slot).
+            // in this slot's length, counters and closed-flag pointer (its
+            // state word is 0: never used, or cleared by the last owner's
+            // drop), and publish the real base *last* (the handler skips
+            // both 0 and the sentinel, so it never sees a half-registered
+            // slot).
             let claimed = REGION_BASE.iter().position(|b| {
                 b.compare_exchange(0, SLOT_CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
@@ -447,15 +538,19 @@ mod imp {
             REGION_FAULTS_IN[slot].store(0, Ordering::SeqCst);
             REGION_FAULTS_AFTER[slot].store(0, Ordering::SeqCst);
             REGION_LAST_FAULT[slot].store(0, Ordering::SeqCst);
+            REGION_WINDOWS[slot].store(0, Ordering::SeqCst);
+            let closed: Box<[AtomicU8]> =
+                (0..bytes / PAGE_BYTES).map(|_| AtomicU8::new(0)).collect();
+            REGION_CLOSED[slot].store(closed.as_ptr() as usize, Ordering::SeqCst);
             REGION_BASE[slot].store(public_base, Ordering::SeqCst);
             Some(DualMapping {
                 public_base,
                 shadow_base,
+                txn_base: AtomicUsize::new(public_base),
                 bytes,
                 fd,
                 slot,
-                windows_opened: AtomicU64::new(0),
-                window_gate: Mutex::new(()),
+                closed,
             })
         }
 
@@ -472,79 +567,115 @@ mod imp {
             unsafe { &*((self.public_base + w * 8) as *const AtomicU64) }
         }
 
-        /// The shadow (never-protected) view of word `w`.
+        /// The transactional view of word `w`: never on a closed page.
+        /// The shadow mapping once the heap has had a commit window, the
+        /// public one (no page of which can be closed yet) before.
         #[inline]
         pub(crate) fn shadow_word(&self, w: usize) -> &AtomicU64 {
             debug_assert!(w < self.words());
-            // SAFETY: as `word`, on the second mapping of the same pages.
-            unsafe { &*((self.shadow_base + w * 8) as *const AtomicU64) }
+            // Relaxed: a transaction that still reads the public base while
+            // the first window closes its page just faults like a plain
+            // access and is deferred past the window.
+            let base = self.txn_base.load(Ordering::Relaxed);
+            // SAFETY: as `word`; `base` is one of the two mappings of the
+            // same pages.
+            unsafe { &*((base + w * 8) as *const AtomicU64) }
         }
 
-        /// Opens a commit window over the pages containing `word_idxs`
-        /// (any order, duplicates fine): flips them to `PROT_NONE` on the
-        /// public view. The window closes when the returned guard drops.
+        /// Opens a commit window over the pages containing `word_idxs`:
+        /// takes the region's window bit, then closes (`PROT_NONE` on the
+        /// public view) every such page that is still open. Dropping the
+        /// returned guard lowers the bit and nothing else: the pages stay
+        /// closed until a plain access reopens them through the handler.
         ///
-        /// `chaos` (the committing worker's failpoint handle, if any) is
-        /// struck at [`FailSite::GuardWindow`] once per protected run —
-        /// right after the pages flip, the most hostile instant.
+        /// `word_idxs` ascend (duplicates fine), as every committer's redo
+        /// log does; each maximal run of contiguous pages is closed as one.
+        /// Out-of-order indexes only split runs, they never leave a page
+        /// open. `chaos` (the committing worker's failpoint handle, if
+        /// any) is struck at [`FailSite::GuardWindow`] once per run,
+        /// whether or not the run needed a syscall — right after the pages
+        /// are known closed, the most hostile instant.
         ///
-        /// The window is built **incrementally**: each run is recorded in
-        /// the returned [`Window`] only after its pages are protected, so
-        /// a panic anywhere past the gate (an injected failpoint, a
-        /// failed `mprotect`, or a committer dying mid write-back) drops
-        /// a `Window` that restores exactly the pages already flipped.
-        /// The public view can never be left `PROT_NONE` by an unwinding
-        /// thread. A poisoned gate (a previous holder panicked) is
-        /// recovered rather than cascaded: the gate protects no data —
-        /// only window exclusivity — and the dead holder's `Window` drop
-        /// already restored its pages.
+        /// The [`Window`] exists from the moment the bit is taken, so a
+        /// panic anywhere past that point (an injected failpoint, a failed
+        /// `mprotect`, or a committer dying mid write-back) lowers the bit
+        /// on the way out. Pages such a committer closed stay closed, flags
+        /// set, exactly as after a clean commit: the next plain access
+        /// reopens them.
         pub(crate) fn open_window(
             &self,
             word_idxs: impl Iterator<Item = usize>,
             chaos: Option<(&NativeChaos, usize)>,
         ) -> Window<'_> {
-            let mut pages: Vec<usize> = word_idxs.map(|w| w * 8 / PAGE_BYTES).collect();
-            pages.sort_unstable();
-            pages.dedup();
-            // Merge contiguous pages into mprotect runs.
-            let mut runs: Vec<(usize, usize)> = Vec::new();
-            for p in pages {
-                match runs.last_mut() {
-                    Some((start, n)) if *start + *n == p => *n += 1,
-                    _ => runs.push((p, 1)),
+            // Waits out reopening handlers and other committers' windows
+            // on this heap; both are a handful of instructions or one
+            // syscall long.
+            while REGION_STATE[self.slot]
+                .compare_exchange(0, WINDOW_OPEN, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+            {
+                std::thread::yield_now();
+            }
+            let win = Window { map: self };
+            REGION_WINDOWS[self.slot].fetch_add(1, Ordering::SeqCst);
+            // The heap's first window: move transactions (this committer's
+            // write-back first of all) to the shadow view before any page
+            // closes. Checked first so later windows leave the line clean.
+            if self.txn_base.load(Ordering::Relaxed) != self.shadow_base {
+                self.txn_base.store(self.shadow_base, Ordering::SeqCst);
+            }
+            // The current run of contiguous pages, as `first..end`.
+            let mut run: Option<(usize, usize)> = None;
+            for page in word_idxs.map(|w| w * 8 / PAGE_BYTES) {
+                match &mut run {
+                    Some((first, end)) if (*first..*end).contains(&page) => {}
+                    Some((_, end)) if *end == page => *end += 1,
+                    _ => {
+                        if let Some((first, end)) = run.replace((page, page + 1)) {
+                            self.close_run(first, end, chaos);
+                        }
+                    }
                 }
             }
-            let (gate, _recovered) = lock_recover(&self.window_gate);
-            self.windows_opened.fetch_add(1, Ordering::SeqCst);
-            ACTIVE_WINDOWS.fetch_add(1, Ordering::SeqCst);
-            let mut win = Window {
-                map: self,
-                runs: Vec::with_capacity(runs.len()),
-                _gate: gate,
-            };
-            for (page, n) in runs {
-                // SAFETY: page range is within our public mapping.
-                let rc = unsafe {
-                    syscall3(
-                        SYS_MPROTECT,
-                        self.public_base + page * PAGE_BYTES,
-                        n * PAGE_BYTES,
-                        PROT_NONE,
-                    )
-                };
-                assert_eq!(rc, 0, "mprotect(PROT_NONE) failed");
-                win.runs.push((page, n));
-                if let Some((c, tid)) = chaos {
-                    let _ = c.strike(tid, FailSite::GuardWindow);
-                }
+            if let Some((first, end)) = run {
+                self.close_run(first, end, chaos);
             }
             win
+        }
+
+        /// Closes the still-open pages of `first..end`, one `mprotect` per
+        /// maximal open stretch, then strikes the failpoint. Caller holds
+        /// the region's window bit, so the flags hold still.
+        fn close_run(&self, first: usize, end: usize, chaos: Option<(&NativeChaos, usize)>) {
+            let is_closed = |flag: &AtomicU8| flag.load(Ordering::SeqCst) != 0;
+            let mut page = first;
+            for stretch in self.closed[first..end].chunk_by(|a, b| is_closed(a) == is_closed(b)) {
+                if !is_closed(&stretch[0]) {
+                    // SAFETY: page range is within our public mapping.
+                    let rc = unsafe {
+                        syscall3(
+                            SYS_MPROTECT,
+                            self.public_base + page * PAGE_BYTES,
+                            stretch.len() * PAGE_BYTES,
+                            PROT_NONE,
+                        )
+                    };
+                    assert_eq!(rc, 0, "mprotect(PROT_NONE) failed");
+                    for flag in stretch {
+                        flag.store(1, Ordering::SeqCst);
+                    }
+                }
+                page += stretch.len();
+            }
+            if let Some((c, tid)) = chaos {
+                let _ = c.strike(tid, FailSite::GuardWindow);
+            }
         }
 
         pub(crate) fn stats(&self) -> GuardStats {
             GuardStats {
                 guarded: true,
-                windows_opened: self.windows_opened.load(Ordering::SeqCst),
+                windows_opened: REGION_WINDOWS[self.slot].load(Ordering::SeqCst),
                 faults_in_window: REGION_FAULTS_IN[self.slot].load(Ordering::SeqCst),
                 faults_after_window: REGION_FAULTS_AFTER[self.slot].load(Ordering::SeqCst),
             }
@@ -556,6 +687,14 @@ mod imp {
             let a = REGION_LAST_FAULT[self.slot].load(Ordering::SeqCst);
             (a != 0).then(|| a - self.public_base)
         }
+
+        /// Pages currently closed on the public view.
+        pub(crate) fn closed_pages(&self) -> usize {
+            self.closed
+                .iter()
+                .filter(|f| f.load(Ordering::SeqCst) != 0)
+                .count()
+        }
     }
 
     impl Drop for DualMapping {
@@ -563,7 +702,11 @@ mod imp {
             // No windows can be open (Window borrows self), but a fault
             // handler on another thread may still be inspecting the slot;
             // callers must quiesce plain accessors before dropping heaps
-            // (all test/bench paths join their threads first).
+            // (all test/bench paths join their threads first). The slot's
+            // state word and flag pointer are cleared before the base, so
+            // whoever claims the slot next finds them at rest.
+            REGION_STATE[self.slot].store(0, Ordering::SeqCst);
+            REGION_CLOSED[self.slot].store(0, Ordering::SeqCst);
             REGION_BASE[self.slot].store(0, Ordering::SeqCst);
             // SAFETY: our mappings and fd, no further access after drop.
             unsafe {
@@ -574,30 +717,16 @@ mod imp {
         }
     }
 
-    /// An open commit window; dropping it restores `PROT_READ|PROT_WRITE`
-    /// and releases the gate.
+    /// An open commit window: the holder of its region's window bit.
+    /// Dropping it lowers the bit; the pages it closed stay closed.
     #[derive(Debug)]
     pub(crate) struct Window<'a> {
         map: &'a DualMapping,
-        runs: Vec<(usize, usize)>,
-        _gate: MutexGuard<'a, ()>,
     }
 
     impl Drop for Window<'_> {
         fn drop(&mut self) {
-            for &(page, n) in &self.runs {
-                // SAFETY: same range we protected at open.
-                let rc = unsafe {
-                    syscall3(
-                        SYS_MPROTECT,
-                        self.map.public_base + page * PAGE_BYTES,
-                        n * PAGE_BYTES,
-                        PROT_READ | PROT_WRITE,
-                    )
-                };
-                assert_eq!(rc, 0, "mprotect(PROT_READ|PROT_WRITE) failed");
-            }
-            ACTIVE_WINDOWS.fetch_sub(1, Ordering::SeqCst);
+            REGION_STATE[self.map.slot].fetch_and(!WINDOW_OPEN, Ordering::SeqCst);
         }
     }
 }
@@ -647,6 +776,10 @@ mod imp {
         }
 
         pub(crate) fn last_fault_offset(&self) -> Option<usize> {
+            match *self {}
+        }
+
+        pub(crate) fn closed_pages(&self) -> usize {
             match *self {}
         }
     }

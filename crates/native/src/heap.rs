@@ -1,13 +1,14 @@
 //! The native word heap: boxed atomics, or — when the mprotect guard is
-//! available — a dual-mapped region whose public view can be
-//! page-protected during USTM commit windows.
+//! available — a dual-mapped region whose public view is page-protected
+//! by USTM commit windows.
 //!
 //! All transactional and plain accesses in the crate go through
 //! [`WordHeap`]. The two storage shapes present the same word-indexed
 //! `AtomicU64` interface; the only semantic difference is that the
-//! mapped shape distinguishes the *public* view (plain accesses, TL2)
-//! from the *shadow* view (USTM write-back, which must not fault inside
-//! its own commit window).
+//! mapped shape distinguishes the *public* view (plain accesses, and
+//! nothing else) from the *shadow* view (every transactional path: TL2,
+//! USTM, the serial tier — they are excluded from commit windows by
+//! protocol, and must not fault on a page a window closed).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,7 +25,8 @@ pub(crate) enum WordHeap {
 }
 
 /// An open strong-atomicity commit window (no-op on boxed storage).
-/// Dropping it lifts the page protection.
+/// Dropping it ends the window; the pages it closed stay closed until a
+/// plain access reopens them.
 #[derive(Debug)]
 pub(crate) struct CommitWindow<'a> {
     _win: Option<guard::Window<'a>>,
@@ -43,8 +45,9 @@ impl WordHeap {
         WordHeap::Boxed((0..words).map(|_| AtomicU64::new(0)).collect())
     }
 
-    /// The public view of word `w` — what plain accesses and the TL2
-    /// fast path touch; faults during a commit window.
+    /// The public view of word `w` — what plain accesses touch; faults
+    /// while its page is closed (during a commit window, and after one
+    /// until the fault handler reopens the page).
     #[inline]
     pub(crate) fn word(&self, w: usize) -> &AtomicU64 {
         match self {
@@ -53,8 +56,10 @@ impl WordHeap {
         }
     }
 
-    /// The shadow view of word `w` — the USTM commit path; never
-    /// protected. Identical to [`WordHeap::word`] on boxed storage.
+    /// The shadow view of word `w` — what transactions touch; never on a
+    /// closed page (the second mapping once the heap has had a commit
+    /// window; see [`crate::guard`]). Identical to [`WordHeap::word`] on
+    /// boxed storage.
     #[inline]
     pub(crate) fn shadow_word(&self, w: usize) -> &AtomicU64 {
         match self {
@@ -74,9 +79,9 @@ impl WordHeap {
     }
 
     /// Opens a strong-atomicity window over the pages containing
-    /// `word_idxs`. A no-op handle on boxed storage (the guard then
-    /// rests on the hybrid's fast-path quiescence alone). `chaos` is the
-    /// committing worker's failpoint handle, struck at the
+    /// `word_idxs` (ascending). A no-op handle on boxed storage (the guard
+    /// then rests on the hybrid's fast-path quiescence alone). `chaos` is
+    /// the committing worker's failpoint handle, struck at the
     /// `GuardWindow` site once protection is up (and, on boxed storage,
     /// struck once anyway so failpoint schedules keep their shape when
     /// the guard is unavailable).
@@ -113,6 +118,14 @@ impl WordHeap {
         match self {
             WordHeap::Boxed(_) => None,
             WordHeap::Mapped(m) => m.last_fault_offset(),
+        }
+    }
+
+    /// Pages currently closed on the public view (0 on boxed storage).
+    pub(crate) fn closed_pages(&self) -> usize {
+        match self {
+            WordHeap::Boxed(_) => 0,
+            WordHeap::Mapped(m) => m.closed_pages(),
         }
     }
 }

@@ -45,6 +45,16 @@
 //! cannot cover on unguarded (boxed/TSan/non-x86_64) heaps: with the gate
 //! drained, the only code touching USTM-written lines during a slow
 //! commit is USTM itself.
+//!
+//! ## Which heap view
+//!
+//! One rule (see [`crate::guard`]): every transactional tier — fast,
+//! slow, serial — reads and writes the heap's never-protected *shadow*
+//! view; only plain accesses ([`NativeHybrid::peek`]/[`NativeHybrid::poke`]
+//! and the raw [`NativeTl2::peek`]/[`NativeTl2::poke`]) use the public
+//! view, which slow commits close page by page and plain accesses reopen
+//! on first touch. The gate is what makes that sound for the fast and
+//! serial tiers: neither runs while a slow commit's window is open.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -283,8 +293,8 @@ impl NativeHybrid {
         self.slow_held[tid].store(0, Ordering::SeqCst);
     }
 
-    /// Plain (non-transactional) load, gated against slow-path commit
-    /// windows; see [`NativeTl2::peek`].
+    /// Plain (non-transactional) load through the public view, gated
+    /// against slow-path commit windows; see [`NativeTl2::peek`].
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.plain_enter();
@@ -293,8 +303,8 @@ impl NativeHybrid {
         v
     }
 
-    /// Plain (non-transactional) store, gated against slow-path commit
-    /// windows; see [`NativeTl2::poke`].
+    /// Plain (non-transactional) store through the public view, gated
+    /// against slow-path commit windows; see [`NativeTl2::poke`].
     pub fn poke(&self, addr: Addr, value: u64) {
         self.plain_enter();
         self.tl2.poke(addr, value);
@@ -560,21 +570,29 @@ impl<'a> HybridThread<'a> {
     }
 }
 
-/// The serial tier's [`TxScope`]: direct, uninstrumented heap access.
-/// Sound because `run_serial` holds every other path parked for the
-/// whole body, and no new fast/slow transaction starts until
-/// `serial_mode` drops.
+/// The serial tier's [`TxScope`]: direct, uninstrumented heap access
+/// through the shadow view (a transaction, so it must not fault on a page
+/// an earlier slow commit left closed). Sound because `run_serial` holds
+/// every other path parked for the whole body, and no new fast/slow
+/// transaction starts until `serial_mode` drops.
 struct SerialScope<'a> {
     shared: &'a NativeHybrid,
 }
 
+impl SerialScope<'_> {
+    fn word(&self, addr: Addr) -> &AtomicU64 {
+        let tl2 = &self.shared.tl2;
+        tl2.heap().shadow_word(tl2.word_index(addr))
+    }
+}
+
 impl TxScope for SerialScope<'_> {
     fn read(&mut self, addr: Addr) -> Result<u64, Stop> {
-        Ok(self.shared.tl2.peek(addr))
+        Ok(self.word(addr).load(Ordering::Acquire))
     }
 
     fn write(&mut self, addr: Addr, value: u64) -> Result<(), Stop> {
-        self.shared.tl2.poke(addr, value);
+        self.word(addr).store(value, Ordering::Release);
         Ok(())
     }
 

@@ -12,6 +12,12 @@
 //! * **begin** — sample the global clock into `rv`.
 //! * **read** — pre-sample the stripe lock, load the word, post-sample;
 //!   valid iff both samples are unlocked, equal, and `version <= rv`.
+//!   Transactional loads and the commit's publication go through the
+//!   heap's never-protected *shadow* view (see [`crate::guard`]): the
+//!   hybrid's mode gate keeps fast transactions out of USTM commit
+//!   windows, so they must not pay a fault for a page a window left
+//!   closed. Only [`NativeTl2::peek`]/[`NativeTl2::poke`] use the public
+//!   view.
 //! * **write** — buffer in an address-sorted `Vec` (lazy versioning;
 //!   binary-search insert, so publication walks ascending addresses).
 //! * **commit** — acquire write-stripe locks in sorted stripe order
@@ -84,7 +90,7 @@ impl NativeTl2 {
     /// simulator).
     ///
     /// When the mprotect guard is available the heap is dual-mapped so
-    /// USTM commit windows can page-protect it (see
+    /// USTM commit windows can page-protect its public view (see
     /// [`crate::guard`]); otherwise plain boxed atomics.
     ///
     /// # Panics
@@ -199,7 +205,9 @@ impl NativeTl2 {
     /// Goes through the *public* heap view: if a USTM commit window is
     /// open over the page, this access faults into the guard handler and
     /// completes after the window — the native rendition of the paper's
-    /// strong atomicity for plain reads.
+    /// strong atomicity for plain reads. The first plain access to a page
+    /// after a window has closed it also faults, once: the handler
+    /// reopens the page and the access re-executes.
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.heap.load(self.word_index(addr))
@@ -259,8 +267,9 @@ impl NativeTl2 {
 
     /// Test scaffolding: opens a strong-atomicity commit window over the
     /// pages holding `addrs`, exactly as a USTM commit does. The window
-    /// closes when the returned handle drops. Guard tests use this to
-    /// pin the window open while a racing thread pokes into it.
+    /// ends when the returned handle drops (its pages stay closed until a
+    /// plain access reopens them). Guard tests use this to pin the window
+    /// open while a racing thread pokes into it.
     #[doc(hidden)]
     pub fn debug_open_window(&self, addrs: &[Addr]) -> DebugWindow<'_> {
         DebugWindow {
@@ -287,6 +296,15 @@ impl NativeTl2 {
     #[must_use]
     pub fn debug_last_fault_offset(&self) -> Option<usize> {
         self.heap.last_fault_offset()
+    }
+
+    /// Test scaffolding: pages of the public view currently closed
+    /// (`PROT_NONE`) — closed by a commit window and not yet reopened by
+    /// a plain access. Always 0 on an unguarded heap.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn debug_closed_pages(&self) -> usize {
+        self.heap.closed_pages()
     }
 
     pub(crate) fn alloc_words(&self, words: u64) -> Addr {
@@ -469,7 +487,7 @@ impl<'a> NativeTxn<'a> {
         let w = self.shared.word_index(addr);
         let s = self.shared.stripe_of(addr);
         let pre = self.shared.locks[s].load(Ordering::Acquire);
-        let value = self.shared.heap.word(w).load(Ordering::Acquire);
+        let value = self.shared.heap.shadow_word(w).load(Ordering::Acquire);
         let post = self.shared.locks[s].load(Ordering::Acquire);
         let unlocked = pre & 1 == 0 && post & 1 == 0;
         if unlocked && pre == post && post >> 1 <= self.rv {
@@ -558,7 +576,7 @@ impl<'a> NativeTxn<'a> {
         for &(a, v) in &self.writes {
             self.shared
                 .heap
-                .word((a / 8) as usize)
+                .shadow_word((a / 8) as usize)
                 .store(v, Ordering::Release);
         }
         // Phase 5: release locks stamped with the new version.

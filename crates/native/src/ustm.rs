@@ -34,14 +34,23 @@
 //!   *seal* the status slot (`ACTIVE → COMMITTING`; a sealed transaction
 //!   can no longer be killed, mirroring the simulator's committing
 //!   transactions stalling their attackers), open the strong-atomicity
-//!   guard window ([`crate::guard`]), write the redo log back through
-//!   the shadow view with `Release` stores, close the window, release
-//!   ownership, retire the slot.
+//!   guard window ([`crate::guard`]: it closes whichever pages of the
+//!   write set are still open on the public view — in steady state none,
+//!   so no syscall), write the redo log back through the shadow view with
+//!   `Release` stores, end the window (the pages stay closed; a plain
+//!   access reopens one on first touch), release ownership, retire the
+//!   slot.
 //!
-//! USTM's own heap reads go through the **shadow** view: a reader holds
-//! read ownership of every line it has read, so no committer can be
-//! writing those lines back concurrently, and the shadow view never
-//! faults inside the reader's (or its own) guard window.
+//! USTM's own heap reads go through the **shadow** view, like every
+//! transactional access in the crate: a reader holds read ownership of
+//! every line it has read, so no committer can be writing those lines
+//! back concurrently, and the shadow view never faults — neither inside a
+//! guard window nor on a page an earlier window left closed.
+//!
+//! The read set, the write-owned lines and commit's sorted line list are
+//! `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped — between
+//! attempts; what a warm attempt still allocates is the redo log's
+//! `BTreeMap` nodes and the ownership records it creates.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -404,6 +413,8 @@ pub struct NativeUstmTxn<'a> {
     writes: BTreeMap<u64, u64>,
     /// Lines write-acquired so far during commit.
     write_owned: Vec<u64>,
+    /// Commit scratch: the redo log's lines, sorted and deduplicated.
+    lines: Vec<u64>,
     active: bool,
     last_killer: Option<usize>,
     /// Event counters for this handle.
@@ -433,6 +444,7 @@ impl<'a> NativeUstmTxn<'a> {
             reads: Vec::new(),
             writes: BTreeMap::new(),
             write_owned: Vec::new(),
+            lines: Vec::new(),
             active: false,
             last_killer: None,
             stats: NativeUstmStats::default(),
@@ -740,11 +752,14 @@ impl<'a> NativeUstmTxn<'a> {
         // order. Acquisition happens while still ACTIVE (killable), so
         // an older committer can always break a would-be deadlock by
         // killing us out of our acquisition loop.
-        let mut lines: Vec<u64> = self.writes.keys().map(|&a| a / LINE_BYTES).collect();
-        lines.sort_unstable();
-        lines.dedup();
-        for line in lines {
-            self.acquire_write(line)?;
+        // The redo log iterates in address order, so its lines come out
+        // sorted and deduplicating neighbours is enough.
+        self.lines.clear();
+        self.lines
+            .extend(self.writes.keys().map(|&a| a / LINE_BYTES));
+        self.lines.dedup();
+        for i in 0..self.lines.len() {
+            self.acquire_write(self.lines[i])?;
         }
         // Ownerships held, not yet sealed: a forced abort (or injected
         // panic) here still unwinds as a plain ACTIVE rollback.
@@ -795,8 +810,9 @@ impl<'a> NativeUstmTxn<'a> {
                 // here stalls the committer with the public view
                 // protected (the exact race the plain-access tests
                 // drive), and a panic leaves a sealed record for
-                // helper-completion — the window guard restores
-                // protection on the way out.
+                // helper-completion — the window guard ends the window
+                // on the way out, and the pages it closed reopen on the
+                // next plain touch like any others.
                 let _ = self.heap.chaos().strike(self.tid, FailSite::UstmSealed);
                 for (&a, &v) in &self.writes {
                     self.heap

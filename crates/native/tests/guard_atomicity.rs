@@ -3,8 +3,8 @@
 //! be detected, classified, and deferred past the window — never lost,
 //! never torn.
 //!
-//! All tests no-op (pass trivially) when the guard is unavailable: off
-//! feature, non-Linux/x86_64, or `UFOTM_SKIP_GUARD=1` (the TSan CI job
+//! All tests no-op (pass trivially) when the guard is unavailable:
+//! non-Linux/x86_64, or `UFOTM_SKIP_GUARD=1` (the TSan CI job
 //! sets it — the dual mapping's aliased views are invisible to TSan's
 //! shadow memory, and these tests are about the MMU, not data races).
 
