@@ -108,10 +108,13 @@ pub const LINTS: &[&str] = &[
 pub const CYCLE_CHARGED: &[&str] = &["machine", "ustm", "tl2", "core"];
 
 /// Crates that must be free of *host* nondeterminism: everything that runs
-/// inside (or drives) the deterministic simulation. Host tooling — `bench`
-/// (wall-clock measurement is its job), `analyze`, and `xtask` — is
-/// excluded (D3/D5 scope).
-pub const DETERMINISTIC: &[&str] = &["machine", "ustm", "tl2", "core", "sim", "stamp", "root"];
+/// inside (or drives) the deterministic simulation — `bench` included: its
+/// artifacts are byte-deterministic and host time is measured in
+/// `benchmark/` only. Host tooling — `analyze` and `xtask` — is excluded
+/// (D3/D5 scope).
+pub const DETERMINISTIC: &[&str] = &[
+    "machine", "ustm", "tl2", "core", "sim", "stamp", "bench", "root",
+];
 
 /// Crates deliberately allowed to observe host state, each with the
 /// recorded justification for its exemption. Every crate in the workspace
@@ -119,7 +122,6 @@ pub const DETERMINISTIC: &[&str] = &["machine", "ustm", "tl2", "core", "sim", "s
 /// [`UNCLASSIFIED_CRATE`] instead of silently skipping the determinism
 /// passes.
 pub const HOST_EXEMPT: &[(&str, &str)] = &[
-    ("bench", "wall-clock measurement is this crate's entire job"),
     (
         "analyze",
         "host tooling: walks the filesystem, never runs under the simulated clock",

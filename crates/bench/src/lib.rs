@@ -11,7 +11,12 @@
 //! | `fig7_failover`   | Figure 7a/7b (microbenchmark speedup vs. failover rate, 0 % overheads, UFO/HyTM crossover) |
 //! | `fig8_sensitivity`| Figure 8 (contention-management policy sensitivity) |
 //! | `appendix_swap`   | Appendix A (UFO bits across paging; all-clear fast path) |
-//! | `criterion_micro` | wall-time microbenchmarks of the substrate itself |
+//! | `ablation_cache`  | §5.2 ablation: transactional-cache capacity vs. overflow failovers |
+//! | `ablation_otable` | §4.1/§5 ablation: ownership-table size vs. aliasing conflicts |
+//! | `ssca2_extension` | extension workload: ssca2-style graph construction on every system |
+//!
+//! Every target writes a byte-deterministic `BENCH_<name>.json`; none
+//! measures host time — that is `benchmark/`'s job (`benchmark/README.md`).
 //!
 //! Set `UFOTM_BENCH_QUICK=1` to shrink sweeps for smoke runs.
 //!
@@ -42,100 +47,6 @@ pub fn thread_counts() -> Vec<usize> {
     } else {
         vec![1, 2, 4, 8]
     }
-}
-
-/// The thread counts the native (real-OS-thread) benches sweep: 1–16,
-/// capped at the host's available cores so oversubscribed cells don't
-/// report scheduler noise as backend throughput. Quick mode shrinks the
-/// sweep the same way the simulated figures do.
-#[must_use]
-pub fn native_thread_counts() -> Vec<usize> {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let sweep: &[usize] = if quick() { &[1, 4] } else { &[1, 2, 4, 8, 16] };
-    let capped: Vec<usize> = sweep.iter().copied().filter(|&t| t <= cores).collect();
-    if capped.is_empty() {
-        vec![1]
-    } else {
-        capped
-    }
-}
-
-/// Extracts a numeric value for `key` from a flat JSON object without a
-/// JSON dependency (the same trick the perf-wallclock baseline uses).
-#[must_use]
-pub fn parse_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Resolves a baseline file path from a gate env var. Cargo runs bench
-/// binaries with the *package* directory as CWD, while CI and humans
-/// pass workspace-root-relative paths like
-/// `crates/bench/perf_baseline.json` — so a relative path that doesn't
-/// resolve as given is retried against the workspace root.
-#[must_use]
-pub fn resolve_baseline_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::PathBuf::from(path);
-    if p.is_absolute() || p.exists() {
-        return p;
-    }
-    let alt = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(path);
-    if alt.exists() {
-        alt
-    } else {
-        p
-    }
-}
-
-/// Enforces the committed native-throughput baseline when armed.
-///
-/// `$UFOTM_NATIVE_BASELINE` names a JSON file mapping metric keys (the
-/// same `"<label>/<threads>T/ops_per_sec"` keys the native benches emit)
-/// to committed ops/sec floors. Each measured metric present in the
-/// baseline must reach at least a third of its committed value —
-/// generous, like the simulator's ns/cycle gate, so runner noise
-/// passes but an order-of-magnitude backend regression fails CI. Keys
-/// absent from the baseline (e.g. thread counts the baseline host did
-/// not have) are skipped.
-///
-/// # Panics
-///
-/// Panics if the baseline file is unreadable, or if any measured metric
-/// falls below a third of its committed floor.
-pub fn check_native_baseline(metrics: &[(String, f64)]) {
-    let Ok(path) = std::env::var("UFOTM_NATIVE_BASELINE") else {
-        println!("(UFOTM_NATIVE_BASELINE unset: native throughput gate skipped)");
-        return;
-    };
-    let path = resolve_baseline_path(&path);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading native baseline {}: {e}", path.display()));
-    let mut checked = 0;
-    for (key, measured) in metrics {
-        let Some(baseline) = parse_json_number(&text, key) else {
-            continue;
-        };
-        let floor = baseline / 3.0;
-        println!("native gate: {key} measured {measured:.0} ops/s vs floor {floor:.0} (baseline {baseline:.0})");
-        assert!(
-            *measured >= floor,
-            "native throughput regression: {key} measured {measured:.0} ops/s, \
-             below a third of the committed baseline {baseline:.0} \
-             (see crates/bench/native_baseline.json)"
-        );
-        checked += 1;
-    }
-    println!(
-        "native throughput gate: {checked} metric(s) checked against {}",
-        path.display()
-    );
 }
 
 /// The systems plotted in Figure 5, in the paper's legend order.
@@ -266,54 +177,11 @@ pub fn spec(kind: SystemKind, threads: usize) -> RunSpec {
     RunSpec::new(kind, threads)
 }
 
-/// Host-side wall-clock measurement of one run, recorded alongside the
-/// simulated counters so host regressions are visible in `BENCH_*.json`.
-///
-/// Unlike everything else in the artifact, these numbers depend on the host
-/// machine and are *not* byte-deterministic across runs — compare them as
-/// trends (the CI gate allows a generous 3× band), not as exact values.
-#[derive(Clone, Copy, Debug)]
-pub struct HostMetrics {
-    /// Wall-clock nanoseconds the run took on the host.
-    pub ns: u64,
-    /// Simulated cycles covered (normally the run's makespan).
-    pub sim_cycles: u64,
-}
-
-impl HostMetrics {
-    /// Measures the wall-clock time of `f` against the simulated cycles it
-    /// reports back.
-    pub fn measure<R>(f: impl FnOnce() -> (u64, R)) -> (Self, R) {
-        let start = std::time::Instant::now();
-        let (sim_cycles, r) = f();
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        (HostMetrics { ns, sim_cycles }, r)
-    }
-
-    /// Host nanoseconds spent per simulated cycle — the headline number the
-    /// perf gate tracks.
-    #[must_use]
-    pub fn ns_per_cycle(&self) -> f64 {
-        self.ns as f64 / self.sim_cycles.max(1) as f64
-    }
-
-    fn to_json(self) -> String {
-        format!(
-            "{{\"ns\":{},\"sim_cycles\":{},\"ns_per_cycle\":{:.4}}}",
-            self.ns,
-            self.sim_cycles,
-            self.ns_per_cycle()
-        )
-    }
-}
-
-/// One recorded run: a label plus an optional simulated report and optional
-/// host timing.
+/// One recorded run: a label plus its serialized simulated report.
 #[derive(Debug)]
 struct RunRecord {
     label: String,
-    report: Option<String>,
-    host: Option<HostMetrics>,
+    report: String,
 }
 
 /// Accumulates [`RunReport`](ufotm_core::RunReport)s from a bench target
@@ -322,8 +190,7 @@ struct RunRecord {
 /// The artifact is deterministic byte-for-byte across same-seed runs: run
 /// order is push order (the bench's fixed sweep order) and each report
 /// serializes integers with fixed key order — see `docs/RUN_REPORT.md`.
-/// Runs recorded with [`HostMetrics`] additionally carry a `"host"` object,
-/// which is wall-clock data and exempt from the byte-determinism guarantee.
+/// Nothing in it is host time: that is measured in `benchmark/` only.
 #[derive(Debug)]
 pub struct ArtifactWriter {
     name: &'static str,
@@ -353,40 +220,8 @@ impl ArtifactWriter {
     pub fn push(&mut self, label: impl Into<String>, outcome: &RunOutcome) {
         self.runs.push(RunRecord {
             label: label.into(),
-            report: Some(outcome.report.to_json()),
-            host: None,
+            report: outcome.report.to_json(),
         });
-    }
-
-    /// Records one run with host wall-clock timing attached.
-    pub fn push_with_host(
-        &mut self,
-        label: impl Into<String>,
-        outcome: &RunOutcome,
-        host: HostMetrics,
-    ) {
-        self.runs.push(RunRecord {
-            label: label.into(),
-            report: Some(outcome.report.to_json()),
-            host: Some(host),
-        });
-    }
-
-    /// Records a host-timing-only run (no simulated report), e.g. a raw
-    /// engine micro-measurement.
-    pub fn push_host(&mut self, label: impl Into<String>, host: HostMetrics) {
-        self.runs.push(RunRecord {
-            label: label.into(),
-            report: None,
-            host: Some(host),
-        });
-    }
-
-    /// The scalar metrics recorded so far (push order) — what the native
-    /// throughput gate checks against its committed baseline.
-    #[must_use]
-    pub fn metrics(&self) -> &[(String, f64)] {
-        &self.metrics
     }
 
     /// Number of runs recorded so far.
@@ -401,7 +236,7 @@ impl ArtifactWriter {
         self.runs.is_empty()
     }
 
-    /// The artifact body (deterministic JSON apart from `"host"` objects).
+    /// The artifact body (deterministic JSON).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"bench\":\"");
@@ -416,15 +251,8 @@ impl ArtifactWriter {
             // (control characters included) so no label can corrupt the
             // artifact — same routine the run reports use.
             out.push_str(&json_escape(&run.label));
-            out.push('"');
-            if let Some(report) = &run.report {
-                out.push_str(",\"report\":");
-                out.push_str(report);
-            }
-            if let Some(host) = run.host {
-                out.push_str(",\"host\":");
-                out.push_str(&host.to_json());
-            }
+            out.push_str("\",\"report\":");
+            out.push_str(&run.report);
             out.push('}');
         }
         out.push(']');
@@ -500,17 +328,17 @@ impl Recap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufotm_stamp::micro::{self, MicroParams};
 
     #[test]
     fn artifact_labels_and_metric_keys_are_fully_escaped() {
+        let params = MicroParams {
+            txns_per_thread: 1,
+            ..MicroParams::with_rate(0.0)
+        };
+        let outcome = micro::run(&spec(SystemKind::Sequential, 1), &params);
         let mut art = ArtifactWriter::new("escape_test");
-        art.push_host(
-            "weird \"label\"\\with\nnewline",
-            HostMetrics {
-                ns: 1,
-                sim_cycles: 1,
-            },
-        );
+        art.push("weird \"label\"\\with\nnewline", &outcome);
         art.metric("key\"with\tcontrols\u{1}", 1.0);
         let json = art.to_json();
         assert!(json.contains(r#"weird \"label\"\\with\nnewline"#));

@@ -9,10 +9,11 @@
 //!   simulated cycles, and runs replay bit-for-bit from a seed. This is
 //!   the substrate all of the paper's figures are measured on.
 //! * **Native** — real host atomics on real OS threads (the
-//!   `ufotm-native` crate's TL2), with zero simulator involvement. Runs
-//!   are *not* deterministic; they exist to measure wall-clock ops/sec
-//!   and to cross-validate the simulated TL2 against an implementation
-//!   whose races are real.
+//!   `ufotm-native` crate: a TL2 fast path alone, or the failover hybrid
+//!   of that TL2, a USTM slow path and a serial tier), with zero
+//!   simulator involvement. Runs are *not* deterministic; they exist to
+//!   run the same bodies at memory speed and to cross-validate the
+//!   simulated protocols against an implementation whose races are real.
 //!
 //! The split mirrors the paper's Figure 4 property (each transaction
 //! compiled once per execution mode): the workload body is generic over

@@ -541,8 +541,14 @@ impl<'a> HybridThread<'a> {
     /// mutual kills that wedges a two-tier hybrid completes here.
     fn run_serial<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
         let shared = self.shared;
-        let (gate, _recovered) = lock_recover(&shared.serial_gate);
+        let (_gate, _recovered) = lock_recover(&shared.serial_gate);
         shared.serial_mode.store(1, Ordering::SeqCst);
+        // Declared after the gate lock, so it drops first: the mode is
+        // down before the next serial transaction can take the gate. It
+        // also drops when the body unwinds — `reap_dead` does not touch
+        // `serial_mode`, so a mode left raised by a dead worker would
+        // park every survivor forever.
+        let _mode = LowerOnDrop(&shared.serial_mode);
         loop {
             // Dead workers can never deregister; give their
             // registrations back before judging the drain.
@@ -564,9 +570,16 @@ impl<'a> HybridThread<'a> {
             }
         };
         self.serial_commits += 1;
-        shared.serial_mode.store(0, Ordering::SeqCst);
-        drop(gate);
         r
+    }
+}
+
+/// Stores 0 to a mode word when dropped, on return and on unwind alike.
+struct LowerOnDrop<'a>(&'a AtomicU64);
+
+impl Drop for LowerOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(0, Ordering::SeqCst);
     }
 }
 

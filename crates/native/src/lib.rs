@@ -57,6 +57,7 @@ pub mod guard;
 mod heap;
 mod runner;
 mod tl2;
+mod write_set;
 
 pub mod hybrid;
 pub mod ustm;

@@ -56,6 +56,7 @@ use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
 use crate::heap::{CommitWindow, WordHeap};
 use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
+use crate::write_set::WriteSet;
 
 /// Burns roughly `cycles` iterations of a pause-hinted busy loop — the
 /// native stand-in for the simulator's cycle-charged `work`.
@@ -384,9 +385,7 @@ pub struct NativeTxn<'a> {
     pub(crate) tid: usize,
     rv: u64,
     reads: Vec<usize>,
-    /// Write set as `(byte address, value)`, sorted by address, one entry
-    /// per word.
-    writes: Vec<(u64, u64)>,
+    writes: WriteSet,
     /// Commit scratch: the write set's stripes, sorted and deduplicated.
     stripes: Vec<usize>,
     /// Commit scratch: `(stripe, displaced lock word)` per lock this
@@ -416,7 +415,7 @@ impl<'a> NativeTxn<'a> {
             tid,
             rv: 0,
             reads: Vec::new(),
-            writes: Vec::new(),
+            writes: WriteSet::default(),
             stripes: Vec::new(),
             held: Vec::new(),
             active: false,
@@ -479,10 +478,8 @@ impl<'a> NativeTxn<'a> {
             self.fail(Tl2Abort::ReadValidation);
             return Err(Tl2Abort::ReadValidation);
         }
-        if !self.writes.is_empty() {
-            if let Ok(i) = self.write_slot(addr) {
-                return Ok(self.writes[i].1);
-            }
+        if let Some(value) = self.writes.get(addr) {
+            return Ok(value);
         }
         let w = self.shared.word_index(addr);
         let s = self.shared.stripe_of(addr);
@@ -512,17 +509,8 @@ impl<'a> NativeTxn<'a> {
     pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         let _ = self.shared.word_index(addr); // bounds-check now, not at publish
-        match self.write_slot(addr) {
-            Ok(i) => self.writes[i].1 = value,
-            Err(i) => self.writes.insert(i, (addr.0, value)),
-        }
+        self.writes.insert(addr, value);
         Ok(())
-    }
-
-    /// Where `addr` sits in the sorted write set (`Ok`), or where it
-    /// would be inserted (`Err`).
-    fn write_slot(&self, addr: Addr) -> Result<usize, usize> {
-        self.writes.binary_search_by_key(&addr.0, |&(a, _)| a)
     }
 
     /// Transactionally allocates `words` fresh words (bump allocator).
@@ -573,7 +561,7 @@ impl<'a> NativeTxn<'a> {
         // redo record to recover from ([`FailSite::Tl2WriteBack`] is not
         // panic-safe).
         let _ = self.shared.chaos.strike(self.tid, FailSite::Tl2WriteBack);
-        for &(a, v) in &self.writes {
+        for &(a, v) in self.writes.as_slice() {
             self.shared
                 .heap
                 .shadow_word((a / 8) as usize)
@@ -600,8 +588,9 @@ impl<'a> NativeTxn<'a> {
         let mine = self.my_lock_word();
         // Phase 1: acquire write locks in canonical (sorted) stripe order.
         self.stripes.clear();
+        let writes = self.writes.as_slice();
         self.stripes
-            .extend(self.writes.iter().map(|&(a, _)| shared.stripe_of(Addr(a))));
+            .extend(writes.iter().map(|&(a, _)| shared.stripe_of(Addr(a))));
         self.stripes.sort_unstable();
         self.stripes.dedup();
         self.held.clear();

@@ -12,9 +12,10 @@
 //!   bin lock at a time (lock → decide → unlock → wait with
 //!   `yield_now`), so bin lock order cannot deadlock.
 //! * **Versioning** — *lazy redo* instead of the simulator's eager undo:
-//!   writes buffer in a `BTreeMap` and publish at commit, because on
-//!   real hardware in-place speculative stores would be visible to
-//!   uninstrumented plain code with no UFO bit to hide them. Read
+//!   writes buffer in an address-sorted redo log (the write set TL2
+//!   uses) and publish at commit, because on real hardware in-place
+//!   speculative stores would be visible to uninstrumented plain code
+//!   with no UFO bit to hide them. Read
 //!   ownership is still eager (acquired at first read of a line), which
 //!   keeps conflict detection eager like the paper's USTM.
 //! * **Conflict resolution** — age-ordered, like the simulator: each
@@ -49,10 +50,9 @@
 //!
 //! The read set, the write-owned lines and commit's sorted line list are
 //! `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped — between
-//! attempts; what a warm attempt still allocates is the redo log's
-//! `BTreeMap` nodes and the ownership records it creates.
+//! attempts, and so is the redo log; a warm attempt allocates only the
+//! ownership records it creates.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -62,6 +62,7 @@ use ufotm_ustm::{bin_index, UstmAbort};
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::tl2::{spin_work, NativeTl2};
+use crate::write_set::WriteSet;
 
 // Status-slot phases (low 8 bits of the packed word).
 const PHASE_INACTIVE: u64 = 0;
@@ -409,8 +410,8 @@ pub struct NativeUstmTxn<'a> {
     ts: u64,
     /// Lines this transaction holds read ownership of.
     reads: Vec<u64>,
-    /// The redo log: word address → value, published at commit.
-    writes: BTreeMap<u64, u64>,
+    /// The redo log, published at commit.
+    writes: WriteSet,
     /// Lines write-acquired so far during commit.
     write_owned: Vec<u64>,
     /// Commit scratch: the redo log's lines, sorted and deduplicated.
@@ -442,7 +443,7 @@ impl<'a> NativeUstmTxn<'a> {
             tid,
             ts: 0,
             reads: Vec::new(),
-            writes: BTreeMap::new(),
+            writes: WriteSet::default(),
             write_owned: Vec::new(),
             lines: Vec::new(),
             active: false,
@@ -680,7 +681,7 @@ impl<'a> NativeUstmTxn<'a> {
         if let Some(by) = self.doomed() {
             return Err(self.unwind_killed(by));
         }
-        if let Some(&v) = self.writes.get(&addr.0) {
+        if let Some(v) = self.writes.get(addr) {
             return Ok(v);
         }
         let w = self.heap.word_index(addr);
@@ -705,7 +706,7 @@ impl<'a> NativeUstmTxn<'a> {
             return Err(self.unwind_killed(by));
         }
         let _ = self.heap.word_index(addr); // bounds-check now, not at publish
-        self.writes.insert(addr.0, value);
+        self.writes.insert(addr, value);
         Ok(())
     }
 
@@ -755,8 +756,8 @@ impl<'a> NativeUstmTxn<'a> {
         // The redo log iterates in address order, so its lines come out
         // sorted and deduplicating neighbours is enough.
         self.lines.clear();
-        self.lines
-            .extend(self.writes.keys().map(|&a| a / LINE_BYTES));
+        let lines = self.writes.as_slice().iter().map(|&(a, _)| a / LINE_BYTES);
+        self.lines.extend(lines);
         self.lines.dedup();
         for i in 0..self.lines.len() {
             self.acquire_write(self.lines[i])?;
@@ -777,7 +778,7 @@ impl<'a> NativeUstmTxn<'a> {
                     self.ustm.poison_recovered.fetch_add(1, Ordering::Relaxed);
                 }
                 rec.clear();
-                rec.extend(self.writes.iter().map(|(&a, &v)| (a, v)));
+                rec.extend_from_slice(self.writes.as_slice());
             }
             // Phase 2: seal. After this CAS no kill can land (killers
             // observe COMMITTING and stall until we retire).
@@ -802,8 +803,9 @@ impl<'a> NativeUstmTxn<'a> {
             // ownership; the TL2 fast path is quiesced by the hybrid's
             // mode gate.
             {
+                let writes = self.writes.as_slice();
                 let _win = self.heap.heap().open_window(
-                    self.writes.keys().map(|&a| (a / 8) as usize),
+                    writes.iter().map(|&(a, _)| (a / 8) as usize),
                     Some((self.heap.chaos(), self.tid)),
                 );
                 // Sealed, window up, write-back not yet begun: a delay
@@ -814,7 +816,7 @@ impl<'a> NativeUstmTxn<'a> {
                 // on the way out, and the pages it closed reopen on the
                 // next plain touch like any others.
                 let _ = self.heap.chaos().strike(self.tid, FailSite::UstmSealed);
-                for (&a, &v) in &self.writes {
+                for &(a, v) in writes {
                     self.heap
                         .heap()
                         .shadow_word((a / 8) as usize)

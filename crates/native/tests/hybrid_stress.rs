@@ -11,21 +11,20 @@ use std::time::Duration;
 
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
-use ufotm_native::{run_hybrid_threads, HybridThread, NativeHybrid, NativeHybridPolicy};
+use ufotm_native::{
+    run_hybrid_threads, run_hybrid_threads_collect, HybridThread, NativeHybrid, NativeHybridPolicy,
+};
 
 const COUNTER: Addr = Addr(512);
 const ACCT_A: Addr = Addr(1024);
 const ACCT_B: Addr = Addr(8192); // different page and stripe
 
 fn world(threads: usize) -> NativeHybrid {
-    NativeHybrid::new(
-        1 << 16,
-        1 << 12,
-        1 << 12,
-        threads,
-        1 << 8,
-        NativeHybridPolicy::default(),
-    )
+    world_with(threads, NativeHybridPolicy::default())
+}
+
+fn world_with(threads: usize, policy: NativeHybridPolicy) -> NativeHybrid {
+    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, threads, 1 << 8, policy)
 }
 
 #[test]
@@ -313,4 +312,51 @@ fn anonymous_poke_waits_for_a_parked_slow_body() {
     });
     assert!(poke_returned.load(Ordering::SeqCst));
     assert_eq!((h.peek(COUNTER), h.peek(ACCT_B)), (1, 7));
+}
+
+/// A body that unwinds on the serial tier must take `serial_mode` down
+/// with it. tid 0 escalates straight to the serial tier
+/// (`serial_after: 0`) and panics inside its body; tid 1 starts only once
+/// tid 0 is in there, so it parks at the gate with the mode raised — and
+/// must be released by the unwind, not wait forever. The run happens on a
+/// detached thread and reports over a channel, so a wedged survivor fails
+/// the test instead of hanging it.
+#[test]
+fn a_panic_on_the_serial_tier_releases_the_parked_survivors() {
+    const PER: u64 = 100;
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let policy = NativeHybridPolicy {
+            serial_after: 0,
+            ..NativeHybridPolicy::default()
+        };
+        let h = world_with(2, policy);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let entered_rx = std::sync::Mutex::new(entered_rx);
+        let outcomes = run_hybrid_threads_collect(&h, 2, |th| {
+            if th.tid() == 0 {
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    tx.write(ACCT_A, 1)?;
+                    entered_tx.send(()).unwrap();
+                    panic!("body died on the serial tier");
+                })
+            } else {
+                entered_rx.lock().unwrap().recv().unwrap();
+                for _ in 0..PER {
+                    th.transaction(|tx| {
+                        let v = tx.read(COUNTER)?;
+                        tx.write(COUNTER, v + 1)
+                    });
+                }
+            }
+        });
+        let verdicts: Vec<bool> = outcomes.iter().map(|o| o.result.is_ok()).collect();
+        done_tx.send((verdicts, h.peek(COUNTER))).unwrap();
+    });
+    let (verdicts, counter) = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the survivor is still parked behind a dead serial transaction's mode");
+    assert_eq!(verdicts, [false, true], "tid 0 dies, tid 1 finishes");
+    assert_eq!(counter, PER);
 }

@@ -3,10 +3,12 @@
 //! and abort classification (matching the simulated USTM's
 //! `UstmAbort` variants and `Display` text).
 
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ufotm_machine::Addr;
-use ufotm_native::{NativeTl2, NativeUstm, NativeUstmTxn};
+use ufotm_native::{ChaosPlan, FailSite, NativeTl2, NativeUstm, NativeUstmTxn};
 use ufotm_ustm::UstmAbort;
 
 const X: Addr = Addr(512);
@@ -19,23 +21,82 @@ fn world() -> (NativeTl2, NativeUstm) {
     )
 }
 
-#[test]
-fn redo_log_is_lazy_and_read_own_write_works() {
+/// What every word a script writes holds beforehand.
+const BEFORE: u64 = 10;
+
+/// The redo-log script over any sequence of writes: each is buffered,
+/// not stored (lazy redo, unlike the eager-undo simulated USTM — by
+/// design, and why cross-validation scripts never peek mid-transaction),
+/// reads come back from the log with the last value written, and the
+/// commit publishes exactly that value per word. With `die_sealed` the
+/// committer dies after its seal, before its first store: what reaches
+/// the heap is then the published record alone, replayed by a helper, so
+/// the record must equal the write set.
+fn redo_log_script(writes: &[(Addr, u64)], die_sealed: bool) {
     let (heap, ustm) = world();
-    heap.poke(X, 10);
+    let last: BTreeMap<u64, u64> = writes.iter().map(|&(a, v)| (a.0, v)).collect();
+    for &a in last.keys() {
+        heap.poke(Addr(a), BEFORE);
+    }
     let mut t = NativeUstmTxn::new(&heap, &ustm, 0);
     t.begin();
-    assert_eq!(t.read(X).unwrap(), 10);
-    t.write(X, 20).unwrap();
-    // Lazy redo: the write is buffered, not in memory (unlike the
-    // eager-undo simulated USTM — this divergence is by design and why
-    // cross-validation scripts never peek mid-transaction).
-    assert_eq!(heap.peek(X), 10);
-    // Read-own-write comes from the redo log.
-    assert_eq!(t.read(X).unwrap(), 20);
-    t.commit().unwrap();
-    assert_eq!(heap.peek(X), 20);
-    assert_eq!(t.stats.commits, 1);
+    assert_eq!(t.read(writes[0].0).unwrap(), BEFORE);
+    for &(a, v) in writes {
+        t.write(a, v).unwrap();
+        assert_eq!(t.read(a).unwrap(), v, "read-own-write {a:?}");
+    }
+    for (&a, &v) in &last {
+        assert_eq!(t.read(Addr(a)).unwrap(), v, "read-own-write {a:#x}");
+        assert_eq!(
+            heap.peek(Addr(a)),
+            BEFORE,
+            "nothing publishes before commit"
+        );
+    }
+    if die_sealed {
+        heap.chaos()
+            .arm(&ChaosPlan::quiet(1).with_panic(FailSite::UstmSealed, Some(0), 1));
+        let died = catch_unwind(AssertUnwindSafe(|| t.commit()));
+        heap.chaos().disarm();
+        assert!(died.is_err(), "the committer must die sealed");
+        heap.liveness().mark_dead(0);
+        ustm.reclaim_dead(&heap, 0);
+        assert_eq!(ustm.helper_completions(), 1);
+    } else {
+        t.commit().unwrap();
+        assert_eq!(t.stats.commits, 1);
+    }
+    for (&a, &v) in &last {
+        assert_eq!(heap.peek(Addr(a)), v, "word {a:#x} not published");
+    }
+    assert_eq!(ustm.owned_lines(), 0);
+}
+
+/// The address-sorted redo log under its worst insertion order: 1 000
+/// distinct words written from the highest address down (every insert
+/// lands at the front), every tenth one overwritten twice.
+fn descending_writes_with_overwrites() -> Vec<(Addr, u64)> {
+    let mut writes = Vec::new();
+    for i in (0..1000).rev() {
+        let word = Addr(8 * (1000 + i));
+        writes.push((word, i + 1));
+        if i % 10 == 0 {
+            writes.push((word, 2 * i + 7));
+            writes.push((word, 3 * i + 9));
+        }
+    }
+    writes
+}
+
+#[test]
+fn redo_log_is_lazy_and_read_own_write_works() {
+    redo_log_script(&[(X, 20)], false);
+    redo_log_script(&descending_writes_with_overwrites(), false);
+}
+
+#[test]
+fn a_sealed_dead_committers_record_is_its_write_set() {
+    redo_log_script(&descending_writes_with_overwrites(), true);
 }
 
 #[test]

@@ -18,10 +18,10 @@
 //! waiting threads, pops the next `(clock, id)` minimum, and wakes exactly
 //! that thread on its private condvar. The legacy broadcast behaviour
 //! (`notify_all` of every simulated CPU per handoff) is preserved behind
-//! [`HandoffMode::Broadcast`] as a determinism oracle and performance
-//! reference — both modes execute operations in the identical order, because
-//! the schedule is a pure function of the simulated clocks (see
-//! `docs/PERF.md` for the full argument).
+//! [`HandoffMode::Broadcast`] as a determinism oracle — both modes execute
+//! operations in the identical order, because the schedule is a pure
+//! function of the simulated clocks (see `docs/PERF.md` for the full
+//! argument).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,9 +54,8 @@ pub enum HandoffMode {
     Targeted,
     /// The legacy engine's behaviour: take the scheduler lock on every
     /// operation and wake *every* simulated CPU at each handoff. Kept as a
-    /// bit-for-bit determinism oracle and as the baseline the handoff
-    /// micro-benchmark measures against. Simulated results are identical in
-    /// both modes.
+    /// bit-for-bit determinism oracle for tests; nothing times it.
+    /// Simulated results are identical in both modes.
     Broadcast,
 }
 
@@ -259,7 +258,7 @@ impl<U: Send> Sim<U> {
     /// Selects the handoff wakeup strategy (default
     /// [`HandoffMode::Targeted`]). Simulated results are bit-identical in
     /// either mode; [`HandoffMode::Broadcast`] exists as the determinism
-    /// oracle and performance baseline.
+    /// oracle.
     #[must_use]
     pub fn handoff_mode(mut self, mode: HandoffMode) -> Self {
         self.mode = mode;

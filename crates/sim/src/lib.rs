@@ -20,7 +20,7 @@
 //! ([`HandoffMode::Targeted`]); a runner inside its batching `limit`
 //! executes operations without touching the scheduler lock at all. The
 //! legacy thundering-herd wakeup is kept as [`HandoffMode::Broadcast`] — a
-//! determinism oracle and performance baseline. See `docs/PERF.md`.
+//! determinism oracle. See `docs/PERF.md`.
 //!
 //! ```
 //! use ufotm_machine::{Machine, MachineConfig, Addr};

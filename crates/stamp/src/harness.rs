@@ -364,8 +364,8 @@ pub fn run_sim<W: Workload>(spec: &RunSpec, w: &W) -> RunOutcome {
 }
 
 /// Collected results of one native-backend run. Wall-clock timing is the
-/// *caller's* job (`ufotm-bench` wraps `run_native` in its host-metrics
-/// measurement); this crate stays free of host clocks.
+/// *caller's* job (`benchmark/` times its own windows); this crate stays
+/// free of host clocks.
 #[derive(Clone, Debug)]
 pub struct NativeOutcome {
     /// Real OS threads that ran.
