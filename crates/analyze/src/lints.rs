@@ -1,4 +1,4 @@
-//! The repo-specific lint passes (D1–D8).
+//! The repo-specific lint passes (D1–D8; D6 is retired and its number not reused).
 //!
 //! Each pass is a token-level pattern matcher over [`crate::lexer::Lexed`]
 //! streams with test code stripped. The passes encode *protocol* rules the
@@ -17,9 +17,6 @@
 //! * [`PANICKING_MACHINE_ACCESS`] — `.unwrap()`/`.expect()` chained
 //!   directly onto a machine access in simulation code instead of the
 //!   audited `PlainAccess::plain` route (defined in `ufotm-machine`).
-//! * [`PERSIST_BYPASS`] — a direct `mem.write` in the machine crate
-//!   outside the audited `mem_write` funnel: such a write could shadow the
-//!   volatile/durable split the persistence domain depends on.
 //! * [`POISONED_LOCK_CASCADE`] — `.unwrap()`/`.expect()` chained onto
 //!   `Mutex::lock` in a real-thread ([`HOST_EXEMPT`]) crate. On real OS
 //!   threads a worker can die holding the mutex (the chaos layer does this
@@ -73,8 +70,6 @@ pub const HOST_NONDETERMINISM: &str = "host-nondeterminism";
 pub const STATS_MERGE_EXHAUSTIVENESS: &str = "stats-merge-exhaustiveness";
 /// Lint name: panicking call chained onto a machine access.
 pub const PANICKING_MACHINE_ACCESS: &str = "panicking-machine-access";
-/// Lint name: direct `mem.write` outside the audited `mem_write` funnel.
-pub const PERSIST_BYPASS: &str = "persist-bypass";
 /// Lint name: unwrapped `Mutex::lock` in a real-thread crate.
 pub const POISONED_LOCK_CASCADE: &str = "poisoned-lock-cascade";
 /// Lint name: allocation/lock/panic/stdio reachable from a signal handler.
@@ -95,7 +90,6 @@ pub const LINTS: &[&str] = &[
     HOST_NONDETERMINISM,
     STATS_MERGE_EXHAUSTIVENESS,
     PANICKING_MACHINE_ACCESS,
-    PERSIST_BYPASS,
     POISONED_LOCK_CASCADE,
     SIGNAL_UNSAFE_REACHABLE,
     UNSAFE_WITHOUT_SAFETY_COMMENT,
@@ -153,8 +147,6 @@ const MACHINE_METHODS: &[&str] = &[
     "read_ufo_bits",
     "set_ufo_bits",
     "add_ufo_bits",
-    "persist_flush",
-    "persist_fence",
 ];
 
 /// HashMap/HashSet iteration methods whose visit order is hasher-dependent.
@@ -226,9 +218,6 @@ pub fn run_passes(file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Findi
         host_nondeterminism(file, out);
         panicking_machine_access(file, out);
         bound_result_unwraps(file, out, BoundKind::Machine);
-    }
-    if file.crate_name == "machine" {
-        persist_bypass(file, out);
     }
     stats_merge_exhaustiveness(file, out);
     let host_exempt = HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name);
@@ -588,35 +577,6 @@ fn stats_merge_exhaustiveness(file: &SourceFile, out: &mut Vec<Finding>) {
             );
         }
         i = k.max(i + 2);
-    }
-}
-
-/// D6: flags direct `mem . write (` calls in the machine crate. Durability
-/// is modelled explicitly — a store lands volatile and becomes durable only
-/// via flush+fence — so every simulated store must funnel through the one
-/// audited `mem_write` interception point. A stray `mem.write` elsewhere
-/// can desynchronize the volatile and durable images (or skip persistence
-/// accounting entirely), which no test catches until a crash-recovery
-/// sweep happens to land on it.
-fn persist_bypass(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.tokens;
-    for i in 0..t.len() {
-        if t[i].is_ident("mem")
-            && t.get(i + 1).is_some_and(|x| x.is_punct("."))
-            && t.get(i + 2).is_some_and(|x| x.is_ident("write"))
-            && t.get(i + 3).is_some_and(|x| x.is_punct("("))
-        {
-            push(
-                out,
-                PERSIST_BYPASS,
-                file,
-                t[i + 2].line,
-                "direct `mem.write(…)` bypasses the audited `mem_write` funnel: the \
-                 durable image and persistence accounting never see this store \
-                 (route through `mem_write`, or justify with an allow marker)"
-                    .to_string(),
-            );
-        }
     }
 }
 

@@ -151,11 +151,11 @@ fn all_fixtures() -> Vec<PathBuf> {
 #[test]
 fn every_fixture_matches_its_expectations() {
     let fixtures = all_fixtures();
-    // 10 lints × {positive, negative, suppressed} + 2 suppression-hygiene
+    // 9 lints × {positive, negative, suppressed} + 2 suppression-hygiene
     // + 2 meta regressions + 2 bound-form (D5/D8) + 3 multi-file D9 group.
     assert_eq!(
         fixtures.len(),
-        39,
+        36,
         "fixture inventory drifted: {fixtures:?}"
     );
     let mut groups: std::collections::BTreeMap<PathBuf, Vec<PathBuf>> =

@@ -195,7 +195,6 @@ struct RunRecord {
 pub struct ArtifactWriter {
     name: &'static str,
     runs: Vec<RunRecord>,
-    metrics: Vec<(String, f64)>,
 }
 
 impl ArtifactWriter {
@@ -206,14 +205,7 @@ impl ArtifactWriter {
         ArtifactWriter {
             name,
             runs: Vec::new(),
-            metrics: Vec::new(),
         }
-    }
-
-    /// Records a named scalar result (emitted as a top-level `"metrics"`
-    /// object), e.g. a computed speedup ratio.
-    pub fn metric(&mut self, key: impl Into<String>, value: f64) {
-        self.metrics.push((key.into(), value));
     }
 
     /// Records one run under a label like `"vacation/ufo-hybrid/4T"`.
@@ -255,20 +247,7 @@ impl ArtifactWriter {
             out.push_str(&run.report);
             out.push('}');
         }
-        out.push(']');
-        if !self.metrics.is_empty() {
-            out.push_str(",\"metrics\":{");
-            for (i, (k, v)) in self.metrics.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json_escape(k));
-                out.push_str(&format!("\":{v:.4}"));
-            }
-            out.push('}');
-        }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 
@@ -331,7 +310,7 @@ mod tests {
     use ufotm_stamp::micro::{self, MicroParams};
 
     #[test]
-    fn artifact_labels_and_metric_keys_are_fully_escaped() {
+    fn artifact_labels_are_fully_escaped() {
         let params = MicroParams {
             txns_per_thread: 1,
             ..MicroParams::with_rate(0.0)
@@ -339,10 +318,8 @@ mod tests {
         let outcome = micro::run(&spec(SystemKind::Sequential, 1), &params);
         let mut art = ArtifactWriter::new("escape_test");
         art.push("weird \"label\"\\with\nnewline", &outcome);
-        art.metric("key\"with\tcontrols\u{1}", 1.0);
         let json = art.to_json();
         assert!(json.contains(r#"weird \"label\"\\with\nnewline"#));
-        assert!(json.contains(r#"key\"with\tcontrols\u0001"#));
         // Nothing that would break a strict JSON parser survives: no raw
         // control characters anywhere in the artifact.
         assert!(json.chars().all(|c| c as u32 >= 0x20));

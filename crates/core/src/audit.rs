@@ -25,32 +25,6 @@
 //! 6. **Per-CPU time is monotonic** — a CPU's entries carry non-decreasing
 //!    cycles.
 //!
-//! Persistent runs ([`audit_events_durable`]) add three durability rules:
-//!
-//! 7. **Commits are fenced** — every `SwCommit` is preceded by a
-//!    `PersistFence` within the same attempt (the redo record reached its
-//!    durable commit point before the commit was journaled).
-//! 8. **Recovery never resurrects** — after a `PowerFail`, a
-//!    `RecoveryReplay` with a non-zero record count is legal only for a CPU
-//!    that had a software attempt open at the crash (only a commit caught
-//!    between its redo fence and its applied-marker fence leaves a
-//!    replayable record; anything else would resurrect an uncommitted or
-//!    regress an already-applied transaction).
-//! 9. **Recovery is idempotent** — every `RecoveryReplay` for a CPU in the
-//!    same crash epoch reports the same record count (recovering twice
-//!    equals recovering once).
-//! 10. **Serial windows are fenced (or refused)** — a serial-irrevocable
-//!     window that commits on a durable run must contain a
-//!     `PersistFence`. The driver upholds this by *refusing* serial
-//!     escalation whenever a persist domain is configured (the serial
-//!     path writes no redo record), so any durable journal showing
-//!     `SerialIrrevocable` … `PlainCommit` without a fence is the
-//!     pre-refusal bug resurfacing: a window a power failure could tear.
-//!
-//! A `PowerFail` entry ends every CPU's execution at once: open attempts
-//! die with the volatile state (no balance violation), and later entries
-//! belong to the rebooted machine, whose clocks restart at zero.
-//!
 //! As a by-product of the replay the auditor reconstructs per-transaction
 //! records (first begin → final commit, attempt counts, commit path),
 //! which [`RunReport`](crate::RunReport) turns into latency and retry
@@ -197,8 +171,6 @@ struct CpuTrack {
     pending_escalation: Option<EscalationTier>,
     /// Cycle of the latest fault still awaiting a driver event.
     pending_fault: Option<u64>,
-    /// Whether a `PersistFence` was journaled inside the open sw attempt.
-    fence_since_begin: bool,
 }
 
 impl Default for CpuTrack {
@@ -211,7 +183,6 @@ impl Default for CpuTrack {
             last_driver: None,
             pending_escalation: None,
             pending_fault: None,
-            fence_since_begin: false,
         }
     }
 }
@@ -226,27 +197,11 @@ pub fn audit_log(log: &TraceLog) -> AuditReport {
 /// its cap (end-of-journal balance is then not checked).
 #[must_use]
 pub fn audit_events(events: &[TraceEvent], truncated: bool) -> AuditReport {
-    audit(events, truncated, false)
-}
-
-/// Audits a journal from a *persistent* run: everything [`audit_events`]
-/// checks, plus the durability rules (module docs, invariants 7–9).
-#[must_use]
-pub fn audit_events_durable(events: &[TraceEvent], truncated: bool) -> AuditReport {
-    audit(events, truncated, true)
-}
-
-fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
     let cpus = events.iter().map(|e| e.cpu + 1).max().unwrap_or(0);
     let mut tracks: Vec<CpuTrack> = vec![CpuTrack::default(); cpus];
     let mut report = AuditReport::default();
     // The CPU currently holding a journaled serial window, if any.
     let mut serial_holder: Option<usize> = None;
-    // Crash bookkeeping: which CPUs had an open sw attempt when the power
-    // failed, and each CPU's first post-crash replay count.
-    let mut crashed = false;
-    let mut open_sw_at_crash: Vec<bool> = vec![false; cpus];
-    let mut first_replay: Vec<Option<u32>> = vec![None; cpus];
 
     for (i, e) in events.iter().enumerate() {
         let violation = |msg: String| AuditViolation {
@@ -255,30 +210,6 @@ fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
             message: msg,
         };
 
-        if e.kind == TraceKind::PowerFail {
-            // Invariant 6 still applies to the crash marker itself.
-            if e.cycle < tracks[e.cpu].last_cycle {
-                report.violations.push(violation(format!(
-                    "cycle went backwards ({} after {}) at {}",
-                    e.cycle, tracks[e.cpu].last_cycle, e.kind
-                )));
-            }
-            if crashed {
-                report
-                    .violations
-                    .push(violation("second power-fail in one journal".to_string()));
-            }
-            // The crash ends every CPU's execution at once: open attempts
-            // die with the volatile state, pending faults and escalations
-            // are moot, and the rebooted machine's clocks restart at zero.
-            crashed = true;
-            serial_holder = None;
-            for (c, track) in tracks.iter_mut().enumerate() {
-                open_sw_at_crash[c] = track.state == CpuState::InSw;
-                *track = CpuTrack::default();
-            }
-            continue;
-        }
         let t = &mut tracks[e.cpu];
 
         // Invariant 6: per-CPU cycles never go backwards.
@@ -367,7 +298,6 @@ fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
                 t.state = CpuState::InSw;
                 t.txn_start.get_or_insert(e.cycle);
                 t.attempts += 1;
-                t.fence_since_begin = false;
             }
             TraceKind::HwCommit | TraceKind::HwAbort(_) => {
                 if t.state != CpuState::InHw {
@@ -394,15 +324,7 @@ fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
                         e.kind, t.state
                     )));
                 }
-                // Invariant 7 (durable runs): the commit's redo record
-                // reached its durable commit point before the commit.
-                if durable && e.kind == TraceKind::SwCommit && !t.fence_since_begin {
-                    report.violations.push(violation(
-                        "sw-commit without its persist fence on a durable run".to_string(),
-                    ));
-                }
                 t.state = CpuState::Idle;
-                t.fence_since_begin = false;
                 if e.kind == TraceKind::SwCommit {
                     report.txns.push(TxnRecord {
                         cpu: e.cpu,
@@ -426,24 +348,11 @@ fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
                 t.state = CpuState::InSerial;
                 t.txn_start.get_or_insert(e.cycle);
                 t.attempts += 1;
-                t.fence_since_begin = false;
             }
             TraceKind::PlainCommit => {
                 let path = if t.state == CpuState::InSerial {
                     if serial_holder == Some(e.cpu) {
                         serial_holder = None;
-                    }
-                    // Invariant 10: a durable serial window without its
-                    // fence is unrecoverable after a power failure (the
-                    // serial path has no redo record — the driver must
-                    // refuse the escalation instead).
-                    if durable && !t.fence_since_begin {
-                        report.violations.push(violation(
-                            "serial-irrevocable window committed without a persist \
-                             fence on a durable run (serial escalation must be \
-                             refused when a persist domain is configured)"
-                                .to_string(),
-                        ));
                     }
                     CommitPath::Serial
                 } else {
@@ -486,41 +395,7 @@ fn audit(events: &[TraceEvent], truncated: bool, durable: bool) -> AuditReport {
                 }
                 t.pending_escalation = Some(tier);
             }
-            TraceKind::PersistFence => {
-                t.fence_since_begin = true;
-            }
-            TraceKind::RecoveryReplay(records) => {
-                if !crashed {
-                    report.violations.push(violation(
-                        "recovery-replay before any power-fail".to_string(),
-                    ));
-                }
-                // Invariant 8: only a commit caught between its redo fence
-                // and its applied-marker fence leaves a replayable record,
-                // and such a CPU was mid-attempt when the power failed.
-                if records > 0 && !open_sw_at_crash[e.cpu] {
-                    report.violations.push(violation(format!(
-                        "recovery replayed {records} record(s) for a cpu with no \
-                         commit in flight at the crash — it must not resurrect an \
-                         uncommitted or already-applied transaction"
-                    )));
-                }
-                // Invariant 9: replaying is a pure, repeatable function of
-                // the durable image.
-                match first_replay[e.cpu] {
-                    None => first_replay[e.cpu] = Some(records),
-                    Some(first) if first != records => {
-                        report.violations.push(violation(format!(
-                            "recovery is not idempotent: first replay applied \
-                             {first} record(s), this one {records}"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-            }
-            TraceKind::FaultInjected(_) | TraceKind::PowerFail => {
-                unreachable!("handled above")
-            }
+            TraceKind::FaultInjected(_) => unreachable!("handled above"),
         }
         t.last_driver = Some(e.kind);
     }
@@ -598,92 +473,5 @@ mod tests {
         let events = [ev(10, 0, TraceKind::HwBegin)];
         assert!(audit_events(&events, true).is_clean());
         assert!(!audit_events(&events, false).is_clean());
-    }
-
-    #[test]
-    fn durable_commit_requires_a_fence_volatile_does_not() {
-        let events = [
-            ev(10, 0, TraceKind::SwBegin),
-            ev(80, 0, TraceKind::SwCommit),
-        ];
-        // The same journal is fine on a volatile run...
-        audit_events(&events, false).assert_clean();
-        // ...and a violation on a durable one.
-        let r = audit_events_durable(&events, false);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0]
-            .message
-            .contains("without its persist fence"));
-
-        let fenced = [
-            ev(10, 0, TraceKind::SwBegin),
-            ev(70, 0, TraceKind::PersistFence),
-            ev(80, 0, TraceKind::SwCommit),
-        ];
-        audit_events_durable(&fenced, false).assert_clean();
-    }
-
-    #[test]
-    fn power_fail_closes_open_attempts_without_violation() {
-        let events = [
-            ev(10, 0, TraceKind::SwBegin),
-            ev(15, 1, TraceKind::HwBegin),
-            ev(40, 0, TraceKind::PowerFail),
-            // Rebooted machine: clocks restart, recovery replays cpu 0's
-            // in-flight commit, then new work proceeds.
-            ev(0, 0, TraceKind::RecoveryReplay(1)),
-            ev(0, 1, TraceKind::RecoveryReplay(0)),
-            ev(5, 1, TraceKind::HwBegin),
-            ev(9, 1, TraceKind::HwCommit),
-        ];
-        audit_events_durable(&events, false).assert_clean();
-    }
-
-    #[test]
-    fn replay_for_an_idle_cpu_is_a_resurrection() {
-        let events = [
-            ev(10, 1, TraceKind::SwBegin),
-            ev(20, 1, TraceKind::SwAbort),
-            ev(40, 0, TraceKind::PowerFail),
-            ev(0, 1, TraceKind::RecoveryReplay(1)),
-        ];
-        let r = audit_events_durable(&events, false);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("resurrect"));
-    }
-
-    #[test]
-    fn diverging_replays_are_not_idempotent() {
-        let events = [
-            ev(10, 0, TraceKind::SwBegin),
-            ev(40, 0, TraceKind::PowerFail),
-            ev(0, 0, TraceKind::RecoveryReplay(1)),
-            ev(3, 0, TraceKind::RecoveryReplay(0)),
-        ];
-        let r = audit_events_durable(&events, false);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("not idempotent"));
-    }
-
-    #[test]
-    fn replay_without_a_crash_is_flagged() {
-        let events = [ev(5, 0, TraceKind::RecoveryReplay(0))];
-        let r = audit_events_durable(&events, false);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("before any power-fail"));
-    }
-
-    #[test]
-    fn second_power_fail_is_flagged() {
-        let events = [
-            ev(40, 0, TraceKind::PowerFail),
-            ev(10, 0, TraceKind::PowerFail),
-        ];
-        let r = audit_events_durable(&events, false);
-        assert!(!r.is_clean());
-        assert!(r
-            .violations
-            .iter()
-            .any(|v| v.message.contains("second power-fail")));
     }
 }

@@ -31,22 +31,17 @@ mod backend;
 mod lockbase;
 mod phtm;
 mod policy;
-mod reboot;
 mod report;
 mod runtime;
 mod shared;
 mod trace;
 mod tx;
 
-pub use audit::{
-    audit_events, audit_events_durable, audit_log, AuditReport, AuditViolation, CommitPath,
-    TxnRecord,
-};
+pub use audit::{audit_events, audit_log, AuditReport, AuditViolation, CommitPath, TxnRecord};
 pub use backend::{BackendKind, BackendStats, Stop, TmBackend, TxScope};
 pub use lockbase::LockShared;
 pub use phtm::PhtmShared;
 pub use policy::{BtmUfoFaultPolicy, HybridPolicy};
-pub use reboot::{crashed_journal, recover_world};
 pub use report::{
     json_escape, CycleAttribution, Log2Histogram, RunReport, TraceSummary, ABORT_TAXONOMY,
 };

@@ -14,11 +14,11 @@
 
 use std::collections::BTreeMap;
 
-use ufotm_machine::{AbortReason, ChaosStats, CpuStats, Machine, PersistStats, SwapStats};
+use ufotm_machine::{AbortReason, ChaosStats, CpuStats, Machine, SwapStats};
 use ufotm_tl2::Tl2Stats;
 use ufotm_ustm::{OtableOccupancy, UstmStats};
 
-use crate::audit::{audit_events, audit_events_durable, CommitPath};
+use crate::audit::{audit_events, CommitPath};
 use crate::shared::TmShared;
 
 /// The Figure-6 abort taxonomy: groups [`AbortReason`]s into the buckets
@@ -169,8 +169,6 @@ pub struct RunReport {
     pub otable: OtableOccupancy,
     /// Demand-paging counters.
     pub swap: SwapStats,
-    /// Persistence-domain counters (all zeros on volatile machines).
-    pub persist: PersistStats,
     /// Fault-injection counters.
     pub chaos: ChaosStats,
     /// Audited trace journal summary.
@@ -190,13 +188,7 @@ impl RunReport {
             .max()
             .unwrap_or(0);
         let agg = machine.stats().aggregate();
-        // A persistent machine's journal must also satisfy the durability
-        // invariants (fence-before-commit, no resurrection, idempotence).
-        let audit = if machine.persist_enabled() {
-            audit_events_durable(shared.trace.events(), shared.trace.truncated())
-        } else {
-            audit_events(shared.trace.events(), shared.trace.truncated())
-        };
+        let audit = audit_events(shared.trace.events(), shared.trace.truncated());
 
         let mut trace = TraceSummary {
             events: shared.trace.events().len() as u64,
@@ -259,7 +251,6 @@ impl RunReport {
             ),
             otable: shared.ustm.otable.occupancy(),
             swap: machine.swap_stats(),
-            persist: machine.persist_stats(),
             chaos: machine.chaos_stats(),
             trace,
         }
@@ -324,10 +315,6 @@ impl RunReport {
         root.u64("hw_retries", self.hybrid.hw_retries);
         root.u64("forced_failovers", self.hybrid.forced_failovers);
         root.u64("watchdog_escalations", self.hybrid.watchdog_escalations);
-        root.u64(
-            "durable_serial_refusals",
-            self.hybrid.durable_serial_refusals,
-        );
         root.u64("alloc_syscalls", self.hybrid.alloc_syscalls);
 
         let mut machine = JsonObj::new();
@@ -371,11 +358,6 @@ impl RunReport {
         ustm.u64("retries_woken", self.ustm.retries_woken);
         ustm.u64("barrier_cycles", self.ustm.barrier_cycles);
         ustm.u64("max_chain_seen", self.ustm.max_chain_seen);
-        ustm.u64("redo_records", self.ustm.redo_records);
-        ustm.u64("recovery_runs", self.ustm.recovery_runs);
-        ustm.u64("recovered_records", self.ustm.recovered_records);
-        ustm.u64("recovered_lines", self.ustm.recovered_lines);
-        ustm.u64("torn_records", self.ustm.torn_records);
         root.raw("ustm", &ustm.close());
 
         let mut tl2 = JsonObj::new();
@@ -408,22 +390,12 @@ impl RunReport {
         swap.u64("ufo_bits_dropped", self.swap.ufo_bits_dropped);
         root.raw("swap", &swap.close());
 
-        let mut persist = JsonObj::new();
-        persist.u64("flushes", self.persist.flushes);
-        persist.u64("fences", self.persist.fences);
-        persist.u64("flush_cycles", self.persist.flush_cycles);
-        persist.u64("fence_cycles", self.persist.fence_cycles);
-        persist.u64("buffer_evictions", self.persist.buffer_evictions);
-        persist.u64("max_buffer_occupancy", self.persist.max_buffer_occupancy);
-        root.raw("persist", &persist.close());
-
         let mut chaos = JsonObj::new();
         chaos.u64("spurious_aborts", self.chaos.spurious_aborts);
         chaos.u64("forced_evictions", self.chaos.forced_evictions);
         chaos.u64("injected_nacks", self.chaos.injected_nacks);
         chaos.u64("ufo_set_retries", self.chaos.ufo_set_retries);
         chaos.u64("swap_thrashes", self.chaos.swap_thrashes);
-        chaos.u64("power_fails", self.chaos.power_fails);
         root.raw("chaos", &chaos.close());
 
         let mut trace = JsonObj::new();
@@ -453,14 +425,8 @@ impl RunReport {
 /// Bumped whenever a field is added, removed or renamed; consumers key
 /// off it. Documented in `docs/RUN_REPORT.md`.
 ///
-/// v2: `persist` section, `chaos.power_fails`, and the five USTM
-/// durability counters (`redo_records` through `torn_records`).
-///
-/// v3: `durable_serial_refusals` (serial-irrevocable escalations the
-/// driver refused because a persist domain was configured — the serial
-/// path has no redo record, so escalating would break crash
-/// consistency).
-pub const SCHEMA_VERSION: u64 = 3;
+/// v4 = v3 minus everything v2–v3 added for the retired persistence domain (`persist`, `chaos.power_fails`, the five `ustm` redo/recovery counters, `durable_serial_refusals`).
+pub const SCHEMA_VERSION: u64 = 4;
 
 fn json_u64_array(values: &[u64]) -> String {
     let mut out = String::from("[");
@@ -691,5 +657,102 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), AbortReason::all().len());
+    }
+
+    /// The keys of the JSON object starting at `obj[0] == '{'`, in order
+    /// (nested objects and arrays are skipped, not descended into).
+    fn object_keys(obj: &str) -> Vec<&str> {
+        let mut keys = Vec::new();
+        let mut depth = 0;
+        let mut rest = obj;
+        while let Some(i) = rest.find(['{', '}', '[', ']', '"']) {
+            let (c, after) = (rest.as_bytes()[i], &rest[i + 1..]);
+            rest = after;
+            match c {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                _ => {
+                    let end = after.find('"').expect("closing quote");
+                    if depth == 1 && after[end + 1..].starts_with(':') {
+                        keys.push(&after[..end]);
+                    }
+                    rest = &after[end + 1..];
+                }
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn schema_4_key_lists_are_pinned() {
+        // A deliberate tripwire: adding, removing or renaming a key here
+        // means bumping SCHEMA_VERSION and docs/RUN_REPORT.md with it.
+        let cfg = ufotm_machine::MachineConfig::table4(1);
+        let shared = TmShared::standard(crate::SystemKind::UfoHybrid, &cfg);
+        let json = RunReport::collect(0, &Machine::new(cfg), &shared).to_json();
+        assert!(json.starts_with("{\"schema\":4,"));
+        assert_eq!(
+            object_keys(&json),
+            [
+                "schema",
+                "system",
+                "threads",
+                "seed",
+                "makespan_cycles",
+                "commits",
+                "failovers",
+                "hw_retries",
+                "forced_failovers",
+                "watchdog_escalations",
+                "alloc_syscalls",
+                "machine",
+                "abort_taxonomy",
+                "cycle_attribution",
+                "ustm",
+                "tl2",
+                "phtm",
+                "otable",
+                "swap",
+                "chaos",
+                "trace",
+            ]
+        );
+        let section = |key: &str| {
+            let at = json
+                .find(&format!("\"{key}\":{{"))
+                .expect("section present");
+            object_keys(&json[at + key.len() + 3..])
+        };
+        assert_eq!(
+            section("ustm"),
+            [
+                "begins",
+                "commits",
+                "aborts",
+                "kills_issued",
+                "stall_polls",
+                "chain_walks",
+                "nont_faults",
+                "retries_entered",
+                "retries_woken",
+                "barrier_cycles",
+                "max_chain_seen",
+            ]
+        );
+        assert_eq!(
+            section("chaos"),
+            [
+                "spurious_aborts",
+                "forced_evictions",
+                "injected_nacks",
+                "ufo_set_retries",
+                "swap_thrashes",
+            ]
+        );
     }
 }

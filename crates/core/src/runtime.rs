@@ -159,7 +159,6 @@ impl TmThread {
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
         let mut kills: u32 = 0;
-        let mut serial_refused = false;
         loop {
             if self.serial_gate_armed() {
                 self.wait_serial_clear(ctx);
@@ -167,20 +166,12 @@ impl TmThread {
             // Watchdog tier 2: a transaction that keeps getting killed in
             // software (or observes system-wide stagnation) escalates to
             // serial-irrevocable execution. Only sound where the serial
-            // path's plain accesses are strongly atomic — and only on
-            // volatile machines: the serial path has no redo record, so a
-            // persistent machine refuses the escalation (counted once per
-            // transaction) and stays on the software tier, whose
-            // age-ordered kills still guarantee progress.
+            // path's plain accesses are strongly atomic.
             if let Some(limit) = self.policy.watchdog_sw_kills {
                 let stagnant = kills > 0 && self.observe_stagnation(ctx);
-                if (kills >= limit || stagnant) && self.kind.strong_atomicity() && !serial_refused {
-                    if self.refuse_serial_escalation(ctx) {
-                        serial_refused = true;
-                    } else {
-                        self.escalate(ctx, EscalationTier::Serial);
-                        return self.serial_path(ctx, body);
-                    }
+                if (kills >= limit || stagnant) && self.kind.strong_atomicity() {
+                    self.escalate(ctx, EscalationTier::Serial);
+                    return self.serial_path(ctx, body);
                 }
             }
             trace(ctx, TraceKind::SwBegin);
@@ -194,31 +185,22 @@ impl TmThread {
             let out = body(&mut tx, ctx);
             let bk = tx.into_bookkeeping();
             match out {
-                Ok(r) => {
-                    let fences_before = ctx.with(|w| w.machine.persist_stats().fences);
-                    match self.ustm.commit(ctx) {
-                        Ok(()) => {
-                            apply_frees(ctx, &bk.frees);
-                            ctx.with(|w| w.shared.tm().stats.sw_commits += 1);
-                            // A persistent commit fenced its redo record
-                            // durable before releasing ownership; journal the
-                            // fence so the auditor can check the ordering.
-                            if ctx.with(|w| w.machine.persist_stats().fences) > fences_before {
-                                trace(ctx, TraceKind::PersistFence);
-                            }
-                            trace(ctx, TraceKind::SwCommit);
-                            bk.run_deferred();
-                            return r;
-                        }
-                        Err(UstmAbort::Killed { .. }) => {
-                            undo_allocs(ctx, &bk.allocs);
-                            trace(ctx, TraceKind::SwAbort);
-                            self.ustm.wait_for_killer(ctx);
-                            kills += 1;
-                        }
-                        Err(other) => unreachable!("commit produced {other:?}"),
+                Ok(r) => match self.ustm.commit(ctx) {
+                    Ok(()) => {
+                        apply_frees(ctx, &bk.frees);
+                        ctx.with(|w| w.shared.tm().stats.sw_commits += 1);
+                        trace(ctx, TraceKind::SwCommit);
+                        bk.run_deferred();
+                        return r;
                     }
-                }
+                    Err(UstmAbort::Killed { .. }) => {
+                        undo_allocs(ctx, &bk.allocs);
+                        trace(ctx, TraceKind::SwAbort);
+                        self.ustm.wait_for_killer(ctx);
+                        kills += 1;
+                    }
+                    Err(other) => unreachable!("commit produced {other:?}"),
+                },
                 Err(TxAbort::Stm(UstmAbort::Killed { .. })) => {
                     undo_allocs(ctx, &bk.allocs);
                     trace(ctx, TraceKind::SwAbort);
@@ -438,24 +420,6 @@ impl TmThread {
         self.stagnant >= limit
     }
 
-    /// Whether a serial-irrevocable escalation must be refused because
-    /// the machine has a persist domain. The serial path commits through
-    /// plain stores with **no redo record**, so a power failure inside a
-    /// serial window would leave a torn, unrecoverable heap — on
-    /// persistent machines the watchdog therefore caps out at the
-    /// software tier. Each refusal bumps
-    /// [`HybridStats::durable_serial_refusals`](crate::HybridStats), so
-    /// a run that degraded this way is visible in its report.
-    fn refuse_serial_escalation<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> bool {
-        ctx.with(|w| {
-            let durable = w.machine.persist_enabled();
-            if durable {
-                w.shared.tm().stats.durable_serial_refusals += 1;
-            }
-            durable
-        })
-    }
-
     /// Records a watchdog escalation (counter + trace journal).
     fn escalate<U: TmWorld>(&mut self, ctx: &mut Ctx<U>, tier: EscalationTier) {
         self.stagnant = 0;
@@ -567,12 +531,7 @@ impl TmThread {
     fn watchdog_tier<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> Option<EscalationTier> {
         let stagnant = self.observe_stagnation(ctx);
         if stagnant && self.kind.strong_atomicity() {
-            // On a persistent machine the serial tier is off the table
-            // (no redo record — see `refuse_serial_escalation`); fall
-            // through to the software tier instead.
-            if !self.refuse_serial_escalation(ctx) {
-                return Some(EscalationTier::Serial);
-            }
+            return Some(EscalationTier::Serial);
         }
         let tripped = self
             .policy

@@ -123,13 +123,6 @@ pub struct HybridStats {
     /// Times the progress watchdog escalated a transaction to a stronger
     /// tier (software failover or serial-irrevocable execution).
     pub watchdog_escalations: u64,
-    /// Serial-irrevocable escalations the driver *refused* because a
-    /// persist domain is configured: the serial path commits through
-    /// plain stores with no redo record, so a power failure inside a
-    /// serial window would violate crash consistency. On persistent
-    /// machines the watchdog caps out at the software tier and this
-    /// counts each time the serial tier would otherwise have fired.
-    pub durable_serial_refusals: u64,
     /// Failovers to software, by the abort reason that triggered them.
     pub failovers: BTreeMap<AbortReason, u64>,
     /// Failovers forced by the microbenchmark hook.
@@ -213,28 +206,13 @@ pub struct TmSharedLayout {
     pub heap_base: Addr,
     /// Heap size in words.
     pub heap_words: u64,
-    /// Whether the machine has a persistence domain: USTM then carves out
-    /// per-CPU durable redo windows after its undo logs, and software
-    /// commits fence a redo record before releasing ownership.
-    pub durable: bool,
 }
 
 impl TmSharedLayout {
-    /// Words of metadata needed for `cpus` CPUs with the given table sizes
-    /// (`durable` adds USTM's per-CPU redo windows).
+    /// Words of metadata needed for `cpus` CPUs with the given table sizes.
     #[must_use]
-    pub fn required_meta_words(
-        cpus: usize,
-        otable_bins: u64,
-        tl2_locks: u64,
-        durable: bool,
-    ) -> u64 {
-        let ustm_words = if durable {
-            UstmShared::required_words_durable(cpus, otable_bins)
-        } else {
-            UstmShared::required_words(cpus, otable_bins)
-        };
-        ustm_words
+    pub fn required_meta_words(cpus: usize, otable_bins: u64, tl2_locks: u64) -> u64 {
+        UstmShared::required_words(cpus, otable_bins)
             + Tl2Shared::required_words(tl2_locks)
             + 8  // global lock line
             + 16 // PhTM counters (two lines)
@@ -252,8 +230,7 @@ impl TmSharedLayout {
     pub fn standard(cfg: &MachineConfig) -> Self {
         let otable_bins = 16 * 1024;
         let tl2_locks = 16 * 1024;
-        let durable = cfg.persist.is_some();
-        let meta_words = Self::required_meta_words(cfg.cpus, otable_bins, tl2_locks, durable);
+        let meta_words = Self::required_meta_words(cfg.cpus, otable_bins, tl2_locks);
         let total = cfg.memory_words;
         assert!(
             total > meta_words + (1 << 17),
@@ -267,7 +244,6 @@ impl TmSharedLayout {
             tl2_locks,
             heap_base: Addr::from_word_index(heap_base_word),
             heap_words: meta_base_word - heap_base_word,
-            durable,
         }
     }
 }
@@ -332,11 +308,7 @@ impl TmShared {
             UstmConfig::weak()
         };
         let ustm_base = layout.meta_base;
-        let ustm_words = if layout.durable {
-            UstmShared::required_words_durable(cpus, layout.otable_bins)
-        } else {
-            UstmShared::required_words(cpus, layout.otable_bins)
-        };
+        let ustm_words = UstmShared::required_words(cpus, layout.otable_bins);
         let tl2_base = Addr(ustm_base.0 + ustm_words * 8);
         let tl2_words = Tl2Shared::required_words(layout.tl2_locks);
         let lock_base = Addr(tl2_base.0 + tl2_words * 8);
@@ -403,30 +375,8 @@ mod tests {
         let heap_end = layout.heap_base.0 + layout.heap_words * 8;
         assert!(heap_end <= layout.meta_base.0);
         let meta_end = layout.meta_base.word_index()
-            + TmSharedLayout::required_meta_words(
-                8,
-                layout.otable_bins,
-                layout.tl2_locks,
-                layout.durable,
-            );
+            + TmSharedLayout::required_meta_words(8, layout.otable_bins, layout.tl2_locks);
         assert!(meta_end <= cfg.memory_words);
-    }
-
-    #[test]
-    fn durable_layout_reserves_the_redo_windows() {
-        let volatile = MachineConfig::table4(4);
-        let mut durable = MachineConfig::table4(4);
-        durable.persist = Some(ufotm_machine::PersistConfig::default());
-        let lv = TmSharedLayout::standard(&volatile);
-        let ld = TmSharedLayout::standard(&durable);
-        assert!(!lv.durable);
-        assert!(ld.durable);
-        // The durable layout is strictly larger: 512 words per CPU of redo
-        // window between the undo logs and the TL2 lock table.
-        assert_eq!(
-            lv.meta_base.word_index() - ld.meta_base.word_index(),
-            4 * 512
-        );
     }
 
     #[test]

@@ -53,16 +53,6 @@ pub enum TraceKind {
     /// The transaction entered serial-irrevocable execution (watchdog's
     /// last tier: global lock + strong-atomicity-aware plain accesses).
     SerialIrrevocable,
-    /// A persist fence completed inside a software commit (persistent runs
-    /// only); journaled directly before the `SwCommit` it makes durable.
-    PersistFence,
-    /// Power failed: only flushed-and-fenced lines survive in the durable
-    /// image, everything else is gone. In a combined crash journal every
-    /// later event happened on the rebooted machine (clocks restart at 0).
-    PowerFail,
-    /// A recovery pass scanned this CPU's redo window and replayed this
-    /// many records (0 = nothing to replay).
-    RecoveryReplay(u32),
 }
 
 impl std::fmt::Display for TraceKind {
@@ -79,9 +69,6 @@ impl std::fmt::Display for TraceKind {
             TraceKind::FaultInjected(k) => write!(f, "fault-injected({k})"),
             TraceKind::WatchdogEscalation(t) => write!(f, "watchdog-escalation({t})"),
             TraceKind::SerialIrrevocable => f.write_str("serial-irrevocable"),
-            TraceKind::PersistFence => f.write_str("persist-fence"),
-            TraceKind::PowerFail => f.write_str("power-fail"),
-            TraceKind::RecoveryReplay(n) => write!(f, "recovery-replay({n})"),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! positive path (real runs audit clean) is covered by the hybrid and
 //! chaos-torture suites.
 
-use ufotm_core::{audit_events, audit_events_durable, EscalationTier, TraceEvent, TraceKind};
+use ufotm_core::{audit_events, EscalationTier, TraceEvent, TraceKind};
 use ufotm_machine::AbortReason;
 
 fn ev(cycle: u64, cpu: usize, kind: TraceKind) -> TraceEvent {
@@ -198,165 +198,6 @@ fn per_cpu_cycle_regression_is_flagged() {
     let r = audit_events(&events, false);
     assert!(!r.is_clean());
     assert!(r.violations[0].message.contains("cycle went backwards"));
-}
-
-#[test]
-fn durable_commit_missing_its_fence_is_flagged() {
-    // Invariant 7: on a persistent run every sw-commit's redo record must
-    // have been fenced durable first.
-    let events = [
-        ev(10, 0, TraceKind::SwBegin),
-        ev(80, 0, TraceKind::SwCommit),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert!(!r.is_clean());
-    assert!(
-        r.violations[0]
-            .message
-            .contains("without its persist fence"),
-        "got: {}",
-        r.violations[0]
-    );
-    // The volatile auditor must not apply the durable rule.
-    audit_events(&events, false).assert_clean();
-
-    // A fence from a *previous* transaction does not cover this one.
-    let events = [
-        ev(10, 0, TraceKind::SwBegin),
-        ev(30, 0, TraceKind::PersistFence),
-        ev(40, 0, TraceKind::SwCommit),
-        ev(50, 0, TraceKind::SwBegin),
-        ev(90, 0, TraceKind::SwCommit),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert_eq!(r.violations.len(), 1);
-    assert!(r.violations[0]
-        .message
-        .contains("without its persist fence"));
-}
-
-#[test]
-fn durable_serial_window_without_fence_is_flagged() {
-    // Invariant 10: this is exactly the journal shape the pre-refusal
-    // driver produced on a persistent machine — a serial-irrevocable
-    // escalation committing through plain stores with no redo record,
-    // hence no fence. A power failure inside the window would tear the
-    // heap unrecoverably, so the durable auditor must reject it.
-    let events = [
-        ev(10, 0, TraceKind::SerialIrrevocable),
-        ev(20, 0, TraceKind::PlainCommit),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert!(!r.is_clean());
-    assert!(
-        r.violations[0]
-            .message
-            .contains("serial-irrevocable window committed without a persist"),
-        "got: {}",
-        r.violations[0]
-    );
-    // The volatile auditor accepts the same journal: without a persist
-    // domain the serial path is sound (and was, before this rule).
-    audit_events(&events, false).assert_clean();
-
-    // A fence from the *preceding software attempt* does not cover the
-    // serial window — it must contain its own.
-    let events = [
-        ev(10, 0, TraceKind::SwBegin),
-        ev(20, 0, TraceKind::PersistFence),
-        ev(30, 0, TraceKind::SwCommit),
-        ev(40, 0, TraceKind::SerialIrrevocable),
-        ev(50, 0, TraceKind::PlainCommit),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert_eq!(r.violations.len(), 1);
-    assert!(r.violations[0]
-        .message
-        .contains("serial-irrevocable window committed without a persist"));
-
-    // A fenced serial window is clean (the legal shape, should the
-    // serial path ever grow a durable redo record).
-    let events = [
-        ev(10, 0, TraceKind::SerialIrrevocable),
-        ev(15, 0, TraceKind::PersistFence),
-        ev(20, 0, TraceKind::PlainCommit),
-    ];
-    audit_events_durable(&events, false).assert_clean();
-}
-
-#[test]
-fn resurrected_transaction_is_flagged() {
-    // Invariant 8: cpu 1 cleanly aborted before the crash — recovery must
-    // not replay a record for it.
-    let events = [
-        ev(10, 1, TraceKind::SwBegin),
-        ev(20, 1, TraceKind::SwAbort),
-        ev(40, 0, TraceKind::PowerFail),
-        ev(0, 0, TraceKind::RecoveryReplay(0)),
-        ev(0, 1, TraceKind::RecoveryReplay(1)),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert!(!r.is_clean());
-    assert!(
-        r.violations[0].message.contains("resurrect"),
-        "got: {}",
-        r.violations[0]
-    );
-
-    // The legal shape: the replayed cpu was mid-commit when power failed.
-    let events = [
-        ev(10, 1, TraceKind::SwBegin),
-        ev(40, 0, TraceKind::PowerFail),
-        ev(0, 0, TraceKind::RecoveryReplay(0)),
-        ev(0, 1, TraceKind::RecoveryReplay(1)),
-    ];
-    audit_events_durable(&events, false).assert_clean();
-}
-
-#[test]
-fn non_idempotent_recovery_is_flagged() {
-    // Invariant 9: two recovery passes over the same durable image must
-    // replay the same records.
-    let events = [
-        ev(10, 0, TraceKind::SwBegin),
-        ev(40, 0, TraceKind::PowerFail),
-        ev(0, 0, TraceKind::RecoveryReplay(1)),
-        ev(5, 0, TraceKind::RecoveryReplay(0)),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert!(!r.is_clean());
-    assert!(
-        r.violations[0].message.contains("not idempotent"),
-        "got: {}",
-        r.violations[0]
-    );
-
-    // Matching passes are clean.
-    let events = [
-        ev(10, 0, TraceKind::SwBegin),
-        ev(40, 0, TraceKind::PowerFail),
-        ev(0, 0, TraceKind::RecoveryReplay(1)),
-        ev(5, 0, TraceKind::RecoveryReplay(1)),
-    ];
-    audit_events_durable(&events, false).assert_clean();
-}
-
-#[test]
-fn replay_without_a_crash_and_double_crash_are_flagged() {
-    let r = audit_events_durable(&[ev(5, 0, TraceKind::RecoveryReplay(0))], false);
-    assert!(!r.is_clean());
-    assert!(r.violations[0].message.contains("before any power-fail"));
-
-    let events = [
-        ev(40, 0, TraceKind::PowerFail),
-        ev(5, 1, TraceKind::PowerFail),
-    ];
-    let r = audit_events_durable(&events, false);
-    assert!(!r.is_clean());
-    assert!(r
-        .violations
-        .iter()
-        .any(|v| v.message.contains("second power-fail")));
 }
 
 #[test]

@@ -138,7 +138,7 @@ impl Machine {
                 Ok(v)
             }
         } else if let Some(value) = write {
-            self.mem_write(addr, value);
+            self.mem.write(addr, value);
             if let Some(e) = self.l1[cpu].entry_mut(line) {
                 e.dirty = true;
             }

@@ -46,19 +46,12 @@ pub enum ChaosFaultKind {
     /// transaction this surfaces as a
     /// [`AbortReason::PageFault`](crate::AbortReason::PageFault) abort.
     SwapThrash,
-    /// Power is lost at an instruction boundary: the durable image (fenced
-    /// lines only) is latched as a
-    /// [`CrashImage`](crate::CrashImage) and everything volatile is
-    /// considered gone. Only injected on machines with a persistence domain,
-    /// and at most once per run (the first failure is the one that counts —
-    /// the remainder of the run is ghost execution harnesses ignore).
-    PowerFail,
 }
 
 impl ChaosFaultKind {
     /// All kinds, in a stable order (for stats tables).
     #[must_use]
-    pub const fn all() -> [ChaosFaultKind; 6] {
+    pub const fn all() -> [ChaosFaultKind; 5] {
         use ChaosFaultKind::*;
         [
             SpuriousAbort,
@@ -66,7 +59,6 @@ impl ChaosFaultKind {
             CoherenceNack,
             UfoSetRetry,
             SwapThrash,
-            PowerFail,
         ]
     }
 }
@@ -79,7 +71,6 @@ impl fmt::Display for ChaosFaultKind {
             ChaosFaultKind::CoherenceNack => "coherence-nack",
             ChaosFaultKind::UfoSetRetry => "ufo-set-retry",
             ChaosFaultKind::SwapThrash => "swap-thrash",
-            ChaosFaultKind::PowerFail => "power-fail",
         };
         f.write_str(s)
     }
@@ -108,16 +99,6 @@ pub struct FaultPlan {
     /// Probability a resident-page touch thrashes (page is reclaimed and
     /// must re-fault). Only meaningful when paging is enabled.
     pub swap_thrash: f64,
-    /// Probability power is lost at an instruction boundary. Only meaningful
-    /// on machines with a persistence domain; at most one failure latches
-    /// per run.
-    pub power_fail: f64,
-    /// Deterministic power failure: latch at the first instruction boundary
-    /// at which the issuing CPU's clock reaches this cycle. Independent of
-    /// the probabilistic `power_fail` rate and of the injection PRNG, so a
-    /// fail-point sweep never perturbs the fault schedule of the other
-    /// kinds.
-    pub power_fail_at: Option<u64>,
     /// Extra delay (cycles) per responding cache charged by an injected
     /// nack, on top of the cost model's `nack_retry`.
     pub nack_delay: u64,
@@ -138,8 +119,6 @@ impl FaultPlan {
             coherence_nack: 0.0,
             ufo_set_failure: 0.0,
             swap_thrash: 0.0,
-            power_fail: 0.0,
-            power_fail_at: None,
             nack_delay: 0,
             ufo_retry_cycles: 0,
         }
@@ -207,7 +186,6 @@ impl FaultPlan {
             ChaosFaultKind::CoherenceNack => self.coherence_nack,
             ChaosFaultKind::UfoSetRetry => self.ufo_set_failure,
             ChaosFaultKind::SwapThrash => self.swap_thrash,
-            ChaosFaultKind::PowerFail => self.power_fail,
         }
     }
 
@@ -258,8 +236,6 @@ pub struct ChaosStats {
     pub ufo_set_retries: u64,
     /// Swap-thrash reclaims injected.
     pub swap_thrashes: u64,
-    /// Power failures latched (at most one per run).
-    pub power_fails: u64,
 }
 
 impl ChaosStats {
@@ -271,7 +247,6 @@ impl ChaosStats {
             + self.injected_nacks
             + self.ufo_set_retries
             + self.swap_thrashes
-            + self.power_fails
     }
 
     /// Adds another machine's injection counters into this one.
@@ -285,14 +260,12 @@ impl ChaosStats {
             injected_nacks,
             ufo_set_retries,
             swap_thrashes,
-            power_fails,
         } = other;
         self.spurious_aborts += spurious_aborts;
         self.forced_evictions += forced_evictions;
         self.injected_nacks += injected_nacks;
         self.ufo_set_retries += ufo_set_retries;
         self.swap_thrashes += swap_thrashes;
-        self.power_fails += power_fails;
     }
 
     fn bump(&mut self, kind: ChaosFaultKind) {
@@ -302,7 +275,6 @@ impl ChaosStats {
             ChaosFaultKind::CoherenceNack => &mut self.injected_nacks,
             ChaosFaultKind::UfoSetRetry => &mut self.ufo_set_retries,
             ChaosFaultKind::SwapThrash => &mut self.swap_thrashes,
-            ChaosFaultKind::PowerFail => &mut self.power_fails,
         };
         *c += 1;
     }
@@ -397,18 +369,13 @@ mod tests {
         // would silently run the same cell N times.
         assert!(!FaultPlan::quiet(0).seed_sensitive());
         assert!(!FaultPlan::quiet(42).seed_sensitive());
-        // A deterministic fail-point never consults the injection PRNG
-        // either: varying only the seed over such a plan is still vacuous.
-        let mut crash_only = FaultPlan::quiet(7);
-        crash_only.power_fail_at = Some(10_000);
-        assert!(!crash_only.seed_sensitive());
         // Every injecting preset is seed-sensitive.
         assert!(FaultPlan::mixed(0).seed_sensitive());
         assert!(FaultPlan::abort_storm(0).seed_sensitive());
         assert!(FaultPlan::nack_storm(0).seed_sensitive());
         // A single non-zero rate suffices.
         let mut one = FaultPlan::quiet(0);
-        one.power_fail = 0.001;
+        one.swap_thrash = 0.001;
         assert!(one.seed_sensitive());
     }
 
@@ -609,12 +576,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power-fail rate must be a probability")]
+    #[should_panic(expected = "swap-thrash rate must be a probability")]
     fn negative_rate_is_rejected_by_machine_new() {
         // A literal-built config bypasses with_fault_plan; Machine::new is
         // the backstop.
         let mut plan = FaultPlan::quiet(1);
-        plan.power_fail = -0.25;
+        plan.swap_thrash = -0.25;
         let mut cfg = MachineConfig::small(1);
         cfg.fault_plan = Some(plan);
         let _ = Machine::new(cfg);

@@ -8,7 +8,6 @@
 
 use crate::cache::CacheGeometry;
 use crate::chaos::FaultPlan;
-use crate::persist::PersistConfig;
 
 /// Latencies (in cycles) charged to a CPU's local clock by each operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,10 +40,6 @@ pub struct CostModel {
     pub page_in: u64,
     /// Servicing a page-out to the swap device.
     pub page_out: u64,
-    /// A `persist_flush`: capturing one line into the persist buffer.
-    pub persist_flush: u64,
-    /// A `persist_fence`: draining the persist buffer to the durable image.
-    pub persist_fence: u64,
 }
 
 impl CostModel {
@@ -66,10 +61,6 @@ impl CostModel {
             interrupt_service: 2_000,
             page_in: 100_000,
             page_out: 100_000,
-            // NVM-class write latencies: a flush costs about a memory
-            // access; a fence waits for the buffer drain.
-            persist_flush: 200,
-            persist_fence: 400,
         }
     }
 }
@@ -153,9 +144,6 @@ pub struct MachineConfig {
     pub ufo_owner_state_sets: bool,
     /// Seeded fault-injection plan (chaos engine); `None` injects nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Simulated-NVM persistence domain; `None` (the default) models a
-    /// fully volatile machine with zero-cost no-op persist operations.
-    pub persist: Option<PersistConfig>,
 }
 
 impl MachineConfig {
@@ -180,7 +168,6 @@ impl MachineConfig {
             hw_cm: HwCmPolicy::AgeOrdered,
             ufo_owner_state_sets: false,
             fault_plan: None,
-            persist: None,
         }
     }
 
@@ -206,7 +193,6 @@ impl MachineConfig {
             hw_cm: HwCmPolicy::AgeOrdered,
             ufo_owner_state_sets: false,
             fault_plan: None,
-            persist: None,
         }
     }
 

@@ -58,7 +58,6 @@ mod coherence;
 mod config;
 mod machine;
 mod mem;
-mod persist;
 mod rng;
 mod stats;
 mod swap;
@@ -74,7 +73,6 @@ pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};
 pub use config::{CostModel, HwCmPolicy, MachineConfig, UfoKillPolicy};
 pub use machine::{AccessError, AccessResult, CpuId, Machine, PlainAccess};
-pub use persist::{CrashImage, PersistConfig, PersistStats};
 pub use rng::{splitmix64, SimRng};
 pub use stats::{CpuStats, MachineStats};
 pub use swap::{SwapConfig, SwapStats};

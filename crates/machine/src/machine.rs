@@ -16,7 +16,6 @@ use crate::chaos::{ChaosFaultKind, ChaosState};
 use crate::coherence::Directory;
 use crate::config::MachineConfig;
 use crate::mem::MemImage;
-use crate::persist::PersistState;
 use crate::stats::MachineStats;
 use crate::swap::SwapState;
 use crate::ufo::{UfoBits, UfoFaultKind};
@@ -112,7 +111,6 @@ pub struct Machine {
     pub(crate) stats: MachineStats,
     pub(crate) swap: Option<SwapState>,
     pub(crate) chaos: Option<ChaosState>,
-    pub(crate) persist: Option<PersistState>,
 }
 
 impl fmt::Debug for Machine {
@@ -168,7 +166,6 @@ impl Machine {
             stats: MachineStats::new(cpus),
             swap: None,
             chaos: cfg.fault_plan.map(ChaosState::new),
-            persist: cfg.persist.map(|p| PersistState::new(p, cfg.memory_words)),
             cfg,
         }
     }
@@ -212,9 +209,6 @@ impl Machine {
         if let Some(c) = &mut self.chaos {
             c.stats = crate::ChaosStats::default();
         }
-        if let Some(p) = &mut self.persist {
-            p.stats = crate::PersistStats::default();
-        }
     }
 
     /// Whether `cpu` is currently inside a (live or doomed) BTM transaction.
@@ -244,19 +238,6 @@ impl Machine {
         self.clock[cpu] += cycles;
     }
 
-    /// The single audited route by which simulated execution commits a word
-    /// to the memory image. Durability is modelled *explicitly* — a write
-    /// lands in volatile memory and survives a power failure only after a
-    /// [`Machine::persist_flush`] of its line is covered by a
-    /// [`Machine::persist_fence`] — so every store path must funnel through
-    /// here rather than shadow-updating the durable image. The
-    /// `persist-bypass` pass of `cargo xtask analyze` rejects direct
-    /// `mem.write` calls elsewhere in this crate.
-    pub(crate) fn mem_write(&mut self, addr: Addr, value: u64) {
-        // analyze: allow(persist-bypass) -- the interception point itself: this is the one sanctioned direct write, and it deliberately leaves the durable image untouched (durability comes only from flush+fence).
-        self.mem.write(addr, value);
-    }
-
     /// Runs the per-operation preamble: service any pending timer interrupt
     /// (which dooms an in-flight transaction) and surface a pending doom.
     pub(crate) fn begin_op(&mut self, cpu: CpuId) -> AccessResult<()> {
@@ -280,22 +261,6 @@ impl Machine {
         {
             self.btm[cpu].doomed = Some(AbortInfo::new(AbortReason::Spurious));
             self.chaos_record(cpu, ChaosFaultKind::SpuriousAbort);
-        }
-        // Chaos: latch a power-failure snapshot at this instruction
-        // boundary, either at the plan's deterministic fail cycle or by a
-        // probability roll. Only meaningful with a persistence domain, and
-        // at most once per run; the deterministic path never consults the
-        // injection PRNG, so fail-point sweeps do not perturb the schedule
-        // of the other fault kinds.
-        if self.persist.is_some() && !self.power_failed() {
-            let planned = self
-                .chaos
-                .as_ref()
-                .and_then(|c| c.plan.power_fail_at)
-                .is_some_and(|at| self.clock[cpu] >= at);
-            if (planned || self.chaos_roll(ChaosFaultKind::PowerFail)) && self.power_fail(cpu) {
-                self.chaos_record(cpu, ChaosFaultKind::PowerFail);
-            }
         }
         if self.btm[cpu].active {
             if let Some(info) = self.btm[cpu].doomed {
@@ -400,7 +365,7 @@ impl Machine {
         // analyze: allow(nondet-iteration) -- order-insensitive: speculative writes target distinct words, so the published memory image is identical under any HashMap iteration order, and no cycles are charged per element.
         writes.extend(self.btm[cpu].spec_writes.iter().map(|(&a, &v)| (a, v)));
         for &(word, value) in &writes {
-            self.mem_write(Addr::from_word_index(word), value);
+            self.mem.write(Addr::from_word_index(word), value);
         }
         writes.clear();
         self.btm[cpu].scratch_writes = writes;
@@ -600,8 +565,6 @@ impl Machine {
     }
 
     /// Writes a word without simulating anything — for harness setup only.
-    /// With a persistence domain configured, the poke writes through to the
-    /// durable image too (setup state counts as already persistent).
     ///
     /// # Panics
     ///
@@ -612,11 +575,7 @@ impl Machine {
             self.btm.iter().all(|b| !b.active),
             "poke while a BTM transaction is active"
         );
-        // analyze: allow(persist-bypass) -- host-side setup route: pokes are not simulated execution, and they intentionally update the durable image in the same step so harness-initialized state survives an injected power failure.
         self.mem.write(addr, value);
-        if let Some(p) = &mut self.persist {
-            p.poke_durable(addr, value);
-        }
     }
 }
 

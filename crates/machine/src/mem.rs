@@ -42,12 +42,6 @@ impl MemImage {
         let i = self.index(addr);
         self.words[i] = value;
     }
-
-    /// Replaces the whole image, e.g. when rebooting from a crash snapshot.
-    pub fn load(&mut self, words: &[u64]) {
-        assert_eq!(words.len(), self.words.len(), "image size mismatch on load");
-        self.words.copy_from_slice(words);
-    }
 }
 
 #[cfg(test)]

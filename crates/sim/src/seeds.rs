@@ -63,7 +63,7 @@ pub fn for_each_seed<F: FnMut(u64)>(base: u64, count: u64, mut body: F) {
 /// cell `count` times while looking like coverage. The guard accepts a
 /// sweep iff the plan is seed-sensitive **or** the plan itself varies
 /// with the seed in some other field (e.g. a seed-derived
-/// `power_fail_at`), and panics up front otherwise. Single-seed sweeps
+/// `nack_delay`), and panics up front otherwise. Single-seed sweeps
 /// are exempt — one quiet control cell is legitimate.
 ///
 /// # Panics
@@ -137,7 +137,7 @@ mod tests {
         });
         assert_eq!(seen, vec![5, 6, 7]);
 
-        // A quiet plan whose fail-point varies with the seed: no PRNG
+        // A quiet plan with another field varying with the seed: no PRNG
         // use, but the cells still differ — accepted.
         let mut cells = 0;
         for_each_seed_plan(
@@ -145,11 +145,11 @@ mod tests {
             3,
             |seed| {
                 let mut p = FaultPlan::quiet(seed);
-                p.power_fail_at = Some(1_000 + seed * 500);
+                p.nack_delay = 1_000 + seed * 500;
                 p
             },
             |_, plan| {
-                assert!(plan.power_fail_at.is_some());
+                assert!(plan.nack_delay >= 1_000);
                 cells += 1;
             },
         );

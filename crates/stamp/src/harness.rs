@@ -382,10 +382,10 @@ pub struct NativeOutcome {
 }
 
 impl NativeOutcome {
-    /// Transactions committed on either path.
+    /// Transactions committed on any tier (fast, slow or serial).
     #[must_use]
     pub fn total_commits(&self) -> u64 {
-        self.stats.commits + self.hybrid.slow.commits
+        self.hybrid.total_commits()
     }
 }
 
@@ -491,5 +491,25 @@ mod tests {
                 assert_eq!(covered, total, "total={total} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn native_total_commits_counts_the_serial_tier() {
+        // One slow-path transaction that escalated after `serial_after`
+        // kills commits on the serial tier only; it is still a commit.
+        let mut hybrid = HybridStats {
+            serial_commits: 1,
+            serial_escalations: 1,
+            ..HybridStats::default()
+        };
+        hybrid.fast.commits = 5;
+        hybrid.slow.commits = 2;
+        let out = NativeOutcome {
+            threads: 2,
+            ops: 8,
+            stats: hybrid.fast,
+            hybrid,
+        };
+        assert_eq!(out.total_commits(), out.ops);
     }
 }

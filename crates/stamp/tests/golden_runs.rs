@@ -71,9 +71,9 @@ fn kmeans_golden() {
         "kmeans",
         |s| kmeans::run(s, &p),
         [
-            (11692, 0x3859_04b4_3155_8294),
-            (33746, 0xe808_b0da_837c_b2fa),
-            (45526, 0x2b4d_7a1e_ebeb_784d),
+            (11692, 0x112e_226e_d4ee_526f),
+            (33746, 0xf750_2651_3854_16dd),
+            (45526, 0x1877_b7c1_b708_00c4),
         ],
     );
 }
@@ -88,9 +88,9 @@ fn ssca2_golden() {
         "ssca2",
         |s| ssca2::run(s, &p),
         [
-            (17678, 0xa5ff_1821_7f2b_843b),
-            (37686, 0xdf57_36d1_b8de_3124),
-            (42330, 0xa4bf_4e03_d06a_51af),
+            (17678, 0x4870_f133_6d51_9a8a),
+            (37686, 0x040b_3751_2b4b_ab55),
+            (42330, 0x2208_8c88_12cc_bda8),
         ],
     );
 }
@@ -110,9 +110,9 @@ fn vacation_golden() {
         "vacation",
         |s| vacation::run(s, &p),
         [
-            (15704, 0xe794_6d9b_e06d_2987),
-            (60521, 0x84db_cd9f_a90d_ce26),
-            (121_432, 0x5d4b_ba41_c0f4_6d50),
+            (15704, 0xd0c5_2c96_011b_9c22),
+            (60521, 0x287c_aade_f097_2d6b),
+            (121_432, 0x0e50_0aeb_7520_673f),
         ],
     );
 }
@@ -128,9 +128,9 @@ fn genome_golden() {
         "genome",
         |s| genome::run(s, &p),
         [
-            (75970, 0xcad0_4c8c_74bc_98dc),
-            (151_882, 0x3e91_e436_af02_661c),
-            (300_236, 0x5aba_c366_6eea_2bf4),
+            (75970, 0x089a_7217_eb80_76bd),
+            (151_882, 0x5b23_e90f_0eaa_d9d3),
+            (300_236, 0x2854_7632_c43a_35e3),
         ],
     );
 }

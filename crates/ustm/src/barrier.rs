@@ -233,21 +233,6 @@ impl UstmTxn {
         if let Err(by) = sealed {
             return Err(self.unwind(ctx, by));
         }
-        // Persistent machines: write and fence the durable redo record now,
-        // while ownership still excludes conflicting writers (see the
-        // `recovery` module for the protocol). No-op on volatile runs.
-        let write_lines: Vec<LineAddr> = self
-            .owned
-            .iter()
-            .filter_map(|(&l, &p)| (p == Perm::Write).then_some(l))
-            .collect();
-        let ts = self.ts;
-        ctx.with(|w| {
-            let m = &mut w.machine;
-            if m.persist_enabled() {
-                crate::recovery::redo_commit(m, w.shared.ustm(), cpu, ts, &write_lines);
-            }
-        });
         let lines: Vec<LineAddr> = self.owned.keys().copied().collect();
         for line in lines {
             self.release_line(ctx, line);

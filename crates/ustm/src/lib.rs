@@ -30,14 +30,12 @@
 mod barrier;
 mod nont;
 mod otable;
-mod recovery;
 mod retry;
 mod txn;
 
 pub use barrier::UstmTxn;
 pub use nont::{nont_load, nont_store, NonTFaultPolicy};
 pub use otable::{bin_index, Otable, OtableEntry, OtableOccupancy, Perm};
-pub use recovery::{CpuRecovery, REDO_MAX_LINES};
 pub use retry::retry_wait;
 pub use txn::{TxnSlot, TxnStatus, UstmConfig, UstmShared, UstmStats};
 

@@ -122,16 +122,6 @@ pub struct UstmStats {
     /// Longest otable hash chain observed by any barrier (aliasing
     /// indicator alongside `chain_walks`).
     pub max_chain_seen: u64,
-    /// Redo records written durably at commit (persistent runs only).
-    pub redo_records: u64,
-    /// Times [`UstmShared::recover`] was invoked.
-    pub recovery_runs: u64,
-    /// Redo records replayed by recovery (valid and unapplied).
-    pub recovered_records: u64,
-    /// Data lines rewritten by recovery replay.
-    pub recovered_lines: u64,
-    /// Redo records dropped by recovery as torn (partially durable).
-    pub torn_records: u64,
 }
 
 /// All shared USTM state, embedded in the simulation world.
@@ -148,7 +138,6 @@ pub struct UstmShared {
     seq: u64,
     slot_base: Addr,
     log_base: Addr,
-    redo_base: Addr,
     log_words_per_cpu: u64,
     cpus: usize,
 }
@@ -165,21 +154,7 @@ impl UstmShared {
         otable + slots + logs
     }
 
-    /// Words needed on a *persistent* machine: [`UstmShared::required_words`]
-    /// plus one durable redo window per CPU (laid out directly after the
-    /// undo logs). Volatile runs never touch the redo region, so reserving
-    /// it only on persistent runs keeps volatile layouts byte-identical to
-    /// earlier revisions.
-    #[must_use]
-    pub fn required_words_durable(cpus: usize, otable_bins: u64) -> u64 {
-        Self::required_words(cpus, otable_bins) + cpus as u64 * Self::REDO_WORDS_PER_CPU
-    }
-
     const LOG_WORDS_PER_CPU: u64 = 1024;
-
-    /// Words in each CPU's durable redo window (bounds the write set of a
-    /// single durable commit — see the `recovery` module).
-    pub(crate) const REDO_WORDS_PER_CPU: u64 = 512;
 
     /// Creates the shared state, laying out its metadata starting at the
     /// simulated address `base` (reserve
@@ -193,7 +168,6 @@ impl UstmShared {
         let otable = Otable::new(base, otable_bins);
         let slot_base = Addr(base.0 + otable.footprint_bytes());
         let log_base = Addr(slot_base.0 + cpus as u64 * LINE_BYTES);
-        let redo_base = Addr(log_base.0 + cpus as u64 * Self::LOG_WORDS_PER_CPU * 8);
         UstmShared {
             config,
             otable,
@@ -202,7 +176,6 @@ impl UstmShared {
             seq: 0,
             slot_base,
             log_base,
-            redo_base,
             log_words_per_cpu: Self::LOG_WORDS_PER_CPU,
             cpus,
         }
@@ -221,22 +194,6 @@ impl UstmShared {
     pub fn log_addr(&self, cpu: usize, n: u64) -> Addr {
         let off = (n % self.log_words_per_cpu) * 8;
         Addr(self.log_base.0 + cpu as u64 * self.log_words_per_cpu * 8 + off)
-    }
-
-    /// The simulated address of word `n` in `cpu`'s durable redo window.
-    /// Only meaningful on persistent runs (the region past
-    /// [`UstmShared::required_words`] is reserved only there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is outside the window.
-    #[must_use]
-    pub fn redo_addr(&self, cpu: usize, n: u64) -> Addr {
-        assert!(
-            n < Self::REDO_WORDS_PER_CPU,
-            "redo window offset {n} out of range"
-        );
-        Addr(self.redo_base.0 + cpu as u64 * Self::REDO_WORDS_PER_CPU * 8 + n * 8)
     }
 
     /// Allocates the next age sequence number.
@@ -293,22 +250,6 @@ mod tests {
         let s = shared();
         let last = s.log_addr(3, 1023);
         assert!(last.0 + 8 <= 0x10000 + words * 8);
-    }
-
-    #[test]
-    fn redo_windows_follow_undo_logs() {
-        let s = shared();
-        assert!(s.redo_addr(0, 0).0 >= s.log_addr(3, 1023).0 + 8);
-        assert_ne!(s.redo_addr(0, 0), s.redo_addr(1, 0));
-        let words = UstmShared::required_words_durable(4, 64);
-        let last = s.redo_addr(3, UstmShared::REDO_WORDS_PER_CPU - 1);
-        assert!(last.0 + 8 <= 0x10000 + words * 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "redo window offset")]
-    fn redo_addr_rejects_out_of_window_offsets() {
-        let _ = shared().redo_addr(0, UstmShared::REDO_WORDS_PER_CPU);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! * [`stamp`] — the evaluation workloads (kmeans, vacation, genome, and
 //!   the failover microbenchmark).
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory,
-//! and `EXPERIMENTS.md` for the paper-vs-measured record. The `examples/`
-//! directory contains runnable walkthroughs; `cargo bench` regenerates
-//! every table and figure of the paper's evaluation.
+//! See `README.md` for a quickstart, `docs/ARCHITECTURE.md` for how the
+//! crates fit together, and `EXPERIMENTS.md` for the paper-vs-measured
+//! record. The `examples/` directory contains runnable walkthroughs;
+//! `cargo bench` regenerates every table and figure of the paper's
+//! evaluation.
 //!
 //! ## Quick taste
 //!
