@@ -57,7 +57,9 @@ pub enum FailSite {
     UstmSealed,
     /// Guard commit window, right after protection was raised.
     GuardWindow,
-    /// Hybrid PhTM gate entry (anonymous stream; delay-only).
+    /// Hybrid gate entry — a fast attempt registering against the serial
+    /// tier, or a plain accessor against slow and serial transactions
+    /// (anonymous stream; delay-only).
     HybridGate,
 }
 

@@ -12,9 +12,9 @@
 //!   (every plain access goes through it) and a *shadow* view of the same
 //!   physical pages, never protected, which every transactional path uses —
 //!   TL2 reads and write-back, USTM reads and commit write-back, the serial
-//!   tier. Transactions are kept out of commit windows by protocol
-//!   (ownership, the hybrid's mode gate), so they never needed the guard
-//!   and never pay for it. (Until a heap's first commit window no page of
+//!   tier. Transactions are kept off the lines a commit window is writing
+//!   by protocol (ownership, the TL2 stripes a slow commit holds), so they
+//!   never needed the guard and never pay for it. (Until a heap's first commit window no page of
 //!   it can be closed, and the transactional view is simply the public
 //!   mapping: a heap whose slow path never runs does not pay a second set
 //!   of PTEs for its pages.)

@@ -1,6 +1,6 @@
-//! The native hybrid: TL2 fast path, USTM slow path, PhTM-style mode
-//! gate, and abort-count failover — the real-thread rendition of the
-//! simulated `HybridTm` driver.
+//! The native hybrid: TL2 fast path, USTM slow path running beside it,
+//! and abort-count failover — the real-thread rendition of the simulated
+//! `HybridTm` driver.
 //!
 //! Each [`HybridThread`] runs transactions on the TL2 fast path
 //! ([`NativeTxn`]) until `failover_after` consecutive aborts (with
@@ -9,42 +9,53 @@
 //! transaction on the USTM slow path ([`NativeUstmTxn`]) and returns to
 //! the fast path.
 //!
-//! ## The mode gate
+//! ## Fast and slow at the same time
 //!
-//! TL2 never consults the USTM ownership table, so a fast-path
-//! transaction racing a slow-path commit would be invisible to USTM's
-//! conflict detection. The hybrid therefore phase-gates the two paths
-//! (PhTM-style — fast transactions subscribe to a slow-mode stop word,
-//! like the simulated hardware path subscribing to the serial gate):
+//! Fast-path transactions keep running while slow-path transactions are
+//! in flight — the paper's point against phase-gated hybrids (PhTM),
+//! where every software transaction stops all hardware ones. The two
+//! paths order through words both already touch (the three rules of
+//! [`crate::ustm`], "Beside the TL2 fast path"): a slow commit takes the
+//! TL2 stripes of its write lines and releases them at a fresh clock
+//! value, so the fast path sees a TL2 writer; a slow reader registers its
+//! ownership and then waits out whoever holds the line's stripe; and a
+//! fast commit, holding its stripes, probes the ownership table for each
+//! line it writes and yields ([`Tl2Abort::LockBusy`](ufotm_tl2::Tl2Abort),
+//! counted in `slow_owner_aborts`) to any slow owner. Multiple slow
+//! transactions run concurrently as before — the ownership table is the
+//! concurrency control among them.
 //!
-//! * A fast transaction registers by storing 1 to **its own worker's**
-//!   gate flag (`fast_held[tid]`, one flag per 128-byte line, written by
-//!   nobody else while the worker lives), then checks `slow_mode` and
-//!   `serial_mode`; if either is raised it clears the flag and
-//!   spin-yields until both drop. Leaving is one `Release` store of 0. In
-//!   fast mode a transaction therefore writes no gate word another
-//!   worker reads or writes: the only line two fast workers share for
-//!   writing is the TL2 clock.
-//! * A slow transaction raises `slow_mode`, then waits for every
-//!   worker's flag (and the anonymous count below) to read zero before
-//!   running. Multiple slow transactions run concurrently — USTM's
-//!   ownership table is the concurrency control within the slow mode.
+//! ## What is left of the mode gate
 //!
-//! This is a Dekker handshake, all four accesses `SeqCst`: the fast side
-//! stores its flag then loads the modes, the slow side bumps a mode then
-//! loads the flags, so either the fast side sees the mode and backs off
-//! or the slow side sees the flag and waits for it. A flag is also the
-//! record [`NativeHybrid::reap_dead`] clears when its worker dies
-//! registered.
+//! Two exclusions remain, both Dekker handshakes over `SeqCst` accesses
+//! (one side stores its registration then loads the other's, and vice
+//! versa, so at least one sees the other):
 //!
-//! Plain accesses with no worker identity ([`NativeHybrid::peek`]/
-//! [`NativeHybrid::poke`], and the backend's `plain_load`/`plain_store`
-//! which route through them) register in one shared count,
-//! `plain_inflight`, that slow transactions drain alongside the flags.
-//! So the gate also closes the plain-access hole the `mprotect` guard
-//! cannot cover on unguarded (boxed/TSan/non-x86_64) heaps: with the gate
-//! drained, the only code touching USTM-written lines during a slow
-//! commit is USTM itself.
+//! * **The serial-irrevocable tier really is exclusive.** A fast
+//!   transaction registers by storing 1 to **its own worker's** flag
+//!   (`fast_held[tid]`, alone on a 128-byte line, written by nobody else
+//!   while the worker lives), then checks `serial_mode`; if it is raised
+//!   it clears the flag and spin-yields until it drops. Leaving is one
+//!   `Release` store of 0. A slow transaction registers in the `slow_mode`
+//!   count (and `slow_held[tid]`) and parks between attempts while
+//!   `serial_mode` is raised. The serial tier raises `serial_mode`, then
+//!   waits for every flag and both counts to read zero. Neither
+//!   registration is read by the other retrying path: a fast attempt
+//!   reads no gate word a slow transaction writes, and the only line two
+//!   fast workers share for writing is the TL2 clock. (Making the serial
+//!   tier the eldest slow transaction would delete these registrations
+//!   too — a follow-up, ROADMAP item 1a.) A flag or count is also the
+//!   record [`NativeHybrid::reap_dead`] gives back when its worker dies
+//!   registered.
+//! * **Plain accesses with no worker identity stay out of slow
+//!   transactions.** [`NativeHybrid::peek`]/[`NativeHybrid::poke`] (and
+//!   the backend's `plain_load`/`plain_store`, which route through them)
+//!   register in one shared count, `plain_inflight`, and park while
+//!   `slow_mode` or `serial_mode` is raised; a slow transaction raises
+//!   `slow_mode`, then drains `plain_inflight` before it runs. This closes
+//!   the plain-access hole the `mprotect` guard cannot cover on unguarded
+//!   (boxed/TSan/non-x86_64) heaps, and is kept on guarded ones so plain
+//!   accessors behave the same everywhere.
 //!
 //! ## Which heap view
 //!
@@ -53,8 +64,11 @@
 //! view; only plain accesses ([`NativeHybrid::peek`]/[`NativeHybrid::poke`]
 //! and the raw [`NativeTl2::peek`]/[`NativeTl2::poke`]) use the public
 //! view, which slow commits close page by page and plain accesses reopen
-//! on first touch. The gate is what makes that sound for the fast and
-//! serial tiers: neither runs while a slow commit's window is open.
+//! on first touch. A fast transaction may therefore read or write a page
+//! while a slow commit's window is open over it; what keeps that sound is
+//! the stripe the slow commit holds for exactly the lines it is writing,
+//! not the page protection, which exists for plain accesses alone. The
+//! serial tier runs with both other paths drained.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -64,6 +78,7 @@ use ufotm_machine::Addr;
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::guard::GuardStats;
+use crate::padded::Padded;
 use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
 use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
@@ -97,40 +112,30 @@ const BACKOFF_BASE: u64 = 50;
 const BACKOFF_CAP_EXP: u32 = 7;
 const BACKOFF_JITTER_PCT: u64 = 25;
 
-/// One worker's fast-path gate registration, alone on its line (128
-/// bytes: adjacent-line prefetchers pair 64-byte lines), so registering
-/// costs no coherence traffic between workers.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct GateFlag(AtomicU64);
-
-// Two flags of the `fast_held` slice never share a 128-byte line.
-const _: () =
-    assert!(std::mem::align_of::<GateFlag>() == 128 && std::mem::size_of::<GateFlag>() == 128);
-
 /// Shared native hybrid state: the TL2 world (which owns the word
-/// heap), the USTM ownership table, and the mode gate.
+/// heap), the USTM ownership table, and what is left of the mode gate.
 #[derive(Debug)]
 pub struct NativeHybrid {
     tl2: NativeTl2,
     ustm: NativeUstm,
-    /// Count of slow-path transactions pending or running.
-    slow_mode: AtomicU64,
+    /// Count of slow-path transactions pending or running: what plain
+    /// accessors and the serial tier wait on. No fast attempt reads it.
+    slow_mode: Padded<AtomicU64>,
     /// Count of anonymous plain accessors ([`NativeHybrid::peek`]/
     /// [`NativeHybrid::poke`]) currently inside the gate.
-    plain_inflight: AtomicU64,
+    plain_inflight: Padded<AtomicU64>,
     /// Nonzero while a serial-irrevocable transaction runs; both paths
     /// subscribe to it (fast via the gate, slow via attempt parking).
-    serial_mode: AtomicU64,
+    serial_mode: Padded<AtomicU64>,
     /// Serializes serial-tier transactions.
     serial_gate: Mutex<()>,
     /// Per-tid gate flag: nonzero while this tid's fast-path transaction
-    /// is registered in the gate. Written only by its worker — and by
-    /// [`NativeHybrid::reap_dead`] once that worker is dead.
-    fast_held: Box<[GateFlag]>,
+    /// is registered against the serial tier. Written only by its worker
+    /// — and by [`NativeHybrid::reap_dead`] once that worker is dead.
+    fast_held: Box<[Padded<AtomicU64>]>,
     /// Per-tid flag: this tid currently holds a `slow_mode`
     /// registration.
-    slow_held: Box<[AtomicU64]>,
+    slow_held: Box<[Padded<AtomicU64>]>,
     policy: NativeHybridPolicy,
 }
 
@@ -151,29 +156,31 @@ impl NativeHybrid {
         NativeHybrid {
             tl2: NativeTl2::new(heap_words, lock_entries, alloc_base_word),
             ustm: NativeUstm::new(threads, otable_bins),
-            slow_mode: AtomicU64::new(0),
-            plain_inflight: AtomicU64::new(0),
-            serial_mode: AtomicU64::new(0),
+            slow_mode: Padded::default(),
+            plain_inflight: Padded::default(),
+            serial_mode: Padded::default(),
             serial_gate: Mutex::new(()),
-            fast_held: (0..threads).map(|_| GateFlag::default()).collect(),
-            slow_held: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+            fast_held: (0..threads).map(|_| Padded::default()).collect(),
+            slow_held: (0..threads).map(|_| Padded::default()).collect(),
             policy,
         }
     }
 
-    /// Repairs everything a **dead** worker left behind in the hybrid:
-    /// its USTM leavings (helper-completing a sealed commit — done
-    /// first, while any gate registration the corpse leaked still holds
-    /// the fast path off unguarded heaps), its orphaned TL2 stripe
+    /// Repairs everything a **dead** worker left behind in the hybrid,
+    /// in this order: its USTM leavings (helper-completing a sealed
+    /// commit, which releases the slow-held stripes of its record — done
+    /// first, while any `slow_mode` registration the corpse leaked still
+    /// holds plain accessors off unguarded heaps), its orphaned TL2 stripe
     /// locks, and finally any gate registration it died holding — its
     /// fast flag or its `slow_mode` count — which would otherwise wedge
-    /// the gate forever. Idempotent and safe to call from multiple
-    /// survivors: the flag is simply cleared, the `slow_mode` count is
-    /// given back by whoever wins the CAS on `slow_held`.
+    /// the serial tier's drain (and plain accessors) forever. Idempotent
+    /// and safe to call from multiple survivors: the flag is simply
+    /// cleared, the `slow_mode` count is given back by whoever wins the
+    /// CAS on `slow_held`.
     pub fn reap_dead(&self, tid: usize) {
         self.ustm.reclaim_dead(&self.tl2, tid);
         self.tl2.sweep_orphans();
-        self.fast_held[tid].0.store(0, Ordering::SeqCst);
+        self.fast_held[tid].store(0, Ordering::SeqCst);
         if self.slow_held[tid]
             .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -205,59 +212,64 @@ impl NativeHybrid {
     }
 
     /// Whether no slow-path and no serial transaction is pending — the
-    /// stop words both kinds of gate entry subscribe to (PhTM-style).
-    fn fast_mode(&self) -> bool {
+    /// stop words a plain accessor subscribes to.
+    fn plain_mode(&self) -> bool {
         self.slow_mode.load(Ordering::SeqCst) == 0 && self.serial_mode.load(Ordering::SeqCst) == 0
     }
 
-    fn park_until_fast_mode(&self) {
-        while !self.fast_mode() {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Registers worker `tid`'s fast-path transaction in the gate: raise
-    /// its own flag, then check the modes; quiesce (flag down) while a
-    /// slow-path or serial transaction is pending.
+    /// Registers worker `tid`'s fast-path transaction against the serial
+    /// tier: raise its own flag, then check `serial_mode`; quiesce (flag
+    /// down) while a serial transaction is pending. Slow-path
+    /// transactions are not waited for and `slow_mode` is not read: the
+    /// two paths run side by side (module docs).
     fn fast_enter(&self, tid: usize) {
         // Delay-only failpoint (anonymous stream): widens the window
         // between arriving at the gate and registering in it.
         let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
-        let flag = &self.fast_held[tid].0;
+        let flag = &self.fast_held[tid];
         loop {
             flag.store(1, Ordering::SeqCst);
-            if self.fast_mode() {
+            if self.serial_mode.load(Ordering::SeqCst) == 0 {
                 return;
             }
             flag.store(0, Ordering::Release);
-            self.park_until_fast_mode();
+            self.park_while_serial();
         }
     }
 
-    /// Deregisters. `Release` pairs with the drain's load of this flag in
-    /// [`NativeHybrid::fast_side_drained`]: a slow transaction that reads
-    /// the 0 sees everything the fast transaction did. Entry needs
-    /// `SeqCst` to order its store before its own loads of the modes;
-    /// nothing this worker does after leaving depends on such an order.
-    fn fast_exit(&self, tid: usize) {
-        self.fast_held[tid].0.store(0, Ordering::Release);
+    /// Yields until no serial transaction is pending.
+    fn park_while_serial(&self) {
+        while self.serial_mode.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
     }
 
-    /// [`NativeHybrid::fast_enter`] for a plain accessor with no worker
-    /// identity: registers in the shared `plain_inflight` count. Routing
-    /// plain accesses through the gate closes the hole the `mprotect`
-    /// guard cannot cover on unguarded (boxed/TSan/non-x86_64) heaps: a
-    /// pending slow commit drains plain accessors exactly like fast
-    /// transactions before touching the heap.
+    /// Deregisters. `Release` pairs with the serial drain's load of this
+    /// flag in [`NativeHybrid::fast_side_drained`]: a serial transaction
+    /// that reads the 0 sees everything the fast transaction did. Entry
+    /// needs `SeqCst` to order its store before its own load of the mode;
+    /// nothing this worker does after leaving depends on such an order.
+    fn fast_exit(&self, tid: usize) {
+        self.fast_held[tid].store(0, Ordering::Release);
+    }
+
+    /// Gate entry for a plain accessor with no worker identity: registers
+    /// in the shared `plain_inflight` count, and parks while a slow-path
+    /// or serial transaction is pending. Routing plain accesses through
+    /// the gate closes the hole the `mprotect` guard cannot cover on
+    /// unguarded (boxed/TSan/non-x86_64) heaps: a pending slow commit
+    /// drains plain accessors before touching the heap.
     fn plain_enter(&self) {
         let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
         loop {
             self.plain_inflight.fetch_add(1, Ordering::SeqCst);
-            if self.fast_mode() {
+            if self.plain_mode() {
                 return;
             }
             self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
-            self.park_until_fast_mode();
+            while !self.plain_mode() {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -266,24 +278,26 @@ impl NativeHybrid {
     }
 
     /// Whether the fast side of the gate is empty: every worker's flag
-    /// and the anonymous count read zero. Slow and serial transactions
-    /// raise their mode first, then wait for this.
+    /// and the anonymous count read zero. The serial tier raises its mode
+    /// first, then waits for this.
     fn fast_side_drained(&self) -> bool {
         self.plain_inflight.load(Ordering::SeqCst) == 0
             && self
                 .fast_held
                 .iter()
-                .all(|flag| flag.0.load(Ordering::SeqCst) == 0)
+                .all(|flag| flag.load(Ordering::SeqCst) == 0)
     }
 
-    /// Registers `tid`'s slow-path transaction: raise `slow_mode`, then
-    /// drain the fast side.
+    /// Registers `tid`'s slow-path transaction: raise `slow_mode` (for the
+    /// serial tier's drain and for plain accessors), then drain the plain
+    /// accessors already inside. Fast-path transactions are not waited
+    /// for and no fast flag is read.
     fn slow_enter(&self, tid: usize) {
         // Held-flag first: a worker that dies registered is repaired by
         // `reap_dead`, which gives back only what the flag records.
         self.slow_held[tid].store(1, Ordering::SeqCst);
         self.slow_mode.fetch_add(1, Ordering::SeqCst);
-        while !self.fast_side_drained() {
+        while self.plain_inflight.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
     }
@@ -315,6 +329,21 @@ impl NativeHybrid {
     #[must_use]
     pub fn host_alloc(&self, words: u64) -> Addr {
         self.tl2.host_alloc(words)
+    }
+
+    /// Test scaffolding: the fast-path and slow-path handles of `tid`,
+    /// wired exactly as a [`HybridThread`]'s (it is built from this) but
+    /// outside any gate and retry loop, so a schedule explorer can drive
+    /// `begin` / each access / `commit` of several transactions step by
+    /// step on one OS thread. The one-live-handle-per-tid rule of
+    /// [`HybridThread::new`] applies.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn debug_step_handles(&self, tid: usize) -> (NativeTxn<'_>, NativeUstmTxn<'_>) {
+        (
+            NativeTxn::for_hybrid(&self.tl2, &self.ustm, tid),
+            NativeUstmTxn::new(&self.tl2, &self.ustm, tid),
+        )
     }
 
     /// Guard counters for the shared heap.
@@ -424,10 +453,11 @@ impl<'a> HybridThread<'a> {
         tid: usize,
         threads: usize,
     ) -> Self {
+        let (fast, slow) = shared.debug_step_handles(tid);
         HybridThread {
             shared,
-            fast: NativeTxn::new(&shared.tl2, tid),
-            slow: NativeUstmTxn::new(&shared.tl2, &shared.ustm, tid),
+            fast,
+            slow,
             barrier,
             tid,
             threads,
@@ -493,9 +523,10 @@ impl<'a> HybridThread<'a> {
         committed
     }
 
-    /// Runs one transaction to commit on the USTM slow path: raise the
-    /// mode, drain the fast path, retry the body under USTM until it
-    /// commits, release the mode. After `serial_after` failed attempts,
+    /// Runs one transaction to commit on the USTM slow path, beside
+    /// whatever the fast path is doing: raise the mode, drain plain
+    /// accessors, retry the body under USTM until it commits, release the
+    /// mode. After `serial_after` failed attempts,
     /// escalates to the serial-irrevocable tier — the third watchdog
     /// tier, mirroring the simulator's. Between attempts the slow path
     /// parks (deregistering from the mode) while a serial transaction
@@ -512,9 +543,7 @@ impl<'a> HybridThread<'a> {
                 // Park: hand the mode back so the serial tier can drain,
                 // re-register once it completes.
                 shared.slow_exit(self.tid);
-                while shared.serial_mode.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
+                shared.park_while_serial();
                 shared.slow_enter(self.tid);
             }
             attempts += 1;
@@ -632,11 +661,15 @@ impl TmBackend for HybridThread<'_> {
                 }
                 return r;
             }
+            // Failover is decided first (above), like the simulated
+            // driver: only an attempt that stays fast pays a backoff.
+            if consecutive > 0 {
+                self.backoff(consecutive);
+            }
             if let Some(r) = self.try_fast(&mut body) {
                 return r;
             }
             consecutive += 1;
-            self.backoff(consecutive);
         }
     }
 

@@ -20,7 +20,9 @@
 //! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the failover
 //!   driver: TL2 fast path, USTM slow path after `failover_after`
 //!   consecutive aborts with jittered backoff, serial tier after
-//!   `serial_after` failed slow attempts, PhTM-style mode gate.
+//!   `serial_after` failed slow attempts. Fast and slow transactions run
+//!   at the same time, ordered through the TL2 stripes and the ownership
+//!   table; only the serial tier excludes the other two.
 //!
 //! Each path has exactly one single-shot attempt step
 //! ([`NativeTxn::attempt`], [`NativeUstmTxn::attempt`]) that every retry
@@ -40,8 +42,9 @@
 //! exempt this crate for exactly that reason) and not cycle-accurate
 //! ([`spin_work`] is a calibrated busy-loop, not a cycle model). Unlike
 //! the weakly-atomic TL2-only backend, the hybrid *is* strongly atomic
-//! for its slow path: the guard window defers racing plain accesses,
-//! and the mode gate quiesces the uninstrumented fast path.
+//! for its slow path: the guard window defers racing plain accesses, a
+//! slow commit holds the TL2 stripes of the lines it writes, and a fast
+//! commit yields to any slow transaction owning a line it would write.
 //!
 //! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must
@@ -55,6 +58,7 @@
 pub mod chaos;
 pub mod guard;
 mod heap;
+mod padded;
 mod runner;
 mod tl2;
 mod write_set;

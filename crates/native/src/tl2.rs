@@ -13,15 +13,17 @@
 //! * **read** — pre-sample the stripe lock, load the word, post-sample;
 //!   valid iff both samples are unlocked, equal, and `version <= rv`.
 //!   Transactional loads and the commit's publication go through the
-//!   heap's never-protected *shadow* view (see [`crate::guard`]): the
-//!   hybrid's mode gate keeps fast transactions out of USTM commit
-//!   windows, so they must not pay a fault for a page a window left
-//!   closed. Only [`NativeTl2::peek`]/[`NativeTl2::poke`] use the public
-//!   view.
+//!   heap's never-protected *shadow* view (see [`crate::guard`]): a slow
+//!   commit keeps fast transactions off the lines it is writing with the
+//!   stripe locks below, not with page protection, so they must not pay a
+//!   fault for a page a window closed. Only
+//!   [`NativeTl2::peek`]/[`NativeTl2::poke`] use the public view.
 //! * **write** — buffer in an address-sorted `Vec` (lazy versioning;
 //!   binary-search insert, so publication walks ascending addresses).
 //! * **commit** — acquire write-stripe locks in sorted stripe order
-//!   (single-shot CAS, [`Tl2Abort::LockBusy`] on contention), bump the
+//!   (single-shot CAS, [`Tl2Abort::LockBusy`] on contention); as a
+//!   hybrid's fast path, probe the USTM ownership table for each written
+//!   line and yield (`LockBusy` again) to any slow-path owner; bump the
 //!   clock to get `wv`, validate the read set
 //!   ([`Tl2Abort::CommitValidation`] on failure), publish the write set
 //!   with `Release` stores, release each lock stamped `wv`.
@@ -31,31 +33,42 @@
 //! [`NativeTxn`], cleared — never dropped — between attempts.
 //!
 //! A stripe lock word is `version << 1` when free and
-//! `(((epoch << 8) | owner_tid) << 1) | 1` when held, so readers
+//! `[epoch | slow:1 | owner_tid:8 | 1]` when held, so readers
 //! distinguish locked-by-me during commit validation exactly like the
-//! simulated `LockWord { version, holder }` — and, new in the chaos
-//! layer, so a waiter that observes a lock stamped by a **dead** owner
-//! (the [`crate::chaos::Liveness`] registry, marked precisely by the
-//! runner when a worker's body unwinds) can steal-and-invalidate the
-//! stripe instead of spinning forever. The epoch guards tid reuse: a
-//! revived worker advances its epoch, so its fresh locks can never be
-//! confused with its previous incarnation's orphans. Steals are sound
-//! because injected TL2 panics only fire *before* write-back begins
-//! (see [`crate::chaos::FailSite::panic_safe`]); the orphaned stripe
-//! still holds pre-transaction data, and restamping it with a fresh
-//! clock version merely invalidates concurrent readers.
+//! simulated `LockWord { version, holder }` — and so a waiter that
+//! observes a lock stamped by a **dead** owner (the
+//! [`crate::chaos::Liveness`] registry, marked precisely by the runner
+//! when a worker's body unwinds) can steal-and-invalidate the stripe
+//! instead of spinning forever. The epoch guards tid reuse: a revived
+//! worker advances its epoch, so its fresh locks can never be confused
+//! with its previous incarnation's orphans.
+//!
+//! Who may steal what: a stripe held by a **TL2** commit (slow bit clear)
+//! may be stolen from a dead owner by anyone who meets it. That is sound
+//! because injected TL2 panics only fire *before* write-back begins (see
+//! [`crate::chaos::FailSite::panic_safe`]); the orphaned stripe still
+//! holds pre-transaction data, and restamping it with a fresh clock
+//! version merely invalidates concurrent readers. A stripe held with the
+//! **slow** bit belongs to a sealed USTM redo record ([`crate::ustm`]
+//! takes the stripes of its write lines between its seal and its
+//! write-back, so to this module a slow commit is one more TL2 writer) and
+//! may be half written back: nobody steals it, dead owner or not. Only
+//! helper-completion releases it, after replaying the whole record under
+//! every stripe the record names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
-use ufotm_machine::Addr;
+use ufotm_machine::{Addr, LINE_BYTES};
 use ufotm_tl2::{stripe_index, Tl2Abort};
 
 use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
 use crate::heap::{CommitWindow, WordHeap};
+use crate::padded::Padded;
 use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
+use crate::ustm::NativeUstm;
 use crate::write_set::WriteSet;
 
 /// Burns roughly `cycles` iterations of a pause-hinted busy loop — the
@@ -64,6 +77,22 @@ pub fn spin_work(cycles: u64) {
     for _ in 0..cycles {
         std::hint::spin_loop();
     }
+}
+
+// A stripe lock word is `version << 1` when free and
+// `[epoch | slow | tid:8 | 1]` when held.
+/// Bit 0 of a stripe lock word: set while a commit holds the stripe.
+pub(crate) const HELD: u64 = 1;
+const SLOW: u64 = 1 << 9;
+const EPOCH_SHIFT: u32 = 10;
+
+fn held_word(epoch: u64, tid: usize, slow: bool) -> u64 {
+    debug_assert!(tid < MAX_WORKERS);
+    epoch << EPOCH_SHIFT | if slow { SLOW } else { 0 } | (tid as u64) << 1 | HELD
+}
+
+fn holder_tid(held: u64) -> usize {
+    ((held >> 1) & 0xFF) as usize
 }
 
 /// Shared native TL2 state: the word heap, the stripe lock table, the
@@ -75,7 +104,11 @@ pub struct NativeTl2 {
     heap: WordHeap,
     heap_words: u64,
     locks: Box<[AtomicU64]>,
-    clock: AtomicU64,
+    /// Bumped by every writing commit on either path. On a line of its
+    /// own: beside `heap_words`, `mask` and the `locks` pointer, which
+    /// every access reads, each commit of one worker cost every other
+    /// worker a miss on its next access.
+    clock: Padded<AtomicU64>,
     next_free: AtomicU64,
     mask: u64,
     chaos: NativeChaos,
@@ -112,7 +145,7 @@ impl NativeTl2 {
             heap: WordHeap::new(heap_words),
             heap_words,
             locks: (0..lock_entries).map(|_| AtomicU64::new(0)).collect(),
-            clock: AtomicU64::new(0),
+            clock: Padded::default(),
             next_free: AtomicU64::new(alloc_base_word),
             mask: lock_entries - 1,
             chaos: NativeChaos::new(),
@@ -142,21 +175,28 @@ impl NativeTl2 {
     }
 
     /// Attempts to steal stripe `s`, whose lock word was observed as
-    /// `observed` (held). Succeeds only when the stamped owner is marked
-    /// dead **and** the stamped epoch matches the owner's current epoch
-    /// (so a revived tid's live locks are never stolen). The stripe is
-    /// restamped with a freshly bumped clock version, invalidating any
-    /// reader that sampled the orphaned word.
+    /// `observed` (held). Succeeds only when the holder is a TL2 commit
+    /// whose stamped owner is marked dead **and** whose stamped epoch
+    /// matches the owner's current epoch (so a revived tid's live locks
+    /// are never stolen). The stripe is restamped with a freshly bumped
+    /// clock version, invalidating any reader that sampled the orphaned
+    /// word.
+    ///
+    /// A *slow-held* stripe is never stolen, whatever the liveness
+    /// registry says: it belongs to a sealed redo record that may be half
+    /// written back, so only helper-completion
+    /// ([`NativeUstm::reclaim_dead`]) may release it — after replaying the
+    /// whole record.
     fn try_reclaim(&self, s: usize, observed: u64) -> bool {
-        if observed & 1 == 0 {
+        if observed & HELD == 0 || observed & SLOW != 0 {
             return false;
         }
-        let tid = ((observed >> 1) & 0xFF) as usize;
-        let epoch = observed >> 9;
+        let tid = holder_tid(observed);
+        let epoch = observed >> EPOCH_SHIFT;
         if !self.liveness.is_dead(tid) || self.liveness.epoch(tid) != epoch {
             return false;
         }
-        let wv = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
+        let wv = self.tick();
         let stolen = self.locks[s]
             .compare_exchange(observed, wv << 1, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok();
@@ -181,6 +221,51 @@ impl NativeTl2 {
         stolen
     }
 
+    /// Draws the next version from the global clock.
+    pub(crate) fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// The held word a sealed slow-path committer `tid` stamps on the
+    /// stripes of its redo record.
+    pub(crate) fn slow_stamp(&self, tid: usize) -> u64 {
+        held_word(self.liveness.epoch(tid), tid, true)
+    }
+
+    /// Stripe `s`'s lock word. `SeqCst`: the slow path's half of the
+    /// Dekker pair with a fast commit's ownership probe (see
+    /// [`NativeTxn::commit`]) — a slow transaction makes its ownership
+    /// visible, *then* looks at the stripe.
+    pub(crate) fn stripe_word(&self, s: usize) -> u64 {
+        self.locks[s].load(Ordering::SeqCst)
+    }
+
+    /// Takes stripe `s`, last seen free as `free`, for the sealed record
+    /// stamped `stamp`; `false` if the word moved.
+    pub(crate) fn lock_stripe(&self, s: usize, free: u64, stamp: u64) -> bool {
+        debug_assert!(free & HELD == 0 && stamp & SLOW != 0);
+        self.locks[s]
+            .compare_exchange(free, stamp, Ordering::SeqCst, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Releases stripe `s` at version `wv`.
+    pub(crate) fn release_stripe(&self, s: usize, wv: u64) {
+        self.locks[s].store(wv << 1, Ordering::Release);
+    }
+
+    /// For a slow-path waiter that saw stripe `s` held as `held`: frees
+    /// it if a dead TL2 owner orphaned it, and names the holder if it is a
+    /// dead *sealed* committer, whose record the waiter must
+    /// helper-complete. `None` for every holder that releases by itself.
+    pub(crate) fn dead_sealed_holder(&self, s: usize, held: u64) -> Option<usize> {
+        if held & SLOW == 0 {
+            self.try_reclaim(s, held);
+            return None;
+        }
+        Some(holder_tid(held)).filter(|&tid| self.liveness.is_dead(tid))
+    }
+
     pub(crate) fn heap(&self) -> &WordHeap {
         &self.heap
     }
@@ -197,7 +282,7 @@ impl NativeTl2 {
 
     /// The simulated TL2's stripe hash over the same 64-byte lines, so a
     /// given address contends on the same stripe in both worlds.
-    fn stripe_of(&self, addr: Addr) -> usize {
+    pub(crate) fn stripe_of(&self, addr: Addr) -> usize {
         stripe_index(addr.line(), self.mask)
     }
 
@@ -337,6 +422,12 @@ pub struct NativeStats {
     pub read_validation_aborts: u64,
     /// Aborts from a busy write lock at commit.
     pub lock_busy_aborts: u64,
+    /// Of [`NativeStats::lock_busy_aborts`], those where every stripe was
+    /// taken and the commit then yielded to a slow-path transaction
+    /// owning one of its write lines — the native mirror of the
+    /// simulator's UFO-fault abort class. Not a class of its own:
+    /// [`NativeStats::total_aborts`] already counts them.
+    pub slow_owner_aborts: u64,
     /// Aborts from commit-time read-set validation.
     pub commit_validation_aborts: u64,
 }
@@ -357,12 +448,14 @@ impl NativeStats {
             commits,
             read_validation_aborts,
             lock_busy_aborts,
+            slow_owner_aborts,
             commit_validation_aborts,
         } = *other;
         self.begins += begins;
         self.commits += commits;
         self.read_validation_aborts += read_validation_aborts;
         self.lock_busy_aborts += lock_busy_aborts;
+        self.slow_owner_aborts += slow_owner_aborts;
         self.commit_validation_aborts += commit_validation_aborts;
     }
 
@@ -382,6 +475,9 @@ impl NativeStats {
 #[derive(Debug)]
 pub struct NativeTxn<'a> {
     pub(crate) shared: &'a NativeTl2,
+    /// The hybrid's ownership table, when this handle is a hybrid's fast
+    /// path: its commits yield to slow-path owners of their write lines.
+    ustm: Option<&'a NativeUstm>,
     pub(crate) tid: usize,
     rv: u64,
     reads: Vec<usize>,
@@ -412,6 +508,7 @@ impl<'a> NativeTxn<'a> {
         shared.liveness.revive(tid);
         NativeTxn {
             shared,
+            ustm: None,
             tid,
             rv: 0,
             reads: Vec::new(),
@@ -424,12 +521,20 @@ impl<'a> NativeTxn<'a> {
         }
     }
 
+    /// [`NativeTxn::new`] for a hybrid's fast path, which runs beside the
+    /// slow-path transactions of `ustm` and must yield to them at commit.
+    pub(crate) fn for_hybrid(shared: &'a NativeTl2, ustm: &'a NativeUstm, tid: usize) -> Self {
+        NativeTxn {
+            ustm: Some(ustm),
+            ..NativeTxn::new(shared, tid)
+        }
+    }
+
     /// This handle's held-lock stamp. Read from the registry per commit,
     /// not cached at construction: a [`crate::NativeUstmTxn`] created for
     /// the same tid afterwards revives it again and advances the epoch.
     fn my_lock_word(&self) -> u64 {
-        let epoch = self.shared.liveness.epoch(self.tid);
-        ((epoch << 8) | self.tid as u64) << 1 | 1
+        held_word(self.shared.liveness.epoch(self.tid), self.tid, false)
     }
 
     /// Whether a transaction is active on this handle.
@@ -526,13 +631,16 @@ impl<'a> NativeTxn<'a> {
         Ok(self.shared.alloc_words(words))
     }
 
-    /// Commits: lock write stripes → bump clock → validate read set →
-    /// publish → release stamped with the new version.
+    /// Commits: lock write stripes → (hybrid) yield to slow-path owners →
+    /// bump clock → validate read set → publish → release stamped with the
+    /// new version.
     ///
     /// # Errors
     ///
-    /// [`Tl2Abort::LockBusy`] or [`Tl2Abort::CommitValidation`]; the
-    /// attempt is already rolled back (locks released, buffers dropped).
+    /// [`Tl2Abort::LockBusy`] — a stripe was held, or a slow-path
+    /// transaction owns a write line — or [`Tl2Abort::CommitValidation`];
+    /// the attempt is already rolled back (locks released, buffers
+    /// dropped).
     pub fn commit(&mut self) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         if self.writes.is_empty() {
@@ -569,7 +677,7 @@ impl<'a> NativeTxn<'a> {
         }
         // Phase 5: release locks stamped with the new version.
         for &(s, _) in &self.held {
-            self.shared.locks[s].store(wv << 1, Ordering::Release);
+            self.shared.release_stripe(s, wv);
         }
         self.writes.clear();
         self.reads.clear();
@@ -579,10 +687,10 @@ impl<'a> NativeTxn<'a> {
         Ok(())
     }
 
-    /// Commit phases 1–3: lock the write set's stripes, bump the clock,
-    /// validate the read set; returns the new version. On `Err`,
-    /// `self.held` names exactly the locks taken so far, for the caller
-    /// to roll back.
+    /// Commit phases 1–3: lock the write set's stripes (and, on a
+    /// hybrid, probe their lines' ownership), bump the clock, validate
+    /// the read set; returns the new version. On `Err`, `self.held` names
+    /// exactly the locks taken so far, for the caller to roll back.
     fn lock_and_validate(&mut self) -> Result<u64, Tl2Abort> {
         let shared = self.shared;
         let mine = self.my_lock_word();
@@ -599,14 +707,33 @@ impl<'a> NativeTxn<'a> {
             if cur & 1 == 1 && shared.try_reclaim(s, cur) {
                 cur = shared.locks[s].load(Ordering::Relaxed);
             }
+            // `SeqCst`: the fast path's half of the Dekker pair below.
             let acquired = cur & 1 == 0
                 && shared.locks[s]
-                    .compare_exchange(cur, mine, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange(cur, mine, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok();
             if !acquired {
                 return Err(Tl2Abort::LockBusy);
             }
             self.held.push((s, cur));
+        }
+        // Yield to slow-path owners, as a hardware transaction takes a UFO
+        // fault: with every stripe held, abort if a slow transaction owns
+        // a write line for read or write. A slow transaction registers its
+        // ownership and *then* looks at the stripe; this commit took the
+        // stripe and *then* looks at the ownership — so either this probe
+        // sees the owner, or the owner sees the lock and waits it out.
+        // Lines come out ascending, like the write set.
+        if let Some(ustm) = self.ustm {
+            let mut last = u64::MAX;
+            for &(a, _) in writes {
+                let line = a / LINE_BYTES;
+                if line != last && ustm.is_owned(line) {
+                    self.stats.slow_owner_aborts += 1;
+                    return Err(Tl2Abort::LockBusy);
+                }
+                last = line;
+            }
         }
         // Locks held, nothing published yet: a panic injected here
         // orphans the stripes, and a steal is still sound.
@@ -614,7 +741,7 @@ impl<'a> NativeTxn<'a> {
             return Err(Tl2Abort::LockBusy);
         }
         // Phase 2: increment the global clock.
-        let wv = shared.clock.fetch_add(1, Ordering::AcqRel) + 1;
+        let wv = shared.tick();
         // Phase 3: validate the read set (like the simulated TL2, no
         // rv+1 == wv shortcut — identical classification on both sides).
         // A stripe this commit itself write-locked must be validated
@@ -838,4 +965,33 @@ pub fn run_threads<R: Send>(
         run_threads_collect(shared, threads, body),
         NativeStats::merge,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The same dead owner, the same epoch: its TL2 lock is an orphan to
+    /// steal, its slow-held stripe is not — whatever the registry says.
+    #[test]
+    fn a_slow_held_stripe_is_never_stolen() {
+        let heap = NativeTl2::new(64, 16, 64);
+        let _revives_tid_3 = NativeTxn::new(&heap, 3);
+        let s = heap.stripe_of(Addr(0));
+        let tl2_held = held_word(heap.liveness.epoch(3), 3, false);
+        let slow_held = heap.slow_stamp(3);
+        assert_eq!(slow_held, tl2_held | SLOW);
+        heap.liveness.mark_dead(3);
+
+        heap.locks[s].store(slow_held, Ordering::SeqCst);
+        assert!(!heap.try_reclaim(s, slow_held));
+        assert_eq!(heap.sweep_orphans(), 0);
+        assert_eq!(heap.dead_sealed_holder(s, slow_held), Some(3));
+        assert_eq!(heap.stripe_word(s), slow_held, "still the record's");
+
+        heap.locks[s].store(tl2_held, Ordering::SeqCst);
+        assert_eq!(heap.dead_sealed_holder(s, tl2_held), None);
+        assert_eq!(heap.stripe_word(s) & HELD, 0, "an orphan, stolen");
+        assert_eq!(heap.orphan_steals(), 1);
+    }
 }

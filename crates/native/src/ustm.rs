@@ -32,21 +32,58 @@
 //!   same classification (and `Display` text) as the simulated USTM.
 //! * **Commit** — acquire write ownership of the redo log's lines in
 //!   sorted line order (kill younger owners, stall behind older ones),
-//!   *seal* the status slot (`ACTIVE → COMMITTING`; a sealed transaction
-//!   can no longer be killed, mirroring the simulator's committing
-//!   transactions stalling their attackers), open the strong-atomicity
-//!   guard window ([`crate::guard`]: it closes whichever pages of the
-//!   write set are still open on the public view — in steady state none,
-//!   so no syscall), write the redo log back through the shadow view with
-//!   `Release` stores, end the window (the pages stay closed; a plain
-//!   access reopens one on first touch), release ownership, retire the
-//!   slot.
+//!   publish the redo record, *seal* the status slot
+//!   (`ACTIVE → COMMITTING`; a sealed transaction can no longer be killed,
+//!   mirroring the simulator's committing transactions stalling their
+//!   attackers), then behave as a TL2 writer: take the TL2 stripe locks of
+//!   the write lines in ascending stripe order (spinning; the held word
+//!   carries a *slow* bit, see [`crate::NativeTl2`]), draw `wv` from the
+//!   global clock, open the strong-atomicity guard window
+//!   ([`crate::guard`]: it closes whichever pages of the write set are
+//!   still open on the public view — in steady state none, so no syscall),
+//!   write the redo log back through the shadow view with `Release`
+//!   stores, end the window (the pages stay closed; a plain access reopens
+//!   one on first touch), release the stripes at `wv`, release ownership,
+//!   retire the slot.
+//!
+//! ## Beside the TL2 fast path
+//!
+//! In the hybrid, fast-path TL2 transactions run *while* slow-path
+//! transactions are in flight, as the paper's hardware transactions do.
+//! Three rules order the two paths, and the stripe word plays the paper's
+//! UFO bits:
+//!
+//! 1. *A slow commit is a TL2 writer* (above). A fast reader that meets
+//!    its stripe, or a version past its `rv`, fails ordinary TL2
+//!    validation; a fast committer fails its single-shot CAS. A slow-held
+//!    stripe belongs to a sealed record and is never stolen: if the
+//!    committer dies, [`NativeUstm::reclaim_dead`] takes (or inherits)
+//!    every stripe of the record, replays it under them, and releases them
+//!    at a fresh version.
+//! 2. *A slow reader makes its ownership visible before it trusts the
+//!    line*: on the first read of a line, after registering in the
+//!    ownership table, it waits until the line's stripe is unlocked, then
+//!    loads.
+//! 3. *A fast commit yields to slow owners, as a hardware transaction
+//!    takes a UFO fault*: holding all its stripes, it probes the ownership
+//!    table for each line it writes and aborts if a slow transaction owns
+//!    one for read or write.
+//!
+//! Rules 2 and 3 are a Dekker pair over `SeqCst` accesses — registration
+//! then stripe load on the slow side, stripe CAS then occupancy load on
+//! the fast side — so of a slow owner and a fast writer of one line at
+//! least one sees the other: the fast one aborts, or the slow one waits
+//! out its commit. Slow transactions are therefore never aborted by fast
+//! ones (the paper's priority), the cost to the fast path is one load per
+//! *written* line where nothing is owned, and its reads stay
+//! uninstrumented.
 //!
 //! USTM's own heap reads go through the **shadow** view, like every
 //! transactional access in the crate: a reader holds read ownership of
-//! every line it has read, so no committer can be writing those lines
-//! back concurrently, and the shadow view never faults — neither inside a
-//! guard window nor on a page an earlier window left closed.
+//! every line it has read, so no slow committer can be writing those lines
+//! back concurrently and no fast one gets past its probe, and the shadow
+//! view never faults — neither inside a guard window nor on a page an
+//! earlier window left closed.
 //!
 //! The read set, the write-owned lines and commit's sorted line list are
 //! `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped — between
@@ -61,7 +98,8 @@ use ufotm_machine::{Addr, LineAddr, LINE_BYTES};
 use ufotm_ustm::{bin_index, UstmAbort};
 
 use crate::chaos::{lock_recover, FailSite};
-use crate::tl2::{spin_work, NativeTl2};
+use crate::padded::Padded;
+use crate::tl2::{spin_work, NativeTl2, HELD};
 use crate::write_set::WriteSet;
 
 // Status-slot phases (low 8 bits of the packed word).
@@ -110,8 +148,15 @@ type RedoRecord = Vec<(u64, u64)>;
 #[derive(Debug)]
 pub struct NativeUstm {
     bins: Box<[Mutex<Vec<OtEntry>>]>,
-    slots: Box<[AtomicU64]>,
-    next_ts: AtomicU64,
+    /// Entries in each bin, changed only under the bin's lock and only
+    /// with `SeqCst` read-modify-writes: the word a fast-path commit
+    /// probes ([`NativeUstm::is_owned`]), so that finding nothing owned
+    /// costs it one load and no lock.
+    occupancy: Box<[AtomicU64]>,
+    /// One line per slot: a transaction rewrites its own at begin, seal
+    /// and retire, and reads it at every access.
+    slots: Box<[Padded<AtomicU64>]>,
+    next_ts: Padded<AtomicU64>,
     mask: u64,
     /// Per-thread published redo records `(word addr, value)`, written
     /// *before* the seal CAS so that a committer that dies sealed leaves
@@ -142,8 +187,9 @@ impl NativeUstm {
         assert!(threads < (1 << 16) - 1, "too many USTM threads to encode");
         NativeUstm {
             bins: (0..otable_bins).map(|_| Mutex::new(Vec::new())).collect(),
-            slots: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            next_ts: AtomicU64::new(0),
+            occupancy: (0..otable_bins).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..threads).map(|_| Padded::default()).collect(),
+            next_ts: Padded::default(),
             mask: otable_bins - 1,
             records: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
             poison_recovered: AtomicU64::new(0),
@@ -173,8 +219,63 @@ impl NativeUstm {
         g
     }
 
-    fn lock_bin(&self, line: u64) -> MutexGuard<'_, Vec<OtEntry>> {
-        self.lock_bin_idx(self.bin_index(line))
+    /// Whether any slow-path transaction owns `line`, for read or write:
+    /// the probe a fast-path commit makes for each line it is about to
+    /// write, holding the line's stripe. Every entry in a bin is owned
+    /// (emptied ones are removed under the same lock), so an empty bin
+    /// answers with one load.
+    ///
+    /// `SeqCst` against the registering side's `SeqCst` bump of the same
+    /// word, which precedes its look at the stripe: of a slow owner
+    /// registering and a fast commit locking concurrently, at least one
+    /// sees the other.
+    #[inline]
+    pub(crate) fn is_owned(&self, line: u64) -> bool {
+        let idx = self.bin_index(line);
+        self.occupancy[idx].load(Ordering::SeqCst) != 0 && self.bin_holds(idx, line)
+    }
+
+    /// The locked half of [`NativeUstm::is_owned`], off the fast path's
+    /// inlined probe.
+    #[cold]
+    fn bin_holds(&self, idx: usize, line: u64) -> bool {
+        self.lock_bin_idx(idx).iter().any(|e| e.line == line)
+    }
+
+    /// Chains a fresh entry for `line` into its (locked) bin `idx`.
+    fn push_entry<'b>(
+        &self,
+        idx: usize,
+        bin: &'b mut Vec<OtEntry>,
+        line: u64,
+        readers: Vec<(usize, u64)>,
+    ) -> &'b mut OtEntry {
+        bin.push(OtEntry {
+            line,
+            writer: None,
+            readers,
+        });
+        self.occupancy[idx].fetch_add(1, Ordering::SeqCst);
+        bin.last_mut().expect("just pushed")
+    }
+
+    /// Drops whatever ownership `tid` holds of `line`, unchaining the
+    /// entry once nobody owns it.
+    fn disown(&self, line: u64, tid: usize) {
+        let idx = self.bin_index(line);
+        let mut bin = self.lock_bin_idx(idx);
+        let Some(pos) = bin.iter().position(|e| e.line == line) else {
+            return;
+        };
+        let e = &mut bin[pos];
+        e.readers.retain(|&(t, _)| t != tid);
+        if matches!(e.writer, Some((t, _)) if t == tid) {
+            e.writer = None;
+        }
+        if e.readers.is_empty() && e.writer.is_none() {
+            bin.swap_remove(pos);
+            self.occupancy[idx].fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     /// Entries currently in the table (all bins) — test observability.
@@ -205,7 +306,8 @@ impl NativeUstm {
 
     /// Structural consistency audit of the ownership table, run after
     /// poison recovery (and by torture tests at quiescence). Checks that
-    /// every entry's line hashes to the bin it chains in, that no bin
+    /// every bin's entry count is the one fast commits probe, that every
+    /// entry has an owner and hashes to the bin it chains in, that no bin
     /// holds two entries for one line, and that no entry lists the same
     /// reader twice.
     ///
@@ -215,7 +317,17 @@ impl NativeUstm {
     pub fn audit(&self) -> Result<(), String> {
         for i in 0..self.bins.len() {
             let bin = self.lock_bin_idx(i);
+            let counted = self.occupancy[i].load(Ordering::SeqCst);
+            if counted != bin.len() as u64 {
+                return Err(format!(
+                    "bin {i} holds {} entries, counts {counted}",
+                    bin.len()
+                ));
+            }
             for (pos, e) in bin.iter().enumerate() {
+                if e.writer.is_none() && e.readers.is_empty() {
+                    return Err(format!("line {} chained with no owner", e.line));
+                }
                 if self.bin_index(e.line) != i {
                     return Err(format!("line {} chained into wrong bin {i}", e.line));
                 }
@@ -243,17 +355,107 @@ impl NativeUstm {
                     e.writer = None;
                 }
             }
+            let before = bin.len();
             bin.retain(|e| e.writer.is_some() || !e.readers.is_empty());
+            let gone = (before - bin.len()) as u64;
+            if gone != 0 {
+                self.occupancy[i].fetch_sub(gone, Ordering::SeqCst);
+            }
         }
+    }
+
+    /// One waiting round of a slow-path transaction on stripe `s`, seen
+    /// held as `held`: a dead TL2 owner's lock is stolen, a dead sealed
+    /// committer is helper-completed (only that may release its stripes),
+    /// and anyone else is given the core.
+    fn stripe_round(&self, heap: &NativeTl2, s: usize, held: u64) {
+        if let Some(dead) = heap.dead_sealed_holder(s, held) {
+            self.reclaim_dead(heap, dead);
+        }
+        std::thread::yield_now();
+    }
+
+    /// Everything a commit does once sealed, for `owner`'s redo `record`
+    /// (ascending addresses) — run by the committer itself (`live`) or by
+    /// the helper completing it after its death. To everyone on the fast
+    /// path this is a TL2 writer: take the stripes of the record's lines
+    /// in ascending stripe order, draw `wv` from the clock, open the
+    /// strong-atomicity window, write back through the shadow view,
+    /// release the stripes at `wv`. Fast readers order against it by
+    /// ordinary read-set validation; fast committers fail their
+    /// single-shot CAS. Returns the rounds spent waiting for stripes.
+    ///
+    /// Acquisition spins, and terminates: a TL2 holder's own acquisition
+    /// is single-shot, so it releases without waiting for anyone; a sealed
+    /// holder waits for nothing but stripes, in the same ascending order;
+    /// a dead holder is dealt with by [`NativeUstm::stripe_round`]. A
+    /// stripe already stamped for `owner` is inherited from the corpse —
+    /// a helper replays under **every** stripe of the record, the ones it
+    /// takes stamped the same way, so nothing of a sealed record is ever
+    /// visible half-written.
+    ///
+    /// The committer's failpoints both fire with every stripe held, the
+    /// window open and nothing stored yet: a delay stalls it with the
+    /// public view protected (the race the plain-access tests drive); a
+    /// panic leaves the sealed record to helper-completion — the window
+    /// guard ends the window on the way out, the pages it closed reopen on
+    /// the next plain touch like any others, and the stripes stay held
+    /// until the helper has replayed the record.
+    fn publish_sealed(
+        &self,
+        heap: &NativeTl2,
+        owner: usize,
+        record: &[(u64, u64)],
+        stripes: &mut Vec<usize>,
+        live: bool,
+    ) -> u64 {
+        let stamp = heap.slow_stamp(owner);
+        stripes.clear();
+        stripes.extend(record.iter().map(|&(a, _)| heap.stripe_of(Addr(a))));
+        stripes.sort_unstable();
+        stripes.dedup();
+        let mut waits = 0;
+        for &s in stripes.iter() {
+            loop {
+                let word = heap.stripe_word(s);
+                if word == stamp || (word & HELD == 0 && heap.lock_stripe(s, word, stamp)) {
+                    break;
+                }
+                if word & HELD != 0 {
+                    waits += 1;
+                    self.stripe_round(heap, s, word);
+                }
+            }
+        }
+        let wv = heap.tick();
+        {
+            let chaos = live.then(|| (heap.chaos(), owner));
+            let _win = heap
+                .heap()
+                .open_window(record.iter().map(|&(a, _)| (a / 8) as usize), chaos);
+            if live {
+                let _ = heap.chaos().strike(owner, FailSite::UstmSealed);
+            }
+            for &(a, v) in record {
+                heap.heap()
+                    .shadow_word((a / 8) as usize)
+                    .store(v, Ordering::Release);
+            }
+        }
+        for &s in stripes.iter() {
+            heap.release_stripe(s, wv);
+        }
+        waits
     }
 
     /// Reclaims everything a **dead** worker left behind: a sealed
     /// (`COMMITTING`) transaction is *helper-completed* — its published
-    /// redo record is replayed through a fresh guard window (idempotent:
-    /// the full record is replayed even if the dead committer had
-    /// already stored some of it) — while an unsealed (`ACTIVE`) one is
-    /// simply discarded; in both cases its ownership records are swept
-    /// and its status slot retired.
+    /// redo record is replayed exactly as its owner would have, under
+    /// every stripe of the record and through a fresh guard window
+    /// (idempotent: the full record is replayed even if the dead
+    /// committer had already stored some of it) — while an unsealed
+    /// (`ACTIVE`) one is simply discarded; in both cases its ownership
+    /// records are swept and its status slot retired.
     ///
     /// Racing helpers serialize on a `COMMITTING/ACTIVE → REAPING` CAS:
     /// the winner does the work, losers wait for the slot to retire.
@@ -287,16 +489,7 @@ impl NativeUstm {
                         }
                         rec.clone()
                     };
-                    {
-                        let _win = heap
-                            .heap()
-                            .open_window(record.iter().map(|&(a, _)| (a / 8) as usize), None);
-                        for &(a, v) in &record {
-                            heap.heap()
-                                .shadow_word((a / 8) as usize)
-                                .store(v, Ordering::Release);
-                        }
-                    }
+                    self.publish_sealed(heap, victim, &record, &mut Vec::new(), false);
                     self.sweep_owner(victim);
                     self.slots[victim].store(0, Ordering::SeqCst);
                     self.helper_completions.fetch_add(1, Ordering::Relaxed);
@@ -367,6 +560,10 @@ pub struct NativeUstmStats {
     /// Stall iterations spent waiting for a conflicting owner to
     /// release (each is one bin-unlock/yield/retry round).
     pub stalls: u64,
+    /// Rounds spent waiting for a TL2 stripe to be released: by a reader
+    /// before it trusts a line it has just taken ownership of, or by a
+    /// sealed committer taking the stripes of its write lines.
+    pub stripe_waits: u64,
 }
 
 impl NativeUstmStats {
@@ -387,6 +584,7 @@ impl NativeUstmStats {
             aborts_explicit,
             kills_issued,
             stalls,
+            stripe_waits,
         } = *other;
         self.begins += begins;
         self.commits += commits;
@@ -394,6 +592,7 @@ impl NativeUstmStats {
         self.aborts_explicit += aborts_explicit;
         self.kills_issued += kills_issued;
         self.stalls += stalls;
+        self.stripe_waits += stripe_waits;
     }
 }
 
@@ -416,6 +615,8 @@ pub struct NativeUstmTxn<'a> {
     write_owned: Vec<u64>,
     /// Commit scratch: the redo log's lines, sorted and deduplicated.
     lines: Vec<u64>,
+    /// Commit scratch: the TL2 stripes of those lines, likewise.
+    stripes: Vec<usize>,
     active: bool,
     last_killer: Option<usize>,
     /// Event counters for this handle.
@@ -446,6 +647,7 @@ impl<'a> NativeUstmTxn<'a> {
             writes: WriteSet::default(),
             write_owned: Vec::new(),
             lines: Vec::new(),
+            stripes: Vec::new(),
             active: false,
             last_killer: None,
             stats: NativeUstmStats::default(),
@@ -489,25 +691,8 @@ impl<'a> NativeUstmTxn<'a> {
     /// Releases every ownership record this transaction holds (one bin
     /// lock at a time), garbage-collecting empty entries.
     fn release_ownership(&mut self) {
-        for &line in &self.reads {
-            let mut bin = self.ustm.lock_bin(line);
-            if let Some(pos) = bin.iter().position(|e| e.line == line) {
-                bin[pos].readers.retain(|&(t, _)| t != self.tid);
-                if bin[pos].readers.is_empty() && bin[pos].writer.is_none() {
-                    bin.swap_remove(pos);
-                }
-            }
-        }
-        for &line in &self.write_owned {
-            let mut bin = self.ustm.lock_bin(line);
-            if let Some(pos) = bin.iter().position(|e| e.line == line) {
-                if matches!(bin[pos].writer, Some((t, _)) if t == self.tid) {
-                    bin[pos].writer = None;
-                }
-                if bin[pos].readers.is_empty() && bin[pos].writer.is_none() {
-                    bin.swap_remove(pos);
-                }
-            }
+        for &line in self.reads.iter().chain(&self.write_owned) {
+            self.ustm.disown(line, self.tid);
         }
         self.reads.clear();
         self.write_owned.clear();
@@ -590,7 +775,8 @@ impl<'a> NativeUstmTxn<'a> {
             }
             let blocker;
             {
-                let mut bin = self.ustm.lock_bin(line);
+                let idx = self.ustm.bin_index(line);
+                let mut bin = self.ustm.lock_bin_idx(idx);
                 match bin.iter_mut().find(|e| e.line == line) {
                     Some(e) => {
                         if let Some((wtid, wts)) = e.writer {
@@ -609,17 +795,34 @@ impl<'a> NativeUstmTxn<'a> {
                         }
                     }
                     None => {
-                        bin.push(OtEntry {
-                            line,
-                            writer: None,
-                            readers: vec![(self.tid, self.ts)],
-                        });
+                        let me = vec![(self.tid, self.ts)];
+                        self.ustm.push_entry(idx, &mut bin, line, me);
                         return Ok(());
                     }
                 }
             }
             self.unblock_if_dead(blocker);
             self.stall();
+        }
+    }
+
+    /// Having just registered as a reader of a line, waits until the
+    /// line's stripe `s` is unlocked. A fast commit that locked the stripe
+    /// before the registration became visible may still be writing the
+    /// line; one that locks it afterwards sees the ownership and aborts
+    /// (see [`NativeUstm::is_owned`]). So from here until release the line
+    /// is stable, and later reads of it check nothing.
+    fn await_stripe(&mut self, s: usize) -> Result<(), UstmAbort> {
+        loop {
+            let word = self.heap.stripe_word(s);
+            if word & HELD == 0 {
+                return Ok(());
+            }
+            if let Some(by) = self.doomed() {
+                return Err(self.unwind_killed(by));
+            }
+            self.stats.stripe_waits += 1;
+            self.ustm.stripe_round(self.heap, s, word);
         }
     }
 
@@ -632,17 +835,13 @@ impl<'a> NativeUstmTxn<'a> {
             }
             let blocker;
             {
-                let mut bin = self.ustm.lock_bin(line);
-                let e = match bin.iter_mut().find(|e| e.line == line) {
-                    Some(e) => e,
-                    None => {
-                        bin.push(OtEntry {
-                            line,
-                            writer: None,
-                            readers: Vec::new(),
-                        });
-                        bin.last_mut().expect("just pushed")
-                    }
+                let idx = self.ustm.bin_index(line);
+                let mut bin = self.ustm.lock_bin_idx(idx);
+                // A fresh entry is taken below, under the same lock: no
+                // entry is ever visible without an owner.
+                let e = match bin.iter().position(|e| e.line == line) {
+                    Some(pos) => &mut bin[pos],
+                    None => self.ustm.push_entry(idx, &mut bin, line, Vec::new()),
                 };
                 if let Some((wtid, wts)) = e.writer {
                     debug_assert_ne!(wtid, self.tid, "double write acquisition");
@@ -666,8 +865,9 @@ impl<'a> NativeUstmTxn<'a> {
         }
     }
 
-    /// Transactional read: redo log first, then eager read-ownership
-    /// acquisition and a shadow-view load.
+    /// Transactional read: redo log first, then — on the first read of a
+    /// line — eager read-ownership acquisition and a wait for the line's
+    /// TL2 stripe, then a shadow-view load.
     ///
     /// # Errors
     ///
@@ -689,6 +889,7 @@ impl<'a> NativeUstmTxn<'a> {
         if !self.reads.contains(&line) {
             self.acquire_read(line)?;
             self.reads.push(line);
+            self.await_stripe(self.heap.stripe_of(addr))?;
         }
         Ok(self.heap.heap().shadow_word(w).load(Ordering::Acquire))
     }
@@ -740,8 +941,9 @@ impl<'a> NativeUstmTxn<'a> {
         Ok(())
     }
 
-    /// Commits: sorted-order write acquisition → seal → guard window →
-    /// shadow write-back → release → retire.
+    /// Commits: sorted-order write acquisition → seal → TL2 stripes →
+    /// clock → guard window → shadow write-back → stripe release →
+    /// ownership release → retire.
     ///
     /// # Errors
     ///
@@ -797,32 +999,17 @@ impl<'a> NativeUstmTxn<'a> {
                     .expect("seal failed without a recorded killer");
                 return Err(self.unwind_killed(by));
             }
-            // Phase 3: strong-atomicity window + redo write-back through
-            // the shadow view. Plain accesses to these pages fault and
-            // re-execute after the window; USTM readers are excluded by
-            // ownership; the TL2 fast path is quiesced by the hybrid's
-            // mode gate.
-            {
-                let writes = self.writes.as_slice();
-                let _win = self.heap.heap().open_window(
-                    writes.iter().map(|&(a, _)| (a / 8) as usize),
-                    Some((self.heap.chaos(), self.tid)),
-                );
-                // Sealed, window up, write-back not yet begun: a delay
-                // here stalls the committer with the public view
-                // protected (the exact race the plain-access tests
-                // drive), and a panic leaves a sealed record for
-                // helper-completion — the window guard ends the window
-                // on the way out, and the pages it closed reopen on the
-                // next plain touch like any others.
-                let _ = self.heap.chaos().strike(self.tid, FailSite::UstmSealed);
-                for &(a, v) in writes {
-                    self.heap
-                        .heap()
-                        .shadow_word((a / 8) as usize)
-                        .store(v, Ordering::Release);
-                }
-            }
+            // Phase 3: stripes, clock, window, write-back, release. Plain
+            // accesses to these pages fault and re-execute after the
+            // window; USTM readers are excluded by ownership; the TL2 fast
+            // path sees a TL2 writer.
+            self.stats.stripe_waits += self.ustm.publish_sealed(
+                self.heap,
+                self.tid,
+                self.writes.as_slice(),
+                &mut self.stripes,
+                true,
+            );
         }
         // A read-only transaction skips seal and write-back: its reads
         // were protected by read ownership the whole time, so even a

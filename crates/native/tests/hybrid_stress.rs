@@ -229,14 +229,35 @@ fn all_slow_path_counter_is_exact() {
 /// behaves — lingering can only turn a wrong pass into a failure.
 const LINGER: Duration = Duration::from_millis(50);
 
-/// The gate, fast side registered first: while tid 0 sits inside a
-/// fast-path body its gate flag is up, so tid 1's slow-path transaction
-/// must wait in its drain and cannot run its body until tid 0 has left.
-/// (That no two gate flags share a 128-byte line is a `const` assertion
-/// beside `GateFlag` in `src/hybrid.rs`.)
+/// How long a parent waits for a detached scenario to report.
+const PARENT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Runs `scenario` on a detached thread and waits for its report, so one
+/// that wedges fails its test (with `wedged`) instead of hanging it.
+fn or_time_out<T: Send + 'static>(
+    wedged: &str,
+    scenario: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || done_tx.send(scenario()));
+    done_rx.recv_timeout(PARENT_TIMEOUT).expect(wedged)
+}
+
+/// Straight to the serial tier: a forced-slow transaction makes no USTM
+/// attempt at all.
+const SERIAL_AT_ONCE: NativeHybridPolicy = NativeHybridPolicy {
+    failover_after: 4,
+    serial_after: 0,
+};
+
+/// The exclusion that remains, fast side registered first: while tid 0
+/// sits inside a fast-path body its gate flag is up, so tid 1's *serial*
+/// transaction must wait in its drain and cannot run its body until tid 0
+/// has left. (That no two gate flags share a 128-byte line is a `const`
+/// assertion beside `Padded` in `src/padded.rs`.)
 #[test]
-fn slow_transaction_waits_for_a_parked_fast_body() {
-    let (h, slow_ran) = (&world(2), &AtomicBool::new(false));
+fn serial_transaction_waits_for_a_parked_fast_body() {
+    let (h, serial_ran) = (&world_with(2, SERIAL_AT_ONCE), &AtomicBool::new(false));
     let (entered_tx, entered_rx) = mpsc::channel();
     let (asking_tx, asking_rx) = mpsc::channel();
     std::thread::scope(|s| {
@@ -250,8 +271,8 @@ fn slow_transaction_waits_for_a_parked_fast_body() {
                     asking_rx.recv().unwrap();
                     std::thread::sleep(LINGER);
                     assert!(
-                        !slow_ran.load(Ordering::SeqCst),
-                        "a slow-path body ran beside a registered fast transaction"
+                        !serial_ran.load(Ordering::SeqCst),
+                        "a serial body ran beside a registered fast transaction"
                     );
                 }
                 tx.write(COUNTER, v + 1)
@@ -264,54 +285,244 @@ fn slow_transaction_waits_for_a_parked_fast_body() {
             asking_tx.send(()).unwrap();
             th.force_failover_next();
             th.transaction(|tx| {
-                slow_ran.store(true, Ordering::SeqCst);
+                serial_ran.store(true, Ordering::SeqCst);
                 tx.write(ACCT_A, 1)
             });
-            assert_eq!(th.stats().slow.commits, 1);
+            assert_eq!(th.stats().serial_commits, 1);
         });
     });
-    assert!(slow_ran.load(Ordering::SeqCst));
+    assert!(serial_ran.load(Ordering::SeqCst));
     assert_eq!((h.peek(COUNTER), h.peek(ACCT_A)), (1, 1));
 }
 
-/// The gate, roles reversed and the fast side anonymous: while tid 0
-/// sits inside a slow-path body `slow_mode` is raised, so a tid-less
-/// [`NativeHybrid::poke`] from another thread parks at the gate and
-/// returns only after the slow transaction has committed.
+/// The exclusion that went: while tid 0 is parked in the middle of a
+/// fast-path body, tid 1's forced-slow transaction on other lines begins,
+/// commits and reports — tid 0 resumes only on that report, so a slow
+/// path that still waited for fast bodies would wedge both (and time out
+/// at the parent). tid 0 then commits without a single abort: the slow
+/// commit moved the clock, not the stripe it had read.
+#[test]
+fn slow_transaction_commits_beside_a_parked_fast_body() {
+    let wedged = "the slow transaction is waiting for the parked fast body";
+    let ((fast, slow), counter, acct_b) = or_time_out(wedged, || {
+        let h = &world(2);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (committed_tx, committed_rx) = mpsc::channel();
+        let stats = std::thread::scope(|s| {
+            let fast = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 0, 2);
+                let mut first = true;
+                th.transaction(|tx| {
+                    let v = tx.read(COUNTER)?;
+                    if std::mem::take(&mut first) {
+                        entered_tx.send(()).unwrap();
+                        committed_rx.recv().unwrap();
+                    }
+                    tx.write(COUNTER, v + 1)
+                });
+                th.stats()
+            });
+            let slow = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 1, 2);
+                entered_rx.recv().unwrap();
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    let a = tx.read(ACCT_A)?;
+                    tx.write(ACCT_B, a + 7)
+                });
+                committed_tx.send(()).unwrap();
+                th.stats()
+            });
+            (fast.join().unwrap(), slow.join().unwrap())
+        });
+        (stats, h.peek(COUNTER), h.peek(ACCT_B))
+    });
+    assert_eq!((slow.slow.commits, slow.total_aborts()), (1, 0));
+    assert_eq!(
+        (fast.fast.commits, fast.total_aborts()),
+        (1, 0),
+        "a slow commit on other lines must not cost the parked fast body an attempt"
+    );
+    assert_eq!((counter, acct_b), (1, 7));
+}
+
+/// A fast commit yields to a slow owner, as a hardware transaction takes
+/// a UFO fault. tid 0's slow transaction reads ACCT_A and parks; tid 1's
+/// fast increment of ACCT_A takes the stripe, finds the reader in the
+/// ownership table and aborts `LockBusy`; told so, the reader reads the
+/// word again — the same value — and commits; only then does the
+/// increment land. tid 1 never fails over (`failover_after` is out of
+/// reach), so every abort it counts is the fast path yielding.
+#[test]
+fn fast_commit_yields_to_a_slow_reader_of_the_line() {
+    const BEFORE: u64 = 40;
+    let wedged = "the reader and the yielding writer wedged each other";
+    let (writer, acct_a) = or_time_out(wedged, || {
+        let h = &world_with(
+            2,
+            NativeHybridPolicy {
+                failover_after: u32::MAX,
+                ..NativeHybridPolicy::default()
+            },
+        );
+        h.poke(ACCT_A, BEFORE);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (tried_tx, tried_rx) = mpsc::channel();
+        let writer = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 0, 2);
+                let mut first = true;
+                th.force_failover_next();
+                let (before, after) = th.transaction(|tx| {
+                    let before = tx.read(ACCT_A)?;
+                    if std::mem::take(&mut first) {
+                        entered_tx.send(()).unwrap();
+                        tried_rx.recv().unwrap();
+                    }
+                    Ok((before, tx.read(ACCT_A)?))
+                });
+                assert_eq!(
+                    (before, after),
+                    (BEFORE, BEFORE),
+                    "a fast commit wrote a line under its slow reader"
+                );
+                assert_eq!(th.stats().slow.commits, 1);
+            });
+            let writer = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 1, 2);
+                entered_rx.recv().unwrap();
+                let mut attempts = 0;
+                th.transaction(|tx| {
+                    attempts += 1;
+                    if attempts == 2 {
+                        // The first attempt is over: it aborted.
+                        tried_tx.send(()).unwrap();
+                    }
+                    let v = tx.read(ACCT_A)?;
+                    tx.write(ACCT_A, v + 1)
+                });
+                // A first attempt that got through says so too, so the
+                // reader's second read can convict it.
+                let _ = tried_tx.send(());
+                th.stats()
+            });
+            writer.join().unwrap()
+        });
+        (writer, h.peek(ACCT_A))
+    });
+    assert!(
+        writer.fast.slow_owner_aborts >= 1,
+        "the writer never yielded"
+    );
+    assert_eq!(
+        writer.fast.total_aborts(),
+        writer.fast.slow_owner_aborts,
+        "every abort of the writer, its first included, is a yield to the slow owner: {writer:?}"
+    );
+    assert_eq!(writer.fast.commits, 1);
+    assert_eq!(acct_a, BEFORE + 1, "the increment lands after the reader");
+}
+
+/// Both paths at once on the same few lines: 4 workers move money among
+/// 8 one-line accounts, every third transaction forced slow, with
+/// read-only audits of all 8 on either path. Every audit — fast
+/// (invisible reads, validated) or slow (visible reads, owned) — sees
+/// the total, and the table drains.
+#[test]
+fn mixed_paths_on_shared_lines_conserve_the_total() {
+    const THREADS: usize = 4;
+    const PER: u64 = 20_000;
+    const ACCOUNTS: u64 = 8;
+    const EACH: u64 = 1_000;
+    let account = |i: u64| Addr(ACCT_A.0 + (i % ACCOUNTS) * 64);
+    let h = world(THREADS);
+    for i in 0..ACCOUNTS {
+        h.poke(account(i), EACH);
+    }
+    let (stats, _) = run_hybrid_threads(&h, THREADS, |th| {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (th.tid() as u64 + 1);
+        for i in 0..PER {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if i % 3 == 0 {
+                th.force_failover_next();
+            }
+            if i % 8 == 5 {
+                let sum = th.transaction(|tx| {
+                    let mut sum = 0;
+                    for a in 0..ACCOUNTS {
+                        sum += tx.read(account(a))?;
+                    }
+                    Ok(sum)
+                });
+                assert_eq!(sum, ACCOUNTS * EACH, "an audit saw a torn transfer");
+            } else {
+                let (from, to) = (account(rng), account(rng >> 8));
+                let amount = (rng >> 16) % 50;
+                th.transaction(|tx| {
+                    let f = tx.read(from)?;
+                    if from == to || f < amount {
+                        return Ok(());
+                    }
+                    let t = tx.read(to)?;
+                    tx.write(from, f - amount)?;
+                    tx.write(to, t + amount)
+                });
+            }
+        }
+    });
+    let total: u64 = (0..ACCOUNTS).map(|a| h.peek(account(a))).sum();
+    assert_eq!(total, ACCOUNTS * EACH, "transfers must conserve the total");
+    assert_eq!(stats.total_commits(), THREADS as u64 * PER);
+    assert!(stats.fast.commits > 0 && stats.slow.commits > 0);
+    assert_eq!(h.ustm().owned_lines(), 0, "ownership must drain");
+    h.ustm().audit().expect("otable audit");
+}
+
+/// The other exclusion that remains, the accessor anonymous: while tid 0
+/// sits inside a slow-path body `slow_mode` is raised (inside a serial
+/// one, `serial_mode`), so a tid-less [`NativeHybrid::poke`] from another
+/// thread parks at the gate and returns only after the transaction has
+/// committed. Plain accessors wait for both tiers, so both are driven.
 #[test]
 fn anonymous_poke_waits_for_a_parked_slow_body() {
-    let (h, poke_returned) = (&world(1), &AtomicBool::new(false));
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (poking_tx, poking_rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut th = HybridThread::new(h, None, 0, 1);
-            let mut first = true;
-            th.force_failover_next();
-            th.transaction(|tx| {
-                let v = tx.read(COUNTER)?;
-                if std::mem::take(&mut first) {
-                    entered_tx.send(()).unwrap();
-                    poking_rx.recv().unwrap();
-                    std::thread::sleep(LINGER);
-                    assert!(
-                        !poke_returned.load(Ordering::SeqCst),
-                        "a plain store got through the gate beside a slow-path body"
-                    );
-                }
-                tx.write(COUNTER, v + 1)
+    for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
+        let (h, poke_returned) = (&world_with(1, policy), &AtomicBool::new(false));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (poking_tx, poking_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 0, 1);
+                let mut first = true;
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    let v = tx.read(COUNTER)?;
+                    if std::mem::take(&mut first) {
+                        entered_tx.send(()).unwrap();
+                        poking_rx.recv().unwrap();
+                        std::thread::sleep(LINGER);
+                        assert!(
+                            !poke_returned.load(Ordering::SeqCst),
+                            "a plain store got through the gate beside a {policy:?} body"
+                        );
+                    }
+                    tx.write(COUNTER, v + 1)
+                });
+                let stats = th.stats();
+                assert_eq!((stats.total_commits(), stats.fast.commits), (1, 0));
+                assert_eq!(stats.serial_commits, u64::from(policy.serial_after == 0));
             });
-            assert_eq!(th.stats().slow.commits, 1);
+            s.spawn(move || {
+                entered_rx.recv().unwrap();
+                poking_tx.send(()).unwrap();
+                h.poke(ACCT_B, 7);
+                poke_returned.store(true, Ordering::SeqCst);
+            });
         });
-        s.spawn(move || {
-            entered_rx.recv().unwrap();
-            poking_tx.send(()).unwrap();
-            h.poke(ACCT_B, 7);
-            poke_returned.store(true, Ordering::SeqCst);
-        });
-    });
-    assert!(poke_returned.load(Ordering::SeqCst));
-    assert_eq!((h.peek(COUNTER), h.peek(ACCT_B)), (1, 7));
+        assert!(poke_returned.load(Ordering::SeqCst));
+        assert_eq!((h.peek(COUNTER), h.peek(ACCT_B)), (1, 7));
+    }
 }
 
 /// A body that unwinds on the serial tier must take `serial_mode` down
@@ -326,11 +537,7 @@ fn a_panic_on_the_serial_tier_releases_the_parked_survivors() {
     const PER: u64 = 100;
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let policy = NativeHybridPolicy {
-            serial_after: 0,
-            ..NativeHybridPolicy::default()
-        };
-        let h = world_with(2, policy);
+        let h = world_with(2, SERIAL_AT_ONCE);
         let (entered_tx, entered_rx) = mpsc::channel();
         let entered_rx = std::sync::Mutex::new(entered_rx);
         let outcomes = run_hybrid_threads_collect(&h, 2, |th| {

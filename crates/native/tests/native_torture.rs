@@ -400,10 +400,21 @@ fn tl2_orphan_steal_unwedges_the_stripe() {
     );
 }
 
+/// Whether `addr`'s stripe lock is held right now. Single-threaded use
+/// only: it looks by swapping a debug hold in and straight back out.
+fn stripe_is_held(heap: &NativeTl2, addr: Addr) -> bool {
+    let raw = heap.debug_lock_stripe(addr, 63);
+    heap.debug_restore_stripe(addr, raw);
+    raw & 1 == 1
+}
+
 /// Deterministic helper completion: the only worker dies *sealed*
-/// (inside the commit window, redo record published). The reaper must
-/// finish the write-back from the record — the committed values appear
-/// even though the committer never executed a single store.
+/// (inside the commit window, redo record published, the stripes of its
+/// write lines held). The reaper must finish the write-back from the
+/// record — the committed values appear even though the committer never
+/// executed a single store — and release the stripes it inherited: no
+/// stripe still carries the corpse's stamp, and a fast-path reader of
+/// the corpse's lines commits on its first attempt.
 #[test]
 fn sealed_death_is_helper_completed() {
     quiet_injected_panics();
@@ -431,6 +442,79 @@ fn sealed_death_is_helper_completed() {
     assert_eq!(h.peek(COUNTER), 42, "helper must finish the sealed commit");
     assert_eq!(h.peek(ACCT_A), 43, "helper must replay the whole record");
     assert_eq!(h.ustm().owned_lines(), 0, "reaper must sweep ownership");
+    h.ustm().audit().expect("otable audit");
+    for line in [COUNTER, ACCT_A] {
+        assert!(
+            !stripe_is_held(h.tl2(), line),
+            "the helper left {line:?}'s stripe with the corpse's stamp"
+        );
+    }
+    let (stats, seen) = run_hybrid_threads(&h, 1, |th| {
+        th.transaction(|tx| Ok((tx.read(COUNTER)?, tx.read(ACCT_A)?)))
+    });
+    assert_eq!(seen, [(42, 43)]);
+    assert_eq!(
+        (stats.fast.commits, stats.total_aborts(), stats.failovers),
+        (1, 0, 0),
+        "a fast reader of the corpse's lines must commit at once"
+    );
+    assert_eq!(
+        h.tl2().orphan_steals(),
+        0,
+        "slow-held stripes are released by the helper, never stolen"
+    );
+}
+
+/// A slow-held stripe is not an orphan to steal. tid 1 dies sealed with
+/// the stripe of COUNTER held and is marked dead, but nobody has reaped
+/// it yet (the instant before `on_death` runs). tid 0's fast read meets
+/// the stripe: stealing it — what a dead *TL2* owner's stripe invites —
+/// would expose the line before the sealed record has been replayed. It
+/// must abort instead, fail over, and as a slow reader helper-complete
+/// the corpse; the value it finally reads is the record's.
+#[test]
+fn a_dead_sealed_committers_stripe_is_completed_not_stolen() {
+    quiet_injected_panics();
+    let h = world(NativeHybridPolicy::default());
+    h.poke(COUNTER, 7);
+    h.tl2()
+        .chaos()
+        .arm(&ChaosPlan::quiet(14).with_panic(FailSite::UstmSealed, Some(1), 1));
+    with_watchdog("slow_held_stripe", || {
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut victim = HybridThread::new(&h, None, 1, THREADS);
+            victim.force_failover_next();
+            victim.transaction(|tx| tx.write(COUNTER, 100));
+        }));
+        h.tl2().chaos().disarm();
+        assert!(died.is_err(), "tid 1 must die sealed");
+        h.tl2().liveness().mark_dead(1);
+        assert!(
+            stripe_is_held(h.tl2(), COUNTER),
+            "the corpse holds its stripe"
+        );
+        assert_eq!(h.tl2().debug_shadow_peek(COUNTER), 7, "nothing stored yet");
+
+        let mut survivor = HybridThread::new(&h, None, 0, THREADS);
+        let seen = survivor.transaction(|tx| tx.read(COUNTER));
+        assert_eq!(seen, 100, "the read must see the sealed record, whole");
+        let stats = survivor.stats();
+        assert_eq!(
+            (stats.fast.commits, stats.fast.read_validation_aborts),
+            (0, u64::from(NativeHybridPolicy::default().failover_after)),
+            "every fast attempt must stop at the held stripe"
+        );
+        assert_eq!((stats.failovers, stats.slow.commits), (1, 1));
+    });
+    assert_eq!(h.tl2().orphan_steals(), 0, "a slow-held stripe was stolen");
+    assert_eq!(h.ustm().helper_completions(), 1);
+    // What `on_death` would have done; by now only the corpse's
+    // `slow_mode` registration is left to give back.
+    h.reap_dead(1);
+    assert_eq!(h.ustm().helper_completions(), 1);
+    assert_eq!(h.peek(COUNTER), 100);
+    assert!(!stripe_is_held(h.tl2(), COUNTER));
+    assert_eq!(h.ustm().owned_lines(), 0);
     h.ustm().audit().expect("otable audit");
 }
 
@@ -511,10 +595,11 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     );
 }
 
-/// Satellite 3: plain peeks racing a *stalled* slow-path commit inside
-/// the PhTM gate. The committer is delayed mid-window (sealed, public
-/// view protected where guarded, gate raised everywhere); concurrent
-/// plain readers must never observe the write-back half-applied.
+/// Satellite 3: plain peeks racing a *stalled* slow-path commit. The
+/// committer is delayed mid-window (sealed, stripes held, public view
+/// protected where guarded, `slow_mode` raised against plain accessors
+/// everywhere); concurrent plain readers must never observe the
+/// write-back half-applied.
 /// Transactions write `X` then `X2` (ascending addresses, so write-back
 /// updates `X` first): reading `X` then `X2`, a torn observation is
 /// exactly `x2 < x`.
