@@ -164,21 +164,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether [`FaultPlan::seed`] can change this plan's behaviour: true
-    /// iff at least one injection rate is non-zero (the injection PRNG is
-    /// only ever consulted for non-zero rates). A [`FaultPlan::quiet`]
-    /// plan is deliberately seed-*insensitive* — it is a control arm whose
-    /// behaviour must be identical to no plan at all — so sweeping seeds
-    /// over one silently collapses the sweep's seed dimension to a single
-    /// cell. Seed sweeps should be built through
-    /// `ufotm_sim::for_each_seed_plan`, which rejects that shape.
-    #[must_use]
-    pub fn seed_sensitive(&self) -> bool {
-        ChaosFaultKind::all()
-            .iter()
-            .any(|&kind| self.rate(kind) > 0.0)
-    }
-
     pub(crate) fn rate(&self, kind: ChaosFaultKind) -> f64 {
         match kind {
             ChaosFaultKind::SpuriousAbort => self.spurious_abort,
@@ -359,24 +344,6 @@ mod tests {
         }
         assert_eq!(m.chaos_stats().total(), 0);
         assert!(m.drain_chaos_events().is_empty());
-    }
-
-    #[test]
-    fn seed_sensitivity_classifies_the_presets() {
-        // `quiet` is the control arm: by design the seed changes nothing
-        // (see `quiet_plan_injects_nothing` — the PRNG is never rolled),
-        // and `seed_sensitive` must say so or seed sweeps built over it
-        // would silently run the same cell N times.
-        assert!(!FaultPlan::quiet(0).seed_sensitive());
-        assert!(!FaultPlan::quiet(42).seed_sensitive());
-        // Every injecting preset is seed-sensitive.
-        assert!(FaultPlan::mixed(0).seed_sensitive());
-        assert!(FaultPlan::abort_storm(0).seed_sensitive());
-        assert!(FaultPlan::nack_storm(0).seed_sensitive());
-        // A single non-zero rate suffices.
-        let mut one = FaultPlan::quiet(0);
-        one.swap_thrash = 0.001;
-        assert!(one.seed_sensitive());
     }
 
     #[test]

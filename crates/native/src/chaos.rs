@@ -57,9 +57,9 @@ pub enum FailSite {
     UstmSealed,
     /// Guard commit window, right after protection was raised.
     GuardWindow,
-    /// Hybrid gate entry — a fast attempt registering against the serial
-    /// tier, or a plain accessor against slow and serial transactions
-    /// (anonymous stream; delay-only).
+    /// Hybrid gate entry — a plain accessor with no worker identity
+    /// registering against slow transactions (anonymous stream;
+    /// delay-only).
     HybridGate,
 }
 

@@ -11,8 +11,9 @@
 //! * The native heap is a `memfd` file mapped **twice**: a *public* view
 //!   (every plain access goes through it) and a *shadow* view of the same
 //!   physical pages, never protected, which every transactional path uses —
-//!   TL2 reads and write-back, USTM reads and commit write-back, the serial
-//!   tier. Transactions are kept off the lines a commit window is writing
+//!   TL2 reads and write-back, USTM reads and commit write-back (the
+//!   hybrid's serial tier is a USTM transaction). Transactions are kept
+//!   off the lines a commit window is writing
 //!   by protocol (ownership, the TL2 stripes a slow commit holds), so they
 //!   never needed the guard and never pay for it. (Until a heap's first commit window no page of
 //!   it can be closed, and the transactional view is simply the public

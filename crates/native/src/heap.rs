@@ -6,9 +6,9 @@
 //! [`WordHeap`]. The two storage shapes present the same word-indexed
 //! `AtomicU64` interface; the only semantic difference is that the
 //! mapped shape distinguishes the *public* view (plain accesses, and
-//! nothing else) from the *shadow* view (every transactional path: TL2,
-//! USTM, the serial tier — they are excluded from commit windows by
-//! protocol, and must not fault on a page a window closed).
+//! nothing else) from the *shadow* view (every transactional path, TL2
+//! and USTM — they are excluded from commit windows by protocol, and must
+//! not fault on a page a window closed).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -25,50 +25,47 @@
 //! transactions run concurrently as before — the ownership table is the
 //! concurrency control among them.
 //!
+//! ## The serial tier
+//!
+//! A transaction whose slow attempts keep failing (`serial_after` of
+//! them) escalates, but not to a mode: it takes the serial gate and runs
+//! once more as USTM's *eldest* transaction ([`crate::ustm`], "The eldest
+//! transaction"). Older than everyone, it kills every younger slow owner
+//! it meets, is killed by nobody, is yielded to by every fast commit and
+//! strikes no failpoint, so it commits on that attempt — while every
+//! other transaction keeps running. The gate keeps it the only eldest.
+//!
 //! ## What is left of the mode gate
 //!
-//! Two exclusions remain, both Dekker handshakes over `SeqCst` accesses
-//! (one side stores its registration then loads the other's, and vice
-//! versa, so at least one sees the other):
-//!
-//! * **The serial-irrevocable tier really is exclusive.** A fast
-//!   transaction registers by storing 1 to **its own worker's** flag
-//!   (`fast_held[tid]`, alone on a 128-byte line, written by nobody else
-//!   while the worker lives), then checks `serial_mode`; if it is raised
-//!   it clears the flag and spin-yields until it drops. Leaving is one
-//!   `Release` store of 0. A slow transaction registers in the `slow_mode`
-//!   count (and `slow_held[tid]`) and parks between attempts while
-//!   `serial_mode` is raised. The serial tier raises `serial_mode`, then
-//!   waits for every flag and both counts to read zero. Neither
-//!   registration is read by the other retrying path: a fast attempt
-//!   reads no gate word a slow transaction writes, and the only line two
-//!   fast workers share for writing is the TL2 clock. (Making the serial
-//!   tier the eldest slow transaction would delete these registrations
-//!   too — a follow-up, ROADMAP item 1a.) A flag or count is also the
-//!   record [`NativeHybrid::reap_dead`] gives back when its worker dies
-//!   registered.
-//! * **Plain accesses with no worker identity stay out of slow
-//!   transactions.** [`NativeHybrid::peek`]/[`NativeHybrid::poke`] (and
-//!   the backend's `plain_load`/`plain_store`, which route through them)
-//!   register in one shared count, `plain_inflight`, and park while
-//!   `slow_mode` or `serial_mode` is raised; a slow transaction raises
-//!   `slow_mode`, then drains `plain_inflight` before it runs. This closes
-//!   the plain-access hole the `mprotect` guard cannot cover on unguarded
-//!   (boxed/TSan/non-x86_64) heaps, and is kept on guarded ones so plain
-//!   accessors behave the same everywhere.
+//! One exclusion, a Dekker handshake over `SeqCst` accesses (each side
+//! stores its registration, then loads the other's, so at least one sees
+//! the other): **plain accesses with no worker identity stay out of slow
+//! transactions.** [`NativeHybrid::peek`]/[`NativeHybrid::poke`] (and the
+//! backend's `plain_load`/`plain_store`, which route through them)
+//! register in one shared count, `plain_inflight`, and park while
+//! `slow_mode` is raised; a slow transaction — the serial tier's included,
+//! which runs inside the same registration — raises `slow_mode` (and
+//! `slow_held[tid]`, the record [`NativeHybrid::reap_dead`] gives back
+//! when its worker dies registered), then drains `plain_inflight` before
+//! it runs. This closes the plain-access hole the `mprotect` guard cannot
+//! cover on unguarded (boxed/TSan/non-x86_64) heaps, and is kept on
+//! guarded ones so plain accessors behave the same everywhere. A fast
+//! attempt touches no gate word at all: between
+//! [`TmBackend::transaction`]'s entry and [`NativeTxn::attempt`] it
+//! executes no atomic access.
 //!
 //! ## Which heap view
 //!
-//! One rule (see [`crate::guard`]): every transactional tier — fast,
-//! slow, serial — reads and writes the heap's never-protected *shadow*
-//! view; only plain accesses ([`NativeHybrid::peek`]/[`NativeHybrid::poke`]
-//! and the raw [`NativeTl2::peek`]/[`NativeTl2::poke`]) use the public
-//! view, which slow commits close page by page and plain accesses reopen
-//! on first touch. A fast transaction may therefore read or write a page
-//! while a slow commit's window is open over it; what keeps that sound is
-//! the stripe the slow commit holds for exactly the lines it is writing,
-//! not the page protection, which exists for plain accesses alone. The
-//! serial tier runs with both other paths drained.
+//! One rule (see [`crate::guard`]): every transaction — fast or slow, the
+//! serial tier being a slow one — reads and writes the heap's
+//! never-protected *shadow* view; only plain accesses
+//! ([`NativeHybrid::peek`]/[`NativeHybrid::poke`] and the raw
+//! [`NativeTl2::peek`]/[`NativeTl2::poke`]) use the public view, which
+//! slow commits close page by page and plain accesses reopen on first
+//! touch. A fast transaction may therefore read or write a page while a
+//! slow commit's window is open over it; what keeps that sound is the
+//! stripe the slow commit holds for exactly the lines it is writing, not
+//! the page protection, which exists for plain accesses alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -90,8 +87,10 @@ use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 pub struct NativeHybridPolicy {
     /// Consecutive fast-path aborts before one slow-path execution.
     pub failover_after: u32,
-    /// Slow-path attempts before escalating to the serial-irrevocable
-    /// tier (the native mirror of the simulator's third watchdog tier).
+    /// Slow-path attempts before escalating to the serial tier — one more
+    /// slow attempt, run as the eldest transaction, which nothing can
+    /// abort (the native mirror of the simulator's third watchdog tier).
+    /// 0 escalates at once.
     pub serial_after: u32,
 }
 
@@ -118,21 +117,16 @@ const BACKOFF_JITTER_PCT: u64 = 25;
 pub struct NativeHybrid {
     tl2: NativeTl2,
     ustm: NativeUstm,
-    /// Count of slow-path transactions pending or running: what plain
-    /// accessors and the serial tier wait on. No fast attempt reads it.
+    /// Count of slow-path transactions pending or running (a serial-tier
+    /// one included): what plain accessors wait on. No fast attempt reads
+    /// it.
     slow_mode: Padded<AtomicU64>,
     /// Count of anonymous plain accessors ([`NativeHybrid::peek`]/
     /// [`NativeHybrid::poke`]) currently inside the gate.
     plain_inflight: Padded<AtomicU64>,
-    /// Nonzero while a serial-irrevocable transaction runs; both paths
-    /// subscribe to it (fast via the gate, slow via attempt parking).
-    serial_mode: Padded<AtomicU64>,
-    /// Serializes serial-tier transactions.
+    /// Serializes serial-tier transactions: each runs as USTM's eldest
+    /// transaction, and there is one such seat.
     serial_gate: Mutex<()>,
-    /// Per-tid gate flag: nonzero while this tid's fast-path transaction
-    /// is registered against the serial tier. Written only by its worker
-    /// — and by [`NativeHybrid::reap_dead`] once that worker is dead.
-    fast_held: Box<[Padded<AtomicU64>]>,
     /// Per-tid flag: this tid currently holds a `slow_mode`
     /// registration.
     slow_held: Box<[Padded<AtomicU64>]>,
@@ -158,9 +152,7 @@ impl NativeHybrid {
             ustm: NativeUstm::new(threads, otable_bins),
             slow_mode: Padded::default(),
             plain_inflight: Padded::default(),
-            serial_mode: Padded::default(),
             serial_gate: Mutex::new(()),
-            fast_held: (0..threads).map(|_| Padded::default()).collect(),
             slow_held: (0..threads).map(|_| Padded::default()).collect(),
             policy,
         }
@@ -171,16 +163,13 @@ impl NativeHybrid {
     /// commit, which releases the slow-held stripes of its record — done
     /// first, while any `slow_mode` registration the corpse leaked still
     /// holds plain accessors off unguarded heaps), its orphaned TL2 stripe
-    /// locks, and finally any gate registration it died holding — its
-    /// fast flag or its `slow_mode` count — which would otherwise wedge
-    /// the serial tier's drain (and plain accessors) forever. Idempotent
-    /// and safe to call from multiple survivors: the flag is simply
-    /// cleared, the `slow_mode` count is given back by whoever wins the
-    /// CAS on `slow_held`.
+    /// locks, and finally the `slow_mode` registration it may have died
+    /// holding, which would otherwise park plain accessors forever.
+    /// Idempotent and safe to call from multiple survivors: the count is
+    /// given back by whoever wins the CAS on `slow_held`.
     pub fn reap_dead(&self, tid: usize) {
         self.ustm.reclaim_dead(&self.tl2, tid);
         self.tl2.sweep_orphans();
-        self.fast_held[tid].store(0, Ordering::SeqCst);
         if self.slow_held[tid]
             .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -211,55 +200,21 @@ impl NativeHybrid {
         &self.ustm
     }
 
-    /// Whether no slow-path and no serial transaction is pending — the
-    /// stop words a plain accessor subscribes to.
+    /// Whether no slow-path transaction is pending — the stop word a plain
+    /// accessor subscribes to.
     fn plain_mode(&self) -> bool {
-        self.slow_mode.load(Ordering::SeqCst) == 0 && self.serial_mode.load(Ordering::SeqCst) == 0
-    }
-
-    /// Registers worker `tid`'s fast-path transaction against the serial
-    /// tier: raise its own flag, then check `serial_mode`; quiesce (flag
-    /// down) while a serial transaction is pending. Slow-path
-    /// transactions are not waited for and `slow_mode` is not read: the
-    /// two paths run side by side (module docs).
-    fn fast_enter(&self, tid: usize) {
-        // Delay-only failpoint (anonymous stream): widens the window
-        // between arriving at the gate and registering in it.
-        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
-        let flag = &self.fast_held[tid];
-        loop {
-            flag.store(1, Ordering::SeqCst);
-            if self.serial_mode.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            flag.store(0, Ordering::Release);
-            self.park_while_serial();
-        }
-    }
-
-    /// Yields until no serial transaction is pending.
-    fn park_while_serial(&self) {
-        while self.serial_mode.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Deregisters. `Release` pairs with the serial drain's load of this
-    /// flag in [`NativeHybrid::fast_side_drained`]: a serial transaction
-    /// that reads the 0 sees everything the fast transaction did. Entry
-    /// needs `SeqCst` to order its store before its own load of the mode;
-    /// nothing this worker does after leaving depends on such an order.
-    fn fast_exit(&self, tid: usize) {
-        self.fast_held[tid].store(0, Ordering::Release);
+        self.slow_mode.load(Ordering::SeqCst) == 0
     }
 
     /// Gate entry for a plain accessor with no worker identity: registers
     /// in the shared `plain_inflight` count, and parks while a slow-path
-    /// or serial transaction is pending. Routing plain accesses through
-    /// the gate closes the hole the `mprotect` guard cannot cover on
-    /// unguarded (boxed/TSan/non-x86_64) heaps: a pending slow commit
-    /// drains plain accessors before touching the heap.
+    /// transaction is pending. Routing plain accesses through the gate
+    /// closes the hole the `mprotect` guard cannot cover on unguarded
+    /// (boxed/TSan/non-x86_64) heaps: a pending slow commit drains plain
+    /// accessors before touching the heap.
     fn plain_enter(&self) {
+        // Delay-only failpoint (anonymous stream): widens the window
+        // between arriving at the gate and registering in it.
         let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
         loop {
             self.plain_inflight.fetch_add(1, Ordering::SeqCst);
@@ -277,21 +232,9 @@ impl NativeHybrid {
         self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Whether the fast side of the gate is empty: every worker's flag
-    /// and the anonymous count read zero. The serial tier raises its mode
-    /// first, then waits for this.
-    fn fast_side_drained(&self) -> bool {
-        self.plain_inflight.load(Ordering::SeqCst) == 0
-            && self
-                .fast_held
-                .iter()
-                .all(|flag| flag.load(Ordering::SeqCst) == 0)
-    }
-
-    /// Registers `tid`'s slow-path transaction: raise `slow_mode` (for the
-    /// serial tier's drain and for plain accessors), then drain the plain
-    /// accessors already inside. Fast-path transactions are not waited
-    /// for and no fast flag is read.
+    /// Registers `tid`'s slow-path transaction: raise `slow_mode` (for
+    /// plain accessors), then drain the plain accessors already inside.
+    /// Fast-path transactions are not waited for.
     fn slow_enter(&self, tid: usize) {
         // Held-flag first: a worker that dies registered is repaired by
         // `reap_dead`, which gives back only what the flag records.
@@ -367,7 +310,8 @@ pub struct HybridStats {
     /// Failovers injected by [`HybridThread::force_failover_next`]
     /// (test/cross-validation scaffolding).
     pub forced_failovers: u64,
-    /// Transactions completed on the serial-irrevocable tier.
+    /// Transactions completed on the serial tier (as the eldest slow
+    /// transaction; not counted in `slow`'s begins or commits).
     pub serial_commits: u64,
     /// Escalations from the slow path to the serial tier (after
     /// `serial_after` failed slow attempts).
@@ -382,7 +326,7 @@ impl HybridStats {
     }
 
     /// Total aborts on either retrying path (the serial tier never
-    /// aborts).
+    /// aborts: nobody is old enough to kill the eldest transaction).
     #[must_use]
     pub fn total_aborts(&self) -> u64 {
         self.fast.total_aborts() + self.slow.total_aborts()
@@ -435,9 +379,10 @@ impl<'a> HybridThread<'a> {
     /// protocol scripts that never call [`TmBackend::barrier`].
     ///
     /// At most one live `HybridThread` may exist per `tid` of a given
-    /// [`NativeHybrid`]: the handle is the sole writer of its tid's gate
-    /// flag (two would clear each other's registration), and creating it
-    /// revives the tid in the liveness registry ([`NativeTxn::new`]),
+    /// [`NativeHybrid`]: its tid's USTM status slot and `slow_held` record
+    /// describe one transaction at a time (two handles would retire each
+    /// other's transaction and registration), and creating it revives the
+    /// tid in the liveness registry ([`NativeTxn::new`]),
     /// which already assumes any previous incarnation is gone. A tid may
     /// be reused once its previous handle has been dropped, or its worker
     /// has died and been reaped.
@@ -510,141 +455,42 @@ impl<'a> HybridThread<'a> {
         std::thread::yield_now();
     }
 
-    /// One fast-path attempt; `Some(r)` on commit.
-    fn try_fast<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>,
-    ) -> Option<R> {
-        // Registered for the whole attempt: if this worker dies at an
-        // injected failpoint inside it, `reap_dead` clears the flag.
-        self.shared.fast_enter(self.tid);
-        let committed = self.fast.attempt(|t| body(t));
-        self.shared.fast_exit(self.tid);
-        committed
-    }
-
     /// Runs one transaction to commit on the USTM slow path, beside
     /// whatever the fast path is doing: raise the mode, drain plain
-    /// accessors, retry the body under USTM until it commits, release the
-    /// mode. After `serial_after` failed attempts,
-    /// escalates to the serial-irrevocable tier — the third watchdog
-    /// tier, mirroring the simulator's. Between attempts the slow path
-    /// parks (deregistering from the mode) while a serial transaction
-    /// runs, so the serial tier's drain always terminates.
+    /// accessors, retry the body under USTM until it commits — after
+    /// `serial_after` failed attempts, on the serial tier — and release
+    /// the mode.
     fn run_slow<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
         let shared = self.shared;
         shared.slow_enter(self.tid);
-        let mut attempts = 0u32;
-        let committed = loop {
-            if attempts >= shared.policy.serial_after {
-                break None;
-            }
-            if shared.serial_mode.load(Ordering::SeqCst) != 0 {
-                // Park: hand the mode back so the serial tier can drain,
-                // re-register once it completes.
-                shared.slow_exit(self.tid);
-                shared.park_while_serial();
-                shared.slow_enter(self.tid);
-            }
-            attempts += 1;
-            if let Some(r) = self.slow.attempt(|t| body(t)) {
-                break Some(r);
-            }
-        };
+        let r = (0..shared.policy.serial_after)
+            .find_map(|_| self.slow.attempt(|t| body(t)))
+            .unwrap_or_else(|| self.run_serial(body));
         shared.slow_exit(self.tid);
-        match committed {
-            Some(r) => r,
-            None => {
-                self.serial_escalations += 1;
-                self.run_serial(body)
-            }
-        }
-    }
-
-    /// The serial-irrevocable tier: take the serial gate, raise
-    /// `serial_mode` (fast transactions and plain accessors park at the
-    /// gate; slow transactions park between attempts), reap every dead
-    /// worker, drain both paths, then execute the body **directly** on
-    /// the heap — no locks, no ownership, no aborts, and no chaos
-    /// strikes, so completion is unconditional. The native livelock of
-    /// mutual kills that wedges a two-tier hybrid completes here.
-    fn run_serial<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        let shared = self.shared;
-        let (_gate, _recovered) = lock_recover(&shared.serial_gate);
-        shared.serial_mode.store(1, Ordering::SeqCst);
-        // Declared after the gate lock, so it drops first: the mode is
-        // down before the next serial transaction can take the gate. It
-        // also drops when the body unwinds — `reap_dead` does not touch
-        // `serial_mode`, so a mode left raised by a dead worker would
-        // park every survivor forever.
-        let _mode = LowerOnDrop(&shared.serial_mode);
-        loop {
-            // Dead workers can never deregister; give their
-            // registrations back before judging the drain.
-            shared.reap_all_dead();
-            if shared.fast_side_drained() && shared.slow_mode.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut scope = SerialScope { shared };
-        let r = match body(&mut scope) {
-            Ok(r) => r,
-            Err(Stop) => {
-                // Irrevocable: direct stores are already public, so a
-                // hand-made Stop cannot roll back. Bodies that fabricate
-                // aborts are scaffolding-only and never reach the serial
-                // tier; a real workload body only fails via its scope.
-                panic!("transaction body surfaced a hand-made Stop on the serial tier")
-            }
-        };
-        self.serial_commits += 1;
         r
     }
-}
 
-/// Stores 0 to a mode word when dropped, on return and on unwind alike.
-struct LowerOnDrop<'a>(&'a AtomicU64);
-
-impl Drop for LowerOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.store(0, Ordering::SeqCst);
-    }
-}
-
-/// The serial tier's [`TxScope`]: direct, uninstrumented heap access
-/// through the shadow view (a transaction, so it must not fault on a page
-/// an earlier slow commit left closed). Sound because `run_serial` holds
-/// every other path parked for the whole body, and no new fast/slow
-/// transaction starts until `serial_mode` drops.
-struct SerialScope<'a> {
-    shared: &'a NativeHybrid,
-}
-
-impl SerialScope<'_> {
-    fn word(&self, addr: Addr) -> &AtomicU64 {
-        let tl2 = &self.shared.tl2;
-        tl2.heap().shadow_word(tl2.word_index(addr))
-    }
-}
-
-impl TxScope for SerialScope<'_> {
-    fn read(&mut self, addr: Addr) -> Result<u64, Stop> {
-        Ok(self.word(addr).load(Ordering::Acquire))
-    }
-
-    fn write(&mut self, addr: Addr, value: u64) -> Result<(), Stop> {
-        self.word(addr).store(value, Ordering::Release);
-        Ok(())
-    }
-
-    fn alloc(&mut self, words: u64) -> Result<Addr, Stop> {
-        Ok(self.shared.tl2.host_alloc(words))
-    }
-
-    fn work(&mut self, cycles: u64) -> Result<(), Stop> {
-        spin_work(cycles);
-        Ok(())
+    /// The serial tier — the third watchdog tier, mirroring the
+    /// simulator's: take the serial gate and run the body once more as
+    /// USTM's eldest transaction, which kills every younger owner it
+    /// meets, is killed by nobody and strikes no failpoint, so completion
+    /// is unconditional. The native livelock of mutual kills that wedges
+    /// a two-tier hybrid completes here. Runs inside `run_slow`'s
+    /// `slow_mode` registration: plain accessors stay parked.
+    fn run_serial<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
+        self.serial_escalations += 1;
+        // A serial body that panicked poisoned the gate on its way out;
+        // the seat is free again all the same.
+        let (_gate, _recovered) = lock_recover(&self.shared.serial_gate);
+        // Nobody can abort the eldest transaction, so a failed attempt is
+        // the body's own doing. Bodies that fabricate aborts are
+        // scaffolding-only; a real workload body only fails via its scope.
+        let r = self
+            .slow
+            .attempt_eldest(|t| body(t))
+            .expect("transaction body surfaced a hand-made Stop on the serial tier");
+        self.serial_commits += 1;
+        r
     }
 }
 
@@ -666,7 +512,7 @@ impl TmBackend for HybridThread<'_> {
             if consecutive > 0 {
                 self.backoff(consecutive);
             }
-            if let Some(r) = self.try_fast(&mut body) {
+            if let Some(r) = self.fast.attempt(|t| body(t)) {
                 return r;
             }
             consecutive += 1;

@@ -22,7 +22,8 @@
 //!   consecutive aborts with jittered backoff, serial tier after
 //!   `serial_after` failed slow attempts. Fast and slow transactions run
 //!   at the same time, ordered through the TL2 stripes and the ownership
-//!   table; only the serial tier excludes the other two.
+//!   table; the serial tier is the eldest slow transaction, which wins
+//!   every conflict and stops nobody else.
 //!
 //! Each path has exactly one single-shot attempt step
 //! ([`NativeTxn::attempt`], [`NativeUstmTxn::attempt`]) that every retry

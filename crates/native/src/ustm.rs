@@ -19,7 +19,8 @@
 //!   ownership is still eager (acquired at first read of a line), which
 //!   keeps conflict detection eager like the paper's USTM.
 //! * **Conflict resolution** — age-ordered, like the simulator: each
-//!   transaction draws a monotonically increasing timestamp at begin; an
+//!   transaction draws a monotonically increasing timestamp at begin (one
+//!   older than all of them is reserved: "The eldest transaction"); an
 //!   older transaction **kills** a younger conflictor (and waits for it
 //!   to unwind and release ownership), a younger transaction **stalls**
 //!   behind an older one. Stalling only ever waits on strictly older
@@ -89,6 +90,29 @@
 //! `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped — between
 //! attempts, and so is the redo log; a warm attempt allocates only the
 //! ownership records it creates.
+//!
+//! ## The eldest transaction
+//!
+//! The age rule has one reserved seat: a transaction begun with
+//! `NativeUstmTxn::begin_eldest` carries timestamp 0, older than any
+//! `begin` draws, and its caller keeps it the only one (the hybrid's
+//! serial gate — two timestamp-0 owners of one line would each stall
+//! behind the other forever). Kills go only to strictly younger
+//! timestamps, so nobody kills it; it strikes no failpoint; fast commits
+//! yield to it by rule 3 like to any slow owner. It therefore commits on
+//! its first attempt with the rest of the system still running, which is
+//! what the hybrid's serial tier promises. Each of its waits ends:
+//!
+//! * *a younger unsealed owner* it has killed notices at its next access,
+//!   stall round, stripe wait or seal, and releases;
+//! * *a sealed committer* cannot be killed, but waits for nothing except
+//!   stripes — taken in ascending order, from single-shot TL2 holders or
+//!   other sealed committers — and then releases;
+//! * *a TL2 stripe holder* (rule 2, and its own write-back) is single-shot
+//!   and releases without waiting for anyone;
+//! * *a dead owner or holder* of any of these kinds is reclaimed by the
+//!   waiter itself (`unblock_if_dead`, `stripe_round`) — a dead eldest
+//!   included, which a successor cannot kill but does outlive.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -109,6 +133,10 @@ const PHASE_COMMITTING: u64 = 2;
 /// A helper won the race to reclaim a dead owner's slot and is completing
 /// (or discarding) its work; everyone else waits for the slot to retire.
 const PHASE_REAPING: u64 = 3;
+
+/// The timestamp reserved for the eldest transaction: [`NativeUstmTxn::begin`]
+/// draws from 1 upwards, so this is older than any of them.
+const ELDEST_TS: u64 = 0;
 
 /// Packs a status slot: `[ts:40 | killer+1:16 | phase:8]`. `killer+1`
 /// so that 0 means "not killed" and thread id 0 can still kill.
@@ -376,8 +404,10 @@ impl NativeUstm {
     }
 
     /// Everything a commit does once sealed, for `owner`'s redo `record`
-    /// (ascending addresses) — run by the committer itself (`live`) or by
-    /// the helper completing it after its death. To everyone on the fast
+    /// (ascending addresses) — run by the committer itself or by the
+    /// helper completing it after its death; `strikes` says whether the
+    /// two failpoints below fire (an ordinary committer's do; a helper's
+    /// and the eldest transaction's do not). To everyone on the fast
     /// path this is a TL2 writer: take the stripes of the record's lines
     /// in ascending stripe order, draw `wv` from the clock, open the
     /// strong-atomicity window, write back through the shadow view,
@@ -407,7 +437,7 @@ impl NativeUstm {
         owner: usize,
         record: &[(u64, u64)],
         stripes: &mut Vec<usize>,
-        live: bool,
+        strikes: bool,
     ) -> u64 {
         let stamp = heap.slow_stamp(owner);
         stripes.clear();
@@ -429,11 +459,11 @@ impl NativeUstm {
         }
         let wv = heap.tick();
         {
-            let chaos = live.then(|| (heap.chaos(), owner));
+            let chaos = strikes.then(|| (heap.chaos(), owner));
             let _win = heap
                 .heap()
                 .open_window(record.iter().map(|&(a, _)| (a / 8) as usize), chaos);
-            if live {
+            if strikes {
                 let _ = heap.chaos().strike(owner, FailSite::UstmSealed);
             }
             for &(a, v) in record {
@@ -664,6 +694,19 @@ impl<'a> NativeUstmTxn<'a> {
         &self.ustm.slots[self.tid]
     }
 
+    /// Goes `ACTIVE` at timestamp `ts` with empty sets.
+    fn start(&mut self, ts: u64) {
+        assert!(!self.active, "nested native transactions are not supported");
+        self.ts = ts;
+        self.my_slot()
+            .store(pack(ts, 0, PHASE_ACTIVE), Ordering::SeqCst);
+        self.reads.clear();
+        self.writes.clear();
+        self.write_owned.clear();
+        self.last_killer = None;
+        self.active = true;
+    }
+
     /// Begins a transaction: draws a fresh (nonzero) timestamp and goes
     /// `ACTIVE`.
     ///
@@ -671,16 +714,27 @@ impl<'a> NativeUstmTxn<'a> {
     ///
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
-        assert!(!self.active, "nested native transactions are not supported");
-        self.ts = self.ustm.next_ts.fetch_add(1, Ordering::SeqCst) + 1;
-        self.my_slot()
-            .store(pack(self.ts, 0, PHASE_ACTIVE), Ordering::SeqCst);
-        self.reads.clear();
-        self.writes.clear();
-        self.write_owned.clear();
-        self.last_killer = None;
-        self.active = true;
+        self.start(self.ustm.next_ts.fetch_add(1, Ordering::SeqCst) + 1);
         self.stats.begins += 1;
+    }
+
+    /// Begins the *eldest* transaction (module docs, "The eldest
+    /// transaction"): `ACTIVE` at `ELDEST_TS`, counted in neither
+    /// `begins` nor `commits`. The caller must hold whatever makes it the
+    /// only one — the hybrid's serial gate; the step explorer has a single
+    /// slow handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction is already active.
+    #[doc(hidden)]
+    pub fn begin_eldest(&mut self) {
+        self.start(ELDEST_TS);
+    }
+
+    /// Whether the active transaction is the eldest one.
+    fn is_eldest(&self) -> bool {
+        self.ts == ELDEST_TS
     }
 
     /// If an older transaction has killed this one, who.
@@ -875,7 +929,7 @@ impl<'a> NativeUstmTxn<'a> {
     /// the transaction has already been rolled back.
     pub fn read(&mut self, addr: Addr) -> Result<u64, UstmAbort> {
         debug_assert!(self.active);
-        if self.heap.chaos().strike(self.tid, FailSite::UstmRead) {
+        if !self.is_eldest() && self.heap.chaos().strike(self.tid, FailSite::UstmRead) {
             return Err(self.abort_explicit());
         }
         if let Some(by) = self.doomed() {
@@ -966,7 +1020,8 @@ impl<'a> NativeUstmTxn<'a> {
         }
         // Ownerships held, not yet sealed: a forced abort (or injected
         // panic) here still unwinds as a plain ACTIVE rollback.
-        if self.heap.chaos().strike(self.tid, FailSite::UstmCommit) {
+        let strikes = !self.is_eldest();
+        if strikes && self.heap.chaos().strike(self.tid, FailSite::UstmCommit) {
             return Err(self.abort_explicit());
         }
         if !self.writes.is_empty() {
@@ -1008,7 +1063,7 @@ impl<'a> NativeUstmTxn<'a> {
                 self.tid,
                 self.writes.as_slice(),
                 &mut self.stripes,
-                true,
+                strikes,
             );
         }
         // A read-only transaction skips seal and write-back: its reads
@@ -1019,7 +1074,10 @@ impl<'a> NativeUstmTxn<'a> {
         self.my_slot().store(0, Ordering::SeqCst);
         self.writes.clear();
         self.active = false;
-        self.stats.commits += 1;
+        // The eldest transaction is its caller's to count (`begin_eldest`).
+        if !self.is_eldest() {
+            self.stats.commits += 1;
+        }
         Ok(())
     }
 
@@ -1028,6 +1086,14 @@ impl<'a> NativeUstmTxn<'a> {
     /// the native mirror of the simulated `UstmTxn::wait_for_killer`,
     /// which stops a freshly-killed victim from immediately re-attacking
     /// the older transaction that killed it.
+    ///
+    /// "Advanced" is judged by the killer's slot word changing, and every
+    /// eldest transaction of one worker writes the same words (its
+    /// timestamp is a constant). A victim of the eldest that is descheduled
+    /// across the gap between two of them therefore wakes to an unchanged
+    /// word and waits out the second as well: a delay, never a wedge —
+    /// the victim owns nothing while it waits here, so every eldest
+    /// transaction still terminates and the word does change.
     pub fn wait_for_killer(&mut self) {
         let Some(k) = self.last_killer.take() else {
             return;
@@ -1061,6 +1127,28 @@ impl<'a> NativeUstmTxn<'a> {
         body: impl FnOnce(&mut NativeUstmTxn<'a>) -> Result<R, E>,
     ) -> Option<R> {
         self.begin();
+        self.finish_attempt(body)
+    }
+
+    /// [`NativeUstmTxn::attempt`] as the eldest transaction (see
+    /// [`NativeUstmTxn::begin_eldest`] for what the caller must hold).
+    /// Nobody can abort it, so `None` means the body returned its own
+    /// `Err`.
+    pub(crate) fn attempt_eldest<R, E>(
+        &mut self,
+        body: impl FnOnce(&mut NativeUstmTxn<'a>) -> Result<R, E>,
+    ) -> Option<R> {
+        self.begin_eldest();
+        self.finish_attempt(body)
+    }
+
+    /// The rest of an attempt once begun: body, commit or rollback, and
+    /// the wait behind a killer.
+    #[inline]
+    fn finish_attempt<R, E>(
+        &mut self,
+        body: impl FnOnce(&mut NativeUstmTxn<'a>) -> Result<R, E>,
+    ) -> Option<R> {
         let committed = match body(self) {
             Ok(r) => self.commit().is_ok().then_some(r),
             Err(_) => {

@@ -12,7 +12,8 @@ use std::time::Duration;
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
 use ufotm_native::{
-    run_hybrid_threads, run_hybrid_threads_collect, HybridThread, NativeHybrid, NativeHybridPolicy,
+    run_hybrid_threads, run_hybrid_threads_collect, HybridStats, HybridThread, NativeHybrid,
+    NativeHybridPolicy,
 };
 
 const COUNTER: Addr = Addr(512);
@@ -250,62 +251,16 @@ const SERIAL_AT_ONCE: NativeHybridPolicy = NativeHybridPolicy {
     serial_after: 0,
 };
 
-/// The exclusion that remains, fast side registered first: while tid 0
-/// sits inside a fast-path body its gate flag is up, so tid 1's *serial*
-/// transaction must wait in its drain and cannot run its body until tid 0
-/// has left. (That no two gate flags share a 128-byte line is a `const`
-/// assertion beside `Padded` in `src/padded.rs`.)
-#[test]
-fn serial_transaction_waits_for_a_parked_fast_body() {
-    let (h, serial_ran) = (&world_with(2, SERIAL_AT_ONCE), &AtomicBool::new(false));
-    let (entered_tx, entered_rx) = mpsc::channel();
-    let (asking_tx, asking_rx) = mpsc::channel();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut th = HybridThread::new(h, None, 0, 2);
-            let mut first = true;
-            th.transaction(|tx| {
-                let v = tx.read(COUNTER)?;
-                if std::mem::take(&mut first) {
-                    entered_tx.send(()).unwrap();
-                    asking_rx.recv().unwrap();
-                    std::thread::sleep(LINGER);
-                    assert!(
-                        !serial_ran.load(Ordering::SeqCst),
-                        "a serial body ran beside a registered fast transaction"
-                    );
-                }
-                tx.write(COUNTER, v + 1)
-            });
-            assert_eq!(th.stats().fast.commits, 1);
-        });
-        s.spawn(move || {
-            let mut th = HybridThread::new(h, None, 1, 2);
-            entered_rx.recv().unwrap();
-            asking_tx.send(()).unwrap();
-            th.force_failover_next();
-            th.transaction(|tx| {
-                serial_ran.store(true, Ordering::SeqCst);
-                tx.write(ACCT_A, 1)
-            });
-            assert_eq!(th.stats().serial_commits, 1);
-        });
-    });
-    assert!(serial_ran.load(Ordering::SeqCst));
-    assert_eq!((h.peek(COUNTER), h.peek(ACCT_A)), (1, 1));
-}
-
-/// The exclusion that went: while tid 0 is parked in the middle of a
-/// fast-path body, tid 1's forced-slow transaction on other lines begins,
-/// commits and reports — tid 0 resumes only on that report, so a slow
-/// path that still waited for fast bodies would wedge both (and time out
-/// at the parent). tid 0 then commits without a single abort: the slow
-/// commit moved the clock, not the stripe it had read.
-#[test]
-fn slow_transaction_commits_beside_a_parked_fast_body() {
-    let wedged = "the slow transaction is waiting for the parked fast body";
-    let ((fast, slow), counter, acct_b) = or_time_out(wedged, || {
-        let h = &world(2);
+/// tid 0 parks in the middle of a fast-path body; tid 1's forced-slow
+/// transaction on other lines (a serial one under `SERIAL_AT_ONCE`)
+/// begins, commits and reports; tid 0 resumes only on that report. Returns
+/// (tid 0's stats, tid 1's stats), COUNTER and ACCT_B.
+fn forced_slow_commit_beside_a_parked_fast_body(
+    policy: NativeHybridPolicy,
+    wedged: &str,
+) -> ((HybridStats, HybridStats), u64, u64) {
+    or_time_out(wedged, move || {
+        let h = &world_with(2, policy);
         let (entered_tx, entered_rx) = mpsc::channel();
         let (committed_tx, committed_rx) = mpsc::channel();
         let stats = std::thread::scope(|s| {
@@ -336,7 +291,44 @@ fn slow_transaction_commits_beside_a_parked_fast_body() {
             (fast.join().unwrap(), slow.join().unwrap())
         });
         (stats, h.peek(COUNTER), h.peek(ACCT_B))
-    });
+    })
+}
+
+/// No tier stops the fast path: while tid 0 is parked in the middle of a
+/// fast-path body, tid 1's *serial* transaction on other lines begins,
+/// commits and reports — tid 0 resumes only on that report, so a serial
+/// tier that still drained fast bodies would wedge both (and time out at
+/// the parent). tid 0 then commits without a single abort.
+#[test]
+fn serial_transaction_commits_beside_a_parked_fast_body() {
+    let wedged = "the serial transaction is waiting for the parked fast body";
+    let ((fast, serial), counter, acct_b) =
+        forced_slow_commit_beside_a_parked_fast_body(SERIAL_AT_ONCE, wedged);
+    assert_eq!(
+        (serial.serial_commits, serial.slow.begins),
+        (1, 0),
+        "straight to the serial tier"
+    );
+    assert_eq!(serial.total_aborts(), 0);
+    assert_eq!(
+        (fast.fast.commits, fast.total_aborts()),
+        (1, 0),
+        "a serial commit on other lines must not cost the parked fast body an attempt"
+    );
+    assert_eq!((counter, acct_b), (1, 7));
+}
+
+/// The exclusion that went: while tid 0 is parked in the middle of a
+/// fast-path body, tid 1's forced-slow transaction on other lines begins,
+/// commits and reports — tid 0 resumes only on that report, so a slow
+/// path that still waited for fast bodies would wedge both (and time out
+/// at the parent). tid 0 then commits without a single abort: the slow
+/// commit moved the clock, not the stripe it had read.
+#[test]
+fn slow_transaction_commits_beside_a_parked_fast_body() {
+    let wedged = "the slow transaction is waiting for the parked fast body";
+    let ((fast, slow), counter, acct_b) =
+        forced_slow_commit_beside_a_parked_fast_body(NativeHybridPolicy::default(), wedged);
     assert_eq!((slow.slow.commits, slow.total_aborts()), (1, 0));
     assert_eq!(
         (fast.fast.commits, fast.total_aborts()),
@@ -352,17 +344,25 @@ fn slow_transaction_commits_beside_a_parked_fast_body() {
 /// ownership table and aborts `LockBusy`; told so, the reader reads the
 /// word again — the same value — and commits; only then does the
 /// increment land. tid 1 never fails over (`failover_after` is out of
-/// reach), so every abort it counts is the fast path yielding.
+/// reach), so every abort it counts is the fast path yielding. The reader
+/// is driven as an ordinary slow transaction and as the serial tier's
+/// eldest one: rule 3 is all that protects either from the fast path.
 #[test]
 fn fast_commit_yields_to_a_slow_reader_of_the_line() {
+    for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
+        fast_commit_yields_to_a_reader_under(policy);
+    }
+}
+
+fn fast_commit_yields_to_a_reader_under(policy: NativeHybridPolicy) {
     const BEFORE: u64 = 40;
     let wedged = "the reader and the yielding writer wedged each other";
-    let (writer, acct_a) = or_time_out(wedged, || {
+    let (writer, acct_a) = or_time_out(wedged, move || {
         let h = &world_with(
             2,
             NativeHybridPolicy {
                 failover_after: u32::MAX,
-                ..NativeHybridPolicy::default()
+                ..policy
             },
         );
         h.poke(ACCT_A, BEFORE);
@@ -386,7 +386,9 @@ fn fast_commit_yields_to_a_slow_reader_of_the_line() {
                     (BEFORE, BEFORE),
                     "a fast commit wrote a line under its slow reader"
                 );
-                assert_eq!(th.stats().slow.commits, 1);
+                let stats = th.stats();
+                assert_eq!(stats.slow.commits + stats.serial_commits, 1);
+                assert_eq!(stats.serial_commits, u64::from(policy.serial_after == 0));
             });
             let writer = s.spawn(move || {
                 let mut th = HybridThread::new(h, None, 1, 2);
@@ -421,6 +423,111 @@ fn fast_commit_yields_to_a_slow_reader_of_the_line() {
     );
     assert_eq!(writer.fast.commits, 1);
     assert_eq!(acct_a, BEFORE + 1, "the increment lands after the reader");
+}
+
+/// The age rule with the eldest in it. tid 0's slow transaction reads
+/// ACCT_A and stays in its body, polling `work` — where a body notices a
+/// kill. tid 1's serial read-modify-write of ACCT_A needs the line for
+/// writing, finds the younger reader and kills it: the reader leaves its
+/// poll loop by that kill and no other way, the serial transaction commits
+/// on its one attempt, and the reader's retry reads what it wrote. (A
+/// serial tier that drew a fresh timestamp would be the younger of the
+/// two, stall behind the reader for ever, and time out at the parent.)
+#[test]
+fn serial_transaction_kills_a_younger_slow_owner() {
+    const BEFORE: u64 = 40;
+    let wedged = "the serial transaction is outwaiting a younger reader it should have killed";
+    let ((reader, seen), serial, acct_a) = or_time_out(wedged, || {
+        let h = &world_with(2, SERIAL_AT_ONCE);
+        h.poke(ACCT_A, BEFORE);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (reader, serial) = std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                // A bare slow-path handle: under this policy a
+                // `HybridThread`'s slow transaction would be serial too.
+                let (_, mut slow) = h.debug_step_handles(0);
+                let mut first = true;
+                let seen = slow.run(|t| {
+                    let v = t.read(ACCT_A)?;
+                    if std::mem::take(&mut first) {
+                        parked_tx.send(()).unwrap();
+                        loop {
+                            t.work(0)?;
+                            std::thread::yield_now();
+                        }
+                    }
+                    Ok(v)
+                });
+                (slow.stats, seen)
+            });
+            let serial = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 1, 2);
+                parked_rx.recv().unwrap();
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    let v = tx.read(ACCT_A)?;
+                    tx.write(ACCT_A, v + 1)
+                });
+                th.stats()
+            });
+            (reader.join().unwrap(), serial.join().unwrap())
+        });
+        (reader, serial, h.peek(ACCT_A))
+    });
+    assert_eq!((serial.serial_commits, serial.total_aborts()), (1, 0));
+    assert!(serial.slow.kills_issued >= 1 && reader.aborts_killed >= 1);
+    assert_eq!((reader.commits, seen, acct_a), (1, BEFORE + 1, BEFORE + 1));
+}
+
+/// One eldest seat. tid 0 parks inside a serial body; tid 1's serial
+/// transaction, on another line, must not start its body until tid 0 has
+/// committed — age does not order two timestamp-0 transactions, and on one
+/// line each would stall behind the other for ever. tid 0 listens (for
+/// `LINGER`: behind a correct gate there is nothing to hear) for tid 1's
+/// body starting, and says what it heard only after it has committed: an
+/// assertion inside the body would leave a corpse owning the line.
+#[test]
+fn two_serial_transactions_run_one_at_a_time() {
+    let wedged = "two serial transactions wedged each other";
+    let ((overlapped, first), second, heap) = or_time_out(wedged, || {
+        let h = &world_with(2, SERIAL_AT_ONCE);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (started_tx, started_rx) = mpsc::channel();
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 0, 2);
+                let mut overlapped = false;
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    let v = tx.read(COUNTER)?;
+                    entered_tx.send(()).unwrap();
+                    overlapped = started_rx.recv_timeout(LINGER).is_ok();
+                    tx.write(COUNTER, v + 1)
+                });
+                (overlapped, th.stats())
+            });
+            let second = s.spawn(move || {
+                let mut th = HybridThread::new(h, None, 1, 2);
+                entered_rx.recv().unwrap();
+                th.force_failover_next();
+                th.transaction(|tx| {
+                    // Nobody is listening once tid 0 has committed.
+                    let _ = started_tx.send(());
+                    tx.write(ACCT_A, 1)
+                });
+                th.stats()
+            });
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        (first, second, (h.peek(COUNTER), h.peek(ACCT_A)))
+    });
+    assert!(
+        !overlapped,
+        "tid 1's serial body started while tid 0's was still running"
+    );
+    assert_eq!((first.serial_commits, second.serial_commits), (1, 1));
+    assert_eq!(first.total_aborts() + second.total_aborts(), 0);
+    assert_eq!(heap, (1, 1));
 }
 
 /// Both paths at once on the same few lines: 4 workers move money among
@@ -480,11 +587,12 @@ fn mixed_paths_on_shared_lines_conserve_the_total() {
     h.ustm().audit().expect("otable audit");
 }
 
-/// The other exclusion that remains, the accessor anonymous: while tid 0
-/// sits inside a slow-path body `slow_mode` is raised (inside a serial
-/// one, `serial_mode`), so a tid-less [`NativeHybrid::poke`] from another
-/// thread parks at the gate and returns only after the transaction has
-/// committed. Plain accessors wait for both tiers, so both are driven.
+/// The exclusion that remains, the accessor anonymous: while tid 0 sits
+/// inside a slow-path body `slow_mode` is raised (a serial body runs
+/// inside the same registration), so a tid-less [`NativeHybrid::poke`]
+/// from another thread parks at the gate and returns only after the
+/// transaction has committed. Plain accessors wait for both tiers, so
+/// both are driven.
 #[test]
 fn anonymous_poke_waits_for_a_parked_slow_body() {
     for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
@@ -525,13 +633,15 @@ fn anonymous_poke_waits_for_a_parked_slow_body() {
     }
 }
 
-/// A body that unwinds on the serial tier must take `serial_mode` down
+/// A body that unwinds on the serial tier must not take the survivors
 /// with it. tid 0 escalates straight to the serial tier
-/// (`serial_after: 0`) and panics inside its body; tid 1 starts only once
-/// tid 0 is in there, so it parks at the gate with the mode raised — and
-/// must be released by the unwind, not wait forever. The run happens on a
-/// detached thread and reports over a channel, so a wedged survivor fails
-/// the test instead of hanging it.
+/// (`serial_after: 0`) and panics inside its body, the eldest transaction
+/// with a write buffered and the serial gate held; tid 1 starts only once
+/// tid 0 is in there, and must get every transaction through: the unwind
+/// releases (and poisons) the gate, the runner reaps the corpse's slot and
+/// `slow_mode` registration, and no other word was raised. The run happens
+/// on a detached thread and reports over a channel, so a wedged survivor
+/// fails the test instead of hanging it.
 #[test]
 fn a_panic_on_the_serial_tier_releases_the_parked_survivors() {
     const PER: u64 = 100;

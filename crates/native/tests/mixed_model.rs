@@ -88,6 +88,25 @@ macro_rules! impl_steps {
 impl_steps!(NativeTxn);
 impl_steps!(NativeUstmTxn);
 
+/// A slow-path handle whose transactions begin as the eldest one — what
+/// the hybrid's serial tier runs.
+struct Eldest<'a>(NativeUstmTxn<'a>);
+
+impl Steps for Eldest<'_> {
+    fn begin(&mut self) {
+        self.0.begin_eldest();
+    }
+    fn read(&mut self, addr: Addr) -> Option<u64> {
+        Steps::read(&mut self.0, addr)
+    }
+    fn write(&mut self, addr: Addr, value: u64) -> bool {
+        Steps::write(&mut self.0, addr, value)
+    }
+    fn commit(&mut self) -> bool {
+        Steps::commit(&mut self.0)
+    }
+}
+
 /// What one transaction did in one schedule.
 #[derive(Clone, Copy, Debug)]
 struct History {
@@ -243,13 +262,15 @@ struct Tally {
     schedules: u64,
     commits: u64,
     aborts: u64,
+    /// Schedules in which transaction 0, the slow one, committed.
+    slow_commits: u64,
 }
 
 /// Explores every schedule of every tuple in `tuples`: transaction 0 of a
-/// tuple runs on the slow path, the others on the fast path. One world
-/// serves all of them (setting one up costs more than a thousand
-/// schedules).
-fn explore(tuples: &[Vec<Program>]) -> (Tally, u64) {
+/// tuple runs on the slow path (as the eldest transaction if `eldest`),
+/// the others on the fast path. One world serves all of them (setting one
+/// up costs more than a thousand schedules).
+fn explore(tuples: &[Vec<Program>], eldest: bool) -> (Tally, u64) {
     let n = tuples[0].len();
     let world = NativeHybrid::new(
         1 << 8,
@@ -259,9 +280,14 @@ fn explore(tuples: &[Vec<Program>]) -> (Tally, u64) {
         1 << 4,
         NativeHybridPolicy::default(),
     );
-    let (_, mut slow) = world.debug_step_handles(0);
+    let (_, slow) = world.debug_step_handles(0);
+    let mut slow: Box<dyn Steps + '_> = if eldest {
+        Box::new(Eldest(slow))
+    } else {
+        Box::new(slow)
+    };
     let mut fast: Vec<NativeTxn<'_>> = (1..n).map(|t| world.debug_step_handles(t).0).collect();
-    let mut txns: Vec<&mut dyn Steps> = vec![&mut slow];
+    let mut txns: Vec<&mut dyn Steps> = vec![&mut *slow];
     txns.extend(fast.iter_mut().map(|f| f as &mut dyn Steps));
     let orders = permutations(n);
     let mut tally = Tally::default();
@@ -276,6 +302,7 @@ fn explore(tuples: &[Vec<Program>]) -> (Tally, u64) {
             tally.schedules += 1;
             tally.commits += hist.iter().filter(|h| h.committed).count() as u64;
             tally.aborts += hist.iter().filter(|h| !h.committed).count() as u64;
+            tally.slow_commits += u64::from(hist[0].committed);
         });
     }
     drop(txns);
@@ -286,19 +313,26 @@ fn explore(tuples: &[Vec<Program>]) -> (Tally, u64) {
 }
 
 /// One slow and one fast transaction: all 36 program pairs, all 70
-/// interleavings of each.
+/// interleavings of each — once with an ordinary slow transaction, once
+/// with the eldest one, which on top of being explainable must commit in
+/// every schedule: that is the serial tier's whole contract.
 #[test]
 fn every_schedule_of_a_slow_and_a_fast_transaction_is_explainable() {
     let pairs: Vec<Vec<Program>> = PROGRAMS
         .iter()
         .flat_map(|&slow| PROGRAMS.iter().map(move |&fast| vec![slow, fast]))
         .collect();
-    let (tally, yields) = explore(&pairs);
-    assert_eq!(tally.schedules, 36 * 70);
-    assert!(
-        tally.aborts > 0 && yields > 0 && tally.commits > tally.schedules,
-        "the exploration met no conflict: {tally:?}, {yields} yields to a slow owner"
-    );
+    for eldest in [false, true] {
+        let (tally, yields) = explore(&pairs, eldest);
+        assert_eq!(tally.schedules, 36 * 70);
+        assert!(
+            tally.aborts > 0 && yields > 0 && tally.commits > tally.schedules,
+            "the exploration met no conflict: {tally:?}, {yields} yields to a slow owner"
+        );
+        if eldest {
+            assert_eq!(tally.slow_commits, tally.schedules, "the eldest lost");
+        }
+    }
 }
 
 /// One slow and two fast transactions over the crossed pair and the
@@ -314,7 +348,7 @@ fn every_schedule_of_a_slow_and_two_fast_transactions_is_explainable() {
             }
         }
     }
-    let (tally, yields) = explore(&triples);
+    let (tally, yields) = explore(&triples, false);
     assert_eq!(tally.schedules, 27 * 34_650);
     assert!(tally.aborts > 0 && yields > 0, "{tally:?}, {yields} yields");
 }

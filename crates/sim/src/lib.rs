@@ -47,7 +47,7 @@ mod seeds;
 
 pub use ctx::Ctx;
 pub use engine::{HandoffMode, Sim, SimResult, ThreadFn, World};
-pub use seeds::{for_each_seed, for_each_seed_plan, seed_count, SEED_COUNT_ENV, SEED_ENV};
+pub use seeds::{for_each_seed, seed_count, SEED_COUNT_ENV, SEED_ENV};
 
 /// Re-exported so seed-sweep tests can derive per-seed randomness without
 /// depending on `ufotm-machine` directly.
