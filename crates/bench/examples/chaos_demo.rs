@@ -1,6 +1,9 @@
 //! Chaos-engine demo: run the shared-counter torture workload under a
 //! seeded fault plan and print what the machine injected, what the
 //! watchdog did about it, and proof that the run replays bit-for-bit.
+//! `serial` commits are the watchdog's last tier: the transaction re-run as
+//! the eldest software transaction, which nothing can kill, with the other
+//! CPUs still running.
 //!
 //! ```text
 //! cargo run -p ufotm-bench --example chaos_demo -- [seed] [mix] [system]

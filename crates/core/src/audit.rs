@@ -14,11 +14,11 @@
 //! 3. **Escalations are honoured** — after `WatchdogEscalation(Software)`
 //!    the CPU's next attempt is software; after
 //!    `WatchdogEscalation(Serial)` it is serial-irrevocable.
-//! 4. **Serial exclusivity** — `SerialIrrevocable` is journaled only once
-//!    the gate is raised and in-flight software transactions have
-//!    quiesced, so between it and the holder's `PlainCommit` no other CPU
-//!    may open a serial window or commit in hardware (subscribed hardware
-//!    transactions are doomed by the gate store through plain coherence).
+//! 4. **One serial window at a time** — `SerialIrrevocable` is journaled
+//!    under the global lock, so no second one appears until the holder's
+//!    `PlainCommit` (or its `SwAbort`, when the body asked for `retry` and
+//!    gave the seat back). Everybody else keeps running and committing:
+//!    the window's owner is isolated by ownership, not by exclusion.
 //! 5. **Faults precede their driver event** — a `FaultInjected` entry is
 //!    drained into the journal before the driver event it provoked, so it
 //!    must not carry a cycle later than the CPU's next driver event.
@@ -39,7 +39,7 @@ pub enum CommitPath {
     Hw,
     /// Committed by a software (STM) attempt.
     Sw,
-    /// Committed serial-irrevocably under the gate.
+    /// Committed on the watchdog's last tier (the eldest transaction).
     Serial,
     /// Committed on the plain/lock path (no attempt events journaled).
     Plain,
@@ -261,15 +261,10 @@ pub fn audit_events(events: &[TraceEvent], truncated: bool) -> AuditReport {
             }
         }
 
-        // Invariant 4: no hardware commit or second serial window while a
-        // serial window is open on another CPU.
+        // Invariant 4: no second serial window while one is open on
+        // another CPU.
         if let Some(holder) = serial_holder {
-            if holder != e.cpu
-                && matches!(
-                    e.kind,
-                    TraceKind::HwCommit | TraceKind::PlainCommit | TraceKind::SerialIrrevocable
-                )
-            {
+            if holder != e.cpu && e.kind == TraceKind::SerialIrrevocable {
                 report.violations.push(violation(format!(
                     "{} while cpu {holder} holds the serial-irrevocable window",
                     e.kind
@@ -316,6 +311,13 @@ pub fn audit_events(events: &[TraceEvent], truncated: bool) -> AuditReport {
                         path: CommitPath::Hw,
                     });
                 }
+            }
+            // The eldest attempt gave its seat back (`retry`).
+            TraceKind::SwAbort if t.state == CpuState::InSerial => {
+                if serial_holder == Some(e.cpu) {
+                    serial_holder = None;
+                }
+                t.state = CpuState::Idle;
             }
             TraceKind::SwCommit | TraceKind::SwAbort => {
                 if t.state != CpuState::InSw {

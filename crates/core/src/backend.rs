@@ -141,8 +141,9 @@ pub struct BackendStats {
     pub slow_commits: u64,
     /// Fast→slow failovers taken.
     pub failovers: u64,
-    /// The part of `slow_commits` that completed on a serial-irrevocable
-    /// last-resort tier (hybrid backends with a watchdog).
+    /// The part of `slow_commits` that completed on the last-resort tier,
+    /// as the eldest software transaction (hybrid backends with a
+    /// watchdog).
     pub serial_commits: u64,
     /// Ownership records reclaimed from dead/orphaned owners (native
     /// fault-tolerant backends: stolen TL2 stripe locks plus discarded

@@ -46,9 +46,7 @@ pub use report::{
     json_escape, CycleAttribution, Log2Histogram, RunReport, TraceSummary, ABORT_TAXONOMY,
 };
 pub use runtime::TmThread;
-pub use shared::{
-    AllocModel, HasTm, HybridStats, SerialGate, SystemKind, TmShared, TmSharedLayout, TmWorld,
-};
+pub use shared::{AllocModel, HasTm, HybridStats, SystemKind, TmShared, TmSharedLayout, TmWorld};
 pub use trace::{EscalationTier, TraceEvent, TraceKind, TraceLog};
 pub use tx::{Tx, TxAbort};
 

@@ -47,9 +47,9 @@ pub struct HybridPolicy {
     /// transaction over to the STM. `None` (the default) disables the
     /// watchdog and keeps the paper's retry-forever policy.
     pub watchdog_hw_attempts: Option<u32>,
-    /// Watchdog tier 2: after this many consecutive software kills of the
-    /// same transaction, escalate to serial-irrevocable execution under
-    /// the global lock (strongly-atomic systems only). `None` disables.
+    /// Watchdog tier 2: after this many software kills of the same
+    /// transaction, run it once more as the eldest software transaction
+    /// under the global lock, which nothing can kill. `None` disables.
     pub watchdog_sw_kills: Option<u32>,
     /// Watchdog livelock accelerator: if the *global* commit count has not
     /// advanced across this many consecutive abort/backoff observations by
@@ -105,9 +105,9 @@ impl HybridPolicy {
 
     /// The progress watchdog, armed with its default limits: jittered
     /// backoff, software failover after 16 consecutive hardware aborts,
-    /// serial-irrevocable execution after 8 consecutive software kills,
-    /// and immediate escalation once 8 consecutive observations show zero
-    /// global commit progress. Guarantees every transaction commits within
+    /// the eldest-transaction seat after 8 software kills, and immediate
+    /// escalation once 8 consecutive observations show zero global commit
+    /// progress. Guarantees every transaction commits within
     /// a bounded number of attempts, at the price of abandoning the
     /// paper's never-fail-over-on-contention recommendation when the
     /// system is demonstrably stuck.

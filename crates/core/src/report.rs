@@ -109,8 +109,8 @@ pub struct CycleAttribution {
     pub nack_stall: u64,
     /// Cycles spent in contention backoff between attempts.
     pub backoff: u64,
-    /// Cycles inside serial-irrevocable windows (lock acquisition, gate
-    /// raise, quiesce, body, gate lower).
+    /// Cycles on the watchdog's last tier (lock acquisition, the eldest
+    /// attempt, lock release).
     pub serial: u64,
     /// All explicitly stalled cycles (includes `backoff` and the stall
     /// portions of `serial`; kept as the machine's raw counter).

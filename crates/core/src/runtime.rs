@@ -4,7 +4,7 @@
 use ufotm_machine::{splitmix64, AbortInfo, AbortReason, AccessError, Addr, PlainAccess, SimRng};
 use ufotm_sim::Ctx;
 use ufotm_tl2::Tl2Txn;
-use ufotm_ustm::{nont_load, TxnStatus, UstmAbort, UstmTxn};
+use ufotm_ustm::{nont_load, UstmAbort, UstmTxn};
 
 use crate::lockbase::{lock_acquire, lock_release};
 use crate::policy::HybridPolicy;
@@ -43,8 +43,6 @@ enum HwFail {
     RetryRequested,
     /// PhTM only: the system is in an STM phase.
     PhaseBusy,
-    /// A serial-irrevocable transaction holds the system; wait it out.
-    SerialBusy,
 }
 
 /// The per-thread TM runtime: owns the software transaction handles and
@@ -119,7 +117,7 @@ impl TmThread {
         match self.kind {
             SystemKind::Sequential => self.plain_path(ctx, &mut body, false),
             SystemKind::GlobalLock => self.plain_path(ctx, &mut body, true),
-            SystemKind::UstmWeak | SystemKind::UstmStrong => self.ustm_path(ctx, &mut body),
+            SystemKind::UstmWeak | SystemKind::UstmStrong => self.ustm_path(ctx, &mut body, false),
             SystemKind::Tl2 => self.tl2_path(ctx, &mut body),
             SystemKind::UnboundedHtm => self.unbounded_path(ctx, &mut body),
             SystemKind::UfoHybrid => self.ufo_hybrid_path(ctx, &mut body),
@@ -153,67 +151,119 @@ impl TmThread {
         r
     }
 
+    /// The software path: USTM attempts until one commits. `seated` says
+    /// the hardware watchdog already escalated this transaction to tier 2.
+    ///
+    /// Tier 2 is one more USTM attempt, begun as the *eldest* transaction
+    /// ([`UstmTxn::begin_eldest`]) under the global lock. The rules USTM
+    /// already has isolate it — it kills every younger owner it meets,
+    /// outwaits committers, and hardware transactions take a UFO fault
+    /// (HyTM: an otable hit; PhTM: a phase) on the lines it owns — and
+    /// nobody can kill it, so it commits on its first attempt with the
+    /// rest of the system still running: the bounded-retry guarantee. The
+    /// lock is the seat: age cannot order two eldest transactions.
     fn ustm_path<U: TmWorld, R>(
         &mut self,
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
+        mut seated: bool,
     ) -> R {
+        let cpu = self.cpu;
         let mut kills: u32 = 0;
         loop {
-            if self.serial_gate_armed() {
-                self.wait_serial_clear(ctx);
-            }
             // Watchdog tier 2: a transaction that keeps getting killed in
-            // software (or observes system-wide stagnation) escalates to
-            // serial-irrevocable execution. Only sound where the serial
-            // path's plain accesses are strongly atomic.
-            if let Some(limit) = self.policy.watchdog_sw_kills {
+            // software (or observes system-wide stagnation) takes the seat.
+            if let Some(limit) = self.policy.watchdog_sw_kills.filter(|_| !seated) {
                 let stagnant = kills > 0 && self.observe_stagnation(ctx);
-                if (kills >= limit || stagnant) && self.kind.strong_atomicity() {
+                if kills >= limit || stagnant {
                     self.escalate(ctx, EscalationTier::Serial);
-                    return self.serial_path(ctx, body);
+                    seated = true;
                 }
             }
-            trace(ctx, TraceKind::SwBegin);
-            self.ustm.begin(ctx);
-            let mut tx = Tx::new(
-                self.cpu,
-                Mode::Ustm(&mut self.ustm),
-                self.policy,
-                &mut self.alloc_budget,
-            );
-            let out = body(&mut tx, ctx);
-            let bk = tx.into_bookkeeping();
-            match out {
-                Ok(r) => match self.ustm.commit(ctx) {
-                    Ok(()) => {
-                        apply_frees(ctx, &bk.frees);
-                        ctx.with(|w| w.shared.tm().stats.sw_commits += 1);
-                        trace(ctx, TraceKind::SwCommit);
-                        bk.run_deferred();
-                        return r;
+            if std::mem::take(&mut seated) {
+                let entered = ctx.with(|w| w.machine.now(cpu));
+                lock_acquire(ctx, 80);
+                let out = self.ustm_attempt(ctx, body, true);
+                lock_release(ctx);
+                ctx.with(|w| {
+                    let window = w.machine.now(cpu) - entered;
+                    w.shared.tm().stats.serial_cycles += window;
+                });
+                match out {
+                    Ok(r) => return r,
+                    Err(UstmAbort::Killed { by }) => {
+                        unreachable!("the eldest transaction was killed by cpu {by}")
                     }
-                    Err(UstmAbort::Killed { .. }) => {
-                        undo_allocs(ctx, &bk.allocs);
-                        trace(ctx, TraceKind::SwAbort);
-                        self.ustm.wait_for_killer(ctx);
-                        kills += 1;
-                    }
-                    Err(other) => unreachable!("commit produced {other:?}"),
-                },
-                Err(TxAbort::Stm(UstmAbort::Killed { .. })) => {
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
+                    // The body asked for `retry`: the seat is free again,
+                    // and the ordinary attempt below is the one that parks
+                    // (a sleeper holding the lock would wedge a waker that
+                    // escalates).
+                    Err(UstmAbort::Explicit | UstmAbort::RetryWoken) => {}
+                }
+            }
+            match self.ustm_attempt(ctx, body, false) {
+                Ok(r) => return r,
+                Err(UstmAbort::Killed { .. }) => {
                     self.ustm.wait_for_killer(ctx);
                     kills += 1;
                 }
-                Err(TxAbort::Stm(UstmAbort::RetryWoken | UstmAbort::Explicit)) => {
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
-                }
-                Err(other) => unreachable!("USTM body produced {other}"),
+                Err(UstmAbort::Explicit | UstmAbort::RetryWoken) => {}
             }
         }
+    }
+
+    /// One USTM attempt — begin, body, commit — journaled as a serial
+    /// window and counted in `serial_commits` when it is the eldest one.
+    /// On `Err` the transaction is rolled back and its allocations undone.
+    fn ustm_attempt<U: TmWorld, R>(
+        &mut self,
+        ctx: &mut Ctx<U>,
+        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
+        eldest: bool,
+    ) -> Result<R, UstmAbort> {
+        let (opened, committed) = if eldest {
+            (TraceKind::SerialIrrevocable, TraceKind::PlainCommit)
+        } else {
+            (TraceKind::SwBegin, TraceKind::SwCommit)
+        };
+        trace(ctx, opened);
+        if eldest {
+            self.ustm.begin_eldest(ctx);
+        } else {
+            self.ustm.begin(ctx);
+        }
+        let mut tx = Tx::new(
+            self.cpu,
+            Mode::Ustm(&mut self.ustm),
+            self.policy,
+            &mut self.alloc_budget,
+        );
+        let out = body(&mut tx, ctx);
+        let bk = tx.into_bookkeeping();
+        let abort = match out {
+            Ok(r) => match self.ustm.commit(ctx) {
+                Ok(()) => {
+                    apply_frees(ctx, &bk.frees);
+                    ctx.with(|w| {
+                        let stats = &mut w.shared.tm().stats;
+                        if eldest {
+                            stats.serial_commits += 1;
+                        } else {
+                            stats.sw_commits += 1;
+                        }
+                    });
+                    trace(ctx, committed);
+                    bk.run_deferred();
+                    return Ok(r);
+                }
+                Err(abort) => abort,
+            },
+            Err(TxAbort::Stm(abort)) => abort,
+            Err(other) => unreachable!("USTM body produced {other}"),
+        };
+        undo_allocs(ctx, &bk.allocs);
+        trace(ctx, TraceKind::SwAbort);
+        Err(abort)
     }
 
     fn tl2_path<U: TmWorld, R>(
@@ -302,35 +352,6 @@ impl TmThread {
                         return Err(HwFail::Abort(i));
                     }
                     Err(e) => panic!("phase check: {e}"),
-                }
-            }
-        }
-        if self.serial_gate_armed() {
-            // Transactionally subscribe to the serial-irrevocable flag:
-            // raising it dooms this transaction through plain coherence;
-            // finding it already raised means a serial transaction holds
-            // the system — abort and get out of its way. Without this gate
-            // a hardware commit could land between a serial transaction's
-            // read and write of the same line (a lost update).
-            let cpu = self.cpu;
-            loop {
-                let r = ctx.with(|w| {
-                    let a = w.shared.tm().serial.addr();
-                    w.machine.load(cpu, a).map(|_| w.shared.tm().serial.active)
-                });
-                match r {
-                    Ok(false) => break,
-                    Ok(true) => {
-                        ctx.btm_abort_with(AbortInfo::new(AbortReason::Explicit));
-                        trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
-                        return Err(HwFail::SerialBusy);
-                    }
-                    Err(AccessError::Nacked) => {}
-                    Err(AccessError::TxnAbort(i)) => {
-                        trace(ctx, TraceKind::HwAbort(i.reason));
-                        return Err(HwFail::Abort(i));
-                    }
-                    Err(e) => panic!("serial gate subscribe: {e}"),
                 }
             }
         }
@@ -427,120 +448,18 @@ impl TmThread {
         trace(ctx, TraceKind::WatchdogEscalation(tier));
     }
 
-    /// Whether this thread participates in the serial-irrevocable gate:
-    /// the policy can escalate to tier 2 and the system's plain accesses
-    /// are strongly atomic (the soundness requirement for serial mode).
-    fn serial_gate_armed(&self) -> bool {
-        self.kind.strong_atomicity()
-            && (self.policy.watchdog_sw_kills.is_some()
-                || self.policy.watchdog_stagnation.is_some())
-    }
-
-    /// Spins (with stalls) until no serial-irrevocable transaction holds
-    /// the system.
-    fn wait_serial_clear<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) {
-        let cpu = self.cpu;
-        loop {
-            let active = ctx.with(|w| {
-                let a = w.shared.tm().serial.addr();
-                w.machine.load(cpu, a).plain("serial flag read");
-                w.shared.tm().serial.active
-            });
-            if !active {
-                return;
-            }
-            ctx.stall(200).plain("serial gate wait");
-        }
-    }
-
-    /// The watchdog's last tier: run the transaction serial-irrevocably
-    /// under the global lock with the stop flag raised. Raising the flag
-    /// dooms every subscribed hardware transaction through plain coherence
-    /// and turns away new attempts; in-flight software transactions are
-    /// quiesced before the body runs. Accesses then use the
-    /// strong-atomicity-aware non-transactional path, which cannot abort,
-    /// so this attempt always commits — the bounded-retry guarantee.
-    fn serial_path<U: TmWorld, R>(
-        &mut self,
-        ctx: &mut Ctx<U>,
-        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
-    ) -> R {
-        let cpu = self.cpu;
-        let entered = ctx.with(|w| w.machine.now(cpu));
-        lock_acquire(ctx, 80);
-        ctx.with(|w| {
-            let a = {
-                let t = w.shared.tm();
-                t.serial.active = true;
-                t.serial.raised += 1;
-                t.serial.addr()
-            };
-            w.machine.store(cpu, a, 1).plain("serial flag raise");
-        });
-        // Quiesce in-flight software transactions. Parked (`Retrying`)
-        // sleepers may stay parked: they hold read ownership only, and a
-        // conflicting serial store wakes them through the fault handler.
-        loop {
-            let busy = ctx.with(|w| {
-                w.shared.ustm().slots.iter().enumerate().any(|(o, s)| {
-                    o != cpu
-                        && matches!(
-                            s.status,
-                            TxnStatus::Active | TxnStatus::Committing | TxnStatus::Aborting
-                        )
-                })
-            });
-            if !busy {
-                break;
-            }
-            ctx.stall(120).plain("serial quiesce wait");
-        }
-        // Journaled only now — gate raised and quiesce complete — so the
-        // SerialIrrevocable..PlainCommit window in the trace is exactly the
-        // interval in which no other CPU may commit (the auditor's serial-
-        // exclusivity invariant).
-        trace(ctx, TraceKind::SerialIrrevocable);
-        let mut tx = Tx::new(self.cpu, Mode::Serial, self.policy, &mut self.alloc_budget);
-        let r = body(&mut tx, ctx);
-        let bk = tx.into_bookkeeping();
-        let r = r.unwrap_or_else(|e| panic!("serial-mode body cannot abort, got {e}"));
-        apply_frees(ctx, &bk.frees);
-        ctx.with(|w| w.shared.tm().stats.serial_commits += 1);
-        trace(ctx, TraceKind::PlainCommit);
-        bk.run_deferred();
-        ctx.with(|w| {
-            let a = {
-                let t = w.shared.tm();
-                t.serial.active = false;
-                t.serial.addr()
-            };
-            w.machine.store(cpu, a, 0).plain("serial flag lower");
-        });
-        lock_release(ctx);
-        ctx.with(|w| {
-            let window = w.machine.now(cpu) - entered;
-            w.shared.tm().stats.serial_cycles += window;
-        });
-        r
-    }
-
     /// Watchdog tiers 1–2 for hardware attempts. `Software` once the
     /// consecutive-abort limit trips; `Serial` straight away when global
     /// commit progress has stalled (per-transaction patience cannot break
     /// a livelock — every contender must leave the optimistic path).
     fn watchdog_tier<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> Option<EscalationTier> {
-        let stagnant = self.observe_stagnation(ctx);
-        if stagnant && self.kind.strong_atomicity() {
+        if self.observe_stagnation(ctx) {
             return Some(EscalationTier::Serial);
         }
-        let tripped = self
-            .policy
+        self.policy
             .watchdog_hw_attempts
-            .is_some_and(|n| self.consecutive + 1 >= n);
-        if tripped || stagnant {
-            return Some(EscalationTier::Software);
-        }
-        None
+            .is_some_and(|n| self.consecutive + 1 >= n)
+            .then_some(EscalationTier::Software)
     }
 
     /// Software fix-up for a page-fault abort: touch the page
@@ -568,55 +487,40 @@ impl TmThread {
                 Ok(r) => return r,
                 Err(HwFail::Forced) => {
                     ctx.with(|w| w.shared.tm().stats.forced_failovers += 1);
-                    return self.ustm_path(ctx, body);
+                    return self.ustm_path(ctx, body, false);
                 }
                 Err(HwFail::RetryRequested) => {
-                    return self.ustm_path(ctx, body);
+                    return self.ustm_path(ctx, body, false);
                 }
                 Err(HwFail::PhaseBusy) => unreachable!("no phase check in UFO hybrid"),
-                // A serial-irrevocable transaction holds the system: wait
-                // for it to finish, then retry in hardware (no backoff —
-                // this is not contention, and the wait itself paces us).
-                Err(HwFail::SerialBusy) => self.wait_serial_clear(ctx),
                 Err(HwFail::Abort(info)) => {
                     if info.reason.is_failover() {
                         ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
                         trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body);
+                        return self.ustm_path(ctx, body, false);
                     }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
+                    if info.reason == AbortReason::PageFault {
+                        self.resolve_page_fault(ctx, info.addr);
+                        continue;
+                    }
+                    let contention = matches!(
+                        info.reason,
                         AbortReason::Conflict
-                        | AbortReason::NonTConflict
-                        | AbortReason::UfoSet
-                        | AbortReason::UfoFault => {
-                            if let Some(n) = self.policy.conflict_failover_after {
-                                if self.consecutive + 1 >= n {
-                                    ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                                    trace(ctx, TraceKind::Failover(info.reason));
-                                    return self.ustm_path(ctx, body);
-                                }
-                            }
-                            if let Some(tier) = self.watchdog_tier(ctx) {
-                                self.escalate(ctx, tier);
-                                return match tier {
-                                    EscalationTier::Serial => self.serial_path(ctx, body),
-                                    EscalationTier::Software => self.ustm_path(ctx, body),
-                                };
-                            }
-                            self.backoff(ctx);
-                        }
-                        _ => {
-                            if let Some(tier) = self.watchdog_tier(ctx) {
-                                self.escalate(ctx, tier);
-                                return match tier {
-                                    EscalationTier::Serial => self.serial_path(ctx, body),
-                                    EscalationTier::Software => self.ustm_path(ctx, body),
-                                };
-                            }
-                            self.backoff(ctx);
-                        }
+                            | AbortReason::NonTConflict
+                            | AbortReason::UfoSet
+                            | AbortReason::UfoFault
+                    );
+                    let limit = self.policy.conflict_failover_after;
+                    if contention && limit.is_some_and(|n| self.consecutive + 1 >= n) {
+                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
+                        trace(ctx, TraceKind::Failover(info.reason));
+                        return self.ustm_path(ctx, body, false);
                     }
+                    if let Some(tier) = self.watchdog_tier(ctx) {
+                        self.escalate(ctx, tier);
+                        return self.ustm_path(ctx, body, tier == EscalationTier::Serial);
+                    }
+                    self.backoff(ctx);
                 }
             }
         }
@@ -648,7 +552,7 @@ impl TmThread {
                 },
                 // No software to fail over to: spin and retry.
                 Err(HwFail::Forced) | Err(HwFail::RetryRequested) => self.backoff(ctx),
-                Err(HwFail::PhaseBusy | HwFail::SerialBusy) => unreachable!(),
+                Err(HwFail::PhaseBusy) => unreachable!(),
             }
         }
     }
@@ -665,17 +569,15 @@ impl TmThread {
                 Ok(r) => return r,
                 Err(HwFail::Forced) => {
                     ctx.with(|w| w.shared.tm().stats.forced_failovers += 1);
-                    return self.ustm_path(ctx, body);
+                    return self.ustm_path(ctx, body, false);
                 }
-                Err(HwFail::RetryRequested) => return self.ustm_path(ctx, body),
-                Err(HwFail::PhaseBusy | HwFail::SerialBusy) => {
-                    unreachable!("no phase check or serial gate in HyTM")
-                }
+                Err(HwFail::RetryRequested) => return self.ustm_path(ctx, body, false),
+                Err(HwFail::PhaseBusy) => unreachable!("no phase check in HyTM"),
                 Err(HwFail::Abort(info)) => {
                     if info.reason.is_failover() {
                         ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
                         trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body);
+                        return self.ustm_path(ctx, body, false);
                     }
                     match info.reason {
                         AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
@@ -726,7 +628,6 @@ impl TmThread {
                 }
                 Err(HwFail::RetryRequested) => return self.phtm_sw(ctx, body, true),
                 Err(HwFail::PhaseBusy) => { /* loop back to the phase check */ }
-                Err(HwFail::SerialBusy) => unreachable!("no serial gate in PhTM"),
                 Err(HwFail::Abort(info)) => {
                     if info.reason.is_failover() {
                         ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
@@ -774,7 +675,7 @@ impl TmThread {
                 w.machine.store(cpu, ma, mv).plain("must count store");
             }
         });
-        let r = self.ustm_path(ctx, body);
+        let r = self.ustm_path(ctx, body, false);
         ctx.with(|w| {
             let (sa, ma) = {
                 let p = &w.shared.tm().phtm;

@@ -116,12 +116,12 @@ pub struct HybridStats {
     pub sw_commits: u64,
     /// Transactions committed while holding the global lock.
     pub lock_commits: u64,
-    /// Transactions committed serial-irrevocably (the watchdog's last
-    /// tier; these also hold the global lock but are counted apart so
-    /// degradation is visible).
+    /// Transactions committed on the watchdog's last tier, as the eldest
+    /// software transaction under the global lock (counted apart from
+    /// `sw_commits` and `lock_commits` so degradation is visible).
     pub serial_commits: u64,
     /// Times the progress watchdog escalated a transaction to a stronger
-    /// tier (software failover or serial-irrevocable execution).
+    /// tier (software failover or the eldest-transaction seat).
     pub watchdog_escalations: u64,
     /// Failovers to software, by the abort reason that triggered them.
     pub failovers: BTreeMap<AbortReason, u64>,
@@ -134,9 +134,8 @@ pub struct HybridStats {
     /// Cycles spent in post-abort exponential backoff (jitter included) —
     /// Table 4-style attribution of contention-management time.
     pub backoff_cycles: u64,
-    /// Cycles spent inside serial-irrevocable windows (lock acquisition,
-    /// gate raise, quiesce, body, gate lower) — the cost of the watchdog's
-    /// last tier.
+    /// Cycles spent on the watchdog's last tier (lock acquisition, the
+    /// eldest attempt, lock release).
     pub serial_cycles: u64,
 }
 
@@ -155,41 +154,6 @@ impl HybridStats {
 
     pub(crate) fn record_failover(&mut self, reason: AbortReason) {
         *self.failovers.entry(reason).or_insert(0) += 1;
-    }
-}
-
-/// The serial-irrevocable stop flag (watchdog tier 2).
-///
-/// The flag word lives on its own metadata line. Hardware attempts under a
-/// serial-armed policy transactionally subscribe to it, so raising it dooms
-/// every in-flight hardware transaction through plain coherence (the same
-/// mechanism PhTM uses for its phase counters), and software attempts check
-/// it before beginning. The host-side mirror carries the value; the
-/// simulated loads and stores provide the timing and the conflicts.
-#[derive(Clone, Copy, Debug)]
-pub struct SerialGate {
-    addr: Addr,
-    /// Whether a serial-irrevocable transaction currently holds the system.
-    pub active: bool,
-    /// Times the gate has been raised.
-    pub raised: u64,
-}
-
-impl SerialGate {
-    /// A gate whose flag word lives at `addr`.
-    #[must_use]
-    pub fn new(addr: Addr) -> Self {
-        SerialGate {
-            addr,
-            active: false,
-            raised: 0,
-        }
-    }
-
-    /// The simulated address of the flag word.
-    #[must_use]
-    pub fn addr(&self) -> Addr {
-        self.addr
     }
 }
 
@@ -285,8 +249,6 @@ pub struct TmShared {
     pub phtm: PhtmShared,
     /// The global lock.
     pub lock: LockShared,
-    /// The serial-irrevocable stop flag (watchdog tier 2).
-    pub serial: SerialGate,
     /// The shared heap allocator.
     pub heap: SimAlloc,
     /// Allocator modelling knobs.
@@ -313,14 +275,12 @@ impl TmShared {
         let tl2_words = Tl2Shared::required_words(layout.tl2_locks);
         let lock_base = Addr(tl2_base.0 + tl2_words * 8);
         let phtm_base = Addr(lock_base.0 + 64);
-        let serial_base = Addr(phtm_base.0 + 128);
         TmShared {
             kind,
             ustm: UstmShared::new(ustm_cfg, ustm_base, cpus, layout.otable_bins),
             tl2: Tl2Shared::new(Tl2Config::default(), tl2_base, layout.tl2_locks),
             phtm: PhtmShared::new(phtm_base),
             lock: LockShared::new(lock_base),
-            serial: SerialGate::new(serial_base),
             heap: SimAlloc::new(layout.heap_base, layout.heap_words),
             alloc_model: AllocModel::default(),
             stats: HybridStats::default(),

@@ -12,8 +12,8 @@ use ufotm_machine::{AbortReason, ChaosFaultKind};
 pub enum EscalationTier {
     /// Give up on hardware for this transaction; run it in the STM.
     Software,
-    /// Give up on optimistic execution entirely; run serial-irrevocably
-    /// under the global lock.
+    /// Take the global lock and run once more as the eldest software
+    /// transaction, which nothing can kill.
     Serial,
 }
 
@@ -50,8 +50,8 @@ pub enum TraceKind {
     FaultInjected(ChaosFaultKind),
     /// The progress watchdog escalated this transaction to a stronger tier.
     WatchdogEscalation(EscalationTier),
-    /// The transaction entered serial-irrevocable execution (watchdog's
-    /// last tier: global lock + strong-atomicity-aware plain accesses).
+    /// The transaction took the watchdog's last tier: it holds the global
+    /// lock and begins as the eldest software transaction.
     SerialIrrevocable,
 }
 

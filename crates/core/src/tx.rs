@@ -13,7 +13,7 @@
 use ufotm_machine::{AbortInfo, AbortReason, AccessError, Addr, BtmEvent, PlainAccess};
 use ufotm_sim::Ctx;
 use ufotm_tl2::{Tl2Abort, Tl2Txn};
-use ufotm_ustm::{nont_load, nont_store, retry_wait, Perm, UstmAbort, UstmTxn};
+use ufotm_ustm::{retry_wait, Perm, UstmAbort, UstmTxn};
 
 use crate::policy::{BtmUfoFaultPolicy, HybridPolicy};
 use crate::shared::TmWorld;
@@ -50,12 +50,6 @@ impl std::fmt::Display for TxAbort {
 pub(crate) enum Mode<'a> {
     /// Plain accesses (sequential or under the global lock).
     Plain,
-    /// Serial-irrevocable execution under the global lock (the watchdog's
-    /// last tier). Accesses are strong-atomicity-aware non-transactional
-    /// operations: a UFO fault runs the USTM fault handler (waking/killing
-    /// conflicting software transactions per policy) instead of panicking,
-    /// so this mode is safe while other CPUs still run optimistically.
-    Serial,
     /// A BTM hardware transaction; `hytm` adds HyTM's otable checks.
     Hw {
         /// Instrument with transactional otable lookups (HyTM).
@@ -122,7 +116,6 @@ impl<'a> Tx<'a> {
     pub fn read<U: TmWorld>(&mut self, ctx: &mut Ctx<U>, addr: Addr) -> Result<u64, TxAbort> {
         let hytm = match &mut self.mode {
             Mode::Plain => return Ok(plain_load(ctx, addr)),
-            Mode::Serial => return Ok(nont_load(ctx, addr)),
             Mode::Ustm(t) => return t.read(ctx, addr).map_err(TxAbort::Stm),
             Mode::Tl2(t) => return t.read(ctx, addr).map_err(TxAbort::Tl2),
             Mode::Hw { hytm } => *hytm,
@@ -147,10 +140,6 @@ impl<'a> Tx<'a> {
         let hytm = match &mut self.mode {
             Mode::Plain => {
                 plain_store(ctx, addr, value);
-                return Ok(());
-            }
-            Mode::Serial => {
-                nont_store(ctx, addr, value);
                 return Ok(());
             }
             Mode::Ustm(t) => return t.write(ctx, addr, value).map_err(TxAbort::Stm),
@@ -299,6 +288,11 @@ impl<'a> Tx<'a> {
     /// Always errs: the attempt never continues past `retry`.
     pub fn retry<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> Result<(), TxAbort> {
         match &mut self.mode {
+            // The eldest transaction holds the watchdog's seat, and a
+            // sleeper there would wedge a waker that escalates: unwind so
+            // the driver gives the seat back and reissues the body as an
+            // ordinary attempt, which parks.
+            Mode::Ustm(t) if t.is_eldest() => Err(TxAbort::Stm(t.abort_explicit(ctx))),
             Mode::Ustm(t) => Err(TxAbort::Stm(retry_wait(t, ctx))),
             Mode::Hw { .. } => {
                 ctx.btm_abort_with(AbortInfo::new(AbortReason::Explicit));
@@ -309,10 +303,6 @@ impl<'a> Tx<'a> {
                 Err(TxAbort::RetryRequested)
             }
             Mode::Plain => panic!("retry is meaningless without transactions"),
-            Mode::Serial => panic!(
-                "retry cannot be honoured in serial-irrevocable mode \
-                 (the watchdog never escalates retry-parked transactions)"
-            ),
         }
     }
 

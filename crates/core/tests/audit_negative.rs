@@ -111,30 +111,40 @@ fn overlapping_serial_windows_are_flagged() {
 }
 
 #[test]
-fn hw_commit_inside_serial_window_is_flagged() {
+fn hw_commit_inside_serial_window_is_tolerated() {
+    // The window's owner is isolated by ownership: a hardware commit that
+    // lands inside it touched nothing the owner holds.
     let events = [
         ev(5, 1, TraceKind::HwBegin),
         ev(10, 0, TraceKind::SerialIrrevocable),
         ev(20, 1, TraceKind::HwCommit),
         ev(30, 0, TraceKind::PlainCommit),
     ];
-    let r = audit_events(&events, false);
-    assert!(!r.is_clean());
-    assert!(r.violations[0]
-        .message
-        .contains("hw-commit while cpu 0 holds the serial-irrevocable window"));
+    audit_events(&events, false).assert_clean();
 }
 
 #[test]
 fn sw_commit_inside_serial_window_is_tolerated() {
-    // A software transaction that passed the gate check before the raise
-    // and stored its commit after the quiesce poll is a benign, bounded
-    // race — the auditor must not flag it.
     let events = [
         ev(5, 1, TraceKind::SwBegin),
         ev(10, 0, TraceKind::SerialIrrevocable),
         ev(20, 1, TraceKind::SwCommit),
         ev(30, 0, TraceKind::PlainCommit),
+    ];
+    audit_events(&events, false).assert_clean();
+}
+
+#[test]
+fn serial_window_closed_by_sw_abort_frees_the_seat() {
+    // An eldest attempt whose body asked for `retry` gives the seat back:
+    // the next window may open, and the CPU goes on to an ordinary attempt.
+    let events = [
+        ev(10, 0, TraceKind::SerialIrrevocable),
+        ev(20, 0, TraceKind::SwAbort),
+        ev(25, 1, TraceKind::SerialIrrevocable),
+        ev(30, 0, TraceKind::SwBegin),
+        ev(40, 1, TraceKind::PlainCommit),
+        ev(50, 0, TraceKind::SwAbort),
     ];
     audit_events(&events, false).assert_clean();
 }

@@ -108,15 +108,26 @@ fn assert_counters_exact(r: &SimResult<TmShared>, label: &str) {
 #[test]
 fn torture_counters_exact_across_seeds_mixes_and_systems() {
     let seeds = seed_count(64);
+    // Tier 2 needs no strong atomicity (its body runs behind USTM barriers
+    // like any software attempt), so the weakly-atomic systems are swept
+    // too — and the weak USTM must reach the tier, or the sweep says
+    // nothing about it there.
+    let mut weak_serial_commits = 0;
     for kind in [
         SystemKind::UfoHybrid,
         SystemKind::UstmStrong,
+        SystemKind::UstmWeak,
+        SystemKind::HyTm,
+        SystemKind::PhTm,
         SystemKind::GlobalLock,
     ] {
         for (name, mk) in mixes() {
             for_each_seed(0, seeds, |seed| {
                 let r = run_counters(kind, mk(seed));
                 assert_counters_exact(&r, &format!("{kind}/{name}/seed {seed}"));
+                if kind == SystemKind::UstmWeak {
+                    weak_serial_commits += r.shared.stats.serial_commits;
+                }
                 if kind == SystemKind::UfoHybrid {
                     // Watchdog bounded-retry guarantee: at most
                     // `watchdog_hw_attempts` counted backoffs per committed
@@ -135,6 +146,11 @@ fn torture_counters_exact_across_seeds_mixes_and_systems() {
             });
         }
     }
+    assert!(
+        weak_serial_commits > 0,
+        "the sweep never reached tier 2 on {}",
+        SystemKind::UstmWeak
+    );
 }
 
 /// Same seed, same plan ⇒ bit-identical execution: makespan, memory,

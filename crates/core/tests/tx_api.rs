@@ -200,3 +200,52 @@ fn io_in_software_mode_costs_but_commits() {
     assert_eq!(r.machine.peek(Addr(0)), 3);
     assert_eq!(r.shared.stats.sw_commits, 1);
 }
+
+/// `retry` on the watchdog's last tier: with `watchdog_sw_kills: Some(0)`
+/// every software attempt is escalated, so the consumer's `retry` and the
+/// producer's write both arrive there. The consumer must give the seat
+/// back before it parks — a sleeper holding it would wedge the producer.
+#[test]
+fn retry_on_the_serial_tier_gives_the_seat_back_before_parking() {
+    use ufotm_core::{audit_log, HybridPolicy};
+    const FLAG: Addr = Addr(0);
+    const DATA: Addr = Addr(1024);
+    let policy = HybridPolicy {
+        watchdog_sw_kills: Some(0),
+        ..HybridPolicy::default()
+    };
+    for kind in [SystemKind::UstmStrong, SystemKind::UfoHybrid] {
+        let cfg = MachineConfig::table4(2);
+        let mut shared = TmShared::standard(kind, &cfg);
+        shared.trace.enable(4096);
+        let r = Sim::new(Machine::new(cfg), shared).run(vec![
+            Box::new(move |ctx: &mut Ctx<TmShared>| {
+                let mut t = TmThread::with_policy(kind, 0, policy);
+                t.install(ctx);
+                let got = t.transaction(ctx, |tx, ctx| {
+                    if tx.read(ctx, FLAG)? == 0 {
+                        tx.retry(ctx)?;
+                    }
+                    tx.read(ctx, DATA)
+                });
+                assert_eq!(got, 42, "{kind}");
+            }) as ThreadFn<TmShared>,
+            Box::new(move |ctx: &mut Ctx<TmShared>| {
+                ctx.stall(20_000).unwrap(); // let the consumer park first
+                let mut t = TmThread::with_policy(kind, 1, policy);
+                t.install(ctx);
+                t.transaction(ctx, |tx, ctx| {
+                    tx.force_failover(ctx)?;
+                    tx.write(ctx, DATA, 42)?;
+                    tx.write(ctx, FLAG, 1)
+                });
+            }) as ThreadFn<TmShared>,
+        ]);
+        assert_eq!(r.shared.ustm.stats.retries_entered, 1, "{kind}");
+        assert_eq!(r.shared.ustm.stats.retries_woken, 1, "{kind}");
+        // The producer, and the consumer's attempt after the wake.
+        assert_eq!(r.shared.stats.serial_commits, 2, "{kind}");
+        assert_eq!(r.shared.lock.holder(), None, "{kind}");
+        audit_log(&r.shared.trace).assert_clean();
+    }
+}

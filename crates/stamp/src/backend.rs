@@ -139,7 +139,7 @@ impl TmBackend for SimBackend<'_> {
 
     fn backend_stats(&mut self) -> BackendStats {
         // Fast path = hardware commits; slow path = everything the driver
-        // fell back to (software STM, the lock, serial mode). The counters
+        // fell back to (software STM, the lock, the serial tier). The counters
         // are world-global, so per-thread deltas are only meaningful in
         // single-threaded scripts — which is what the cross-validation
         // suite runs.

@@ -22,11 +22,12 @@
 //! [`TmBackend`] trait — the same generic script on the simulated
 //! UfoHybrid driver and the native TL2+USTM failover driver — and label
 //! each transaction's commit path from [`TmBackend::backend_stats`] deltas,
-//! including a forced fast→slow failover via `force_failover_next()`.
+//! including a forced fast→slow failover via `force_failover_next()`,
+//! once onto the slow path and once onto the serial tier.
 
 use std::sync::{Arc, Mutex};
 
-use ufotm_core::{BackendStats, TmBackend};
+use ufotm_core::{BackendStats, HybridPolicy, TmBackend};
 use ufotm_machine::{Addr, Machine, MachineConfig};
 use ufotm_native::{
     HybridThread, NativeHybrid, NativeHybridPolicy, NativeTl2, NativeTxn, NativeUstm, NativeUstmTxn,
@@ -434,9 +435,12 @@ fn path(before: BackendStats, after: BackendStats) -> &'static str {
     match (
         after.fast_commits - before.fast_commits,
         after.slow_commits - before.slow_commits,
+        after.serial_commits - before.serial_commits,
     ) {
-        (1, 0) => "fast",
-        (0, 1) => "slow",
+        (1, 0, 0) => "fast",
+        (0, 1, 0) => "slow",
+        // The serial tier is part of the slow path on both substrates.
+        (0, 1, 1) => "serial",
         _ => "mixed",
     }
 }
@@ -480,15 +484,16 @@ fn hybrid_script<B: TmBackend>(b: &mut B) -> Vec<String> {
     ev
 }
 
-#[test]
-fn hybrid_forced_failover_script_agrees() {
+/// Runs [`hybrid_script`] on one simulated UfoHybrid thread and one native
+/// hybrid thread, checks the two logs are identical, and returns the log.
+fn hybrid_script_on_both(sim: HybridPolicy, native: NativeHybridPolicy) -> Vec<String> {
     use ufotm_core::SystemKind;
     use ufotm_stamp::backend::SimBackend;
     use ufotm_stamp::harness::{run_workload, RunSpec, WorkBody};
 
-    // Simulated UfoHybrid, one thread.
     let out = Arc::new(Mutex::new(Vec::new()));
-    let spec = RunSpec::new(SystemKind::UfoHybrid, 1);
+    let mut spec = RunSpec::new(SystemKind::UfoHybrid, 1);
+    spec.policy = sim;
     run_workload(
         &spec,
         |_m, _w| {},
@@ -503,28 +508,49 @@ fn hybrid_forced_failover_script_agrees() {
     );
     let sim = Arc::try_unwrap(out).unwrap().into_inner().unwrap();
 
-    // Native hybrid driver, one thread.
-    let h = NativeHybrid::new(
-        1 << 15,
-        LOCK_ENTRIES,
-        1 << 14,
-        1,
-        1 << 10,
-        NativeHybridPolicy::default(),
-    );
+    let h = NativeHybrid::new(1 << 15, LOCK_ENTRIES, 1 << 14, 1, 1 << 10, native);
     let mut th = HybridThread::new(&h, None, 0, 1);
     let native = hybrid_script(&mut th);
 
     assert_eq!(sim, native, "hybrid script logs diverge");
+    sim
+}
+
+#[test]
+fn hybrid_forced_failover_script_agrees() {
+    let log = hybrid_script_on_both(HybridPolicy::default(), NativeHybridPolicy::default());
     assert!(
-        sim.contains(&"forced: 21, path slow".to_string()),
-        "forced transaction must take the slow path on both drivers: {sim:?}"
+        log.contains(&"forced: 21, path slow".to_string()),
+        "forced transaction must take the slow path on both drivers: {log:?}"
     );
     assert!(
-        sim.contains(&"after forced: 22, path fast".to_string()),
-        "failover must be one-shot on both drivers: {sim:?}"
+        log.contains(&"after forced: 22, path fast".to_string()),
+        "failover must be one-shot on both drivers: {log:?}"
     );
-    assert!(sim.contains(&"failovers taken: 1".to_string()));
+    assert!(log.contains(&"failovers taken: 1".to_string()));
+}
+
+/// The same script with both drivers escalating a slow transaction at
+/// once: the third tier is the eldest software transaction on both
+/// substrates, and the logs must still be identical.
+#[test]
+fn hybrid_forced_failover_script_agrees_on_the_serial_tier() {
+    let log = hybrid_script_on_both(
+        HybridPolicy {
+            watchdog_sw_kills: Some(0),
+            ..HybridPolicy::default()
+        },
+        NativeHybridPolicy {
+            serial_after: 0,
+            ..NativeHybridPolicy::default()
+        },
+    );
+    assert!(
+        log.contains(&"forced: 21, path serial".to_string()),
+        "forced transaction must take the serial tier on both drivers: {log:?}"
+    );
+    assert!(log.contains(&"after forced: 22, path fast".to_string()));
+    assert!(log.contains(&"failovers taken: 1".to_string()));
 }
 
 #[test]

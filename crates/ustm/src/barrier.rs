@@ -106,6 +106,34 @@ impl UstmTxn {
     ///
     /// Panics if a transaction is already active on this handle.
     pub fn begin<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
+        self.start(ctx, false);
+    }
+
+    /// Begins the *eldest* transaction: [`UstmTxn::begin`] at the reserved
+    /// age [`UstmShared::ELDEST_TS`], older than any `begin` draws. By the
+    /// age rule it kills every younger live owner it meets and is killed by
+    /// nobody; it waits only for `Committing`/`Aborting` owners (which wait
+    /// for nothing) and for the victims it killed or woke (which notice at
+    /// their next barrier or poll), so it commits on its first attempt with
+    /// everyone else still running. The caller keeps it the only one — two
+    /// owners of this age on one line would each stall behind the other
+    /// forever.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction is already active on this handle.
+    pub fn begin_eldest<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
+        self.start(ctx, true);
+    }
+
+    /// Whether this transaction was begun as the eldest one (valid while
+    /// active).
+    #[must_use]
+    pub fn is_eldest(&self) -> bool {
+        self.ts == UstmShared::ELDEST_TS
+    }
+
+    fn start<U: HasUstm>(&mut self, ctx: &mut Ctx<U>, eldest: bool) {
         assert!(!self.active, "nested USTM transactions are not supported");
         let cpu = self.cpu;
         let ts = ctx.with(|w| {
@@ -115,7 +143,11 @@ impl UstmTxn {
             if u.config.strong_atomicity {
                 m.set_ufo_enabled(cpu, false);
             }
-            let ts = u.next_seq();
+            let ts = if eldest {
+                UstmShared::ELDEST_TS
+            } else {
+                u.next_seq()
+            };
             u.slots[cpu] = crate::txn::TxnSlot {
                 status: TxnStatus::Active,
                 ts,
@@ -264,6 +296,12 @@ impl UstmTxn {
     /// After an `Err(Killed)`, waits until the killer transaction has
     /// retired (paper §4.1: an aborted transaction waits for its aborter
     /// before reissuing, avoiding otable contention and livelock).
+    ///
+    /// "Retired" is the killer's slot going `Inactive` or changing age, and
+    /// every eldest transaction carries the same age: a victim of one that
+    /// polls only after the same CPU has begun the next waits that one out
+    /// too — a delay, never a wedge (the victim owns nothing here, so each
+    /// eldest transaction terminates).
     pub fn wait_for_killer<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
         let Some((killer, killer_ts)) = self.killed_by.take() else {
             return;
@@ -803,6 +841,34 @@ mod tests {
         assert_eq!(r.machine.peek(DATA), 11, "both eventually commit");
         assert!(r.shared.stats.kills_issued >= 1, "older killed younger");
         assert!(r.shared.stats.aborts >= 1);
+        assert_eq!(r.shared.stats.commits, 2);
+    }
+
+    /// Age is the reserved timestamp, not begin order: the eldest
+    /// transaction kills an owner that began before it (an ordinary
+    /// latecomer would stall behind that owner instead).
+    #[test]
+    fn eldest_kills_an_owner_that_began_first() {
+        let (machine, shared) = world(2, UstmConfig::default());
+        let r = Sim::new(machine, shared).run(vec![
+            Box::new(|ctx: &mut Ctx<UstmShared>| {
+                mop(ctx.work(2_000)); // let cpu1 begin and read DATA first
+                let mut txn = UstmTxn::new(0);
+                txn.begin_eldest(ctx);
+                txn.write(ctx, DATA, 1).expect("nobody kills the eldest");
+                txn.commit(ctx).expect("nobody kills the eldest");
+            }) as ThreadFn<UstmShared>,
+            Box::new(|ctx: &mut Ctx<UstmShared>| {
+                let mut txn = UstmTxn::new(1);
+                txn.run(ctx, |t, ctx| {
+                    let v = t.read(ctx, DATA)?;
+                    mop(ctx.work(8_000));
+                    t.write(ctx, DATA, v + 10)
+                });
+            }) as ThreadFn<UstmShared>,
+        ]);
+        assert_eq!(r.machine.peek(DATA), 11, "both commit, eldest first");
+        assert_eq!(r.shared.stats.kills_issued, 1);
         assert_eq!(r.shared.stats.commits, 2);
     }
 }

@@ -34,7 +34,7 @@ pub struct TxnSlot {
     /// Current lifecycle state.
     pub status: TxnStatus,
     /// Age sequence number of the current/last transaction (smaller =
-    /// older).
+    /// older; [`UstmShared::ELDEST_TS`] is the eldest transaction's).
     pub ts: u64,
     /// Set when an older transaction killed this one (the killer's CPU).
     pub doomed_by: Option<usize>,
@@ -156,6 +156,12 @@ impl UstmShared {
 
     const LOG_WORDS_PER_CPU: u64 = 1024;
 
+    /// The age reserved for the eldest transaction
+    /// ([`UstmTxn::begin_eldest`](crate::UstmTxn::begin_eldest)):
+    /// [`UstmShared::next_seq`] draws from 1 upwards, so this is older than
+    /// any of them.
+    pub const ELDEST_TS: u64 = 0;
+
     /// Creates the shared state, laying out its metadata starting at the
     /// simulated address `base` (reserve
     /// [`UstmShared::required_words`]` * 8` bytes there).
@@ -173,7 +179,7 @@ impl UstmShared {
             otable,
             slots: vec![TxnSlot::default(); cpus],
             stats: UstmStats::default(),
-            seq: 0,
+            seq: Self::ELDEST_TS + 1,
             slot_base,
             log_base,
             log_words_per_cpu: Self::LOG_WORDS_PER_CPU,
@@ -210,11 +216,14 @@ impl UstmShared {
     }
 
     /// Marks `victim`'s transaction as killed by `killer` (no effect unless
-    /// the victim is `Active` and not already doomed). Returns whether the
-    /// doom landed.
+    /// the victim is `Active`, not already doomed and not the eldest
+    /// transaction — age spares that one from other transactions, this
+    /// spares it from [`NonTFaultPolicy::AbortConflictors`](crate::NonTFaultPolicy),
+    /// whose plain access then waits it out). Returns whether the doom
+    /// landed.
     pub fn doom(&mut self, victim: usize, killer: usize) -> bool {
         let s = &mut self.slots[victim];
-        if s.status == TxnStatus::Active && s.doomed_by.is_none() {
+        if s.status == TxnStatus::Active && s.doomed_by.is_none() && s.ts != Self::ELDEST_TS {
             s.doomed_by = Some(killer);
             true
         } else {
@@ -265,6 +274,8 @@ mod tests {
         let mut s = shared();
         assert!(!s.doom(1, 0), "inactive victim");
         s.slots[1].status = TxnStatus::Active;
+        assert!(!s.doom(1, 0), "nobody kills the eldest transaction");
+        s.slots[1].ts = s.next_seq();
         assert!(s.doom(1, 0));
         assert!(!s.doom(1, 2), "already doomed");
         assert_eq!(s.slots[1].doomed_by, Some(0));
