@@ -95,16 +95,27 @@ impl Machine {
                 self.fill(cpu, line, transfer)?;
                 self.dir.set_exclusive(line, cpu);
             }
+        } else if let Some(e) = self.l1[cpu].touch(line) {
+            // Shared hit: no live remote speculative writer can exist
+            // (acquiring exclusive permission would have invalidated us).
+            // SR is set only together with the read-set insert and both are
+            // cleared together, so a set SR means the line is already in
+            // the read set: a re-read skips the hash.
+            if self.btm[cpu].active && !e.sr {
+                e.sr = true;
+                self.btm[cpu].read_set.insert(line);
+            }
         } else {
-            if self.l1[cpu].touch(line) {
-                // Shared hit: no live remote speculative writer can exist
-                // (acquiring exclusive permission would have invalidated us).
-            } else {
-                self.arbitrate(cpu, line, false)?;
-                let owner = self.dir.state(line).owner;
-                let transfer = owner.is_some_and(|o| o as usize != cpu);
-                self.fill(cpu, line, transfer)?;
-                self.dir.add_sharer(line, cpu);
+            self.arbitrate(cpu, line, false)?;
+            let owner = self.dir.state(line).owner;
+            let transfer = owner.is_some_and(|o| o as usize != cpu);
+            self.fill(cpu, line, transfer)?;
+            self.dir.add_sharer(line, cpu);
+            if self.btm[cpu].active {
+                self.btm[cpu].read_set.insert(line);
+                if let Some(e) = self.l1[cpu].entry_mut(line) {
+                    e.sr = true;
+                }
             }
         }
 
@@ -126,10 +137,7 @@ impl Machine {
                 }
                 Ok(value)
             } else {
-                self.btm[cpu].read_set.insert(line);
-                if let Some(e) = self.l1[cpu].entry_mut(line) {
-                    e.sr = true;
-                }
+                // The read-set insert and SR bit were set above.
                 let v = self.btm[cpu]
                     .spec_writes
                     .get(&word)
@@ -518,6 +526,49 @@ mod tests {
                                          // A plain store by CPU 1 to the spilled line still kills the txn.
         m.store(1, word(0), 5).unwrap();
         assert!(matches!(m.load(0, word(0)), Err(AccessError::TxnAbort(_))));
+    }
+
+    #[test]
+    fn reread_line_stays_tracked_until_a_remote_store_dooms_it() {
+        // A read hit with SR already set skips the read-set insert; the
+        // line must still be in the read set a remote store consults —
+        // bounded, and unbounded after a spill and a re-read.
+        for unbounded in [false, true] {
+            let cfg = MachineConfig::small(2); // 4 sets, 2 ways
+            let mut m = Machine::new(if unbounded { cfg.unbounded() } else { cfg });
+            let x = word(0);
+            m.btm_begin(0).unwrap();
+            for _ in 0..2 {
+                m.load(0, x).unwrap();
+                m.debug_validate();
+            }
+            if unbounded {
+                // Lines 4 and 8 share X's set: X is spilled, then re-read.
+                m.load(0, word(4 * 8)).unwrap();
+                m.debug_validate();
+                m.load(0, word(8 * 8)).unwrap();
+                m.debug_validate();
+                assert!(!m.l1[0].contains(x.line()), "X was spilled");
+                for _ in 0..2 {
+                    m.load(0, x).unwrap();
+                    m.debug_validate();
+                }
+            }
+            assert!(m.l1[0].entry(x.line()).is_some_and(|e| e.sr));
+            m.store(1, x, 5).unwrap();
+            m.debug_validate();
+            match m.load(0, x).unwrap_err() {
+                AccessError::TxnAbort(info) => {
+                    assert_eq!(
+                        info.reason,
+                        AbortReason::NonTConflict,
+                        "unbounded {unbounded}"
+                    );
+                }
+                other => panic!("unbounded {unbounded}: {other:?}"),
+            }
+            m.debug_validate();
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! implementations (`btm_begin`/`btm_end`/…) are methods on
 //! [`Machine`](crate::Machine).
 
-// analyze: allow(host-nondeterminism) -- hot-path membership/lookup state, pre-sized to L1 capacity so the steady state never allocates; the only iterations are the three allow-marked order-insensitive sweeps in machine.rs, so hasher randomness is never observable.
+// analyze: allow(host-nondeterminism) -- hot-path membership/lookup state, pre-sized to L1 capacity so the steady state never allocates; hashed with the fixed `IndexHasher` below (no per-process seed), and the only iterations are the three allow-marked order-insensitive sweeps in machine.rs.
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{Addr, LineAddr};
 
@@ -204,6 +205,41 @@ pub struct BtmStatus {
     pub last_abort: Option<AbortInfo>,
 }
 
+/// A fixed multiplicative hasher for the BTM sets' integer keys (word and
+/// line addresses), in place of the per-process-seeded SipHash: one
+/// rotate, xor and multiply per key (Fx-style). `finish` rotates so the
+/// well-mixed high bits of the product pick the bucket, which keeps
+/// strided addresses apart. The keys are simulated addresses, never
+/// outside input, so SipHash's collision resistance bought nothing.
+#[derive(Default)]
+pub(crate) struct IndexHasher(u64);
+
+impl IndexHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type IndexBuild = BuildHasherDefault<IndexHasher>;
+
 /// Per-CPU BTM machine state (crate-internal).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BtmCpu {
@@ -217,13 +253,14 @@ pub(crate) struct BtmCpu {
     /// noticed (it notices at its next instruction boundary).
     pub doomed: Option<AbortInfo>,
     /// Speculative write buffer: word address → speculative value.
-    pub spec_writes: HashMap<u64, u64>,
+    pub spec_writes: HashMap<u64, u64, IndexBuild>,
     /// Lines speculatively read (authoritative read set; the L1's SR bits
-    /// mirror the subset still resident — identical unless unbounded mode
-    /// spilled lines past L1 capacity).
-    pub read_set: HashSet<LineAddr>,
+    /// mirror the subset still resident — identical for a live transaction
+    /// unless unbounded mode spilled lines past L1 capacity or a
+    /// `TrueConflictsOnly` UFO set took a spared reader's copy).
+    pub read_set: HashSet<LineAddr, IndexBuild>,
     /// Lines speculatively written.
-    pub write_set: HashSet<LineAddr>,
+    pub write_set: HashSet<LineAddr, IndexBuild>,
     /// Last abort info (status register), surviving past the transaction.
     pub last_abort: Option<AbortInfo>,
     /// Reusable drain buffer for the commit/abort paths (the write set and
@@ -240,9 +277,9 @@ impl BtmCpu {
     /// Unbounded-mode transactions may still grow past this.
     pub fn with_capacity(lines: usize) -> Self {
         BtmCpu {
-            spec_writes: HashMap::with_capacity(lines * 2),
-            read_set: HashSet::with_capacity(lines),
-            write_set: HashSet::with_capacity(lines),
+            spec_writes: HashMap::with_capacity_and_hasher(lines * 2, IndexBuild::default()),
+            read_set: HashSet::with_capacity_and_hasher(lines, IndexBuild::default()),
+            write_set: HashSet::with_capacity_and_hasher(lines, IndexBuild::default()),
             scratch_lines: Vec::with_capacity(lines),
             scratch_writes: Vec::with_capacity(lines * 2),
             ..Default::default()

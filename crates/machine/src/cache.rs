@@ -135,15 +135,13 @@ impl L1Cache {
         self.sets[set].iter_mut().find(|e| e.line == line)
     }
 
-    /// Touches a resident line (LRU update) and returns whether it was a hit.
-    pub fn touch(&mut self, line: LineAddr) -> bool {
+    /// Touches a resident line (LRU update) and returns its entry on a hit,
+    /// so the caller updates it without probing the set again.
+    pub fn touch(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         let t = self.bump();
-        if let Some(e) = self.entry_mut(line) {
-            e.lru = t;
-            true
-        } else {
-            false
-        }
+        let e = self.entry_mut(line)?;
+        e.lru = t;
+        Some(e)
     }
 
     /// Inserts `line`; evicts the LRU non-speculative entry if the set is
@@ -340,7 +338,7 @@ mod tests {
         let mut c = L1Cache::new(CacheGeometry::new(1, 2));
         assert_eq!(c.insert(line(0)), L1Insert::Done);
         assert_eq!(c.insert(line(1)), L1Insert::Done);
-        assert!(c.touch(line(0))); // 1 is now LRU
+        assert!(c.touch(line(0)).is_some()); // 1 is now LRU
         match c.insert(line(2)) {
             L1Insert::Evicted { victim, dirty } => {
                 assert_eq!(victim, line(1));

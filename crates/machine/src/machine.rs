@@ -14,7 +14,7 @@ use crate::btm::{AbortInfo, AbortReason, BtmCpu, BtmEvent, BtmStatus};
 use crate::cache::{L1Cache, L2Cache};
 use crate::chaos::{ChaosFaultKind, ChaosState};
 use crate::coherence::Directory;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, UfoKillPolicy};
 use crate::mem::MemImage;
 use crate::stats::MachineStats;
 use crate::swap::SwapState;
@@ -538,6 +538,17 @@ impl Machine {
                         e.line
                     );
                 }
+                // The read hit's SR shortcut rests on SR ⇒ read set.
+                assert!(
+                    !e.sr || self.btm[cpu].read_set.contains(&e.line),
+                    "cpu {cpu} has SR on {:?} outside its read set",
+                    e.line
+                );
+                assert!(
+                    !e.sw || self.btm[cpu].write_set.contains(&e.line),
+                    "cpu {cpu} has SW on {:?} outside its write set",
+                    e.line
+                );
             }
             let b = &self.btm[cpu];
             if !b.active {
@@ -552,6 +563,21 @@ impl Machine {
                         b.write_set.contains(&line),
                         "spec write to {word} outside the write set"
                     );
+                }
+                // Equality, too, wherever a live transaction's line cannot
+                // leave the L1 without dooming it: not under the unbounded
+                // model (spills), nor under `TrueConflictsOnly` (a spared
+                // speculative reader loses its copy to the UFO set's
+                // exclusive acquisition). With the subsets above and no
+                // duplicate tags, equal counts mean equal sets.
+                if b.doomed.is_none()
+                    && !self.cfg.btm_unbounded
+                    && self.cfg.ufo_kill_policy == UfoKillPolicy::AllSpeculativeHolders
+                {
+                    let sr = l1.entries().filter(|e| e.sr).count();
+                    let sw = l1.entries().filter(|e| e.sw).count();
+                    assert_eq!(sr, b.read_set.len(), "cpu {cpu}: read set not all SR");
+                    assert_eq!(sw, b.write_set.len(), "cpu {cpu}: write set not all SW");
                 }
             }
         }

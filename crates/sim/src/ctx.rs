@@ -1,4 +1,7 @@
 //! The per-thread execution context.
+//!
+//! The designated runner's `Ctx` owns the [`World`]: operations run against
+//! it with no lock, and it moves through the scheduler only at a handoff.
 
 use std::sync::Arc;
 
@@ -18,11 +21,10 @@ use crate::engine::{HandoffMode, Shared, World};
 pub struct Ctx<U> {
     cpu: CpuId,
     shared: Arc<Shared<U>>,
-    /// Cached designation. While true, this thread is the current runner,
-    /// `limit` is its batching bound, and operations need only the (always
-    /// uncontended) world mutex — the scheduler lock is skipped entirely.
-    designated: bool,
-    /// Valid only while `designated`: the runner may keep executing without
+    /// The world, held exactly while this thread is the designated runner:
+    /// operations then run against it directly, with no lock.
+    world: Option<Box<World<U>>>,
+    /// Valid only while designated: the runner may keep executing without
     /// a handoff while its clock is ≤ this.
     limit: u64,
 }
@@ -32,7 +34,7 @@ impl<U> Ctx<U> {
         Ctx {
             cpu,
             shared,
-            designated: false,
+            world: None,
             limit: 0,
         }
     }
@@ -44,9 +46,10 @@ impl<U> Ctx<U> {
     }
 
     /// Blocks on this thread's private condvar until the scheduler
-    /// designates it, then caches the designation.
+    /// designates it, then takes the parked world in the same critical
+    /// section and caches the limit.
     #[cold]
-    fn wait_for_turn(&mut self) {
+    fn wait_for_turn(&mut self) -> Box<World<U>> {
         let mut sched = self.shared.sched.lock().expect("engine mutex poisoned");
         while sched.current != self.cpu {
             sched = self.shared.cvs[self.cpu]
@@ -54,20 +57,27 @@ impl<U> Ctx<U> {
                 .expect("engine mutex poisoned");
         }
         self.limit = sched.limit;
-        self.designated = true;
+        let world = sched.world.take();
+        // Panic (if at all) after releasing the lock, so this thread's
+        // FinishGuard can still hand off and the next peer fails fast too.
+        drop(sched);
+        world.expect("engine world poisoned: a thread panicked inside Ctx::with")
     }
 
     /// Hands off after the clock reached `now` (> `limit`). The scheduler
     /// may re-designate this same thread (it is still the minimum), in
-    /// which case only the cached limit is refreshed and nobody is woken.
+    /// which case only the cached limit is refreshed, the world stays here
+    /// and nobody is woken; otherwise the world is parked for the next
+    /// runner before the lock is released.
     #[cold]
-    fn yield_turn(&mut self, now: u64) {
+    fn yield_turn(&mut self, now: u64, world: Box<World<U>>) {
         let mut sched = self.shared.sched.lock().expect("engine mutex poisoned");
         let next = sched.handoff(self.cpu, now);
         if next == self.cpu {
             self.limit = sched.limit;
+            self.world = Some(world);
         } else {
-            self.designated = false;
+            sched.world = Some(world);
             drop(sched);
             self.shared.wake(next);
         }
@@ -77,14 +87,16 @@ impl<U> Ctx<U> {
     ///
     /// # Panics
     ///
-    /// Panics if the engine mutex was poisoned by another thread's panic.
+    /// Panics if another thread panicked inside its `with` closure (that
+    /// destroys the world, and every peer fails fast at its next turn), or
+    /// if the clock passes the armed cycle limit.
     pub fn with<R>(&mut self, f: impl FnOnce(&mut World<U>) -> R) -> R {
-        if !self.designated {
-            self.wait_for_turn();
-        }
-        // Only the designated runner ever takes the world mutex, so this is
-        // an uncontended acquisition on the fast path.
-        let mut world = self.shared.world.lock().expect("engine mutex poisoned");
+        // Held in a local, not in `self`, while `f` runs: a panic inside the
+        // closure drops the world instead of parking it for a peer.
+        let mut world = match self.world.take() {
+            Some(world) => world,
+            None => self.wait_for_turn(),
+        };
         let r = f(&mut world);
         let now = world.machine.now(self.cpu);
         if let Some(cap) = self.shared.cycle_limit {
@@ -97,13 +109,15 @@ impl<U> Ctx<U> {
                 cap
             );
         }
-        drop(world);
         if now > self.limit {
-            self.yield_turn(now);
-        } else if self.shared.mode == HandoffMode::Broadcast {
-            // Legacy cost profile: the old engine re-took the scheduler
-            // lock on every operation even when it kept running.
-            drop(self.shared.sched.lock().expect("engine mutex poisoned"));
+            self.yield_turn(now, world);
+        } else {
+            self.world = Some(world);
+            if self.shared.mode == HandoffMode::Broadcast {
+                // Legacy cost profile: the old engine re-took the scheduler
+                // lock on every operation even when it kept running.
+                drop(self.shared.sched.lock().expect("engine mutex poisoned"));
+            }
         }
         r
     }
@@ -241,11 +255,25 @@ impl<U> Ctx<U> {
     }
 }
 
+impl<U> Drop for Ctx<U> {
+    /// Parks the world this runner holds, for its `FinishGuard` to hand
+    /// off. (A world dropped by a panic inside `with` is not here.)
+    fn drop(&mut self) {
+        if let Some(world) = self.world.take() {
+            // A poisoned sched mutex means the simulation is unwinding; the
+            // world no longer matters.
+            if let Ok(mut sched) = self.shared.sched.lock() {
+                sched.world = Some(world);
+            }
+        }
+    }
+}
+
 impl<U> std::fmt::Debug for Ctx<U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("cpu", &self.cpu)
-            .field("designated", &self.designated)
+            .field("designated", &self.world.is_some())
             .finish_non_exhaustive()
     }
 }

@@ -2,26 +2,26 @@
 //!
 //! # Fast-path design
 //!
-//! The engine keeps two locks instead of one:
+//! The engine has one lock, and the world travels with the designation:
 //!
-//! * `world` — the simulated machine plus software-shared state. Only the
-//!   *designated runner* (the unfinished thread with the smallest
-//!   `(clock, id)`) ever locks it, so in the targeted mode acquisition is a
-//!   single uncontended atomic exchange — no syscalls, no contention.
-//! * `sched` — the scheduler bookkeeping (who runs next). It is touched
-//!   only at *handoff* (when the runner's clock passes its `limit`), not on
-//!   every operation: a runner that stays within its limit executes
-//!   back-to-back operations against the world without re-locking the
-//!   scheduler at all.
+//! * `World` — the simulated machine plus software-shared state. It is
+//!   owned by the *designated runner* (the unfinished thread with the
+//!   smallest `(clock, id)`), which holds it in its [`Ctx`] and executes
+//!   back-to-back operations against it with no lock at all. Between a
+//!   handoff and the next runner waking it parks in `Sched`.
+//! * `sched` — the scheduler bookkeeping (who runs next) and the parked
+//!   world. It is touched only at *handoff* (when the runner's clock passes
+//!   its `limit`), not on every operation.
 //!
 //! Handoff is *targeted*: the runner pushes its new clock into a min-heap of
-//! waiting threads, pops the next `(clock, id)` minimum, and wakes exactly
-//! that thread on its private condvar. The legacy broadcast behaviour
-//! (`notify_all` of every simulated CPU per handoff) is preserved behind
-//! [`HandoffMode::Broadcast`] as a determinism oracle — both modes execute
-//! operations in the identical order, because the schedule is a pure
-//! function of the simulated clocks (see `docs/PERF.md` for the full
-//! argument).
+//! waiting threads, pops the next `(clock, id)` minimum, parks the world and
+//! wakes exactly that thread on its private condvar; the woken thread takes
+//! the world in the same critical section that sees it designated. The
+//! legacy broadcast behaviour (`notify_all` of every simulated CPU per
+//! handoff) is preserved behind [`HandoffMode::Broadcast`] as a determinism
+//! oracle — both modes execute operations in the identical order, because
+//! the schedule is a pure function of the simulated clocks (see
+//! `docs/PERF.md` for the full argument).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -33,7 +33,8 @@ use crate::ctx::Ctx;
 
 /// Everything a logical thread can touch: the simulated hardware plus
 /// software-shared state (e.g. an STM's ownership table and transaction
-/// descriptors). Exactly one logical thread holds the `World` at a time.
+/// descriptors). Exactly one logical thread holds the `World` at a time:
+/// the designated runner.
 #[derive(Debug)]
 pub struct World<U> {
     /// The simulated machine.
@@ -80,7 +81,11 @@ const NONE: usize = usize::MAX;
 /// machine's clocks: the clock of a thread entering the wait-set is carried
 /// into [`Sched::handoff`] by the thread itself, so the scheduler state is
 /// self-contained and every query is O(log threads).
-pub(crate) struct Sched {
+pub(crate) struct Sched<U> {
+    /// The world, parked here from a handoff until the next runner wakes
+    /// and takes it; `None` while a runner holds it — or for good once a
+    /// panic inside [`Ctx::with`] destroyed it.
+    pub world: Option<Box<World<U>>>,
     /// The designated runner ([`NONE`] once every thread finished).
     pub current: usize,
     /// `current` may keep executing while its clock is ≤ `limit`.
@@ -93,9 +98,10 @@ pub(crate) struct Sched {
     quantum: u64,
 }
 
-impl Sched {
-    fn new(threads: usize, quantum: u64) -> Self {
+impl<U> Sched<U> {
+    fn new(world: World<U>, threads: usize, quantum: u64) -> Self {
         let mut s = Sched {
+            world: Some(Box::new(world)),
             current: NONE,
             limit: 0,
             done: vec![false; threads],
@@ -168,8 +174,7 @@ impl Sched {
 }
 
 pub(crate) struct Shared<U> {
-    pub world: Mutex<World<U>>,
-    pub sched: Mutex<Sched>,
+    pub sched: Mutex<Sched<U>>,
     /// One condvar per logical thread, all paired with the `sched` mutex.
     /// Targeted handoff wakes exactly `cvs[next]`.
     pub cvs: Vec<Condvar>,
@@ -298,12 +303,12 @@ impl<U: Send> Sim<U> {
                 shared: self.shared,
             };
         }
+        let world = World {
+            machine: self.machine,
+            shared: self.shared,
+        };
         let shared = Arc::new(Shared {
-            world: Mutex::new(World {
-                machine: self.machine,
-                shared: self.shared,
-            }),
-            sched: Mutex::new(Sched::new(n, self.quantum)),
+            sched: Mutex::new(Sched::new(world, n, self.quantum)),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             mode: self.mode,
             cycle_limit: self.cycle_limit,
@@ -318,7 +323,8 @@ impl<U: Send> Sim<U> {
                     // body panics, so the other threads are not left waiting
                     // for a turn that never comes and the panic propagates
                     // cleanly through join. (Declared first: it drops after
-                    // the Ctx.)
+                    // the Ctx, which parks the world it holds for the guard's
+                    // handoff.)
                     let _guard = FinishGuard { cpu, shared: &sh };
                     let mut ctx = Ctx::new(cpu, Arc::clone(&sh));
                     body(&mut ctx);
@@ -335,11 +341,15 @@ impl<U: Send> Sim<U> {
             }
         });
 
+        // No thread panicked, so the world is parked: a `Ctx` parks the
+        // world it holds when it drops.
         let world = Arc::into_inner(shared)
             .expect("all thread handles joined")
-            .world
+            .sched
             .into_inner()
-            .expect("engine mutex not poisoned");
+            .expect("engine mutex not poisoned")
+            .world
+            .expect("the world is parked");
         let clocks = world.machine.clocks();
         let finish_times: Vec<u64> = clocks[..n].to_vec();
         let makespan = finish_times.iter().copied().max().unwrap_or(0);
@@ -590,6 +600,33 @@ mod tests {
             ])
         });
         assert!(r.is_err(), "panic must propagate");
+    }
+
+    #[test]
+    fn panic_inside_with_fails_peers_fast() {
+        // A panic inside the closure destroys the world it held; the peer
+        // still waiting for a turn must fail fast, not deadlock or run on.
+        let r = std::panic::catch_unwind(|| {
+            Sim::new(machine(2), ()).run(vec![
+                Box::new(|ctx| {
+                    for _ in 0..50 {
+                        ctx.work(10).unwrap();
+                    }
+                }),
+                Box::new(|ctx| {
+                    ctx.work(25).unwrap();
+                    ctx.with(|_| panic!("bug inside with"));
+                }),
+            ])
+        });
+        let payload = r.expect_err("panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        // Thread 0 joins first, so its panic is the one Sim::run resumes.
+        assert!(msg.contains("poisoned"), "peer panicked with {msg:?}");
     }
 
     #[test]

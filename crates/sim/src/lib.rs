@@ -17,10 +17,11 @@
 //!
 //! Host-side, the engine hands off *targeted*: the scheduler tracks waiting
 //! threads in a min-clock heap and wakes exactly the next designated runner
-//! ([`HandoffMode::Targeted`]); a runner inside its batching `limit`
-//! executes operations without touching the scheduler lock at all. The
-//! legacy thundering-herd wakeup is kept as [`HandoffMode::Broadcast`] — a
-//! determinism oracle. See `docs/PERF.md`.
+//! ([`HandoffMode::Targeted`]). The designated runner owns the `World`
+//! outright — it moves through the scheduler's one mutex only at a
+//! handoff — so a runner inside its batching `limit` executes operations
+//! without taking any lock. The legacy thundering-herd wakeup is kept as
+//! [`HandoffMode::Broadcast`] — a determinism oracle. See `docs/PERF.md`.
 //!
 //! ```
 //! use ufotm_machine::{Machine, MachineConfig, Addr};
