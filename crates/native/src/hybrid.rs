@@ -147,9 +147,10 @@ impl NativeHybrid {
         otable_bins: u64,
         policy: NativeHybridPolicy,
     ) -> Self {
+        let tl2 = NativeTl2::new(heap_words, lock_entries, alloc_base_word);
         NativeHybrid {
-            tl2: NativeTl2::new(heap_words, lock_entries, alloc_base_word),
-            ustm: NativeUstm::new(threads, otable_bins),
+            ustm: NativeUstm::new(&tl2, threads, otable_bins),
+            tl2,
             slow_mode: Padded::default(),
             plain_inflight: Padded::default(),
             serial_gate: Mutex::new(()),

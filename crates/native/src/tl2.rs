@@ -61,7 +61,7 @@ use std::sync::Barrier;
 
 use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
 use ufotm_machine::{Addr, LINE_BYTES};
-use ufotm_tl2::{stripe_index, Tl2Abort};
+use ufotm_tl2::Tl2Abort;
 
 use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
@@ -93,6 +93,16 @@ fn held_word(epoch: u64, tid: usize, slow: bool) -> u64 {
 
 fn holder_tid(held: u64) -> usize {
     ((held >> 1) & 0xFF) as usize
+}
+
+/// The entry of 64-byte line `line` in a power-of-two metadata table of
+/// `mask + 1` entries: the low bits of the line number, as TL2 and
+/// TinySTM index their lock arrays. Consecutive lines take consecutive
+/// entries, so workers on disjoint data ranges share no metadata line.
+/// The stripe table, the ownership table's bins and its per-stripe
+/// ownership counts all index this way.
+pub(crate) fn line_slot(line: u64, mask: u64) -> usize {
+    (line & mask) as usize
 }
 
 /// Shared native TL2 state: the word heap, the stripe lock table, the
@@ -280,10 +290,17 @@ impl NativeTl2 {
         w
     }
 
-    /// The simulated TL2's stripe hash over the same 64-byte lines, so a
-    /// given address contends on the same stripe in both worlds.
+    /// The stripe of `addr`'s 64-byte line, in address order
+    /// ([`line_slot`]). Unlike the simulated TL2's scatter, two workers
+    /// on disjoint line ranges that fit in the table never touch one
+    /// stripe, and only a boundary cache line of the table.
     pub(crate) fn stripe_of(&self, addr: Addr) -> usize {
-        stripe_index(addr.line(), self.mask)
+        line_slot(addr.line().0, self.mask)
+    }
+
+    /// Stripes in the lock table.
+    pub(crate) fn stripes(&self) -> usize {
+        self.locks.len()
     }
 
     /// Plain (non-transactional) load, for setup and verification phases.
@@ -719,11 +736,11 @@ impl<'a> NativeTxn<'a> {
         }
         // Yield to slow-path owners, as a hardware transaction takes a UFO
         // fault: with every stripe held, abort if a slow transaction owns
-        // a write line for read or write. A slow transaction registers its
-        // ownership and *then* looks at the stripe; this commit took the
-        // stripe and *then* looks at the ownership — so either this probe
-        // sees the owner, or the owner sees the lock and waits it out.
-        // Lines come out ascending, like the write set.
+        // a write line for read or write. A slow transaction bumps its
+        // line's stripe count and *then* looks at the stripe; this commit
+        // took the stripe and *then* looks at the count — so either this
+        // probe sees the owner, or the owner sees the lock and waits it
+        // out. Lines come out ascending, like the write set.
         if let Some(ustm) = self.ustm {
             let mut last = u64::MAX;
             for &(a, _) in writes {
@@ -993,5 +1010,35 @@ mod tests {
         assert_eq!(heap.dead_sealed_holder(s, tl2_held), None);
         assert_eq!(heap.stripe_word(s) & HELD, 0, "an orphan, stolen");
         assert_eq!(heap.orphan_steals(), 1);
+    }
+
+    /// Address order: two disjoint line ranges that fit in the table
+    /// together share no stripe, and no cache line of the stripe table
+    /// but the one their boundary may fall in.
+    #[test]
+    fn disjoint_line_ranges_share_at_most_one_boundary_table_line() {
+        use std::collections::BTreeSet;
+        let heap = NativeTl2::new(1 << 12, 1 << 12, 1 << 12);
+        let per_table_line = (LINE_BYTES / 8) as usize;
+        let stripes = |lines: std::ops::Range<u64>| -> BTreeSet<usize> {
+            lines
+                .map(|l| heap.stripe_of(Addr(l * LINE_BYTES)))
+                .collect()
+        };
+        let table_lines = |stripes: &BTreeSet<usize>| -> BTreeSet<usize> {
+            stripes.iter().map(|s| s / per_table_line).collect()
+        };
+        let cases = [
+            (0..2048, 2048..4096),
+            (100..1000, 1000..3000),
+            (7..13, 40..90),
+        ];
+        for (a, b) in cases {
+            let (sa, sb) = (stripes(a), stripes(b));
+            assert!(sa.is_disjoint(&sb), "a stripe shared");
+            let (ta, tb) = (table_lines(&sa), table_lines(&sb));
+            let shared: Vec<_> = ta.intersection(&tb).collect();
+            assert!(shared.len() <= 1, "stripe-table lines {shared:?} shared");
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! This is the host-atomics rendition of the simulated
 //! [`ufotm-ustm`](ufotm_ustm) crate, reshaped for real hardware:
 //!
-//! * **Ownership table** — the same chained-hash shape as the simulated
-//!   [`Otable`](ufotm_ustm::Otable) (Fibonacci hash of the 64-byte line
-//!   number, power-of-two bins, one record per owned line with a writer
-//!   slot and a reader list), but sharded: each bin is a host `Mutex`
+//! * **Ownership table** — the same chained shape as the simulated
+//!   [`Otable`](ufotm_ustm::Otable) (power-of-two bins, one record per
+//!   owned line with a writer slot and a reader list), but indexed by the
+//!   low bits of the 64-byte line number instead of the simulator's
+//!   Fibonacci hash, and sharded: each bin is a host `Mutex`
 //!   over its entry chain, and the protocol never holds more than one
 //!   bin lock at a time (lock → decide → unlock → wait with
 //!   `yield_now`), so bin lock order cannot deadlock.
@@ -70,9 +71,10 @@
 //!    table for each line it writes and aborts if a slow transaction owns
 //!    one for read or write.
 //!
-//! Rules 2 and 3 are a Dekker pair over `SeqCst` accesses — registration
-//! then stripe load on the slow side, stripe CAS then occupancy load on
-//! the fast side — so of a slow owner and a fast writer of one line at
+//! Rules 2 and 3 are a Dekker pair over `SeqCst` accesses to two words of
+//! one stripe, its lock and its count of owned lines — count bump then
+//! stripe load on the slow side, stripe CAS then count load on the fast
+//! side — so of a slow owner and a fast writer of one line at
 //! least one sees the other: the fast one aborts, or the slow one waits
 //! out its commit. Slow transactions are therefore never aborted by fast
 //! ones (the paper's priority), the cost to the fast path is one load per
@@ -118,12 +120,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ufotm_core::{Stop, TxScope};
-use ufotm_machine::{Addr, LineAddr, LINE_BYTES};
-use ufotm_ustm::{bin_index, UstmAbort};
+use ufotm_machine::{Addr, LINE_BYTES};
+use ufotm_ustm::UstmAbort;
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::padded::Padded;
-use crate::tl2::{spin_work, NativeTl2, HELD};
+use crate::tl2::{line_slot, spin_work, NativeTl2, HELD};
 use crate::write_set::WriteSet;
 
 // Status-slot phases (low 8 bits of the packed word).
@@ -176,16 +178,18 @@ type RedoRecord = Vec<(u64, u64)>;
 #[derive(Debug)]
 pub struct NativeUstm {
     bins: Box<[Mutex<Vec<OtEntry>>]>,
-    /// Entries in each bin, changed only under the bin's lock and only
-    /// with `SeqCst` read-modify-writes: the word a fast-path commit
-    /// probes ([`NativeUstm::is_owned`]), so that finding nothing owned
-    /// costs it one load and no lock.
+    /// Entries whose line falls in each TL2 stripe, one count per stripe
+    /// of the heap's lock table, changed only under the entry's bin lock
+    /// and only with `SeqCst` read-modify-writes: the word a fast-path
+    /// commit probes for a stripe it holds ([`NativeUstm::is_owned`]), so
+    /// that finding nothing owned costs it one load and no lock.
     occupancy: Box<[AtomicU64]>,
     /// One line per slot: a transaction rewrites its own at begin, seal
     /// and retire, and reads it at every access.
     slots: Box<[Padded<AtomicU64>]>,
     next_ts: Padded<AtomicU64>,
     mask: u64,
+    stripe_mask: u64,
     /// Per-thread published redo records `(word addr, value)`, written
     /// *before* the seal CAS so that a committer that dies sealed leaves
     /// everything a helper needs to finish its write-back. Only the
@@ -199,26 +203,29 @@ pub struct NativeUstm {
 }
 
 impl NativeUstm {
-    /// Creates a table with `otable_bins` bins and status slots for
-    /// `threads` transaction handles.
+    /// Creates a table with `otable_bins` bins, an ownership count per
+    /// stripe of `heap`'s lock table, and status slots for `threads`
+    /// transaction handles. Use it over `heap` only.
     ///
     /// # Panics
     ///
     /// Panics if `otable_bins` is not a power of two or `threads`
     /// exceeds the 16-bit killer-id encoding.
     #[must_use]
-    pub fn new(threads: usize, otable_bins: u64) -> Self {
+    pub fn new(heap: &NativeTl2, threads: usize, otable_bins: u64) -> Self {
         assert!(
             otable_bins.is_power_of_two(),
             "otable bins must be a power of two"
         );
         assert!(threads < (1 << 16) - 1, "too many USTM threads to encode");
+        let stripes = heap.stripes();
         NativeUstm {
             bins: (0..otable_bins).map(|_| Mutex::new(Vec::new())).collect(),
-            occupancy: (0..otable_bins).map(|_| AtomicU64::new(0)).collect(),
+            occupancy: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
             slots: (0..threads).map(|_| Padded::default()).collect(),
             next_ts: Padded::default(),
             mask: otable_bins - 1,
+            stripe_mask: stripes as u64 - 1,
             records: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
             poison_recovered: AtomicU64::new(0),
             helper_completions: AtomicU64::new(0),
@@ -226,10 +233,17 @@ impl NativeUstm {
         }
     }
 
-    /// The simulated otable's bin hash, so a given line chains into the
-    /// same bin in both worlds.
-    fn bin_index(&self, line: u64) -> usize {
-        bin_index(LineAddr(line), self.mask) as usize
+    /// The bin `line` chains into, in address order ([`line_slot`]):
+    /// unlike the simulated otable's scatter, consecutive lines chain
+    /// into consecutive bins.
+    fn bin_of(&self, line: u64) -> usize {
+        line_slot(line, self.mask)
+    }
+
+    /// The heap stripe `line` falls in — [`NativeTl2`]'s own mapping, so
+    /// its count is the one a fast commit holding the stripe probes.
+    fn stripe_of(&self, line: u64) -> usize {
+        line_slot(line, self.stripe_mask)
     }
 
     /// Locks a bin by index, recovering from poison instead of cascading
@@ -249,9 +263,10 @@ impl NativeUstm {
 
     /// Whether any slow-path transaction owns `line`, for read or write:
     /// the probe a fast-path commit makes for each line it is about to
-    /// write, holding the line's stripe. Every entry in a bin is owned
-    /// (emptied ones are removed under the same lock), so an empty bin
-    /// answers with one load.
+    /// write, holding the line's stripe. Every entry is owned (emptied
+    /// ones are removed under the bin lock), so a stripe with no entries
+    /// answers with one load of its count — a word that, like the
+    /// stripe, only transactions on nearby lines touch.
     ///
     /// `SeqCst` against the registering side's `SeqCst` bump of the same
     /// word, which precedes its look at the stripe: of a slow owner
@@ -259,21 +274,21 @@ impl NativeUstm {
     /// sees the other.
     #[inline]
     pub(crate) fn is_owned(&self, line: u64) -> bool {
-        let idx = self.bin_index(line);
-        self.occupancy[idx].load(Ordering::SeqCst) != 0 && self.bin_holds(idx, line)
+        self.occupancy[self.stripe_of(line)].load(Ordering::SeqCst) != 0 && self.bin_holds(line)
     }
 
     /// The locked half of [`NativeUstm::is_owned`], off the fast path's
     /// inlined probe.
     #[cold]
-    fn bin_holds(&self, idx: usize, line: u64) -> bool {
-        self.lock_bin_idx(idx).iter().any(|e| e.line == line)
+    fn bin_holds(&self, line: u64) -> bool {
+        self.lock_bin_idx(self.bin_of(line))
+            .iter()
+            .any(|e| e.line == line)
     }
 
-    /// Chains a fresh entry for `line` into its (locked) bin `idx`.
+    /// Chains a fresh entry for `line` into its (locked) bin.
     fn push_entry<'b>(
         &self,
-        idx: usize,
         bin: &'b mut Vec<OtEntry>,
         line: u64,
         readers: Vec<(usize, u64)>,
@@ -283,15 +298,14 @@ impl NativeUstm {
             writer: None,
             readers,
         });
-        self.occupancy[idx].fetch_add(1, Ordering::SeqCst);
+        self.occupancy[self.stripe_of(line)].fetch_add(1, Ordering::SeqCst);
         bin.last_mut().expect("just pushed")
     }
 
     /// Drops whatever ownership `tid` holds of `line`, unchaining the
     /// entry once nobody owns it.
     fn disown(&self, line: u64, tid: usize) {
-        let idx = self.bin_index(line);
-        let mut bin = self.lock_bin_idx(idx);
+        let mut bin = self.lock_bin_idx(self.bin_of(line));
         let Some(pos) = bin.iter().position(|e| e.line == line) else {
             return;
         };
@@ -302,7 +316,7 @@ impl NativeUstm {
         }
         if e.readers.is_empty() && e.writer.is_none() {
             bin.swap_remove(pos);
-            self.occupancy[idx].fetch_sub(1, Ordering::SeqCst);
+            self.occupancy[self.stripe_of(line)].fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -334,29 +348,24 @@ impl NativeUstm {
 
     /// Structural consistency audit of the ownership table, run after
     /// poison recovery (and by torture tests at quiescence). Checks that
-    /// every bin's entry count is the one fast commits probe, that every
-    /// entry has an owner and hashes to the bin it chains in, that no bin
-    /// holds two entries for one line, and that no entry lists the same
-    /// reader twice.
+    /// every stripe's entry count is the one fast commits probe, that
+    /// every entry has an owner and maps to the bin it chains in, that no
+    /// bin holds two entries for one line, and that no entry lists the
+    /// same reader twice.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn audit(&self) -> Result<(), String> {
+        let mut entries = vec![0u64; self.occupancy.len()];
         for i in 0..self.bins.len() {
             let bin = self.lock_bin_idx(i);
-            let counted = self.occupancy[i].load(Ordering::SeqCst);
-            if counted != bin.len() as u64 {
-                return Err(format!(
-                    "bin {i} holds {} entries, counts {counted}",
-                    bin.len()
-                ));
-            }
             for (pos, e) in bin.iter().enumerate() {
+                entries[self.stripe_of(e.line)] += 1;
                 if e.writer.is_none() && e.readers.is_empty() {
                     return Err(format!("line {} chained with no owner", e.line));
                 }
-                if self.bin_index(e.line) != i {
+                if self.bin_of(e.line) != i {
                     return Err(format!("line {} chained into wrong bin {i}", e.line));
                 }
                 if bin[..pos].iter().any(|prev| prev.line == e.line) {
@@ -367,6 +376,12 @@ impl NativeUstm {
                         return Err(format!("line {}: reader {t} listed twice", e.line));
                     }
                 }
+            }
+        }
+        for (s, &held) in entries.iter().enumerate() {
+            let counted = self.occupancy[s].load(Ordering::SeqCst);
+            if counted != held {
+                return Err(format!("stripe {s} holds {held} entries, counts {counted}"));
             }
         }
         Ok(())
@@ -383,12 +398,13 @@ impl NativeUstm {
                     e.writer = None;
                 }
             }
-            let before = bin.len();
-            bin.retain(|e| e.writer.is_some() || !e.readers.is_empty());
-            let gone = (before - bin.len()) as u64;
-            if gone != 0 {
-                self.occupancy[i].fetch_sub(gone, Ordering::SeqCst);
-            }
+            bin.retain(|e| {
+                let owned = e.writer.is_some() || !e.readers.is_empty();
+                if !owned {
+                    self.occupancy[self.stripe_of(e.line)].fetch_sub(1, Ordering::SeqCst);
+                }
+                owned
+            });
         }
     }
 
@@ -565,7 +581,7 @@ impl NativeUstm {
     /// against.
     #[doc(hidden)]
     pub fn debug_poison_bin(&self, line: u64) {
-        let idx = self.bin_index(line);
+        let idx = self.bin_of(line);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _g = self.bins[idx].lock();
             panic!("deliberate bin poison (test scaffolding)");
@@ -829,8 +845,7 @@ impl<'a> NativeUstmTxn<'a> {
             }
             let blocker;
             {
-                let idx = self.ustm.bin_index(line);
-                let mut bin = self.ustm.lock_bin_idx(idx);
+                let mut bin = self.ustm.lock_bin_idx(self.ustm.bin_of(line));
                 match bin.iter_mut().find(|e| e.line == line) {
                     Some(e) => {
                         if let Some((wtid, wts)) = e.writer {
@@ -850,7 +865,7 @@ impl<'a> NativeUstmTxn<'a> {
                     }
                     None => {
                         let me = vec![(self.tid, self.ts)];
-                        self.ustm.push_entry(idx, &mut bin, line, me);
+                        self.ustm.push_entry(&mut bin, line, me);
                         return Ok(());
                     }
                 }
@@ -889,13 +904,12 @@ impl<'a> NativeUstmTxn<'a> {
             }
             let blocker;
             {
-                let idx = self.ustm.bin_index(line);
-                let mut bin = self.ustm.lock_bin_idx(idx);
+                let mut bin = self.ustm.lock_bin_idx(self.ustm.bin_of(line));
                 // A fresh entry is taken below, under the same lock: no
                 // entry is ever visible without an owner.
                 let e = match bin.iter().position(|e| e.line == line) {
                     Some(pos) => &mut bin[pos],
-                    None => self.ustm.push_entry(idx, &mut bin, line, Vec::new()),
+                    None => self.ustm.push_entry(&mut bin, line, Vec::new()),
                 };
                 if let Some((wtid, wts)) = e.writer {
                     debug_assert_ne!(wtid, self.tid, "double write acquisition");

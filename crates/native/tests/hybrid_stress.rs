@@ -587,6 +587,54 @@ fn mixed_paths_on_shared_lines_conserve_the_total() {
     h.ustm().audit().expect("otable audit");
 }
 
+/// Private data never conflicts: two workers increment four consecutive
+/// lines at a time in disjoint contiguous regions, every eighth
+/// transaction forced slow, chaos disarmed. Stripes and their ownership
+/// counts are indexed in address order, so neither worker touches a
+/// stripe or a count of the other's (ownership-table bins may be shared,
+/// which serialises slow accesses but aborts nothing): no fast abort, no
+/// slow abort, and no failover but the forced ones.
+#[test]
+fn private_regions_never_conflict() {
+    const THREADS: usize = 2;
+    const PER: u64 = 100_000;
+    const REGION_LINES: u64 = 2048;
+    const RMWS: u64 = 4;
+    let line = |tid: usize, i: u64| Addr((16 + tid as u64 * REGION_LINES + i) * 64);
+    let h = world(THREADS);
+    let (stats, _) = run_hybrid_threads(&h, THREADS, |th| {
+        let tid = th.tid();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (tid as u64 + 1);
+        th.barrier();
+        for i in 0..PER {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if i % 8 == 7 {
+                th.force_failover_next();
+            }
+            let first = rng % (REGION_LINES - RMWS + 1);
+            th.transaction(|tx| {
+                for l in first..first + RMWS {
+                    let v = tx.read(line(tid, l))?;
+                    tx.write(line(tid, l), v + 1)?;
+                }
+                Ok(())
+            });
+        }
+    });
+    for tid in 0..THREADS {
+        let sum: u64 = (0..REGION_LINES).map(|i| h.peek(line(tid, i))).sum();
+        assert_eq!(sum, PER * RMWS, "worker {tid}'s region lost an update");
+    }
+    assert_eq!(stats.fast.total_aborts(), 0, "{:?}", stats.fast);
+    assert_eq!(stats.slow.total_aborts(), 0, "{:?}", stats.slow);
+    assert_eq!(stats.total_commits(), THREADS as u64 * PER);
+    assert_eq!(stats.forced_failovers, THREADS as u64 * PER / 8);
+    assert_eq!(stats.failovers, stats.forced_failovers);
+    h.ustm().audit().expect("otable audit");
+}
+
 /// The exclusion that remains, the accessor anonymous: while tid 0 sits
 /// inside a slow-path body `slow_mode` is raised (a serial body runs
 /// inside the same registration), so a tid-less [`NativeHybrid::poke`]

@@ -15,10 +15,9 @@ const X: Addr = Addr(512);
 const Y: Addr = Addr(1024);
 
 fn world() -> (NativeTl2, NativeUstm) {
-    (
-        NativeTl2::new(1 << 14, 1 << 8, 1 << 13),
-        NativeUstm::new(4, 1 << 6),
-    )
+    let heap = NativeTl2::new(1 << 14, 1 << 8, 1 << 13);
+    let ustm = NativeUstm::new(&heap, 4, 1 << 6);
+    (heap, ustm)
 }
 
 /// What every word a script writes holds beforehand.

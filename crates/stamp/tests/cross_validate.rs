@@ -7,7 +7,9 @@
 //! script records every operation's result (values, abort
 //! classifications) plus the final heap words it touched; the sim and
 //! native logs must be string-identical. Both sides use a 4096-entry
-//! lock table and the same stripe hash, so even stripe collisions agree.
+//! lock table but map lines to stripes differently (the simulator
+//! scatters, the native TL2 goes in address order), so the scripts only
+//! ever pair addresses that are on distinct stripes under both mappings.
 //!
 //! The USTM scripts drive a *single* manual handle per substrate
 //! (`ufotm_ustm::UstmTxn` vs `ufotm_native::NativeUstmTxn`): the
@@ -39,17 +41,26 @@ use ufotm_ustm::{UstmAbort, UstmConfig, UstmShared, UstmTxn};
 const X: Addr = Addr(512);
 const LOCK_ENTRIES: u64 = 4096;
 
-/// The stripe both implementations hash a line to.
-fn stripe(addr: Addr) -> usize {
+/// The stripe the simulated TL2 hashes a line to.
+fn sim_stripe(addr: Addr) -> usize {
     stripe_index(addr.line(), LOCK_ENTRIES - 1)
 }
 
-/// An address past `from` on a different stripe than X.
+/// The stripe the native TL2 puts a line on: its line number's low bits.
+fn native_stripe(addr: Addr) -> usize {
+    (addr.line().0 % LOCK_ENTRIES) as usize
+}
+
+/// An address past `from` on a different stripe than X on both
+/// substrates, so neither side sees a collision the other does not.
 fn distinct_stripe(from: u64) -> Addr {
-    (1..64)
+    let y = (1..64)
         .map(|i| Addr(from + i * 64))
-        .find(|a| stripe(*a) != stripe(X))
-        .expect("a distinct stripe within 64 lines")
+        .find(|&a| sim_stripe(a) != sim_stripe(X) && native_stripe(a) != native_stripe(X))
+        .expect("a distinct stripe within 64 lines");
+    assert_ne!(sim_stripe(y), sim_stripe(X));
+    assert_ne!(native_stripe(y), native_stripe(X));
+    y
 }
 
 /// Two interleaved transactions plus plain heap access — the least
@@ -330,7 +341,7 @@ fn run_sim_ustm(script: fn(&mut dyn UstmHandle) -> Vec<String>) -> Vec<String> {
 /// Runs a USTM script on the native slow path and returns its event log.
 fn run_native_ustm(script: fn(&mut dyn UstmHandle) -> Vec<String>) -> Vec<String> {
     let heap = NativeTl2::new(1 << 15, LOCK_ENTRIES, 1 << 14);
-    let ustm = NativeUstm::new(1, 1 << 10);
+    let ustm = NativeUstm::new(&heap, 1, 1 << 10);
     let mut h = NativeUstmHandle {
         txn: NativeUstmTxn::new(&heap, &ustm, 0),
         heap: &heap,

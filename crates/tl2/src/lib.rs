@@ -129,9 +129,11 @@ pub struct Tl2Shared {
 }
 
 /// The version-lock stripe `line` hashes to in a table of `mask + 1`
-/// entries. The one stripe hash of the workspace: the simulated lock
-/// table, the native TL2 and the cross-validation scripts all call it,
-/// so a given line contends on the same stripe on both substrates.
+/// entries (Fibonacci scatter). The simulated lock table's hash only:
+/// the native TL2 indexes its stripes in address order instead, so
+/// workers on disjoint data share no stripe-table cache line, and keeping
+/// the scatter here keeps simulated results unchanged. Cross-validation
+/// scripts pair only lines that are on distinct stripes under both.
 #[inline]
 #[must_use]
 pub fn stripe_index(line: LineAddr, mask: u64) -> usize {

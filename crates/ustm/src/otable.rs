@@ -75,9 +75,9 @@ pub struct Otable {
 pub(crate) const BIN_BYTES: u64 = 16;
 
 /// The ownership-table bin `line` chains into in a table of `mask + 1`
-/// bins (Fibonacci hashing over the line number). The one bin hash of the
-/// workspace: the simulated otable and the native USTM both call it, so a
-/// given line chains into the same bin on both substrates.
+/// bins (Fibonacci hashing over the line number). The simulated otable's
+/// hash only: the native USTM chains lines in address order instead, and
+/// keeping the scatter here keeps simulated results unchanged.
 #[inline]
 #[must_use]
 pub fn bin_index(line: LineAddr, mask: u64) -> u64 {
