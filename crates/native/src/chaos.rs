@@ -358,6 +358,10 @@ impl NativeChaos {
     /// abort the current transaction; spins in place when a delay fires;
     /// panics the calling thread (payload [`InjectedPanic`]) when a one-shot
     /// panic point matches.
+    ///
+    /// Inlined, so a disarmed strike is one relaxed load and a branch at
+    /// the site; everything an armed one does is out of line.
+    #[inline]
     pub fn strike(&self, tid: usize, site: FailSite) -> bool {
         if !self.armed.load(Ordering::Relaxed) {
             return false;
@@ -368,6 +372,7 @@ impl NativeChaos {
 
     /// Hit a failpoint from outside any worker context (single anonymous
     /// stream; panic points never match it).
+    #[inline]
     pub fn strike_anon(&self, site: FailSite) -> bool {
         if !self.armed.load(Ordering::Relaxed) {
             return false;
@@ -375,6 +380,8 @@ impl NativeChaos {
         self.strike_stream(ANON_STREAM, usize::MAX, site)
     }
 
+    #[cold]
+    #[inline(never)]
     fn strike_stream(&self, stream: usize, tid: usize, site: FailSite) -> bool {
         let si = site.index();
         let hit = self.hits[si * STREAMS + stream].fetch_add(1, Ordering::Relaxed) + 1;

@@ -590,37 +590,56 @@ impl<'a> NativeTxn<'a> {
 
     /// Transactional read with pre/post lock sampling.
     ///
+    /// The read set logs a stripe once per *run* of reads on it: a lookup
+    /// that reads a node's key and then its child pointer from one line
+    /// logs that line once. Commit validation checks every entry, and
+    /// checking a stripe twice answers what checking it once does.
+    ///
     /// # Errors
     ///
     /// [`Tl2Abort::ReadValidation`] — the attempt is already rolled
     /// back; retry the transaction.
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Result<u64, Tl2Abort> {
         debug_assert!(self.active);
-        if self.shared.chaos.strike(self.tid, FailSite::Tl2Read) {
+        let shared = self.shared;
+        if shared.chaos.strike(self.tid, FailSite::Tl2Read) {
             self.fail(Tl2Abort::ReadValidation);
             return Err(Tl2Abort::ReadValidation);
         }
         if let Some(value) = self.writes.get(addr) {
             return Ok(value);
         }
-        let w = self.shared.word_index(addr);
-        let s = self.shared.stripe_of(addr);
-        let pre = self.shared.locks[s].load(Ordering::Acquire);
-        let value = self.shared.heap.shadow_word(w).load(Ordering::Acquire);
-        let post = self.shared.locks[s].load(Ordering::Acquire);
-        let unlocked = pre & 1 == 0 && post & 1 == 0;
-        if unlocked && pre == post && post >> 1 <= self.rv {
-            self.reads.push(s);
+        let w = shared.word_index(addr);
+        let s = shared.stripe_of(addr);
+        let lock = &shared.locks[s];
+        let pre = lock.load(Ordering::Acquire);
+        let value = shared.heap.shadow_word(w).load(Ordering::Acquire);
+        let post = lock.load(Ordering::Acquire);
+        // Unlocked, unchanged, not newer than `rv` (`pre == post` makes
+        // `post` unlocked too).
+        if pre & HELD == 0 && pre == post && post >> 1 <= self.rv {
+            if self.reads.last() != Some(&s) {
+                self.reads.push(s);
+            }
             Ok(value)
         } else {
-            // A lock stamped by a dead owner would make this stripe
-            // unreadable forever; steal it so the retry can proceed.
-            if post & 1 == 1 {
-                self.shared.try_reclaim(s, post);
-            }
-            self.fail(Tl2Abort::ReadValidation);
-            Err(Tl2Abort::ReadValidation)
+            Err(self.read_conflict(s, post))
         }
+    }
+
+    /// The failing half of [`NativeTxn::read`], out of line: rolls the
+    /// attempt back. A lock stamped by a dead owner would make the stripe
+    /// unreadable forever, so a held `post` is stolen if it is an orphan,
+    /// and the retry can proceed.
+    #[cold]
+    #[inline(never)]
+    fn read_conflict(&mut self, s: usize, post: u64) -> Tl2Abort {
+        if post & HELD == HELD {
+            self.shared.try_reclaim(s, post);
+        }
+        self.fail(Tl2Abort::ReadValidation);
+        Tl2Abort::ReadValidation
     }
 
     /// Transactional (buffered) write.
@@ -628,6 +647,7 @@ impl<'a> NativeTxn<'a> {
     /// # Errors
     ///
     /// Infallible today; `Result` for symmetry with the simulated API.
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         let _ = self.shared.word_index(addr); // bounds-check now, not at publish
@@ -1010,6 +1030,25 @@ mod tests {
         assert_eq!(heap.dead_sealed_holder(s, tl2_held), None);
         assert_eq!(heap.stripe_word(s) & HELD, 0, "an orphan, stolen");
         assert_eq!(heap.orphan_steals(), 1);
+    }
+
+    /// A lookup reads a node's key and then its child pointer, from the
+    /// node's one line: the read set logs one entry per run of reads on a
+    /// line, and a line read again after another starts a new run.
+    #[test]
+    fn the_read_set_logs_one_entry_per_line_run() {
+        let heap = NativeTl2::new(1 << 10, 1 << 6, 1 << 10);
+        let (node, next) = (Addr(3 * LINE_BYTES), Addr(9 * LINE_BYTES));
+        let child = |key: Addr| Addr(key.0 + 8);
+        let mut t = NativeTxn::new(&heap, 0);
+        t.begin();
+        for addr in [node, child(node), next, child(next), node] {
+            assert_eq!(t.read(addr), Ok(0));
+        }
+        let (s, s_next) = (heap.stripe_of(node), heap.stripe_of(next));
+        assert_ne!(s, s_next);
+        assert_eq!(t.reads, [s, s_next, s]);
+        t.commit().unwrap();
     }
 
     /// Address order: two disjoint line ranges that fit in the table

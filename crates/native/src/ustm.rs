@@ -657,7 +657,8 @@ pub struct NativeUstmTxn<'a> {
     reads: Vec<u64>,
     /// The redo log, published at commit.
     writes: WriteSet,
-    /// Lines write-acquired so far during commit.
+    /// Lines write-acquired so far during commit that are not in `reads`
+    /// (a line in both is released once, through `reads`).
     write_owned: Vec<u64>,
     /// Commit scratch: the redo log's lines, sorted and deduplicated.
     lines: Vec<u64>,
@@ -923,8 +924,12 @@ impl<'a> NativeUstmTxn<'a> {
                     }
                     blocker = rtid;
                 } else {
+                    // A line this transaction has read is released once,
+                    // through `reads`: `disown` clears both slots.
+                    if !e.readers.iter().any(|&(t, _)| t == self.tid) {
+                        self.write_owned.push(line);
+                    }
                     e.writer = Some((self.tid, self.ts));
-                    self.write_owned.push(line);
                     return Ok(());
                 }
             }
@@ -941,6 +946,7 @@ impl<'a> NativeUstmTxn<'a> {
     ///
     /// [`UstmAbort::Killed`] if an older transaction killed this one —
     /// the transaction has already been rolled back.
+    #[inline]
     pub fn read(&mut self, addr: Addr) -> Result<u64, UstmAbort> {
         debug_assert!(self.active);
         if !self.is_eldest() && self.heap.chaos().strike(self.tid, FailSite::UstmRead) {
@@ -969,6 +975,7 @@ impl<'a> NativeUstmTxn<'a> {
     ///
     /// [`UstmAbort::Killed`] if a kill has landed (checked so a doomed
     /// writer-loop cannot starve its killer).
+    #[inline]
     pub fn write(&mut self, addr: Addr, value: u64) -> Result<(), UstmAbort> {
         debug_assert!(self.active);
         if let Some(by) = self.doomed() {

@@ -101,6 +101,39 @@ fn concurrent_writer_forces_commit_validation() {
     assert_eq!(shared.peek(y), 0, "aborted write set must not publish");
 }
 
+/// A reads X and then word 0 of another line, B commits to word
+/// `b_word` of that line, and A's writing commit must fail validation:
+/// every line A read is validated, not only the first its read set logged.
+fn b_commits_to_the_second_line_a_read(b_word: u64) {
+    let shared = heap();
+    let line = distinct_stripe_addr(&shared, Addr(1024), X);
+    let w = Addr(4096);
+    let mut a = NativeTxn::new(&shared, 0);
+    let mut b = NativeTxn::new(&shared, 1);
+    a.begin();
+    assert_eq!(a.read(X).unwrap(), 0);
+    assert_eq!(a.read(line).unwrap(), 0);
+    b.begin();
+    b.write(Addr(line.0 + 8 * b_word), 9).unwrap();
+    b.commit().unwrap();
+    a.write(w, 1).unwrap();
+    assert_eq!(a.commit(), Err(Tl2Abort::CommitValidation));
+    assert_eq!(a.stats.commit_validation_aborts, 1);
+    assert_eq!(shared.peek(w), 0, "aborted write set must not publish");
+}
+
+#[test]
+fn a_later_read_line_is_validated_at_commit() {
+    b_commits_to_the_second_line_a_read(0);
+}
+
+/// A stripe guards its whole line: B's commit to word 1 invalidates A's
+/// read of word 0.
+#[test]
+fn a_commit_to_another_word_of_a_read_line_fails_validation() {
+    b_commits_to_the_second_line_a_read(1);
+}
+
 #[test]
 fn busy_lock_aborts_with_lock_busy_and_restores_the_stripe() {
     let shared = heap();
