@@ -3,8 +3,8 @@
 //!
 //! The simulator earned its robustness through a deterministic chaos engine;
 //! real threads cannot be single-stepped, so this module takes the next-best
-//! approach: **named injection points** threaded through the TL2, USTM, guard,
-//! and hybrid layers, each of which may — driven by a per-run seed — force an
+//! approach: **named injection points** threaded through the TL2, USTM and
+//! guard layers, each of which may — driven by a per-run seed — force an
 //! abort, stall the caller, or panic the worker outright. Torture tests sweep
 //! seeds and failpoint mixes; a failing cell echoes its seed so the schedule
 //! replays.
@@ -22,13 +22,6 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Maximum worker threads tracked by the liveness registry (tids `0..256`).
 pub const MAX_WORKERS: usize = 256;
-
-/// Number of rng/hit streams: one per possible tid plus one anonymous stream
-/// for injection points that fire outside any worker context.
-const STREAMS: usize = MAX_WORKERS + 1;
-
-/// Stream index used by [`NativeChaos::strike_anon`].
-const ANON_STREAM: usize = MAX_WORKERS;
 
 /// Named failpoint sites threaded through the native stack.
 ///
@@ -57,14 +50,10 @@ pub enum FailSite {
     UstmSealed,
     /// Guard commit window, right after protection was raised.
     GuardWindow,
-    /// Hybrid gate entry — a plain accessor with no worker identity
-    /// registering against slow transactions (anonymous stream;
-    /// delay-only).
-    HybridGate,
 }
 
 /// Number of distinct failpoint sites.
-pub const SITES: usize = 9;
+pub const SITES: usize = 8;
 
 impl FailSite {
     /// All sites, in index order.
@@ -77,7 +66,6 @@ impl FailSite {
         FailSite::UstmCommit,
         FailSite::UstmSealed,
         FailSite::GuardWindow,
-        FailSite::HybridGate,
     ];
 
     /// Dense index of this site.
@@ -91,7 +79,6 @@ impl FailSite {
             FailSite::UstmCommit => 5,
             FailSite::UstmSealed => 6,
             FailSite::GuardWindow => 7,
-            FailSite::HybridGate => 8,
         }
     }
 
@@ -106,7 +93,6 @@ impl FailSite {
             FailSite::UstmCommit => "ustm-commit",
             FailSite::UstmSealed => "ustm-sealed",
             FailSite::GuardWindow => "guard-window",
-            FailSite::HybridGate => "hybrid-gate",
         }
     }
 
@@ -114,7 +100,7 @@ impl FailSite {
     /// reclamation machinery (steal for TL2 pre-publication sites,
     /// helper-completion for sealed USTM records).
     pub fn panic_safe(self) -> bool {
-        !matches!(self, FailSite::Tl2WriteBack | FailSite::HybridGate)
+        !matches!(self, FailSite::Tl2WriteBack)
     }
 
     /// Whether a forced abort at this site is meaningful (the transaction can
@@ -265,7 +251,7 @@ const TID_ANY: u64 = 0x3FF;
 /// transaction must treat the strike as a forced abort.
 ///
 /// Shared, lock-free failpoint engine. One instance is owned by the TL2 world
-/// and shared (by reference) with the USTM, guard, and hybrid layers.
+/// and shared (by reference) with the USTM and guard layers.
 ///
 /// `strike` costs a single relaxed load while disarmed, so leaving the engine
 /// wired into the hot paths does not move the bench floors.
@@ -278,9 +264,9 @@ pub struct NativeChaos {
     /// Packed one-shot panic points: bit 63 live flag, bits 50..54 site,
     /// bits 40..50 tid selector (`TID_ANY` = any), bits 0..40 hit count.
     panic_slots: [AtomicU64; PANIC_SLOTS],
-    /// Per-stream xorshift state (one stream per tid plus one anonymous).
+    /// Per-tid xorshift state.
     rng: Box<[AtomicU64]>,
-    /// Per-(site, stream) hit counters; panic points trigger on exact counts.
+    /// Per-(site, tid) hit counters; panic points trigger on exact counts.
     hits: Box<[AtomicU64]>,
     forced_aborts: AtomicU64,
     delays: AtomicU64,
@@ -303,8 +289,10 @@ impl NativeChaos {
             delay_pmil: std::array::from_fn(|_| AtomicU32::new(0)),
             delay_spins: AtomicU32::new(0),
             panic_slots: std::array::from_fn(|_| AtomicU64::new(0)),
-            rng: (0..STREAMS).map(|_| AtomicU64::new(1)).collect(),
-            hits: (0..SITES * STREAMS).map(|_| AtomicU64::new(0)).collect(),
+            rng: (0..MAX_WORKERS).map(|_| AtomicU64::new(1)).collect(),
+            hits: (0..SITES * MAX_WORKERS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             forced_aborts: AtomicU64::new(0),
             delays: AtomicU64::new(0),
             panics_fired: AtomicU64::new(0),
@@ -370,46 +358,34 @@ impl NativeChaos {
         self.strike_stream(tid.min(MAX_WORKERS - 1), tid, site)
     }
 
-    /// Hit a failpoint from outside any worker context (single anonymous
-    /// stream; panic points never match it).
-    #[inline]
-    pub fn strike_anon(&self, site: FailSite) -> bool {
-        if !self.armed.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.strike_stream(ANON_STREAM, usize::MAX, site)
-    }
-
     #[cold]
     #[inline(never)]
     fn strike_stream(&self, stream: usize, tid: usize, site: FailSite) -> bool {
         let si = site.index();
-        let hit = self.hits[si * STREAMS + stream].fetch_add(1, Ordering::Relaxed) + 1;
+        let hit = self.hits[si * MAX_WORKERS + stream].fetch_add(1, Ordering::Relaxed) + 1;
 
         // One-shot panic points fire on exact hit counts, so a replayed seed
         // kills the same worker at the same dynamic instant.
-        if tid != usize::MAX {
-            for slot in &self.panic_slots {
-                let word = slot.load(Ordering::Relaxed);
-                if word & (1 << 63) == 0 {
-                    continue;
-                }
-                let s_site = ((word >> 50) & 0xF) as usize;
-                let s_tid = (word >> 40) & TID_ANY;
-                let s_hit = word & ((1 << 40) - 1);
-                if s_site == si
-                    && (s_tid == TID_ANY || s_tid == tid as u64)
-                    && s_hit == hit
-                    && slot
-                        .compare_exchange(word, 0, Ordering::SeqCst, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    self.panics_fired.fetch_add(1, Ordering::Relaxed);
-                    panic_any(InjectedPanic {
-                        site: site.name(),
-                        tid,
-                    });
-                }
+        for slot in &self.panic_slots {
+            let word = slot.load(Ordering::Relaxed);
+            if word & (1 << 63) == 0 {
+                continue;
+            }
+            let s_site = ((word >> 50) & 0xF) as usize;
+            let s_tid = (word >> 40) & TID_ANY;
+            let s_hit = word & ((1 << 40) - 1);
+            if s_site == si
+                && (s_tid == TID_ANY || s_tid == tid as u64)
+                && s_hit == hit
+                && slot
+                    .compare_exchange(word, 0, Ordering::SeqCst, Ordering::Relaxed)
+                    .is_ok()
+            {
+                self.panics_fired.fetch_add(1, Ordering::Relaxed);
+                panic_any(InjectedPanic {
+                    site: site.name(),
+                    tid,
+                });
             }
         }
 
@@ -447,8 +423,8 @@ impl NativeChaos {
     pub fn report(&self) -> ChaosReport {
         let mut site_hits = [0u64; SITES];
         for (si, out) in site_hits.iter_mut().enumerate() {
-            for s in 0..STREAMS {
-                *out += self.hits[si * STREAMS + s].load(Ordering::Relaxed);
+            for s in 0..MAX_WORKERS {
+                *out += self.hits[si * MAX_WORKERS + s].load(Ordering::Relaxed);
             }
         }
         ChaosReport {
@@ -578,7 +554,6 @@ mod tests {
         let chaos = NativeChaos::new();
         for site in FailSite::ALL {
             assert!(!chaos.strike(0, site));
-            assert!(!chaos.strike_anon(site));
         }
         let r = chaos.report();
         assert_eq!(r.forced_aborts + r.delays + r.panics_fired, 0);

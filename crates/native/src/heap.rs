@@ -80,8 +80,8 @@ impl WordHeap {
 
     /// Opens a strong-atomicity window over the pages containing
     /// `word_idxs` (ascending). A no-op handle on boxed storage (strong
-    /// atomicity then rests on the hybrid's gating of plain accessors
-    /// alone). `chaos` is
+    /// atomicity then rests on the hybrid's plain accessors ordering
+    /// through the stripes alone). `chaos` is
     /// the committing worker's failpoint handle, struck at the
     /// `GuardWindow` site once protection is up (and, on boxed storage,
     /// struck once anyway so failpoint schedules keep their shape when

@@ -35,24 +35,31 @@
 //! strikes no failpoint, so it commits on that attempt — while every
 //! other transaction keeps running. The gate keeps it the only eldest.
 //!
-//! ## What is left of the mode gate
+//! ## Plain accesses
 //!
-//! One exclusion, a Dekker handshake over `SeqCst` accesses (each side
-//! stores its registration, then loads the other's, so at least one sees
-//! the other): **plain accesses with no worker identity stay out of slow
-//! transactions.** [`NativeHybrid::peek`]/[`NativeHybrid::poke`] (and the
-//! backend's `plain_load`/`plain_store`, which route through them)
-//! register in one shared count, `plain_inflight`, and park while
-//! `slow_mode` is raised; a slow transaction — the serial tier's included,
-//! which runs inside the same registration — raises `slow_mode` (and
-//! `slow_held[tid]`, the record [`NativeHybrid::reap_dead`] gives back
-//! when its worker dies registered), then drains `plain_inflight` before
-//! it runs. This closes the plain-access hole the `mprotect` guard cannot
-//! cover on unguarded (boxed/TSan/non-x86_64) heaps, and is kept on
-//! guarded ones so plain accessors behave the same everywhere. A fast
-//! attempt touches no gate word at all: between
-//! [`TmBackend::transaction`]'s entry and [`NativeTxn::attempt`] it
-//! executes no atomic access.
+//! A plain access with no worker identity ([`NativeHybrid::peek`]/
+//! [`NativeHybrid::poke`], and the backend's `plain_load`/`plain_store`,
+//! which route through them) waits only for whoever holds its line — the
+//! simulator's rule, where a non-transactional store stalls until the
+//! software owner of that one line releases it. It orders through the two
+//! words that already order the paths, the line's TL2 stripe and the
+//! stripe's ownership count:
+//!
+//! * a **peek** is a stripe-validated load: it waits while the stripe is
+//!   held, loads the word, and keeps the value only if the stripe has not
+//!   moved — so no commit's write-back, slow or fast, is seen half done;
+//! * a **poke** is a one-line TL2 writer: it takes the stripe with an
+//!   anonymous held word that nobody steals or helper-completes, probes
+//!   the ownership count as a fast commit does (rule 3 of
+//!   [`crate::ustm`]), and on a slow owner gives the stripe back and
+//!   waits; otherwise it stores and releases the stripe at a fresh clock
+//!   value, which fast readers of the line then revalidate against.
+//!
+//! The rule is the same on guarded and unguarded (boxed/TSan/non-x86_64)
+//! heaps. No transaction, fast or slow, executes an atomic on behalf of
+//! plain accessors: between [`TmBackend::transaction`]'s entry and
+//! [`NativeTxn::attempt`] a fast attempt executes no atomic access, and a
+//! slow one goes straight to its USTM attempts or the serial tier.
 //!
 //! ## Which heap view
 //!
@@ -67,17 +74,15 @@
 //! stripe the slow commit holds for exactly the lines it is writing, not
 //! the page protection, which exists for plain accesses alone.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
 use ufotm_machine::Addr;
 
-use crate::chaos::{lock_recover, FailSite};
+use crate::chaos::lock_recover;
 use crate::guard::GuardStats;
-use crate::padded::Padded;
 use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
-use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
+use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn, HELD, PLAIN_HELD};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
 /// Failover policy for the native hybrid: the two watchdog thresholds
@@ -112,24 +117,15 @@ const BACKOFF_CAP_EXP: u32 = 7;
 const BACKOFF_JITTER_PCT: u64 = 25;
 
 /// Shared native hybrid state: the TL2 world (which owns the word
-/// heap), the USTM ownership table, and what is left of the mode gate.
+/// heap), the USTM ownership table, and the serial tier's one seat.
 #[derive(Debug)]
 pub struct NativeHybrid {
     tl2: NativeTl2,
     ustm: NativeUstm,
-    /// Count of slow-path transactions pending or running (a serial-tier
-    /// one included): what plain accessors wait on. No fast attempt reads
-    /// it.
-    slow_mode: Padded<AtomicU64>,
-    /// Count of anonymous plain accessors ([`NativeHybrid::peek`]/
-    /// [`NativeHybrid::poke`]) currently inside the gate.
-    plain_inflight: Padded<AtomicU64>,
     /// Serializes serial-tier transactions: each runs as USTM's eldest
     /// transaction, and there is one such seat.
     serial_gate: Mutex<()>,
-    /// Per-tid flag: this tid currently holds a `slow_mode`
-    /// registration.
-    slow_held: Box<[Padded<AtomicU64>]>,
+    threads: usize,
     policy: NativeHybridPolicy,
 }
 
@@ -151,37 +147,27 @@ impl NativeHybrid {
         NativeHybrid {
             ustm: NativeUstm::new(&tl2, threads, otable_bins),
             tl2,
-            slow_mode: Padded::default(),
-            plain_inflight: Padded::default(),
             serial_gate: Mutex::new(()),
-            slow_held: (0..threads).map(|_| Padded::default()).collect(),
+            threads,
             policy,
         }
     }
 
-    /// Repairs everything a **dead** worker left behind in the hybrid,
-    /// in this order: its USTM leavings (helper-completing a sealed
-    /// commit, which releases the slow-held stripes of its record — done
-    /// first, while any `slow_mode` registration the corpse leaked still
-    /// holds plain accessors off unguarded heaps), its orphaned TL2 stripe
-    /// locks, and finally the `slow_mode` registration it may have died
-    /// holding, which would otherwise park plain accessors forever.
-    /// Idempotent and safe to call from multiple survivors: the count is
-    /// given back by whoever wins the CAS on `slow_held`.
+    /// Repairs everything a **dead** worker left behind in the hybrid:
+    /// its USTM leavings (helper-completing a sealed commit, which
+    /// releases the slow-held stripes of its record, or discarding an
+    /// unsealed one with its ownerships) and its orphaned TL2 stripe
+    /// locks. Until then, only the lines the corpse owned or held keep
+    /// anyone waiting — plain accessors included, and only on those lines.
+    /// Idempotent and safe to call from multiple survivors.
     pub fn reap_dead(&self, tid: usize) {
         self.ustm.reclaim_dead(&self.tl2, tid);
         self.tl2.sweep_orphans();
-        if self.slow_held[tid]
-            .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.slow_mode.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 
     /// Reaps every tid the liveness registry has marked dead.
     pub fn reap_all_dead(&self) {
-        for tid in 0..self.slow_held.len() {
+        for tid in 0..self.threads {
             if self.tl2.liveness().is_dead(tid) {
                 self.reap_dead(tid);
             }
@@ -201,72 +187,48 @@ impl NativeHybrid {
         &self.ustm
     }
 
-    /// Whether no slow-path transaction is pending — the stop word a plain
-    /// accessor subscribes to.
-    fn plain_mode(&self) -> bool {
-        self.slow_mode.load(Ordering::SeqCst) == 0
+    /// Plain (non-transactional) load through the public view, validated
+    /// against the line's stripe like a fast-path read: never a commit's
+    /// write-back half applied (module docs, "Plain accesses").
+    #[must_use]
+    pub fn peek(&self, addr: Addr) -> u64 {
+        let tl2 = &self.tl2;
+        let (w, s) = (tl2.word_index(addr), tl2.stripe_of(addr));
+        loop {
+            let pre = tl2.stripe_word(s);
+            if pre & HELD != 0 {
+                self.ustm.stripe_round(tl2, s, pre);
+                continue;
+            }
+            let v = tl2.heap().load(w);
+            if tl2.stripe_word(s) == pre {
+                return v;
+            }
+        }
     }
 
-    /// Gate entry for a plain accessor with no worker identity: registers
-    /// in the shared `plain_inflight` count, and parks while a slow-path
-    /// transaction is pending. Routing plain accesses through the gate
-    /// closes the hole the `mprotect` guard cannot cover on unguarded
-    /// (boxed/TSan/non-x86_64) heaps: a pending slow commit drains plain
-    /// accessors before touching the heap.
-    fn plain_enter(&self) {
-        // Delay-only failpoint (anonymous stream): widens the window
-        // between arriving at the gate and registering in it.
-        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
+    /// Plain (non-transactional) store through the public view, as a
+    /// one-line TL2 writer that yields to slow-path owners of the line
+    /// (module docs, "Plain accesses").
+    pub fn poke(&self, addr: Addr, value: u64) {
+        let tl2 = &self.tl2;
+        let (w, s) = (tl2.word_index(addr), tl2.stripe_of(addr));
         loop {
-            self.plain_inflight.fetch_add(1, Ordering::SeqCst);
-            if self.plain_mode() {
-                return;
-            }
-            self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
-            while !self.plain_mode() {
+            let free = tl2.stripe_word(s);
+            if free & HELD != 0 {
+                self.ustm.stripe_round(tl2, s, free);
+            } else if tl2.lock_stripe(s, free, PLAIN_HELD) {
+                // Stripe CAS, then the count: the fast commit's half of
+                // the Dekker pair with a registering slow owner.
+                if !self.ustm.is_owned(addr.line().0) {
+                    tl2.heap().store(w, value);
+                    tl2.release_stripe(s, tl2.tick());
+                    return;
+                }
+                tl2.release_stripe(s, free >> 1);
                 std::thread::yield_now();
             }
         }
-    }
-
-    fn plain_exit(&self) {
-        self.plain_inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Registers `tid`'s slow-path transaction: raise `slow_mode` (for
-    /// plain accessors), then drain the plain accessors already inside.
-    /// Fast-path transactions are not waited for.
-    fn slow_enter(&self, tid: usize) {
-        // Held-flag first: a worker that dies registered is repaired by
-        // `reap_dead`, which gives back only what the flag records.
-        self.slow_held[tid].store(1, Ordering::SeqCst);
-        self.slow_mode.fetch_add(1, Ordering::SeqCst);
-        while self.plain_inflight.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
-    }
-
-    fn slow_exit(&self, tid: usize) {
-        self.slow_mode.fetch_sub(1, Ordering::SeqCst);
-        self.slow_held[tid].store(0, Ordering::SeqCst);
-    }
-
-    /// Plain (non-transactional) load through the public view, gated
-    /// against slow-path commit windows; see [`NativeTl2::peek`].
-    #[must_use]
-    pub fn peek(&self, addr: Addr) -> u64 {
-        self.plain_enter();
-        let v = self.tl2.peek(addr);
-        self.plain_exit();
-        v
-    }
-
-    /// Plain (non-transactional) store through the public view, gated
-    /// against slow-path commit windows; see [`NativeTl2::poke`].
-    pub fn poke(&self, addr: Addr, value: u64) {
-        self.plain_enter();
-        self.tl2.poke(addr, value);
-        self.plain_exit();
     }
 
     /// Host-side allocation from the shared bump allocator.
@@ -277,7 +239,7 @@ impl NativeHybrid {
 
     /// Test scaffolding: the fast-path and slow-path handles of `tid`,
     /// wired exactly as a [`HybridThread`]'s (it is built from this) but
-    /// outside any gate and retry loop, so a schedule explorer can drive
+    /// outside any retry loop, so a schedule explorer can drive
     /// `begin` / each access / `commit` of several transactions step by
     /// step on one OS thread. The one-live-handle-per-tid rule of
     /// [`HybridThread::new`] applies.
@@ -380,9 +342,9 @@ impl<'a> HybridThread<'a> {
     /// protocol scripts that never call [`TmBackend::barrier`].
     ///
     /// At most one live `HybridThread` may exist per `tid` of a given
-    /// [`NativeHybrid`]: its tid's USTM status slot and `slow_held` record
-    /// describe one transaction at a time (two handles would retire each
-    /// other's transaction and registration), and creating it revives the
+    /// [`NativeHybrid`]: its tid's USTM status slot describes one
+    /// transaction at a time (two handles would retire each other's
+    /// transaction), and creating it revives the
     /// tid in the liveness registry ([`NativeTxn::new`]),
     /// which already assumes any previous incarnation is gone. A tid may
     /// be reused once its previous handle has been dropped, or its worker
@@ -457,18 +419,13 @@ impl<'a> HybridThread<'a> {
     }
 
     /// Runs one transaction to commit on the USTM slow path, beside
-    /// whatever the fast path is doing: raise the mode, drain plain
-    /// accessors, retry the body under USTM until it commits — after
-    /// `serial_after` failed attempts, on the serial tier — and release
-    /// the mode.
+    /// whatever the fast path and plain accessors are doing: retry the
+    /// body under USTM until it commits — after `serial_after` failed
+    /// attempts, on the serial tier.
     fn run_slow<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        let shared = self.shared;
-        shared.slow_enter(self.tid);
-        let r = (0..shared.policy.serial_after)
+        (0..self.shared.policy.serial_after)
             .find_map(|_| self.slow.attempt(|t| body(t)))
-            .unwrap_or_else(|| self.run_serial(body));
-        shared.slow_exit(self.tid);
-        r
+            .unwrap_or_else(|| self.run_serial(body))
     }
 
     /// The serial tier — the third watchdog tier, mirroring the
@@ -476,8 +433,8 @@ impl<'a> HybridThread<'a> {
     /// USTM's eldest transaction, which kills every younger owner it
     /// meets, is killed by nobody and strikes no failpoint, so completion
     /// is unconditional. The native livelock of mutual kills that wedges
-    /// a two-tier hybrid completes here. Runs inside `run_slow`'s
-    /// `slow_mode` registration: plain accessors stay parked.
+    /// a two-tier hybrid completes here. A plain store to a line it owns
+    /// waits for it, as for any slow owner; nothing else does.
     fn run_serial<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
         self.serial_escalations += 1;
         // A serial body that panicked poisoned the gate on its way out;
@@ -580,9 +537,8 @@ impl WorkerWorld for NativeHybrid {
     }
 
     /// Marks the worker dead and reaps it immediately: its USTM leavings
-    /// are helper-completed or discarded, its TL2 stripe locks swept, and
-    /// any gate registration it died holding is repaired, so survivors
-    /// keep committing while the corpse is still warm.
+    /// are helper-completed or discarded and its TL2 stripe locks swept,
+    /// so survivors keep committing while the corpse is still warm.
     fn on_death(&self, tid: usize) {
         self.tl2.liveness().mark_dead(tid);
         self.reap_dead(tid);

@@ -43,9 +43,11 @@
 //! exempt this crate for exactly that reason) and not cycle-accurate
 //! ([`spin_work`] is a calibrated busy-loop, not a cycle model). Unlike
 //! the weakly-atomic TL2-only backend, the hybrid *is* strongly atomic
-//! for its slow path: the guard window defers racing plain accesses, a
-//! slow commit holds the TL2 stripes of the lines it writes, and a fast
-//! commit yields to any slow transaction owning a line it would write.
+//! for its slow path: a slow commit holds the TL2 stripes of the lines it
+//! writes, a fast commit or a hybrid plain store yields to any slow
+//! transaction owning a line it would write, and a hybrid plain load
+//! waits out a held stripe — on guarded heaps the guard window defers
+//! racing plain accesses as well.
 //!
 //! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must

@@ -54,7 +54,9 @@
 //! write-back, so to this module a slow commit is one more TL2 writer) and
 //! may be half written back: nobody steals it, dead owner or not. Only
 //! helper-completion releases it, after replaying the whole record under
-//! every stripe the record names.
+//! every stripe the record names. A stripe held by a plain store
+//! ([`PLAIN_HELD`], epoch 0) has no worker behind it to die, and is
+//! released by the store alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -85,6 +87,11 @@ pub fn spin_work(cycles: u64) {
 pub(crate) const HELD: u64 = 1;
 const SLOW: u64 = 1 << 9;
 const EPOCH_SHIFT: u32 = 10;
+/// The held word of a plain store ([`crate::NativeHybrid::poke`]): epoch
+/// 0, which no worker stamps — a handle revives its tid, advancing the
+/// epoch, before it can lock anything. Nobody steals it and nobody
+/// helper-completes it; only its writer releases it.
+pub(crate) const PLAIN_HELD: u64 = HELD;
 
 fn held_word(epoch: u64, tid: usize, slow: bool) -> u64 {
     debug_assert!(tid < MAX_WORKERS);
@@ -196,14 +203,15 @@ impl NativeTl2 {
     /// registry says: it belongs to a sealed redo record that may be half
     /// written back, so only helper-completion
     /// ([`NativeUstm::reclaim_dead`]) may release it — after replaying the
-    /// whole record.
+    /// whole record. Nor is an epoch-0 word ([`PLAIN_HELD`]): no worker
+    /// stamped it.
     fn try_reclaim(&self, s: usize, observed: u64) -> bool {
         if observed & HELD == 0 || observed & SLOW != 0 {
             return false;
         }
         let tid = holder_tid(observed);
         let epoch = observed >> EPOCH_SHIFT;
-        if !self.liveness.is_dead(tid) || self.liveness.epoch(tid) != epoch {
+        if epoch == 0 || !self.liveness.is_dead(tid) || self.liveness.epoch(tid) != epoch {
             return false;
         }
         let wv = self.tick();
@@ -250,10 +258,10 @@ impl NativeTl2 {
         self.locks[s].load(Ordering::SeqCst)
     }
 
-    /// Takes stripe `s`, last seen free as `free`, for the sealed record
-    /// stamped `stamp`; `false` if the word moved.
+    /// Takes stripe `s`, last seen free as `free`, as `stamp` — a sealed
+    /// record's, or [`PLAIN_HELD`]; `false` if the word moved.
     pub(crate) fn lock_stripe(&self, s: usize, free: u64, stamp: u64) -> bool {
-        debug_assert!(free & HELD == 0 && stamp & SLOW != 0);
+        debug_assert!(free & HELD == 0 && stamp & HELD != 0);
         self.locks[s]
             .compare_exchange(free, stamp, Ordering::SeqCst, Ordering::Relaxed)
             .is_ok()
@@ -305,12 +313,13 @@ impl NativeTl2 {
 
     /// Plain (non-transactional) load, for setup and verification phases.
     ///
-    /// Goes through the *public* heap view: if a USTM commit window is
-    /// open over the page, this access faults into the guard handler and
-    /// completes after the window — the native rendition of the paper's
-    /// strong atomicity for plain reads. The first plain access to a page
-    /// after a window has closed it also faults, once: the handler
-    /// reopens the page and the access re-executes.
+    /// Goes through the *public* heap view: on a guarded heap, if a USTM
+    /// commit window is open over the page, this access faults into the
+    /// guard handler and completes after the window — the native
+    /// rendition of the paper's strong atomicity for plain reads (on a
+    /// boxed heap, see [`crate::NativeHybrid::peek`]). The first plain
+    /// access to a page after a window has closed it also faults, once:
+    /// the handler reopens the page and the access re-executes.
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.heap.load(self.word_index(addr))
@@ -318,9 +327,11 @@ impl NativeTl2 {
 
     /// Plain (non-transactional) store. Racing a live *fast-path*
     /// transaction with `poke` has the usual weakly-atomic TL2
-    /// semantics; against the USTM slow path it is guarded (faults
-    /// during commit windows and lands after, never torn into the redo
-    /// write-back).
+    /// semantics. Against the USTM slow path it is guarded on a guarded
+    /// heap only (it faults during commit windows and lands after, never
+    /// torn into the redo write-back); on a boxed heap nothing orders the
+    /// two. [`crate::NativeHybrid::poke`] is ordered against both paths on
+    /// either heap.
     pub fn poke(&self, addr: Addr, value: u64) {
         self.heap.store(self.word_index(addr), value);
     }
@@ -1030,6 +1041,31 @@ mod tests {
         assert_eq!(heap.dead_sealed_holder(s, tl2_held), None);
         assert_eq!(heap.stripe_word(s) & HELD, 0, "an orphan, stolen");
         assert_eq!(heap.orphan_steals(), 1);
+    }
+
+    /// A plain store's hold names tid 0 at epoch 0, and is nobody's to
+    /// take: neither stolen nor reported as a sealed holder — with tid 0
+    /// dead before any handle revived it (the one registry state whose
+    /// epoch matches the word), and dead again after one did.
+    #[test]
+    fn a_plain_stores_stripe_is_never_stolen() {
+        let heap = NativeTl2::new(64, 16, 64);
+        let s = heap.stripe_of(Addr(0));
+        assert_eq!(holder_tid(PLAIN_HELD), 0);
+        heap.locks[s].store(PLAIN_HELD, Ordering::SeqCst);
+        let untouched = |heap: &NativeTl2| {
+            assert!(!heap.try_reclaim(s, PLAIN_HELD));
+            assert_eq!(heap.sweep_orphans(), 0);
+            assert_eq!(heap.dead_sealed_holder(s, PLAIN_HELD), None);
+            assert_eq!(heap.stripe_word(s), PLAIN_HELD, "still the store's");
+        };
+        heap.liveness.mark_dead(0);
+        assert_eq!(heap.liveness.epoch(0), 0);
+        untouched(&heap);
+        let _revives_tid_0 = NativeTxn::new(&heap, 0);
+        heap.liveness.mark_dead(0);
+        untouched(&heap);
+        assert_eq!(heap.orphan_steals(), 0);
     }
 
     /// A lookup reads a node's key and then its child pointer, from the

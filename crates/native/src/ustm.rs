@@ -262,11 +262,12 @@ impl NativeUstm {
     }
 
     /// Whether any slow-path transaction owns `line`, for read or write:
-    /// the probe a fast-path commit makes for each line it is about to
-    /// write, holding the line's stripe. Every entry is owned (emptied
-    /// ones are removed under the bin lock), so a stripe with no entries
-    /// answers with one load of its count — a word that, like the
-    /// stripe, only transactions on nearby lines touch.
+    /// the probe a fast-path commit (or a hybrid plain store) makes for
+    /// each line it is about to write, holding the line's stripe. Every
+    /// entry is owned (emptied ones are removed under the bin lock), so a
+    /// stripe with no entries answers with one load of its count — a
+    /// word that, like the stripe, only transactions on nearby lines
+    /// touch.
     ///
     /// `SeqCst` against the registering side's `SeqCst` bump of the same
     /// word, which precedes its look at the stripe: of a slow owner
@@ -408,11 +409,12 @@ impl NativeUstm {
         }
     }
 
-    /// One waiting round of a slow-path transaction on stripe `s`, seen
-    /// held as `held`: a dead TL2 owner's lock is stolen, a dead sealed
-    /// committer is helper-completed (only that may release its stripes),
-    /// and anyone else is given the core.
-    fn stripe_round(&self, heap: &NativeTl2, s: usize, held: u64) {
+    /// One waiting round on stripe `s`, seen held as `held`, of a
+    /// slow-path transaction or a hybrid plain accessor: a dead TL2
+    /// owner's lock is stolen, a dead sealed committer is
+    /// helper-completed (only that may release its stripes), and anyone
+    /// else is given the core.
+    pub(crate) fn stripe_round(&self, heap: &NativeTl2, s: usize, held: u64) {
         if let Some(dead) = heap.dead_sealed_holder(s, held) {
             self.reclaim_dead(heap, dead);
         }

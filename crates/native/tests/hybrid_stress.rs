@@ -635,49 +635,142 @@ fn private_regions_never_conflict() {
     h.ustm().audit().expect("otable audit");
 }
 
-/// The exclusion that remains, the accessor anonymous: while tid 0 sits
-/// inside a slow-path body `slow_mode` is raised (a serial body runs
-/// inside the same registration), so a tid-less [`NativeHybrid::poke`]
-/// from another thread parks at the gate and returns only after the
-/// transaction has committed. Plain accessors wait for both tiers, so
-/// both are driven.
+/// Per line, not per mode (1 of 2): tid 0's slow transaction (a serial
+/// one under `SERIAL_AT_ONCE`) reads COUNTER and parks; a tid-less
+/// [`NativeHybrid::poke`] of COUNTER from another thread takes the stripe,
+/// finds the reader in the ownership table as a fast commit would, gives
+/// the stripe back and waits. It returns only after the body has
+/// committed, so the body's read-modify-write lands whole (WITNESS, on the
+/// same line, carries its result) and the poke lands after it.
 #[test]
-fn anonymous_poke_waits_for_a_parked_slow_body() {
+fn a_poke_to_a_line_a_parked_slow_body_read_waits_for_its_commit() {
+    const BEFORE: u64 = 40;
+    const POKED: u64 = 7;
+    const WITNESS: Addr = Addr(COUNTER.0 + 8);
     for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
-        let (h, poke_returned) = (&world_with(1, policy), &AtomicBool::new(false));
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (poking_tx, poking_rx) = mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut th = HybridThread::new(h, None, 0, 1);
-                let mut first = true;
-                th.force_failover_next();
-                th.transaction(|tx| {
-                    let v = tx.read(COUNTER)?;
-                    if std::mem::take(&mut first) {
-                        entered_tx.send(()).unwrap();
-                        poking_rx.recv().unwrap();
-                        std::thread::sleep(LINGER);
-                        assert!(
-                            !poke_returned.load(Ordering::SeqCst),
-                            "a plain store got through the gate beside a {policy:?} body"
-                        );
-                    }
-                    tx.write(COUNTER, v + 1)
+        let wedged = "the poke and the slow body it waits for wedged each other";
+        let (returned_early, seen, stats, heap) = or_time_out(wedged, move || {
+            let (h, poke_returned) = (&world_with(1, policy), &AtomicBool::new(false));
+            h.poke(COUNTER, BEFORE);
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (poking_tx, poking_rx) = mpsc::channel();
+            let (returned_early, seen, stats) = std::thread::scope(|s| {
+                let body = s.spawn(move || {
+                    let mut th = HybridThread::new(h, None, 0, 1);
+                    let (mut first, mut returned_early) = (true, false);
+                    th.force_failover_next();
+                    let seen = th.transaction(|tx| {
+                        let v = tx.read(COUNTER)?;
+                        if std::mem::take(&mut first) {
+                            entered_tx.send(()).unwrap();
+                            poking_rx.recv().unwrap();
+                            std::thread::sleep(LINGER);
+                            returned_early = poke_returned.load(Ordering::SeqCst);
+                        }
+                        tx.write(COUNTER, v + 1)?;
+                        tx.write(WITNESS, v + 1)?;
+                        Ok(v)
+                    });
+                    (returned_early, seen, th.stats())
                 });
-                let stats = th.stats();
-                assert_eq!((stats.total_commits(), stats.fast.commits), (1, 0));
-                assert_eq!(stats.serial_commits, u64::from(policy.serial_after == 0));
+                s.spawn(move || {
+                    entered_rx.recv().unwrap();
+                    poking_tx.send(()).unwrap();
+                    h.poke(COUNTER, POKED);
+                    poke_returned.store(true, Ordering::SeqCst);
+                });
+                body.join().unwrap()
             });
-            s.spawn(move || {
-                entered_rx.recv().unwrap();
-                poking_tx.send(()).unwrap();
-                h.poke(ACCT_B, 7);
-                poke_returned.store(true, Ordering::SeqCst);
-            });
+            (
+                returned_early,
+                seen,
+                stats,
+                (h.peek(COUNTER), h.peek(WITNESS)),
+            )
         });
-        assert!(poke_returned.load(Ordering::SeqCst));
-        assert_eq!((h.peek(COUNTER), h.peek(ACCT_B)), (1, 7));
+        assert!(
+            !returned_early,
+            "a plain store to a line a {policy:?} body had read returned before it committed"
+        );
+        assert_eq!(seen, BEFORE);
+        assert_eq!((stats.total_commits(), stats.total_aborts()), (1, 0));
+        assert_eq!(stats.serial_commits, u64::from(policy.serial_after == 0));
+        assert_eq!(
+            heap,
+            (POKED, BEFORE + 1),
+            "the poke lands after the body's read-modify-write, which is not lost"
+        );
+    }
+}
+
+/// Per line, not per mode (2 of 2): while tid 0's slow body (a serial one
+/// under `SERIAL_AT_ONCE`) is parked having read COUNTER, a tid-less poke
+/// and peek of ACCT_B — a line the body never touched — return. The body
+/// resumes only on their report, so plain accessors that waited for every
+/// slow transaction would wedge both (and time out at the parent).
+#[test]
+fn a_plain_access_to_another_line_returns_beside_a_parked_slow_body() {
+    for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
+        let wedged = "a plain access to another line is waiting for the parked slow body";
+        let (peeked, stats, heap) = or_time_out(wedged, move || {
+            let h = &world_with(1, policy);
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (peeked_tx, peeked_rx) = mpsc::channel();
+            let (peeked, stats) = std::thread::scope(|s| {
+                let body = s.spawn(move || {
+                    let mut th = HybridThread::new(h, None, 0, 1);
+                    let mut peeked = None;
+                    th.force_failover_next();
+                    th.transaction(|tx| {
+                        let v = tx.read(COUNTER)?;
+                        if peeked.is_none() {
+                            entered_tx.send(()).unwrap();
+                            peeked = Some(peeked_rx.recv().unwrap());
+                        }
+                        tx.write(COUNTER, v + 1)
+                    });
+                    (peeked, th.stats())
+                });
+                s.spawn(move || {
+                    entered_rx.recv().unwrap();
+                    h.poke(ACCT_B, 7);
+                    peeked_tx.send(h.peek(ACCT_B)).unwrap();
+                });
+                body.join().unwrap()
+            });
+            (peeked, stats, (h.peek(COUNTER), h.peek(ACCT_B)))
+        });
+        assert_eq!(peeked, Some(7));
+        assert_eq!((stats.total_commits(), stats.total_aborts()), (1, 0));
+        assert_eq!(stats.serial_commits, u64::from(policy.serial_after == 0));
+        assert_eq!(heap, (1, 7));
+    }
+}
+
+/// A slow body that unwinds outside any runner (a `HybridThread` driven
+/// directly, the panic caught by its caller) leaves a corpse that nobody
+/// marks dead or reaps: its status slot and its read ownership of COUNTER
+/// stay. Plain accesses to lines it never owned must not wait for it —
+/// they return, on a detached thread, well inside the parent's timeout.
+#[test]
+fn plain_accesses_return_after_a_slow_body_unwinds_outside_a_runner() {
+    for policy in [NativeHybridPolicy::default(), SERIAL_AT_ONCE] {
+        let wedged = "a plain access is waiting for a slow body that unwound";
+        let (died, acct_b) = or_time_out(wedged, move || {
+            let h = &world_with(1, policy);
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut th = HybridThread::new(h, None, 0, 1);
+                th.force_failover_next();
+                let () = th.transaction(|tx| {
+                    tx.read(COUNTER)?;
+                    panic!("slow body unwinds outside a runner");
+                });
+            }))
+            .is_err();
+            h.poke(ACCT_B, 7);
+            (died, h.peek(ACCT_B))
+        });
+        assert_eq!((died, acct_b), (true, 7), "{policy:?}");
     }
 }
 
@@ -687,7 +780,7 @@ fn anonymous_poke_waits_for_a_parked_slow_body() {
 /// with a write buffered and the serial gate held; tid 1 starts only once
 /// tid 0 is in there, and must get every transaction through: the unwind
 /// releases (and poisons) the gate, the runner reaps the corpse's slot and
-/// `slow_mode` registration, and no other word was raised. The run happens
+/// ownerships, and no other word was raised. The run happens
 /// on a detached thread and reports over a channel, so a wedged survivor
 /// fails the test instead of hanging it.
 #[test]

@@ -1,5 +1,5 @@
-//! Explored schedules for the hybrid's two concurrent paths — the seed of
-//! ROADMAP item 2.
+//! Explored schedules for the hybrid's two concurrent paths, one whole
+//! call per step.
 //!
 //! One slow-path and one or two fast-path transactions, each a two-word
 //! program of four steps (`begin`, two accesses, `commit`), are driven on
@@ -15,9 +15,10 @@
 //! Steps are whole calls, so what is explored is the protocol between
 //! the paths — who must see whom at which access and at commit — not the
 //! interleaving of the atomics inside one call (`hybrid_stress.rs` and
-//! the TSan job race those; ROADMAP item 2's yield-point scheduler is
-//! what will enumerate them). On one thread no step ever waits: at a step
-//! boundary nobody holds a stripe, and there is only one slow transaction.
+//! the TSan job race those; enumerating them needs a scheduler that
+//! yields inside a call, at its failpoints). On one thread no step ever
+//! waits: at a step boundary nobody holds a stripe, and there is only one
+//! slow transaction.
 
 use ufotm_machine::Addr;
 use ufotm_native::{NativeHybrid, NativeHybridPolicy, NativeTxn, NativeUstmTxn};

@@ -4,7 +4,7 @@
 //! injection site — runs a workload on the hybrid, and asserts that
 //! the survivors reach quiescence with the heap consistent: counter
 //! balance against per-tid progress words committed in the same
-//! transactions, a structurally sound ownership table, drained gates,
+//! transactions, a structurally sound and drained ownership table,
 //! and the reclamation counters that the schedule forces (orphan
 //! steals, orphan releases, helper completions) actually nonzero.
 //!
@@ -297,8 +297,8 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
             }
         }
 
-        // Quiescence: gates repaired, ownership table structurally
-        // sound and fully drained, no stripe lock left stamped.
+        // Quiescence: ownership table structurally sound and fully
+        // drained, no stripe lock left stamped.
         h.ustm()
             .audit()
             .unwrap_or_else(|e| panic!("{label}: otable audit failed: {e}"));
@@ -508,8 +508,8 @@ fn a_dead_sealed_committers_stripe_is_completed_not_stolen() {
     });
     assert_eq!(h.tl2().orphan_steals(), 0, "a slow-held stripe was stolen");
     assert_eq!(h.ustm().helper_completions(), 1);
-    // What `on_death` would have done; by now only the corpse's
-    // `slow_mode` registration is left to give back.
+    // What `on_death` would have done; by now there is nothing left to
+    // give back.
     h.reap_dead(1);
     assert_eq!(h.ustm().helper_completions(), 1);
     assert_eq!(h.peek(COUNTER), 100);
@@ -595,11 +595,12 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     );
 }
 
-/// Satellite 3: plain peeks racing a *stalled* slow-path commit. The
-/// committer is delayed mid-window (sealed, stripes held, public view
-/// protected where guarded, `slow_mode` raised against plain accessors
-/// everywhere); concurrent plain readers must never observe the
-/// write-back half-applied.
+/// Plain peeks racing a *stalled* slow-path commit. The committer is
+/// delayed mid-window (sealed, stripes held, public view protected where
+/// guarded); concurrent plain readers must never observe the write-back
+/// half-applied. On a boxed heap (`UFOTM_SKIP_GUARD=1`) the stripes alone
+/// stop them: each peek waits out its line's held stripe and re-samples
+/// it.
 /// Transactions write `X` then `X2` (ascending addresses, so write-back
 /// updates `X` first): reading `X` then `X2`, a torn observation is
 /// exactly `x2 < x`.
@@ -608,7 +609,7 @@ fn plain_peeks_never_see_a_half_applied_slow_commit() {
     quiet_injected_panics();
     const X: Addr = Addr(4096);
     const X2: Addr = Addr(4096 + 512);
-    const ROUNDS: u64 = 150;
+    const ROUNDS: u64 = 1500;
     let h = world(NativeHybridPolicy::default());
     let mut plan = ChaosPlan::quiet(0xBEEF);
     plan.delay_pmil[FailSite::UstmSealed.index()] = 1000;
