@@ -1,12 +1,11 @@
 //! Regenerates Table 4: the simulated-system parameters.
 
 use ufotm_bench::{header, ArtifactWriter};
-use ufotm_machine::MachineConfig;
+use ufotm_machine::{cost, MachineConfig};
 
 fn main() {
     header("Table 4 — simulation parameters (modelled equivalents)");
     let cfg = MachineConfig::table4(16);
-    let c = &cfg.costs;
     println!("{:<34} {}", "CPUs (max modelled)", 64);
     println!(
         "{:<34} {} sets x {} ways x 64 B = {} KiB",
@@ -38,24 +37,31 @@ fn main() {
     );
     println!();
     println!("latencies (cycles):");
-    println!("  {:<32} {}", "L1 hit", c.l1_hit);
-    println!("  {:<32} {}", "L2 hit (fill)", c.l2_hit);
-    println!("  {:<32} {}", "memory (fill)", c.mem);
-    println!("  {:<32} {}", "cache-to-cache transfer", c.cache_to_cache);
-    println!("  {:<32} {}", "dirty writeback", c.writeback);
-    println!("  {:<32} {}", "nack retry (paper: 20)", c.nack_retry);
-    println!("  {:<32} {}", "btm_begin / btm_end", c.btm_begin);
-    println!("  {:<32} {}", "btm abort handling", c.btm_abort);
-    println!("  {:<32} {}", "UFO bit instruction", c.ufo_op);
-    println!("  {:<32} {}", "fault dispatch", c.fault_dispatch);
+    println!("  {:<32} {}", "L1 hit", cost::L1_HIT);
+    println!("  {:<32} {}", "L2 hit (fill)", cost::L2_HIT);
+    println!("  {:<32} {}", "memory (fill)", cost::MEM);
     println!(
         "  {:<32} {}",
-        "timer interrupt service", c.interrupt_service
+        "cache-to-cache transfer",
+        cost::CACHE_TO_CACHE
+    );
+    println!("  {:<32} {}", "dirty writeback", cost::WRITEBACK);
+    println!("  {:<32} {}", "nack retry (paper: 20)", cost::NACK_RETRY);
+    println!("  {:<32} {}", "btm_begin / btm_end", cost::BTM_BEGIN);
+    println!("  {:<32} {}", "btm abort handling", cost::BTM_ABORT);
+    println!("  {:<32} {}", "UFO bit instruction", cost::UFO_OP);
+    println!("  {:<32} {}", "fault dispatch", cost::FAULT_DISPATCH);
+    println!(
+        "  {:<32} {}",
+        "timer interrupt service",
+        cost::INTERRUPT_SERVICE
     );
     println!("  {:<32} {:?}", "timer quantum (cycles)", cfg.timer_quantum);
     println!(
         "  {:<32} {} / {}",
-        "page in / page out", c.page_in, c.page_out
+        "page in / page out",
+        cost::PAGE_IN,
+        cost::PAGE_OUT
     );
     // This target prints static parameters — the artifact exists (empty)
     // so every bench uniformly emits BENCH_<name>.json.

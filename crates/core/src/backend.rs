@@ -154,32 +154,6 @@ pub struct BackendStats {
     pub helper_completions: u64,
 }
 
-/// Which substrate a run executes on; carried by the stamp harness's
-/// `RunSpec`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The deterministic cycle-charged simulator (default).
-    #[default]
-    Simulated,
-    /// Host-atomics TL2 on real OS threads (`ufotm-native`).
-    NativeTl2,
-    /// Host-atomics hybrid: TL2 fast path failing over to a
-    /// strongly-atomic USTM slow path (`ufotm-native`).
-    NativeHybrid,
-}
-
-impl BackendKind {
-    /// Stable label used in reports and bench artifacts.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            BackendKind::Simulated => "simulated",
-            BackendKind::NativeTl2 => "native-tl2",
-            BackendKind::NativeHybrid => "native-hybrid",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,14 +283,6 @@ mod tests {
         });
         assert_ne!(a1, a2);
         assert_eq!(b.plain_load(a1), 7);
-    }
-
-    #[test]
-    fn kind_labels_are_stable() {
-        assert_eq!(BackendKind::default(), BackendKind::Simulated);
-        assert_eq!(BackendKind::Simulated.label(), "simulated");
-        assert_eq!(BackendKind::NativeTl2.label(), "native-tl2");
-        assert_eq!(BackendKind::NativeHybrid.label(), "native-hybrid");
     }
 
     #[test]

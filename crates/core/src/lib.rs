@@ -38,7 +38,7 @@ mod trace;
 mod tx;
 
 pub use audit::{audit_events, audit_log, AuditReport, AuditViolation, CommitPath, TxnRecord};
-pub use backend::{BackendKind, BackendStats, Stop, TmBackend, TxScope};
+pub use backend::{BackendStats, Stop, TmBackend, TxScope};
 pub use lockbase::LockShared;
 pub use phtm::PhtmShared;
 pub use policy::{BtmUfoFaultPolicy, HybridPolicy};
@@ -46,7 +46,7 @@ pub use report::{
     json_escape, CycleAttribution, Log2Histogram, RunReport, TraceSummary, ABORT_TAXONOMY,
 };
 pub use runtime::TmThread;
-pub use shared::{AllocModel, HasTm, HybridStats, SystemKind, TmShared, TmSharedLayout, TmWorld};
+pub use shared::{HasTm, HybridStats, SystemKind, TmShared, TmSharedLayout, TmWorld};
 pub use trace::{EscalationTier, TraceEvent, TraceKind, TraceLog};
 pub use tx::{Tx, TxAbort};
 

@@ -19,9 +19,18 @@ pub enum BtmUfoFaultPolicy {
     Stall,
 }
 
+/// Base of the exponential backoff applied after contention-class aborts
+/// (doubled per consecutive abort, counted up to [`BACKOFF_CAP_EXP`]).
+pub(crate) const BACKOFF_BASE: u64 = 50;
+/// Consecutive-abort count saturates here (the paper counts "up to 7").
+const BACKOFF_CAP_EXP: u32 = 7;
+/// Cycles a [`BtmUfoFaultPolicy::Stall`] retry waits between attempts.
+pub(crate) const UFO_STALL_BACKOFF: u64 = 60;
+
 /// The hybrid's software policy, consumed by the BTM abort handler
-/// (Algorithm 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// (Algorithm 3). The default is the paper's: abort and retry on UFO
+/// faults, never fail over on contention, no watchdog.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HybridPolicy {
     /// UFO-fault handling inside hardware transactions.
     pub btm_ufo_fault: BtmUfoFaultPolicy,
@@ -30,14 +39,6 @@ pub struct HybridPolicy {
     /// contention ("the STM's overhead will increase the transaction's
     /// duration, … increasing contention"; such policies are metastable).
     pub conflict_failover_after: Option<u32>,
-    /// Base of the exponential backoff applied after contention-class
-    /// aborts (doubled per consecutive abort, counted up to
-    /// [`HybridPolicy::backoff_cap_exp`]).
-    pub backoff_base: u64,
-    /// Consecutive-abort count saturates here (the paper counts "up to 7").
-    pub backoff_cap_exp: u32,
-    /// Cycles a [`BtmUfoFaultPolicy::Stall`] retry waits between attempts.
-    pub ufo_stall_backoff: u64,
     /// Percent of each backoff added as seeded random jitter (watchdog
     /// tier 0: randomized backoff breaks symmetric abort ping-pong). `0`
     /// keeps the paper's pure exponential schedule.
@@ -59,29 +60,12 @@ pub struct HybridPolicy {
     pub watchdog_stagnation: Option<u32>,
 }
 
-impl Default for HybridPolicy {
-    fn default() -> Self {
-        HybridPolicy {
-            btm_ufo_fault: BtmUfoFaultPolicy::default(),
-            conflict_failover_after: None,
-            backoff_base: 50,
-            backoff_cap_exp: 7,
-            ufo_stall_backoff: 60,
-            backoff_jitter_pct: 0,
-            watchdog_hw_attempts: None,
-            watchdog_sw_kills: None,
-            watchdog_stagnation: None,
-        }
-    }
-}
-
 impl HybridPolicy {
     /// The backoff (in cycles) after the `n`-th consecutive
     /// contention-class abort.
     #[must_use]
     pub fn backoff_for(&self, consecutive_aborts: u32) -> u64 {
-        let exp = consecutive_aborts.min(self.backoff_cap_exp);
-        self.backoff_base << exp
+        BACKOFF_BASE << consecutive_aborts.min(BACKOFF_CAP_EXP)
     }
 
     /// Figure 8, second bar: fail over to software after `n` conflict

@@ -7,10 +7,10 @@ use ufotm_tl2::Tl2Txn;
 use ufotm_ustm::{nont_load, UstmAbort, UstmTxn};
 
 use crate::lockbase::{lock_acquire, lock_release};
-use crate::policy::HybridPolicy;
+use crate::policy::{HybridPolicy, BACKOFF_BASE};
 use crate::shared::{SystemKind, TmWorld};
 use crate::trace::{EscalationTier, TraceKind};
-use crate::tx::{Mode, Tx, TxAbort};
+use crate::tx::{Mode, Tx, TxAbort, ALLOC_SYSCALL_COST};
 
 /// Records one trace event (free when the journal is disabled). Any chaos
 /// faults the machine injected since the last event are drained first, so
@@ -544,8 +544,7 @@ impl TmThread {
                     AbortReason::Syscall => {
                         // The pool refill already happened; pay its cost
                         // outside the transaction and retry.
-                        let cost = ctx.with(|w| w.shared.tm().alloc_model.syscall_cost);
-                        ctx.work(cost).plain("refill outside txn");
+                        ctx.work(ALLOC_SYSCALL_COST).plain("refill outside txn");
                         ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
                     }
                     _ => self.backoff(ctx),
@@ -617,7 +616,7 @@ impl TmThread {
             if stm != 0 {
                 // Draining back toward a hardware phase: stall, don't start.
                 ctx.with(|w| w.shared.tm().phtm.phase_stalls += 1);
-                ctx.stall(self.policy.backoff_base * 4).plain("phase stall");
+                ctx.stall(BACKOFF_BASE * 4).plain("phase stall");
                 continue;
             }
             match self.hw_attempt(ctx, body, false, true) {

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use ufotm_machine::{AbortReason, Addr, MachineConfig, SimAlloc};
-use ufotm_tl2::{HasTl2, Tl2Config, Tl2Shared};
+use ufotm_tl2::{HasTl2, Tl2Shared};
 use ufotm_ustm::{HasUstm, UstmConfig, UstmShared};
 
 use crate::lockbase::LockShared;
@@ -157,6 +157,9 @@ impl HybridStats {
     }
 }
 
+/// TL2 lock-table entries (power of two).
+const TL2_LOCKS: u64 = 16 * 1024;
+
 /// Simulated-memory layout for the combined shared state.
 #[derive(Clone, Copy, Debug)]
 pub struct TmSharedLayout {
@@ -164,8 +167,6 @@ pub struct TmSharedLayout {
     pub meta_base: Addr,
     /// USTM otable bins (power of two).
     pub otable_bins: u64,
-    /// TL2 lock-table entries (power of two).
-    pub tl2_locks: u64,
     /// Start of the shared heap.
     pub heap_base: Addr,
     /// Heap size in words.
@@ -173,11 +174,12 @@ pub struct TmSharedLayout {
 }
 
 impl TmSharedLayout {
-    /// Words of metadata needed for `cpus` CPUs with the given table sizes.
+    /// Words of metadata needed for `cpus` CPUs with an otable of
+    /// `otable_bins` bins.
     #[must_use]
-    pub fn required_meta_words(cpus: usize, otable_bins: u64, tl2_locks: u64) -> u64 {
+    pub fn required_meta_words(cpus: usize, otable_bins: u64) -> u64 {
         UstmShared::required_words(cpus, otable_bins)
-            + Tl2Shared::required_words(tl2_locks)
+            + Tl2Shared::required_words(TL2_LOCKS)
             + 8  // global lock line
             + 16 // PhTM counters (two lines)
             + 32 // padding
@@ -193,8 +195,7 @@ impl TmSharedLayout {
     #[must_use]
     pub fn standard(cfg: &MachineConfig) -> Self {
         let otable_bins = 16 * 1024;
-        let tl2_locks = 16 * 1024;
-        let meta_words = Self::required_meta_words(cfg.cpus, otable_bins, tl2_locks);
+        let meta_words = Self::required_meta_words(cfg.cpus, otable_bins);
         let total = cfg.memory_words;
         assert!(
             total > meta_words + (1 << 17),
@@ -205,31 +206,8 @@ impl TmSharedLayout {
         TmSharedLayout {
             meta_base: Addr::from_word_index(meta_base_word),
             otable_bins,
-            tl2_locks,
             heap_base: Addr::from_word_index(heap_base_word),
             heap_words: meta_base_word - heap_base_word,
-        }
-    }
-}
-
-/// Allocator modelling knobs (paper §6: `malloc` inside transactions).
-#[derive(Clone, Copy, Debug)]
-pub struct AllocModel {
-    /// Every this-many allocations, the thread-local pool refills via a
-    /// system call (which aborts a BTM transaction).
-    pub syscall_every: u32,
-    /// Cycles charged per allocation (pool hit).
-    pub alloc_cost: u64,
-    /// Cycles charged by a pool-refill system call.
-    pub syscall_cost: u64,
-}
-
-impl Default for AllocModel {
-    fn default() -> Self {
-        AllocModel {
-            syscall_every: 32,
-            alloc_cost: 30,
-            syscall_cost: 500,
         }
     }
 }
@@ -251,8 +229,6 @@ pub struct TmShared {
     pub lock: LockShared,
     /// The shared heap allocator.
     pub heap: SimAlloc,
-    /// Allocator modelling knobs.
-    pub alloc_model: AllocModel,
     /// Driver-level counters.
     pub stats: HybridStats,
     /// Optional transaction-event journal (disabled by default; enable with
@@ -272,17 +248,16 @@ impl TmShared {
         let ustm_base = layout.meta_base;
         let ustm_words = UstmShared::required_words(cpus, layout.otable_bins);
         let tl2_base = Addr(ustm_base.0 + ustm_words * 8);
-        let tl2_words = Tl2Shared::required_words(layout.tl2_locks);
+        let tl2_words = Tl2Shared::required_words(TL2_LOCKS);
         let lock_base = Addr(tl2_base.0 + tl2_words * 8);
         let phtm_base = Addr(lock_base.0 + 64);
         TmShared {
             kind,
             ustm: UstmShared::new(ustm_cfg, ustm_base, cpus, layout.otable_bins),
-            tl2: Tl2Shared::new(Tl2Config::default(), tl2_base, layout.tl2_locks),
+            tl2: Tl2Shared::new(tl2_base, TL2_LOCKS),
             phtm: PhtmShared::new(phtm_base),
             lock: LockShared::new(lock_base),
             heap: SimAlloc::new(layout.heap_base, layout.heap_words),
-            alloc_model: AllocModel::default(),
             stats: HybridStats::default(),
             trace: TraceLog::default(),
         }
@@ -335,7 +310,7 @@ mod tests {
         let heap_end = layout.heap_base.0 + layout.heap_words * 8;
         assert!(heap_end <= layout.meta_base.0);
         let meta_end = layout.meta_base.word_index()
-            + TmSharedLayout::required_meta_words(8, layout.otable_bins, layout.tl2_locks);
+            + TmSharedLayout::required_meta_words(8, layout.otable_bins);
         assert!(meta_end <= cfg.memory_words);
     }
 

@@ -15,8 +15,16 @@ use ufotm_sim::Ctx;
 use ufotm_tl2::{Tl2Abort, Tl2Txn};
 use ufotm_ustm::{retry_wait, Perm, UstmAbort, UstmTxn};
 
-use crate::policy::{BtmUfoFaultPolicy, HybridPolicy};
+use crate::policy::{BtmUfoFaultPolicy, HybridPolicy, UFO_STALL_BACKOFF};
 use crate::shared::TmWorld;
+
+/// §6's `malloc` model: every this-many allocations the thread-local pool
+/// refills via a system call, which aborts a hardware transaction.
+const ALLOC_SYSCALL_EVERY: u32 = 32;
+/// Cycles charged per allocation (pool hit).
+const ALLOC_COST: u64 = 30;
+/// Cycles charged by a pool-refill system call.
+pub(crate) const ALLOC_SYSCALL_COST: u64 = 500;
 
 /// Why a transaction attempt ended without committing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,7 +176,7 @@ impl<'a> Tx<'a> {
     /// Allocates `words` words from the shared heap.
     ///
     /// Models the paper's `malloc` treatment (§6): allocations hit a
-    /// thread-local pool; every `alloc_model.syscall_every`-th allocation
+    /// thread-local pool; every `ALLOC_SYSCALL_EVERY`-th allocation
     /// refills the pool via a system call, which aborts a hardware
     /// transaction (hybrids then fail over; the idealized unbounded HTM
     /// retries after the refill). Allocations are undone if the attempt
@@ -188,7 +196,7 @@ impl<'a> Tx<'a> {
             *self.alloc_budget = ctx.with(|w| {
                 let t = w.shared.tm();
                 t.stats.alloc_syscalls += 1;
-                t.alloc_model.syscall_every
+                ALLOC_SYSCALL_EVERY
             });
             if self.in_hardware() {
                 match ctx.btm_event(BtmEvent::Syscall) {
@@ -196,17 +204,13 @@ impl<'a> Tx<'a> {
                     other => panic!("syscall event in txn must abort, got {other:?}"),
                 }
             } else {
-                let cost = ctx.with(|w| w.shared.tm().alloc_model.syscall_cost);
-                ctx.work(cost).plain("syscall cost outside HW txn");
+                ctx.work(ALLOC_SYSCALL_COST)
+                    .plain("syscall cost outside HW txn");
             }
         }
         *self.alloc_budget -= 1;
         let addr = ctx.with(|w| {
-            let cost = {
-                let t = w.shared.tm();
-                t.alloc_model.alloc_cost
-            };
-            w.machine.work(cpu, cost)?;
+            w.machine.work(cpu, ALLOC_COST)?;
             Ok(w.shared
                 .tm()
                 .heap
@@ -411,8 +415,7 @@ impl<'a> Tx<'a> {
                                 return Err(TxAbort::Hw(info));
                             }
                             BtmUfoFaultPolicy::Stall => {
-                                if let Err(AccessError::TxnAbort(i)) =
-                                    ctx.stall(policy.ufo_stall_backoff)
+                                if let Err(AccessError::TxnAbort(i)) = ctx.stall(UFO_STALL_BACKOFF)
                                 {
                                     return Err(TxAbort::Hw(i));
                                 }

@@ -13,7 +13,6 @@ fn interrupt_storm_on_hybrid_still_makes_progress() {
     // abort handler classifies interrupts as recoverable and retries.
     let mut cfg = MachineConfig::table4(2);
     cfg.timer_quantum = Some(4_000);
-    cfg.costs.interrupt_service = 500;
     let shared = TmShared::standard(SystemKind::UfoHybrid, &cfg);
     let machine = Machine::new(cfg);
     let r = Sim::new(machine, shared).run(

@@ -12,7 +12,7 @@ use crate::bits::{cpu_bit, BitIter};
 use crate::btm::{AbortInfo, AbortReason};
 use crate::cache::L1Insert;
 use crate::chaos::ChaosFaultKind;
-use crate::config::{HwCmPolicy, UfoKillPolicy};
+use crate::config::{cost, HwCmPolicy, UfoKillPolicy};
 use crate::machine::{AccessError, AccessResult, CpuId, Machine};
 use crate::ufo::{UfoBits, UfoFaultKind};
 
@@ -53,7 +53,7 @@ impl Machine {
     fn data_access(&mut self, cpu: CpuId, addr: Addr, write: Option<u64>) -> AccessResult<u64> {
         self.begin_op(cpu)?;
         self.stats.cpus[cpu].accesses += 1;
-        self.charge(cpu, self.cfg.costs.l1_hit);
+        self.charge(cpu, cost::L1_HIT);
         self.page_in_if_needed(cpu, addr)?;
         let line = addr.line();
         let is_write = write.is_some();
@@ -61,7 +61,7 @@ impl Machine {
         // UFO protection check (skipped when this CPU has faults disabled,
         // as STM transactions do for their own data).
         if self.ufo_enabled[cpu] && self.dir.ufo(line).faults_on(is_write) {
-            self.charge(cpu, self.cfg.costs.fault_dispatch);
+            self.charge(cpu, cost::FAULT_DISPATCH);
             self.stats.cpus[cpu].ufo_faults += 1;
             let kind = if is_write {
                 UfoFaultKind::Write
@@ -87,7 +87,7 @@ impl Machine {
                 for o in BitIter::new(others) {
                     if let Some(e) = self.l1[o].invalidate(line) {
                         if e.dirty {
-                            self.charge(cpu, self.cfg.costs.writeback);
+                            self.charge(cpu, cost::WRITEBACK);
                         }
                     }
                     self.dir.remove_sharer(line, o);
@@ -127,7 +127,7 @@ impl Machine {
                 if let Some(e) = self.l1[cpu].entry_mut(line) {
                     if e.dirty {
                         e.dirty = false;
-                        self.charge(cpu, self.cfg.costs.writeback);
+                        self.charge(cpu, cost::WRITEBACK);
                     }
                 }
                 self.btm[cpu].spec_writes.insert(word, value);
@@ -177,9 +177,9 @@ impl Machine {
                 .as_ref()
                 .map_or(0, |c| c.plan.nack_delay)
                 .saturating_mul(responders);
-            self.charge(cpu, self.cfg.costs.nack_retry + delay);
+            self.charge(cpu, cost::NACK_RETRY + delay);
             self.stats.cpus[cpu].nacks += 1;
-            self.stats.cpus[cpu].nack_stall_cycles += self.cfg.costs.nack_retry + delay;
+            self.stats.cpus[cpu].nack_stall_cycles += cost::NACK_RETRY + delay;
             self.chaos_record(cpu, ChaosFaultKind::CoherenceNack);
             return Err(AccessError::Nacked);
         }
@@ -206,9 +206,9 @@ impl Machine {
                     let my_ts = self.btm[cpu].ts;
                     if BitIter::new(conflictors).any(|o| self.btm[o].ts < my_ts) {
                         // An older transaction holds the line: nack.
-                        self.charge(cpu, self.cfg.costs.nack_retry);
+                        self.charge(cpu, cost::NACK_RETRY);
                         self.stats.cpus[cpu].nacks += 1;
-                        self.stats.cpus[cpu].nack_stall_cycles += self.cfg.costs.nack_retry;
+                        self.stats.cpus[cpu].nack_stall_cycles += cost::NACK_RETRY;
                         return Err(AccessError::Nacked);
                     }
                 }
@@ -252,19 +252,19 @@ impl Machine {
         self.stats.cpus[cpu].l1_misses += 1;
         let l2_hit = self.l2.access(line);
         if transfer {
-            self.charge(cpu, self.cfg.costs.cache_to_cache);
+            self.charge(cpu, cost::CACHE_TO_CACHE);
         } else if l2_hit {
-            self.charge(cpu, self.cfg.costs.l2_hit);
+            self.charge(cpu, cost::L2_HIT);
         } else {
             self.stats.cpus[cpu].l2_misses += 1;
-            self.charge(cpu, self.cfg.costs.mem);
+            self.charge(cpu, cost::MEM);
         }
         match self.l1[cpu].insert(line) {
             L1Insert::Done => Ok(()),
             L1Insert::Evicted { victim, dirty } => {
                 self.dir.remove_sharer(victim, cpu);
                 if dirty {
-                    self.charge(cpu, self.cfg.costs.writeback);
+                    self.charge(cpu, cost::WRITEBACK);
                 }
                 Ok(())
             }
@@ -272,7 +272,7 @@ impl Machine {
                 if self.cfg.btm_unbounded {
                     self.dir.remove_sharer(victim, cpu);
                     if dirty {
-                        self.charge(cpu, self.cfg.costs.writeback);
+                        self.charge(cpu, cost::WRITEBACK);
                     }
                     // SR/SW state was dropped from the L1 but survives in
                     // the BTM read/write sets.
@@ -298,7 +298,7 @@ impl Machine {
         or_mode: bool,
     ) -> AccessResult<()> {
         self.begin_op(cpu)?;
-        self.charge(cpu, self.cfg.costs.ufo_op);
+        self.charge(cpu, cost::UFO_OP);
         if self.btm[cpu].active {
             // Updating protection inside a hardware transaction is not part
             // of the modelled ISA: treat as an illegal operation.
@@ -368,7 +368,7 @@ impl Machine {
             for o in BitIter::new(others) {
                 if let Some(e) = self.l1[o].invalidate(line) {
                     if e.dirty {
-                        self.charge(cpu, self.cfg.costs.writeback);
+                        self.charge(cpu, cost::WRITEBACK);
                     }
                 }
                 self.dir.remove_sharer(line, o);

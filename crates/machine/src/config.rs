@@ -1,6 +1,7 @@
-//! Machine configuration: geometry, latencies, and hardware policy knobs.
+//! Machine configuration: geometry and hardware policy knobs, plus the
+//! latencies every configuration shares.
 //!
-//! The defaults approximate the paper's Table 4 (a 1 GHz out-of-order x86
+//! The values approximate the paper's Table 4 (a 1 GHz out-of-order x86
 //! with a 32 KiB 4-way L1, a 1 MiB 8-way unified L2, 64-byte lines, and a
 //! directory protocol). Pipeline effects are folded into fixed per-operation
 //! costs; the relative magnitudes (hit ≪ L2 ≪ memory, 20-cycle nack retry)
@@ -9,67 +10,43 @@
 use crate::cache::CacheGeometry;
 use crate::chaos::FaultPlan;
 
-/// Latencies (in cycles) charged to a CPU's local clock by each operation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CostModel {
+/// Latencies (in cycles) charged to a CPU's local clock by each
+/// operation. No figure varies them, so they are constants, not
+/// configuration.
+pub mod cost {
     /// A load or store that hits in the L1.
-    pub l1_hit: u64,
+    pub const L1_HIT: u64 = 2;
     /// Additional cost of filling from the shared L2.
-    pub l2_hit: u64,
+    pub const L2_HIT: u64 = 18;
     /// Additional cost of filling from memory.
-    pub mem: u64,
+    pub const MEM: u64 = 200;
     /// Cost of a cache-to-cache transfer (remote L1 owns the line dirty).
-    pub cache_to_cache: u64,
+    pub const CACHE_TO_CACHE: u64 = 30;
     /// Cost of writing back a dirty victim.
-    pub writeback: u64,
+    pub const WRITEBACK: u64 = 10;
     /// Delay before a nacked transactional request retries (paper: 20).
-    pub nack_retry: u64,
+    pub const NACK_RETRY: u64 = 20;
     /// Executing `btm_begin` (register checkpoint).
-    pub btm_begin: u64,
+    pub const BTM_BEGIN: u64 = 4;
     /// Executing `btm_end` on a successful commit (flash-clear of SR/SW).
-    pub btm_commit: u64,
+    pub const BTM_COMMIT: u64 = 4;
     /// Hardware abort handling (flash invalidate + checkpoint restore).
-    pub btm_abort: u64,
+    pub const BTM_ABORT: u64 = 20;
     /// A `set/add/read_ufo_bits` instruction, beyond its coherence traffic.
-    pub ufo_op: u64,
+    pub const UFO_OP: u64 = 4;
     /// Delivering a fault (UFO fault or exception) to a software handler.
-    pub fault_dispatch: u64,
+    pub const FAULT_DISPATCH: u64 = 100;
     /// Servicing a timer interrupt (context switch in and out).
-    pub interrupt_service: u64,
+    pub const INTERRUPT_SERVICE: u64 = 2_000;
     /// Servicing a page-in from the swap device.
-    pub page_in: u64,
+    pub const PAGE_IN: u64 = 100_000;
     /// Servicing a page-out to the swap device.
-    pub page_out: u64,
+    pub const PAGE_OUT: u64 = 100_000;
 }
 
-impl CostModel {
-    /// The default cost model used for all headline experiments.
-    #[must_use]
-    pub fn table4() -> Self {
-        CostModel {
-            l1_hit: 2,
-            l2_hit: 18,
-            mem: 200,
-            cache_to_cache: 30,
-            writeback: 10,
-            nack_retry: 20,
-            btm_begin: 4,
-            btm_commit: 4,
-            btm_abort: 20,
-            ufo_op: 4,
-            fault_dispatch: 100,
-            interrupt_service: 2_000,
-            page_in: 100_000,
-            page_out: 100_000,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::table4()
-    }
-}
+/// Maximum hardware (flattened) nesting depth: one more `btm_begin` is
+/// [`AbortReason::DepthOverflow`](crate::AbortReason::DepthOverflow).
+pub const BTM_MAX_DEPTH: u32 = 8;
 
 /// Which BTM transactions a `set_ufo_bits` coherence invalidation kills.
 ///
@@ -119,15 +96,10 @@ pub struct MachineConfig {
     pub l1: CacheGeometry,
     /// Shared L2 geometry (timing only).
     pub l2: CacheGeometry,
-    /// Latency model.
-    pub costs: CostModel,
     /// Timer interrupt quantum in cycles; `None` disables timer interrupts.
     /// A BTM transaction spanning a quantum boundary is aborted with
     /// [`AbortReason::Interrupt`](crate::AbortReason::Interrupt).
     pub timer_quantum: Option<u64>,
-    /// Maximum hardware (flattened) nesting depth before
-    /// [`AbortReason::DepthOverflow`](crate::AbortReason::DepthOverflow).
-    pub btm_max_depth: u32,
     /// If `true`, the BTM never aborts for capacity: evicted speculative
     /// lines stay tracked in an idealized overflow structure. Used to model
     /// the paper's *unbounded HTM* baseline.
@@ -160,9 +132,7 @@ impl MachineConfig {
             memory_words: 1 << 22,           // 32 MiB of simulated data
             l1: CacheGeometry::new(128, 4),  // 32 KiB, 4-way, 64 B lines
             l2: CacheGeometry::new(2048, 8), // 1 MiB, 8-way
-            costs: CostModel::table4(),
             timer_quantum: Some(200_000),
-            btm_max_depth: 8,
             btm_unbounded: false,
             ufo_kill_policy: UfoKillPolicy::AllSpeculativeHolders,
             hw_cm: HwCmPolicy::AgeOrdered,
@@ -185,9 +155,7 @@ impl MachineConfig {
             memory_words: 1 << 16,
             l1: CacheGeometry::new(4, 2),
             l2: CacheGeometry::new(64, 4),
-            costs: CostModel::table4(),
             timer_quantum: None,
-            btm_max_depth: 8,
             btm_unbounded: false,
             ufo_kill_policy: UfoKillPolicy::AllSpeculativeHolders,
             hw_cm: HwCmPolicy::AgeOrdered,
@@ -233,7 +201,7 @@ mod tests {
         let c = MachineConfig::table4(16);
         assert_eq!(c.l1.capacity_bytes(), 32 * 1024);
         assert_eq!(c.l2.capacity_bytes(), 1024 * 1024);
-        assert_eq!(c.costs.nack_retry, 20);
+        assert_eq!(cost::NACK_RETRY, 20);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   [`Machine::btm_end`], [`Machine::btm_abort`], [`Machine::btm_status`]).
 //!
 //! Everything is executed under a *deterministic* timing model: each CPU has
-//! a local cycle clock, and each operation charges latencies from a
-//! [`CostModel`] (approximating the paper's Table 4). There is no real
+//! a local cycle clock, and each operation charges the latencies in
+//! [`cost`] (approximating the paper's Table 4). There is no real
 //! concurrency in this crate — callers (normally the `ufotm-sim` lockstep
 //! engine) interleave CPUs by always invoking the CPU with the smallest local
 //! clock.
@@ -71,7 +71,7 @@ pub use bits::{cpu_bit, BitIter};
 pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus};
 pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};
-pub use config::{CostModel, HwCmPolicy, MachineConfig, UfoKillPolicy};
+pub use config::{cost, HwCmPolicy, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH};
 pub use machine::{AccessError, AccessResult, CpuId, Machine, PlainAccess};
 pub use rng::{splitmix64, SimRng};
 pub use stats::{CpuStats, MachineStats};

@@ -4,7 +4,7 @@
 //! choosing which CPU's "instruction" to execute next (the `ufotm-sim`
 //! engine always picks the CPU with the smallest local clock, giving a
 //! deterministic lockstep interleaving). Every operation charges cycles to
-//! the issuing CPU's local clock according to the [`CostModel`].
+//! the issuing CPU's local clock from the constants in [`cost`](crate::cost).
 
 use std::fmt;
 
@@ -14,7 +14,7 @@ use crate::btm::{AbortInfo, AbortReason, BtmCpu, BtmEvent, BtmStatus};
 use crate::cache::{L1Cache, L2Cache};
 use crate::chaos::{ChaosFaultKind, ChaosState};
 use crate::coherence::Directory;
-use crate::config::{MachineConfig, UfoKillPolicy};
+use crate::config::{cost, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH};
 use crate::mem::MemImage;
 use crate::stats::MachineStats;
 use crate::swap::SwapState;
@@ -244,7 +244,7 @@ impl Machine {
         if let Some(q) = self.cfg.timer_quantum {
             if self.clock[cpu] >= self.next_timer[cpu] {
                 self.stats.cpus[cpu].interrupts += 1;
-                self.charge(cpu, self.cfg.costs.interrupt_service);
+                self.charge(cpu, cost::INTERRUPT_SERVICE);
                 // Re-arm relative to the post-service clock: missed quanta
                 // collapse into the one interrupt just delivered.
                 self.next_timer[cpu] = self.clock[cpu] + q;
@@ -275,7 +275,7 @@ impl Machine {
     /// hardware abort cost.
     pub(crate) fn finalize_abort(&mut self, cpu: CpuId, info: AbortInfo) {
         debug_assert!(self.btm[cpu].active);
-        self.charge(cpu, self.cfg.costs.btm_abort);
+        self.charge(cpu, cost::BTM_ABORT);
         // Speculatively-written lines never reached memory: drop them from
         // this CPU's cache and the directory. Staged through the reusable
         // scratch buffer because the cache/directory mutations below
@@ -314,13 +314,13 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`AccessError::TxnAbort`] if a pending doom is discovered, or
-    /// if nesting exceeds the configured maximum depth
+    /// if nesting exceeds [`BTM_MAX_DEPTH`]
     /// ([`AbortReason::DepthOverflow`]).
     pub fn btm_begin(&mut self, cpu: CpuId) -> AccessResult<()> {
         self.begin_op(cpu)?;
-        self.charge(cpu, self.cfg.costs.btm_begin);
+        self.charge(cpu, cost::BTM_BEGIN);
         if self.btm[cpu].active {
-            if self.btm[cpu].depth >= self.cfg.btm_max_depth {
+            if self.btm[cpu].depth >= BTM_MAX_DEPTH {
                 let info = AbortInfo::new(AbortReason::DepthOverflow);
                 self.finalize_abort(cpu, info);
                 return Err(AccessError::TxnAbort(info));
@@ -353,7 +353,7 @@ impl Machine {
     pub fn btm_end(&mut self, cpu: CpuId) -> AccessResult<()> {
         assert!(self.btm[cpu].active, "btm_end outside a transaction");
         self.begin_op(cpu)?;
-        self.charge(cpu, self.cfg.costs.btm_commit);
+        self.charge(cpu, cost::BTM_COMMIT);
         if self.btm[cpu].depth > 1 {
             self.btm[cpu].depth -= 1;
             return Ok(());
@@ -409,7 +409,7 @@ impl Machine {
     /// Returns [`AccessError::TxnAbort`] when executed inside a transaction.
     pub fn btm_event(&mut self, cpu: CpuId, event: BtmEvent) -> AccessResult<()> {
         self.begin_op(cpu)?;
-        self.charge(cpu, self.cfg.costs.fault_dispatch);
+        self.charge(cpu, cost::FAULT_DISPATCH);
         if self.btm[cpu].active {
             let info = AbortInfo::new(event.abort_reason());
             self.finalize_abort(cpu, info);
@@ -438,7 +438,7 @@ impl Machine {
     /// Returns [`AccessError::TxnAbort`] if a pending doom is discovered.
     pub fn read_ufo_bits(&mut self, cpu: CpuId, addr: Addr) -> AccessResult<UfoBits> {
         self.begin_op(cpu)?;
-        self.charge(cpu, self.cfg.costs.ufo_op);
+        self.charge(cpu, cost::UFO_OP);
         self.page_in_if_needed(cpu, addr)?;
         Ok(self.dir.ufo(addr.line()))
     }
@@ -668,11 +668,10 @@ mod tests {
 
     #[test]
     fn nesting_depth_overflow_aborts() {
-        let mut cfg = MachineConfig::small(1);
-        cfg.btm_max_depth = 2;
-        let mut m = Machine::new(cfg);
-        m.btm_begin(0).unwrap();
-        m.btm_begin(0).unwrap();
+        let mut m = Machine::new(MachineConfig::small(1));
+        for _ in 0..BTM_MAX_DEPTH {
+            m.btm_begin(0).unwrap();
+        }
         let err = m.btm_begin(0).unwrap_err();
         assert_eq!(
             err,

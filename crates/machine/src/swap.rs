@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 
 use crate::addr::{Addr, PageAddr, PAGE_LINES};
 use crate::btm::{AbortInfo, AbortReason};
+use crate::config::cost;
 use crate::machine::{AccessError, AccessResult, CpuId, Machine};
 use crate::ufo::UfoBits;
 
@@ -176,7 +177,7 @@ impl Machine {
             self.page_out(&mut swap, cpu, victim);
         }
         // Fault the page in, restoring any saved UFO bits.
-        self.charge(cpu, self.cfg.costs.page_in);
+        self.charge(cpu, cost::PAGE_IN);
         swap.stats.page_ins += 1;
         swap.tick += 1;
         let t = swap.tick;
@@ -207,7 +208,7 @@ impl Machine {
     }
 
     fn page_out(&mut self, swap: &mut SwapState, cpu: CpuId, victim: PageAddr) {
-        self.charge(cpu, self.cfg.costs.page_out);
+        self.charge(cpu, cost::PAGE_OUT);
         swap.stats.page_outs += 1;
         swap.resident.remove(&victim);
         let first = victim.first_line();

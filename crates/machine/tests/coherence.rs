@@ -1,7 +1,7 @@
 //! Coherence-protocol edge cases: downgrades, invalidations, eviction
 //! interplay with UFO bits and speculative state.
 
-use ufotm_machine::{AbortReason, AccessError, Addr, Machine, MachineConfig, UfoBits};
+use ufotm_machine::{cost, AbortReason, AccessError, Addr, Machine, MachineConfig, UfoBits};
 
 fn machine(cpus: usize) -> Machine {
     Machine::new(MachineConfig::small(cpus))
@@ -15,7 +15,7 @@ fn remote_read_downgrades_exclusive_owner() {
                                  // Both can now read cheaply; a write must re-arbitrate.
     let t0 = m.now(0);
     m.load(0, Addr(0)).unwrap();
-    assert_eq!(m.now(0) - t0, MachineConfig::small(1).costs.l1_hit);
+    assert_eq!(m.now(0) - t0, cost::L1_HIT);
     m.store(1, Addr(0), 2).unwrap();
     assert_eq!(m.peek(Addr(0)), 2);
     m.debug_validate();
@@ -59,7 +59,7 @@ fn spec_read_line_survives_commit_and_stays_cached() {
     // Still cached post-commit: hit cost only.
     let t = m.now(0);
     m.load(0, Addr(0)).unwrap();
-    assert_eq!(m.now(0) - t, MachineConfig::small(1).costs.l1_hit);
+    assert_eq!(m.now(0) - t, cost::L1_HIT);
 }
 
 #[test]
@@ -71,7 +71,7 @@ fn aborted_spec_write_line_leaves_the_cache() {
     // The speculative line was invalidated: next access misses.
     let t = m.now(0);
     m.load(0, Addr(0)).unwrap();
-    assert!(m.now(0) - t > MachineConfig::small(1).costs.l1_hit);
+    assert!(m.now(0) - t > cost::L1_HIT);
     assert_eq!(m.peek(Addr(0)), 0);
     m.debug_validate();
 }
@@ -128,7 +128,7 @@ fn exclusive_reacquisition_after_remote_share() {
     // cpu1's next read misses (its copy was invalidated) but sees 2.
     let t = m.now(1);
     assert_eq!(m.load(1, Addr(0)).unwrap(), 2);
-    assert!(m.now(1) - t > MachineConfig::small(1).costs.l1_hit);
+    assert!(m.now(1) - t > cost::L1_HIT);
     m.debug_validate();
 }
 
@@ -141,7 +141,7 @@ fn set_ufo_claims_exclusive_ownership() {
     m.set_ufo_bits(1, Addr(0), UfoBits::FAULT_ON_WRITE).unwrap();
     let t = m.now(0);
     m.load(0, Addr(0)).unwrap(); // must refetch
-    assert!(m.now(0) - t > MachineConfig::small(1).costs.l1_hit);
+    assert!(m.now(0) - t > cost::L1_HIT);
     m.debug_validate();
 }
 
@@ -157,11 +157,7 @@ fn owner_state_ufo_sets_spare_speculative_readers() {
     m.set_ufo_bits(0, Addr(0), UfoBits::FAULT_ON_WRITE).unwrap();
     let t = m.now(1);
     m.load(1, Addr(0)).unwrap();
-    assert_eq!(
-        m.now(1) - t,
-        MachineConfig::small(1).costs.l1_hit,
-        "copy must still be cached"
-    );
+    assert_eq!(m.now(1) - t, cost::L1_HIT, "copy must still be cached");
     m.btm_end(1).unwrap();
     // The protection is still live for UFO-enabled writers.
     m.set_ufo_enabled(1, true);

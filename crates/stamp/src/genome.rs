@@ -11,7 +11,7 @@
 //! The workload is one [`Workload`] impl, written once against
 //! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
 //! machine (cycle-charged, deterministic), [`run_native`] on host atomics
-//! — TL2-only or the failover hybrid, per `spec.backend`.
+//! — TL2-only or the failover hybrid, per `spec.kind`.
 
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
@@ -166,7 +166,7 @@ pub fn run(spec: &RunSpec, params: &GenomeParams) -> RunOutcome {
 ///
 /// # Panics
 ///
-/// Panics if verification fails or `spec.backend` is simulated.
+/// Panics if verification fails or `spec.kind` has no native backend.
 pub fn run_native(spec: &RunSpec, params: &GenomeParams) -> NativeOutcome {
     harness::run_native(spec, params)
 }
@@ -204,14 +204,14 @@ mod tests {
     #[test]
     fn genome_verifies_on_native_threads() {
         let p = tiny();
-        let out = run_native(&RunSpec::native(3), &p);
+        let out = run_native(&RunSpec::new(SystemKind::Tl2, 3), &p);
         assert_eq!(out.total_commits(), out.ops, "one commit per transaction");
     }
 
     #[test]
     fn genome_verifies_on_native_hybrid() {
         let p = tiny();
-        let out = run_native(&RunSpec::native_hybrid(3), &p);
+        let out = run_native(&RunSpec::new(SystemKind::UfoHybrid, 3), &p);
         assert_eq!(out.total_commits(), out.ops, "one commit per transaction");
     }
 

@@ -6,7 +6,7 @@
 //! backend-generic thread body, verification — and the harness owns the
 //! only two drivers: [`run_sim`] on the simulated machine and
 //! [`run_native`] on real OS threads (TL2-only or the failover hybrid,
-//! per `spec.backend`).
+//! per `spec.kind`).
 //!
 //! Simulated-address conventions: the first 4 KiB belong to the harness
 //! (the phase barrier lives there); workload static data starts at 4 KiB;
@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use ufotm_core::{BackendKind, HybridPolicy, RunReport, SystemKind, TmBackend, TmShared, TmThread};
+use ufotm_core::{HybridPolicy, RunReport, SystemKind, TmBackend, TmShared, TmThread};
 use ufotm_machine::{AbortReason, Addr, Machine, MachineConfig};
 use ufotm_native::{
     run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeStats,
@@ -39,7 +39,10 @@ pub const STATIC_BASE: Addr = Addr(4096);
 /// Everything needed to run one workload configuration.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// The TM system under test.
+    /// The TM system under test. [`run_native`] runs
+    /// [`SystemKind::Tl2`] as the native TL2 alone and
+    /// [`SystemKind::UfoHybrid`] as the native failover hybrid (and
+    /// ignores `policy`, `machine` and the engine knobs).
     pub kind: SystemKind,
     /// Worker thread count (= CPUs used).
     pub threads: usize,
@@ -65,12 +68,6 @@ pub struct RunSpec {
     /// Both modes must simulate bit-identically; this knob exists so the
     /// determinism regression tests can prove it.
     pub broadcast_handoff: bool,
-    /// Which execution substrate runs the workload. [`run_workload`]
-    /// (and so [`run_sim`]) requires [`BackendKind::Simulated`];
-    /// [`run_native`] requires [`BackendKind::NativeTl2`] or
-    /// [`BackendKind::NativeHybrid`] (where `kind`, `policy`, `machine`
-    /// and the engine knobs are meaningless and ignored).
-    pub backend: BackendKind,
 }
 
 impl RunSpec {
@@ -92,35 +89,7 @@ impl RunSpec {
             otable_bins_override: None,
             trace_cap: 0,
             broadcast_handoff: false,
-            backend: BackendKind::Simulated,
         }
-    }
-
-    /// A spec for the native host-atomics TL2 backend. The simulated TL2
-    /// is named as `kind` purely for labelling — no simulator runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn native(threads: usize) -> Self {
-        let mut spec = RunSpec::new(SystemKind::Tl2, threads);
-        spec.backend = BackendKind::NativeTl2;
-        spec
-    }
-
-    /// A spec for the native hybrid backend (TL2 fast path + USTM slow
-    /// path on real threads). The simulated hybrid is named as `kind`
-    /// purely for labelling — no simulator runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    #[must_use]
-    pub fn native_hybrid(threads: usize) -> Self {
-        let mut spec = RunSpec::new(SystemKind::UfoHybrid, threads);
-        spec.backend = BackendKind::NativeHybrid;
-        spec
     }
 
     fn machine_config(&self) -> MachineConfig {
@@ -216,12 +185,6 @@ pub fn run_workload(
     make_body: impl Fn(usize) -> WorkBody,
     verify: impl FnOnce(&Machine, &StampWorld),
 ) -> RunOutcome {
-    assert_eq!(
-        spec.backend,
-        BackendKind::Simulated,
-        "run_workload drives the simulator; use run_native for the native \
-         backends"
-    );
     let cfg = spec.machine_config();
     let mut layout = ufotm_core::TmSharedLayout::standard(&cfg);
     if let Some(bins) = spec.otable_bins_override {
@@ -339,7 +302,7 @@ pub trait Workload: Copy + Send + Sync + 'static {
 ///
 /// # Panics
 ///
-/// Panics if `spec.backend` is not simulated or verification fails.
+/// Panics if verification fails.
 pub fn run_sim<W: Workload>(spec: &RunSpec, w: &W) -> RunOutcome {
     let (w, seed, threads) = (*w, spec.seed, spec.threads);
     run_workload(
@@ -416,13 +379,13 @@ pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -
 }
 
 /// Runs `w` on real OS threads — host-atomics TL2 or the failover
-/// hybrid, per `spec.backend`: the same `setup`, `body` and `verify` as
+/// hybrid, per `spec.kind`: the same `setup`, `body` and `verify` as
 /// [`run_sim`], over a native heap sized from the workload's layout.
 ///
 /// # Panics
 ///
-/// Panics if `spec.backend` is simulated, or if verification (or a
-/// worker) panics.
+/// Panics if `spec.kind` is neither [`SystemKind::Tl2`] nor
+/// [`SystemKind::UfoHybrid`], or if verification (or a worker) panics.
 pub fn run_native<W: Workload>(spec: &RunSpec, w: &W) -> NativeOutcome {
     let (seed, threads) = (spec.seed, spec.threads);
     let around = |heap: &NativeTl2, workers: &dyn Fn() -> HybridStats| {
@@ -441,23 +404,21 @@ pub fn run_native<W: Workload>(spec: &RunSpec, w: &W) -> NativeOutcome {
             hybrid,
         }
     };
-    match spec.backend {
-        BackendKind::NativeTl2 => {
+    match spec.kind {
+        SystemKind::Tl2 => {
             let heap = native_heap(w.static_end(), w.native_alloc_words());
             around(&heap, &|| HybridStats {
                 fast: run_threads(&heap, threads, |th| w.body(th, seed)).0,
                 ..HybridStats::default()
             })
         }
-        BackendKind::NativeHybrid => {
+        SystemKind::UfoHybrid => {
             let world = native_hybrid_world(w.static_end(), w.native_alloc_words(), threads);
             around(world.tl2(), &|| {
                 run_hybrid_threads(&world, threads, |th| w.body(th, seed)).0
             })
         }
-        BackendKind::Simulated => {
-            panic!("run_native drives real threads; use run_sim for the simulated backend")
-        }
+        other => panic!("no native backend runs {other}: use SystemKind::Tl2 or UfoHybrid"),
     }
 }
 

@@ -12,7 +12,7 @@
 //! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
 //! machine (cycle-charged, deterministic), [`run_native`] on host atomics
 //! (wall-clock ops/sec) — TL2-only or the failover hybrid, per
-//! `spec.backend`.
+//! `spec.kind`.
 
 use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, LINE_WORDS};
@@ -269,7 +269,7 @@ pub fn run(spec: &RunSpec, params: &KmeansParams) -> RunOutcome {
 ///
 /// # Panics
 ///
-/// Panics if verification fails or `spec.backend` is simulated.
+/// Panics if verification fails or `spec.kind` has no native backend.
 pub fn run_native(spec: &RunSpec, params: &KmeansParams) -> NativeOutcome {
     harness::run_native(spec, params)
 }
@@ -327,14 +327,14 @@ mod tests {
 
     #[test]
     fn kmeans_verifies_on_native_threads() {
-        let out = run_native(&RunSpec::native(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::Tl2, 4), &tiny());
         assert_eq!(out.ops, 96 * 2);
         assert_eq!(out.stats.commits, 96 * 2, "one commit per assignment");
     }
 
     #[test]
     fn kmeans_verifies_on_native_hybrid() {
-        let out = run_native(&RunSpec::native_hybrid(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &tiny());
         assert_eq!(out.ops, 96 * 2);
         assert_eq!(
             out.total_commits(),

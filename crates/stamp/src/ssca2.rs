@@ -11,7 +11,7 @@
 //! Like kmeans, the workload is one [`Workload`] impl written once
 //! against [`TmBackend`]: [`run`] executes it on the simulator,
 //! [`run_native`] on host atomics (TL2-only or the failover hybrid, per
-//! `spec.backend`).
+//! `spec.kind`).
 
 use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, LINE_WORDS};
@@ -143,7 +143,7 @@ pub fn run(spec: &RunSpec, params: &Ssca2Params) -> RunOutcome {
 ///
 /// # Panics
 ///
-/// Panics if verification fails or `spec.backend` is simulated.
+/// Panics if verification fails or `spec.kind` has no native backend.
 pub fn run_native(spec: &RunSpec, params: &Ssca2Params) -> NativeOutcome {
     harness::run_native(spec, params)
 }
@@ -201,15 +201,23 @@ mod tests {
 
     #[test]
     fn ssca2_verifies_on_native_threads() {
-        let out = run_native(&RunSpec::native(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::Tl2, 4), &tiny());
         assert_eq!(out.ops, 120);
         assert_eq!(out.stats.commits, 120, "one commit per edge");
     }
 
     #[test]
     fn ssca2_verifies_on_native_hybrid() {
-        let out = run_native(&RunSpec::native_hybrid(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &tiny());
         assert_eq!(out.ops, 120);
         assert_eq!(out.total_commits(), 120, "one commit per edge across paths");
+    }
+
+    /// `spec.kind` picks the native backend; a system with none is refused
+    /// before any thread starts, not run as something else.
+    #[test]
+    #[should_panic(expected = "no native backend runs HyTM")]
+    fn a_kind_with_no_native_backend_is_refused() {
+        let _ = run_native(&RunSpec::new(SystemKind::HyTm, 2), &tiny());
     }
 }

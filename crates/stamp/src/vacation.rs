@@ -16,7 +16,7 @@
 //! The workload is one [`Workload`] impl, written once against
 //! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
 //! machine (cycle-charged, deterministic), [`run_native`] on host atomics
-//! — TL2-only or the failover hybrid, per `spec.backend`.
+//! — TL2-only or the failover hybrid, per `spec.kind`.
 //!
 //! Simplifications vs. STAMP: relations are repriced rather than deleted
 //! (BST deletion adds no new TM behaviour), and customer records accumulate
@@ -252,7 +252,7 @@ pub fn run(spec: &RunSpec, params: &VacationParams) -> RunOutcome {
 ///
 /// # Panics
 ///
-/// Panics if verification fails or `spec.backend` is simulated.
+/// Panics if verification fails or `spec.kind` has no native backend.
 pub fn run_native(spec: &RunSpec, params: &VacationParams) -> NativeOutcome {
     harness::run_native(spec, params)
 }
@@ -303,14 +303,14 @@ mod tests {
 
     #[test]
     fn vacation_verifies_on_native_threads() {
-        let out = run_native(&RunSpec::native(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::Tl2, 4), &tiny());
         assert_eq!(out.ops, 30);
         assert_eq!(out.total_commits(), 30, "one commit per task");
     }
 
     #[test]
     fn vacation_verifies_on_native_hybrid() {
-        let out = run_native(&RunSpec::native_hybrid(4), &tiny());
+        let out = run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &tiny());
         assert_eq!(out.ops, 30);
         assert_eq!(out.total_commits(), 30, "one commit per task across paths");
     }

@@ -35,7 +35,7 @@ use ufotm_native::{
     HybridThread, NativeHybrid, NativeHybridPolicy, NativeTl2, NativeTxn, NativeUstm, NativeUstmTxn,
 };
 use ufotm_sim::{Ctx, Sim, ThreadFn};
-use ufotm_tl2::{stripe_index, Tl2Abort, Tl2Config, Tl2Shared, Tl2Txn};
+use ufotm_tl2::{stripe_index, Tl2Abort, Tl2Shared, Tl2Txn};
 use ufotm_ustm::{UstmAbort, UstmConfig, UstmShared, UstmTxn};
 
 const X: Addr = Addr(512);
@@ -125,7 +125,7 @@ fn run_sim(script: fn(&mut dyn TxnPair) -> Vec<String>) -> Vec<String> {
     let out = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&out);
     let machine = Machine::new(MachineConfig::table4(2));
-    let shared = Tl2Shared::new(Tl2Config::default(), Addr(1 << 20), LOCK_ENTRIES);
+    let shared = Tl2Shared::new(Addr(1 << 20), LOCK_ENTRIES);
     let body: ThreadFn<Tl2Shared> = Box::new(move |ctx: &mut Ctx<Tl2Shared>| {
         let mut pair = SimPair {
             ctx,
@@ -580,7 +580,7 @@ fn hybrid_workload_commit_counts_agree() {
         buckets: 32,
     };
     let sim = genome::run(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
-    let native = genome::run_native(&RunSpec::native_hybrid(3), &gp);
+    let native = genome::run_native(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
     assert_eq!(sim.total_commits(), native.total_commits());
 
     let vp = vacation::VacationParams {
@@ -593,7 +593,7 @@ fn hybrid_workload_commit_counts_agree() {
         customers: 16,
     };
     let sim = vacation::run(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
-    let native = vacation::run_native(&RunSpec::native_hybrid(4), &vp);
+    let native = vacation::run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
     assert_eq!(sim.total_commits(), native.total_commits());
 }
 
@@ -613,7 +613,7 @@ fn workload_results_agree_between_substrates() {
         iterations: 2,
     };
     let sim = kmeans::run(&RunSpec::new(SystemKind::Tl2, 4), &kp);
-    let native = kmeans::run_native(&RunSpec::native(4), &kp);
+    let native = kmeans::run_native(&RunSpec::new(SystemKind::Tl2, 4), &kp);
     assert_eq!(sim.total_commits(), native.stats.commits);
 
     let sp = ssca2::Ssca2Params {
@@ -621,6 +621,6 @@ fn workload_results_agree_between_substrates() {
         edges: 120,
     };
     let sim = ssca2::run(&RunSpec::new(SystemKind::Tl2, 4), &sp);
-    let native = ssca2::run_native(&RunSpec::native(4), &sp);
+    let native = ssca2::run_native(&RunSpec::new(SystemKind::Tl2, 4), &sp);
     assert_eq!(sim.total_commits(), native.stats.commits);
 }

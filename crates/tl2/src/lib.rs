@@ -75,33 +75,17 @@ struct LockWord {
     holder: Option<usize>,
 }
 
-/// TL2 tuning knobs (fixed per-operation costs beyond memory traffic).
-#[derive(Clone, Debug)]
-pub struct Tl2Config {
-    /// Fixed cost of `begin` (clock sample bookkeeping).
-    pub begin_cost: u64,
-    /// Fixed cost of a read barrier (two lock samples are charged as
-    /// simulated loads already; this covers the compare/branch work).
-    pub read_cost: u64,
-    /// Fixed cost of buffering a write.
-    pub write_cost: u64,
-    /// Fixed per-entry cost at commit (lock CAS, validation compare).
-    pub commit_entry_cost: u64,
-    /// Base backoff after an abort (doubles per consecutive abort).
-    pub backoff_base: u64,
-}
-
-impl Default for Tl2Config {
-    fn default() -> Self {
-        Tl2Config {
-            begin_cost: 20,
-            read_cost: 4,
-            write_cost: 6,
-            commit_entry_cost: 10,
-            backoff_base: 100,
-        }
-    }
-}
+/// Fixed cost of `begin` (clock sample bookkeeping).
+const BEGIN_COST: u64 = 20;
+/// Fixed cost of a read barrier (two lock samples are charged as simulated
+/// loads already; this covers the compare/branch work).
+const READ_COST: u64 = 4;
+/// Fixed cost of buffering a write.
+const WRITE_COST: u64 = 6;
+/// Fixed per-entry cost at commit (lock CAS, validation compare).
+const COMMIT_ENTRY_COST: u64 = 10;
+/// Base backoff after an abort (doubles per consecutive abort).
+const BACKOFF_BASE: u64 = 100;
 
 /// Aggregate TL2 event counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,8 +101,6 @@ pub struct Tl2Stats {
 /// Shared TL2 state: the global version clock and the lock table.
 #[derive(Clone, Debug)]
 pub struct Tl2Shared {
-    /// Tuning knobs.
-    pub config: Tl2Config,
     /// Event counters.
     pub stats: Tl2Stats,
     clock: u64,
@@ -155,13 +137,12 @@ impl Tl2Shared {
     ///
     /// Panics if `lock_entries` is not a power of two.
     #[must_use]
-    pub fn new(config: Tl2Config, base: Addr, lock_entries: u64) -> Self {
+    pub fn new(base: Addr, lock_entries: u64) -> Self {
         assert!(
             lock_entries.is_power_of_two(),
             "lock entries must be a power of two"
         );
         Tl2Shared {
-            config,
             stats: Tl2Stats::default(),
             clock: 0,
             clock_addr: base,
@@ -236,7 +217,7 @@ impl Tl2Txn {
         self.rv = ctx.with(|w| {
             let m = &mut w.machine;
             let t = w.shared.tl2();
-            mop(m.work(cpu, t.config.begin_cost));
+            mop(m.work(cpu, BEGIN_COST));
             mop(m.load(cpu, t.clock_addr));
             t.stats.begins += 1;
             t.clock
@@ -257,7 +238,7 @@ impl Tl2Txn {
         debug_assert!(self.active);
         let cpu = self.cpu;
         if let Some(&v) = self.writes.get(&addr.0) {
-            ctx.with(|w| mop(w.machine.work(cpu, w.shared.tl2().config.read_cost)));
+            ctx.with(|w| mop(w.machine.work(cpu, READ_COST)));
             return Ok(v);
         }
         let rv = self.rv;
@@ -265,7 +246,7 @@ impl Tl2Txn {
         let r = ctx.with(|w| {
             let m = &mut w.machine;
             let t = w.shared.tl2();
-            mop(m.work(cpu, t.config.read_cost));
+            mop(m.work(cpu, READ_COST));
             let idx = t.lock_index(line);
             let la = t.lock_addr(idx);
             mop(m.load(cpu, la)); // pre-sample
@@ -309,7 +290,7 @@ impl Tl2Txn {
     ) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         let cpu = self.cpu;
-        ctx.with(|w| mop(w.machine.work(cpu, w.shared.tl2().config.write_cost)));
+        ctx.with(|w| mop(w.machine.work(cpu, WRITE_COST)));
         if self.writes.insert(addr.0, value).is_none() {
             let line = addr.line();
             if !self.write_lines.contains(&line) {
@@ -354,7 +335,7 @@ impl Tl2Txn {
             let acquired = ctx.with(|w| {
                 let m = &mut w.machine;
                 let t = w.shared.tl2();
-                mop(m.work(cpu, t.config.commit_entry_cost));
+                mop(m.work(cpu, COMMIT_ENTRY_COST));
                 let la = t.lock_addr(idx);
                 mop(m.load(cpu, la));
                 match t.locks[idx].holder {
@@ -390,7 +371,7 @@ impl Tl2Txn {
             let m = &mut w.machine;
             let t = w.shared.tl2();
             for &idx in &reads {
-                mop(m.work(cpu, t.config.commit_entry_cost / 2));
+                mop(m.work(cpu, COMMIT_ENTRY_COST / 2));
                 let lw = t.locks[idx];
                 let held_by_me = lw.holder == Some(cpu);
                 if lw.version > rv || (lw.holder.is_some() && !held_by_me) {
@@ -443,8 +424,7 @@ impl Tl2Txn {
                 }
             }
             let shift = self.consecutive_aborts.min(6);
-            let base = ctx.with(|w| w.shared.tl2().config.backoff_base);
-            mop(ctx.stall(base << shift));
+            mop(ctx.stall(BACKOFF_BASE << shift));
         }
     }
 
@@ -484,7 +464,7 @@ mod tests {
 
     fn world(cpus: usize) -> (Machine, Tl2Shared) {
         let machine = Machine::new(MachineConfig::table4(cpus));
-        let shared = Tl2Shared::new(Tl2Config::default(), Addr(1 << 20), 4096);
+        let shared = Tl2Shared::new(Addr(1 << 20), 4096);
         (machine, shared)
     }
 

@@ -6,7 +6,10 @@ use ufotm_machine::{cpu_bit, AccessResult, Addr, LineAddr, UfoBits, LINE_WORDS};
 use ufotm_sim::Ctx;
 
 use crate::otable::Perm;
-use crate::txn::{TxnStatus, UstmShared};
+use crate::txn::{
+    TxnStatus, UstmShared, BARRIER_HIT_COST, BEGIN_COST, CAS_COST, CHAIN_ENTRY_COST, FINISH_COST,
+    LOG_COST, POLL_BACKOFF,
+};
 use crate::{HasUstm, UstmAbort};
 
 /// Unwraps a machine operation issued from STM runtime code, where the
@@ -139,7 +142,7 @@ impl UstmTxn {
         let ts = ctx.with(|w| {
             let m = &mut w.machine;
             let u = w.shared.ustm();
-            mop(m.work(cpu, u.config.begin_cost));
+            mop(m.work(cpu, BEGIN_COST));
             if u.config.strong_atomicity {
                 m.set_ufo_enabled(cpu, false);
             }
@@ -186,8 +189,8 @@ impl UstmTxn {
                 if let Some(by) = u.slots[cpu].doomed_by {
                     return Err(by);
                 }
-                mop(m.work(cpu, u.config.barrier_hit_cost));
-                u.stats.barrier_cycles += u.config.barrier_hit_cost;
+                mop(m.work(cpu, BARRIER_HIT_COST));
+                u.stats.barrier_cycles += BARRIER_HIT_COST;
                 Ok(mop(m.load(cpu, addr)))
             });
             return match r {
@@ -223,8 +226,8 @@ impl UstmTxn {
                 if let Some(by) = u.slots[cpu].doomed_by {
                     return Err(by);
                 }
-                mop(m.work(cpu, u.config.barrier_hit_cost));
-                u.stats.barrier_cycles += u.config.barrier_hit_cost;
+                mop(m.work(cpu, BARRIER_HIT_COST));
+                u.stats.barrier_cycles += BARRIER_HIT_COST;
                 mop(m.store(cpu, addr, value));
                 Ok(())
             });
@@ -256,7 +259,7 @@ impl UstmTxn {
             if let Some(by) = u.slots[cpu].doomed_by {
                 return Err(by);
             }
-            mop(m.work(cpu, u.config.finish_cost));
+            mop(m.work(cpu, FINISH_COST));
             u.slots[cpu].status = TxnStatus::Committing;
             let slot_addr = u.slot_addr(cpu);
             mop(m.store(cpu, slot_addr, 1));
@@ -319,8 +322,7 @@ impl UstmTxn {
             if retired {
                 return;
             }
-            let backoff = ctx.with(|w| w.shared.ustm().config.poll_backoff);
-            mop(ctx.stall(backoff));
+            mop(ctx.stall(POLL_BACKOFF));
         }
     }
 
@@ -399,7 +401,7 @@ impl UstmTxn {
             u.slots[cpu].status = TxnStatus::Aborting;
             let slot_addr = u.slot_addr(cpu);
             mop(m.store(cpu, slot_addr, 2));
-            mop(m.work(cpu, u.config.finish_cost));
+            mop(m.work(cpu, FINISH_COST));
             u.stats.aborts += 1;
             by.map(|k| u.slots[k].ts)
         });
@@ -443,7 +445,7 @@ impl UstmTxn {
             let start = m.now(cpu);
             let strong = u.config.strong_atomicity;
             let bin = u.otable.bin_addr_of(line);
-            mop(m.work(cpu, u.config.cas_cost));
+            mop(m.work(cpu, CAS_COST));
             mop(m.load(cpu, bin));
             let removed = u.otable.release(line, cpu);
             mop(m.store(cpu, bin, u.otable.chain_len(line) as u64));
@@ -476,7 +478,7 @@ impl UstmTxn {
                 let start = m.now(cpu);
                 let strong = u.config.strong_atomicity;
                 let bin = u.otable.bin_addr_of(line);
-                mop(m.work(cpu, u.config.cas_cost));
+                mop(m.work(cpu, CAS_COST));
                 mop(m.load(cpu, bin));
                 let found = u.otable.lookup(line);
                 let out = match found {
@@ -498,7 +500,7 @@ impl UstmTxn {
                     Some((pos, e)) => {
                         if pos > 0 {
                             u.stats.chain_walks += 1;
-                            mop(m.work(cpu, u.config.chain_entry_cost * pos as u64));
+                            mop(m.work(cpu, CHAIN_ENTRY_COST * pos as u64));
                         }
                         if e.owned_by(cpu) && (want == Perm::Read || e.sole_owner(cpu)) {
                             if want == Perm::Write {
@@ -553,7 +555,7 @@ impl UstmTxn {
             let m = &mut w.machine;
             let u = w.shared.ustm();
             let start = m.now(cpu);
-            mop(m.work(cpu, u.config.log_cost));
+            mop(m.work(cpu, LOG_COST));
             let a0 = u.log_addr(cpu, n);
             let a1 = u.log_addr(cpu, n + 1);
             mop(m.store(cpu, a0, line.base_addr().0));
@@ -597,8 +599,7 @@ impl UstmTxn {
                 Poll::Released => return Ok(()),
                 Poll::Doomed { by } => return Err(self.unwind(ctx, by)),
                 Poll::NotYet => {
-                    let backoff = ctx.with(|w| w.shared.ustm().config.poll_backoff);
-                    mop(ctx.stall(backoff));
+                    mop(ctx.stall(POLL_BACKOFF));
                 }
             }
         }

@@ -9,7 +9,7 @@
 use ufotm_machine::{AccessError, Addr, PlainAccess};
 use ufotm_sim::Ctx;
 
-use crate::txn::TxnStatus;
+use crate::txn::{TxnStatus, POLL_BACKOFF};
 use crate::HasUstm;
 
 /// How the UFO fault handler resolves a non-transactional conflict with an
@@ -65,7 +65,7 @@ pub fn nont_store<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr, value: u64) {
 /// retries the access.
 fn handle_fault<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr) {
     let cpu = ctx.cpu();
-    let backoff = ctx.with(|w| {
+    ctx.with(|w| {
         let m = &mut w.machine;
         let u = w.shared.ustm();
         u.stats.nont_faults += 1;
@@ -91,9 +91,8 @@ fn handle_fault<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr) {
                 }
             }
         }
-        u.config.poll_backoff
     });
-    ctx.stall(backoff).plain("stall outside txn");
+    ctx.stall(POLL_BACKOFF).plain("stall outside txn");
 }
 
 #[cfg(test)]

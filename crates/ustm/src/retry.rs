@@ -14,7 +14,7 @@ use ufotm_sim::Ctx;
 
 use crate::barrier::{mop, UstmTxn};
 use crate::otable::Perm;
-use crate::txn::TxnStatus;
+use crate::txn::{TxnStatus, POLL_BACKOFF};
 use crate::{HasUstm, UstmAbort};
 
 /// Parks the transaction until a writer updates something it read, then
@@ -68,8 +68,7 @@ pub fn retry_wait<U: HasUstm>(txn: &mut UstmTxn, ctx: &mut Ctx<U>) -> UstmAbort 
         if woken {
             break;
         }
-        let backoff = ctx.with(|w| w.shared.ustm().config.poll_backoff * 4);
-        mop(ctx.stall(backoff));
+        mop(ctx.stall(POLL_BACKOFF * 4));
     }
 
     // Phase 3: release remaining ownership and retire; the caller restarts.

@@ -42,27 +42,29 @@ pub struct TxnSlot {
     pub woken: bool,
 }
 
-/// USTM tuning knobs and fixed costs (cycles charged by barriers beyond the
-/// simulated memory traffic they generate).
+/// Fixed cost of `ustm_begin` (checkpoint, descriptor setup).
+pub(crate) const BEGIN_COST: u64 = 40;
+/// Barrier fast path: line already owned with sufficient permission.
+pub(crate) const BARRIER_HIT_COST: u64 = 6;
+/// One compare&swap / chain-lock acquisition on an otable bin.
+pub(crate) const CAS_COST: u64 = 12;
+/// Walking one chained entry past the bin head.
+pub(crate) const CHAIN_ENTRY_COST: u64 = 8;
+/// Snapshotting a line into the undo log (beyond the log-write traffic).
+pub(crate) const LOG_COST: u64 = 10;
+/// Fixed commit/abort cost (beyond per-entry release traffic).
+pub(crate) const FINISH_COST: u64 = 40;
+/// Cycles a stalled transaction waits between status polls.
+pub(crate) const POLL_BACKOFF: u64 = 40;
+
+/// USTM configuration. The barriers' fixed costs (cycles charged beyond
+/// the simulated memory traffic they generate) are constants of this
+/// module; what a run chooses is only these two.
 #[derive(Clone, Debug)]
 pub struct UstmConfig {
     /// Install UFO protection on owned lines (strong atomicity, §4.2).
     /// `false` gives the paper's weakly-atomic USTM baseline.
     pub strong_atomicity: bool,
-    /// Fixed cost of `ustm_begin` (checkpoint, descriptor setup).
-    pub begin_cost: u64,
-    /// Barrier fast path: line already owned with sufficient permission.
-    pub barrier_hit_cost: u64,
-    /// One compare&swap / chain-lock acquisition on an otable bin.
-    pub cas_cost: u64,
-    /// Walking one chained entry past the bin head.
-    pub chain_entry_cost: u64,
-    /// Snapshotting a line into the undo log (beyond the log-write traffic).
-    pub log_cost: u64,
-    /// Fixed commit/abort cost (beyond per-entry release traffic).
-    pub finish_cost: u64,
-    /// Cycles a stalled transaction waits between status polls.
-    pub poll_backoff: u64,
     /// How non-transactional UFO faults are resolved.
     pub nont_policy: crate::nont::NonTFaultPolicy,
 }
@@ -71,13 +73,6 @@ impl Default for UstmConfig {
     fn default() -> Self {
         UstmConfig {
             strong_atomicity: true,
-            begin_cost: 40,
-            barrier_hit_cost: 6,
-            cas_cost: 12,
-            chain_entry_cost: 8,
-            log_cost: 10,
-            finish_cost: 40,
-            poll_backoff: 40,
             nont_policy: crate::nont::NonTFaultPolicy::StallUntilRelease,
         }
     }
@@ -127,7 +122,7 @@ pub struct UstmStats {
 /// All shared USTM state, embedded in the simulation world.
 #[derive(Clone, Debug)]
 pub struct UstmShared {
-    /// Tuning knobs.
+    /// Atomicity and non-transactional fault policy.
     pub config: UstmConfig,
     /// The ownership table.
     pub otable: Otable,
