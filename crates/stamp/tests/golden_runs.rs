@@ -18,10 +18,13 @@ use ufotm_stamp::{genome, kmeans, ssca2, vacation};
 
 const SEED: u64 = 0x601D_5EED;
 const THREADS: usize = 3;
-const KINDS: [SystemKind; 3] = [
+const KINDS: [SystemKind; 6] = [
     SystemKind::UfoHybrid,
     SystemKind::Tl2,
     SystemKind::UstmStrong,
+    SystemKind::HyTm,
+    SystemKind::PhTm,
+    SystemKind::UnboundedHtm,
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -38,7 +41,7 @@ fn spec(kind: SystemKind) -> RunSpec {
 
 /// Runs `run` on each pinned system and compares against `golden`
 /// (`(makespan, report hash)` in [`KINDS`] order).
-fn check(workload: &str, run: impl Fn(&RunSpec) -> RunOutcome, golden: [(u64, u64); 3]) {
+fn check(workload: &str, run: impl Fn(&RunSpec) -> RunOutcome, golden: [(u64, u64); KINDS.len()]) {
     let got: Vec<(u64, u64)> = KINDS
         .iter()
         .map(|&kind| {
@@ -74,6 +77,9 @@ fn kmeans_golden() {
             (11692, 0x112e_226e_d4ee_526f),
             (33746, 0xf750_2651_3854_16dd),
             (45526, 0x1877_b7c1_b708_00c4),
+            (17282, 0xe267_1648_efd0_1457),
+            (12474, 0xd14e_6768_95a9_5ded),
+            (11692, 0x938d_a7b6_7134_bb88),
         ],
     );
 }
@@ -91,6 +97,9 @@ fn ssca2_golden() {
             (17678, 0x4870_f133_6d51_9a8a),
             (37686, 0x040b_3751_2b4b_ab55),
             (42330, 0x2208_8c88_12cc_bda8),
+            (29946, 0x9937_fcb0_31b6_c47b),
+            (20672, 0xc4ef_8470_b11f_c0fd),
+            (16692, 0x4e98_e327_84df_55c9),
         ],
     );
 }
@@ -113,6 +122,9 @@ fn vacation_golden() {
             (15704, 0xd0c5_2c96_011b_9c22),
             (60521, 0x287c_aade_f097_2d6b),
             (121_432, 0x0e50_0aeb_7520_673f),
+            (39276, 0xda33_2a21_309e_872e),
+            (15504, 0x310d_f830_39f8_aeec),
+            (15704, 0xd7ab_aa3b_7355_f1e9),
         ],
     );
 }
@@ -131,6 +143,9 @@ fn genome_golden() {
             (75970, 0x089a_7217_eb80_76bd),
             (151_882, 0x5b23_e90f_0eaa_d9d3),
             (300_236, 0x2854_7632_c43a_35e3),
+            (100_114, 0x81a4_66d1_00c8_7930),
+            (84118, 0x472d_9f37_f833_8151),
+            (44422, 0x8880_35ce_40b7_d35f),
         ],
     );
 }
