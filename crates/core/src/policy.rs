@@ -27,7 +27,7 @@ const BACKOFF_CAP_EXP: u32 = 7;
 /// Cycles a [`BtmUfoFaultPolicy::Stall`] retry waits between attempts.
 pub(crate) const UFO_STALL_BACKOFF: u64 = 60;
 
-/// The hybrid's software policy, consumed by the BTM abort handler
+/// The hybrids' software policy, consumed by their one BTM abort handler
 /// (Algorithm 3). The default is the paper's: abort and retry on UFO
 /// faults, never fail over on contention, no watchdog.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -91,10 +91,11 @@ impl HybridPolicy {
     /// backoff, software failover after 16 consecutive hardware aborts,
     /// the eldest-transaction seat after 8 software kills, and immediate
     /// escalation once 8 consecutive observations show zero global commit
-    /// progress. Guarantees every transaction commits within
-    /// a bounded number of attempts, at the price of abandoning the
-    /// paper's never-fail-over-on-contention recommendation when the
-    /// system is demonstrably stuck.
+    /// progress. Guarantees every transaction on a hybrid (UFO, HyTM or
+    /// PhTM — they share one abort handler) commits within a bounded
+    /// number of attempts, at the price of abandoning the paper's
+    /// never-fail-over-on-contention recommendation when the system is
+    /// demonstrably stuck.
     #[must_use]
     pub fn watchdog() -> Self {
         HybridPolicy {

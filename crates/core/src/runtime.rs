@@ -8,7 +8,7 @@ use ufotm_ustm::{nont_load, UstmAbort, UstmTxn};
 
 use crate::lockbase::{lock_acquire, lock_release};
 use crate::policy::{HybridPolicy, BACKOFF_BASE};
-use crate::shared::{SystemKind, TmWorld};
+use crate::shared::{HybridStats, SystemKind, TmWorld};
 use crate::trace::{EscalationTier, TraceKind};
 use crate::tx::{Mode, Tx, TxAbort, ALLOC_SYSCALL_COST};
 
@@ -120,9 +120,9 @@ impl TmThread {
             SystemKind::UstmWeak | SystemKind::UstmStrong => self.ustm_path(ctx, &mut body, false),
             SystemKind::Tl2 => self.tl2_path(ctx, &mut body),
             SystemKind::UnboundedHtm => self.unbounded_path(ctx, &mut body),
-            SystemKind::UfoHybrid => self.ufo_hybrid_path(ctx, &mut body),
-            SystemKind::HyTm => self.hytm_path(ctx, &mut body),
-            SystemKind::PhTm => self.phtm_path(ctx, &mut body),
+            SystemKind::UfoHybrid | SystemKind::HyTm | SystemKind::PhTm => {
+                self.hybrid_path(ctx, &mut body)
+            }
         }
     }
 
@@ -141,10 +141,7 @@ impl TmThread {
         let r = body(&mut tx, ctx);
         let bk = tx.into_bookkeeping();
         let r = r.unwrap_or_else(|e| panic!("plain-mode body cannot abort, got {e}"));
-        apply_frees(ctx, &bk.frees);
-        ctx.with(|w| w.shared.tm().stats.lock_commits += 1);
-        trace(ctx, TraceKind::PlainCommit);
-        bk.run_deferred();
+        bk.commit(ctx, |s| s.lock_commits += 1, TraceKind::PlainCommit);
         if locked {
             lock_release(ctx);
         }
@@ -243,17 +240,14 @@ impl TmThread {
         let abort = match out {
             Ok(r) => match self.ustm.commit(ctx) {
                 Ok(()) => {
-                    apply_frees(ctx, &bk.frees);
-                    ctx.with(|w| {
-                        let stats = &mut w.shared.tm().stats;
+                    let count = |s: &mut HybridStats| {
                         if eldest {
-                            stats.serial_commits += 1;
+                            s.serial_commits += 1;
                         } else {
-                            stats.sw_commits += 1;
+                            s.sw_commits += 1;
                         }
-                    });
-                    trace(ctx, committed);
-                    bk.run_deferred();
+                    };
+                    bk.commit(ctx, count, committed);
                     return Ok(r);
                 }
                 Err(abort) => abort,
@@ -261,8 +255,7 @@ impl TmThread {
             Err(TxAbort::Stm(abort)) => abort,
             Err(other) => unreachable!("USTM body produced {other}"),
         };
-        undo_allocs(ctx, &bk.allocs);
-        trace(ctx, TraceKind::SwAbort);
+        bk.abort(ctx, TraceKind::SwAbort);
         Err(abort)
     }
 
@@ -285,24 +278,18 @@ impl TmThread {
             match out {
                 Ok(r) => {
                     if self.tl2.commit(ctx).is_ok() {
-                        apply_frees(ctx, &bk.frees);
-                        ctx.with(|w| w.shared.tm().stats.sw_commits += 1);
-                        trace(ctx, TraceKind::SwCommit);
-                        bk.run_deferred();
+                        bk.commit(ctx, |s| s.sw_commits += 1, TraceKind::SwCommit);
                         return r;
                     }
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
                 }
-                Err(TxAbort::Tl2(_)) | Err(TxAbort::RetryRequested) => {
+                Err(TxAbort::Tl2(_) | TxAbort::RetryRequested) => {
                     if self.tl2.is_active() {
                         self.tl2.drop_attempt(ctx);
                     }
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
                 }
                 Err(other) => unreachable!("TL2 body produced {other}"),
             }
+            bk.abort(ctx, TraceKind::SwAbort);
             self.consecutive += 1;
             let backoff = self.policy.backoff_for(self.consecutive);
             ctx.with(|w| w.shared.tm().stats.backoff_cycles += backoff);
@@ -312,13 +299,14 @@ impl TmThread {
 
     // --- hardware attempt ------------------------------------------------
 
-    /// One hardware attempt: begin, (PhTM phase check), body, commit.
+    /// One hardware attempt: begin, body, commit. The kind picks the
+    /// barrier: HyTM looks every access up in the otable transactionally,
+    /// PhTM subscribes to `stm_count` right after begin, and the UFO
+    /// hybrid and the unbounded HTM run the body bare.
     fn hw_attempt<U: TmWorld, R>(
         &mut self,
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
-        hytm: bool,
-        phtm_check: bool,
     ) -> Result<R, HwFail> {
         if let Err(AccessError::TxnAbort(i)) = ctx.btm_begin() {
             // The attempt died at begin (e.g. a timer interrupt landing on
@@ -329,7 +317,7 @@ impl TmThread {
             return Err(HwFail::Abort(i));
         }
         trace(ctx, TraceKind::HwBegin);
-        if phtm_check {
+        if self.kind == SystemKind::PhTm {
             // Transactionally subscribe to the STM-phase counter: if it is
             // non-zero now (or changes mid-flight), this transaction dies.
             let cpu = self.cpu;
@@ -355,6 +343,7 @@ impl TmThread {
                 }
             }
         }
+        let hytm = self.kind == SystemKind::HyTm;
         let mut tx = Tx::new(
             self.cpu,
             Mode::Hw { hytm },
@@ -363,47 +352,30 @@ impl TmThread {
         );
         let out = body(&mut tx, ctx);
         let bk = tx.into_bookkeeping();
-        match out {
+        let fail = match out {
             Ok(r) => match ctx.btm_end() {
                 Ok(()) => {
-                    apply_frees(ctx, &bk.frees);
-                    wake_sleepers(ctx, &bk.wakes);
-                    ctx.with(|w| w.shared.tm().stats.hw_commits += 1);
-                    trace(ctx, TraceKind::HwCommit);
-                    bk.run_deferred();
-                    Ok(r)
+                    bk.commit(ctx, |s| s.hw_commits += 1, TraceKind::HwCommit);
+                    return Ok(r);
                 }
-                Err(AccessError::TxnAbort(i)) => {
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::HwAbort(i.reason));
-                    Err(HwFail::Abort(i))
-                }
+                Err(AccessError::TxnAbort(i)) => HwFail::Abort(i),
                 Err(e) => panic!("btm_end: {e}"),
             },
-            Err(e) => {
-                undo_allocs(ctx, &bk.allocs);
-                match e {
-                    TxAbort::Hw(i) => {
-                        trace(ctx, TraceKind::HwAbort(i.reason));
-                        Err(HwFail::Abort(i))
-                    }
-                    // Both hooks already aborted the BTM transaction (as
-                    // Explicit); journal the abort so the attempt is
-                    // balanced in the trace.
-                    TxAbort::Forced => {
-                        trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
-                        Err(HwFail::Forced)
-                    }
-                    TxAbort::RetryRequested => {
-                        trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
-                        Err(HwFail::RetryRequested)
-                    }
-                    TxAbort::Stm(_) | TxAbort::Tl2(_) => {
-                        unreachable!("software abort in a hardware attempt")
-                    }
-                }
+            Err(TxAbort::Hw(i)) => HwFail::Abort(i),
+            // Both hooks already aborted the BTM transaction (as Explicit);
+            // the abort is journaled below so the attempt is balanced.
+            Err(TxAbort::Forced) => HwFail::Forced,
+            Err(TxAbort::RetryRequested) => HwFail::RetryRequested,
+            Err(TxAbort::Stm(_) | TxAbort::Tl2(_)) => {
+                unreachable!("software abort in a hardware attempt")
             }
-        }
+        };
+        let reason = match &fail {
+            HwFail::Abort(i) => i.reason,
+            _ => AbortReason::Explicit,
+        };
+        bk.abort(ctx, TraceKind::HwAbort(reason));
+        Err(fail)
     }
 
     /// Exponential backoff after a contention-class abort (Algorithm 3's
@@ -472,37 +444,35 @@ impl TmThread {
         ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
     }
 
-    // --- the paper's hybrid ---------------------------------------------
+    // --- the hybrids ------------------------------------------------------
 
-    /// The UFO hybrid (paper §4.3): try BTM, classify aborts per
-    /// Algorithm 3, fail over to the strongly-atomic USTM when hardware
-    /// cannot help.
-    fn ufo_hybrid_path<U: TmWorld, R>(
+    /// The hybrids' one abort handler (paper Algorithm 3), shared by the
+    /// UFO hybrid (§4.3), HyTM and PhTM: try BTM, classify each abort, and
+    /// fail over to software when hardware cannot help. The kind picks
+    /// only the barrier ([`Self::hw_attempt`]), PhTM's phase check before
+    /// each attempt, and the software side ([`Self::software`]).
+    fn hybrid_path<U: TmWorld, R>(
         &mut self,
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
-        loop {
-            match self.hw_attempt(ctx, body, false, false) {
+        let seated = loop {
+            if self.kind == SystemKind::PhTm && phtm_stm_phase(ctx) {
+                return self.software(ctx, body, false, false);
+            }
+            match self.hw_attempt(ctx, body) {
                 Ok(r) => return r,
                 Err(HwFail::Forced) => {
                     ctx.with(|w| w.shared.tm().stats.forced_failovers += 1);
-                    return self.ustm_path(ctx, body, false);
+                    break false;
                 }
-                Err(HwFail::RetryRequested) => {
-                    return self.ustm_path(ctx, body, false);
+                Err(HwFail::RetryRequested) => break false,
+                // PhTM: an STM phase began; back to the phase check.
+                Err(HwFail::PhaseBusy) => {}
+                Err(HwFail::Abort(info)) if info.reason == AbortReason::PageFault => {
+                    self.resolve_page_fault(ctx, info.addr);
                 }
-                Err(HwFail::PhaseBusy) => unreachable!("no phase check in UFO hybrid"),
                 Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body, false);
-                    }
-                    if info.reason == AbortReason::PageFault {
-                        self.resolve_page_fault(ctx, info.addr);
-                        continue;
-                    }
                     let contention = matches!(
                         info.reason,
                         AbortReason::Conflict
@@ -511,22 +481,46 @@ impl TmThread {
                             | AbortReason::UfoFault
                     );
                     let limit = self.policy.conflict_failover_after;
-                    if contention && limit.is_some_and(|n| self.consecutive + 1 >= n) {
+                    if info.reason.is_failover()
+                        || (contention && limit.is_some_and(|n| self.consecutive + 1 >= n))
+                    {
                         ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
                         trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body, false);
+                        break false;
                     }
                     if let Some(tier) = self.watchdog_tier(ctx) {
                         self.escalate(ctx, tier);
-                        return self.ustm_path(ctx, body, tier == EscalationTier::Serial);
+                        break tier == EscalationTier::Serial;
                     }
+                    // Contention, and on HyTM an otable conflict with a
+                    // software transaction (Explicit, paper §5): retry in
+                    // hardware after backoff.
                     self.backoff(ctx);
                 }
             }
-        }
+        };
+        self.software(ctx, body, true, seated)
     }
 
-    // --- prior hybrids ----------------------------------------------------
+    /// The hybrids' software side: the USTM path, inside PhTM's phase
+    /// counters. `mandatory` says the transaction had to leave hardware
+    /// (PhTM counts it in `must_count` too); `seated` that the watchdog
+    /// escalated it to tier 2.
+    fn software<U: TmWorld, R>(
+        &mut self,
+        ctx: &mut Ctx<U>,
+        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
+        mandatory: bool,
+        seated: bool,
+    ) -> R {
+        if self.kind != SystemKind::PhTm {
+            return self.ustm_path(ctx, body, seated);
+        }
+        phtm_count(ctx, 1, mandatory);
+        let r = self.ustm_path(ctx, body, seated);
+        phtm_count(ctx, -1, mandatory);
+        r
+    }
 
     /// The idealized unbounded HTM: everything retries in hardware; page
     /// faults and allocator syscalls get software fix-ups (the "simplified
@@ -537,7 +531,7 @@ impl TmThread {
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
         loop {
-            match self.hw_attempt(ctx, body, false, false) {
+            match self.hw_attempt(ctx, body) {
                 Ok(r) => return r,
                 Err(HwFail::Abort(info)) => match info.reason {
                     AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
@@ -555,194 +549,120 @@ impl TmThread {
             }
         }
     }
-
-    /// HyTM: hardware transactions carry otable-check barriers; anything
-    /// the hardware cannot run fails over to the (weakly-atomic) USTM.
-    fn hytm_path<U: TmWorld, R>(
-        &mut self,
-        ctx: &mut Ctx<U>,
-        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
-    ) -> R {
-        loop {
-            match self.hw_attempt(ctx, body, true, false) {
-                Ok(r) => return r,
-                Err(HwFail::Forced) => {
-                    ctx.with(|w| w.shared.tm().stats.forced_failovers += 1);
-                    return self.ustm_path(ctx, body, false);
-                }
-                Err(HwFail::RetryRequested) => return self.ustm_path(ctx, body, false),
-                Err(HwFail::PhaseBusy) => unreachable!("no phase check in HyTM"),
-                Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body, false);
-                    }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                        // Explicit = otable conflict with an STM txn:
-                        // retry in hardware after backoff (paper §5).
-                        _ => self.backoff(ctx),
-                    }
-                }
-            }
-        }
-    }
-
-    /// PhTM: hardware and software phases exclude each other via the two
-    /// global counters.
-    fn phtm_path<U: TmWorld, R>(
-        &mut self,
-        ctx: &mut Ctx<U>,
-        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
-    ) -> R {
-        let cpu = self.cpu;
-        loop {
-            // Phase check (plain reads of both counters).
-            let (must, stm) = ctx.with(|w| {
-                let (ma, sa) = {
-                    let p = &w.shared.tm().phtm;
-                    (p.must_addr(), p.stm_addr())
-                };
-                w.machine.load(cpu, ma).plain("must read");
-                w.machine.load(cpu, sa).plain("stm read");
-                let p = &w.shared.tm().phtm;
-                (p.must_count, p.stm_count)
-            });
-            if must != 0 {
-                // Mandatory STM phase: new transactions start in software.
-                return self.phtm_sw(ctx, body, false);
-            }
-            if stm != 0 {
-                // Draining back toward a hardware phase: stall, don't start.
-                ctx.with(|w| w.shared.tm().phtm.phase_stalls += 1);
-                ctx.stall(BACKOFF_BASE * 4).plain("phase stall");
-                continue;
-            }
-            match self.hw_attempt(ctx, body, false, true) {
-                Ok(r) => return r,
-                Err(HwFail::Forced) => {
-                    ctx.with(|w| w.shared.tm().stats.forced_failovers += 1);
-                    return self.phtm_sw(ctx, body, true);
-                }
-                Err(HwFail::RetryRequested) => return self.phtm_sw(ctx, body, true),
-                Err(HwFail::PhaseBusy) => { /* loop back to the phase check */ }
-                Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
-                        return self.phtm_sw(ctx, body, true);
-                    }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                        _ => self.backoff(ctx),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs the transaction in PhTM's software mode, bumping the phase
-    /// counters around it. The counter stores are plain — they kill any
-    /// hardware transaction subscribed to the counter line, exactly the
-    /// paper's "nonT conflicts on the software-transactions-in-flight
-    /// counter".
-    fn phtm_sw<U: TmWorld, R>(
-        &mut self,
-        ctx: &mut Ctx<U>,
-        body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
-        mandatory: bool,
-    ) -> R {
-        let cpu = self.cpu;
-        ctx.with(|w| {
-            let (sa, ma) = {
-                let p = &w.shared.tm().phtm;
-                (p.stm_addr(), p.must_addr())
-            };
-            {
-                let p = &mut w.shared.tm().phtm;
-                p.stm_count += 1;
-            }
-            let sv = w.shared.tm().phtm.stm_count;
-            w.machine.store(cpu, sa, sv).plain("stm count store");
-            if mandatory {
-                {
-                    let p = &mut w.shared.tm().phtm;
-                    p.must_count += 1;
-                }
-                let mv = w.shared.tm().phtm.must_count;
-                w.machine.store(cpu, ma, mv).plain("must count store");
-            }
-        });
-        let r = self.ustm_path(ctx, body, false);
-        ctx.with(|w| {
-            let (sa, ma) = {
-                let p = &w.shared.tm().phtm;
-                (p.stm_addr(), p.must_addr())
-            };
-            {
-                let p = &mut w.shared.tm().phtm;
-                p.stm_count -= 1;
-            }
-            let sv = w.shared.tm().phtm.stm_count;
-            w.machine.store(cpu, sa, sv).plain("stm count store");
-            if mandatory {
-                {
-                    let p = &mut w.shared.tm().phtm;
-                    p.must_count -= 1;
-                }
-                let mv = w.shared.tm().phtm.must_count;
-                w.machine.store(cpu, ma, mv).plain("must count store");
-            }
-        });
-        r
-    }
 }
 
-/// Frees deferred by a committed transaction.
-fn apply_frees<U: TmWorld>(ctx: &mut Ctx<U>, frees: &[Addr]) {
-    if frees.is_empty() {
-        return;
-    }
-    let frees = frees.to_vec();
-    ctx.with(|w| {
-        let heap = &mut w.shared.tm().heap;
-        for a in frees {
-            heap.free(a).expect("double free of heap allocation");
-        }
-    });
-}
-
-/// Wakes `retry`-parked STM sleepers after a hardware commit (paper §6:
-/// the wake is deferred so an aborted transaction never wakes anyone).
-fn wake_sleepers<U: TmWorld>(ctx: &mut Ctx<U>, wakes: &[usize]) {
-    if wakes.is_empty() {
-        return;
-    }
+/// PhTM's phase check before a hardware attempt (plain reads of both
+/// counters). `true` in a mandatory STM phase, where new transactions
+/// start in software; while an STM phase drains back toward a hardware
+/// phase, newcomers stall rather than start.
+fn phtm_stm_phase<U: TmWorld>(ctx: &mut Ctx<U>) -> bool {
     let cpu = ctx.cpu();
-    let wakes = wakes.to_vec();
+    loop {
+        let (must, stm) = ctx.with(|w| {
+            let p = w.shared.tm().phtm;
+            w.machine.load(cpu, p.must_addr()).plain("must read");
+            w.machine.load(cpu, p.stm_addr()).plain("stm read");
+            (p.must_count, p.stm_count)
+        });
+        if must != 0 {
+            return true;
+        }
+        if stm == 0 {
+            return false;
+        }
+        ctx.with(|w| w.shared.tm().phtm.phase_stalls += 1);
+        ctx.stall(BACKOFF_BASE * 4).plain("phase stall");
+    }
+}
+
+/// Moves PhTM's phase counters by `delta`: `stm_count` always, and
+/// `must_count` too for a `mandatory` software transaction. The counter
+/// stores are plain — they kill any hardware transaction subscribed to
+/// the counter line, exactly the paper's "nonT conflicts on the
+/// software-transactions-in-flight counter".
+fn phtm_count<U: TmWorld>(ctx: &mut Ctx<U>, delta: i64, mandatory: bool) {
+    let cpu = ctx.cpu();
+    let bump = |n: u64| {
+        n.checked_add_signed(delta)
+            .expect("PhTM phase counter underflow")
+    };
     ctx.with(|w| {
-        for s in wakes {
-            let slot_addr = {
-                let u = w.shared.ustm();
-                u.slots[s].woken = true;
-                u.slot_addr(s)
-            };
-            w.machine.store(cpu, slot_addr, 4).plain("wake store");
+        let p = &mut w.shared.tm().phtm;
+        p.stm_count = bump(p.stm_count);
+        if mandatory {
+            p.must_count = bump(p.must_count);
+        }
+        let p = *p;
+        w.machine
+            .store(cpu, p.stm_addr(), p.stm_count)
+            .plain("stm count store");
+        if mandatory {
+            w.machine
+                .store(cpu, p.must_addr(), p.must_count)
+                .plain("must count store");
         }
     });
 }
 
-/// Allocations rolled back by an aborted attempt.
-fn undo_allocs<U: TmWorld>(ctx: &mut Ctx<U>, allocs: &[Addr]) {
-    if allocs.is_empty() {
-        return;
-    }
-    let allocs = allocs.to_vec();
-    ctx.with(|w| {
-        let heap = &mut w.shared.tm().heap;
-        for a in allocs {
-            heap.free(a).expect("aborted allocation already freed");
+/// Per-attempt bookkeeping handed back to the driver, applied once the
+/// attempt's outcome is known.
+pub(crate) struct Bookkeeping {
+    pub allocs: Vec<Addr>,
+    pub frees: Vec<Addr>,
+    /// `retry`-parked STM sleepers a hardware transaction bypassed (paper
+    /// §6: the wake is deferred so an aborted transaction wakes no one).
+    pub wakes: Vec<usize>,
+    pub deferred: Vec<Box<dyn FnOnce() + Send>>,
+}
+
+impl Bookkeeping {
+    /// The commit sequence: apply the deferred frees, wake the sleepers,
+    /// `count` the commit, journal `event`, then run the deferred actions.
+    fn commit<U: TmWorld>(
+        self,
+        ctx: &mut Ctx<U>,
+        count: impl FnOnce(&mut HybridStats),
+        event: TraceKind,
+    ) {
+        let cpu = ctx.cpu();
+        if !self.frees.is_empty() {
+            ctx.with(|w| {
+                let heap = &mut w.shared.tm().heap;
+                for &a in &self.frees {
+                    heap.free(a).expect("double free of heap allocation");
+                }
+            });
         }
-    });
+        if !self.wakes.is_empty() {
+            ctx.with(|w| {
+                for &s in &self.wakes {
+                    let slot_addr = {
+                        let u = w.shared.ustm();
+                        u.slots[s].woken = true;
+                        u.slot_addr(s)
+                    };
+                    w.machine.store(cpu, slot_addr, 4).plain("wake store");
+                }
+            });
+        }
+        ctx.with(|w| count(&mut w.shared.tm().stats));
+        trace(ctx, event);
+        for action in self.deferred {
+            action();
+        }
+    }
+
+    /// The abort sequence: undo the attempt's allocations, then journal
+    /// `event`. The deferred actions are dropped unrun.
+    fn abort<U: TmWorld>(self, ctx: &mut Ctx<U>, event: TraceKind) {
+        if !self.allocs.is_empty() {
+            ctx.with(|w| {
+                let heap = &mut w.shared.tm().heap;
+                for &a in &self.allocs {
+                    heap.free(a).expect("aborted allocation already freed");
+                }
+            });
+        }
+        trace(ctx, event);
+    }
 }

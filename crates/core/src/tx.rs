@@ -16,6 +16,7 @@ use ufotm_tl2::{Tl2Abort, Tl2Txn};
 use ufotm_ustm::{retry_wait, Perm, UstmAbort, UstmTxn};
 
 use crate::policy::{BtmUfoFaultPolicy, HybridPolicy, UFO_STALL_BACKOFF};
+use crate::runtime::Bookkeeping;
 use crate::shared::TmWorld;
 
 /// §6's `malloc` model: every this-many allocations the thread-local pool
@@ -424,23 +425,6 @@ impl<'a> Tx<'a> {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Per-attempt bookkeeping handed back to the driver.
-pub(crate) struct Bookkeeping {
-    pub allocs: Vec<Addr>,
-    pub frees: Vec<Addr>,
-    pub wakes: Vec<usize>,
-    pub deferred: Vec<Box<dyn FnOnce() + Send>>,
-}
-
-impl Bookkeeping {
-    /// Runs the deferred actions (commit path).
-    pub fn run_deferred(self) {
-        for action in self.deferred {
-            action();
         }
     }
 }

@@ -128,7 +128,7 @@ fn torture_counters_exact_across_seeds_mixes_and_systems() {
                 if kind == SystemKind::UstmWeak {
                     weak_serial_commits += r.shared.stats.serial_commits;
                 }
-                if kind == SystemKind::UfoHybrid {
+                if kind.is_hybrid() {
                     // Watchdog bounded-retry guarantee: at most
                     // `watchdog_hw_attempts` counted backoffs per committed
                     // transaction, plus page-fault fix-up retries (each of

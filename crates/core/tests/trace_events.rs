@@ -148,48 +148,50 @@ fn injected_faults_are_journaled_before_the_aborts_they_provoke() {
 
 #[test]
 fn software_escalation_is_journaled_before_the_sw_attempt_it_triggers() {
-    let mut cfg = MachineConfig::table4(1);
-    cfg.fault_plan = Some(FaultPlan::abort_storm(11));
-    let mut shared = TmShared::standard(SystemKind::UfoHybrid, &cfg);
-    shared.trace.enable(4096);
-    let machine = Machine::new(cfg);
-    // One counted abort is enough: any hardware abort escalates straight
-    // to the software tier.
-    let policy = HybridPolicy {
-        watchdog_hw_attempts: Some(1),
-        ..HybridPolicy::default()
-    };
-    let r = Sim::new(machine, shared).run(vec![Box::new(move |ctx: &mut Ctx<TmShared>| {
-        let mut t = TmThread::with_policy(SystemKind::UfoHybrid, 0, policy);
-        t.install(ctx);
-        for _ in 0..40 {
-            t.transaction(ctx, |tx, ctx| {
-                let v = tx.read(ctx, Addr(0))?;
-                tx.work(ctx, 20)?;
-                tx.write(ctx, Addr(0), v + 1)
-            });
-        }
-    }) as ThreadFn<TmShared>]);
-    let kinds: Vec<TraceKind> = r.shared.trace.events().iter().map(|e| e.kind).collect();
-    let escalations = kinds
-        .iter()
-        .filter(|k| **k == TraceKind::WatchdogEscalation(EscalationTier::Software))
-        .count();
-    assert!(escalations > 0, "the one-attempt watchdog must escalate");
-    // Each software escalation is immediately honoured: the next driver
-    // event on this CPU is the software begin (injection entries may
-    // interleave, driver events may not).
-    for (i, k) in kinds.iter().enumerate() {
-        if *k == TraceKind::WatchdogEscalation(EscalationTier::Software) {
-            let next_driver = kinds[i + 1..]
-                .iter()
-                .find(|n| !matches!(n, TraceKind::FaultInjected(_)))
-                .expect("escalation is not the last driver event");
-            assert_eq!(
-                *next_driver,
-                TraceKind::SwBegin,
-                "escalation must be honoured"
-            );
+    for kind in [SystemKind::UfoHybrid, SystemKind::HyTm, SystemKind::PhTm] {
+        let mut cfg = MachineConfig::table4(1);
+        cfg.fault_plan = Some(FaultPlan::abort_storm(11));
+        let mut shared = TmShared::standard(kind, &cfg);
+        shared.trace.enable(4096);
+        let machine = Machine::new(cfg);
+        // One counted abort is enough: any hardware abort escalates straight
+        // to the software tier.
+        let policy = HybridPolicy {
+            watchdog_hw_attempts: Some(1),
+            ..HybridPolicy::default()
+        };
+        let r = Sim::new(machine, shared).run(vec![Box::new(move |ctx: &mut Ctx<TmShared>| {
+            let mut t = TmThread::with_policy(kind, 0, policy);
+            t.install(ctx);
+            for _ in 0..40 {
+                t.transaction(ctx, |tx, ctx| {
+                    let v = tx.read(ctx, Addr(0))?;
+                    tx.work(ctx, 20)?;
+                    tx.write(ctx, Addr(0), v + 1)
+                });
+            }
+        }) as ThreadFn<TmShared>]);
+        let kinds: Vec<TraceKind> = r.shared.trace.events().iter().map(|e| e.kind).collect();
+        let escalations = kinds
+            .iter()
+            .filter(|k| **k == TraceKind::WatchdogEscalation(EscalationTier::Software))
+            .count();
+        assert!(escalations > 0, "the one-attempt watchdog must escalate");
+        // Each software escalation is immediately honoured: the next driver
+        // event on this CPU is the software begin (injection entries may
+        // interleave, driver events may not).
+        for (i, k) in kinds.iter().enumerate() {
+            if *k == TraceKind::WatchdogEscalation(EscalationTier::Software) {
+                let next_driver = kinds[i + 1..]
+                    .iter()
+                    .find(|n| !matches!(n, TraceKind::FaultInjected(_)))
+                    .expect("escalation is not the last driver event");
+                assert_eq!(
+                    *next_driver,
+                    TraceKind::SwBegin,
+                    "escalation must be honoured"
+                );
+            }
         }
     }
 }

@@ -25,10 +25,10 @@ pub struct SimBackend<'a> {
     ctx: &'a mut Ctx<StampWorld>,
     tid: usize,
     threads: usize,
-    /// Set by [`TmBackend::force_failover_next`]: the next transaction
-    /// calls [`Tx::force_failover`] on every attempt, so its hardware
-    /// attempt aborts and the driver's retry machinery fails it over to
-    /// software (subsequent software attempts are no-ops).
+    /// Set by [`TmBackend::force_failover_next`] on a hybrid: the next
+    /// transaction calls [`Tx::force_failover`] on every attempt, so its
+    /// hardware attempt aborts and the driver's retry machinery fails it
+    /// over to software (subsequent software attempts are no-ops).
     force_next: bool,
 }
 
@@ -134,7 +134,9 @@ impl TmBackend for SimBackend<'_> {
     }
 
     fn force_failover_next(&mut self) {
-        self.force_next = true;
+        // Only a hybrid has a path to fail over to; elsewhere a forced
+        // hardware attempt would just be retried, and forced, forever.
+        self.force_next = self.t.kind().is_hybrid();
     }
 
     fn backend_stats(&mut self) -> BackendStats {
@@ -153,5 +155,49 @@ impl TmBackend for SimBackend<'_> {
                 ..BackendStats::default()
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ufotm_core::{SystemKind, TmShared};
+    use ufotm_machine::{Machine, MachineConfig};
+    use ufotm_sim::{Sim, ThreadFn};
+
+    const X: Addr = Addr(512);
+
+    /// A forced transaction commits once on every kind: a hybrid takes its
+    /// software path, a backend without one ignores the hook (rather than
+    /// re-forcing every hardware attempt forever).
+    #[test]
+    fn forced_transaction_commits_with_and_without_a_software_path() {
+        for kind in [SystemKind::UfoHybrid, SystemKind::UnboundedHtm] {
+            let cfg = MachineConfig::table4(1);
+            let world = StampWorld {
+                tm: TmShared::standard(kind, &cfg),
+                barrier: Barrier::new(Addr(64), 1),
+            };
+            let body: ThreadFn<StampWorld> = Box::new(move |ctx| {
+                let mut t = TmThread::new(kind, 0);
+                t.install(ctx);
+                let mut b = SimBackend::new(&mut t, ctx, 0, 1);
+                b.force_failover_next();
+                b.transaction(|tx| {
+                    let v = tx.read(X)?;
+                    tx.write(X, v + 1)
+                });
+            });
+            let r = Sim::new(Machine::new(cfg), world)
+                .cycle_limit(50_000_000)
+                .run(vec![body]);
+            assert_eq!(r.machine.peek(X), 1, "{kind}");
+            let stats = &r.shared.tm.stats;
+            assert_eq!(
+                stats.forced_failovers,
+                u64::from(kind.is_hybrid()),
+                "{kind}"
+            );
+        }
     }
 }
