@@ -27,13 +27,8 @@
 //! A standalone marker applies to the next code line; a trailing marker to
 //! its own line. A marker without a `-- reason` is itself a finding
 //! (`bad-suppression`), as is a marker that matches nothing
-//! (`unused-suppression`) — suppressions cannot rot silently.
-//!
-//! ## Baseline
-//!
-//! `analyze-baseline.txt` at the repo root grandfathers known findings
-//! (tab-separated `lint\tpath\tsnippet` lines). The committed baseline is
-//! empty: the workspace lints clean, and CI keeps it that way.
+//! (`unused-suppression`) — suppressions cannot rot silently. A marker is
+//! the only way to silence a finding: nothing is grandfathered.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +56,7 @@ pub struct Finding {
     pub line: u32,
     /// Human explanation, including the suggested fix.
     pub message: String,
-    /// The trimmed source line (also the baseline matching key).
+    /// The trimmed source line.
     pub snippet: String,
 }
 
@@ -312,69 +307,16 @@ fn parse_suppressions(file: &SourceFile) -> Vec<Suppression> {
     out
 }
 
-/// One baseline entry: a grandfathered finding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// The lint name.
-    pub lint: String,
-    /// Repo-relative path.
-    pub path: String,
-    /// Trimmed source line at the time the baseline was written. Matching
-    /// on the snippet (not the line number) keeps the baseline stable
-    /// across unrelated edits to the same file.
-    pub snippet: String,
-}
-
-/// Parses `analyze-baseline.txt` content. Lines are
-/// `lint<TAB>path<TAB>snippet`; blank lines and `#` comments are skipped.
-#[must_use]
-pub fn parse_baseline(content: &str) -> Vec<BaselineEntry> {
-    content
-        .lines()
-        .map(str::trim_end)
-        .filter(|l| !l.is_empty() && !l.trim_start().starts_with('#'))
-        .filter_map(|l| {
-            let mut it = l.splitn(3, '\t');
-            Some(BaselineEntry {
-                lint: it.next()?.to_string(),
-                path: it.next()?.to_string(),
-                snippet: it.next()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Serializes findings as baseline content (for `--write-baseline`).
-#[must_use]
-pub fn baseline_content(findings: &[Finding]) -> String {
-    let mut s = String::from(
-        "# analyze-baseline.txt — findings grandfathered by `cargo xtask analyze`.\n\
-         # Format: lint<TAB>path<TAB>trimmed source line. Regenerate with\n\
-         # `cargo xtask analyze --write-baseline`. Keep this file empty: new code\n\
-         # must either fix the finding or carry a justified allow marker.\n",
-    );
-    for f in findings {
-        let _ = writeln!(s, "{}\t{}\t{}", f.lint, f.path, f.snippet);
-    }
-    s
-}
-
 /// The result of an analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Actionable findings (unsuppressed, not in the baseline), sorted by
-    /// (path, line, lint).
+    /// Actionable findings (unsuppressed), sorted by (path, line, lint).
     pub findings: Vec<Finding>,
-    /// Findings silenced by justified allow markers.
-    pub suppressed: usize,
-    /// Suppression counts per lint — the diffable inventory CI uploads, so
-    /// a PR that grows the number of justified exceptions shows up in the
-    /// artifact diff even though the gate still passes.
+    /// Findings silenced by justified allow markers, per lint — the
+    /// diffable inventory CI uploads, so a PR that grows the number of
+    /// justified exceptions shows up in the artifact diff even though the
+    /// gate still passes.
     pub suppressed_by_lint: BTreeMap<&'static str, usize>,
-    /// Findings silenced by the baseline.
-    pub baselined: usize,
-    /// Baseline entries that no longer match anything (stale).
-    pub stale_baseline: usize,
     /// Files analyzed.
     pub files: usize,
 }
@@ -385,13 +327,19 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
+
+    /// Findings silenced by justified allow markers, over all lints.
+    #[must_use]
+    pub fn suppressed(&self) -> usize {
+        self.suppressed_by_lint.values().sum()
+    }
 }
 
-/// Runs all passes over `files`, applies suppressions and `baseline`, and
-/// returns the report. This is the deterministic core: same sources in,
-/// same report out, independent of filesystem enumeration order.
+/// Runs all passes over `files`, applies suppressions, and returns the
+/// report. This is the deterministic core: same sources in, same report
+/// out, independent of filesystem enumeration order.
 #[must_use]
-pub fn analyze_sources(mut files: Vec<SourceFile>, baseline: &[BaselineEntry]) -> Report {
+pub fn analyze_sources(mut files: Vec<SourceFile>) -> Report {
     files.sort_by(|a, b| a.path.cmp(&b.path));
     let index = WorkspaceIndex::build(&files);
     // Workspace passes (D9) see every file at once; their findings are
@@ -428,7 +376,6 @@ pub fn analyze_sources(mut files: Vec<SourceFile>, baseline: &[BaselineEntry]) -
                 hit
             });
             if suppressed {
-                report.suppressed += 1;
                 *report.suppressed_by_lint.entry(finding.lint).or_default() += 1;
             }
             !suppressed
@@ -474,20 +421,6 @@ pub fn analyze_sources(mut files: Vec<SourceFile>, baseline: &[BaselineEntry]) -
             }
         }
     }
-    // Baseline pass: each entry silences at most one matching finding.
-    let mut spent = vec![false; baseline.len()];
-    findings.retain(|f| {
-        let hit = baseline.iter().enumerate().find(|(i, b)| {
-            !spent[*i] && b.lint == f.lint && b.path == f.path && b.snippet == f.snippet
-        });
-        if let Some((i, _)) = hit {
-            spent[i] = true;
-            report.baselined += 1;
-            return false;
-        }
-        true
-    });
-    report.stale_baseline = spent.iter().filter(|s| !**s).count();
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.lint).cmp(&(b.path.as_str(), b.line, b.lint)));
     report.findings = findings;
@@ -495,10 +428,10 @@ pub fn analyze_sources(mut files: Vec<SourceFile>, baseline: &[BaselineEntry]) -
 }
 
 /// Analyzes a single in-memory file (the ui-fixture entry point): the index
-/// is built from that file alone and no baseline applies.
+/// is built from that file alone.
 #[must_use]
 pub fn analyze_file(path: &str, src: &str) -> Report {
-    analyze_sources(vec![SourceFile::new(path, src)], &[])
+    analyze_sources(vec![SourceFile::new(path, src)])
 }
 
 /// Discovers the workspace's shipped sources under `root`: `src/`,
@@ -535,19 +468,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Discovers, loads, and analyzes the workspace at `root`, applying the
-/// committed `analyze-baseline.txt` when present.
+/// Discovers, loads, and analyzes the workspace at `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    analyze_workspace_with_baseline(root, &root.join("analyze-baseline.txt"))
-}
-
-/// As [`analyze_workspace`], with an explicit baseline path.
-pub fn analyze_workspace_with_baseline(root: &Path, baseline_path: &Path) -> io::Result<Report> {
-    let baseline = match fs::read_to_string(baseline_path) {
-        Ok(s) => parse_baseline(&s),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
     let mut files = Vec::new();
     for p in discover_sources(root)? {
         let rel = p
@@ -558,7 +480,7 @@ pub fn analyze_workspace_with_baseline(root: &Path, baseline_path: &Path) -> io:
         let src = fs::read_to_string(&p)?;
         files.push(SourceFile::new(&rel, &src));
     }
-    Ok(analyze_sources(files, &baseline))
+    Ok(analyze_sources(files))
 }
 
 /// Renders the human-readable report.
@@ -573,16 +495,10 @@ pub fn render_text(report: &Report) -> String {
     }
     let _ = writeln!(
         s,
-        "analyze: {} finding(s) across {} file(s) ({} suppressed, {} baselined{})",
+        "analyze: {} finding(s) across {} file(s) ({} suppressed)",
         report.findings.len(),
         report.files,
-        report.suppressed,
-        report.baselined,
-        if report.stale_baseline > 0 {
-            format!(", {} stale baseline entr(ies)", report.stale_baseline)
-        } else {
-            String::new()
-        }
+        report.suppressed(),
     );
     s
 }
@@ -623,12 +539,9 @@ pub fn render_json(report: &Report) -> String {
     }
     let _ = write!(
         s,
-        "}},\n  \"files\": {},\n  \"suppressed\": {},\n  \"baselined\": {},\n  \
-         \"stale_baseline\": {},\n  \"clean\": {}\n}}\n",
+        "}},\n  \"files\": {},\n  \"suppressed\": {},\n  \"clean\": {}\n}}\n",
         report.files,
-        report.suppressed,
-        report.baselined,
-        report.stale_baseline,
+        report.suppressed(),
         report.is_clean()
     );
     s
@@ -696,19 +609,7 @@ mod tests {
                    }\n";
         let r = analyze_file("crates/core/src/x.rs", src);
         assert!(r.is_clean(), "unexpected findings: {:?}", r.findings);
-        assert_eq!(r.suppressed, 2);
-    }
-
-    #[test]
-    fn baseline_matches_by_snippet_and_is_consumed() {
-        let src = "fn f(cpu: usize) -> u64 { 1u64 << cpu }\n";
-        let base = parse_baseline(
-            "# comment\nunchecked-cpu-shift\tcrates/core/src/x.rs\tfn f(cpu: usize) -> u64 { 1u64 << cpu }\n",
-        );
-        let r = analyze_sources(vec![SourceFile::new("crates/core/src/x.rs", src)], &base);
-        assert!(r.is_clean());
-        assert_eq!(r.baselined, 1);
-        assert_eq!(r.stale_baseline, 0);
+        assert_eq!(r.suppressed(), 2);
     }
 
     #[test]

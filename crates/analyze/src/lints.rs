@@ -25,9 +25,9 @@
 //!   `ufotm_native::chaos::lock_recover`, which recovers the guard and
 //!   reports the poison.
 //!
-//!   D5 and D8 both match the chained form *and* the bound form
-//!   (`let r = m.load(…); … r.unwrap()`), via a per-function local
-//!   binding dataflow.
+//!   D5 and D8 are one pass over two call families: it matches the
+//!   chained form *and* the bound form (`let r = m.load(…); … r.unwrap()`),
+//!   via a per-function local binding dataflow.
 //!
 //! Two passes ride on the workspace call graph ([`crate::callgraph`]):
 //!
@@ -216,14 +216,12 @@ pub fn run_passes(file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Findi
     unchecked_cpu_shift(file, out);
     if in_deterministic {
         host_nondeterminism(file, out);
-        panicking_machine_access(file, out);
-        bound_result_unwraps(file, out, BoundKind::Machine);
+        unwraps(file, out, BoundKind::Machine);
     }
     stats_merge_exhaustiveness(file, out);
     let host_exempt = HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name);
     if host_exempt {
-        poisoned_lock_cascade(file, out);
-        bound_result_unwraps(file, out, BoundKind::Lock);
+        unwraps(file, out, BoundKind::Lock);
         unsafe_without_safety_comment(file, out);
     }
     if !in_deterministic && !host_exempt {
@@ -580,115 +578,66 @@ fn stats_merge_exhaustiveness(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// D5: flags `.unwrap()` / `.expect(…)` chained directly onto a machine
-/// access call. Access results on plain-access paths must go through
-/// `PlainAccess::plain("what")`, which names the operation and is the one
-/// audited place that may panic on a machine error.
-fn panicking_machine_access(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.tokens;
-    for i in 0..t.len() {
-        if !(t[i].is_punct(".")
-            && t.get(i + 1).is_some_and(|m| {
-                m.kind == TokenKind::Ident && MACHINE_METHODS.contains(&m.text.as_str())
-            })
-            && t.get(i + 2).is_some_and(|x| x.is_punct("(")))
-        {
-            continue;
-        }
-        // Balance the call's parens, then require `.unwrap(` / `.expect(`.
-        let mut depth = 1i32;
-        let mut j = i + 3;
-        while j < t.len() && depth > 0 {
-            if t[j].is_punct("(") {
-                depth += 1;
-            } else if t[j].is_punct(")") {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        let (Some(dot), Some(panicky)) = (t.get(j), t.get(j + 1)) else {
-            continue;
-        };
-        if dot.is_punct(".") && (panicky.is_ident("unwrap") || panicky.is_ident("expect")) {
-            push(
-                out,
-                PANICKING_MACHINE_ACCESS,
-                file,
-                panicky.line,
-                format!(
-                    "`.{}()` chained onto `.{}(…)`: a chaos-injected machine fault here \
-                     crashes the run with a context-free panic; use \
-                     `PlainAccess::plain(\"what\")` (or handle the error)",
-                    panicky.text,
-                    t[i + 1].text
-                ),
-            );
-        }
-    }
-}
-
-/// D8: flags `.unwrap()` / `.expect(…)` chained onto a `.lock(…)` call in a
-/// real-thread crate. A [`Mutex`](std::sync::Mutex) acquired on real OS
-/// threads can be poisoned by a worker dying while holding it — the native
-/// chaos layer injects exactly such deaths — and an inline unwrap converts
-/// that single death into a panic cascade: every survivor that touches the
-/// mutex dies too, and the run loses the survivors' evidence along with the
-/// victim's. The audited route is `ufotm_native::chaos::lock_recover`, which
-/// hands back the guard (poisoned or not) plus a flag so the caller can
-/// count the recovery.
-fn poisoned_lock_cascade(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.tokens;
-    for i in 0..t.len() {
-        if !(t[i].is_punct(".")
-            && t.get(i + 1).is_some_and(|m| m.is_ident("lock"))
-            && t.get(i + 2).is_some_and(|x| x.is_punct("(")))
-        {
-            continue;
-        }
-        // Balance the call's parens, then require `.unwrap(` / `.expect(`.
-        let mut depth = 1i32;
-        let mut j = i + 3;
-        while j < t.len() && depth > 0 {
-            if t[j].is_punct("(") {
-                depth += 1;
-            } else if t[j].is_punct(")") {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        let (Some(dot), Some(panicky)) = (t.get(j), t.get(j + 1)) else {
-            continue;
-        };
-        if dot.is_punct(".") && (panicky.is_ident("unwrap") || panicky.is_ident("expect")) {
-            push(
-                out,
-                POISONED_LOCK_CASCADE,
-                file,
-                panicky.line,
-                format!(
-                    "`.{}()` chained onto `.lock(…)`: a worker dying while holding this \
-                     mutex poisons it, and the unwrap cascades that one death into a \
-                     panic on every later acquisition; use \
-                     `ufotm_native::chaos::lock_recover` (or match the `PoisonError`)",
-                    panicky.text
-                ),
-            );
-        }
-    }
-}
-
-/// Which call family the bound-result dataflow tracks.
+/// Which call family the unwrap pass tracks: the lint it fires, and what
+/// an unwrapped result risks.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum BoundKind {
-    /// Machine accesses ([`MACHINE_METHODS`]) — the D5 bound form.
+    /// D5: machine accesses ([`MACHINE_METHODS`]) in the deterministic
+    /// scope. Access results on plain-access paths must go through
+    /// `PlainAccess::plain("what")`, which names the operation and is the
+    /// one audited place that may panic on a machine error.
     Machine,
-    /// `Mutex::lock` — the D8 bound form.
+    /// D8: `Mutex::lock` in a real-thread crate. A
+    /// [`Mutex`](std::sync::Mutex) acquired on real OS threads can be
+    /// poisoned by a worker dying while holding it — the native chaos layer
+    /// injects exactly such deaths — and an unwrap converts that single
+    /// death into a panic cascade: every survivor that touches the mutex
+    /// dies too, and the run loses the survivors' evidence along with the
+    /// victim's. The audited route is `ufotm_native::chaos::lock_recover`,
+    /// which hands back the guard (poisoned or not) plus a flag so the
+    /// caller can count the recovery.
     Lock,
+}
+
+impl BoundKind {
+    /// Whether `.method(` is a call of this family.
+    fn tracks(self, method: &str) -> bool {
+        match self {
+            BoundKind::Machine => MACHINE_METHODS.contains(&method),
+            BoundKind::Lock => method == "lock",
+        }
+    }
+
+    /// The lint name, what an inline unwrap risks, and the fix.
+    fn lint(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            BoundKind::Machine => (
+                PANICKING_MACHINE_ACCESS,
+                "a chaos-injected machine fault here crashes the run with a \
+                 context-free panic",
+                "use `PlainAccess::plain(\"what\")` (or handle the error)",
+            ),
+            BoundKind::Lock => (
+                POISONED_LOCK_CASCADE,
+                "a worker dying while holding this mutex poisons it, and the unwrap \
+                 cascades that one death into a panic on every later acquisition",
+                "use `ufotm_native::chaos::lock_recover` (or match the `PoisonError`)",
+            ),
+        }
+    }
+}
+
+/// Whether `t[j..]` starts a tracked call `.method(`.
+fn tracked_call(t: &[Token], j: usize, kind: BoundKind) -> bool {
+    t[j].is_punct(".")
+        && t.get(j + 1)
+            .is_some_and(|m| m.kind == TokenKind::Ident && kind.tracks(&m.text))
+        && t.get(j + 2).is_some_and(|x| x.is_punct("("))
 }
 
 /// Whether the expression starting after token `eq` (a `=`) and ending at
 /// its statement's `;` contains a tracked call; returns the method name.
-fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<(String, usize)> {
+fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<String> {
     let mut depth = 0i32;
     let mut j = eq + 1;
     while j < t.len() {
@@ -702,38 +651,62 @@ fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<(String,
             }
         } else if depth == 0 && tok.is_punct(";") {
             return None;
-        } else if tok.is_punct(".")
-            && t.get(j + 2).is_some_and(|x| x.is_punct("("))
-            && t.get(j + 1).is_some_and(|m| {
-                m.kind == TokenKind::Ident
-                    && match kind {
-                        BoundKind::Machine => MACHINE_METHODS.contains(&m.text.as_str()),
-                        BoundKind::Lock => m.text == "lock",
-                    }
-            })
-        {
-            return Some((t[j + 1].text.clone(), j));
+        } else if tracked_call(t, j, kind) {
+            return Some(t[j + 1].text.clone());
         }
         j += 1;
     }
     None
 }
 
-/// D5/D8 bound form: a local binding whose initializer makes a machine
-/// access (D5) or takes a `Mutex::lock` (D8), unwrapped later in the same
-/// function. The chained-call passes miss `let r = m.load(…); r.unwrap()`
-/// because the unwrap is textually far from the call; this pass closes
-/// that hole with a per-function map of binding name → originating call.
-/// A rebinding of the name (plain `let` or assignment with an untracked
-/// initializer) clears it. Parameters are deliberately out of scope: the
-/// `mop` funnels in `ufotm-tl2`/`ufotm-ustm` unwrap a *parameter* and are
-/// the audited route the chained findings point at.
-fn bound_result_unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
+/// D5/D8: flags `.unwrap()` / `.expect(…)` on the result of a tracked call
+/// (machine access for D5, `Mutex::lock` for D8), in two forms. The
+/// chained form is `.load(…).unwrap()`. The bound form is a local binding
+/// whose initializer makes a tracked call, unwrapped later in the same
+/// function (`let r = m.load(…); … r.unwrap()`): a per-function map of
+/// binding name → originating call finds it. A rebinding of the name
+/// (plain `let` or assignment with an untracked initializer) clears it.
+/// Parameters are deliberately out of scope: the `mop` funnels in
+/// `ufotm-tl2`/`ufotm-ustm` unwrap a *parameter* and are the audited route
+/// the findings point at.
+fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
+    let (lint, risk, fix) = kind.lint();
     let t = &file.tokens;
     let mut bindings: BTreeMap<String, String> = BTreeMap::new();
     let mut i = 0usize;
     while i < t.len() {
         let tok = &t[i];
+        // Chained form: balance the call's parens, then require
+        // `.unwrap(` / `.expect(`.
+        if tracked_call(t, i, kind) {
+            let mut depth = 1i32;
+            let mut j = i + 3;
+            while j < t.len() && depth > 0 {
+                if t[j].is_punct("(") {
+                    depth += 1;
+                } else if t[j].is_punct(")") {
+                    depth -= 1;
+                }
+                j += 1;
+            }
+            if let (Some(dot), Some(panicky)) = (t.get(j), t.get(j + 1)) {
+                if dot.is_punct(".") && (panicky.is_ident("unwrap") || panicky.is_ident("expect")) {
+                    push(
+                        out,
+                        lint,
+                        file,
+                        panicky.line,
+                        format!(
+                            "`.{}()` chained onto `.{}(…)`: {risk}; {fix}",
+                            panicky.text,
+                            t[i + 1].text
+                        ),
+                    );
+                }
+            }
+            i += 1;
+            continue;
+        }
         if tok.is_ident("fn") {
             // A new function body: bindings do not flow across functions.
             bindings.clear();
@@ -767,7 +740,7 @@ fn bound_result_unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKi
                 };
                 if let Some(eq) = eq {
                     match expr_tracked_call(t, eq, kind) {
-                        Some((method, _)) => {
+                        Some(method) => {
                             bindings.insert(name.text.clone(), method);
                         }
                         None => {
@@ -803,17 +776,6 @@ fn bound_result_unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKi
                 .filter(|m| m.is_ident("unwrap") || m.is_ident("expect"))
             {
                 if let Some(method) = bindings.get(&tok.text) {
-                    let (lint, fix) = match kind {
-                        BoundKind::Machine => (
-                            PANICKING_MACHINE_ACCESS,
-                            "use `PlainAccess::plain(\"what\")` (or handle the error)",
-                        ),
-                        BoundKind::Lock => (
-                            POISONED_LOCK_CASCADE,
-                            "use `ufotm_native::chaos::lock_recover` (or match the \
-                             `PoisonError`)",
-                        ),
-                    };
                     push(
                         out,
                         lint,
@@ -822,8 +784,8 @@ fn bound_result_unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKi
                         format!(
                             "`{}.{}()` unwraps the result `.{}(…)` bound into `{}` \
                              earlier in this function; the panic risk is the same as \
-                             the chained form — {}",
-                            tok.text, panicky.text, method, tok.text, fix
+                             the chained form — {fix}",
+                            tok.text, panicky.text, method, tok.text
                         ),
                     );
                 }

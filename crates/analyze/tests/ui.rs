@@ -85,14 +85,14 @@ fn check_fixture(file: &Path) {
     let stem = file.file_stem().unwrap().to_string_lossy();
     if stem == "suppressed" {
         assert!(
-            report.suppressed > 0,
+            report.suppressed() > 0,
             "{}: a suppressed fixture must actually exercise a marker",
             file.display()
         );
     }
     if stem == "negative" {
         assert_eq!(
-            report.suppressed,
+            report.suppressed(),
             0,
             "{}: a negative fixture must be quiet without any markers",
             file.display()
@@ -113,7 +113,7 @@ fn check_group(dir: &Path, files: &[PathBuf]) {
         }
         sources.push(SourceFile::new(&vp, &src));
     }
-    let report = analyze_sources(sources, &[]);
+    let report = analyze_sources(sources);
     let actual: BTreeSet<(String, u32, String)> = report
         .findings
         .iter()
@@ -213,16 +213,19 @@ fn meta_pr4_shift_overflow_is_caught() {
     assert_eq!(shifts, 2, "both raw shifts must be flagged");
 }
 
-fn live_guard_source() -> (String, String) {
+fn live_source(path: &str) -> (String, String) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .unwrap();
-    let path = "crates/native/src/guard.rs";
     (
         path.to_string(),
         fs::read_to_string(root.join(path)).unwrap(),
     )
+}
+
+fn live_guard_source() -> (String, String) {
+    live_source("crates/native/src/guard.rs")
 }
 
 /// The acceptance demo for D10, run against the *live* guard module:
@@ -282,6 +285,46 @@ fn meta_guard_handler_reachable_alloc_is_caught() {
     );
 }
 
+/// The D5/D8 unwrap pass, run against live code: swapping one audited
+/// route for an inline unwrap adds exactly one finding of the right lint,
+/// on the mutated line. D5 is checked on the simulated runtime
+/// (`.plain("…")` → `.unwrap()`), D8 on the native USTM
+/// (`lock_recover(&m)` → `m.lock().unwrap()`).
+#[test]
+fn live_inline_unwraps_are_caught() {
+    let cases = [
+        (
+            "crates/core/src/runtime.rs",
+            "ctx.stall(backoff).plain(\"TL2 backoff\")",
+            "ctx.stall(backoff).unwrap()",
+            "panicking-machine-access",
+        ),
+        (
+            "crates/native/src/ustm.rs",
+            "lock_recover(&self.bins[idx])",
+            "self.bins[idx].lock().unwrap()",
+            "poisoned-lock-cascade",
+        ),
+    ];
+    for (path, needle, sabotage, lint) in cases {
+        let (path, src) = live_source(path);
+        assert_eq!(src.matches(needle).count(), 1, "{path} lost `{needle}`");
+        assert!(
+            analyze_file(&path, &src).is_clean(),
+            "live {path} must be clean"
+        );
+        let line = src[..src.find(needle).unwrap()].lines().count() as u32;
+        let report = analyze_file(&path, &src.replace(needle, sabotage));
+        let found: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.lint)).collect();
+        assert_eq!(
+            found,
+            [(line, lint)],
+            "`{sabotage}` in {path} must add exactly one `{lint}` finding:\n{}",
+            render_text(&report)
+        );
+    }
+}
+
 /// The gate itself: the live workspace must lint clean. Running this from
 /// the tier-1 suite means `cargo test` fails the moment a violation lands,
 /// even before CI's dedicated `cargo xtask analyze` step.
@@ -296,10 +339,6 @@ fn workspace_is_clean() {
         report.is_clean(),
         "workspace has unsuppressed findings:\n{}",
         render_text(&report)
-    );
-    assert_eq!(
-        report.stale_baseline, 0,
-        "analyze-baseline.txt has stale entries"
     );
     assert!(report.files >= 50, "discovery walked too few files");
 }

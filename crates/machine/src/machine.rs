@@ -217,17 +217,6 @@ impl Machine {
         self.btm[cpu].active
     }
 
-    /// The age timestamp of `cpu`'s current transaction (smaller = older).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is not in a transaction.
-    #[must_use]
-    pub fn txn_ts(&self, cpu: CpuId) -> u64 {
-        assert!(self.btm[cpu].active, "cpu {cpu} not in a BTM transaction");
-        self.btm[cpu].ts
-    }
-
     /// Reads the transactional status registers.
     #[must_use]
     pub fn btm_status(&self, cpu: CpuId) -> BtmStatus {

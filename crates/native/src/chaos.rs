@@ -180,16 +180,6 @@ impl ChaosPlan {
         plan
     }
 
-    /// Heavy delays everywhere, no forced aborts.
-    pub fn stall_storm(seed: u64) -> Self {
-        let mut plan = ChaosPlan::quiet(seed);
-        for site in FailSite::ALL {
-            plan.delay_pmil[site.index()] = 250;
-        }
-        plan.delay_spins = 2_000;
-        plan
-    }
-
     /// Add a one-shot worker panic to the schedule.
     pub fn with_panic(mut self, site: FailSite, tid: Option<usize>, hit: u64) -> Self {
         self.panics.push(PanicAt { site, tid, hit });
@@ -610,7 +600,6 @@ mod tests {
         p.delay_pmil[0] = 1001;
         assert!(p.validate().is_err(), "rate above 1000 pmil");
         assert!(ChaosPlan::mixed(9).validate().is_ok());
-        assert!(ChaosPlan::stall_storm(9).validate().is_ok());
     }
 
     #[test]

@@ -19,8 +19,7 @@ use std::collections::BTreeMap;
 use ufotm_core::{HybridPolicy, RunReport, SystemKind, TmBackend, TmShared, TmThread};
 use ufotm_machine::{AbortReason, Addr, Machine, MachineConfig};
 use ufotm_native::{
-    run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeStats,
-    NativeTl2,
+    run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeTl2,
 };
 use ufotm_sim::{Ctx, HandoffMode, Sim, ThreadFn};
 use ufotm_tl2::Tl2Stats;
@@ -335,12 +334,10 @@ pub struct NativeOutcome {
     pub threads: usize,
     /// Workload operations completed (the ops/sec numerator).
     pub ops: u64,
-    /// Merged per-thread TL2 counters (on a hybrid run, the fast path —
-    /// identical to `hybrid.fast`).
-    pub stats: NativeStats,
-    /// Merged hybrid counters. On a TL2-only run the slow-path and
-    /// failover fields are zero and `fast` mirrors `stats`, so
-    /// [`NativeOutcome::total_commits`] is meaningful on both backends.
+    /// Merged hybrid counters; `fast` holds the merged per-thread TL2
+    /// counters. On a TL2-only run the slow-path and failover fields are
+    /// zero, so [`NativeOutcome::total_commits`] is meaningful on both
+    /// backends.
     pub hybrid: HybridStats,
 }
 
@@ -400,7 +397,6 @@ pub fn run_native<W: Workload>(spec: &RunSpec, w: &W) -> NativeOutcome {
         NativeOutcome {
             threads,
             ops: w.ops(seed),
-            stats: hybrid.fast,
             hybrid,
         }
     };
@@ -468,7 +464,6 @@ mod tests {
         let out = NativeOutcome {
             threads: 2,
             ops: 8,
-            stats: hybrid.fast,
             hybrid,
         };
         assert_eq!(out.total_commits(), out.ops);

@@ -329,7 +329,7 @@ mod tests {
     fn kmeans_verifies_on_native_threads() {
         let out = run_native(&RunSpec::new(SystemKind::Tl2, 4), &tiny());
         assert_eq!(out.ops, 96 * 2);
-        assert_eq!(out.stats.commits, 96 * 2, "one commit per assignment");
+        assert_eq!(out.hybrid.fast.commits, 96 * 2, "one commit per assignment");
     }
 
     #[test]

@@ -203,7 +203,7 @@ mod tests {
     fn ssca2_verifies_on_native_threads() {
         let out = run_native(&RunSpec::new(SystemKind::Tl2, 4), &tiny());
         assert_eq!(out.ops, 120);
-        assert_eq!(out.stats.commits, 120, "one commit per edge");
+        assert_eq!(out.hybrid.fast.commits, 120, "one commit per edge");
     }
 
     #[test]

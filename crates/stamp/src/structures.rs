@@ -49,13 +49,6 @@ impl BstMap {
         BstMap { root }
     }
 
-    /// The address of the root pointer cell (for host-side
-    /// setup/verification code).
-    #[must_use]
-    pub fn root_cell(&self) -> Addr {
-        self.root
-    }
-
     /// Transactionally looks up `key`, returning the node address.
     ///
     /// # Errors

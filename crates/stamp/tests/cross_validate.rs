@@ -614,7 +614,7 @@ fn workload_results_agree_between_substrates() {
     };
     let sim = kmeans::run(&RunSpec::new(SystemKind::Tl2, 4), &kp);
     let native = kmeans::run_native(&RunSpec::new(SystemKind::Tl2, 4), &kp);
-    assert_eq!(sim.total_commits(), native.stats.commits);
+    assert_eq!(sim.total_commits(), native.hybrid.fast.commits);
 
     let sp = ssca2::Ssca2Params {
         nodes: 32,
@@ -622,5 +622,5 @@ fn workload_results_agree_between_substrates() {
     };
     let sim = ssca2::run(&RunSpec::new(SystemKind::Tl2, 4), &sp);
     let native = ssca2::run_native(&RunSpec::new(SystemKind::Tl2, 4), &sp);
-    assert_eq!(sim.total_commits(), native.stats.commits);
+    assert_eq!(sim.total_commits(), native.hybrid.fast.commits);
 }

@@ -14,10 +14,11 @@
 //! fault-on-write; write barrier ⇒ fault-on-read + fault-on-write), and the
 //! transaction runs with its own UFO faults disabled. Any non-transactional
 //! access that would violate isolation takes a hardware fault *before* it
-//! completes and is resolved by a software policy ([`NonTFaultPolicy`]) —
-//! no instrumentation of non-transactional code, and no overhead when there
-//! is no conflict. The same mechanism is what lets the hybrid's hardware
-//! transactions run uninstrumented (crate `ufotm-core`).
+//! completes; the fault handler ([`nont_load`]/[`nont_store`]) stalls it
+//! until the owning transaction releases the line — no instrumentation of
+//! non-transactional code, and no overhead when there is no conflict. The
+//! same mechanism is what lets the hybrid's hardware transactions run
+//! uninstrumented (crate `ufotm-core`).
 //!
 //! The otable and transaction-status array live at *simulated addresses*:
 //! every barrier issues real simulated memory traffic, so STM overhead,
@@ -34,7 +35,7 @@ mod retry;
 mod txn;
 
 pub use barrier::UstmTxn;
-pub use nont::{nont_load, nont_store, NonTFaultPolicy};
+pub use nont::{nont_load, nont_store};
 pub use otable::{bin_index, Otable, OtableEntry, OtableOccupancy, Perm};
 pub use retry::retry_wait;
 pub use txn::{TxnSlot, TxnStatus, UstmConfig, UstmShared, UstmStats};

@@ -2,29 +2,17 @@
 //!
 //! With USTM's strong atomicity, plain code needs **no instrumentation**:
 //! a conflicting access simply takes a UFO fault. These helpers are the
-//! fault handler the STM registers (paper §4.2) — they retry the access,
-//! resolving the conflict per a software-defined policy. When there is no
-//! conflict, [`nont_load`]/[`nont_store`] are exactly one machine access.
+//! fault handler the STM registers (paper §4.2) — they stall and retry the
+//! access until the owning transaction releases the line (the paper's
+//! default: software transactions are long-running and almost always
+//! older, so they get priority). When there is no conflict,
+//! [`nont_load`]/[`nont_store`] are exactly one machine access.
 
 use ufotm_machine::{AccessError, Addr, PlainAccess};
 use ufotm_sim::Ctx;
 
 use crate::txn::{TxnStatus, POLL_BACKOFF};
 use crate::HasUstm;
-
-/// How the UFO fault handler resolves a non-transactional conflict with an
-/// in-flight software transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum NonTFaultPolicy {
-    /// Stall the non-transactional access until the owning transaction
-    /// releases the line (the paper's default: software transactions are
-    /// long-running and almost always older, so they get priority).
-    #[default]
-    StallUntilRelease,
-    /// Kill the conflicting software transaction(s) and proceed once they
-    /// unwind.
-    AbortConflictors,
-}
 
 /// A non-transactional load that honours strong atomicity: on a UFO fault it
 /// runs the USTM fault handler and retries.
@@ -60,9 +48,8 @@ pub fn nont_store<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr, value: u64) {
     }
 }
 
-/// The registered UFO fault handler: wakes `retry`-parked owners, applies
-/// the configured policy to live owners, and backs off before the caller
-/// retries the access.
+/// The registered UFO fault handler: wakes `retry`-parked owners and backs
+/// off before the caller retries the access; live owners are waited out.
 fn handle_fault<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr) {
     let cpu = ctx.cpu();
     ctx.with(|w| {
@@ -78,16 +65,8 @@ fn handle_fault<U: HasUstm>(ctx: &mut Ctx<U>, addr: Addr) {
             // borrow ends here and the slots below can be mutated.
             let owners = e.owner_cpus();
             for o in owners {
-                let status = u.slots[o].status;
-                match status {
-                    TxnStatus::Retrying => u.slots[o].woken = true,
-                    TxnStatus::Active
-                        if u.config.nont_policy == NonTFaultPolicy::AbortConflictors
-                            && u.doom(o, cpu) =>
-                    {
-                        u.stats.kills_issued += 1;
-                    }
-                    _ => {}
+                if u.slots[o].status == TxnStatus::Retrying {
+                    u.slots[o].woken = true;
                 }
             }
         }
@@ -163,38 +142,6 @@ mod tests {
         ]);
         assert_eq!(r.machine.peek(DATA), 0);
         assert!(r.shared.stats.nont_faults >= 1);
-    }
-
-    #[test]
-    fn abort_conflictors_policy_kills_the_txn() {
-        let cfg = UstmConfig {
-            nont_policy: NonTFaultPolicy::AbortConflictors,
-            ..Default::default()
-        };
-        let (machine, shared) = world(2, cfg);
-        let r = Sim::new(machine, shared).run(vec![
-            Box::new(|ctx: &mut Ctx<UstmShared>| {
-                let mut txn = UstmTxn::new(0);
-                txn.begin(ctx);
-                txn.write(ctx, DATA, 7).unwrap();
-                // Spin at barriers so the doom is noticed.
-                for _ in 0..200 {
-                    if txn.read(ctx, DATA).is_err() {
-                        return; // killed, rolled back
-                    }
-                    mop(ctx.work(100));
-                }
-                panic!("transaction should have been killed by nonT store");
-            }) as ThreadFn<UstmShared>,
-            Box::new(|ctx: &mut Ctx<UstmShared>| {
-                ctx.set_ufo_enabled(true);
-                mop(ctx.work(500));
-                nont_store(ctx, DATA, 55);
-            }) as ThreadFn<UstmShared>,
-        ]);
-        assert_eq!(r.machine.peek(DATA), 55);
-        assert!(r.shared.stats.kills_issued >= 1);
-        assert_eq!(r.shared.stats.aborts, 1);
     }
 
     #[test]

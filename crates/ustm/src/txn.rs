@@ -59,21 +59,18 @@ pub(crate) const POLL_BACKOFF: u64 = 40;
 
 /// USTM configuration. The barriers' fixed costs (cycles charged beyond
 /// the simulated memory traffic they generate) are constants of this
-/// module; what a run chooses is only these two.
+/// module; what a run chooses is only whether protection is installed.
 #[derive(Clone, Debug)]
 pub struct UstmConfig {
     /// Install UFO protection on owned lines (strong atomicity, §4.2).
     /// `false` gives the paper's weakly-atomic USTM baseline.
     pub strong_atomicity: bool,
-    /// How non-transactional UFO faults are resolved.
-    pub nont_policy: crate::nont::NonTFaultPolicy,
 }
 
 impl Default for UstmConfig {
     fn default() -> Self {
         UstmConfig {
             strong_atomicity: true,
-            nont_policy: crate::nont::NonTFaultPolicy::StallUntilRelease,
         }
     }
 }
@@ -84,7 +81,6 @@ impl UstmConfig {
     pub fn weak() -> Self {
         UstmConfig {
             strong_atomicity: false,
-            ..UstmConfig::default()
         }
     }
 }
@@ -212,9 +208,7 @@ impl UstmShared {
 
     /// Marks `victim`'s transaction as killed by `killer` (no effect unless
     /// the victim is `Active`, not already doomed and not the eldest
-    /// transaction — age spares that one from other transactions, this
-    /// spares it from [`NonTFaultPolicy::AbortConflictors`](crate::NonTFaultPolicy),
-    /// whose plain access then waits it out). Returns whether the doom
+    /// transaction, which age already spares). Returns whether the doom
     /// landed.
     pub fn doom(&mut self, victim: usize, killer: usize) -> bool {
         let s = &mut self.slots[victim];

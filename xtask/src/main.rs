@@ -5,8 +5,6 @@
 //! ```text
 //! cargo xtask analyze                   # human report, exit 1 on findings
 //! cargo xtask analyze --json out.json   # also write the machine report
-//! cargo xtask analyze --baseline FILE   # use an alternate baseline file
-//! cargo xtask analyze --write-baseline  # grandfather current findings
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
@@ -26,7 +24,7 @@ fn repo_root() -> PathBuf {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask analyze [--json PATH] [--baseline PATH] [--write-baseline]\n\
+        "usage: cargo xtask analyze [--json PATH]\n\
          \n\
          Runs the workspace lint passes (see docs/STATIC_ANALYSIS.md):\n\
          {}",
@@ -45,47 +43,19 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let root = repo_root();
-    let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path = root.join("analyze-baseline.txt");
-    let mut write_baseline = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = PathBuf::from(p),
-                None => return usage(),
-            },
-            "--write-baseline" => write_baseline = true,
-            _ => return usage(),
-        }
-    }
+    let json_path = match rest {
+        [] => None,
+        [flag, p] if flag == "--json" => Some(PathBuf::from(p)),
+        _ => return usage(),
+    };
 
-    let report = match analyze::analyze_workspace_with_baseline(&root, &baseline_path) {
+    let report = match analyze::analyze_workspace(&repo_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("analyze: error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if write_baseline {
-        let content = analyze::baseline_content(&report.findings);
-        if let Err(e) = std::fs::write(&baseline_path, content) {
-            eprintln!("analyze: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "analyze: wrote {} entr(ies) to {}",
-            report.findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
 
     print!("{}", analyze::render_text(&report));
     if let Some(p) = json_path {
