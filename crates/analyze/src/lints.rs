@@ -1,4 +1,5 @@
-//! The repo-specific lint passes (D1–D8; D6 is retired and its number not reused).
+//! The repo-specific lint passes (D1–D10; D6 and D7 are retired and their
+//! numbers not reused).
 //!
 //! Each pass is a token-level pattern matcher over [`crate::lexer::Lexed`]
 //! streams with test code stripped. The passes encode *protocol* rules the
@@ -47,12 +48,9 @@
 //!   guard's correctness argument lives in those justifications; an
 //!   unexplained `unsafe` is an unreviewable one.
 //!
-//! One meta pass guards the scope lists themselves:
-//!
-//! * [`UNCLASSIFIED_CRATE`] — a crate that is in neither [`DETERMINISTIC`]
-//!   nor [`HOST_EXEMPT`]. Without it, adding a crate would silently opt it
-//!   out of the determinism lints (the `ufotm-native` crate is the first
-//!   deliberate exemption; every exemption records its justification).
+//! The determinism scope fails closed: every crate is deterministic (D3/D5
+//! apply) unless [`HOST_EXEMPT`] names it with a recorded justification,
+//! so a new crate gets the determinism lints without anyone listing it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,8 +74,6 @@ pub const POISONED_LOCK_CASCADE: &str = "poisoned-lock-cascade";
 pub const SIGNAL_UNSAFE_REACHABLE: &str = "signal-unsafe-reachable";
 /// Lint name: `unsafe` without a `// SAFETY:` justification.
 pub const UNSAFE_WITHOUT_SAFETY_COMMENT: &str = "unsafe-without-safety-comment";
-/// Lint name: crate in neither the deterministic nor the host-exempt list.
-pub const UNCLASSIFIED_CRATE: &str = "unclassified-crate";
 /// Pseudo-lint: a suppression marker missing its `-- <reason>`.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 /// Pseudo-lint: a suppression marker that matched no finding.
@@ -93,7 +89,6 @@ pub const LINTS: &[&str] = &[
     POISONED_LOCK_CASCADE,
     SIGNAL_UNSAFE_REACHABLE,
     UNSAFE_WITHOUT_SAFETY_COMMENT,
-    UNCLASSIFIED_CRATE,
 ];
 
 /// Crates whose code runs under the cycle-charged simulation clock: any
@@ -101,20 +96,12 @@ pub const LINTS: &[&str] = &[
 /// randomness is a determinism bug (D1 scope).
 pub const CYCLE_CHARGED: &[&str] = &["machine", "ustm", "tl2", "core"];
 
-/// Crates that must be free of *host* nondeterminism: everything that runs
-/// inside (or drives) the deterministic simulation — `bench` included: its
-/// artifacts are byte-deterministic and host time is measured in
-/// `benchmark/` only. Host tooling — `analyze` and `xtask` — is excluded
-/// (D3/D5 scope).
-pub const DETERMINISTIC: &[&str] = &[
-    "machine", "ustm", "tl2", "core", "sim", "stamp", "bench", "root",
-];
-
 /// Crates deliberately allowed to observe host state, each with the
-/// recorded justification for its exemption. Every crate in the workspace
-/// must appear either here or in [`DETERMINISTIC`]; an unknown crate fires
-/// [`UNCLASSIFIED_CRATE`] instead of silently skipping the determinism
-/// passes.
+/// recorded justification for its exemption. Every other crate must be
+/// free of *host* nondeterminism (D3/D5 scope): everything that runs inside
+/// (or drives) the deterministic simulation — `bench` included, since its
+/// artifacts are byte-deterministic and host time is measured in
+/// `benchmark/` only — and any crate added later, until it is listed here.
 pub const HOST_EXEMPT: &[(&str, &str)] = &[
     (
         "analyze",
@@ -208,24 +195,17 @@ const STDIO_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"]
 
 /// Runs every pass that applies to `file`, appending findings to `out`.
 pub fn run_passes(file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Finding>) {
-    let in_cycle_charged = CYCLE_CHARGED.contains(&file.crate_name.as_str());
-    let in_deterministic = DETERMINISTIC.contains(&file.crate_name.as_str());
-    if in_cycle_charged {
+    if CYCLE_CHARGED.contains(&file.crate_name.as_str()) {
         nondet_iteration(file, index, out);
     }
     unchecked_cpu_shift(file, out);
-    if in_deterministic {
-        host_nondeterminism(file, out);
-        unwraps(file, out, BoundKind::Machine);
-    }
     stats_merge_exhaustiveness(file, out);
-    let host_exempt = HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name);
-    if host_exempt {
+    if HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name) {
         unwraps(file, out, BoundKind::Lock);
         unsafe_without_safety_comment(file, out);
-    }
-    if !in_deterministic && !host_exempt {
-        unclassified_crate(file, out);
+    } else {
+        host_nondeterminism(file, out);
+        unwraps(file, out, BoundKind::Machine);
     }
 }
 
@@ -235,25 +215,6 @@ pub fn run_passes(file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Findi
 /// them like any other finding.
 pub fn run_workspace_passes(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Finding>) {
     signal_unsafe_reachable(files, graph, out);
-}
-
-/// Meta pass: a crate absent from both scope lists gets one finding per
-/// file, anchored on the first code line so a standalone allow marker at
-/// the top of the file can govern it while the classification is decided.
-fn unclassified_crate(file: &SourceFile, out: &mut Vec<Finding>) {
-    let line = file.code_lines.iter().next().copied().unwrap_or(1);
-    push(
-        out,
-        UNCLASSIFIED_CRATE,
-        file,
-        line,
-        format!(
-            "crate `{}` is in neither `DETERMINISTIC` nor `HOST_EXEMPT`: every crate \
-             must declare whether it may observe host state (classify it in \
-             crates/analyze/src/lints.rs — exemptions record a justification)",
-            file.crate_name
-        ),
-    );
 }
 
 fn push(out: &mut Vec<Finding>, lint: &'static str, file: &SourceFile, line: u32, message: String) {

@@ -151,11 +151,11 @@ fn all_fixtures() -> Vec<PathBuf> {
 #[test]
 fn every_fixture_matches_its_expectations() {
     let fixtures = all_fixtures();
-    // 9 lints × {positive, negative, suppressed} + 2 suppression-hygiene
+    // 8 lints × {positive, negative, suppressed} + 2 suppression-hygiene
     // + 2 meta regressions + 2 bound-form (D5/D8) + 3 multi-file D9 group.
     assert_eq!(
         fixtures.len(),
-        36,
+        33,
         "fixture inventory drifted: {fixtures:?}"
     );
     let mut groups: std::collections::BTreeMap<PathBuf, Vec<PathBuf>> =
@@ -211,6 +211,26 @@ fn meta_pr4_shift_overflow_is_caught() {
         .filter(|f| f.lint == "unchecked-cpu-shift")
         .count();
     assert_eq!(shifts, 2, "both raw shifts must be flagged");
+}
+
+/// The determinism scope fails closed: a crate that `HOST_EXEMPT` does not
+/// name gets D3 for a host clock, with nobody having listed it anywhere.
+#[test]
+fn an_unlisted_crate_is_deterministic() {
+    let src = "use std::time::Instant;\n\npub fn now() -> Instant {\n    Instant::now()\n}\n";
+    let report = analyze_file("crates/newcomer/src/lib.rs", src);
+    let found: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.lint)).collect();
+    assert_eq!(
+        found,
+        [
+            (1, "host-nondeterminism"),
+            (3, "host-nondeterminism"),
+            (4, "host-nondeterminism"),
+        ],
+        "{}",
+        render_text(&report)
+    );
+    assert!(analyze_file("crates/native/src/lib.rs", src).is_clean());
 }
 
 fn live_source(path: &str) -> (String, String) {

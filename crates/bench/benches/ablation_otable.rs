@@ -9,7 +9,7 @@
 //! they read transactionally.
 
 use ufotm_bench::{header, quick, ArtifactWriter};
-use ufotm_core::{SystemKind, TmSharedLayout};
+use ufotm_core::SystemKind;
 use ufotm_machine::AbortReason;
 use ufotm_stamp::harness::RunSpec;
 use ufotm_stamp::vacation::{self, VacationParams};
@@ -21,12 +21,7 @@ fn run_with_bins(
     bins: u64,
 ) -> ufotm_stamp::RunOutcome {
     let mut spec = RunSpec::new(kind, threads);
-    // Shrink the otable by rebuilding the layout: the harness consumes the
-    // machine config, so we pass the knob through a custom layout check.
-    // (TmShared::standard uses 16384 bins; we emulate other sizes by
-    // scaling the machine's memory so the standard layout allocates the
-    // requested count — simpler: expose the sweep through the layout API.)
-    let _ = TmSharedLayout::standard(&spec.machine); // reference layout
+    // The standard layout's 16384 bins, overridden per sweep point.
     spec.otable_bins_override = Some(bins);
     vacation::run(&spec, params)
 }

@@ -2,7 +2,7 @@
 //! system on the five STAMP configurations, across thread counts.
 
 use ufotm_bench::{
-    fig5_systems, header, one_line, print_speedup_table, quick, slug, spec, speedup, thread_counts,
+    fig5_systems, header, one_line, print_speedup_table, quick, slug, speedup, thread_counts,
     ArtifactWriter,
 };
 use ufotm_core::SystemKind;
@@ -59,7 +59,7 @@ fn main() {
     let threads = thread_counts();
     let mut art = ArtifactWriter::new("fig5_speedup");
     for (name, run) in workloads() {
-        let seq = run(&spec(SystemKind::Sequential, 1));
+        let seq = run(&RunSpec::new(SystemKind::Sequential, 1));
         art.push(format!("{}/sequential/1T", slug(name)), &seq);
         println!();
         println!("[{name}] sequential makespan = {} cycles", seq.makespan);
@@ -68,7 +68,7 @@ fn main() {
         for kind in fig5_systems() {
             let mut speedups = Vec::new();
             for &t in &threads {
-                let out = run(&spec(kind, t));
+                let out = run(&RunSpec::new(kind, t));
                 speedups.push(speedup(seq.makespan, out.makespan));
                 details.push(one_line(&out));
                 art.push(format!("{}/{}/{t}T", slug(name), kind.label()), &out);

@@ -1,7 +1,7 @@
 //! Regenerates Figure 6: why hardware transactions aborted, for each hybrid
 //! (and the unbounded HTM for reference) on each workload.
 
-use ufotm_bench::{header, print_abort_breakdown, quick, slug, spec, ArtifactWriter};
+use ufotm_bench::{header, print_abort_breakdown, quick, slug, ArtifactWriter};
 use ufotm_core::SystemKind;
 use ufotm_stamp::harness::{RunOutcome, RunSpec};
 use ufotm_stamp::{genome, kmeans, vacation};
@@ -25,7 +25,7 @@ fn main() {
                 // Trace the run so the report's latency/retry histograms
                 // are populated (host-side only; simulated cycles are
                 // unchanged).
-                let mut s = spec(k, threads);
+                let mut s = RunSpec::new(k, threads);
                 s.trace_cap = 1 << 18;
                 let out = f(&s);
                 out.report.assert_audit_clean();

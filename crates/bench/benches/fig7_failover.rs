@@ -2,8 +2,9 @@
 //! software-failover rate (7a = full range, 7b = low-rate zoom with the
 //! 0 %-rate overheads of §5.3), plus the measured UFO/HyTM crossover.
 
-use ufotm_bench::{header, quick, spec, speedup, ArtifactWriter, Recap};
+use ufotm_bench::{header, quick, speedup, ArtifactWriter, Recap};
 use ufotm_core::SystemKind;
+use ufotm_stamp::harness::RunSpec;
 use ufotm_stamp::micro::{self, MicroParams};
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
         txns_per_thread: txns,
         ..MicroParams::with_rate(rate)
     };
-    let seq = micro::run(&spec(SystemKind::Sequential, 1), &params_at(0.0));
+    let seq = micro::run(&RunSpec::new(SystemKind::Sequential, 1), &params_at(0.0));
     art.push("micro/sequential/1T/rate-0", &seq);
     println!(
         "sequential makespan = {} cycles ({} txns)",
@@ -48,7 +49,7 @@ fn main() {
     for &rate in &rates {
         print!("{:<8.0}", rate * 100.0);
         for (i, &k) in systems.iter().enumerate() {
-            let out = micro::run(&spec(k, threads), &params_at(rate));
+            let out = micro::run(&RunSpec::new(k, threads), &params_at(rate));
             art.push(
                 format!("micro/{}/{threads}T/rate-{:.0}", k.label(), rate * 100.0),
                 &out,
@@ -64,9 +65,12 @@ fn main() {
     // hybrid ≈ pure HTM; PhTM ~2 % more; HyTM more still).
     println!();
     println!("-- Figure 7b: overhead at 0% failover, relative to pure HTM --");
-    let base = micro::run(&spec(SystemKind::UnboundedHtm, threads), &params_at(0.0));
+    let base = micro::run(
+        &RunSpec::new(SystemKind::UnboundedHtm, threads),
+        &params_at(0.0),
+    );
     for &k in &systems {
-        let out = micro::run(&spec(k, threads), &params_at(0.0));
+        let out = micro::run(&RunSpec::new(k, threads), &params_at(0.0));
         let overhead = out.makespan as f64 / base.makespan as f64 - 1.0;
         println!(
             "  {:<14} makespan={:>10}  overhead={:>6.1}%",

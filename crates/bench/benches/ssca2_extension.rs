@@ -6,9 +6,10 @@
 //! should show their fixed per-barrier overhead and nothing else.
 
 use ufotm_bench::{
-    fig5_systems, header, print_speedup_table, quick, spec, speedup, thread_counts, ArtifactWriter,
+    fig5_systems, header, print_speedup_table, quick, speedup, thread_counts, ArtifactWriter,
 };
 use ufotm_core::SystemKind;
+use ufotm_stamp::harness::RunSpec;
 use ufotm_stamp::ssca2::{self, Ssca2Params};
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     };
     let threads = thread_counts();
     let mut art = ArtifactWriter::new("ssca2_extension");
-    let seq = ssca2::run(&spec(SystemKind::Sequential, 1), &params);
+    let seq = ssca2::run(&RunSpec::new(SystemKind::Sequential, 1), &params);
     art.push("ssca2/sequential/1T", &seq);
     println!(
         "sequential makespan = {} cycles ({} edges)",
@@ -29,7 +30,7 @@ fn main() {
     for kind in fig5_systems() {
         let mut speedups = Vec::new();
         for &t in &threads {
-            let out = ssca2::run(&spec(kind, t), &params);
+            let out = ssca2::run(&RunSpec::new(kind, t), &params);
             speedups.push(speedup(seq.makespan, out.makespan));
             art.push(format!("ssca2/{}/{t}T", kind.label()), &out);
         }

@@ -1,7 +1,7 @@
 //! Regenerates Table 4: the simulated-system parameters.
 
 use ufotm_bench::{header, ArtifactWriter};
-use ufotm_machine::{cost, MachineConfig};
+use ufotm_machine::{cost, MachineConfig, L2};
 
 fn main() {
     header("Table 4 — simulation parameters (modelled equivalents)");
@@ -17,9 +17,9 @@ fn main() {
     println!(
         "{:<34} {} sets x {} ways x 64 B = {} KiB",
         "L2 unified cache",
-        cfg.l2.sets(),
-        cfg.l2.ways(),
-        cfg.l2.capacity_bytes() / 1024
+        L2.sets(),
+        L2.ways(),
+        L2.capacity_bytes() / 1024
     );
     println!("{:<34} {} B", "cache line size", 64);
     println!(

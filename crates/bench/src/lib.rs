@@ -29,9 +29,8 @@
 
 use std::collections::BTreeMap;
 
-use ufotm_core::{json_escape, SystemKind};
-use ufotm_machine::AbortReason;
-use ufotm_stamp::harness::{RunOutcome, RunSpec};
+use ufotm_core::{json_escape, SystemKind, ABORT_TAXONOMY};
+use ufotm_stamp::harness::RunOutcome;
 
 /// Whether quick (smoke-test) mode is requested.
 #[must_use]
@@ -95,52 +94,19 @@ pub fn print_speedup_table(workload: &str, threads: &[usize], rows: &[(SystemKin
     }
 }
 
-/// The Figure 6 abort buckets, in presentation order.
-#[must_use]
-pub fn fig6_buckets() -> Vec<(&'static str, Vec<AbortReason>)> {
-    vec![
-        ("conflict", vec![AbortReason::Conflict]),
-        ("nonT-conflict", vec![AbortReason::NonTConflict]),
-        ("ufo-set", vec![AbortReason::UfoSet]),
-        ("ufo-fault", vec![AbortReason::UfoFault]),
-        ("overflow", vec![AbortReason::Overflow]),
-        ("explicit", vec![AbortReason::Explicit]),
-        (
-            "recoverable",
-            vec![
-                AbortReason::Interrupt,
-                AbortReason::PageFault,
-                AbortReason::Spurious,
-            ],
-        ),
-        (
-            "unsupported",
-            vec![
-                AbortReason::Syscall,
-                AbortReason::Io,
-                AbortReason::Exception,
-                AbortReason::Uncacheable,
-                AbortReason::DepthOverflow,
-                AbortReason::IllegalOp,
-            ],
-        ),
-    ]
-}
-
 /// Prints the Figure 6 abort-breakdown table for a set of outcomes.
 pub fn print_abort_breakdown(workload: &str, outcomes: &[&RunOutcome]) {
     println!();
     println!("-- {workload}: HTM aborts per 100 committed txns --");
     print!("{:<14}", "system");
-    for (name, _) in fig6_buckets() {
+    for (name, _) in ABORT_TAXONOMY {
         print!("{name:>14}");
     }
     println!("{:>10}", "commits");
     for o in outcomes {
         print!("{:<14}", o.kind.label());
         let commits = o.total_commits().max(1) as f64;
-        for (_, reasons) in fig6_buckets() {
-            let n: u64 = reasons.iter().map(|&r| o.aborts_for(r)).sum();
+        for (_, n) in o.report.abort_taxonomy() {
             print!("{:>14.1}", n as f64 * 100.0 / commits);
         }
         println!("{:>10}", o.total_commits());
@@ -169,12 +135,6 @@ pub fn slug(s: &str) -> String {
     s.chars()
         .map(|c| if c.is_whitespace() { '-' } else { c })
         .collect()
-}
-
-/// A named run spec builder used by several figures.
-#[must_use]
-pub fn spec(kind: SystemKind, threads: usize) -> RunSpec {
-    RunSpec::new(kind, threads)
 }
 
 /// One recorded run: a label plus its serialized simulated report.
@@ -214,18 +174,6 @@ impl ArtifactWriter {
             label: label.into(),
             report: outcome.report.to_json(),
         });
-    }
-
-    /// Number of runs recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Whether no runs were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
     }
 
     /// The artifact body (deterministic JSON).
@@ -307,6 +255,7 @@ impl Recap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufotm_stamp::harness::RunSpec;
     use ufotm_stamp::micro::{self, MicroParams};
 
     #[test]
@@ -315,7 +264,7 @@ mod tests {
             txns_per_thread: 1,
             ..MicroParams::with_rate(0.0)
         };
-        let outcome = micro::run(&spec(SystemKind::Sequential, 1), &params);
+        let outcome = micro::run(&RunSpec::new(SystemKind::Sequential, 1), &params);
         let mut art = ArtifactWriter::new("escape_test");
         art.push("weird \"label\"\\with\nnewline", &outcome);
         let json = art.to_json();

@@ -19,9 +19,12 @@
 //! | [`SystemKind::Tl2`]        | the TL2 baseline |
 //! | [`SystemKind::GlobalLock`] / [`SystemKind::Sequential`] | lock and serial baselines |
 //!
-//! Workloads are written once against [`Tx`] / [`TmThread::transaction`]
-//! and run unchanged on every system — the same property the paper gets
-//! from compiling each transaction twice (Figure 4).
+//! A transaction body is written once against [`Tx`] /
+//! [`TmThread::transaction`] and runs unchanged on every system — the same
+//! property the paper gets from compiling each transaction twice (Figure
+//! 4). The STAMP workloads go one step further and are written once
+//! against [`TmBackend`], so the same body also runs on the native
+//! real-thread backend.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +44,7 @@ pub use audit::{audit_events, audit_log, AuditReport, AuditViolation, CommitPath
 pub use backend::{BackendStats, Stop, TmBackend, TxScope};
 pub use lockbase::LockShared;
 pub use phtm::PhtmShared;
-pub use policy::{BtmUfoFaultPolicy, HybridPolicy};
+pub use policy::{BtmUfoFaultPolicy, HybridPolicy, BACKOFF_JITTER_PCT};
 pub use report::{
     json_escape, CycleAttribution, Log2Histogram, RunReport, TraceSummary, ABORT_TAXONOMY,
 };

@@ -32,8 +32,11 @@ impl LockShared {
     }
 }
 
+/// Cycles a waiter stalls between two reads of a held lock.
+const SPIN_BACKOFF: u64 = 80;
+
 /// Spins (test-and-test-and-set with backoff) until the lock is acquired.
-pub(crate) fn lock_acquire<U: HasTm>(ctx: &mut Ctx<U>, spin_backoff: u64) {
+pub(crate) fn lock_acquire<U: HasTm>(ctx: &mut Ctx<U>) {
     let cpu = ctx.cpu();
     loop {
         let got = ctx.with(|w| {
@@ -52,7 +55,7 @@ pub(crate) fn lock_acquire<U: HasTm>(ctx: &mut Ctx<U>, spin_backoff: u64) {
         if got {
             return;
         }
-        ctx.stall(spin_backoff).plain("lock spin");
+        ctx.stall(SPIN_BACKOFF).plain("lock spin");
     }
 }
 

@@ -24,6 +24,12 @@ pub enum BtmUfoFaultPolicy {
 pub(crate) const BACKOFF_BASE: u64 = 50;
 /// Consecutive-abort count saturates here (the paper counts "up to 7").
 const BACKOFF_CAP_EXP: u32 = 7;
+/// Percent of each backoff added as seeded random jitter whenever watchdog
+/// tier 1 ([`HybridPolicy::watchdog_hw_attempts`]) is armed: tier 0,
+/// because symmetric contenders otherwise back off in lockstep and
+/// re-collide. Unarmed, the schedule is the paper's pure exponential one.
+/// The native hybrid jitters its fast-path retries by the same share.
+pub const BACKOFF_JITTER_PCT: u64 = 25;
 /// Cycles a [`BtmUfoFaultPolicy::Stall`] retry waits between attempts.
 pub(crate) const UFO_STALL_BACKOFF: u64 = 60;
 
@@ -39,14 +45,11 @@ pub struct HybridPolicy {
     /// contention ("the STM's overhead will increase the transaction's
     /// duration, … increasing contention"; such policies are metastable).
     pub conflict_failover_after: Option<u32>,
-    /// Percent of each backoff added as seeded random jitter (watchdog
-    /// tier 0: randomized backoff breaks symmetric abort ping-pong). `0`
-    /// keeps the paper's pure exponential schedule.
-    pub backoff_jitter_pct: u32,
     /// Watchdog tier 1: after this many *consecutive* hardware aborts of
     /// any recoverable class, stop retrying in hardware and fail the
-    /// transaction over to the STM. `None` (the default) disables the
-    /// watchdog and keeps the paper's retry-forever policy.
+    /// transaction over to the STM. Arming it also jitters every backoff
+    /// by [`BACKOFF_JITTER_PCT`] (tier 0). `None` (the default) disables
+    /// both and keeps the paper's retry-forever policy.
     pub watchdog_hw_attempts: Option<u32>,
     /// Watchdog tier 2: after this many software kills of the same
     /// transaction, run it once more as the eldest software transaction
@@ -99,7 +102,6 @@ impl HybridPolicy {
     #[must_use]
     pub fn watchdog() -> Self {
         HybridPolicy {
-            backoff_jitter_pct: 25,
             watchdog_hw_attempts: Some(16),
             watchdog_sw_kills: Some(8),
             watchdog_stagnation: Some(8),
@@ -137,7 +139,6 @@ mod tests {
     #[test]
     fn watchdog_is_off_by_default_and_bounded_when_armed() {
         let d = HybridPolicy::default();
-        assert_eq!(d.backoff_jitter_pct, 0);
         assert_eq!(d.watchdog_hw_attempts, None);
         assert_eq!(d.watchdog_sw_kills, None);
         assert_eq!(d.watchdog_stagnation, None);
@@ -145,7 +146,6 @@ mod tests {
         assert!(w.watchdog_hw_attempts.is_some());
         assert!(w.watchdog_sw_kills.is_some());
         assert!(w.watchdog_stagnation.is_some());
-        assert!(w.backoff_jitter_pct > 0);
         // The armed watchdog leaves the paper's CM knobs alone.
         assert_eq!(w.conflict_failover_after, None);
         assert_eq!(w.backoff_for(1), d.backoff_for(1));

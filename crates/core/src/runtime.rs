@@ -7,7 +7,7 @@ use ufotm_tl2::Tl2Txn;
 use ufotm_ustm::{nont_load, UstmAbort, UstmTxn};
 
 use crate::lockbase::{lock_acquire, lock_release};
-use crate::policy::{HybridPolicy, BACKOFF_BASE};
+use crate::policy::{HybridPolicy, BACKOFF_BASE, BACKOFF_JITTER_PCT};
 use crate::shared::{HybridStats, SystemKind, TmWorld};
 use crate::trace::{EscalationTier, TraceKind};
 use crate::tx::{Mode, Tx, TxAbort, ALLOC_SYSCALL_COST};
@@ -135,7 +135,7 @@ impl TmThread {
         locked: bool,
     ) -> R {
         if locked {
-            lock_acquire(ctx, 80);
+            lock_acquire(ctx);
         }
         let mut tx = Tx::new(self.cpu, Mode::Plain, self.policy, &mut self.alloc_budget);
         let r = body(&mut tx, ctx);
@@ -179,7 +179,7 @@ impl TmThread {
             }
             if std::mem::take(&mut seated) {
                 let entered = ctx.with(|w| w.machine.now(cpu));
-                lock_acquire(ctx, 80);
+                lock_acquire(ctx);
                 let out = self.ustm_attempt(ctx, body, true);
                 lock_release(ctx);
                 ctx.with(|w| {
@@ -379,17 +379,15 @@ impl TmThread {
     }
 
     /// Exponential backoff after a contention-class abort (Algorithm 3's
-    /// counted backoff), with optional seeded jitter (watchdog tier 0 —
-    /// symmetric contenders otherwise back off in lockstep and re-collide).
+    /// counted backoff), with seeded jitter while the watchdog's tier 1 is
+    /// armed (tier 0 — symmetric contenders otherwise back off in lockstep
+    /// and re-collide).
     fn backoff<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) {
         self.consecutive += 1;
         ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
         let mut cycles = self.policy.backoff_for(self.consecutive);
-        if self.policy.backoff_jitter_pct > 0 {
-            let span = cycles * u64::from(self.policy.backoff_jitter_pct) / 100;
-            if span > 0 {
-                cycles += self.rng.gen_range(0..span);
-            }
+        if self.policy.watchdog_hw_attempts.is_some() {
+            cycles += self.rng.gen_range(0..cycles * BACKOFF_JITTER_PCT / 100);
         }
         ctx.with(|w| w.shared.tm().stats.backoff_cycles += cycles);
         ctx.stall(cycles).plain("backoff stall");

@@ -249,14 +249,14 @@ fn watchdog_breaks_crafted_livelock_with_serial_commit() {
     let mut shared = TmShared::standard(SystemKind::UfoHybrid, &cfg);
     shared.trace.enable(4096);
     let machine = Machine::new(cfg);
-    // Tight limits so the escalation happens quickly; zero jitter keeps
-    // the contenders symmetric (the livelock persists until the watchdog
-    // breaks it, not by luck).
+    // Tight limits so the escalation happens quickly. Arming tier 1 also
+    // jitters each backoff by up to 25 %, which cannot break the livelock
+    // by luck: the largest jittered backoff (8 000 cycles) is still far
+    // shorter than the body's tail below.
     let policy = HybridPolicy {
         watchdog_hw_attempts: Some(6),
         watchdog_sw_kills: Some(2),
         watchdog_stagnation: Some(4),
-        backoff_jitter_pct: 0,
         ..HybridPolicy::default()
     };
     let rounds = 6u64;
@@ -275,10 +275,11 @@ fn watchdog_breaks_crafted_livelock_with_serial_commit() {
                             tx.write(ctx, second, y + 1)?;
                             // Long tail: under requester-wins the doomed
                             // rival restarts (max backoff 50 << 7 = 6400
-                            // cycles) and re-requests these lines long
-                            // before the tail ends — so it dooms us, we
-                            // doom it back, and nobody ever commits until
-                            // the watchdog breaks the cycle.
+                            // cycles, 8 000 jittered) and re-requests
+                            // these lines long before the tail ends — so
+                            // it dooms us, we doom it back, and nobody
+                            // ever commits until the watchdog breaks the
+                            // cycle.
                             tx.work(ctx, 20_000)
                         });
                     }

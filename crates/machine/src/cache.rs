@@ -22,7 +22,7 @@ impl CacheGeometry {
     ///
     /// Panics if `sets` is not a power of two or either argument is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize) -> Self {
+    pub const fn new(sets: usize, ways: usize) -> Self {
         assert!(
             sets > 0 && sets.is_power_of_two(),
             "sets must be a power of two"

@@ -1,5 +1,5 @@
 //! Machine configuration: geometry and hardware policy knobs, plus the
-//! latencies every configuration shares.
+//! latencies and the L2 geometry every configuration shares.
 //!
 //! The values approximate the paper's Table 4 (a 1 GHz out-of-order x86
 //! with a 32 KiB 4-way L1, a 1 MiB 8-way unified L2, 64-byte lines, and a
@@ -43,6 +43,11 @@ pub mod cost {
     /// Servicing a page-out to the swap device.
     pub const PAGE_OUT: u64 = 100_000;
 }
+
+/// The shared L2's geometry (timing only): Table 4's 1 MiB, 8-way
+/// unified cache. No figure varies it, so it is a constant, not
+/// configuration.
+pub const L2: CacheGeometry = CacheGeometry::new(2048, 8);
 
 /// Maximum hardware (flattened) nesting depth: one more `btm_begin` is
 /// [`AbortReason::DepthOverflow`](crate::AbortReason::DepthOverflow).
@@ -94,8 +99,6 @@ pub struct MachineConfig {
     pub memory_words: u64,
     /// Per-CPU L1 data cache geometry (speculative lines must fit here).
     pub l1: CacheGeometry,
-    /// Shared L2 geometry (timing only).
-    pub l2: CacheGeometry,
     /// Timer interrupt quantum in cycles; `None` disables timer interrupts.
     /// A BTM transaction spanning a quantum boundary is aborted with
     /// [`AbortReason::Interrupt`](crate::AbortReason::Interrupt).
@@ -129,9 +132,8 @@ impl MachineConfig {
         assert!((1..=64).contains(&cpus), "cpus must be in 1..=64");
         MachineConfig {
             cpus,
-            memory_words: 1 << 22,           // 32 MiB of simulated data
-            l1: CacheGeometry::new(128, 4),  // 32 KiB, 4-way, 64 B lines
-            l2: CacheGeometry::new(2048, 8), // 1 MiB, 8-way
+            memory_words: 1 << 22,          // 32 MiB of simulated data
+            l1: CacheGeometry::new(128, 4), // 32 KiB, 4-way, 64 B lines
             timer_quantum: Some(200_000),
             btm_unbounded: false,
             ufo_kill_policy: UfoKillPolicy::AllSpeculativeHolders,
@@ -154,7 +156,6 @@ impl MachineConfig {
             cpus,
             memory_words: 1 << 16,
             l1: CacheGeometry::new(4, 2),
-            l2: CacheGeometry::new(64, 4),
             timer_quantum: None,
             btm_unbounded: false,
             ufo_kill_policy: UfoKillPolicy::AllSpeculativeHolders,
@@ -200,8 +201,19 @@ mod tests {
     fn table4_geometry_matches_paper() {
         let c = MachineConfig::table4(16);
         assert_eq!(c.l1.capacity_bytes(), 32 * 1024);
-        assert_eq!(c.l2.capacity_bytes(), 1024 * 1024);
+        assert_eq!(L2.capacity_bytes(), 1024 * 1024);
+        assert_eq!(L2.ways(), 8);
         assert_eq!(cost::NACK_RETRY, 20);
+        // `small()` shrinks the L1 only: after 1024 distinct lines (four
+        // times what a 64-set, 4-way L2 holds) the first one still fills
+        // from the Table 4 L2.
+        let mut m = crate::Machine::new(MachineConfig::small(1));
+        for line in 0..1024 {
+            m.load(0, crate::Addr(line * crate::LINE_BYTES)).unwrap();
+        }
+        let before = m.now(0);
+        m.load(0, crate::Addr(0)).unwrap();
+        assert_eq!(m.now(0) - before, cost::L1_HIT + cost::L2_HIT);
     }
 
     #[test]

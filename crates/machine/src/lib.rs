@@ -71,7 +71,7 @@ pub use bits::{cpu_bit, BitIter};
 pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus};
 pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};
-pub use config::{cost, HwCmPolicy, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH};
+pub use config::{cost, HwCmPolicy, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH, L2};
 pub use machine::{AccessError, AccessResult, CpuId, Machine, PlainAccess};
 pub use rng::{splitmix64, SimRng};
 pub use stats::{CpuStats, MachineStats};

@@ -151,7 +151,7 @@ impl Machine {
             mem: MemImage::new(cfg.memory_words),
             dir: Directory::new(cfg.memory_lines()),
             l1: (0..cpus).map(|_| L1Cache::new(cfg.l1)).collect(),
-            l2: L2Cache::new(cfg.l2),
+            l2: L2Cache::new(crate::config::L2),
             // Pre-size each CPU's speculative buffers to L1 capacity: the
             // bounded BTM can never track more lines than fit in the L1, so
             // the steady state allocates nothing per transaction.

@@ -76,7 +76,7 @@
 
 use std::sync::{Barrier, Mutex};
 
-use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
+use ufotm_core::{BackendStats, HybridPolicy, Stop, TmBackend, TxScope, BACKOFF_JITTER_PCT};
 use ufotm_machine::Addr;
 
 use crate::chaos::lock_recover;
@@ -107,14 +107,6 @@ impl Default for NativeHybridPolicy {
         }
     }
 }
-
-/// Fast-path retry backoff: `BASE << min(aborts, CAP_EXP)` spin units,
-/// ± `JITTER_PCT`% — the simulated `HybridPolicy`'s default schedule,
-/// with jitter on (real threads, unlike sim CPUs, gain nothing from
-/// deterministic lockstep backoff).
-const BACKOFF_BASE: u64 = 50;
-const BACKOFF_CAP_EXP: u32 = 7;
-const BACKOFF_JITTER_PCT: u64 = 25;
 
 /// Shared native hybrid state: the TL2 world (which owns the word
 /// heap), the USTM ownership table, and the serial tier's one seat.
@@ -409,10 +401,12 @@ impl<'a> HybridThread<'a> {
         x
     }
 
-    /// Jittered exponential backoff between fast-path retries (the
-    /// `BACKOFF_*` schedule above).
+    /// Jittered exponential backoff between fast-path retries: the
+    /// simulated hybrids' schedule ([`HybridPolicy::backoff_for`]) in spin
+    /// units, ± [`BACKOFF_JITTER_PCT`] % — jitter always on, because real
+    /// threads, unlike simulated CPUs, gain nothing from lockstep backoff.
     fn backoff(&mut self, consecutive: u32) {
-        let base = BACKOFF_BASE << consecutive.min(BACKOFF_CAP_EXP);
+        let base = HybridPolicy::default().backoff_for(consecutive);
         let span = base * BACKOFF_JITTER_PCT / 100;
         spin_work(base - span + self.next_rand() % (2 * span + 1));
         std::thread::yield_now();

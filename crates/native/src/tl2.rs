@@ -823,8 +823,10 @@ impl<'a> NativeTxn<'a> {
     }
 
     pub(crate) fn backoff(&self) {
-        // Exponential pause backoff, capped like the simulated TL2's
-        // `backoff_base << min(aborts, 6)` schedule.
+        // Exponential pause backoff: 16 spin units, doubled per
+        // consecutive abort up to 6 times. The native TL2's own schedule:
+        // the simulated TL2 path backs off in cycles by
+        // `HybridPolicy::backoff_for`, and nothing compares the two.
         spin_work(16u64 << self.consecutive_aborts.min(6));
     }
 

@@ -12,7 +12,8 @@
 //! a failure names the exact schedule to replay; a per-cell watchdog
 //! aborts the process (echoing the cell again) if a cell wedges
 //! instead of completing — forward progress is an assertion here, not
-//! a hope. `UFOTM_TORTURE_SEEDS` widens the sweep (default 2 seeds).
+//! a hope. `CHAOS_SEEDS` widens the sweep (default 2 seeds) and
+//! `CHAOS_SEED=<n>` replays one seed, as in every simulated sweep.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -24,6 +25,7 @@ use ufotm_native::{
     run_hybrid_threads, run_hybrid_threads_collect, run_threads, run_threads_collect, ChaosPlan,
     FailSite, HybridThread, InjectedPanic, NativeHybrid, NativeHybridPolicy, NativeTl2,
 };
+use ufotm_sim::{for_each_seed, seed_count};
 
 const THREADS: usize = 4;
 const VICTIM: usize = 2;
@@ -333,10 +335,6 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
 #[test]
 fn chaos_matrix_survivors_stay_consistent() {
     quiet_injected_panics();
-    let seeds: u64 = std::env::var("UFOTM_TORTURE_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
     let rotation = [
         FailSite::Tl2Read,
         FailSite::Tl2Commit,
@@ -345,12 +343,12 @@ fn chaos_matrix_survivors_stay_consistent() {
         FailSite::UstmCommit,
         FailSite::UstmSealed,
     ];
-    for s in 0..seeds {
+    for_each_seed(0, seed_count(2), |s| {
         for (wi, &w) in WORKLOADS.iter().enumerate() {
             let site = rotation[(wi + s as usize) % rotation.len()];
             run_cell(w, 0xC0FF_EE00 + s * 0x0101 + wi as u64, site);
         }
-    }
+    });
 }
 
 /// Deterministic TL2 orphan steal: tid 0 dies at its first commit with

@@ -22,7 +22,6 @@ use ufotm_native::{
     run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeTl2,
 };
 use ufotm_sim::{Ctx, HandoffMode, Sim, ThreadFn};
-use ufotm_tl2::Tl2Stats;
 use ufotm_ustm::UstmStats;
 
 use crate::backend::SimBackend;
@@ -116,20 +115,12 @@ pub struct RunOutcome {
     pub sw_commits: u64,
     /// Transactions committed under the lock / serially.
     pub lock_commits: u64,
-    /// Machine-level BTM aborts by reason (Figure 6's raw data).
-    pub aborts: BTreeMap<AbortReason, u64>,
     /// Driver failovers by triggering reason.
     pub failovers: BTreeMap<AbortReason, u64>,
     /// Microbenchmark-forced failovers.
     pub forced_failovers: u64,
     /// USTM counters.
     pub ustm: UstmStats,
-    /// TL2 counters.
-    pub tl2: Tl2Stats,
-    /// PhTM phase aborts.
-    pub phase_aborts: u64,
-    /// PhTM stalls waiting for an STM phase to drain.
-    pub phase_stalls: u64,
     /// Total simulated memory accesses.
     pub accesses: u64,
     /// L1 misses.
@@ -162,13 +153,13 @@ impl RunOutcome {
     /// Total BTM aborts.
     #[must_use]
     pub fn total_aborts(&self) -> u64 {
-        self.aborts.values().sum()
+        self.report.machine.total_aborts()
     }
 
     /// Aborts for one reason.
     #[must_use]
     pub fn aborts_for(&self, reason: AbortReason) -> u64 {
-        self.aborts.get(&reason).copied().unwrap_or(0)
+        self.report.machine.aborts(reason)
     }
 }
 
@@ -237,13 +228,9 @@ pub fn run_workload(
         hw_commits: r.shared.tm.stats.hw_commits,
         sw_commits: r.shared.tm.stats.sw_commits,
         lock_commits: r.shared.tm.stats.lock_commits,
-        aborts: agg.btm_aborts.clone(),
         failovers: r.shared.tm.stats.failovers.clone(),
         forced_failovers: r.shared.tm.stats.forced_failovers,
         ustm: r.shared.tm.ustm.stats,
-        tl2: r.shared.tm.tl2.stats,
-        phase_aborts: r.shared.tm.phtm.phase_aborts,
-        phase_stalls: r.shared.tm.phtm.phase_stalls,
         accesses: agg.accesses,
         l1_misses: agg.l1_misses,
         nacks: agg.nacks,

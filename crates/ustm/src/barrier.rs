@@ -268,24 +268,7 @@ impl UstmTxn {
         if let Err(by) = sealed {
             return Err(self.unwind(ctx, by));
         }
-        let lines: Vec<LineAddr> = self.owned.keys().copied().collect();
-        for line in lines {
-            self.release_line(ctx, line);
-        }
-        ctx.with(|w| {
-            let m = &mut w.machine;
-            let u = w.shared.ustm();
-            u.slots[cpu].status = TxnStatus::Inactive;
-            let slot_addr = u.slot_addr(cpu);
-            mop(m.store(cpu, slot_addr, 0));
-            u.stats.commits += 1;
-            if u.config.strong_atomicity {
-                m.set_ufo_enabled(cpu, true);
-            }
-        });
-        self.active = false;
-        self.owned.clear();
-        self.undo.clear();
+        self.retire(ctx, true);
         Ok(())
     }
 
@@ -356,14 +339,25 @@ impl UstmTxn {
 
     // --- internals -------------------------------------------------------
 
-    /// Takes the undo log (the `retry` path restores it itself).
-    pub(crate) fn take_undo(&mut self) -> Vec<(LineAddr, [u64; WORDS])> {
-        std::mem::take(&mut self.undo)
+    /// Eager versioning: restores the logged pre-images, newest first, and
+    /// empties the undo log (rollback and `retry` both start this way).
+    pub(crate) fn restore_undo<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
+        let cpu = self.cpu;
+        for (line, words) in std::mem::take(&mut self.undo).into_iter().rev() {
+            ctx.with(|w| {
+                let m = &mut w.machine;
+                for (i, word) in words.iter().enumerate() {
+                    mop(m.store(cpu, line.base_addr().add_words(i as u64), *word));
+                }
+            });
+        }
     }
 
-    /// Completes a woken `retry`: releases remaining ownership and retires
-    /// the transaction so it can be reissued.
-    pub(crate) fn finish_retry<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
+    /// Ends every transaction — committed, rolled back or woken from
+    /// `retry`: releases each owned line, then retires the slot
+    /// (`Inactive`, no pending kill or wake, descriptor cleared, this
+    /// thread's UFO faults back on). `committed` counts a commit.
+    pub(crate) fn retire<U: HasUstm>(&mut self, ctx: &mut Ctx<U>, committed: bool) {
         let cpu = self.cpu;
         let lines: Vec<LineAddr> = self.owned.keys().copied().collect();
         for line in lines {
@@ -372,11 +366,15 @@ impl UstmTxn {
         ctx.with(|w| {
             let m = &mut w.machine;
             let u = w.shared.ustm();
-            u.slots[cpu].status = TxnStatus::Inactive;
-            u.slots[cpu].doomed_by = None;
-            u.slots[cpu].woken = false;
+            let slot = &mut u.slots[cpu];
+            slot.status = TxnStatus::Inactive;
+            slot.doomed_by = None;
+            slot.woken = false;
             let slot_addr = u.slot_addr(cpu);
             mop(m.store(cpu, slot_addr, 0));
+            if committed {
+                u.stats.commits += 1;
+            }
             if u.config.strong_atomicity {
                 m.set_ufo_enabled(cpu, true);
             }
@@ -405,33 +403,8 @@ impl UstmTxn {
             u.stats.aborts += 1;
             by.map(|k| u.slots[k].ts)
         });
-        // Eager versioning: restore pre-images, newest first.
-        let undo = std::mem::take(&mut self.undo);
-        for (line, words) in undo.into_iter().rev() {
-            ctx.with(|w| {
-                let m = &mut w.machine;
-                for (i, word) in words.iter().enumerate() {
-                    mop(m.store(cpu, line.base_addr().add_words(i as u64), *word));
-                }
-            });
-        }
-        let lines: Vec<LineAddr> = self.owned.keys().copied().collect();
-        for line in lines {
-            self.release_line(ctx, line);
-        }
-        ctx.with(|w| {
-            let m = &mut w.machine;
-            let u = w.shared.ustm();
-            u.slots[cpu].status = TxnStatus::Inactive;
-            u.slots[cpu].doomed_by = None;
-            let slot_addr = u.slot_addr(cpu);
-            mop(m.store(cpu, slot_addr, 0));
-            if u.config.strong_atomicity {
-                m.set_ufo_enabled(cpu, true);
-            }
-        });
-        self.active = false;
-        self.owned.clear();
+        self.restore_undo(ctx);
+        self.retire(ctx, false);
         self.killed_by = by.zip(killer_ts);
     }
 

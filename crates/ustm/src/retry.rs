@@ -28,15 +28,7 @@ pub fn retry_wait<U: HasUstm>(txn: &mut UstmTxn, ctx: &mut Ctx<U>) -> UstmAbort 
     let cpu = txn.cpu();
     // Phase 1: undo speculative writes, demote ownership to read, park.
     let owned: Vec<_> = txn.owned_lines().collect();
-    let undo = txn.take_undo();
-    for (line, words) in undo.into_iter().rev() {
-        ctx.with(|w| {
-            let m = &mut w.machine;
-            for (i, word) in words.iter().enumerate() {
-                mop(m.store(cpu, line.base_addr().add_words(i as u64), *word));
-            }
-        });
-    }
+    txn.restore_undo(ctx);
     ctx.with(|w| {
         let m = &mut w.machine;
         let u = w.shared.ustm();
@@ -72,7 +64,7 @@ pub fn retry_wait<U: HasUstm>(txn: &mut UstmTxn, ctx: &mut Ctx<U>) -> UstmAbort 
     }
 
     // Phase 3: release remaining ownership and retire; the caller restarts.
-    txn.finish_retry(ctx);
+    txn.retire(ctx, false);
     ctx.with(|w| {
         let u = w.shared.ustm();
         u.stats.retries_woken += 1;
