@@ -94,7 +94,6 @@ pub(crate) struct L1Cache {
     tick: u64,
 }
 
-#[allow(dead_code)] // several accessors exist for tests and diagnostics
 impl L1Cache {
     pub fn new(geo: CacheGeometry) -> Self {
         L1Cache {
@@ -106,10 +105,6 @@ impl L1Cache {
                 .collect(),
             tick: 0,
         }
-    }
-
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geo
     }
 
     fn bump(&mut self) -> u64 {
@@ -124,6 +119,7 @@ impl L1Cache {
             .any(|e| e.line == line)
     }
 
+    #[cfg(test)]
     pub fn entry(&self, line: LineAddr) -> Option<&L1Entry> {
         self.sets[self.geo.set_of(line)]
             .iter()
@@ -238,7 +234,8 @@ impl L1Cache {
             .map(|e| e.line)
     }
 
-    /// Number of resident lines (for tests and stats).
+    /// Number of resident lines.
+    #[cfg(test)]
     pub fn resident(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }

@@ -10,7 +10,7 @@
 //! invariants.
 
 use crate::addr::LineAddr;
-use crate::bits::{cpu_bit, BitIter};
+use crate::bits::cpu_bit;
 use crate::ufo::UfoBits;
 
 /// Directory state for one line.
@@ -57,9 +57,9 @@ impl Directory {
     /// CPUs (other than `except`) currently holding the line. Walks only
     /// the set bits of the sharer mask, so the cost tracks the actual
     /// holder count rather than a fixed 0..64 scan.
-    #[allow(dead_code)] // the hot paths copy the mask via holders_mask_except
-    pub fn holders_except(&self, line: LineAddr, except: usize) -> BitIter {
-        BitIter::new(self.holders_mask_except(line, except))
+    #[cfg(test)]
+    pub fn holders_except(&self, line: LineAddr, except: usize) -> crate::bits::BitIter {
+        crate::bits::BitIter::new(self.holders_mask_except(line, except))
     }
 
     /// The sharer mask with `except` removed. The mask is `Copy`, so

@@ -3,11 +3,18 @@
 //! The designated runner's `Ctx` owns the [`World`]: operations run against
 //! it with no lock, and it moves through the scheduler only at a handoff.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ufotm_machine::{AbortInfo, AccessResult, Addr, BtmEvent, BtmStatus, CpuId, UfoBits};
 
 use crate::engine::{HandoffMode, Shared, World};
+
+/// How many times the runner-up yields its core, waiting for its turn,
+/// before it parks on its condvar. A yield hands the core to the runner
+/// (one syscall, no sleep); the cap bounds the wait of a runner-up whose
+/// turn is far off, e.g. behind a long stretch of the runner's work.
+const YIELD_BUDGET: u32 = 64;
 
 /// Handle through which a logical thread executes operations on its CPU.
 ///
@@ -45,16 +52,33 @@ impl<U> Ctx<U> {
         self.cpu
     }
 
-    /// Blocks on this thread's private condvar until the scheduler
-    /// designates it, then takes the parked world in the same critical
-    /// section and caches the limit.
+    /// Waits until the scheduler designates this thread, then takes the
+    /// parked world in the same critical section and caches the limit.
+    /// The runner-up (the thread the next handoff most likely designates)
+    /// first yields its core while its turn has not come, at most
+    /// [`YIELD_BUDGET`] times; then, and for every other waiter at once,
+    /// it sleeps on its private condvar, flagged `parked` so the handoff
+    /// that designates it knows to wake it.
     #[cold]
     fn wait_for_turn(&mut self) -> Box<World<U>> {
-        let mut sched = self.shared.sched.lock().expect("engine mutex poisoned");
-        while sched.current != self.cpu {
-            sched = self.shared.cvs[self.cpu]
-                .wait(sched)
-                .expect("engine mutex poisoned");
+        let me = self.cpu;
+        let sh = &*self.shared;
+        if sh.mode == HandoffMode::Targeted {
+            let next_in_line = || {
+                sh.turn.load(Ordering::Relaxed) != me && sh.next_up.load(Ordering::Relaxed) == me
+            };
+            for _ in 0..YIELD_BUDGET {
+                if !next_in_line() {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        let mut sched = sh.sched.lock().expect("engine mutex poisoned");
+        while sched.current != me {
+            sched.parked[me] = true;
+            sched = sh.cvs[me].wait(sched).expect("engine mutex poisoned");
+            sched.parked[me] = false;
         }
         self.limit = sched.limit;
         let world = sched.world.take();
@@ -78,8 +102,7 @@ impl<U> Ctx<U> {
             self.world = Some(world);
         } else {
             sched.world = Some(world);
-            drop(sched);
-            self.shared.wake(next);
+            self.shared.hand_to(sched, next);
         }
     }
 
@@ -113,11 +136,6 @@ impl<U> Ctx<U> {
             self.yield_turn(now, world);
         } else {
             self.world = Some(world);
-            if self.shared.mode == HandoffMode::Broadcast {
-                // Legacy cost profile: the old engine re-took the scheduler
-                // lock on every operation even when it kept running.
-                drop(self.shared.sched.lock().expect("engine mutex poisoned"));
-            }
         }
         r
     }

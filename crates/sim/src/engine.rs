@@ -14,18 +14,23 @@
 //!   its `limit`), not on every operation.
 //!
 //! Handoff is *targeted*: the runner pushes its new clock into a min-heap of
-//! waiting threads, pops the next `(clock, id)` minimum, parks the world and
-//! wakes exactly that thread on its private condvar; the woken thread takes
-//! the world in the same critical section that sees it designated. The
-//! legacy broadcast behaviour (`notify_all` of every simulated CPU per
-//! handoff) is preserved behind [`HandoffMode::Broadcast`] as a determinism
-//! oracle — both modes execute operations in the identical order, because
-//! the schedule is a pure function of the simulated clocks (see
-//! `docs/PERF.md` for the full argument).
+//! waiting threads, pops the next `(clock, id)` minimum and parks the world;
+//! the new runner takes it in the same critical section that sees it
+//! designated. The waiting thread the *next* handoff most likely designates
+//! (the runner-up) does not sleep: it yields its core until it sees its turn
+//! in an atomic mirror of the designation, so a handoff to it costs no
+//! futex round trip. Every other waiter parks on its private condvar and is
+//! woken only if it is parked when designated. [`HandoffMode::Broadcast`]
+//! has no yield phase and wakes every simulated CPU at each handoff; it is
+//! the determinism oracle — both modes execute operations in the identical
+//! order, because the schedule is a pure function of the simulated clocks
+//! and is decided only under the sched mutex (see `docs/PERF.md` for the
+//! full argument).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use ufotm_machine::Machine;
 
@@ -49,14 +54,14 @@ pub type ThreadFn<U> = Box<dyn FnOnce(&mut Ctx<U>) + Send>;
 /// How the engine wakes the next designated runner at a handoff.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HandoffMode {
-    /// Wake exactly the next designated runner on its private condvar, and
-    /// let a runner inside its limit skip the scheduler lock entirely.
+    /// The runner-up yields its core until its turn comes, every other
+    /// waiter parks on its private condvar, and a handoff wakes the next
+    /// runner only if it is parked.
     #[default]
     Targeted,
-    /// The legacy engine's behaviour: take the scheduler lock on every
-    /// operation and wake *every* simulated CPU at each handoff. Kept as a
-    /// bit-for-bit determinism oracle for tests; nothing times it.
-    /// Simulated results are identical in both modes.
+    /// No yield phase: every waiter parks, and each handoff wakes *every*
+    /// simulated CPU. Kept as a bit-for-bit determinism oracle for tests;
+    /// nothing times it. Simulated results are identical in both modes.
     Broadcast,
 }
 
@@ -90,7 +95,14 @@ pub(crate) struct Sched<U> {
     pub current: usize,
     /// `current` may keep executing while its clock is ≤ `limit`.
     pub limit: u64,
+    /// The live waiting thread with the smallest `(clock, id)`: the one the
+    /// next handoff designates unless `current` is still the minimum
+    /// ([`NONE`] if nobody waits).
+    next_up: usize,
     pub done: Vec<bool>,
+    /// Set while a thread sleeps on its condvar: a handoff to a thread that
+    /// is not parked (it is yielding, or has yet to look) needs no wake.
+    pub parked: Vec<bool>,
     /// Min-heap of `(clock, id)` for threads that are waiting their turn.
     /// Entries of finished threads go stale and are skipped lazily; a live
     /// thread has exactly one entry while it is not `current`.
@@ -104,14 +116,15 @@ impl<U> Sched<U> {
             world: Some(Box::new(world)),
             current: NONE,
             limit: 0,
+            next_up: NONE,
             done: vec![false; threads],
+            parked: vec![false; threads],
             waiting: (0..threads).map(|t| Reverse((0, t))).collect(),
             quantum,
         };
         // Initial designation: thread 0 (all clocks are 0; ties break by id).
         if let Some((_, first)) = s.pop_min() {
-            s.current = first;
-            s.limit = s.next_limit();
+            s.designate(first);
         }
         s
     }
@@ -126,20 +139,29 @@ impl<U> Sched<U> {
         None
     }
 
-    /// The smallest waiting clock (discarding stale top entries), which
-    /// bounds how long the new runner may batch. A stale-but-not-yet-marked
-    /// entry can only make this *smaller* than necessary, which causes an
-    /// extra (harmless, order-preserving) handoff — never a missed one.
-    fn next_limit(&mut self) -> u64 {
+    /// Makes `next` the runner. Its limit comes from the smallest waiting
+    /// clock (stale top entries discarded), which bounds how long it may
+    /// batch, and that entry's thread is the runner-up. A
+    /// stale-but-not-yet-marked entry can only make the limit *smaller*
+    /// than necessary, which causes an extra (harmless, order-preserving)
+    /// handoff — never a missed one.
+    fn designate(&mut self, next: usize) {
+        self.current = next;
         loop {
             match self.waiting.peek() {
                 Some(&Reverse((_, t))) if self.done[t] => {
                     self.waiting.pop();
                 }
-                Some(&Reverse((clock, _))) => {
-                    return clock.saturating_add(self.quantum);
+                Some(&Reverse((clock, t))) => {
+                    self.limit = clock.saturating_add(self.quantum);
+                    self.next_up = t;
+                    return;
                 }
-                None => return u64::MAX,
+                None => {
+                    self.limit = u64::MAX;
+                    self.next_up = NONE;
+                    return;
+                }
             }
         }
     }
@@ -151,8 +173,7 @@ impl<U> Sched<U> {
         debug_assert_eq!(self.current, me);
         self.waiting.push(Reverse((now, me)));
         let (_, next) = self.pop_min().expect("the runner itself is live");
-        self.current = next;
-        self.limit = self.next_limit();
+        self.designate(next);
         next
     }
 
@@ -161,12 +182,12 @@ impl<U> Sched<U> {
     fn handoff_from_finished(&mut self) -> Option<usize> {
         match self.pop_min() {
             Some((_, next)) => {
-                self.current = next;
-                self.limit = self.next_limit();
+                self.designate(next);
                 Some(next)
             }
             None => {
                 self.current = NONE;
+                self.next_up = NONE;
                 None
             }
         }
@@ -176,19 +197,35 @@ impl<U> Sched<U> {
 pub(crate) struct Shared<U> {
     pub sched: Mutex<Sched<U>>,
     /// One condvar per logical thread, all paired with the `sched` mutex.
-    /// Targeted handoff wakes exactly `cvs[next]`.
+    /// Targeted handoff wakes only `cvs[next]`, and only if it is parked.
     pub cvs: Vec<Condvar>,
+    /// Mirror of `Sched::current`, and of `Sched::next_up`, stored under
+    /// the sched mutex at every designation. Hints for the yield phase
+    /// only: a thread acts on its turn after seeing `current == me` under
+    /// the mutex, so a stale read costs time, never order.
+    pub turn: AtomicUsize,
+    pub next_up: AtomicUsize,
     pub mode: HandoffMode,
     /// Watchdog: panic if any CPU's clock passes this (None = unlimited).
     pub cycle_limit: Option<u64>,
 }
 
 impl<U> Shared<U> {
-    /// Wakes the new designated runner (or, in broadcast mode, everyone).
-    pub fn wake(&self, next: usize) {
+    /// Publishes the designation `sched` just made, releases the lock, and
+    /// wakes the new runner `next` if it sleeps (in broadcast mode, wakes
+    /// everyone). `parked[next]` is read under the mutex, and a waiter sets
+    /// it in the same critical section in which it saw `current != me`, so
+    /// no wake-up is lost.
+    pub fn hand_to(&self, sched: MutexGuard<'_, Sched<U>>, next: usize) {
+        self.turn.store(sched.current, Ordering::Relaxed);
+        self.next_up.store(sched.next_up, Ordering::Relaxed);
+        let parked = sched.parked[next];
+        drop(sched);
         match self.mode {
             HandoffMode::Targeted => {
-                self.cvs[next].notify_one();
+                if parked {
+                    self.cvs[next].notify_one();
+                }
             }
             HandoffMode::Broadcast => {
                 for cv in &self.cvs {
@@ -214,12 +251,11 @@ impl<U> Drop for FinishGuard<'_, U> {
                 sched.done[self.cpu] = true;
                 if sched.current == self.cpu {
                     // The finishing thread was designated: hand off now and
-                    // wake exactly the new runner. (A finished thread that
-                    // is *not* designated leaves only a stale heap entry,
-                    // which the next handoff skips.)
+                    // wake the new runner if it sleeps. (A finished thread
+                    // that is *not* designated leaves only a stale heap
+                    // entry, which the next handoff skips.)
                     if let Some(next) = sched.handoff_from_finished() {
-                        drop(sched);
-                        self.shared.wake(next);
+                        self.shared.hand_to(sched, next);
                     }
                 }
             }
@@ -307,8 +343,11 @@ impl<U: Send> Sim<U> {
             machine: self.machine,
             shared: self.shared,
         };
+        let sched = Sched::new(world, n, self.quantum);
         let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched::new(world, n, self.quantum)),
+            turn: AtomicUsize::new(sched.current),
+            next_up: AtomicUsize::new(sched.next_up),
+            sched: Mutex::new(sched),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             mode: self.mode,
             cycle_limit: self.cycle_limit,
@@ -435,32 +474,103 @@ mod tests {
         assert_eq!(a.finish_times, b.finish_times);
     }
 
+    /// `(thread, clock)` in the order the threads recorded them.
+    type Events = Vec<(usize, u64)>;
+
+    fn run_events(mode: HandoffMode, bodies: Vec<ThreadFn<Events>>) -> SimResult<Events> {
+        let n = bodies.len();
+        Sim::new(machine(n), Vec::new())
+            .handoff_mode(mode)
+            .run(bodies)
+    }
+
+    /// Runs the bodies `make` builds in both modes (at quantum 0, so every
+    /// operation past the runner-up's clock is a handoff) and requires the
+    /// same interleaving, timing and final state.
+    fn assert_matches_broadcast(make: impl Fn() -> Vec<ThreadFn<Events>>) {
+        let t = run_events(HandoffMode::Targeted, make());
+        let b = run_events(HandoffMode::Broadcast, make());
+        assert_eq!(t.shared, b.shared);
+        assert_eq!(t.makespan, b.makespan);
+        assert_eq!(t.finish_times, b.finish_times);
+    }
+
+    /// A body that records `(i, clock)` after each of `works`.
+    fn recorder(i: usize, works: Vec<u64>) -> ThreadFn<Events> {
+        Box::new(move |ctx| {
+            for w in works {
+                ctx.work(w).unwrap();
+                let now = ctx.now();
+                ctx.with(move |w| w.shared.push((i, now)));
+            }
+        })
+    }
+
+    #[test]
+    fn runner_up_past_its_yield_budget_is_woken() {
+        // Thread 1 jumps a million cycles ahead with its first operation,
+        // then waits as the runner-up while thread 0 runs a long stretch.
+        // Thread 0 sleeps on the host between operations (holding the
+        // world, charging no cycles), so thread 1 outlasts its yield
+        // budget and parks; the handoff that finally designates it must
+        // wake it.
+        assert_matches_broadcast(|| {
+            let stretch: ThreadFn<Events> = Box::new(|ctx| {
+                for _ in 0..20 {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    for _ in 0..5_000 {
+                        ctx.work(10).unwrap();
+                    }
+                    let now = ctx.now();
+                    ctx.with(move |w| w.shared.push((0, now)));
+                }
+            });
+            vec![
+                stretch,
+                recorder(1, [1_000_000].into_iter().chain([10; 50]).collect()),
+            ]
+        });
+    }
+
+    #[test]
+    fn runner_up_changes_while_the_old_one_yields() {
+        // Three threads whose clocks leapfrog. A handoff designates the
+        // runner-up while it yields, and the runner-up role moves on at
+        // once — to the old runner, which starts yielding itself, or to
+        // the third thread, which parked when it was last in line and must
+        // later be woken through its parked flag.
+        assert_matches_broadcast(|| {
+            vec![
+                recorder(0, (0..300).map(|k| 3 + k % 4).collect()),
+                recorder(1, (0..300).map(|k| 5 + k % 3).collect()),
+                recorder(2, (0..300).map(|k| 7 + k % 2).collect()),
+            ]
+        });
+    }
+
+    #[test]
+    fn eight_threads_at_quantum_zero_match_broadcast() {
+        for round in 0..4u64 {
+            assert_matches_broadcast(|| {
+                (0..8)
+                    .map(|i| {
+                        let works = (0..60).map(|k| 1 + (i as u64 * 7 + k * 3 + round) % 13);
+                        recorder(i, works.collect())
+                    })
+                    .collect()
+            });
+        }
+    }
+
     #[test]
     fn broadcast_mode_matches_targeted_mode() {
         // The legacy-semantics oracle: both wakeup strategies must produce
         // the identical interleaving, timing, and final state.
-        let run_with = |mode: HandoffMode| {
-            Sim::new(machine(4), Vec::<(usize, u64)>::new())
-                .handoff_mode(mode)
-                .run(
-                    (0..4)
-                        .map(|i| -> ThreadFn<Vec<(usize, u64)>> {
-                            Box::new(move |ctx| {
-                                for k in 0..25 {
-                                    ctx.work(3 + ((i * 7 + k) % 11) as u64).unwrap();
-                                    let now = ctx.now();
-                                    ctx.with(move |w| w.shared.push((i, now)));
-                                }
-                            })
-                        })
-                        .collect(),
-                )
-        };
-        let t = run_with(HandoffMode::Targeted);
-        let b = run_with(HandoffMode::Broadcast);
-        assert_eq!(t.shared, b.shared);
-        assert_eq!(t.makespan, b.makespan);
-        assert_eq!(t.finish_times, b.finish_times);
+        assert_matches_broadcast(|| {
+            (0..4)
+                .map(|i| recorder(i, (0..25).map(|k| 3 + ((i * 7 + k) % 11) as u64).collect()))
+                .collect()
+        });
     }
 
     #[test]

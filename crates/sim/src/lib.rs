@@ -8,20 +8,24 @@
 //! shared [`World`] (the [`Machine`](ufotm_machine::Machine) plus
 //! software-shared state such as an STM's ownership table).
 //!
-//! Logical threads are backed by OS threads parked on private condvars, so
-//! workload code is written as ordinary straight-line Rust — no hand-rolled
-//! state machines — while the simulation stays single-threaded in effect:
-//! exactly one logical thread touches the `World` at a time, and which one
-//! is a pure function of the simulated clocks. Simulated time is therefore
-//! reproducible on any host, including a single-core one.
+//! Logical threads are backed by OS threads, so workload code is written as
+//! ordinary straight-line Rust — no hand-rolled state machines — while the
+//! simulation stays single-threaded in effect: exactly one logical thread
+//! touches the `World` at a time, and which one is a pure function of the
+//! simulated clocks. Simulated time is therefore reproducible on any host,
+//! including a single-core one.
 //!
-//! Host-side, the engine hands off *targeted*: the scheduler tracks waiting
-//! threads in a min-clock heap and wakes exactly the next designated runner
-//! ([`HandoffMode::Targeted`]). The designated runner owns the `World`
-//! outright — it moves through the scheduler's one mutex only at a
-//! handoff — so a runner inside its batching `limit` executes operations
-//! without taking any lock. The legacy thundering-herd wakeup is kept as
-//! [`HandoffMode::Broadcast`] — a determinism oracle. See `docs/PERF.md`.
+//! Host-side, the engine hands off *targeted* ([`HandoffMode::Targeted`]):
+//! the scheduler tracks waiting threads in a min-clock heap, and the
+//! designated runner owns the `World` outright — it moves through the
+//! scheduler's one mutex only at a handoff — so a runner inside its
+//! batching `limit` executes operations without taking any lock. The
+//! runner-up (the waiting thread with the smallest clock) yields its core
+//! until its turn comes, so a handoff to it needs no futex wake and no
+//! sleep; every other waiter sleeps on a private condvar and is woken only
+//! when it is designated while asleep. [`HandoffMode::Broadcast`] — no
+//! yield phase, every CPU woken at each handoff — is kept as the
+//! determinism oracle. See `docs/PERF.md`.
 //!
 //! ```
 //! use ufotm_machine::{Machine, MachineConfig, Addr};

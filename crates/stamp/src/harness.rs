@@ -61,10 +61,10 @@ pub struct RunSpec {
     /// auditor over the run; recording is host-side only and charges no
     /// simulated cycles, so results are unchanged either way.
     pub trace_cap: usize,
-    /// Run the engine in [`HandoffMode::Broadcast`] (the legacy
-    /// `notify_all` scheduler) instead of the default targeted handoff.
-    /// Both modes must simulate bit-identically; this knob exists so the
-    /// determinism regression tests can prove it.
+    /// Run the engine in [`HandoffMode::Broadcast`] (no yield phase, every
+    /// simulated CPU woken at each handoff) instead of the default targeted
+    /// handoff. Both modes must simulate bit-identically; this knob exists
+    /// so the determinism regression tests can prove it.
     pub broadcast_handoff: bool,
 }
 
