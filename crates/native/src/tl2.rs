@@ -5,13 +5,23 @@
 //! [`ufotm-tl2`](ufotm_tl2) crate — striped version-locks keyed by cache
 //! line, a global version clock, read-set validation, lock-ordered
 //! write-back — but executed with `AtomicU64` operations on real host
-//! memory, with **zero simulator involvement**.
+//! memory, with **zero simulator involvement**. One difference is by
+//! design: a fast commit reads the clock and never writes it (TL2's GV5),
+//! and a read that meets a line newer than its snapshot extends the
+//! snapshot instead of aborting.
 //!
-//! ## Protocol (mirrors `ufotm_tl2::Tl2Txn` phase for phase)
+//! ## Protocol (mirrors `ufotm_tl2::Tl2Txn` phase for phase, but for the clock)
 //!
 //! * **begin** — sample the global clock into `rv`.
 //! * **read** — pre-sample the stripe lock, load the word, post-sample;
 //!   valid iff both samples are unlocked, equal, and `version <= rv`.
+//!   A stable, unlocked stripe newer than `rv` extends the snapshot, once
+//!   per read: raise the clock to that version (`fetch_max`, only when the
+//!   clock is behind), revalidate every read-set stripe as unlocked and
+//!   `<= rv`, move `rv` to the raised clock and sample again. Anything
+//!   else is [`Tl2Abort::ReadValidation`]. So a read never aborts on a
+//!   finished commit that the reader's own reads did not overlap; the
+//!   simulated TL2, which has no extension, aborts there.
 //!   Transactional loads and the commit's publication go through the
 //!   heap's never-protected *shadow* view (see [`crate::guard`]): a slow
 //!   commit keeps fast transactions off the lines it is writing with the
@@ -23,10 +33,27 @@
 //! * **commit** — acquire write-stripe locks in sorted stripe order
 //!   (single-shot CAS, [`Tl2Abort::LockBusy`] on contention); as a
 //!   hybrid's fast path, probe the USTM ownership table for each written
-//!   line and yield (`LockBusy` again) to any slow-path owner; bump the
-//!   clock to get `wv`, validate the read set
-//!   ([`Tl2Abort::CommitValidation`] on failure), publish the write set
-//!   with `Release` stores, release each lock stamped `wv`.
+//!   line and yield (`LockBusy` again) to any slow-path owner; draw
+//!   `wv = clock + 1` *without* incrementing the clock, validate the read
+//!   set ([`Tl2Abort::CommitValidation`] on failure), publish the write
+//!   set with `Release` stores, release each lock stamped `wv`.
+//!
+//! ## Why a commit need not move the clock
+//!
+//! Only readers that extend, slow commits (`NativeTl2::tick`), orphan
+//! steals and plain stores move the clock. Two fast commits may draw the
+//! same `wv`. It stays sound because a commit draws `wv` only once every
+//! write stripe is held: once anyone has seen the clock at `c`, every
+//! commit that drew `wv <= c` already holds its stripes, and every commit
+//! yet to draw gets `wv > c`. A transaction whose `rv` is `c` therefore
+//! meets each earlier commit's stripe locked or released with its value,
+//! and each later commit's stripe unmoved or newer than `rv`. Extension
+//! keeps the same order — raise the clock, *then* revalidate — and a
+//! reader raises the clock past every version it moves beyond, so a
+//! later commit cannot reuse that version. Nobody writes the clock on a
+//! fast commit, so these "drew before" relations are reads-before, not
+//! synchronises-with: every load and RMW of the clock and every stripe
+//! load that takes part is `SeqCst`, which costs an x86 load nothing.
 //!
 //! An attempt allocates nothing once its handle is warm: the read set,
 //! the write set and commit's stripe/held scratch are `Vec`s owned by the
@@ -121,10 +148,12 @@ pub struct NativeTl2 {
     heap: WordHeap,
     heap_words: u64,
     locks: Box<[AtomicU64]>,
-    /// Bumped by every writing commit on either path. On a line of its
-    /// own: beside `heap_words`, `mask` and the `locks` pointer, which
-    /// every access reads, each commit of one worker cost every other
-    /// worker a miss on its next access.
+    /// Read, not written, by a fast commit: it moves when a read extends
+    /// its snapshot past it, and on every slow commit, orphan steal and
+    /// plain store (`NativeTl2::tick`). On a line of its own: beside
+    /// `heap_words`, `mask` and the `locks` pointer, which every access
+    /// reads, each move of the clock would cost every worker a miss on
+    /// its next access.
     clock: Padded<AtomicU64>,
     next_free: AtomicU64,
     mask: u64,
@@ -239,9 +268,12 @@ impl NativeTl2 {
         stolen
     }
 
-    /// Draws the next version from the global clock.
+    /// Draws the next version from the global clock and moves the clock
+    /// to it — for the writers that are not fast commits: a sealed slow
+    /// commit, an orphan steal and a plain store. A fast commit draws
+    /// `clock + 1` and leaves the clock alone (module docs).
     pub(crate) fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::AcqRel) + 1
+        self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// The held word a sealed slow-path committer `tid` stamps on the
@@ -458,6 +490,9 @@ pub struct NativeStats {
     pub slow_owner_aborts: u64,
     /// Aborts from commit-time read-set validation.
     pub commit_validation_aborts: u64,
+    /// Reads that met a line newer than the snapshot and extended the
+    /// snapshot instead of aborting. Not an abort class.
+    pub extensions: u64,
 }
 
 impl NativeStats {
@@ -478,6 +513,7 @@ impl NativeStats {
             lock_busy_aborts,
             slow_owner_aborts,
             commit_validation_aborts,
+            extensions,
         } = *other;
         self.begins += begins;
         self.commits += commits;
@@ -485,6 +521,7 @@ impl NativeStats {
         self.lock_busy_aborts += lock_busy_aborts;
         self.slow_owner_aborts += slow_owner_aborts;
         self.commit_validation_aborts += commit_validation_aborts;
+        self.extensions += extensions;
     }
 
     fn count_abort(&mut self, abort: Tl2Abort) {
@@ -578,7 +615,7 @@ impl<'a> NativeTxn<'a> {
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
         assert!(!self.active, "nested native transactions are not supported");
-        self.rv = self.shared.clock.load(Ordering::Acquire);
+        self.rv = self.shared.clock.load(Ordering::SeqCst);
         self.reads.clear();
         self.writes.clear();
         self.active = true;
@@ -599,7 +636,8 @@ impl<'a> NativeTxn<'a> {
         self.fail(Tl2Abort::ReadValidation);
     }
 
-    /// Transactional read with pre/post lock sampling.
+    /// Transactional read with pre/post lock sampling, extending the
+    /// snapshot once if the line is newer than it (module docs).
     ///
     /// The read set logs a stripe once per *run* of reads on it: a lookup
     /// that reads a node's key and then its child pointer from one line
@@ -623,34 +661,83 @@ impl<'a> NativeTxn<'a> {
         }
         let w = shared.word_index(addr);
         let s = shared.stripe_of(addr);
-        let lock = &shared.locks[s];
-        let pre = lock.load(Ordering::Acquire);
-        let value = shared.heap.shadow_word(w).load(Ordering::Acquire);
-        let post = lock.load(Ordering::Acquire);
-        // Unlocked, unchanged, not newer than `rv` (`pre == post` makes
-        // `post` unlocked too).
+        let value = match self.sample(w, s) {
+            Ok(value) => value,
+            Err((pre, post)) => self.read_conflict(w, s, pre, post)?,
+        };
+        if self.reads.last() != Some(&s) {
+            self.reads.push(s);
+        }
+        Ok(value)
+    }
+
+    /// Loads word `w` between two samples of its stripe `s`: `Ok(value)`
+    /// iff both samples are unlocked, equal and not newer than `rv`
+    /// (`pre == post` makes `post` unlocked too), else `Err((pre, post))`.
+    #[inline]
+    fn sample(&self, w: usize, s: usize) -> Result<u64, (u64, u64)> {
+        let lock = &self.shared.locks[s];
+        let pre = lock.load(Ordering::SeqCst);
+        let value = self.shared.heap.shadow_word(w).load(Ordering::Acquire);
+        let post = lock.load(Ordering::SeqCst);
         if pre & HELD == 0 && pre == post && post >> 1 <= self.rv {
-            if self.reads.last() != Some(&s) {
-                self.reads.push(s);
-            }
             Ok(value)
         } else {
-            Err(self.read_conflict(s, post))
+            Err((pre, post))
         }
     }
 
-    /// The failing half of [`NativeTxn::read`], out of line: rolls the
+    /// The half of [`NativeTxn::read`] that did not sample cleanly, out of
+    /// line. A stable, unlocked stripe — so one newer than `rv` — extends
+    /// the snapshot and is sampled again, once. Anything else rolls the
     /// attempt back. A lock stamped by a dead owner would make the stripe
     /// unreadable forever, so a held `post` is stolen if it is an orphan,
     /// and the retry can proceed.
     #[cold]
     #[inline(never)]
-    fn read_conflict(&mut self, s: usize, post: u64) -> Tl2Abort {
+    fn read_conflict(
+        &mut self,
+        w: usize,
+        s: usize,
+        pre: u64,
+        mut post: u64,
+    ) -> Result<u64, Tl2Abort> {
+        if pre & HELD == 0 && pre == post && self.extend(post >> 1) {
+            match self.sample(w, s) {
+                Ok(value) => return Ok(value),
+                Err((_, again)) => post = again,
+            }
+        }
         if post & HELD == HELD {
             self.shared.try_reclaim(s, post);
         }
         self.fail(Tl2Abort::ReadValidation);
-        Tl2Abort::ReadValidation
+        Err(Tl2Abort::ReadValidation)
+    }
+
+    /// Moves the snapshot forward to cover `version`, a stable stripe
+    /// version newer than `rv`: raises the clock to `version` if it is
+    /// behind, *then* checks that every stripe read so far is unlocked and
+    /// not newer than the old `rv`, and takes the raised clock as the new
+    /// `rv`. `false` if a read-set stripe moved or is held. In this order,
+    /// a commit that drew its `wv` before the raise already held its
+    /// stripes when the check ran, and one that draws after it gets a `wv`
+    /// beyond the new `rv`.
+    fn extend(&mut self, version: u64) -> bool {
+        let clock = &self.shared.clock;
+        let mut now = clock.load(Ordering::SeqCst);
+        if now < version {
+            now = clock.fetch_max(version, Ordering::SeqCst).max(version);
+        }
+        let valid = self.reads.iter().all(|&s| {
+            let l = self.shared.locks[s].load(Ordering::SeqCst);
+            l & HELD == 0 && l >> 1 <= self.rv
+        });
+        if valid {
+            self.rv = now;
+            self.stats.extensions += 1;
+        }
+        valid
     }
 
     /// Transactional (buffered) write.
@@ -680,8 +767,8 @@ impl<'a> NativeTxn<'a> {
     }
 
     /// Commits: lock write stripes → (hybrid) yield to slow-path owners →
-    /// bump clock → validate read set → publish → release stamped with the
-    /// new version.
+    /// draw `wv = clock + 1`, leaving the clock as it is → validate read
+    /// set → publish → release stamped `wv`.
     ///
     /// # Errors
     ///
@@ -736,9 +823,10 @@ impl<'a> NativeTxn<'a> {
     }
 
     /// Commit phases 1–3: lock the write set's stripes (and, on a
-    /// hybrid, probe their lines' ownership), bump the clock, validate
-    /// the read set; returns the new version. On `Err`, `self.held` names
-    /// exactly the locks taken so far, for the caller to roll back.
+    /// hybrid, probe their lines' ownership), draw `wv` from the clock
+    /// without moving it, validate the read set; returns `wv`. On `Err`,
+    /// `self.held` names exactly the locks taken so far, for the caller to
+    /// roll back.
     fn lock_and_validate(&mut self) -> Result<u64, Tl2Abort> {
         let shared = self.shared;
         let mine = self.my_lock_word();
@@ -788,17 +876,25 @@ impl<'a> NativeTxn<'a> {
         if shared.chaos.strike(self.tid, FailSite::Tl2LockHeld) {
             return Err(Tl2Abort::LockBusy);
         }
-        // Phase 2: increment the global clock.
-        let wv = shared.tick();
-        // Phase 3: validate the read set (like the simulated TL2, no
-        // rv+1 == wv shortcut — identical classification on both sides).
+        // Phase 2: draw `wv` from the clock without writing it (GV5). Only
+        // here: after every stripe is held, the ownership probe has run and
+        // the strike has passed, so a reader that sees the clock at or past
+        // `wv` finds this commit's stripes held or released at `wv`.
+        let wv = shared.clock.load(Ordering::SeqCst) + 1;
+        // Phase 3: validate the read set. No rv+1 == wv shortcut: with the
+        // clock unmoved, `wv == rv + 1` whenever nobody extended or ticked
+        // since `begin`, however many commits drew the same `wv` and
+        // released a stripe this transaction read — skipping validation
+        // would be unsound. `SeqCst` loads: two commits that each read
+        // what the other writes hold their own stripes, then look at the
+        // other's — one of them must see the other's lock.
         // A stripe this commit itself write-locked must be validated
         // against the version it *displaced* in phase 1: acquisition
         // overwrote the packed version word, but the simulated TL2's
         // struct lock keeps `version` visible while held, and a
         // concurrent commit may have bumped it past rv mid-body.
         for &s in &self.reads {
-            let l = shared.locks[s].load(Ordering::Acquire);
+            let l = shared.locks[s].load(Ordering::SeqCst);
             let bad = if l == mine {
                 let displaced = self
                     .held

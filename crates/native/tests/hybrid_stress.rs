@@ -323,7 +323,9 @@ fn serial_transaction_commits_beside_a_parked_fast_body() {
 /// commits and reports — tid 0 resumes only on that report, so a slow
 /// path that still waited for fast bodies would wedge both (and time out
 /// at the parent). tid 0 then commits without a single abort: the slow
-/// commit moved the clock, not the stripe it had read.
+/// commit ticked the clock (a slow commit still moves it, a fast one only
+/// reads it) but not the stripe tid 0 had read, and tid 0's commit
+/// validates the stripes it read, not the clock.
 #[test]
 fn slow_transaction_commits_beside_a_parked_fast_body() {
     let wedged = "the slow transaction is waiting for the parked fast body";

@@ -68,19 +68,123 @@ fn read_only_commit_is_a_fast_path() {
     assert_eq!(a.stats.total_aborts(), 0);
 }
 
+/// The stripe version of `addr`'s line, read through a debug hold.
+fn version_of(shared: &NativeTl2, addr: Addr) -> u64 {
+    let raw = shared.debug_lock_stripe(addr, 63);
+    shared.debug_restore_stripe(addr, raw);
+    assert_eq!(raw & 1, 0, "{addr:?}'s stripe is held");
+    raw >> 1
+}
+
 #[test]
 fn stale_read_aborts_with_read_validation() {
     let shared = heap();
     let mut a = NativeTxn::new(&shared, 0);
     let mut b = NativeTxn::new(&shared, 1);
-    a.begin(); // rv sampled before B's commit
+    a.begin();
+    assert_eq!(a.read(X).unwrap(), 0); // X enters A's read set
     b.begin();
     b.write(X, 42).unwrap();
     b.commit().unwrap();
-    // X's stripe version is now > A's rv: the read must fail.
+    // X's stripe is now newer than A's rv, and extending the snapshot
+    // would have to revalidate A's own read of X: the read must fail.
     assert_eq!(a.read(X), Err(Tl2Abort::ReadValidation));
     assert!(!a.is_active(), "failed read rolls the attempt back");
     assert_eq!(a.stats.read_validation_aborts, 1);
+    assert_eq!(a.stats.extensions, 0);
+}
+
+/// A fast commit draws its version from the clock and leaves the clock
+/// where it was; its stripes carry the version one past it. The next
+/// round's read of X meets that newer version and extends: the reader,
+/// not the committer, moves the clock.
+#[test]
+fn a_writing_commit_leaves_the_clock_unchanged() {
+    let shared = heap();
+    let y = distinct_stripe_addr(&shared, Addr(1024), X);
+    let mut a = NativeTxn::new(&shared, 0);
+    for round in 1..=3 {
+        a.begin();
+        let v = a.read(X).unwrap();
+        a.write(X, v + 1).unwrap();
+        a.write(y, round).unwrap();
+        let before = shared.clock_now();
+        a.commit().unwrap();
+        assert_eq!(shared.clock_now(), before, "round {round} moved the clock");
+        assert_eq!(version_of(&shared, X), before + 1);
+        assert_eq!(version_of(&shared, y), before + 1);
+    }
+    assert_eq!((shared.peek(X), shared.peek(y)), (3, 3));
+    assert_eq!(a.stats.extensions, 2);
+    assert_eq!(a.stats.total_aborts(), 0);
+}
+
+/// A's first read meets a line B committed after A began. A has read
+/// nothing a commit could have moved, so the read extends A's snapshot
+/// instead of aborting: the clock is raised to the line's version, and
+/// A's `rv` with it — A's read of a second line B wrote at the same
+/// version needs no second extension.
+#[test]
+fn a_first_read_of_a_newer_line_extends_the_snapshot() {
+    let shared = heap();
+    let y = distinct_stripe_addr(&shared, Addr(1024), X);
+    let mut a = NativeTxn::new(&shared, 0);
+    let mut b = NativeTxn::new(&shared, 1);
+    a.begin();
+    b.begin();
+    b.write(X, 42).unwrap();
+    b.write(y, 43).unwrap();
+    b.commit().unwrap();
+    let version = version_of(&shared, X);
+    assert!(shared.clock_now() < version, "B's commit moved the clock");
+
+    assert_eq!(a.read(X), Ok(42));
+    assert!(shared.clock_now() >= version, "the clock was not raised");
+    assert_eq!(a.read(y), Ok(43), "rv did not move to the raised clock");
+    assert_eq!(a.stats.extensions, 1);
+    a.commit().unwrap();
+    assert_eq!(a.stats.total_aborts(), 0);
+}
+
+/// Extension revalidates the read set: it fails, as `ReadValidation`,
+/// when a line A already read has moved past A's snapshot, and when a
+/// line A already read is held by a committer.
+#[test]
+fn extension_fails_when_an_earlier_read_moved_or_is_held() {
+    let shared = heap();
+    let y = distinct_stripe_addr(&shared, Addr(1024), X);
+    let mut a = NativeTxn::new(&shared, 0);
+    let mut b = NativeTxn::new(&shared, 1);
+    let commit_to = |b: &mut NativeTxn<'_>, addr: Addr, value: u64| {
+        b.begin();
+        b.write(addr, value).unwrap();
+        b.commit().unwrap();
+    };
+
+    // Moved: B overwrites Y, which A read, then X, which A has not.
+    a.begin();
+    assert_eq!(a.read(y), Ok(0));
+    commit_to(&mut b, y, 1);
+    commit_to(&mut b, X, 2);
+    assert_eq!(a.read(X), Err(Tl2Abort::ReadValidation));
+    assert_eq!(a.stats.read_validation_aborts, 1);
+
+    // Held: Y is unchanged since A read it, but a committer holds it.
+    a.begin();
+    assert_eq!(a.read(y), Ok(1));
+    commit_to(&mut b, X, 3);
+    let raw = shared.debug_lock_stripe(y, 9);
+    assert_eq!(a.read(X), Err(Tl2Abort::ReadValidation));
+    shared.debug_restore_stripe(y, raw);
+    assert_eq!(a.stats.read_validation_aborts, 2);
+    assert_eq!(a.stats.extensions, 0);
+
+    // Neither: the retry extends and reads the latest X.
+    a.begin();
+    assert_eq!(a.read(y), Ok(1));
+    commit_to(&mut b, X, 4);
+    assert_eq!(a.read(X), Ok(4));
+    assert_eq!(a.stats.extensions, 1);
 }
 
 #[test]
@@ -301,10 +405,11 @@ fn two_words_of_one_line_take_one_stripe_lock() {
     assert_eq!(write_pair(&mut a, 20), Ok(()));
     assert_eq!(a.stats.total_aborts(), 1, "one stripe, locked once");
     assert_eq!((shared.peek(X), shared.peek(x2)), (20, 21));
-    // Released, stamped with the commit's version.
+    // Released, stamped with the commit's version: one past the clock,
+    // which a fast commit does not move.
     let after = shared.debug_lock_stripe(X, 7);
     shared.debug_restore_stripe(X, after);
-    assert_eq!(after, shared.clock_now() << 1);
+    assert_eq!(after, (shared.clock_now() + 1) << 1);
 }
 
 /// The handle reuses its write set and its commit scratch across
