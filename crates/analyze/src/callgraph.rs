@@ -1,7 +1,7 @@
 //! A workspace-wide function and call-graph index.
 //!
-//! The single-file token passes (D1–D8) can only see invariants that are
-//! local to one statement. The guard's async-signal-safety claim is not:
+//! The single-file token passes (D1, D2, D4, D5) can only see invariants
+//! that are local to one statement. The guard's async-signal-safety claim is not:
 //! "nothing reachable from the SIGSEGV handler allocates, locks, or
 //! panics" is a property of the *call graph*, and checking it needs the
 //! whole workspace lexed at once. This module builds that index:

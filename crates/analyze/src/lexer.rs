@@ -63,11 +63,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based line of the comment's first character.
     pub line: u32,
-    /// 1-based line of the comment's last character (equals `line` for
-    /// line comments; block comments can span). Passes that walk
-    /// contiguous comment runs (D10's `SAFETY:` search) need full line
-    /// coverage, not just the start.
-    pub end_line: u32,
     /// Whether the comment is the first non-whitespace on its line (a
     /// standalone marker applies to the next code line; a trailing one to
     /// its own line).
@@ -116,7 +111,6 @@ pub fn lex(src: &str) -> Lexed {
             out.comments.push(Comment {
                 text: b[start..j].iter().collect(),
                 line,
-                end_line: line,
                 standalone: !line_has_code,
             });
             i = j;
@@ -147,7 +141,6 @@ pub fn lex(src: &str) -> Lexed {
             out.comments.push(Comment {
                 text: b[start..end].iter().collect(),
                 line: start_line,
-                end_line: line,
                 standalone,
             });
             i = j;
@@ -431,15 +424,6 @@ mod tests {
         let lines: Vec<u32> = l.tokens.iter().map(|t| t.line).collect();
         assert_eq!(lines.first(), Some(&1));
         assert_eq!(lines.last(), Some(&2));
-    }
-
-    #[test]
-    fn comment_end_lines_cover_block_spans() {
-        let l = lex("/* a\nb\nc */ let x = 1;\n// line\n");
-        assert_eq!(l.comments[0].line, 1);
-        assert_eq!(l.comments[0].end_line, 3);
-        assert_eq!(l.comments[1].line, 4);
-        assert_eq!(l.comments[1].end_line, 4);
     }
 
     #[test]

@@ -1,36 +1,28 @@
-//! The repo-specific lint passes (D1–D10; D6 and D7 are retired and their
-//! numbers not reused).
+//! The repo-specific lint passes (D1, D2, D4, D5, D9). D6 and D7 are
+//! retired; D3, D8 and D10 moved to clippy (the `clippy.toml` files and
+//! `docs/STATIC_ANALYSIS.md`'s "Checked by clippy" table). No number is
+//! reused.
 //!
 //! Each pass is a token-level pattern matcher over [`crate::lexer::Lexed`]
-//! streams with test code stripped. The passes encode *protocol* rules the
-//! compiler cannot check — every one of them corresponds to a bug class
-//! this repo has actually shipped (see `docs/STATIC_ANALYSIS.md` for the
-//! history):
+//! streams with test code stripped. The passes encode *protocol* rules
+//! neither the compiler nor clippy can check — every one of them
+//! corresponds to a bug class this repo has actually shipped (see
+//! `docs/STATIC_ANALYSIS.md` for the history):
 //!
 //! * [`NONDET_ITERATION`] — iterating a `HashMap`/`HashSet` in a
 //!   cycle-charged crate (the PR-3 replay-divergence class).
 //! * [`UNCHECKED_CPU_SHIFT`] — a raw `1 << cpu`-shaped shift outside the
 //!   checked `cpu_bit` helper (the PR-4 owner-mask overflow class).
-//! * [`HOST_NONDETERMINISM`] — host clocks, OS randomness, or
-//!   default-hasher collections inside the deterministic simulation scope.
 //! * [`STATS_MERGE_EXHAUSTIVENESS`] — a stats `fn merge` that does not
 //!   destructure every field (silently drops new counters).
 //! * [`PANICKING_MACHINE_ACCESS`] — `.unwrap()`/`.expect()` chained
 //!   directly onto a machine access in simulation code instead of the
-//!   audited `PlainAccess::plain` route (defined in `ufotm-machine`).
-//! * [`POISONED_LOCK_CASCADE`] — `.unwrap()`/`.expect()` chained onto
-//!   `Mutex::lock` in a real-thread ([`HOST_EXEMPT`]) crate. On real OS
-//!   threads a worker can die holding the mutex (the chaos layer does this
-//!   on purpose); unwrapping the poison error turns that one death into a
-//!   panic cascade through every survivor. The audited route is
-//!   `ufotm_native::chaos::lock_recover`, which recovers the guard and
-//!   reports the poison.
+//!   audited `PlainAccess::plain` route (defined in `ufotm-machine`). It
+//!   matches the chained form *and* the bound form
+//!   (`let r = m.load(…); … r.unwrap()`), via a per-function local binding
+//!   dataflow.
 //!
-//!   D5 and D8 are one pass over two call families: it matches the
-//!   chained form *and* the bound form (`let r = m.load(…); … r.unwrap()`),
-//!   via a per-function local binding dataflow.
-//!
-//! Two passes ride on the workspace call graph ([`crate::callgraph`]):
+//! One pass rides on the workspace call graph ([`crate::callgraph`]):
 //!
 //! * [`SIGNAL_UNSAFE_REACHABLE`] — anything reachable from a signal
 //!   handler root (a function registered via `rt_sigaction`, or marked
@@ -42,17 +34,15 @@
 //!   strong-atomicity guard is busiest. The guard's handler must stay
 //!   atomics + raw syscalls, and this pass machine-checks that instead
 //!   of trusting a doc comment.
-//! * [`UNSAFE_WITHOUT_SAFETY_COMMENT`] — an `unsafe` block, fn, impl, or
-//!   trait in a [`HOST_EXEMPT`] crate without a `// SAFETY:` comment on
-//!   the same line or the contiguous comment run above. The native
-//!   guard's correctness argument lives in those justifications; an
-//!   unexplained `unsafe` is an unreviewable one.
 //!
-//! The determinism scope fails closed: every crate is deterministic (D3/D5
-//! apply) unless [`HOST_EXEMPT`] names it with a recorded justification,
+//! The determinism scope fails closed: every crate is deterministic (D5
+//! applies) unless [`HOST_EXEMPT`] names it with a recorded justification,
 //! so a new crate gets the determinism lints without anyone listing it.
+//! The same list decides which crates carry their own `clippy.toml` (and
+//! so escape the root file's host-nondeterminism ban); a ui test keeps the
+//! two equal.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{Token, TokenKind};
@@ -62,18 +52,12 @@ use crate::{Finding, SourceFile, WorkspaceIndex};
 pub const NONDET_ITERATION: &str = "nondet-iteration";
 /// Lint name: raw `1 << cpu` shift outside the checked helper.
 pub const UNCHECKED_CPU_SHIFT: &str = "unchecked-cpu-shift";
-/// Lint name: host clock / OS randomness / default-hasher collection.
-pub const HOST_NONDETERMINISM: &str = "host-nondeterminism";
 /// Lint name: `fn merge` without an exhaustive field destructure.
 pub const STATS_MERGE_EXHAUSTIVENESS: &str = "stats-merge-exhaustiveness";
 /// Lint name: panicking call chained onto a machine access.
 pub const PANICKING_MACHINE_ACCESS: &str = "panicking-machine-access";
-/// Lint name: unwrapped `Mutex::lock` in a real-thread crate.
-pub const POISONED_LOCK_CASCADE: &str = "poisoned-lock-cascade";
 /// Lint name: allocation/lock/panic/stdio reachable from a signal handler.
 pub const SIGNAL_UNSAFE_REACHABLE: &str = "signal-unsafe-reachable";
-/// Lint name: `unsafe` without a `// SAFETY:` justification.
-pub const UNSAFE_WITHOUT_SAFETY_COMMENT: &str = "unsafe-without-safety-comment";
 /// Pseudo-lint: a suppression marker missing its `-- <reason>`.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 /// Pseudo-lint: a suppression marker that matched no finding.
@@ -83,12 +67,9 @@ pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 pub const LINTS: &[&str] = &[
     NONDET_ITERATION,
     UNCHECKED_CPU_SHIFT,
-    HOST_NONDETERMINISM,
     STATS_MERGE_EXHAUSTIVENESS,
     PANICKING_MACHINE_ACCESS,
-    POISONED_LOCK_CASCADE,
     SIGNAL_UNSAFE_REACHABLE,
-    UNSAFE_WITHOUT_SAFETY_COMMENT,
 ];
 
 /// Crates whose code runs under the cycle-charged simulation clock: any
@@ -98,10 +79,11 @@ pub const CYCLE_CHARGED: &[&str] = &["machine", "ustm", "tl2", "core"];
 
 /// Crates deliberately allowed to observe host state, each with the
 /// recorded justification for its exemption. Every other crate must be
-/// free of *host* nondeterminism (D3/D5 scope): everything that runs inside
-/// (or drives) the deterministic simulation — `bench` included, since its
-/// artifacts are byte-deterministic and host time is measured in
-/// `benchmark/` only — and any crate added later, until it is listed here.
+/// free of *host* nondeterminism (D5 and the root `clippy.toml`'s scope):
+/// everything that runs inside (or drives) the deterministic simulation —
+/// `bench` included, since its artifacts are byte-deterministic and host
+/// time is measured in `benchmark/` only — and any crate added later,
+/// until it is listed here.
 pub const HOST_EXEMPT: &[(&str, &str)] = &[
     (
         "analyze",
@@ -148,14 +130,6 @@ const NONDET_ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Hash-randomized std::collections types (D3): their iteration order — and
-/// with `RandomState`/`DefaultHasher`, their very hashes — change per
-/// process, which is host state leaking into the simulation.
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "RandomState", "DefaultHasher"];
-
-/// Host clock / OS entropy identifiers (D3).
-const HOST_IDENTS: &[&str] = &["Instant", "SystemTime", "thread_rng", "OsRng", "getrandom"];
-
 /// Shift bases that make `base << ident` a CPU-mask-shaped shift (D2).
 const SHIFT_BASES: &[&str] = &["1", "1u8", "1u16", "1u32", "1u64", "1u128", "1usize"];
 
@@ -200,12 +174,8 @@ pub fn run_passes(file: &SourceFile, index: &WorkspaceIndex, out: &mut Vec<Findi
     }
     unchecked_cpu_shift(file, out);
     stats_merge_exhaustiveness(file, out);
-    if HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name) {
-        unwraps(file, out, BoundKind::Lock);
-        unsafe_without_safety_comment(file, out);
-    } else {
-        host_nondeterminism(file, out);
-        unwraps(file, out, BoundKind::Machine);
+    if !HOST_EXEMPT.iter().any(|(c, _)| *c == file.crate_name) {
+        unwraps(file, out);
     }
 }
 
@@ -364,87 +334,6 @@ fn unchecked_cpu_shift(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// D3: flags std hash-collection imports/paths and host clock / OS entropy
-/// identifiers in the deterministic scope. Import lines produce exactly one
-/// finding (at the `use` token) so a single allow marker can cover them.
-fn host_nondeterminism(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.tokens;
-    let mut i = 0usize;
-    while i < t.len() {
-        // use std :: collections :: …ident list… ;
-        if t[i].is_ident("use")
-            && t.get(i + 1).is_some_and(|x| x.is_ident("std"))
-            && t.get(i + 2).is_some_and(|x| x.is_punct(":"))
-            && t.get(i + 3).is_some_and(|x| x.is_punct(":"))
-            && t.get(i + 4).is_some_and(|x| x.is_ident("collections"))
-        {
-            let use_line = t[i].line;
-            let mut j = i + 5;
-            let mut bad: Vec<&str> = Vec::new();
-            while j < t.len() && !t[j].is_punct(";") {
-                if t[j].kind == TokenKind::Ident {
-                    if let Some(h) = HASH_TYPES.iter().find(|h| t[j].text == **h) {
-                        if !bad.contains(h) {
-                            bad.push(h);
-                        }
-                    }
-                }
-                j += 1;
-            }
-            if !bad.is_empty() {
-                push(
-                    out,
-                    HOST_NONDETERMINISM,
-                    file,
-                    use_line,
-                    format!(
-                        "import of hash-randomized collection(s) {} in the deterministic \
-                         scope; per-process hasher seeds are host state (use BTree \
-                         collections or justify with an allow marker)",
-                        bad.join(", ")
-                    ),
-                );
-            }
-            i = j;
-            continue;
-        }
-        // Inline std :: collections :: HashX paths (no import).
-        if t[i].is_ident("std")
-            && t.get(i + 1).is_some_and(|x| x.is_punct(":"))
-            && t.get(i + 2).is_some_and(|x| x.is_punct(":"))
-            && t.get(i + 3).is_some_and(|x| x.is_ident("collections"))
-        {
-            if let Some(h) = t.get(i + 6) {
-                if h.kind == TokenKind::Ident && HASH_TYPES.contains(&h.text.as_str()) {
-                    push(
-                        out,
-                        HOST_NONDETERMINISM,
-                        file,
-                        h.line,
-                        format!("`std::collections::{}` in the deterministic scope", h.text),
-                    );
-                }
-            }
-        }
-        // Host clocks and OS entropy, by identifier. The simulated clock is
-        // `Ctx::now()`; the simulated RNG is `SimRng`.
-        if t[i].kind == TokenKind::Ident && HOST_IDENTS.contains(&t[i].text.as_str()) {
-            push(
-                out,
-                HOST_NONDETERMINISM,
-                file,
-                t[i].line,
-                format!(
-                    "`{}` reads host state; simulation code must use the simulated \
-                     clock (`Ctx`) or `SimRng`",
-                    t[i].text
-                ),
-            );
-        }
-        i += 1;
-    }
-}
-
 /// D4: every `fn merge` must exhaustively destructure `other` — a
 /// `let Stats {{ a, b, c }} = other;` with no `..` rest pattern — so adding
 /// a field without aggregating it becomes a compile error, not a silently
@@ -539,66 +428,18 @@ fn stats_merge_exhaustiveness(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Which call family the unwrap pass tracks: the lint it fires, and what
-/// an unwrapped result risks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BoundKind {
-    /// D5: machine accesses ([`MACHINE_METHODS`]) in the deterministic
-    /// scope. Access results on plain-access paths must go through
-    /// `PlainAccess::plain("what")`, which names the operation and is the
-    /// one audited place that may panic on a machine error.
-    Machine,
-    /// D8: `Mutex::lock` in a real-thread crate. A
-    /// [`Mutex`](std::sync::Mutex) acquired on real OS threads can be
-    /// poisoned by a worker dying while holding it — the native chaos layer
-    /// injects exactly such deaths — and an unwrap converts that single
-    /// death into a panic cascade: every survivor that touches the mutex
-    /// dies too, and the run loses the survivors' evidence along with the
-    /// victim's. The audited route is `ufotm_native::chaos::lock_recover`,
-    /// which hands back the guard (poisoned or not) plus a flag so the
-    /// caller can count the recovery.
-    Lock,
-}
-
-impl BoundKind {
-    /// Whether `.method(` is a call of this family.
-    fn tracks(self, method: &str) -> bool {
-        match self {
-            BoundKind::Machine => MACHINE_METHODS.contains(&method),
-            BoundKind::Lock => method == "lock",
-        }
-    }
-
-    /// The lint name, what an inline unwrap risks, and the fix.
-    fn lint(self) -> (&'static str, &'static str, &'static str) {
-        match self {
-            BoundKind::Machine => (
-                PANICKING_MACHINE_ACCESS,
-                "a chaos-injected machine fault here crashes the run with a \
-                 context-free panic",
-                "use `PlainAccess::plain(\"what\")` (or handle the error)",
-            ),
-            BoundKind::Lock => (
-                POISONED_LOCK_CASCADE,
-                "a worker dying while holding this mutex poisons it, and the unwrap \
-                 cascades that one death into a panic on every later acquisition",
-                "use `ufotm_native::chaos::lock_recover` (or match the `PoisonError`)",
-            ),
-        }
-    }
-}
-
-/// Whether `t[j..]` starts a tracked call `.method(`.
-fn tracked_call(t: &[Token], j: usize, kind: BoundKind) -> bool {
+/// Whether `t[j..]` starts a machine access `.method(` ([`MACHINE_METHODS`]).
+fn tracked_call(t: &[Token], j: usize) -> bool {
     t[j].is_punct(".")
-        && t.get(j + 1)
-            .is_some_and(|m| m.kind == TokenKind::Ident && kind.tracks(&m.text))
+        && t.get(j + 1).is_some_and(|m| {
+            m.kind == TokenKind::Ident && MACHINE_METHODS.contains(&m.text.as_str())
+        })
         && t.get(j + 2).is_some_and(|x| x.is_punct("("))
 }
 
 /// Whether the expression starting after token `eq` (a `=`) and ending at
 /// its statement's `;` contains a tracked call; returns the method name.
-fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<String> {
+fn expr_tracked_call(t: &[Token], eq: usize) -> Option<String> {
     let mut depth = 0i32;
     let mut j = eq + 1;
     while j < t.len() {
@@ -612,7 +453,7 @@ fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<String> 
             }
         } else if depth == 0 && tok.is_punct(";") {
             return None;
-        } else if tracked_call(t, j, kind) {
+        } else if tracked_call(t, j) {
             return Some(t[j + 1].text.clone());
         }
         j += 1;
@@ -620,18 +461,20 @@ fn expr_tracked_call(t: &[Token], eq: usize, kind: BoundKind) -> Option<String> 
     None
 }
 
-/// D5/D8: flags `.unwrap()` / `.expect(…)` on the result of a tracked call
-/// (machine access for D5, `Mutex::lock` for D8), in two forms. The
-/// chained form is `.load(…).unwrap()`. The bound form is a local binding
-/// whose initializer makes a tracked call, unwrapped later in the same
-/// function (`let r = m.load(…); … r.unwrap()`): a per-function map of
-/// binding name → originating call finds it. A rebinding of the name
-/// (plain `let` or assignment with an untracked initializer) clears it.
-/// Parameters are deliberately out of scope: the `mop` funnels in
-/// `ufotm-tl2`/`ufotm-ustm` unwrap a *parameter* and are the audited route
-/// the findings point at.
-fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
-    let (lint, risk, fix) = kind.lint();
+/// D5: flags `.unwrap()` / `.expect(…)` on the result of a machine access
+/// in the deterministic scope, in two forms. Access results on
+/// plain-access paths must go through `PlainAccess::plain("what")`, which
+/// names the operation and is the one audited place that may panic on a
+/// machine error. The chained form is `.load(…).unwrap()`. The bound form
+/// is a local binding whose initializer makes a tracked call, unwrapped
+/// later in the same function (`let r = m.load(…); … r.unwrap()`): a
+/// per-function map of binding name → originating call finds it. A
+/// rebinding of the name (plain `let` or assignment with an untracked
+/// initializer) clears it. Parameters are deliberately out of scope: the
+/// `mop` funnels in `ufotm-tl2`/`ufotm-ustm` unwrap a *parameter* and are
+/// the audited route the findings point at.
+fn unwraps(file: &SourceFile, out: &mut Vec<Finding>) {
+    let fix = "use `PlainAccess::plain(\"what\")` (or handle the error)";
     let t = &file.tokens;
     let mut bindings: BTreeMap<String, String> = BTreeMap::new();
     let mut i = 0usize;
@@ -639,7 +482,7 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
         let tok = &t[i];
         // Chained form: balance the call's parens, then require
         // `.unwrap(` / `.expect(`.
-        if tracked_call(t, i, kind) {
+        if tracked_call(t, i) {
             let mut depth = 1i32;
             let mut j = i + 3;
             while j < t.len() && depth > 0 {
@@ -654,11 +497,12 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
                 if dot.is_punct(".") && (panicky.is_ident("unwrap") || panicky.is_ident("expect")) {
                     push(
                         out,
-                        lint,
+                        PANICKING_MACHINE_ACCESS,
                         file,
                         panicky.line,
                         format!(
-                            "`.{}()` chained onto `.{}(…)`: {risk}; {fix}",
+                            "`.{}()` chained onto `.{}(…)`: a chaos-injected machine fault \
+                             here crashes the run with a context-free panic; {fix}",
                             panicky.text,
                             t[i + 1].text
                         ),
@@ -700,7 +544,7 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
                     k += 1;
                 };
                 if let Some(eq) = eq {
-                    match expr_tracked_call(t, eq, kind) {
+                    match expr_tracked_call(t, eq) {
                         Some(method) => {
                             bindings.insert(name.text.clone(), method);
                         }
@@ -720,7 +564,7 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
             && t.get(i + 1).is_some_and(|x| x.is_punct("="))
             && !t.get(i + 2).is_some_and(|x| x.is_punct("="))
         {
-            if expr_tracked_call(t, i + 1, kind).is_none() {
+            if expr_tracked_call(t, i + 1).is_none() {
                 bindings.remove(&tok.text);
             }
             i += 1;
@@ -739,7 +583,7 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
                 if let Some(method) = bindings.get(&tok.text) {
                     push(
                         out,
-                        lint,
+                        PANICKING_MACHINE_ACCESS,
                         file,
                         panicky.line,
                         format!(
@@ -753,61 +597,6 @@ fn unwraps(file: &SourceFile, out: &mut Vec<Finding>, kind: BoundKind) {
             }
         }
         i += 1;
-    }
-}
-
-/// D10: every `unsafe` block / fn / impl / trait in a [`HOST_EXEMPT`]
-/// crate must carry a `// SAFETY:` comment on the same line or in the
-/// contiguous comment run directly above. `#[unsafe(naked)]`-style
-/// attribute tokens are not flagged (the item they decorate is).
-fn unsafe_without_safety_comment(file: &SourceFile, out: &mut Vec<Finding>) {
-    let mut comment_lines: BTreeSet<u32> = BTreeSet::new();
-    let mut safety_lines: BTreeSet<u32> = BTreeSet::new();
-    for c in &file.comments {
-        for l in c.line..=c.end_line {
-            comment_lines.insert(l);
-            if c.text.contains("SAFETY:") {
-                safety_lines.insert(l);
-            }
-        }
-    }
-    let t = &file.tokens;
-    for i in 0..t.len() {
-        if !t[i].is_ident("unsafe") {
-            continue;
-        }
-        let next = t.get(i + 1);
-        if next.is_some_and(|x| x.is_punct("(")) {
-            continue; // the `unsafe(...)` attribute form
-        }
-        let what = match next {
-            Some(x) if x.is_punct("{") => "unsafe block",
-            Some(x) if x.is_ident("fn") => "unsafe fn",
-            Some(x) if x.is_ident("extern") => "unsafe extern fn",
-            Some(x) if x.is_ident("impl") => "unsafe impl",
-            Some(x) if x.is_ident("trait") => "unsafe trait",
-            _ => "unsafe item",
-        };
-        let line = t[i].line;
-        let mut justified = safety_lines.contains(&line);
-        let mut k = line.saturating_sub(1);
-        while !justified && k > 0 && comment_lines.contains(&k) {
-            justified = safety_lines.contains(&k);
-            k -= 1;
-        }
-        if !justified {
-            push(
-                out,
-                UNSAFE_WITHOUT_SAFETY_COMMENT,
-                file,
-                line,
-                format!(
-                    "{what} without a `// SAFETY:` comment (same line or the comment \
-                     block directly above): every unsafe site must record the invariant \
-                     that makes it sound, or reviewers cannot audit it"
-                ),
-            );
-        }
     }
 }
 

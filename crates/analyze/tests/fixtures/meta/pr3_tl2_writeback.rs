@@ -5,9 +5,9 @@
 //! `for (&addr, &val) in log.iter()` at commit. Store order reached the
 //! simulated memory system in hasher order, so two runs of the *same
 //! seed* charged coherence traffic in different interleavings and the
-//! bit-identical replay check failed. D1 (and D3, at the import) must
-//! both catch the pattern if it is ever reintroduced.
-use std::collections::HashMap; //~ host-nondeterminism
+//! bit-identical replay check failed. D1 must catch the pattern if it is
+//! ever reintroduced (clippy's `disallowed_types` flags the import).
+use std::collections::HashMap;
 
 pub struct WriteLog {
     entries: HashMap<u64, u64>,

@@ -1,6 +1,6 @@
 //@ path: crates/ustm/src/fixture.rs
 //! D1 positive: hasher-ordered iteration in a cycle-charged crate.
-use std::collections::{HashMap, HashSet}; //~ host-nondeterminism
+use std::collections::{HashMap, HashSet};
 
 pub struct OwnerTable {
     entries: HashMap<u64, u64>,

@@ -1,6 +1,5 @@
 //@ path: crates/ustm/src/fixture.rs
 //! D1 suppressed: a justified order-insensitive sweep.
-// analyze: allow(host-nondeterminism) -- hot-path membership state; the only iteration below is allow-marked order-insensitive.
 use std::collections::HashSet;
 
 pub struct Tracker {

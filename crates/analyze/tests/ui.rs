@@ -11,17 +11,29 @@
 //! (all group files in the same directory form one virtual workspace), so
 //! the call-graph passes can follow edges across files — that is how the
 //! two-hops-from-the-handler D9 case is proven.
+//!
+//! The lints that moved to clippy are gated here too, so `cargo test`
+//! keeps failing when they fire: [`clippy_gate_is_clean`] runs them.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
+use ufotm_analyze::lints::HOST_EXEMPT;
 use ufotm_analyze::{
     analyze_file, analyze_sources, analyze_workspace, render_text, Report, SourceFile,
 };
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .unwrap()
 }
 
 /// Reads the `//@ path: <virtual path>` directive off the first line.
@@ -151,11 +163,11 @@ fn all_fixtures() -> Vec<PathBuf> {
 #[test]
 fn every_fixture_matches_its_expectations() {
     let fixtures = all_fixtures();
-    // 8 lints × {positive, negative, suppressed} + 2 suppression-hygiene
-    // + 2 meta regressions + 2 bound-form (D5/D8) + 3 multi-file D9 group.
+    // 5 lints × {positive, negative, suppressed} + 2 suppression-hygiene
+    // + 2 meta regressions + 1 bound-form (D5) + 3 multi-file D9 group.
     assert_eq!(
         fixtures.len(),
-        33,
+        23,
         "fixture inventory drifted: {fixtures:?}"
     );
     let mut groups: std::collections::BTreeMap<PathBuf, Vec<PathBuf>> =
@@ -183,7 +195,7 @@ fn every_fixture_matches_its_expectations() {
 }
 
 /// The PR-3 regression (hasher-ordered TL2 write-back) is caught by D1 at
-/// the iteration and D3 at the import.
+/// the iteration.
 #[test]
 fn meta_pr3_hashmap_writeback_is_caught() {
     let file = fixtures_dir().join("meta/pr3_tl2_writeback.rs");
@@ -192,10 +204,6 @@ fn meta_pr3_hashmap_writeback_is_caught() {
     assert!(
         lints.contains("nondet-iteration"),
         "D1 must flag the write-back loop: {lints:?}"
-    );
-    assert!(
-        lints.contains("host-nondeterminism"),
-        "D3 must flag the HashMap import: {lints:?}"
     );
 }
 
@@ -214,19 +222,16 @@ fn meta_pr4_shift_overflow_is_caught() {
 }
 
 /// The determinism scope fails closed: a crate that `HOST_EXEMPT` does not
-/// name gets D3 for a host clock, with nobody having listed it anywhere.
+/// name gets D5 for an inline unwrap of a machine access, with nobody
+/// having listed it anywhere.
 #[test]
 fn an_unlisted_crate_is_deterministic() {
-    let src = "use std::time::Instant;\n\npub fn now() -> Instant {\n    Instant::now()\n}\n";
+    let src = "pub fn peek(m: &mut Machine) -> u64 {\n    m.load(0, 0).unwrap()\n}\n";
     let report = analyze_file("crates/newcomer/src/lib.rs", src);
     let found: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.lint)).collect();
     assert_eq!(
         found,
-        [
-            (1, "host-nondeterminism"),
-            (3, "host-nondeterminism"),
-            (4, "host-nondeterminism"),
-        ],
+        [(2, "panicking-machine-access")],
         "{}",
         render_text(&report)
     );
@@ -234,45 +239,10 @@ fn an_unlisted_crate_is_deterministic() {
 }
 
 fn live_source(path: &str) -> (String, String) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap();
     (
         path.to_string(),
-        fs::read_to_string(root.join(path)).unwrap(),
+        fs::read_to_string(workspace_root().join(path)).unwrap(),
     )
-}
-
-fn live_guard_source() -> (String, String) {
-    live_source("crates/native/src/guard.rs")
-}
-
-/// The acceptance demo for D10, run against the *live* guard module:
-/// deleting its SAFETY comments makes the gate fail.
-#[test]
-fn meta_guard_without_safety_comments_is_caught() {
-    let (path, src) = live_guard_source();
-    assert!(
-        analyze_file(&path, &src).is_clean(),
-        "live guard must be clean"
-    );
-    let stripped: String = src
-        .lines()
-        .filter(|l| !l.contains("SAFETY:"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let report = analyze_file(&path, &stripped);
-    let d10 = report
-        .findings
-        .iter()
-        .filter(|f| f.lint == "unsafe-without-safety-comment")
-        .count();
-    assert!(
-        d10 >= 8,
-        "stripping every SAFETY comment must surface the unsafe sites, got {d10}:\n{}",
-        render_text(&report)
-    );
 }
 
 /// The acceptance demo for D9, run against the *live* guard module: an
@@ -280,7 +250,7 @@ fn meta_guard_without_safety_comments_is_caught() {
 /// gate fail, and the finding names the handler root.
 #[test]
 fn meta_guard_handler_reachable_alloc_is_caught() {
-    let (path, src) = live_guard_source();
+    let (path, src) = live_source("crates/native/src/guard.rs");
     let needle = "fn sched_yield() {";
     assert!(src.contains(needle), "guard.rs lost its sched_yield helper");
     let sabotaged = src.replace(
@@ -305,44 +275,28 @@ fn meta_guard_handler_reachable_alloc_is_caught() {
     );
 }
 
-/// The D5/D8 unwrap pass, run against live code: swapping one audited
-/// route for an inline unwrap adds exactly one finding of the right lint,
-/// on the mutated line. D5 is checked on the simulated runtime
-/// (`.plain("…")` → `.unwrap()`), D8 on the native USTM
-/// (`lock_recover(&m)` → `m.lock().unwrap()`).
+/// The D5 unwrap pass, run against live code: swapping the audited route
+/// in the simulated runtime for an inline unwrap (`.plain("…")` →
+/// `.unwrap()`) adds exactly one finding, on the mutated line.
 #[test]
 fn live_inline_unwraps_are_caught() {
-    let cases = [
-        (
-            "crates/core/src/runtime.rs",
-            "ctx.stall(backoff).plain(\"TL2 backoff\")",
-            "ctx.stall(backoff).unwrap()",
-            "panicking-machine-access",
-        ),
-        (
-            "crates/native/src/ustm.rs",
-            "lock_recover(&self.bins[idx])",
-            "self.bins[idx].lock().unwrap()",
-            "poisoned-lock-cascade",
-        ),
-    ];
-    for (path, needle, sabotage, lint) in cases {
-        let (path, src) = live_source(path);
-        assert_eq!(src.matches(needle).count(), 1, "{path} lost `{needle}`");
-        assert!(
-            analyze_file(&path, &src).is_clean(),
-            "live {path} must be clean"
-        );
-        let line = src[..src.find(needle).unwrap()].lines().count() as u32;
-        let report = analyze_file(&path, &src.replace(needle, sabotage));
-        let found: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.lint)).collect();
-        assert_eq!(
-            found,
-            [(line, lint)],
-            "`{sabotage}` in {path} must add exactly one `{lint}` finding:\n{}",
-            render_text(&report)
-        );
-    }
+    let (path, src) = live_source("crates/core/src/runtime.rs");
+    let needle = "ctx.stall(backoff).plain(\"TL2 backoff\")";
+    let sabotage = "ctx.stall(backoff).unwrap()";
+    assert_eq!(src.matches(needle).count(), 1, "{path} lost `{needle}`");
+    assert!(
+        analyze_file(&path, &src).is_clean(),
+        "live {path} must be clean"
+    );
+    let line = src[..src.find(needle).unwrap()].lines().count() as u32;
+    let report = analyze_file(&path, &src.replace(needle, sabotage));
+    let found: Vec<(u32, &str)> = report.findings.iter().map(|f| (f.line, f.lint)).collect();
+    assert_eq!(
+        found,
+        [(line, "panicking-machine-access")],
+        "`{sabotage}` in {path} must add exactly one finding:\n{}",
+        render_text(&report)
+    );
 }
 
 /// The gate itself: the live workspace must lint clean. Running this from
@@ -350,15 +304,88 @@ fn live_inline_unwraps_are_caught() {
 /// even before CI's dedicated `cargo xtask analyze` step.
 #[test]
 fn workspace_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap();
-    let report = analyze_workspace(root).unwrap();
+    let report = analyze_workspace(workspace_root()).unwrap();
     assert!(
         report.is_clean(),
         "workspace has unsuppressed findings:\n{}",
         render_text(&report)
     );
     assert!(report.files >= 50, "discovery walked too few files");
+}
+
+/// The lints that moved to clippy (`docs/STATIC_ANALYSIS.md`, "Checked by
+/// clippy"), denied over every target of the workspace, plus
+/// `unfulfilled_lint_expectations` so a stale `#[expect]` fails like an
+/// unused allow marker. It builds into its own target directory because
+/// `cargo test` holds the main one.
+#[test]
+fn clippy_gate_is_clean() {
+    let out = Command::new(env!("CARGO"))
+        .current_dir(workspace_root())
+        .args([
+            "clippy",
+            "--workspace",
+            "--all-targets",
+            "--quiet",
+            "--target-dir",
+        ])
+        .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy"))
+        .args([
+            "--",
+            "-D",
+            "clippy::disallowed_types",
+            "-D",
+            "clippy::disallowed_methods",
+            "-D",
+            "clippy::undocumented_unsafe_blocks",
+            "-D",
+            "clippy::missing_safety_doc",
+            "-D",
+            "unfulfilled_lint_expectations",
+        ])
+        .output()
+        .expect("cannot run cargo");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("no such command"),
+        "`cargo clippy` is missing: install the clippy component \
+         (`rustup component add clippy`)\n{stderr}"
+    );
+    assert!(out.status.success(), "the clippy gate failed:\n{stderr}");
+}
+
+/// The exemption is one decision: exactly the `HOST_EXEMPT` crates carry a
+/// `clippy.toml` of their own (which replaces the root file and its
+/// determinism ban), and each quotes its recorded reason on line one.
+#[test]
+fn host_exempt_crates_carry_their_own_clippy_config() {
+    let root = workspace_root();
+    assert!(
+        root.join("clippy.toml").is_file(),
+        "the root clippy.toml is the determinism scope every crate inherits"
+    );
+    let mut dirs = vec![root.join("xtask")];
+    for e in fs::read_dir(root.join("crates")).unwrap() {
+        dirs.push(e.unwrap().path());
+    }
+    let mut own = BTreeSet::new();
+    for dir in dirs {
+        let Ok(cfg) = fs::read_to_string(dir.join("clippy.toml")) else {
+            continue;
+        };
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        if let Some((_, reason)) = HOST_EXEMPT.iter().find(|(c, _)| *c == name) {
+            assert_eq!(
+                cfg.lines().next(),
+                Some(format!("# HOST_EXEMPT: {reason}").as_str()),
+                "{name}/clippy.toml must open by quoting its HOST_EXEMPT reason"
+            );
+        }
+        own.insert(name);
+    }
+    let exempt: BTreeSet<String> = HOST_EXEMPT.iter().map(|(c, _)| c.to_string()).collect();
+    assert_eq!(
+        own, exempt,
+        "the crates with their own clippy.toml must be exactly HOST_EXEMPT"
+    );
 }

@@ -10,7 +10,14 @@
 //! implementations (`btm_begin`/`btm_end`/…) are methods on
 //! [`Machine`](crate::Machine).
 
-// analyze: allow(host-nondeterminism) -- hot-path membership/lookup state, pre-sized to L1 capacity so the steady state never allocates; hashed with the fixed `IndexHasher` below (no per-process seed), and the only iterations are the three allow-marked order-insensitive sweeps in machine.rs.
+#![expect(
+    clippy::disallowed_types,
+    reason = "hot-path membership/lookup state, pre-sized to L1 capacity so the steady \
+              state never allocates; hashed with the fixed `IndexHasher` below (no \
+              per-process seed), and the only iterations are the three allow-marked \
+              order-insensitive sweeps in machine.rs"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -129,6 +129,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a membership count only; the set is never iterated"
+    )]
     fn zero_seed_is_not_degenerate() {
         let mut r = SimRng::seed_from_u64(0);
         let mut seen = std::collections::HashSet::new();

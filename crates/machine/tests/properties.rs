@@ -3,6 +3,12 @@
 //! invariants must hold at every step. Failures print the seed; replay
 //! with `CHAOS_SEED=<n>`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the reference model is a lookup table; its one sweep (merging an overlay \
+              at commit) writes distinct keys, so its order cannot show"
+)]
+
 use std::collections::HashMap;
 
 use ufotm_machine::{

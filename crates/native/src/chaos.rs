@@ -514,6 +514,10 @@ impl Liveness {
 ///
 /// Returns the guard and whether poison was recovered, so callers can count
 /// recoveries and trigger a structural audit of the protected data.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited route: the poison error is matched, never unwrapped"
+)]
 pub fn lock_recover<T>(m: &Mutex<T>) -> (MutexGuard<'_, T>, bool) {
     match m.lock() {
         Ok(g) => (g, false),
@@ -616,6 +620,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisons the mutex on purpose to exercise the recovery"
+    )]
     fn lock_recover_survives_poison() {
         let m = Mutex::new(17u64);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -94,7 +94,10 @@ pub struct GuardStats {
 pub(crate) use imp::{DualMapping, Window};
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
+#[allow(
+    unsafe_code,
+    reason = "the raw-syscall module: the crate's only unsafe, each site documented"
+)]
 mod imp {
     //! The real (x86_64 Linux) implementation. All `unsafe` in the crate
     //! lives in this module: raw syscalls, the signal handler, and the
@@ -131,7 +134,9 @@ mod imp {
     /// Raw 6-argument syscall. Returns the kernel's raw result
     /// (`-errno` on failure).
     ///
-    /// SAFETY: the caller must pass arguments valid for syscall `n`.
+    /// # Safety
+    ///
+    /// The caller must pass arguments valid for syscall `n`.
     unsafe fn syscall6(
         n: usize,
         a1: usize,
@@ -163,21 +168,27 @@ mod imp {
         ret
     }
 
-    // SAFETY: same contract as `syscall6` — caller passes arguments valid
-    // for syscall `n`; the tail positions are zero-filled, which every
-    // syscall used here ignores.
+    /// # Safety
+    ///
+    /// Same contract as `syscall6` — caller passes arguments valid
+    /// for syscall `n`; the tail positions are zero-filled, which every
+    /// syscall used here ignores.
     unsafe fn syscall4(n: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
         // SAFETY: forwarded caller contract.
         unsafe { syscall6(n, a1, a2, a3, a4, 0, 0) }
     }
 
-    // SAFETY: same contract as `syscall6`; unused argument registers are 0.
+    /// # Safety
+    ///
+    /// Same contract as `syscall6`; unused argument registers are 0.
     unsafe fn syscall3(n: usize, a1: usize, a2: usize, a3: usize) -> isize {
         // SAFETY: forwarded caller contract.
         unsafe { syscall6(n, a1, a2, a3, 0, 0, 0) }
     }
 
-    // SAFETY: same contract as `syscall6`; unused argument registers are 0.
+    /// # Safety
+    ///
+    /// Same contract as `syscall6`; unused argument registers are 0.
     unsafe fn syscall2(n: usize, a1: usize, a2: usize) -> isize {
         // SAFETY: forwarded caller contract.
         unsafe { syscall6(n, a1, a2, 0, 0, 0, 0) }
@@ -204,11 +215,14 @@ mod imp {
     /// `sigreturn` trampoline the kernel jumps to when the handler
     /// returns (we install with `SA_RESTORER` since there is no libc to
     /// provide one).
+    ///
+    /// # Safety
+    ///
+    /// Never called from Rust — the kernel jumps here on handler
+    /// return with the signal frame already on the stack, which is exactly
+    /// what `rt_sigreturn` (syscall 15) consumes; naked, so no prologue
+    /// disturbs that frame.
     #[unsafe(naked)]
-    // SAFETY: never called from Rust — the kernel jumps here on handler
-    // return with the signal frame already on the stack, which is exactly
-    // what `rt_sigreturn` (syscall 15) consumes; naked, so no prologue
-    // disturbs that frame.
     unsafe extern "C" fn restorer() {
         core::arch::naked_asm!("mov rax, 15", "syscall");
     }
@@ -293,9 +307,12 @@ mod imp {
     /// just by construction: the D9 `signal-unsafe-reachable` pass walks
     /// everything reachable from here and fails `cargo xtask analyze` on
     /// any allocation, lock, panic, or stdio drifting in.
-    // SAFETY: installed via rt_sigaction with SA_SIGINFO, so the kernel
-    // calls it with the documented (sig, siginfo, ucontext) arguments;
-    // never called from Rust.
+    ///
+    /// # Safety
+    ///
+    /// Installed via rt_sigaction with SA_SIGINFO, so the kernel
+    /// calls it with the documented (sig, siginfo, ucontext) arguments;
+    /// never called from Rust.
     unsafe extern "C" fn segv_handler(
         _sig: i32,
         info: *mut core::ffi::c_void,

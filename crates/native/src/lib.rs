@@ -52,10 +52,14 @@
 //! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must
 //! sit in its own scoped block (`unsafe_op_in_unsafe_fn` is denied) with
-//! a `// SAFETY:` comment the D10 analyze pass enforces.
+//! a `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks` is
+//! denied), and every `unsafe fn` needs a `# Safety` doc section
+//! (`clippy::missing_safety_doc`, extended to private items by this
+//! crate's `clippy.toml`).
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod chaos;

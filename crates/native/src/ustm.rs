@@ -582,6 +582,10 @@ impl NativeUstm {
     /// into, reproducing the cascade the poison-tolerant bins defend
     /// against.
     #[doc(hidden)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisons the bin on purpose; the lock result is dropped, never unwrapped"
+    )]
     pub fn debug_poison_bin(&self, line: u64) {
         let idx = self.bin_of(line);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

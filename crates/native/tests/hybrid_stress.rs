@@ -786,6 +786,10 @@ fn plain_accesses_return_after_a_slow_body_unwinds_outside_a_runner() {
 /// on a detached thread and reports over a channel, so a wedged survivor
 /// fails the test instead of hanging it.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "only the survivor locks the receiver's mutex; the dying thread never holds it"
+)]
 fn a_panic_on_the_serial_tier_releases_the_parked_survivors() {
     const PER: u64 = 100;
     let (done_tx, done_rx) = mpsc::channel();

@@ -1,4 +1,4 @@
-#![allow(clippy::needless_range_loop)] // index loops mirror the math
+#![allow(clippy::needless_range_loop, reason = "index loops mirror the math")]
 
 //! kmeans: clustering with small, hot transactions (paper §5.1).
 //!
@@ -184,11 +184,12 @@ impl Workload for KmeansParams {
                 // pass (plain accesses: everyone else is at the barrier).
                 for k in 0..p.clusters {
                     let count = b.plain_load(p.acc(k, 0));
-                    // Not `checked_div`: the accumulator loads must be
-                    // skipped entirely for an empty cluster, or the
-                    // simulated access count (and thus cycle totals)
-                    // would change.
-                    #[allow(clippy::manual_checked_ops)]
+                    #[allow(
+                        clippy::manual_checked_ops,
+                        reason = "not `checked_div`: the accumulator loads must be skipped \
+                                  entirely for an empty cluster, or the simulated access \
+                                  count (and thus cycle totals) would change"
+                    )]
                     if count > 0 {
                         for d in 0..p.dims {
                             let sum = b.plain_load(p.acc(k, d + 1));

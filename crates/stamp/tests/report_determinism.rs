@@ -63,9 +63,9 @@ fn different_seeds_actually_differ() {
 
 #[test]
 fn broadcast_engine_matches_targeted_engine_byte_for_byte() {
-    // The engine-rewrite regression oracle: the legacy broadcast scheduler
-    // (sched lock every op, notify_all at handoff) and the targeted fast
-    // path must produce the same simulation. At quantum 0 every operation
+    // The engine-rewrite regression oracle: the broadcast scheduler (no
+    // yield phase, every waiter woken at each handoff) and the targeted
+    // fast path must produce the same simulation. At quantum 0 every operation
     // is a handoff, so this exercises the scheduler maximally. Identical
     // trace journals prove per-event equality, identical report JSON
     // proves every derived counter and histogram agrees.

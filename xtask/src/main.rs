@@ -8,6 +8,12 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/IO error.
+//!
+//! The root it scans is baked in at build time (`CARGO_MANIFEST_DIR`), so a
+//! binary run from a copied `target/` scans the tree it was built from; the
+//! first stderr line names that root.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -49,7 +55,9 @@ fn main() -> ExitCode {
         _ => return usage(),
     };
 
-    let report = match analyze::analyze_workspace(&repo_root()) {
+    let root = repo_root();
+    eprintln!("analyze: scanning {}", root.display());
+    let report = match analyze::analyze_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("analyze: error: {e}");
