@@ -24,8 +24,8 @@
 //! has no yield phase and wakes every simulated CPU at each handoff; it is
 //! the determinism oracle — both modes execute operations in the identical
 //! order, because the schedule is a pure function of the simulated clocks
-//! and is decided only under the sched mutex (see `docs/PERF.md` for the
-//! full argument).
+//! and is decided only under the sched mutex (`docs/PERF.md`, "Why the
+//! rewrite cannot change simulated results", has the full argument).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

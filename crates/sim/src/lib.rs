@@ -25,7 +25,7 @@
 //! sleep; every other waiter sleeps on a private condvar and is woken only
 //! when it is designated while asleep. [`HandoffMode::Broadcast`] — no
 //! yield phase, every CPU woken at each handoff — is kept as the
-//! determinism oracle. See `docs/PERF.md`.
+//! determinism oracle. See `docs/PERF.md`, "Targeted handoff protocol".
 //!
 //! ```
 //! use ufotm_machine::{Machine, MachineConfig, Addr};
