@@ -16,13 +16,13 @@
 //! where every software transaction stops all hardware ones. The two
 //! paths order through words both already touch (the three rules of
 //! [`crate::ustm`], "Beside the TL2 fast path"): a slow commit takes the
-//! TL2 stripes of its write lines and releases them at a fresh clock
-//! value, so the fast path sees a TL2 writer; a slow reader registers its
-//! ownership and then waits out whoever holds the line's stripe; and a
-//! fast commit, holding its stripes, probes the ownership table for each
-//! line it writes and yields ([`Tl2Abort::LockBusy`](ufotm_tl2::Tl2Abort),
+//! TL2 stripes of its write lines and releases them at a version past
+//! the clock, so the fast path sees a TL2 writer; a slow reader registers its
+//! ownership and then waits out whoever holds the stripe; and a fast
+//! commit, holding its stripes, loads the owner word of each and
+//! yields ([`Tl2Abort::LockBusy`](ufotm_tl2::Tl2Abort),
 //! counted in `slow_owner_aborts`) to any slow owner. Multiple slow
-//! transactions run concurrently as before — the ownership table is the
+//! transactions run concurrently as before — the owner words are the
 //! concurrency control among them.
 //!
 //! ## The serial tier
@@ -43,14 +43,14 @@
 //! simulator's rule, where a non-transactional store stalls until the
 //! software owner of that one line releases it. It orders through the two
 //! words that already order the paths, the line's TL2 stripe and the
-//! stripe's ownership count:
+//! stripe's owner word:
 //!
 //! * a **peek** is a stripe-validated load: it waits while the stripe is
 //!   held, loads the word, and keeps the value only if the stripe has not
 //!   moved — so no commit's write-back, slow or fast, is seen half done;
 //! * a **poke** is a one-line TL2 writer: it takes the stripe with an
 //!   anonymous held word that nobody steals or helper-completes, probes
-//!   the ownership count as a fast commit does (rule 3 of
+//!   the owner word as a fast commit does (rule 3 of
 //!   [`crate::ustm`]), and on a slow owner gives the stripe back and
 //!   waits; otherwise it stores and releases the stripe at a fresh clock
 //!   value, which fast readers of the line then revalidate against.
@@ -109,7 +109,7 @@ impl Default for NativeHybridPolicy {
 }
 
 /// Shared native hybrid state: the TL2 world (which owns the word
-/// heap), the USTM ownership table, and the serial tier's one seat.
+/// heap), the USTM owner words, and the serial tier's one seat.
 #[derive(Debug)]
 pub struct NativeHybrid {
     tl2: NativeTl2,
@@ -124,20 +124,19 @@ pub struct NativeHybrid {
 impl NativeHybrid {
     /// Creates hybrid state: a TL2 world of `heap_words` /
     /// `lock_entries` / `alloc_base_word` (see [`NativeTl2::new`]) plus
-    /// a USTM ownership table of `otable_bins` bins with status slots
-    /// for `threads`.
+    /// the USTM's owner words and status slots for `threads` (see
+    /// [`NativeUstm::new`]).
     #[must_use]
     pub fn new(
         heap_words: u64,
         lock_entries: u64,
         alloc_base_word: u64,
         threads: usize,
-        otable_bins: u64,
         policy: NativeHybridPolicy,
     ) -> Self {
         let tl2 = NativeTl2::new(heap_words, lock_entries, alloc_base_word);
         NativeHybrid {
-            ustm: NativeUstm::new(&tl2, threads, otable_bins),
+            ustm: NativeUstm::new(&tl2, threads),
             tl2,
             serial_gate: Mutex::new(()),
             threads,
@@ -173,7 +172,7 @@ impl NativeHybrid {
         &self.tl2
     }
 
-    /// The USTM ownership table — test observability.
+    /// The USTM slow path's shared state — test observability.
     #[must_use]
     pub fn ustm(&self) -> &NativeUstm {
         &self.ustm
@@ -210,9 +209,9 @@ impl NativeHybrid {
             if free & HELD != 0 {
                 self.ustm.stripe_round(tl2, s, free);
             } else if tl2.lock_stripe(s, free, PLAIN_HELD) {
-                // Stripe CAS, then the count: the fast commit's half of
-                // the Dekker pair with a registering slow owner.
-                if !self.ustm.is_owned(addr.line().0) {
+                // Stripe CAS, then the owner word: the fast commit's half
+                // of the Dekker pair with a registering slow owner.
+                if !self.ustm.is_owned(s) {
                     tl2.heap().store(w, value);
                     tl2.release_stripe(s, tl2.tick());
                     return;

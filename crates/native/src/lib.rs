@@ -10,7 +10,7 @@
 //!   simulated TL2's version-lock protocol on `AtomicU64` stripes; the
 //!   hybrid's fast path and a backend in its own right.
 //! * [`NativeUstm`] / [`NativeUstmTxn`] ([`ustm`]) — a redo-log USTM
-//!   with a sharded ownership table and age-ordered kills; the hybrid's
+//!   with an owner word per stripe and age-ordered kills; the hybrid's
 //!   strongly-atomic slow path.
 //! * [`guard`] — the `mprotect`/SIGSEGV strong-atomicity guard standing
 //!   in for the paper's UFO bits: USTM commit windows page-protect the
@@ -21,8 +21,8 @@
 //!   driver: TL2 fast path, USTM slow path after `failover_after`
 //!   consecutive aborts with jittered backoff, serial tier after
 //!   `serial_after` failed slow attempts. Fast and slow transactions run
-//!   at the same time, ordered through the TL2 stripes and the ownership
-//!   table; the serial tier is the eldest slow transaction, which wins
+//!   at the same time, ordered through the TL2 stripes and their owner
+//!   words; the serial tier is the eldest slow transaction, which wins
 //!   every conflict and stops nobody else.
 //!
 //! Each path has exactly one single-shot attempt step

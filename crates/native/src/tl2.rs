@@ -6,7 +6,7 @@
 //! line, a global version clock, read-set validation, lock-ordered
 //! write-back — but executed with `AtomicU64` operations on real host
 //! memory, with **zero simulator involvement**. One difference is by
-//! design: a fast commit reads the clock and never writes it (TL2's GV5),
+//! design: a commit reads the clock and never writes it (TL2's GV5),
 //! and a read that meets a line newer than its snapshot extends the
 //! snapshot instead of aborting.
 //!
@@ -32,28 +32,38 @@
 //!   binary-search insert, so publication walks ascending addresses).
 //! * **commit** — acquire write-stripe locks in sorted stripe order
 //!   (single-shot CAS, [`Tl2Abort::LockBusy`] on contention); as a
-//!   hybrid's fast path, probe the USTM ownership table for each written
-//!   line and yield (`LockBusy` again) to any slow-path owner; draw
+//!   hybrid's fast path, load the USTM owner word of each stripe it holds
+//!   and yield (`LockBusy` again) to any slow-path owner; draw
 //!   `wv = clock + 1` *without* incrementing the clock, validate the read
 //!   set ([`Tl2Abort::CommitValidation`] on failure), publish the write
 //!   set with `Release` stores, release each lock stamped `wv`.
 //!
 //! ## Why a commit need not move the clock
 //!
-//! Only readers that extend, slow commits (`NativeTl2::tick`), orphan
-//! steals and plain stores move the clock. Two fast commits may draw the
-//! same `wv`. It stays sound because a commit draws `wv` only once every
-//! write stripe is held: once anyone has seen the clock at `c`, every
-//! commit that drew `wv <= c` already holds its stripes, and every commit
-//! yet to draw gets `wv > c`. A transaction whose `rv` is `c` therefore
-//! meets each earlier commit's stripe locked or released with its value,
-//! and each later commit's stripe unmoved or newer than `rv`. Extension
-//! keeps the same order — raise the clock, *then* revalidate — and a
-//! reader raises the clock past every version it moves beyond, so a
-//! later commit cannot reuse that version. Nobody writes the clock on a
-//! fast commit, so these "drew before" relations are reads-before, not
-//! synchronises-with: every load and RMW of the clock and every stripe
-//! load that takes part is `SeqCst`, which costs an x86 load nothing.
+//! Only readers that extend, orphan steals and plain stores move the
+//! clock (`NativeTl2::tick`). Two commits may draw the same `wv`. It
+//! stays sound because a commit draws `wv` only once every write stripe
+//! is held: once anyone has seen the clock at `c`, every commit that drew
+//! `wv <= c` already holds its stripes, and every commit yet to draw gets
+//! `wv > c`. A transaction whose `rv` is `c` therefore meets each earlier
+//! commit's stripe locked or released with its value, and each later
+//! commit's stripe unmoved or newer than `rv`. Extension keeps the same
+//! order — raise the clock, *then* revalidate — and a reader raises the
+//! clock past every version it moves beyond, so a later commit cannot
+//! reuse that version. Nobody writes the clock on a commit, so these
+//! "drew before" relations are reads-before, not synchronises-with: every
+//! load and RMW of the clock and every stripe load that takes part is
+//! `SeqCst`, which costs an x86 load nothing.
+//!
+//! A sealed slow commit ([`crate::ustm`]) is a TL2 writer of the same
+//! shape, so the argument covers it as it stands: it draws `wv = clock +
+//! 1` once it holds every stripe of its redo record (taken or inherited
+//! from a dead committer), writes back, and releases them at `wv`. A
+//! helper that completes a dead committer's record draws afresh under
+//! the same rule. What the slow commit never does is draw before its last
+//! stripe is held: a reader could then see the clock at `wv` while a
+//! stripe of the record was still free at an older version, and read its
+//! old value in a snapshot that includes the commit.
 //!
 //! An attempt allocates nothing once its handle is warm: the read set,
 //! the write set and commit's stripe/held scratch are `Vec`s owned by the
@@ -89,7 +99,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
-use ufotm_machine::{Addr, LINE_BYTES};
+use ufotm_machine::Addr;
 use ufotm_tl2::Tl2Abort;
 
 use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
@@ -133,8 +143,8 @@ fn holder_tid(held: u64) -> usize {
 /// `mask + 1` entries: the low bits of the line number, as TL2 and
 /// TinySTM index their lock arrays. Consecutive lines take consecutive
 /// entries, so workers on disjoint data ranges share no metadata line.
-/// The stripe table, the ownership table's bins and its per-stripe
-/// ownership counts all index this way.
+/// The stripe table and the USTM owner words, one per stripe, index
+/// this way.
 pub(crate) fn line_slot(line: u64, mask: u64) -> usize {
     (line & mask) as usize
 }
@@ -148,9 +158,9 @@ pub struct NativeTl2 {
     heap: WordHeap,
     heap_words: u64,
     locks: Box<[AtomicU64]>,
-    /// Read, not written, by a fast commit: it moves when a read extends
-    /// its snapshot past it, and on every slow commit, orphan steal and
-    /// plain store (`NativeTl2::tick`). On a line of its own: beside
+    /// Read, not written, by a commit, fast or slow: it moves when a read
+    /// extends its snapshot past it, and on every orphan steal and plain
+    /// store (`NativeTl2::tick`). On a line of its own: beside
     /// `heap_words`, `mask` and the `locks` pointer, which every access
     /// reads, each move of the clock would cost every worker a miss on
     /// its next access.
@@ -269,11 +279,17 @@ impl NativeTl2 {
     }
 
     /// Draws the next version from the global clock and moves the clock
-    /// to it — for the writers that are not fast commits: a sealed slow
-    /// commit, an orphan steal and a plain store. A fast commit draws
-    /// `clock + 1` and leaves the clock alone (module docs).
+    /// to it — for the writers that are not commits: an orphan steal and
+    /// a plain store. A commit draws [`NativeTl2::draw_wv`] instead.
     pub(crate) fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// A commit's write version, `clock + 1`, leaving the clock alone
+    /// (TL2's GV5). Sound only once the caller holds every stripe it will
+    /// release at this version (module docs).
+    pub(crate) fn draw_wv(&self) -> u64 {
+        self.clock.load(Ordering::SeqCst) + 1
     }
 
     /// The held word a sealed slow-path committer `tid` stamps on the
@@ -540,8 +556,8 @@ impl NativeStats {
 #[derive(Debug)]
 pub struct NativeTxn<'a> {
     pub(crate) shared: &'a NativeTl2,
-    /// The hybrid's ownership table, when this handle is a hybrid's fast
-    /// path: its commits yield to slow-path owners of their write lines.
+    /// The hybrid's slow path, when this handle is a hybrid's fast path:
+    /// its commits yield to slow-path owners of their write stripes.
     ustm: Option<&'a NativeUstm>,
     pub(crate) tid: usize,
     rv: u64,
@@ -855,20 +871,15 @@ impl<'a> NativeTxn<'a> {
         }
         // Yield to slow-path owners, as a hardware transaction takes a UFO
         // fault: with every stripe held, abort if a slow transaction owns
-        // a write line for read or write. A slow transaction bumps its
-        // line's stripe count and *then* looks at the stripe; this commit
-        // took the stripe and *then* looks at the count — so either this
-        // probe sees the owner, or the owner sees the lock and waits it
-        // out. Lines come out ascending, like the write set.
+        // one of them for read or write. A slow transaction sets its bit in
+        // the stripe's owner word and *then* looks at the stripe; this
+        // commit took the stripe and *then* looks at the owner word — so
+        // either this probe sees the owner, or the owner sees the lock and
+        // waits it out.
         if let Some(ustm) = self.ustm {
-            let mut last = u64::MAX;
-            for &(a, _) in writes {
-                let line = a / LINE_BYTES;
-                if line != last && ustm.is_owned(line) {
-                    self.stats.slow_owner_aborts += 1;
-                    return Err(Tl2Abort::LockBusy);
-                }
-                last = line;
+            if self.held.iter().any(|&(s, _)| ustm.is_owned(s)) {
+                self.stats.slow_owner_aborts += 1;
+                return Err(Tl2Abort::LockBusy);
             }
         }
         // Locks held, nothing published yet: a panic injected here
@@ -880,7 +891,7 @@ impl<'a> NativeTxn<'a> {
         // here: after every stripe is held, the ownership probe has run and
         // the strike has passed, so a reader that sees the clock at or past
         // `wv` finds this commit's stripes held or released at `wv`.
-        let wv = shared.clock.load(Ordering::SeqCst) + 1;
+        let wv = shared.draw_wv();
         // Phase 3: validate the read set. No rv+1 == wv shortcut: with the
         // clock unmoved, `wv == rv + 1` whenever nobody extended or ticked
         // since `begin`, however many commits drew the same `wv` and
@@ -1116,6 +1127,7 @@ pub fn run_threads<R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufotm_machine::LINE_BYTES;
 
     /// The same dead owner, the same epoch: its TL2 lock is an orphan to
     /// steal, its slow-held stripe is not — whatever the registry says.

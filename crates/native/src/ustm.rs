@@ -1,23 +1,27 @@
-//! The native USTM slow path: a redo-log STM with a sharded ownership
-//! table and age-ordered conflict resolution, on real OS threads.
+//! The native USTM slow path: a redo-log STM with an owner word per
+//! stripe and age-ordered conflict resolution, on real OS threads.
 //!
 //! This is the host-atomics rendition of the simulated
 //! [`ufotm-ustm`](ufotm_ustm) crate, reshaped for real hardware:
 //!
-//! * **Ownership table** — the same chained shape as the simulated
-//!   [`Otable`](ufotm_ustm::Otable) (power-of-two bins, one record per
-//!   owned line with a writer slot and a reader list), but indexed by the
-//!   low bits of the 64-byte line number instead of the simulator's
-//!   Fibonacci hash, and sharded: each bin is a host `Mutex`
-//!   over its entry chain, and the protocol never holds more than one
-//!   bin lock at a time (lock → decide → unlock → wait with
-//!   `yield_now`), so bin lock order cannot deadlock.
+//! * **Ownership** — one `AtomicU64` owner word per TL2 stripe, in an
+//!   array of its own indexed like the lock table, where the simulated
+//!   [`Otable`](ufotm_ustm::Otable) chains one record per owned line
+//!   (a writer slot and a reader list) into Fibonacci-hashed bins. The
+//!   word holds a reader bit per USTM slot in bits 0–55 and the writer's
+//!   slot + 1 in its top byte, so ownership is per stripe, the
+//!   granularity the TL2 locks already have, and at most 56 slots exist.
+//!   Taking read ownership is one `fetch_or`, write ownership one CAS,
+//!   releasing either one `fetch_and`: no lock, no chain walk, no
+//!   allocation. A conflicting owner's timestamp is read from its status
+//!   slot, which holds it for as long as the owner holds any bit, because
+//!   ownership is released before the slot retires.
 //! * **Versioning** — *lazy redo* instead of the simulator's eager undo:
 //!   writes buffer in an address-sorted redo log (the write set TL2
 //!   uses) and publish at commit, because on real hardware in-place
 //!   speculative stores would be visible to uninstrumented plain code
 //!   with no UFO bit to hide them. Read
-//!   ownership is still eager (acquired at first read of a line), which
+//!   ownership is still eager (acquired at first read of a stripe), which
 //!   keeps conflict detection eager like the paper's USTM.
 //! * **Conflict resolution** — age-ordered, like the simulator: each
 //!   transaction draws a monotonically increasing timestamp at begin (one
@@ -32,21 +36,22 @@
 //!   its next read / `work` / stall iteration / commit seal, unwinds,
 //!   and returns [`UstmAbort::Killed`] with the killer recorded — the
 //!   same classification (and `Display` text) as the simulated USTM.
-//! * **Commit** — acquire write ownership of the redo log's lines in
-//!   sorted line order (kill younger owners, stall behind older ones),
+//! * **Commit** — acquire write ownership of the redo log's stripes in
+//!   ascending order (kill younger owners, stall behind older ones),
 //!   publish the redo record, *seal* the status slot
 //!   (`ACTIVE → COMMITTING`; a sealed transaction can no longer be killed,
 //!   mirroring the simulator's committing transactions stalling their
 //!   attackers), then behave as a TL2 writer: take the TL2 stripe locks of
 //!   the write lines in ascending stripe order (spinning; the held word
-//!   carries a *slow* bit, see [`crate::NativeTl2`]), draw `wv` from the
-//!   global clock, open the strong-atomicity guard window
-//!   ([`crate::guard`]: it closes whichever pages of the write set are
-//!   still open on the public view — in steady state none, so no syscall),
-//!   write the redo log back through the shadow view with `Release`
-//!   stores, end the window (the pages stay closed; a plain access reopens
-//!   one on first touch), release the stripes at `wv`, release ownership,
-//!   retire the slot.
+//!   carries a *slow* bit, see [`crate::NativeTl2`]), draw `wv = clock +
+//!   1` without moving the clock (the TL2 module's "Why a commit need
+//!   not move the clock" covers it), open the strong-atomicity guard
+//!   window ([`crate::guard`]: it closes whichever pages of the write set
+//!   are still open on the public view — in steady state none, so no
+//!   syscall), write the redo log back through the shadow view with
+//!   `Release` stores, end the window (the pages stay closed; a plain
+//!   access reopens one on first touch), release the stripes at `wv`,
+//!   release ownership, retire the slot.
 //!
 //! ## Beside the TL2 fast path
 //!
@@ -63,35 +68,33 @@
 //!    every stripe of the record, replays it under them, and releases them
 //!    at a fresh version.
 //! 2. *A slow reader makes its ownership visible before it trusts the
-//!    line*: on the first read of a line, after registering in the
-//!    ownership table, it waits until the line's stripe is unlocked, then
+//!    stripe*: on the first read of a stripe, after setting its bit in the
+//!    stripe's owner word, it waits until the stripe is unlocked, then
 //!    loads.
 //! 3. *A fast commit yields to slow owners, as a hardware transaction
-//!    takes a UFO fault*: holding all its stripes, it probes the ownership
-//!    table for each line it writes and aborts if a slow transaction owns
-//!    one for read or write.
+//!    takes a UFO fault*: holding all its stripes, it loads the owner word
+//!    of each and aborts if a slow transaction owns one for read or write.
 //!
 //! Rules 2 and 3 are a Dekker pair over `SeqCst` accesses to two words of
-//! one stripe, its lock and its count of owned lines — count bump then
-//! stripe load on the slow side, stripe CAS then count load on the fast
-//! side — so of a slow owner and a fast writer of one line at
-//! least one sees the other: the fast one aborts, or the slow one waits
-//! out its commit. Slow transactions are therefore never aborted by fast
-//! ones (the paper's priority), the cost to the fast path is one load per
-//! *written* line where nothing is owned, and its reads stay
-//! uninstrumented.
+//! one stripe, its lock and its owner word — owner-word RMW then stripe
+//! load on the slow side, stripe CAS then owner-word load on the fast
+//! side — so of a slow owner and a fast writer of one stripe at least one
+//! sees the other: the fast one aborts, or the slow one waits out its
+//! commit. Slow transactions are therefore never aborted by fast ones (the
+//! paper's priority), the cost to the fast path is one load per *written*
+//! stripe, and its reads stay uninstrumented.
 //!
 //! USTM's own heap reads go through the **shadow** view, like every
 //! transactional access in the crate: a reader holds read ownership of
-//! every line it has read, so no slow committer can be writing those lines
-//! back concurrently and no fast one gets past its probe, and the shadow
-//! view never faults — neither inside a guard window nor on a page an
-//! earlier window left closed.
+//! every stripe it has read, so no slow committer can be writing those
+//! lines back concurrently and no fast one gets past its probe, and the
+//! shadow view never faults — neither inside a guard window nor on a page
+//! an earlier window left closed.
 //!
-//! The read set, the write-owned lines and commit's sorted line list are
-//! `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped — between
-//! attempts, and so is the redo log; a warm attempt allocates only the
-//! ownership records it creates.
+//! The read set, the write-owned stripes and commit's sorted stripe list
+//! are `Vec`s owned by the [`NativeUstmTxn`], cleared — never dropped —
+//! between attempts, and so is the redo log; a warm attempt allocates
+//! nothing.
 //!
 //! ## The eldest transaction
 //!
@@ -120,12 +123,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ufotm_core::{Stop, TxScope};
-use ufotm_machine::{Addr, LINE_BYTES};
+use ufotm_machine::{cpu_bit, Addr};
 use ufotm_ustm::UstmAbort;
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::padded::Padded;
-use crate::tl2::{line_slot, spin_work, NativeTl2, HELD};
+use crate::tl2::{spin_work, NativeTl2, HELD};
 use crate::write_set::WriteSet;
 
 // Status-slot phases (low 8 bits of the packed word).
@@ -148,6 +151,10 @@ fn pack(ts: u64, killer_plus1: u64, phase: u64) -> u64 {
     ts << 24 | killer_plus1 << 8 | phase
 }
 
+fn slot_ts(word: u64) -> u64 {
+    word >> 24
+}
+
 fn slot_phase(word: u64) -> u64 {
     word & 0xFF
 }
@@ -157,39 +164,55 @@ fn slot_killer(word: u64) -> Option<usize> {
     (k != 0).then(|| (k - 1) as usize)
 }
 
-/// One ownership record: a line, its (at most one) writer, and its
-/// readers — the native mirror of the simulated `OtableEntry`'s
-/// `{line, perm, owners}` with the owner set split by permission.
-#[derive(Debug)]
-struct OtEntry {
-    line: u64,
-    /// The committing transaction holding write ownership, `(tid, ts)`.
-    writer: Option<(usize, u64)>,
-    /// Transactions holding read ownership, `(tid, ts)` each.
-    readers: Vec<(usize, u64)>,
+// An owner word is `[writer slot + 1:8 | reader bit per slot:56]`.
+const WRITER_SHIFT: u32 = 56;
+/// The writer byte of an owner word.
+const WRITER: u64 = 0xFF << WRITER_SHIFT;
+/// USTM slots an owner word can name: one reader bit each.
+const MAX_SLOTS: usize = WRITER_SHIFT as usize;
+
+fn reader_bit(tid: usize) -> u64 {
+    debug_assert!(tid < MAX_SLOTS);
+    cpu_bit(tid)
+}
+
+fn writer_byte(tid: usize) -> u64 {
+    (tid as u64 + 1) << WRITER_SHIFT
+}
+
+fn writer_of(word: u64) -> Option<usize> {
+    let w = word >> WRITER_SHIFT;
+    (w != 0).then(|| (w - 1) as usize)
 }
 
 /// A published redo record: `(word addr, value)` pairs in commit order.
 type RedoRecord = Vec<(u64, u64)>;
 
-/// Shared native USTM state: the sharded ownership table, the per-thread
-/// status slots, and the timestamp source. Operates over the word heap
-/// of a [`NativeTl2`] (the two paths of the hybrid share one heap).
+/// The TL2 stripes of `record`'s words into `out`, ascending and
+/// deduplicated: the order both write ownership and the stripe locks
+/// are taken in.
+fn record_stripes(heap: &NativeTl2, record: &[(u64, u64)], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(record.iter().map(|&(a, _)| heap.stripe_of(Addr(a))));
+    out.sort_unstable();
+    out.dedup();
+}
+
+/// Shared native USTM state: the owner words, the per-thread status
+/// slots, and the timestamp source. Operates over the word heap of a
+/// [`NativeTl2`] (the two paths of the hybrid share one heap).
 #[derive(Debug)]
 pub struct NativeUstm {
-    bins: Box<[Mutex<Vec<OtEntry>>]>,
-    /// Entries whose line falls in each TL2 stripe, one count per stripe
-    /// of the heap's lock table, changed only under the entry's bin lock
-    /// and only with `SeqCst` read-modify-writes: the word a fast-path
-    /// commit probes for a stripe it holds ([`NativeUstm::is_owned`]), so
-    /// that finding nothing owned costs it one load and no lock.
-    occupancy: Box<[AtomicU64]>,
+    /// One word per stripe of the heap's lock table, indexed like it
+    /// (module docs, "Ownership"); changed only with `SeqCst`
+    /// read-modify-writes. A fast-path commit loads it for each stripe it
+    /// holds ([`NativeUstm::is_owned`]). Not beside the lock word: a
+    /// co-located pair measured slower on the single-worker rows.
+    owners: Box<[AtomicU64]>,
     /// One line per slot: a transaction rewrites its own at begin, seal
     /// and retire, and reads it at every access.
     slots: Box<[Padded<AtomicU64>]>,
     next_ts: Padded<AtomicU64>,
-    mask: u64,
-    stripe_mask: u64,
     /// Per-thread published redo records `(word addr, value)`, written
     /// *before* the seal CAS so that a committer that dies sealed leaves
     /// everything a helper needs to finish its write-back. Only the
@@ -203,29 +226,22 @@ pub struct NativeUstm {
 }
 
 impl NativeUstm {
-    /// Creates a table with `otable_bins` bins, an ownership count per
-    /// stripe of `heap`'s lock table, and status slots for `threads`
-    /// transaction handles. Use it over `heap` only.
+    /// Creates an owner word per stripe of `heap`'s lock table and status
+    /// slots for `threads` transaction handles. Use it over `heap` only.
     ///
     /// # Panics
     ///
-    /// Panics if `otable_bins` is not a power of two or `threads`
-    /// exceeds the 16-bit killer-id encoding.
+    /// Panics if `threads` exceeds the 56 slots an owner word can name.
     #[must_use]
-    pub fn new(heap: &NativeTl2, threads: usize, otable_bins: u64) -> Self {
+    pub fn new(heap: &NativeTl2, threads: usize) -> Self {
         assert!(
-            otable_bins.is_power_of_two(),
-            "otable bins must be a power of two"
+            threads <= MAX_SLOTS,
+            "at most {MAX_SLOTS} USTM slots: an owner word has one reader bit each"
         );
-        assert!(threads < (1 << 16) - 1, "too many USTM threads to encode");
-        let stripes = heap.stripes();
         NativeUstm {
-            bins: (0..otable_bins).map(|_| Mutex::new(Vec::new())).collect(),
-            occupancy: (0..stripes).map(|_| AtomicU64::new(0)).collect(),
+            owners: (0..heap.stripes()).map(|_| AtomicU64::new(0)).collect(),
             slots: (0..threads).map(|_| Padded::default()).collect(),
             next_ts: Padded::default(),
-            mask: otable_bins - 1,
-            stripe_mask: stripes as u64 - 1,
             records: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
             poison_recovered: AtomicU64::new(0),
             helper_completions: AtomicU64::new(0),
@@ -233,103 +249,42 @@ impl NativeUstm {
         }
     }
 
-    /// The bin `line` chains into, in address order ([`line_slot`]):
-    /// unlike the simulated otable's scatter, consecutive lines chain
-    /// into consecutive bins.
-    fn bin_of(&self, line: u64) -> usize {
-        line_slot(line, self.mask)
-    }
-
-    /// The heap stripe `line` falls in — [`NativeTl2`]'s own mapping, so
-    /// its count is the one a fast commit holding the stripe probes.
-    fn stripe_of(&self, line: u64) -> usize {
-        line_slot(line, self.stripe_mask)
-    }
-
-    /// Locks a bin by index, recovering from poison instead of cascading
-    /// the panic across every thread that touches the bin afterwards. A
-    /// bin is only poisoned by a worker that panicked *while holding it*
-    /// (possible only at an injected failpoint or a genuine bug outside
-    /// the protocol's own critical sections — they contain no panics);
-    /// the chain itself is still structurally sound ([`Self::audit`]),
-    /// so recovery is safe and the event is just counted.
-    fn lock_bin_idx(&self, idx: usize) -> MutexGuard<'_, Vec<OtEntry>> {
-        let (g, recovered) = lock_recover(&self.bins[idx]);
-        if recovered {
-            self.poison_recovered.fetch_add(1, Ordering::Relaxed);
-        }
-        g
-    }
-
-    /// Whether any slow-path transaction owns `line`, for read or write:
-    /// the probe a fast-path commit (or a hybrid plain store) makes for
-    /// each line it is about to write, holding the line's stripe. Every
-    /// entry is owned (emptied ones are removed under the bin lock), so a
-    /// stripe with no entries answers with one load of its count — a
-    /// word that, like the stripe, only transactions on nearby lines
-    /// touch.
+    /// Whether any slow-path transaction owns stripe `s`, for read or
+    /// write: the probe a fast-path commit (or a hybrid plain store) makes
+    /// for each stripe it is about to write, holding it. One load.
     ///
-    /// `SeqCst` against the registering side's `SeqCst` bump of the same
-    /// word, which precedes its look at the stripe: of a slow owner
-    /// registering and a fast commit locking concurrently, at least one
-    /// sees the other.
+    /// `SeqCst` against the owning side's `SeqCst` RMW of the same word,
+    /// which precedes its look at the stripe: of a slow owner registering
+    /// and a fast commit locking concurrently, at least one sees the other.
     #[inline]
-    pub(crate) fn is_owned(&self, line: u64) -> bool {
-        self.occupancy[self.stripe_of(line)].load(Ordering::SeqCst) != 0 && self.bin_holds(line)
+    pub(crate) fn is_owned(&self, s: usize) -> bool {
+        self.owners[s].load(Ordering::SeqCst) != 0
     }
 
-    /// The locked half of [`NativeUstm::is_owned`], off the fast path's
-    /// inlined probe.
-    #[cold]
-    fn bin_holds(&self, line: u64) -> bool {
-        self.lock_bin_idx(self.bin_of(line))
-            .iter()
-            .any(|e| e.line == line)
-    }
-
-    /// Chains a fresh entry for `line` into its (locked) bin.
-    fn push_entry<'b>(
-        &self,
-        bin: &'b mut Vec<OtEntry>,
-        line: u64,
-        readers: Vec<(usize, u64)>,
-    ) -> &'b mut OtEntry {
-        bin.push(OtEntry {
-            line,
-            writer: None,
-            readers,
-        });
-        self.occupancy[self.stripe_of(line)].fetch_add(1, Ordering::SeqCst);
-        bin.last_mut().expect("just pushed")
-    }
-
-    /// Drops whatever ownership `tid` holds of `line`, unchaining the
-    /// entry once nobody owns it.
-    fn disown(&self, line: u64, tid: usize) {
-        let mut bin = self.lock_bin_idx(self.bin_of(line));
-        let Some(pos) = bin.iter().position(|e| e.line == line) else {
-            return;
-        };
-        let e = &mut bin[pos];
-        e.readers.retain(|&(t, _)| t != tid);
-        if matches!(e.writer, Some((t, _)) if t == tid) {
-            e.writer = None;
+    /// Drops whatever ownership `tid` holds of stripe `s`: its reader bit,
+    /// and the writer byte if it is `tid`'s. Only `tid` sets its writer
+    /// byte, and only `tid` — or the reaper of a dead `tid` — clears it, so
+    /// a relaxed look decides whether the byte goes too.
+    fn disown(&self, s: usize, tid: usize) {
+        let word = &self.owners[s];
+        let mut mine = reader_bit(tid);
+        if writer_of(word.load(Ordering::Relaxed)) == Some(tid) {
+            mine |= WRITER;
         }
-        if e.readers.is_empty() && e.writer.is_none() {
-            bin.swap_remove(pos);
-            self.occupancy[self.stripe_of(line)].fetch_sub(1, Ordering::SeqCst);
-        }
+        word.fetch_and(!mine, Ordering::SeqCst);
     }
 
-    /// Entries currently in the table (all bins) — test observability.
+    /// Stripes some slow-path transaction owns — test observability (the
+    /// name is from when ownership was per line).
     #[must_use]
     pub fn owned_lines(&self) -> usize {
-        (0..self.bins.len())
-            .map(|i| self.lock_bin_idx(i).len())
-            .sum()
+        self.owners
+            .iter()
+            .filter(|w| w.load(Ordering::SeqCst) != 0)
+            .count()
     }
 
-    /// Otable-bin poison recoveries so far.
+    /// Redo-record poison recoveries so far.
     #[must_use]
     pub fn poison_recovered(&self) -> u64 {
         self.poison_recovered.load(Ordering::Relaxed)
@@ -347,65 +302,38 @@ impl NativeUstm {
         self.orphan_releases.load(Ordering::Relaxed)
     }
 
-    /// Structural consistency audit of the ownership table, run after
-    /// poison recovery (and by torture tests at quiescence). Checks that
-    /// every stripe's entry count is the one fast commits probe, that
-    /// every entry has an owner and maps to the bin it chains in, that no
-    /// bin holds two entries for one line, and that no entry lists the
-    /// same reader twice.
+    /// Consistency audit of the owner words, for quiescence (torture
+    /// tests, the benchmark's phase boundaries): every owner a word names,
+    /// reader or writer, has a status slot, and that slot has not retired
+    /// — ownership is released before the slot retires, and a conflicting
+    /// owner's age is read from it.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn audit(&self) -> Result<(), String> {
-        let mut entries = vec![0u64; self.occupancy.len()];
-        for i in 0..self.bins.len() {
-            let bin = self.lock_bin_idx(i);
-            for (pos, e) in bin.iter().enumerate() {
-                entries[self.stripe_of(e.line)] += 1;
-                if e.writer.is_none() && e.readers.is_empty() {
-                    return Err(format!("line {} chained with no owner", e.line));
+        for (s, word) in self.owners.iter().enumerate() {
+            let w = word.load(Ordering::SeqCst);
+            let readers = (0..MAX_SLOTS).filter(|&t| w & reader_bit(t) != 0);
+            for t in readers.chain(writer_of(w)) {
+                let Some(slot) = self.slots.get(t) else {
+                    return Err(format!("stripe {s}: owner {t} has no slot"));
+                };
+                if slot_phase(slot.load(Ordering::SeqCst)) == PHASE_INACTIVE {
+                    return Err(format!("stripe {s}: owner {t}'s slot has retired"));
                 }
-                if self.bin_of(e.line) != i {
-                    return Err(format!("line {} chained into wrong bin {i}", e.line));
-                }
-                if bin[..pos].iter().any(|prev| prev.line == e.line) {
-                    return Err(format!("duplicate entries for line {} in bin {i}", e.line));
-                }
-                for (rpos, &(t, _)) in e.readers.iter().enumerate() {
-                    if e.readers[..rpos].iter().any(|&(t2, _)| t2 == t) {
-                        return Err(format!("line {}: reader {t} listed twice", e.line));
-                    }
-                }
-            }
-        }
-        for (s, &held) in entries.iter().enumerate() {
-            let counted = self.occupancy[s].load(Ordering::SeqCst);
-            if counted != held {
-                return Err(format!("stripe {s} holds {held} entries, counts {counted}"));
             }
         }
         Ok(())
     }
 
-    /// Removes every ownership record held by `victim` across all bins,
-    /// garbage-collecting emptied entries.
+    /// Removes every ownership `victim` holds.
     fn sweep_owner(&self, victim: usize) {
-        for i in 0..self.bins.len() {
-            let mut bin = self.lock_bin_idx(i);
-            for e in bin.iter_mut() {
-                e.readers.retain(|&(t, _)| t != victim);
-                if matches!(e.writer, Some((t, _)) if t == victim) {
-                    e.writer = None;
-                }
+        for (s, word) in self.owners.iter().enumerate() {
+            let w = word.load(Ordering::SeqCst);
+            if w & reader_bit(victim) != 0 || writer_of(w) == Some(victim) {
+                self.disown(s, victim);
             }
-            bin.retain(|e| {
-                let owned = e.writer.is_some() || !e.readers.is_empty();
-                if !owned {
-                    self.occupancy[self.stripe_of(e.line)].fetch_sub(1, Ordering::SeqCst);
-                }
-                owned
-            });
         }
     }
 
@@ -422,15 +350,15 @@ impl NativeUstm {
     }
 
     /// Everything a commit does once sealed, for `owner`'s redo `record`
-    /// (ascending addresses) — run by the committer itself or by the
-    /// helper completing it after its death; `strikes` says whether the
-    /// two failpoints below fire (an ordinary committer's do; a helper's
-    /// and the eldest transaction's do not). To everyone on the fast
-    /// path this is a TL2 writer: take the stripes of the record's lines
-    /// in ascending stripe order, draw `wv` from the clock, open the
-    /// strong-atomicity window, write back through the shadow view,
-    /// release the stripes at `wv`. Fast readers order against it by
-    /// ordinary read-set validation; fast committers fail their
+    /// (ascending addresses) over its `stripes` ([`record_stripes`]) — run
+    /// by the committer itself or by the helper completing it after its
+    /// death; `strikes` says whether the two failpoints below fire (an
+    /// ordinary committer's do; a helper's and the eldest transaction's do
+    /// not). To everyone on the fast path this is a TL2 writer: take the
+    /// stripes in ascending order, draw `wv = clock + 1` without moving the
+    /// clock, open the strong-atomicity window, write back through the
+    /// shadow view, release the stripes at `wv`. Fast readers order against
+    /// it by ordinary read-set validation; fast committers fail their
     /// single-shot CAS. Returns the rounds spent waiting for stripes.
     ///
     /// Acquisition spins, and terminates: a TL2 holder's own acquisition
@@ -440,7 +368,8 @@ impl NativeUstm {
     /// stripe already stamped for `owner` is inherited from the corpse —
     /// a helper replays under **every** stripe of the record, the ones it
     /// takes stamped the same way, so nothing of a sealed record is ever
-    /// visible half-written.
+    /// visible half-written. `wv` is drawn only once the last of them is
+    /// held, which is what lets the clock stay where it is.
     ///
     /// The committer's failpoints both fire with every stripe held, the
     /// window open and nothing stored yet: a delay stalls it with the
@@ -454,16 +383,12 @@ impl NativeUstm {
         heap: &NativeTl2,
         owner: usize,
         record: &[(u64, u64)],
-        stripes: &mut Vec<usize>,
+        stripes: &[usize],
         strikes: bool,
     ) -> u64 {
         let stamp = heap.slow_stamp(owner);
-        stripes.clear();
-        stripes.extend(record.iter().map(|&(a, _)| heap.stripe_of(Addr(a))));
-        stripes.sort_unstable();
-        stripes.dedup();
         let mut waits = 0;
-        for &s in stripes.iter() {
+        for &s in stripes {
             loop {
                 let word = heap.stripe_word(s);
                 if word == stamp || (word & HELD == 0 && heap.lock_stripe(s, word, stamp)) {
@@ -475,7 +400,7 @@ impl NativeUstm {
                 }
             }
         }
-        let wv = heap.tick();
+        let wv = heap.draw_wv();
         {
             let chaos = strikes.then(|| (heap.chaos(), owner));
             let _win = heap
@@ -490,7 +415,7 @@ impl NativeUstm {
                     .store(v, Ordering::Release);
             }
         }
-        for &s in stripes.iter() {
+        for &s in stripes {
             heap.release_stripe(s, wv);
         }
         waits
@@ -502,8 +427,8 @@ impl NativeUstm {
     /// every stripe of the record and through a fresh guard window
     /// (idempotent: the full record is replayed even if the dead
     /// committer had already stored some of it) — while an unsealed
-    /// (`ACTIVE`) one is simply discarded; in both cases its ownership
-    /// records are swept and its status slot retired.
+    /// (`ACTIVE`) one is simply discarded; in both cases its ownerships
+    /// are swept and its status slot retired.
     ///
     /// Racing helpers serialize on a `COMMITTING/ACTIVE → REAPING` CAS:
     /// the winner does the work, losers wait for the slot to retire.
@@ -516,7 +441,7 @@ impl NativeUstm {
         );
         loop {
             let cur = self.slots[victim].load(Ordering::SeqCst);
-            let ts = cur >> 24;
+            let ts = slot_ts(cur);
             match slot_phase(cur) {
                 PHASE_COMMITTING => {
                     if self.slots[victim]
@@ -530,14 +455,10 @@ impl NativeUstm {
                     {
                         continue;
                     }
-                    let record: Vec<(u64, u64)> = {
-                        let (rec, recovered) = lock_recover(&self.records[victim]);
-                        if recovered {
-                            self.poison_recovered.fetch_add(1, Ordering::Relaxed);
-                        }
-                        rec.clone()
-                    };
-                    self.publish_sealed(heap, victim, &record, &mut Vec::new(), false);
+                    let record: Vec<(u64, u64)> = self.lock_record(victim).clone();
+                    let mut stripes = Vec::new();
+                    record_stripes(heap, &record, &mut stripes);
+                    self.publish_sealed(heap, victim, &record, &stripes, false);
                     self.sweep_owner(victim);
                     self.slots[victim].store(0, Ordering::SeqCst);
                     self.helper_completions.fetch_add(1, Ordering::Relaxed);
@@ -578,20 +499,40 @@ impl NativeUstm {
         }
     }
 
-    /// Test scaffolding: deliberately poisons the bin that `line` chains
-    /// into, reproducing the cascade the poison-tolerant bins defend
-    /// against.
+    /// Locks `tid`'s redo record — the slow path's one mutex — recovering
+    /// from poison instead of cascading the panic of a worker that died
+    /// holding it (possible only at an injected failpoint or a genuine bug
+    /// outside the protocol's own critical sections, which contain no
+    /// panics). The record is rewritten whole before every seal, so
+    /// recovery is safe and the event is just counted.
+    fn lock_record(&self, tid: usize) -> MutexGuard<'_, RedoRecord> {
+        let (rec, recovered) = lock_recover(&self.records[tid]);
+        if recovered {
+            self.poison_recovered.fetch_add(1, Ordering::Relaxed);
+        }
+        rec
+    }
+
+    /// Test scaffolding: deliberately poisons `tid`'s redo record,
+    /// reproducing the cascade the poison-tolerant record defends against.
     #[doc(hidden)]
     #[expect(
         clippy::disallowed_methods,
-        reason = "poisons the bin on purpose; the lock result is dropped, never unwrapped"
+        reason = "poisons the record on purpose; the lock result is dropped, never unwrapped"
     )]
-    pub fn debug_poison_bin(&self, line: u64) {
-        let idx = self.bin_of(line);
+    pub fn debug_poison_record(&self, tid: usize) {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = self.bins[idx].lock();
-            panic!("deliberate bin poison (test scaffolding)");
+            let _g = self.records[tid].lock();
+            panic!("deliberate record poison (test scaffolding)");
         }));
+    }
+
+    /// Test scaffolding: sets `bits` in the owner word of `addr`'s stripe,
+    /// as if some transaction had taken ownership, so audit tests can
+    /// plant what no transaction leaves.
+    #[doc(hidden)]
+    pub fn debug_set_owner_bits(&self, heap: &NativeTl2, addr: Addr, bits: u64) {
+        self.owners[heap.stripe_of(addr)].fetch_or(bits, Ordering::SeqCst);
     }
 }
 
@@ -610,7 +551,7 @@ pub struct NativeUstmStats {
     /// Kill requests this handle delivered to younger conflictors.
     pub kills_issued: u64,
     /// Stall iterations spent waiting for a conflicting owner to
-    /// release (each is one bin-unlock/yield/retry round).
+    /// release (each is one yield/retry round).
     pub stalls: u64,
     /// Rounds spent waiting for a TL2 stripe to be released: by a reader
     /// before it trusts a line it has just taken ownership of, or by a
@@ -659,16 +600,14 @@ pub struct NativeUstmTxn<'a> {
     ustm: &'a NativeUstm,
     tid: usize,
     ts: u64,
-    /// Lines this transaction holds read ownership of.
-    reads: Vec<u64>,
+    /// Stripes this transaction holds read ownership of.
+    reads: Vec<usize>,
     /// The redo log, published at commit.
     writes: WriteSet,
-    /// Lines write-acquired so far during commit that are not in `reads`
-    /// (a line in both is released once, through `reads`).
-    write_owned: Vec<u64>,
-    /// Commit scratch: the redo log's lines, sorted and deduplicated.
-    lines: Vec<u64>,
-    /// Commit scratch: the TL2 stripes of those lines, likewise.
+    /// Stripes write-acquired so far during commit that are not in
+    /// `reads` (a stripe in both is released once, through `reads`).
+    write_owned: Vec<usize>,
+    /// Commit scratch: the redo log's stripes, ascending and deduplicated.
     stripes: Vec<usize>,
     active: bool,
     last_killer: Option<usize>,
@@ -678,7 +617,7 @@ pub struct NativeUstmTxn<'a> {
 
 impl<'a> NativeUstmTxn<'a> {
     /// Creates a handle for thread `tid` over `heap`'s words and
-    /// `ustm`'s ownership table.
+    /// `ustm`'s owner words.
     ///
     /// # Panics
     ///
@@ -699,7 +638,6 @@ impl<'a> NativeUstmTxn<'a> {
             reads: Vec::new(),
             writes: WriteSet::default(),
             write_owned: Vec::new(),
-            lines: Vec::new(),
             stripes: Vec::new(),
             active: false,
             last_killer: None,
@@ -765,11 +703,11 @@ impl<'a> NativeUstmTxn<'a> {
         slot_killer(self.my_slot().load(Ordering::SeqCst))
     }
 
-    /// Releases every ownership record this transaction holds (one bin
-    /// lock at a time), garbage-collecting empty entries.
+    /// Releases every ownership this transaction holds, one RMW per
+    /// stripe.
     fn release_ownership(&mut self) {
-        for &line in self.reads.iter().chain(&self.write_owned) {
-            self.ustm.disown(line, self.tid);
+        for &s in self.reads.iter().chain(&self.write_owned) {
+            self.ustm.disown(s, self.tid);
         }
         self.reads.clear();
         self.write_owned.clear();
@@ -801,18 +739,18 @@ impl<'a> NativeUstmTxn<'a> {
         UstmAbort::Explicit
     }
 
-    /// Requests a kill of `(victim, victim_ts)` if it is still `ACTIVE`
-    /// and unkilled. A sealed (`COMMITTING`) victim cannot be killed —
-    /// the caller stalls behind it instead, exactly like the simulator's
-    /// attacker stalling on a committing transaction.
-    fn issue_kill(&mut self, victim: usize, victim_ts: u64) {
+    /// Requests a kill of `victim`, whose status slot was just seen as
+    /// `seen`, if it is still `ACTIVE` and unkilled. A sealed
+    /// (`COMMITTING`) victim cannot be killed — the caller stalls behind it
+    /// instead, exactly like the simulator's attacker stalling on a
+    /// committing transaction.
+    fn issue_kill(&mut self, victim: usize, seen: u64) {
+        let victim_ts = slot_ts(seen);
         debug_assert!(victim_ts > self.ts, "only younger transactions are killed");
-        let slot = &self.ustm.slots[victim];
-        let cur = slot.load(Ordering::SeqCst);
-        if cur == pack(victim_ts, 0, PHASE_ACTIVE)
-            && slot
+        if seen == pack(victim_ts, 0, PHASE_ACTIVE)
+            && self.ustm.slots[victim]
                 .compare_exchange(
-                    cur,
+                    seen,
                     pack(victim_ts, self.tid as u64 + 1, PHASE_ACTIVE),
                     Ordering::SeqCst,
                     Ordering::SeqCst,
@@ -822,13 +760,22 @@ impl<'a> NativeUstmTxn<'a> {
             self.stats.kills_issued += 1;
         }
         // CAS failure means the victim is already killed, sealed, or
-        // gone — in every case the caller just waits for the ownership
-        // record to clear.
+        // gone — in every case the caller just waits for its ownership
+        // to clear.
     }
 
-    /// One stall round: drop everything, yield, and let the caller's
-    /// loop re-examine the bin.
-    fn stall(&mut self) {
+    /// One round of a conflict with `other`, an owner in the way: kill it
+    /// if it is younger, then stall — behind a younger owner until it
+    /// unwinds, behind an older or sealed one until it retires. Its age
+    /// comes from its status slot, which holds it for as long as it owns
+    /// anything; a retired slot means the ownership is already gone, and
+    /// the caller's next look sees so.
+    fn resolve(&mut self, other: usize) {
+        let seen = self.ustm.slots[other].load(Ordering::SeqCst);
+        if slot_phase(seen) != PHASE_INACTIVE && slot_ts(seen) > self.ts {
+            self.issue_kill(other, seen);
+        }
+        self.unblock_if_dead(other);
         self.stats.stalls += 1;
         std::thread::yield_now();
     }
@@ -843,51 +790,30 @@ impl<'a> NativeUstmTxn<'a> {
         }
     }
 
-    /// Acquires read ownership of `line`. Never holds the bin lock
-    /// while waiting.
-    fn acquire_read(&mut self, line: u64) -> Result<(), UstmAbort> {
+    /// Acquires read ownership of stripe `s`: one `fetch_or` of this
+    /// transaction's bit, taken back if a writer already owns the stripe.
+    fn acquire_read(&mut self, s: usize) -> Result<(), UstmAbort> {
+        let me = reader_bit(self.tid);
+        let word = &self.ustm.owners[s];
         loop {
             if let Some(by) = self.doomed() {
                 return Err(self.unwind_killed(by));
             }
-            let blocker;
-            {
-                let mut bin = self.ustm.lock_bin_idx(self.ustm.bin_of(line));
-                match bin.iter_mut().find(|e| e.line == line) {
-                    Some(e) => {
-                        if let Some((wtid, wts)) = e.writer {
-                            debug_assert_ne!(wtid, self.tid, "read under own write ownership");
-                            if wts > self.ts {
-                                self.issue_kill(wtid, wts);
-                            }
-                            // Fall through to stall (younger writer: until
-                            // it unwinds; older/sealed: until it retires).
-                            blocker = wtid;
-                        } else {
-                            if !e.readers.iter().any(|&(t, _)| t == self.tid) {
-                                e.readers.push((self.tid, self.ts));
-                            }
-                            return Ok(());
-                        }
-                    }
-                    None => {
-                        let me = vec![(self.tid, self.ts)];
-                        self.ustm.push_entry(&mut bin, line, me);
-                        return Ok(());
-                    }
-                }
-            }
-            self.unblock_if_dead(blocker);
-            self.stall();
+            let Some(writer) = writer_of(word.fetch_or(me, Ordering::SeqCst)) else {
+                return Ok(());
+            };
+            debug_assert_ne!(writer, self.tid, "read under own write ownership");
+            word.fetch_and(!me, Ordering::SeqCst);
+            self.resolve(writer);
         }
     }
 
     /// Having just registered as a reader of a line, waits until the
-    /// line's stripe `s` is unlocked. A fast commit that locked the stripe
-    /// before the registration became visible may still be writing the
-    /// line; one that locks it afterwards sees the ownership and aborts
-    /// (see [`NativeUstm::is_owned`]). So from here until release the line
-    /// is stable, and later reads of it check nothing.
+    /// stripe `s` is unlocked. A fast commit that locked the stripe before
+    /// the registration became visible may still be writing its lines; one
+    /// that locks it afterwards sees the ownership and aborts (see
+    /// [`NativeUstm::is_owned`]). So from here until release the stripe's
+    /// lines are stable, and later reads of them check nothing.
     fn await_stripe(&mut self, s: usize) -> Result<(), UstmAbort> {
         loop {
             let word = self.heap.stripe_word(s);
@@ -902,51 +828,50 @@ impl<'a> NativeUstmTxn<'a> {
         }
     }
 
-    /// Acquires write ownership of `line` (commit path). Kills younger
-    /// conflicting owners, stalls behind older ones.
-    fn acquire_write(&mut self, line: u64) -> Result<(), UstmAbort> {
+    /// Acquires write ownership of stripe `s` (commit path): one CAS of
+    /// the writer byte into a word no other transaction owns. Kills
+    /// younger conflicting owners, stalls behind older ones.
+    fn acquire_write(&mut self, s: usize) -> Result<(), UstmAbort> {
+        let me = reader_bit(self.tid);
+        let word = &self.ustm.owners[s];
         loop {
             if let Some(by) = self.doomed() {
                 return Err(self.unwind_killed(by));
             }
-            let blocker;
-            {
-                let mut bin = self.ustm.lock_bin_idx(self.ustm.bin_of(line));
-                // A fresh entry is taken below, under the same lock: no
-                // entry is ever visible without an owner.
-                let e = match bin.iter().position(|e| e.line == line) {
-                    Some(pos) => &mut bin[pos],
-                    None => self.ustm.push_entry(&mut bin, line, Vec::new()),
-                };
-                if let Some((wtid, wts)) = e.writer {
-                    debug_assert_ne!(wtid, self.tid, "double write acquisition");
-                    if wts > self.ts {
-                        self.issue_kill(wtid, wts);
-                    }
-                    blocker = wtid;
-                } else if let Some(&(rtid, rts)) = e.readers.iter().find(|&&(t, _)| t != self.tid) {
-                    if rts > self.ts {
-                        self.issue_kill(rtid, rts);
-                    }
-                    blocker = rtid;
-                } else {
-                    // A line this transaction has read is released once,
-                    // through `reads`: `disown` clears both slots.
-                    if !e.readers.iter().any(|&(t, _)| t == self.tid) {
-                        self.write_owned.push(line);
-                    }
-                    e.writer = Some((self.tid, self.ts));
-                    return Ok(());
+            let cur = word.load(Ordering::SeqCst);
+            let other = match writer_of(cur) {
+                Some(writer) => {
+                    debug_assert_ne!(writer, self.tid, "double write acquisition");
+                    writer
                 }
-            }
-            self.unblock_if_dead(blocker);
-            self.stall();
+                None if cur & !me == 0 => {
+                    if word
+                        .compare_exchange(
+                            cur,
+                            cur | writer_byte(self.tid),
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                        )
+                        .is_ok()
+                    {
+                        // A stripe this transaction has read is released
+                        // once, through `reads`: `disown` clears both.
+                        if cur & me == 0 {
+                            self.write_owned.push(s);
+                        }
+                        return Ok(());
+                    }
+                    continue;
+                }
+                None => (cur & !me).trailing_zeros() as usize,
+            };
+            self.resolve(other);
         }
     }
 
     /// Transactional read: redo log first, then — on the first read of a
-    /// line — eager read-ownership acquisition and a wait for the line's
-    /// TL2 stripe, then a shadow-view load.
+    /// stripe — eager read-ownership acquisition and a wait for the
+    /// stripe's TL2 lock, then a shadow-view load.
     ///
     /// # Errors
     ///
@@ -965,11 +890,11 @@ impl<'a> NativeUstmTxn<'a> {
             return Ok(v);
         }
         let w = self.heap.word_index(addr);
-        let line = addr.0 / LINE_BYTES;
-        if !self.reads.contains(&line) {
-            self.acquire_read(line)?;
-            self.reads.push(line);
-            self.await_stripe(self.heap.stripe_of(addr))?;
+        let s = self.heap.stripe_of(addr);
+        if !self.reads.contains(&s) {
+            self.acquire_read(s)?;
+            self.reads.push(s);
+            self.await_stripe(s)?;
         }
         Ok(self.heap.heap().shadow_word(w).load(Ordering::Acquire))
     }
@@ -1023,7 +948,7 @@ impl<'a> NativeUstmTxn<'a> {
     }
 
     /// Commits: sorted-order write acquisition → seal → TL2 stripes →
-    /// clock → guard window → shadow write-back → stripe release →
+    /// `wv = clock + 1` → guard window → shadow write-back → stripe release →
     /// ownership release → retire.
     ///
     /// # Errors
@@ -1032,18 +957,13 @@ impl<'a> NativeUstmTxn<'a> {
     /// before the seal; the transaction has been rolled back.
     pub fn commit(&mut self) -> Result<(), UstmAbort> {
         debug_assert!(self.active);
-        // Phase 1: acquire write ownership in canonical (sorted) line
-        // order. Acquisition happens while still ACTIVE (killable), so
-        // an older committer can always break a would-be deadlock by
+        // Phase 1: acquire write ownership in canonical (ascending)
+        // stripe order. Acquisition happens while still ACTIVE (killable),
+        // so an older committer can always break a would-be deadlock by
         // killing us out of our acquisition loop.
-        // The redo log iterates in address order, so its lines come out
-        // sorted and deduplicating neighbours is enough.
-        self.lines.clear();
-        let lines = self.writes.as_slice().iter().map(|&(a, _)| a / LINE_BYTES);
-        self.lines.extend(lines);
-        self.lines.dedup();
-        for i in 0..self.lines.len() {
-            self.acquire_write(self.lines[i])?;
+        record_stripes(self.heap, self.writes.as_slice(), &mut self.stripes);
+        for i in 0..self.stripes.len() {
+            self.acquire_write(self.stripes[i])?;
         }
         // Ownerships held, not yet sealed: a forced abort (or injected
         // panic) here still unwinds as a plain ACTIVE rollback.
@@ -1057,10 +977,7 @@ impl<'a> NativeUstmTxn<'a> {
             // if it dies a helper must be able to finish the write-back
             // from this record alone.
             {
-                let (mut rec, recovered) = lock_recover(&self.ustm.records[self.tid]);
-                if recovered {
-                    self.ustm.poison_recovered.fetch_add(1, Ordering::Relaxed);
-                }
+                let mut rec = self.ustm.lock_record(self.tid);
                 rec.clear();
                 rec.extend_from_slice(self.writes.as_slice());
             }
@@ -1081,7 +998,7 @@ impl<'a> NativeUstmTxn<'a> {
                     .expect("seal failed without a recorded killer");
                 return Err(self.unwind_killed(by));
             }
-            // Phase 3: stripes, clock, window, write-back, release. Plain
+            // Phase 3: stripes, `wv`, window, write-back, release. Plain
             // accesses to these pages fault and re-execute after the
             // window; USTM readers are excluded by ownership; the TL2 fast
             // path sees a TL2 writer.
@@ -1089,7 +1006,7 @@ impl<'a> NativeUstmTxn<'a> {
                 self.heap,
                 self.tid,
                 self.writes.as_slice(),
-                &mut self.stripes,
+                &self.stripes,
                 strikes,
             );
         }

@@ -148,14 +148,7 @@ fn ustm_commits_with_concurrent_plain_traffic() {
     if !guard::available() {
         return;
     }
-    let h = NativeHybrid::new(
-        1 << 14,
-        1 << 8,
-        1 << 13,
-        2,
-        1 << 6,
-        NativeHybridPolicy::default(),
-    );
+    let h = NativeHybrid::new(1 << 14, 1 << 8, 1 << 13, 2, NativeHybridPolicy::default());
     let a = Addr(4096); // same page as b: plain traffic to b false-shares
     let b = Addr(4096 + 256);
     const ROUNDS: u64 = 200;

@@ -30,14 +30,7 @@ fn quiet_injected_panics() {
 }
 
 fn world() -> NativeHybrid {
-    NativeHybrid::new(
-        1 << 14,
-        1 << 8,
-        1 << 12,
-        1,
-        1 << 6,
-        NativeHybridPolicy::default(),
-    )
+    NativeHybrid::new(1 << 14, 1 << 8, 1 << 12, 1, NativeHybridPolicy::default())
 }
 
 /// The regression proper: die at the `GuardWindow` failpoint (fired
@@ -84,7 +77,7 @@ fn panic_inside_the_window_restores_protection_and_completes() {
     assert_eq!(h.ustm().owned_lines(), 0);
     h.ustm()
         .audit()
-        .expect("otable audit after in-window death");
+        .expect("owner-word audit after in-window death");
     let stats = h.guard_stats();
     assert!(
         stats.windows_opened >= 2,

@@ -25,7 +25,7 @@ fn world(threads: usize) -> NativeHybrid {
 }
 
 fn world_with(threads: usize, policy: NativeHybridPolicy) -> NativeHybrid {
-    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, threads, 1 << 8, policy)
+    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, threads, policy)
 }
 
 #[test]
@@ -73,7 +73,6 @@ fn hybrid_fails_over_under_conflict_and_stays_exact() {
         1 << 12,
         1 << 12,
         THREADS,
-        1 << 8,
         NativeHybridPolicy {
             failover_after: 1, // any abort fails over
             ..NativeHybridPolicy::default()
@@ -144,7 +143,6 @@ fn hybrid_transfers_conserve_the_total() {
         1 << 12,
         1 << 12,
         THREADS,
-        1 << 8,
         NativeHybridPolicy {
             failover_after: 2,
             ..NativeHybridPolicy::default()
@@ -195,7 +193,7 @@ fn hybrid_transfers_conserve_the_total() {
 }
 
 /// Pure slow-path stress: every transaction forced onto USTM, maximal
-/// kill/stall traffic through the ownership table.
+/// kill/stall traffic through the owner words.
 #[test]
 fn all_slow_path_counter_is_exact() {
     const THREADS: usize = 3;
@@ -342,8 +340,8 @@ fn slow_transaction_commits_beside_a_parked_fast_body() {
 
 /// A fast commit yields to a slow owner, as a hardware transaction takes
 /// a UFO fault. tid 0's slow transaction reads ACCT_A and parks; tid 1's
-/// fast increment of ACCT_A takes the stripe, finds the reader in the
-/// ownership table and aborts `LockBusy`; told so, the reader reads the
+/// fast increment of ACCT_A takes the stripe, finds the reader in its
+/// owner word and aborts `LockBusy`; told so, the reader reads the
 /// word again — the same value — and commits; only then does the
 /// increment land. tid 1 never fails over (`failover_after` is out of
 /// reach), so every abort it counts is the fast path yielding. The reader
@@ -586,16 +584,15 @@ fn mixed_paths_on_shared_lines_conserve_the_total() {
     assert_eq!(stats.total_commits(), THREADS as u64 * PER);
     assert!(stats.fast.commits > 0 && stats.slow.commits > 0);
     assert_eq!(h.ustm().owned_lines(), 0, "ownership must drain");
-    h.ustm().audit().expect("otable audit");
+    h.ustm().audit().expect("owner-word audit");
 }
 
 /// Private data never conflicts: two workers increment four consecutive
 /// lines at a time in disjoint contiguous regions, every eighth
-/// transaction forced slow, chaos disarmed. Stripes and their ownership
-/// counts are indexed in address order, so neither worker touches a
-/// stripe or a count of the other's (ownership-table bins may be shared,
-/// which serialises slow accesses but aborts nothing): no fast abort, no
-/// slow abort, and no failover but the forced ones.
+/// transaction forced slow, chaos disarmed. Stripes and their owner
+/// words are indexed in address order, so neither worker touches a
+/// stripe or an owner word of the other's: no fast abort, no slow abort,
+/// and no failover but the forced ones.
 #[test]
 fn private_regions_never_conflict() {
     const THREADS: usize = 2;
@@ -634,13 +631,13 @@ fn private_regions_never_conflict() {
     assert_eq!(stats.total_commits(), THREADS as u64 * PER);
     assert_eq!(stats.forced_failovers, THREADS as u64 * PER / 8);
     assert_eq!(stats.failovers, stats.forced_failovers);
-    h.ustm().audit().expect("otable audit");
+    h.ustm().audit().expect("owner-word audit");
 }
 
 /// Per line, not per mode (1 of 2): tid 0's slow transaction (a serial
 /// one under `SERIAL_AT_ONCE`) reads COUNTER and parks; a tid-less
 /// [`NativeHybrid::poke`] of COUNTER from another thread takes the stripe,
-/// finds the reader in the ownership table as a fast commit would, gives
+/// finds the reader in the owner word as a fast commit would, gives
 /// the stripe back and waits. It returns only after the body has
 /// committed, so the body's read-modify-write lands whole (WITNESS, on the
 /// same line, carries its result) and the poke lands after it.

@@ -23,7 +23,7 @@
 use ufotm_machine::Addr;
 use ufotm_native::{NativeHybrid, NativeHybridPolicy, NativeTxn, NativeUstmTxn};
 
-/// The two words, on different lines (and stripes, and bins).
+/// The two words, on different lines (and stripes).
 const WORDS: [Addr; 2] = [Addr(512), Addr(1024)];
 const INIT: [u64; 2] = [10, 20];
 
@@ -273,14 +273,7 @@ struct Tally {
 /// up costs more than a thousand schedules).
 fn explore(tuples: &[Vec<Program>], eldest: bool) -> (Tally, u64) {
     let n = tuples[0].len();
-    let world = NativeHybrid::new(
-        1 << 8,
-        1 << 6,
-        1 << 8,
-        n,
-        1 << 4,
-        NativeHybridPolicy::default(),
-    );
+    let world = NativeHybrid::new(1 << 8, 1 << 6, 1 << 8, n, NativeHybridPolicy::default());
     let (_, slow) = world.debug_step_handles(0);
     let mut slow: Box<dyn Steps + '_> = if eldest {
         Box::new(Eldest(slow))
@@ -309,7 +302,7 @@ fn explore(tuples: &[Vec<Program>], eldest: bool) -> (Tally, u64) {
     drop(txns);
     let yields = fast.iter().map(|f| f.stats.slow_owner_aborts).sum();
     assert_eq!(world.ustm().owned_lines(), 0);
-    world.ustm().audit().expect("otable audit");
+    world.ustm().audit().expect("owner-word audit");
     (tally, yields)
 }
 

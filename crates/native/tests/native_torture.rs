@@ -4,7 +4,7 @@
 //! injection site — runs a workload on the hybrid, and asserts that
 //! the survivors reach quiescence with the heap consistent: counter
 //! balance against per-tid progress words committed in the same
-//! transactions, a structurally sound and drained ownership table,
+//! transactions, sound and drained owner words,
 //! and the reclamation counters that the schedule forces (orphan
 //! steals, orphan releases, helper completions) actually nonzero.
 //!
@@ -23,9 +23,11 @@ use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
 use ufotm_native::{
     run_hybrid_threads, run_hybrid_threads_collect, run_threads, run_threads_collect, ChaosPlan,
-    FailSite, HybridThread, InjectedPanic, NativeHybrid, NativeHybridPolicy, NativeTl2,
+    FailSite, HybridThread, InjectedPanic, NativeHybrid, NativeHybridPolicy, NativeTl2, NativeUstm,
+    NativeUstmTxn,
 };
 use ufotm_sim::{for_each_seed, seed_count};
+use ufotm_tl2::Tl2Abort;
 
 const THREADS: usize = 4;
 const VICTIM: usize = 2;
@@ -234,7 +236,7 @@ impl Workload {
 }
 
 fn world(policy: NativeHybridPolicy) -> NativeHybrid {
-    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, THREADS, 1 << 8, policy)
+    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, THREADS, policy)
 }
 
 /// One matrix cell: arm `mixed(seed)` plus a one-shot panic for the
@@ -299,11 +301,11 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
             }
         }
 
-        // Quiescence: ownership table structurally sound and fully
-        // drained, no stripe lock left stamped.
+        // Quiescence: owner words sound and fully drained, no stripe
+        // lock left stamped.
         h.ustm()
             .audit()
-            .unwrap_or_else(|e| panic!("{label}: otable audit failed: {e}"));
+            .unwrap_or_else(|e| panic!("{label}: owner-word audit failed: {e}"));
         assert_eq!(h.ustm().owned_lines(), 0, "{label}: ownership leaked");
         w.verify(&h, &label);
 
@@ -440,7 +442,7 @@ fn sealed_death_is_helper_completed() {
     assert_eq!(h.peek(COUNTER), 42, "helper must finish the sealed commit");
     assert_eq!(h.peek(ACCT_A), 43, "helper must replay the whole record");
     assert_eq!(h.ustm().owned_lines(), 0, "reaper must sweep ownership");
-    h.ustm().audit().expect("otable audit");
+    h.ustm().audit().expect("owner-word audit");
     for line in [COUNTER, ACCT_A] {
         assert!(
             !stripe_is_held(h.tl2(), line),
@@ -513,7 +515,7 @@ fn a_dead_sealed_committers_stripe_is_completed_not_stolen() {
     assert_eq!(h.peek(COUNTER), 100);
     assert!(!stripe_is_held(h.tl2(), COUNTER));
     assert_eq!(h.ustm().owned_lines(), 0);
-    h.ustm().audit().expect("otable audit");
+    h.ustm().audit().expect("owner-word audit");
 }
 
 /// Deterministic orphan release: the worker dies with write ownerships
@@ -540,7 +542,7 @@ fn unsealed_death_is_discarded_whole() {
     assert_eq!(h.ustm().orphan_releases(), 1);
     assert_eq!(h.peek(COUNTER), 0, "unsealed death must not leak writes");
     assert_eq!(h.ustm().owned_lines(), 0);
-    h.ustm().audit().expect("otable audit");
+    h.ustm().audit().expect("owner-word audit");
 }
 
 /// The crafted native livelock: every fast-path read, fast-path commit,
@@ -654,16 +656,15 @@ fn plain_peeks_never_see_a_half_applied_slow_commit() {
     assert_eq!(h.peek(X2), ROUNDS);
 }
 
-/// Poison tolerance: a deliberately poisoned ownership bin must not
-/// cascade — the next locker recovers the guard, the recovery is
-/// counted, the structural audit passes, and transactions through that
-/// bin keep committing.
+/// Poison tolerance: a deliberately poisoned redo record — the slow
+/// path's one mutex — must not cascade: the next commit through it
+/// recovers the guard, the recovery is counted, the audit passes, and the
+/// commit publishes.
 #[test]
-fn poisoned_otable_bin_recovers_and_audits_clean() {
+fn poisoned_redo_record_recovers_and_audits_clean() {
     quiet_injected_panics();
     let h = world(NativeHybridPolicy::default());
-    let line = COUNTER.0 / 64;
-    h.ustm().debug_poison_bin(line);
+    h.ustm().debug_poison_record(0);
     let (stats, _) = run_hybrid_threads(&h, 1, |th| {
         th.force_failover_next();
         th.transaction(|tx| {
@@ -676,9 +677,125 @@ fn poisoned_otable_bin_recovers_and_audits_clean() {
     assert_eq!(h.peek(COUNTER), 5);
     assert!(
         h.ustm().poison_recovered() > 0,
-        "recovery through the poisoned bin must be counted"
+        "recovery through the poisoned record must be counted"
     );
     h.ustm().audit().expect("audit after poison recovery");
+    assert_eq!(h.ustm().owned_lines(), 0);
+}
+
+/// `world`'s lock table has 4096 stripes: a line this many lines on
+/// shares its stripe.
+const STRIPES: u64 = 1 << 12;
+
+/// Ownership is per stripe: a slow reader of one line makes a fast
+/// commit to another line of its stripe yield, as to an owner of that
+/// line itself, while a line of the next stripe commits.
+#[test]
+fn two_lines_on_one_stripe_conflict_as_one() {
+    let h = world(NativeHybridPolicy::default());
+    let a = COUNTER;
+    let b = Addr(a.0 + STRIPES * 64);
+    let next = Addr(a.0 + 64);
+    let (_, mut slow) = h.debug_step_handles(0);
+    let (mut fast, _) = h.debug_step_handles(1);
+    slow.begin();
+    assert_eq!(slow.read(a), Ok(0));
+    assert_eq!(h.ustm().owned_lines(), 1);
+
+    fast.begin();
+    fast.write(b, 7).unwrap();
+    assert_eq!(fast.commit(), Err(Tl2Abort::LockBusy));
+    assert_eq!(fast.stats.slow_owner_aborts, 1);
+    fast.begin();
+    fast.write(next, 8).unwrap();
+    fast.commit().expect("the next stripe is nobody's");
+
+    slow.commit().unwrap();
+    fast.begin();
+    fast.write(b, 7).unwrap();
+    fast.commit().expect("released with the slow commit");
+    assert_eq!((h.peek(b), h.peek(next)), (7, 8));
+    assert_eq!(fast.stats.slow_owner_aborts, 1);
+}
+
+/// An owner word names 56 slots, one reader bit each under the writer
+/// byte. The last of them owns and commits like the first; a 57th is
+/// refused at construction.
+#[test]
+#[should_panic(expected = "at most 56 USTM slots")]
+fn a_57th_slow_slot_is_rejected() {
+    let heap = NativeTl2::new(1 << 12, 1 << 6, 1 << 11);
+    let ustm = NativeUstm::new(&heap, 56);
+    let mut last = NativeUstmTxn::new(&heap, &ustm, 55);
+    last.begin();
+    let v = last.read(COUNTER).unwrap();
+    last.write(COUNTER, v + 1).unwrap();
+    last.commit().unwrap();
+    assert_eq!(heap.peek(COUNTER), 1);
+    ustm.audit().expect("slot 55's bits are its own");
+    assert_eq!(ustm.owned_lines(), 0);
+    let _ = NativeUstm::new(&heap, 57);
+}
+
+/// The audit names an owner bit that no slot stands behind: a slot past
+/// the last, and a slot that has retired. An owner with a live slot
+/// passes.
+#[test]
+fn audit_rejects_an_owner_bit_with_no_slot() {
+    let h = world(NativeHybridPolicy::default());
+    h.ustm()
+        .debug_set_owner_bits(h.tl2(), COUNTER, 1 << THREADS);
+    let e = h.ustm().audit().expect_err("a bit past the last slot");
+    assert!(e.contains("no slot"), "{e}");
+
+    let h = world(NativeHybridPolicy::default());
+    h.ustm().debug_set_owner_bits(h.tl2(), COUNTER, 1);
+    let e = h.ustm().audit().expect_err("slot 0 has not begun");
+    assert!(e.contains("retired"), "{e}");
+    let (_, mut slow) = h.debug_step_handles(0);
+    slow.begin();
+    h.ustm().audit().expect("slot 0 is active");
+}
+
+/// A worker that dies holding read bits and writer bytes — killed at
+/// `ustm-commit`, after its write acquisitions and before its seal —
+/// leaves every stripe when it is reaped, and a successor writes them all.
+#[test]
+fn a_dead_owners_bits_leave_every_stripe() {
+    quiet_injected_panics();
+    let h = world(NativeHybridPolicy::default());
+    let (a, b, c) = (COUNTER, ACCT_A, ACCT_B);
+    let (_, mut slow) = h.debug_step_handles(1);
+    slow.begin();
+    assert_eq!(slow.read(a), Ok(0));
+    assert_eq!(slow.read(b), Ok(0));
+    slow.write(a, 1).unwrap();
+    slow.write(c, 1).unwrap();
+    h.tl2()
+        .chaos()
+        .arm(&ChaosPlan::quiet(1).with_panic(FailSite::UstmCommit, Some(1), 1));
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slow.commit()));
+    h.tl2().chaos().disarm();
+    assert!(died.is_err(), "the committer must die before its seal");
+    assert_eq!(
+        h.ustm().owned_lines(),
+        3,
+        "a read+written, b read, c written"
+    );
+
+    h.tl2().liveness().mark_dead(1);
+    h.reap_dead(1);
+    assert_eq!(h.ustm().owned_lines(), 0);
+    h.ustm().audit().expect("audit after the reap");
+    assert_eq!(h.ustm().orphan_releases(), 1);
+
+    let (_, mut next) = h.debug_step_handles(0);
+    next.begin();
+    for addr in [a, b, c] {
+        next.write(addr, 9).unwrap();
+    }
+    next.commit().unwrap();
+    assert_eq!((h.peek(a), h.peek(b), h.peek(c)), (9, 9, 9));
 }
 
 /// Satellite 1 (TL2 runner): a genuine (non-injected) worker panic is

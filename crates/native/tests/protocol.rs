@@ -1,10 +1,11 @@
 //! Single-threaded protocol scripts: two manual [`NativeTxn`] handles
 //! interleaved step by step, pinning the TL2 semantics (isolation,
-//! publication, each abort class) deterministically — no real races
-//! needed.
+//! publication, each abort class, the clock) deterministically — no real
+//! races needed. One script puts a slow-path commit among them, for the
+//! clock rule the two paths share.
 
 use ufotm_machine::Addr;
-use ufotm_native::{NativeTl2, NativeTxn};
+use ufotm_native::{NativeTl2, NativeTxn, NativeUstm, NativeUstmTxn};
 use ufotm_tl2::Tl2Abort;
 
 const X: Addr = Addr(512);
@@ -117,6 +118,46 @@ fn a_writing_commit_leaves_the_clock_unchanged() {
     assert_eq!((shared.peek(X), shared.peek(y)), (3, 3));
     assert_eq!(a.stats.extensions, 2);
     assert_eq!(a.stats.total_aborts(), 0);
+}
+
+/// A sealed slow commit draws `wv = clock + 1` once it holds its
+/// stripes and leaves the clock where it was, like a fast commit. A fast
+/// commit that draws next, with nobody having moved the clock, draws the
+/// same `wv`, and both values land. A fast transaction begun before both
+/// meets the newer version on its first read, extends once, and reads
+/// both commits' values.
+#[test]
+fn a_slow_commit_leaves_the_clock_unchanged() {
+    let shared = heap();
+    let ustm = NativeUstm::new(&shared, 3);
+    let z = distinct_stripe_addr(&shared, Addr(1024), X);
+    let mut reader = NativeTxn::new(&shared, 0);
+    let mut slow = NativeUstmTxn::new(&shared, &ustm, 1);
+    let mut fast = NativeTxn::new(&shared, 2);
+    reader.begin();
+
+    let before = shared.clock_now();
+    slow.begin();
+    slow.write(X, 42).unwrap();
+    slow.commit().unwrap();
+    assert_eq!(
+        shared.clock_now(),
+        before,
+        "the slow commit moved the clock"
+    );
+    assert_eq!(version_of(&shared, X), before + 1);
+
+    fast.begin();
+    fast.write(z, 43).unwrap();
+    fast.commit().unwrap();
+    assert_eq!(version_of(&shared, z), before + 1, "the same wv");
+    assert_eq!((shared.peek(X), shared.peek(z)), (42, 43));
+
+    assert_eq!(reader.read(X), Ok(42));
+    assert_eq!(reader.read(z), Ok(43));
+    assert_eq!(reader.stats.extensions, 1);
+    reader.commit().unwrap();
+    assert_eq!(reader.stats.total_aborts(), 0);
 }
 
 /// A's first read meets a line B committed after A began. A has read

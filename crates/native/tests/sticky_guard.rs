@@ -45,14 +45,7 @@ fn heap() -> NativeTl2 {
 }
 
 fn world() -> NativeHybrid {
-    NativeHybrid::new(
-        1 << 14,
-        1 << 8,
-        1 << 13,
-        1,
-        1 << 6,
-        NativeHybridPolicy::default(),
-    )
+    NativeHybrid::new(1 << 14, 1 << 8, 1 << 13, 1, NativeHybridPolicy::default())
 }
 
 /// (a) A commit leaves its page closed; the first plain access after it
@@ -279,7 +272,6 @@ fn fast_and_serial_transactions_do_not_fault_on_a_closed_page() {
         1 << 8,
         1 << 13,
         1,
-        1 << 6,
         // Every failover escalates straight to the serial tier.
         NativeHybridPolicy {
             serial_after: 0,

@@ -16,7 +16,7 @@ const Y: Addr = Addr(1024);
 
 fn world() -> (NativeTl2, NativeUstm) {
     let heap = NativeTl2::new(1 << 14, 1 << 8, 1 << 13);
-    let ustm = NativeUstm::new(&heap, 4, 1 << 6);
+    let ustm = NativeUstm::new(&heap, 4);
     (heap, ustm)
 }
 

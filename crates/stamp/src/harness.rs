@@ -347,8 +347,8 @@ pub fn native_heap(static_end: Addr, alloc_words: u64) -> NativeTl2 {
 
 /// Builds native hybrid shared state with a heap sized like
 /// [`native_heap`] (statics ending at `static_end` plus `alloc_words` of
-/// transactional headroom), a 4096-stripe lock table, and a 1024-bin USTM
-/// ownership table for `threads` threads.
+/// transactional headroom), a 4096-stripe lock table, and the USTM's
+/// owner word per stripe and status slot per thread for `threads`.
 #[must_use]
 pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -> NativeHybrid {
     let base_word = static_end.0.next_multiple_of(64) / 8;
@@ -357,7 +357,6 @@ pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -
         1 << 12,
         base_word,
         threads,
-        1 << 10,
         NativeHybridPolicy::default(),
     )
 }

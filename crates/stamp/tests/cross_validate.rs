@@ -380,7 +380,7 @@ fn run_sim_ustm(script: fn(&mut dyn UstmHandle) -> Vec<String>) -> Vec<String> {
 /// Runs a USTM script on the native slow path and returns its event log.
 fn run_native_ustm(script: fn(&mut dyn UstmHandle) -> Vec<String>) -> Vec<String> {
     let heap = NativeTl2::new(1 << 15, LOCK_ENTRIES, 1 << 14);
-    let ustm = NativeUstm::new(&heap, 1, 1 << 10);
+    let ustm = NativeUstm::new(&heap, 1);
     let mut h = NativeUstmHandle {
         txn: NativeUstmTxn::new(&heap, &ustm, 0),
         heap: &heap,
@@ -558,7 +558,7 @@ fn hybrid_script_on_both(sim: HybridPolicy, native: NativeHybridPolicy) -> Vec<S
     );
     let sim = Arc::try_unwrap(out).unwrap().into_inner().unwrap();
 
-    let h = NativeHybrid::new(1 << 15, LOCK_ENTRIES, 1 << 14, 1, 1 << 10, native);
+    let h = NativeHybrid::new(1 << 15, LOCK_ENTRIES, 1 << 14, 1, native);
     let mut th = HybridThread::new(&h, None, 0, 1);
     let native = hybrid_script(&mut th);
 
