@@ -73,8 +73,7 @@ impl Machine {
 
         // Coherence permission + conflict arbitration.
         if is_write {
-            let have_excl =
-                self.dir.state(line).owner == Some(cpu as u8) && self.l1[cpu].contains(line);
+            let have_excl = self.dir.owner(line) == Some(cpu) && self.l1[cpu].contains(line);
             if have_excl {
                 self.l1[cpu].touch(line);
             } else {
@@ -107,8 +106,8 @@ impl Machine {
             }
         } else {
             self.arbitrate(cpu, line, false)?;
-            let owner = self.dir.state(line).owner;
-            let transfer = owner.is_some_and(|o| o as usize != cpu);
+            let owner = self.dir.owner(line);
+            let transfer = owner.is_some_and(|o| o != cpu);
             self.fill(cpu, line, transfer)?;
             self.dir.add_sharer(line, cpu);
             if self.btm[cpu].active {
@@ -373,7 +372,7 @@ impl Machine {
                 }
                 self.dir.remove_sharer(line, o);
             }
-            if !self.l1[cpu].contains(line) || self.dir.state(line).owner != Some(cpu as u8) {
+            if !self.l1[cpu].contains(line) || self.dir.owner(line) != Some(cpu) {
                 self.fill(cpu, line, transfer)?;
             } else {
                 self.l1[cpu].touch(line);

@@ -13,31 +13,55 @@ use crate::addr::LineAddr;
 use crate::bits::cpu_bit;
 use crate::ufo::UfoBits;
 
-/// Directory state for one line.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct LineState {
-    /// Bitmask of CPUs with the line in their L1.
-    pub sharers: u64,
-    /// CPU holding the line exclusively, if any.
-    pub owner: Option<u8>,
-    /// The line's UFO protection bits.
-    pub ufo: UfoBits,
-}
+/// Directory state for one line, packed so that the all-zero value is an
+/// uncached, unprotected line: `[sharers, flags]`, where `flags` holds the
+/// UFO bits' raw encoding in bits 0–1 and [`EXCLUSIVE`] in bit 2. The owner
+/// is not stored: when `EXCLUSIVE` is set it is the single sharer.
+///
+/// A plain array rather than a struct because `vec![[0u64; 2]; n]` takes
+/// the zeroed-allocation path: a Table 4 directory (8 MiB) costs no write at
+/// construction, and a page materializes only when a line on it is first
+/// touched. One allocation keeps the UFO check and the owner check of an
+/// access on one host cache line.
+type Entry = [u64; 2];
+
+/// The sharer mask's index in an [`Entry`].
+const SHARERS: usize = 0;
+/// The flag word's index in an [`Entry`].
+const FLAGS: usize = 1;
+/// The flag word's UFO bits.
+const UFO_MASK: u64 = 0b11;
+/// The flag word's bit for "the single sharer holds the line exclusively".
+const EXCLUSIVE: u64 = 0b100;
 
 /// The full directory: dense per-line state.
 #[derive(Clone, Debug)]
 pub(crate) struct Directory {
-    lines: Vec<LineState>,
+    lines: Vec<Entry>,
 }
+
+/// The fewest entries a directory allocates: a block of more than 32 MiB.
+///
+/// glibc's `malloc` maps a large block fresh, so a zeroed allocation costs
+/// no write. But each time a mapped block is freed, its mmap threshold
+/// rises to that block's size, up to 32 MiB. From the third Table 4
+/// machine a process builds on, an 8 MiB directory would come from the
+/// heap, and `calloc` would clear the 8 MiB the previous one left there.
+/// A block above the ceiling is always mapped fresh. Only the pages a run
+/// touches become resident; the rest is address space. Miri has its own
+/// allocator, which this does not concern.
+const MIN_ALLOC_ENTRIES: usize = if cfg!(miri) {
+    0
+} else {
+    (32 << 20) / std::mem::size_of::<Entry>() + 1
+};
 
 impl Directory {
     pub fn new(lines: u64) -> Self {
-        Directory {
-            lines: vec![
-                LineState::default();
-                usize::try_from(lines).expect("line count fits usize")
-            ],
-        }
+        let n = usize::try_from(lines).expect("line count fits usize");
+        let mut lines = vec![[0; 2]; n.max(MIN_ALLOC_ENTRIES)];
+        lines.truncate(n);
+        Directory { lines }
     }
 
     fn idx(&self, line: LineAddr) -> usize {
@@ -50,8 +74,19 @@ impl Directory {
         i as usize
     }
 
-    pub fn state(&self, line: LineAddr) -> LineState {
+    fn entry(&self, line: LineAddr) -> Entry {
         self.lines[self.idx(line)]
+    }
+
+    fn entry_mut(&mut self, line: LineAddr) -> &mut Entry {
+        let i = self.idx(line);
+        &mut self.lines[i]
+    }
+
+    /// The CPU holding the line exclusively, if any.
+    pub fn owner(&self, line: LineAddr) -> Option<usize> {
+        let e = self.entry(line);
+        (e[FLAGS] & EXCLUSIVE != 0).then(|| e[SHARERS].trailing_zeros() as usize)
     }
 
     /// CPUs (other than `except`) currently holding the line. Walks only
@@ -66,69 +101,70 @@ impl Directory {
     /// callers that need to mutate the machine per holder can grab it
     /// first and iterate `BitIter::new(mask)` without borrowing `self`.
     pub fn holders_mask_except(&self, line: LineAddr, except: usize) -> u64 {
-        self.state(line).sharers & !cpu_bit(except)
+        self.entry(line)[SHARERS] & !cpu_bit(except)
     }
 
     /// Whether `cpu` holds the line (in any state).
     pub fn is_sharer(&self, line: LineAddr, cpu: usize) -> bool {
-        self.state(line).sharers & cpu_bit(cpu) != 0
+        self.entry(line)[SHARERS] & cpu_bit(cpu) != 0
     }
 
     /// Number of CPUs holding the line (the chaos engine scales injected
     /// nack delays by how many caches would have had to respond).
     pub fn sharer_count(&self, line: LineAddr) -> u32 {
-        self.state(line).sharers.count_ones()
+        self.entry(line)[SHARERS].count_ones()
     }
 
     /// Records `cpu` as a (non-exclusive) sharer; demotes any owner flag if
     /// the owner keeps a shared copy.
     pub fn add_sharer(&mut self, line: LineAddr, cpu: usize) {
-        let i = self.idx(line);
-        self.lines[i].sharers |= cpu_bit(cpu);
-        self.lines[i].owner = None;
+        let e = self.entry_mut(line);
+        e[SHARERS] |= cpu_bit(cpu);
+        e[FLAGS] &= !EXCLUSIVE;
         self.check(line);
     }
 
     /// Records `cpu` as the sole, exclusive holder.
     pub fn set_exclusive(&mut self, line: LineAddr, cpu: usize) {
-        let i = self.idx(line);
-        self.lines[i].sharers = cpu_bit(cpu);
-        self.lines[i].owner = Some(cpu as u8);
+        let e = self.entry_mut(line);
+        e[SHARERS] = cpu_bit(cpu);
+        e[FLAGS] |= EXCLUSIVE;
         self.check(line);
     }
 
     /// Removes `cpu` from the sharer set (eviction or invalidation).
     pub fn remove_sharer(&mut self, line: LineAddr, cpu: usize) {
-        let i = self.idx(line);
-        self.lines[i].sharers &= !cpu_bit(cpu);
-        if self.lines[i].owner == Some(cpu as u8) {
-            self.lines[i].owner = None;
+        let owned = self.owner(line) == Some(cpu);
+        let e = self.entry_mut(line);
+        e[SHARERS] &= !cpu_bit(cpu);
+        if owned {
+            e[FLAGS] &= !EXCLUSIVE;
         }
         self.check(line);
     }
 
     pub fn ufo(&self, line: LineAddr) -> UfoBits {
-        self.state(line).ufo
+        // The mask keeps the value in a u8's range.
+        UfoBits::from_raw((self.entry(line)[FLAGS] & UFO_MASK) as u8)
     }
 
     pub fn set_ufo(&mut self, line: LineAddr, bits: UfoBits) {
-        let i = self.idx(line);
-        self.lines[i].ufo = bits;
+        let e = self.entry_mut(line);
+        e[FLAGS] = (e[FLAGS] & !UFO_MASK) | u64::from(bits.to_raw());
     }
 
     pub fn or_ufo(&mut self, line: LineAddr, bits: UfoBits) {
-        let i = self.idx(line);
-        self.lines[i].ufo |= bits;
+        self.entry_mut(line)[FLAGS] |= u64::from(bits.to_raw());
     }
 
     /// Debug invariant: an exclusive owner is the only sharer.
     fn check(&self, line: LineAddr) {
-        let s = self.state(line);
-        if let Some(o) = s.owner {
+        let e = self.entry(line);
+        if e[FLAGS] & EXCLUSIVE != 0 {
             debug_assert_eq!(
-                s.sharers,
-                cpu_bit(o as usize),
-                "owner {o} of {line:?} must be sole sharer"
+                e[SHARERS].count_ones(),
+                1,
+                "the exclusive owner of {line:?} must be its sole sharer"
             );
         }
     }
@@ -157,10 +193,93 @@ mod tests {
         d.add_sharer(l, 0);
         d.add_sharer(l, 1);
         d.set_exclusive(l, 2);
-        assert_eq!(d.state(l).owner, Some(2));
+        assert_eq!(d.owner(l), Some(2));
         assert!(d.is_sharer(l, 2) && !d.is_sharer(l, 0));
         d.remove_sharer(l, 2);
-        assert_eq!(d.state(l).owner, None);
+        assert_eq!(d.owner(l), None);
+    }
+
+    #[test]
+    fn cpu_63_shares_and_owns() {
+        let mut d = Directory::new(4);
+        let l = LineAddr(3);
+        d.add_sharer(l, 63);
+        d.add_sharer(l, 0);
+        assert!(d.is_sharer(l, 63) && d.is_sharer(l, 0));
+        assert_eq!(d.sharer_count(l), 2);
+        assert_eq!(d.owner(l), None);
+        d.set_exclusive(l, 63);
+        assert_eq!(d.owner(l), Some(63));
+        assert_eq!(d.holders_mask_except(l, 0), cpu_bit(63));
+        assert_eq!(d.holders_mask_except(l, 63), 0);
+        d.remove_sharer(l, 63);
+        assert_eq!((d.owner(l), d.sharer_count(l)), (None, 0));
+    }
+
+    #[test]
+    fn a_new_sharer_drops_exclusive_ownership() {
+        let mut d = Directory::new(4);
+        let l = LineAddr(0);
+        d.set_exclusive(l, 5);
+        d.add_sharer(l, 7);
+        assert_eq!(d.owner(l), None);
+        assert!(d.is_sharer(l, 5) && d.is_sharer(l, 7));
+        // The former owner keeps a shared copy: removing it leaves 7.
+        d.remove_sharer(l, 5);
+        assert_eq!(d.holders_mask_except(l, 63), cpu_bit(7));
+        assert_eq!(d.owner(l), None);
+    }
+
+    #[test]
+    fn removing_the_owner_clears_ownership() {
+        let mut d = Directory::new(4);
+        let l = LineAddr(2);
+        d.set_exclusive(l, 1);
+        // A CPU that holds no copy leaves the owner alone.
+        d.remove_sharer(l, 4);
+        assert_eq!(d.owner(l), Some(1));
+        d.remove_sharer(l, 1);
+        assert_eq!(d.owner(l), None);
+        assert_eq!(d.sharer_count(l), 0);
+        // With no owner left, a new exclusive holder takes the line.
+        d.set_exclusive(l, 2);
+        assert_eq!(d.owner(l), Some(2));
+    }
+
+    #[test]
+    fn ufo_bits_survive_every_sharer_transition() {
+        let mut d = Directory::new(4);
+        let l = LineAddr(1);
+        for bits in [
+            UfoBits::NONE,
+            UfoBits::FAULT_ON_READ,
+            UfoBits::FAULT_ON_WRITE,
+            UfoBits::FAULT_ON_BOTH,
+        ] {
+            d.set_ufo(l, bits);
+            d.add_sharer(l, 0);
+            assert_eq!(d.ufo(l), bits);
+            d.add_sharer(l, 63);
+            assert_eq!(d.ufo(l), bits);
+            d.set_exclusive(l, 63);
+            assert_eq!(d.ufo(l), bits);
+            d.add_sharer(l, 2);
+            assert_eq!(d.ufo(l), bits);
+            d.set_exclusive(l, 2);
+            d.remove_sharer(l, 2);
+            assert_eq!(d.ufo(l), bits);
+            assert_eq!((d.owner(l), d.sharer_count(l)), (None, 0));
+        }
+        // And sharer state survives UFO updates.
+        d.set_exclusive(l, 9);
+        d.set_ufo(l, UfoBits::FAULT_ON_BOTH);
+        d.set_ufo(l, UfoBits::NONE);
+        d.or_ufo(l, UfoBits::FAULT_ON_WRITE);
+        assert_eq!(d.owner(l), Some(9));
+        assert_eq!(d.ufo(l), UfoBits::FAULT_ON_WRITE);
+        // Neighbouring lines are untouched.
+        assert_eq!(d.ufo(LineAddr(0)), UfoBits::NONE);
+        assert_eq!(d.sharer_count(LineAddr(2)), 0);
     }
 
     #[test]

@@ -587,7 +587,7 @@ impl Machine {
     /// transaction would break speculative bookkeeping).
     pub fn poke(&mut self, addr: Addr, value: u64) {
         assert!(
-            self.btm.iter().all(|b| !b.active),
+            self.live_txns == 0,
             "poke while a BTM transaction is active"
         );
         self.mem.write(addr, value);
@@ -705,6 +705,51 @@ mod tests {
         m.stall(1, 50).unwrap();
         assert_eq!(m.now(1), 50);
         assert_eq!(m.stats().cpus[1].stall_cycles, 50);
+    }
+
+    #[test]
+    fn a_read_hit_alone_marks_the_set_its_commit_clears() {
+        let mut m = Machine::new(MachineConfig::small(1));
+        let a = Addr::from_word_index(10);
+        m.load(0, a).unwrap();
+        // An empty transaction's commit clears the marks the fill left.
+        m.btm_begin(0).unwrap();
+        m.btm_end(0).unwrap();
+        m.btm_begin(0).unwrap();
+        m.load(0, a).unwrap(); // a hit: only the touch marks the set
+        assert!(m.l1[0].entry(a.line()).unwrap().sr);
+        m.debug_validate();
+        m.btm_end(0).unwrap();
+        assert!(m.l1[0].entries().all(|e| !e.sr && !e.sw));
+        m.debug_validate();
+    }
+
+    #[test]
+    fn abort_after_an_invalidation_moved_an_entry_within_its_set() {
+        let mut cfg = MachineConfig::small(2);
+        cfg.l1 = crate::CacheGeometry::new(1, 4);
+        let mut m = Machine::new(cfg);
+        let line_word = |n: u64| Addr::from_word_index(n * crate::LINE_WORDS);
+        for n in 0..3 {
+            m.load(0, line_word(n)).unwrap();
+        }
+        m.btm_begin(0).unwrap();
+        m.store(0, line_word(3), 7).unwrap(); // fills the set's last way
+        m.load(0, line_word(2)).unwrap();
+        // A plain store from CPU 1 invalidates line 0's non-speculative
+        // copy; the set's last entry (the speculative write) moves into
+        // the freed way.
+        m.store(1, line_word(0), 1).unwrap();
+        assert!(m.in_txn(0));
+        assert_eq!(m.l1[0].entries().next().unwrap().line, line_word(3).line());
+        m.debug_validate();
+        let info = m.btm_abort(0);
+        assert_eq!(info.reason, AbortReason::Explicit);
+        assert!(!m.l1[0].contains(line_word(3).line()));
+        assert!(m.l1[0].contains(line_word(2).line()));
+        assert!(m.l1[0].entries().all(|e| !e.sr && !e.sw));
+        assert_eq!(m.peek(line_word(3)), 0);
+        m.debug_validate();
     }
 
     #[test]

@@ -68,12 +68,18 @@ impl std::fmt::Display for Tl2Abort {
 
 impl std::error::Error for Tl2Abort {}
 
-/// One versioned write lock.
-#[derive(Clone, Copy, Debug, Default)]
+/// One versioned write lock, as `Tl2Shared::lock` decodes it.
+#[derive(Clone, Copy, Debug)]
 struct LockWord {
     version: u64,
     holder: Option<usize>,
 }
+
+/// A lock-table entry as stored: `[version, holder + 1]`, 0 meaning free,
+/// so a fresh table is all zero. `vec![[0u64; 2]; n]` takes the
+/// zeroed-allocation path: building a table writes nothing, and a page
+/// materializes only when a stripe on it is first locked.
+type LockEntry = [u64; 2];
 
 /// Fixed cost of `begin` (clock sample bookkeeping).
 const BEGIN_COST: u64 = 20;
@@ -105,7 +111,7 @@ pub struct Tl2Shared {
     pub stats: Tl2Stats,
     clock: u64,
     clock_addr: Addr,
-    locks: Vec<LockWord>,
+    locks: Vec<LockEntry>,
     lock_base: Addr,
     mask: u64,
 }
@@ -146,10 +152,22 @@ impl Tl2Shared {
             stats: Tl2Stats::default(),
             clock: 0,
             clock_addr: base,
-            locks: vec![LockWord::default(); lock_entries as usize],
+            locks: vec![[0; 2]; lock_entries as usize],
             lock_base: Addr(base.0 + 64),
             mask: lock_entries - 1,
         }
+    }
+
+    fn lock(&self, index: usize) -> LockWord {
+        let [version, holder] = self.locks[index];
+        LockWord {
+            version,
+            holder: holder.checked_sub(1).map(|cpu| cpu as usize),
+        }
+    }
+
+    fn set_lock(&mut self, index: usize, lw: LockWord) {
+        self.locks[index] = [lw.version, lw.holder.map_or(0, |cpu| cpu as u64 + 1)];
     }
 
     fn lock_index(&self, line: LineAddr) -> usize {
@@ -250,10 +268,10 @@ impl Tl2Txn {
             let idx = t.lock_index(line);
             let la = t.lock_addr(idx);
             mop(m.load(cpu, la)); // pre-sample
-            let pre = t.locks[idx];
+            let pre = t.lock(idx);
             let v = mop(m.load(cpu, addr));
             mop(m.load(cpu, la)); // post-sample
-            let post = t.locks[idx];
+            let post = t.lock(idx);
             let ok = pre.holder.is_none()
                 && post.holder.is_none()
                 && pre.version == post.version
@@ -338,9 +356,16 @@ impl Tl2Txn {
                 mop(m.work(cpu, COMMIT_ENTRY_COST));
                 let la = t.lock_addr(idx);
                 mop(m.load(cpu, la));
-                match t.locks[idx].holder {
+                let lw = t.lock(idx);
+                match lw.holder {
                     None => {
-                        t.locks[idx].holder = Some(cpu);
+                        t.set_lock(
+                            idx,
+                            LockWord {
+                                holder: Some(cpu),
+                                ..lw
+                            },
+                        );
                         mop(m.store(cpu, la, 1));
                         true
                     }
@@ -372,7 +397,7 @@ impl Tl2Txn {
             let t = w.shared.tl2();
             for &idx in &reads {
                 mop(m.work(cpu, COMMIT_ENTRY_COST / 2));
-                let lw = t.locks[idx];
+                let lw = t.lock(idx);
                 let held_by_me = lw.holder == Some(cpu);
                 if lw.version > rv || (lw.holder.is_some() && !held_by_me) {
                     return false;
@@ -395,10 +420,13 @@ impl Tl2Txn {
             let m = &mut w.machine;
             let t = w.shared.tl2();
             for &idx in &lock_idxs {
-                t.locks[idx] = LockWord {
-                    version: wv,
-                    holder: None,
-                };
+                t.set_lock(
+                    idx,
+                    LockWord {
+                        version: wv,
+                        holder: None,
+                    },
+                );
                 let la = t.lock_addr(idx);
                 mop(m.store(cpu, la, wv << 1));
             }
@@ -435,10 +463,11 @@ impl Tl2Txn {
             let m = &mut w.machine;
             let t = w.shared.tl2();
             for idx in idxs {
-                if t.locks[idx].holder == Some(cpu) {
-                    t.locks[idx].holder = None;
+                let lw = t.lock(idx);
+                if lw.holder == Some(cpu) {
+                    t.set_lock(idx, LockWord { holder: None, ..lw });
                     let la = t.lock_addr(idx);
-                    mop(m.store(cpu, la, t.locks[idx].version << 1));
+                    mop(m.store(cpu, la, lw.version << 1));
                 }
             }
         });
