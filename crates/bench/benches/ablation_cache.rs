@@ -8,45 +8,43 @@
 //! L1 size and shows overflow failovers vanishing and the UFO hybrid
 //! closing on the unbounded HTM.
 
-use ufotm_bench::{header, quick, speedup, ArtifactWriter};
+use ufotm_bench::{header, print_wrote, quick, run_cells, speedup, stamp_workload, Cell};
 use ufotm_core::SystemKind;
 use ufotm_machine::{AbortReason, CacheGeometry};
 use ufotm_stamp::harness::RunSpec;
-use ufotm_stamp::vacation::{self, VacationParams};
 
 fn main() {
     header("Ablation — L1 capacity vs. vacation-low hybrid performance");
     let threads = if quick() { 2 } else { 4 };
-    let mut params = VacationParams::low_contention();
-    if quick() {
-        params.total_tasks /= 3;
-    }
+    let params = stamp_workload("vacation low contention");
     let l1s = [
         ("8 KiB (32 sets x 4)", CacheGeometry::new(32, 4)),
         ("32 KiB (128 sets x 4, paper)", CacheGeometry::new(128, 4)),
         ("128 KiB (512 sets x 4)", CacheGeometry::new(512, 4)),
         ("512 KiB (1024 sets x 8)", CacheGeometry::new(1024, 8)),
     ];
+    let mut cells = Vec::new();
+    for (_, geo) in l1s {
+        let kib = geo.capacity_bytes() / 1024;
+        for (kind, system) in [
+            (SystemKind::UnboundedHtm, "unbounded-htm"),
+            (SystemKind::UfoHybrid, "ufo-hybrid"),
+        ] {
+            let mut spec = RunSpec::new(kind, threads);
+            spec.machine.l1 = geo;
+            let label = format!("vacation-low/{system}/l1-{kib}KiB");
+            cells.push(Cell::new(label, spec, params));
+        }
+    }
+    let outcomes = run_cells("ablation_cache", &cells);
 
     println!();
     println!(
         "{:<30} {:>14} {:>14} {:>10} {:>10}",
         "L1 size", "unbounded(cyc)", "ufo-hyb(cyc)", "rel.perf", "overflows"
     );
-    let mut art = ArtifactWriter::new("ablation_cache");
-    for (name, geo) in l1s {
-        let mut su = RunSpec::new(SystemKind::UnboundedHtm, threads);
-        su.machine.l1 = geo;
-        let unbounded = vacation::run(&su, &params);
-        let mut sh = RunSpec::new(SystemKind::UfoHybrid, threads);
-        sh.machine.l1 = geo;
-        let hybrid = vacation::run(&sh, &params);
-        let kib = geo.capacity_bytes() / 1024;
-        art.push(
-            format!("vacation-low/unbounded-htm/l1-{kib}KiB"),
-            &unbounded,
-        );
-        art.push(format!("vacation-low/ufo-hybrid/l1-{kib}KiB"), &hybrid);
+    for ((name, _), pair) in l1s.iter().zip(outcomes.chunks(2)) {
+        let (unbounded, hybrid) = (&pair[0], &pair[1]);
         println!(
             "{:<30} {:>14} {:>14} {:>9.2}x {:>10}",
             name,
@@ -59,5 +57,5 @@ fn main() {
     println!();
     println!("Expected shape: overflows collapse as the cache grows, and the");
     println!("UFO hybrid converges on the unbounded HTM (rel.perf → ~1.0).");
-    art.finish();
+    print_wrote("ablation_cache", outcomes.len());
 }

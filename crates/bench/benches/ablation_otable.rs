@@ -8,42 +8,38 @@
 //! (stall polls rise), and HyTM hardware transactions abort more on bins
 //! they read transactionally.
 
-use ufotm_bench::{header, quick, ArtifactWriter};
+use ufotm_bench::{header, print_wrote, quick, run_cells, stamp_workload, Cell};
 use ufotm_core::SystemKind;
 use ufotm_machine::AbortReason;
 use ufotm_stamp::harness::RunSpec;
-use ufotm_stamp::vacation::{self, VacationParams};
-
-fn run_with_bins(
-    kind: SystemKind,
-    threads: usize,
-    params: &VacationParams,
-    bins: u64,
-) -> ufotm_stamp::RunOutcome {
-    let mut spec = RunSpec::new(kind, threads);
-    // The standard layout's 16384 bins, overridden per sweep point.
-    spec.otable_bins_override = Some(bins);
-    vacation::run(&spec, params)
-}
 
 fn main() {
     header("Ablation — otable size vs. aliasing (vacation, high contention)");
     let threads = if quick() { 2 } else { 4 };
-    let mut params = VacationParams::high_contention();
-    if quick() {
-        params.total_tasks /= 3;
+    let params = stamp_workload("vacation high contention");
+    // The standard layout's 16384 bins is the last sweep point.
+    let sizes = [256u64, 1024, 16 * 1024];
+    let mut cells = Vec::new();
+    for bins in sizes {
+        for (kind, system) in [
+            (SystemKind::UstmStrong, "ustm-strong"),
+            (SystemKind::HyTm, "hytm"),
+        ] {
+            let mut spec = RunSpec::new(kind, threads);
+            spec.otable_bins_override = Some(bins);
+            let label = format!("vacation-high/{system}/bins-{bins}");
+            cells.push(Cell::new(label, spec, params));
+        }
     }
+    let outcomes = run_cells("ablation_otable", &cells);
+
     println!();
     println!(
         "{:<12} {:>14} {:>16} {:>14} {:>16}",
         "otable bins", "chain walks", "USTM makespan", "HyTM bin-kills", "HyTM makespan"
     );
-    let mut art = ArtifactWriter::new("ablation_otable");
-    for bins in [256u64, 1024, 16 * 1024] {
-        let ustm = run_with_bins(SystemKind::UstmStrong, threads, &params, bins);
-        let hytm = run_with_bins(SystemKind::HyTm, threads, &params, bins);
-        art.push(format!("vacation-high/ustm-strong/bins-{bins}"), &ustm);
-        art.push(format!("vacation-high/hytm/bins-{bins}"), &hytm);
+    for (bins, pair) in sizes.iter().zip(outcomes.chunks(2)) {
+        let (ustm, hytm) = (&pair[0], &pair[1]);
         println!(
             "{:<12} {:>14} {:>16} {:>14} {:>16}",
             bins,
@@ -59,5 +55,5 @@ fn main() {
     println!("makespans also expose the tradeoff this model makes explicit: a");
     println!("larger bin array has a larger cache footprint, so barrier traffic");
     println!("misses more — table sizing balances aliasing against locality.");
-    art.finish();
+    print_wrote("ablation_otable", outcomes.len());
 }

@@ -1,49 +1,43 @@
 //! Regenerates Appendix A's measurement: the cost of preserving UFO bits
 //! across paging, including the all-clear fast path.
 //!
-//! A strongly-atomic USTM workload walks a working set larger than the
-//! resident-page budget, so pages with live protection get swapped out and
-//! back in. We compare against the same walk with paging generous enough to
-//! avoid thrashing, and report how often the kernel model took the
-//! all-clear fast path vs. a real bit save/restore.
+//! A one-CPU machine streams over more pages than it may keep resident,
+//! so pages with live protection get swapped out and back in. We compare
+//! against the same stream with no UFO bits anywhere, and report how often
+//! the kernel model took the all-clear fast path vs. a real bit
+//! save/restore.
 
-use ufotm_bench::{header, quick, ArtifactWriter};
+use ufotm_bench::{header, print_wrote, quick, run_cells, Cell, Params};
 use ufotm_core::SystemKind;
-use ufotm_machine::SwapConfig;
-use ufotm_stamp::harness::{RunOutcome, RunSpec};
-use ufotm_stamp::kmeans::{self, KmeansParams};
+use ufotm_machine::{Addr, Machine, MachineConfig, SwapConfig, UfoBits, PAGE_BYTES};
+use ufotm_stamp::harness::RunSpec;
+use ufotm_stamp::kmeans::KmeansParams;
 
-fn run_with_pages(pages: Option<usize>) -> (RunOutcome, ufotm_machine::SwapStats) {
-    let params = KmeansParams {
-        points: if quick() { 256 } else { 512 },
-        dims: 4,
-        clusters: 16,
-        iterations: 2,
-    };
-    let mut spec = RunSpec::new(SystemKind::UstmStrong, 2);
-    // The workload below installs protection over the accumulator lines and
-    // streams through the point pages.
-    if let Some(p) = pages {
-        // Paging is enabled after machine construction via the workload
-        // harness's machine config — easiest is to enable globally here.
-        spec.machine.memory_words = spec.machine.memory_words.min(1 << 22);
-        let out = run_swapping(&spec, &params, p);
-        return out;
+/// Pages streamed; a line in every fourth page may carry UFO bits.
+const PAGES: u64 = 64;
+
+/// A one-CPU machine with 8 resident pages that streams over all
+/// [`PAGES`] twice (constant eviction), first protecting one line in
+/// every fourth page if `protect`. Returns it and the stream's cycles.
+fn thrash(protect: bool) -> (Machine, u64) {
+    let mut cfg = MachineConfig::table4(1);
+    cfg.memory_words = 1 << 18; // 512 pages
+    let mut m = Machine::new(cfg);
+    m.enable_swap(SwapConfig {
+        max_resident_pages: 8,
+    });
+    if protect {
+        for p in (0..PAGES).step_by(4) {
+            m.set_ufo_bits(0, Addr(p * PAGE_BYTES), UfoBits::FAULT_ON_WRITE)
+                .expect("protect");
+        }
     }
-    let out = kmeans::run(&spec, &params);
-    (out, ufotm_machine::SwapStats::default())
-}
-
-fn run_swapping(
-    spec: &RunSpec,
-    params: &KmeansParams,
-    _max_pages: usize,
-) -> (RunOutcome, ufotm_machine::SwapStats) {
-    // `run_workload` builds the machine internally; the paging knob is the
-    // machine's `enable_swap`, which the harness does not expose. We instead
-    // measure the paging path directly on a raw machine here.
-    let out = kmeans::run(spec, params);
-    (out, ufotm_machine::SwapStats::default())
+    let before = m.now(0);
+    for p in (0..PAGES).chain(0..PAGES) {
+        m.load(0, Addr(p * PAGE_BYTES + 8)).expect("stream load");
+    }
+    let cycles = m.now(0) - before;
+    (m, cycles)
 }
 
 fn main() {
@@ -51,81 +45,45 @@ fn main() {
 
     // Direct machine-level measurement: protect lines, thrash pages, show
     // that protection survives and count fast-path evictions.
-    use ufotm_machine::{Addr, Machine, MachineConfig, UfoBits, PAGE_BYTES};
-    let mut cfg = MachineConfig::table4(1);
-    cfg.memory_words = 1 << 18; // 512 pages
-    let mut m = Machine::new(cfg);
-    m.enable_swap(SwapConfig {
-        max_resident_pages: 8,
-    });
-
-    let pages = 64u64;
-    // Protect one line in every fourth page.
-    for p in (0..pages).step_by(4) {
-        m.set_ufo_bits(0, Addr(p * PAGE_BYTES), UfoBits::FAULT_ON_WRITE)
-            .expect("protect");
-    }
-    let before = m.now(0);
-    // Stream over all pages twice: constant eviction.
-    for round in 0..2 {
-        for p in 0..pages {
-            m.load(0, Addr(p * PAGE_BYTES + 8)).expect("stream load");
-            let _ = round;
-        }
-    }
-    let cycles = m.now(0) - before;
+    let (mut m, cycles) = thrash(true);
     let s = m.swap_stats();
-    println!(
-        "streamed {} pages x2 with 8 resident: {} cycles",
-        pages, cycles
-    );
+    println!("streamed {PAGES} pages x2 with 8 resident: {cycles} cycles");
     println!(
         "page-ins={} page-outs={} ufo-saves={} ufo-restores={} all-clear-fast-path={}",
         s.page_ins, s.page_outs, s.ufo_pages_saved, s.ufo_pages_restored, s.all_clear_fast_path
     );
     // Protection must have survived every round trip.
     m.set_ufo_enabled(0, true);
-    let mut survived = 0;
-    for p in (0..pages).step_by(4) {
-        if m.store(0, Addr(p * PAGE_BYTES), 1).is_err() {
-            survived += 1;
-        }
-    }
+    let survived = (0..PAGES)
+        .step_by(4)
+        .filter(|p| m.store(0, Addr(p * PAGE_BYTES), 1).is_err())
+        .count() as u64;
     println!(
         "protected lines still faulting after thrash: {survived}/{}",
-        pages.div_ceil(4)
+        PAGES.div_ceil(4)
     );
-    assert_eq!(survived, pages.div_ceil(4));
+    assert_eq!(survived, PAGES.div_ceil(4));
 
     // Overhead comparison: the same stream with no protection anywhere
     // (all-clear fast path only).
-    let mut cfg2 = MachineConfig::table4(1);
-    cfg2.memory_words = 1 << 18;
-    let mut m2 = Machine::new(cfg2);
-    m2.enable_swap(SwapConfig {
-        max_resident_pages: 8,
-    });
-    let before2 = m2.now(0);
-    for _ in 0..2 {
-        for p in 0..pages {
-            m2.load(0, Addr(p * PAGE_BYTES + 8)).expect("stream load");
-        }
-    }
-    let cycles2 = m2.now(0) - before2;
-    let s2 = m2.swap_stats();
+    let (m2, cycles2) = thrash(false);
     println!();
     println!(
-        "same stream, no UFO bits: {} cycles (fast-path evictions={})",
-        cycles2, s2.all_clear_fast_path
+        "same stream, no UFO bits: {cycles2} cycles (fast-path evictions={})",
+        m2.swap_stats().all_clear_fast_path
     );
     let overhead = cycles as f64 / cycles2 as f64 - 1.0;
     println!("UFO-bit save/restore overhead under thrashing: {:.2}% (paper: ~8% worst case, negligible normally)", overhead * 100.0);
 
-    // Keep the (otherwise unused) TM-level helper alive for completeness,
-    // and emit its run report as this bench's machine-readable artifact
-    // (the raw-machine measurements above have no TM run to report).
-    let (out, _) = run_with_pages(None);
-    let mut art = ArtifactWriter::new("appendix_swap");
-    art.push("kmeans/ustm-strong/2T", &out);
-    art.finish();
+    // The raw-machine measurements above have no TM run to report; this
+    // bench's artifact is the run report of one paging-sized kmeans run.
+    let params = KmeansParams {
+        points: if quick() { 256 } else { 512 },
+        dims: 4,
+        clusters: 16,
+        iterations: 2,
+    };
+    let spec = RunSpec::new(SystemKind::UstmStrong, 2);
+    let cell = Cell::new("kmeans/ustm-strong/2T", spec, Params::Kmeans(params));
+    print_wrote("appendix_swap", run_cells("appendix_swap", &[cell]).len());
 }

@@ -12,126 +12,72 @@
 //! all against the paper's recommended baseline (age CM, never fail over
 //! on contention, abort-and-retry on UFO faults).
 
-use ufotm_bench::{header, quick, slug, speedup, ArtifactWriter};
-use ufotm_core::{HybridPolicy, SystemKind};
+use ufotm_bench::{header, print_wrote, quick, run_cells, slug, speedup, stamp_workload, Cell};
+use ufotm_core::{BtmUfoFaultPolicy, HybridPolicy, SystemKind};
 use ufotm_machine::{HwCmPolicy, UfoKillPolicy};
-use ufotm_stamp::harness::{RunOutcome, RunSpec};
-use ufotm_stamp::{genome, kmeans};
+use ufotm_stamp::harness::RunSpec;
 
-struct Config {
-    name: &'static str,
-    policy: HybridPolicy,
-    hw_cm: HwCmPolicy,
-    ufo_kill: UfoKillPolicy,
-    owner_state_sets: bool,
-}
+/// Figure 8's bars, baseline first.
+const BARS: [&str; 6] = [
+    "baseline (age CM, no contention failover)",
+    "1: requester-wins HW CM (+failover@5)",
+    "2: failover on 5th contention abort",
+    "3: (2) + stall on UFO faults",
+    "4: limit study, true-conflict UFO kills only",
+    "5: owner-state UFO sets (the paper's proposed fix)",
+];
 
-fn configs() -> Vec<Config> {
-    vec![
-        Config {
-            name: "baseline (age CM, no contention failover)",
-            policy: HybridPolicy::default(),
-            hw_cm: HwCmPolicy::AgeOrdered,
-            ufo_kill: UfoKillPolicy::AllSpeculativeHolders,
-            owner_state_sets: false,
-        },
-        Config {
-            name: "1: requester-wins HW CM (+failover@5)",
-            policy: HybridPolicy::failover_on_nth_conflict(5),
-            hw_cm: HwCmPolicy::RequesterWins,
-            ufo_kill: UfoKillPolicy::AllSpeculativeHolders,
-            owner_state_sets: false,
-        },
-        Config {
-            name: "2: failover on 5th contention abort",
-            policy: HybridPolicy::failover_on_nth_conflict(5),
-            hw_cm: HwCmPolicy::AgeOrdered,
-            ufo_kill: UfoKillPolicy::AllSpeculativeHolders,
-            owner_state_sets: false,
-        },
-        Config {
-            name: "3: (2) + stall on UFO faults",
-            policy: {
-                let mut p = HybridPolicy::failover_on_nth_conflict(5);
-                p.btm_ufo_fault = ufotm_core::BtmUfoFaultPolicy::Stall;
-                p
-            },
-            hw_cm: HwCmPolicy::AgeOrdered,
-            ufo_kill: UfoKillPolicy::AllSpeculativeHolders,
-            owner_state_sets: false,
-        },
-        Config {
-            name: "4: limit study, true-conflict UFO kills only",
-            policy: HybridPolicy::default(),
-            hw_cm: HwCmPolicy::AgeOrdered,
-            ufo_kill: UfoKillPolicy::TrueConflictsOnly,
-            owner_state_sets: false,
-        },
-        Config {
-            name: "5: owner-state UFO sets (the paper's proposed fix)",
-            policy: HybridPolicy::default(),
-            hw_cm: HwCmPolicy::AgeOrdered,
-            ufo_kill: UfoKillPolicy::AllSpeculativeHolders,
-            owner_state_sets: true,
-        },
-    ]
-}
-
-fn run_with(
-    cfgs: &[Config],
-    threads: usize,
-    workload: &str,
-    art: &mut ArtifactWriter,
-    f: &dyn Fn(&RunSpec) -> RunOutcome,
-) {
-    let mut baseline = 0u64;
-    for (i, c) in cfgs.iter().enumerate() {
+/// The UFO hybrid's spec at `threads` for each of [`BARS`].
+fn bar_specs(threads: usize) -> [RunSpec; 6] {
+    use HwCmPolicy::{AgeOrdered as Age, RequesterWins};
+    use UfoKillPolicy::{AllSpeculativeHolders as All, TrueConflictsOnly};
+    let bar = |policy, hw_cm, ufo_kill, owner_state_sets| {
         let mut spec = RunSpec::new(SystemKind::UfoHybrid, threads);
-        spec.policy = c.policy;
-        spec.machine.hw_cm = c.hw_cm;
-        spec.machine.ufo_kill_policy = c.ufo_kill;
-        spec.machine.ufo_owner_state_sets = c.owner_state_sets;
-        let out = f(&spec);
-        art.push(format!("{}/config-{i}/{threads}T", slug(workload)), &out);
-        if i == 0 {
-            baseline = out.makespan;
-        }
-        println!(
-            "  {:<46} makespan={:>12}  rel. perf={:>6.2}x  sw={:>5} aborts={:>6}",
-            c.name,
-            out.makespan,
-            speedup(baseline, out.makespan),
-            out.sw_commits,
-            out.total_aborts()
-        );
-    }
+        spec.policy = policy;
+        spec.machine.hw_cm = hw_cm;
+        spec.machine.ufo_kill_policy = ufo_kill;
+        spec.machine.ufo_owner_state_sets = owner_state_sets;
+        spec
+    };
+    let paper = HybridPolicy::default();
+    let on5 = HybridPolicy::failover_on_nth_conflict(5);
+    let mut stall = on5;
+    stall.btm_ufo_fault = BtmUfoFaultPolicy::Stall;
+    [
+        bar(paper, Age, All, false),
+        bar(on5, RequesterWins, All, false),
+        bar(on5, Age, All, false),
+        bar(stall, Age, All, false),
+        bar(paper, Age, TrueConflictsOnly, false),
+        bar(paper, Age, All, true),
+    ]
 }
 
 fn main() {
     header("Figure 8 — contention-management sensitivity (UFO hybrid)");
     let threads = if quick() { 4 } else { 8 };
-    let scale = |n: usize| if quick() { n / 3 } else { n };
-    let cfgs = configs();
-    let mut art = ArtifactWriter::new("fig8_sensitivity");
-
-    println!();
-    println!("[genome]");
-    let gen = genome::GenomeParams {
-        segments: scale(384),
-        ..genome::GenomeParams::standard()
-    };
-    run_with(&cfgs, threads, "genome", &mut art, &|s| {
-        genome::run(s, &gen)
-    });
-
-    println!();
-    println!("[kmeans high contention]");
-    let km = kmeans::KmeansParams {
-        points: scale(768),
-        ..kmeans::KmeansParams::high_contention()
-    };
-    run_with(&cfgs, threads, "kmeans high contention", &mut art, &|s| {
-        kmeans::run(s, &km)
-    });
-    art.finish();
+    let workloads = ["genome", "kmeans high contention"];
+    let mut cells = Vec::new();
+    for name in workloads {
+        for (i, spec) in bar_specs(threads).into_iter().enumerate() {
+            let label = format!("{}/config-{i}/{threads}T", slug(name));
+            cells.push(Cell::new(label, spec, stamp_workload(name)));
+        }
+    }
+    let outcomes = run_cells("fig8_sensitivity", &cells);
+    for (name, outs) in workloads.iter().zip(outcomes.chunks(BARS.len())) {
+        println!();
+        println!("[{name}]");
+        for (bar, out) in BARS.iter().zip(outs) {
+            println!(
+                "  {:<46} makespan={:>12}  rel. perf={:>6.2}x  sw={:>5} aborts={:>6}",
+                bar,
+                out.makespan,
+                speedup(outs[0].makespan, out.makespan),
+                out.sw_commits,
+                out.total_aborts()
+            );
+        }
+    }
+    print_wrote("fig8_sensitivity", outcomes.len());
 }
