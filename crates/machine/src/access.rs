@@ -8,7 +8,7 @@
 //! hardware transactions zero-overhead.
 
 use crate::addr::{Addr, LineAddr};
-use crate::bits::{cpu_bit, BitIter};
+use crate::bits::CpuSet;
 use crate::btm::{AbortInfo, AbortReason};
 use crate::cache::L1Insert;
 use crate::chaos::ChaosFaultKind;
@@ -81,9 +81,9 @@ impl Machine {
                 // Invalidate all other cached copies. The holder mask is
                 // copied out first so the machine can be mutated per holder
                 // without an intermediate Vec.
-                let others = self.dir.holders_mask_except(line, cpu);
-                let transfer = others != 0;
-                for o in BitIter::new(others) {
+                let others = self.dir.holders_except(line, cpu);
+                let transfer = !others.is_empty();
+                for o in others {
                     if let Some(e) = self.l1[o].invalidate(line) {
                         if e.dirty {
                             self.charge(cpu, cost::WRITEBACK);
@@ -184,18 +184,18 @@ impl Machine {
         }
         // Only CPUs inside a transaction can hold speculative state, so the
         // scan walks the live-transaction mask instead of 0..cpus.
-        let mut conflictors = 0u64;
-        for o in BitIter::new(self.live_txns & !cpu_bit(cpu)) {
+        let mut conflictors = CpuSet::EMPTY;
+        for o in self.live_txns.without(cpu) {
             let conflicts = if is_write {
                 self.btm[o].holds_spec(line)
             } else {
                 self.btm[o].wrote_spec(line)
             };
             if conflicts {
-                conflictors |= cpu_bit(o);
+                conflictors.insert(o);
             }
         }
-        if conflictors == 0 {
+        if conflictors.is_empty() {
             return Ok(());
         }
         let requester_txn = self.btm[cpu].active && self.btm[cpu].doomed.is_none();
@@ -203,7 +203,7 @@ impl Machine {
             match self.cfg.hw_cm {
                 HwCmPolicy::AgeOrdered => {
                     let my_ts = self.btm[cpu].ts;
-                    if BitIter::new(conflictors).any(|o| self.btm[o].ts < my_ts) {
+                    if conflictors.iter().any(|o| self.btm[o].ts < my_ts) {
                         // An older transaction holds the line: nack.
                         self.charge(cpu, cost::NACK_RETRY);
                         self.stats.cpus[cpu].nacks += 1;
@@ -213,11 +213,11 @@ impl Machine {
                 }
                 HwCmPolicy::RequesterWins => {}
             }
-            for o in BitIter::new(conflictors) {
+            for o in conflictors {
                 self.doom(o, AbortInfo::at(AbortReason::Conflict, line.base_addr()));
             }
         } else {
-            for o in BitIter::new(conflictors) {
+            for o in conflictors {
                 self.doom(
                     o,
                     AbortInfo::at(AbortReason::NonTConflict, line.base_addr()),
@@ -333,7 +333,7 @@ impl Machine {
 
         // Kill speculative holders per policy (under the faithful protocol
         // the copies are invalidated by the exclusive acquisition below).
-        for o in BitIter::new(self.live_txns & !cpu_bit(cpu)) {
+        for o in self.live_txns.without(cpu) {
             if !self.btm[o].holds_spec(line) {
                 continue;
             }
@@ -362,9 +362,9 @@ impl Machine {
             self.dir.add_sharer(line, cpu);
         } else {
             // Acquire exclusive permission: invalidate all other copies.
-            let others = self.dir.holders_mask_except(line, cpu);
-            let transfer = others != 0;
-            for o in BitIter::new(others) {
+            let others = self.dir.holders_except(line, cpu);
+            let transfer = !others.is_empty();
+            for o in others {
                 if let Some(e) = self.l1[o].invalidate(line) {
                     if e.dirty {
                         self.charge(cpu, cost::WRITEBACK);

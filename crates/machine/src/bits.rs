@@ -1,34 +1,126 @@
-//! Bitmask iteration for CPU sets.
+//! CPU sets, and bitmask iteration.
 //!
 //! CPU sets throughout the machine (directory sharer masks, otable owner
-//! masks, the live-transaction set) are `u64` bitmasks — the machine asserts
-//! `cpus ∈ 1..=64`. Iterating them used to mean scanning a fixed `0..64`
-//! range and testing each bit; [`BitIter`] walks only the *set* bits via
-//! `trailing_zeros`, so the cost is proportional to the population count and
-//! naturally clamps to the CPUs that actually appear — a machine configured
-//! with 4 CPUs never loops 64 times.
+//! masks, the live-transaction set, USTM conflict masks) are [`CpuSet`]s:
+//! `u64` bitmasks whose only way in is a CPU index — the machine asserts
+//! `cpus ∈ 1..=64`. Iterating one walks only the *set* bits ([`BitIter`],
+//! via `trailing_zeros`), so the cost is proportional to the population
+//! count and naturally clamps to the CPUs that actually appear — a machine
+//! configured with 4 CPUs never loops 64 times.
 
 /// The single-CPU bitmask `1 << cpu`, checked.
 ///
-/// CPU sets are `u64` bitmasks, so only CPUs 0..=63 are representable. With
-/// a larger id, a raw `1 << cpu` is a *masked* shift in release builds and
-/// CPU 64 silently aliases CPU 0, corrupting owner and sharer masks — the
-/// PR-4 overflow class. [`Machine::new`](crate::Machine::new) rejects
-/// configurations with more than 64 CPUs; the debug assertion here catches
-/// any other caller handing an out-of-range id straight to mask arithmetic.
-///
-/// Every `1 << cpu`-shaped shift in the workspace must route through this
-/// helper (or the USTM ownership table's re-export of it); the
-/// `unchecked-cpu-shift` pass of `cargo xtask analyze` enforces exactly
-/// that.
+/// Only CPUs 0..=63 are representable. With a larger id, a raw
+/// `1 << cpu` is a *masked* shift in release builds and CPU 64 silently
+/// aliases CPU 0, corrupting owner and sharer masks — the PR-4 overflow
+/// class. [`Machine::new`](crate::Machine::new) rejects configurations
+/// with more than 64 CPUs; the debug assertion here catches any other
+/// caller handing an out-of-range id straight to a set.
 #[inline]
-#[must_use]
-pub fn cpu_bit(cpu: usize) -> u64 {
+fn cpu_bit(cpu: usize) -> u64 {
     debug_assert!(
         cpu < 64,
         "CPU sets are u64 bitmasks: cpu {cpu} out of range"
     );
     1u64 << (cpu & 63)
+}
+
+/// A set of CPU ids, stored as a `u64` bitmask.
+///
+/// A CPU enters a set only through [`CpuSet::single`] or
+/// [`CpuSet::insert`], which take the CPU's index and range-check it, so
+/// a raw `1 << cpu` cannot reach a mask without a type error. Iterating
+/// yields the members ascending.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CpuSet(u64);
+
+impl CpuSet {
+    /// The set with no CPUs.
+    pub const EMPTY: CpuSet = CpuSet(0);
+
+    /// The set holding `cpu` alone.
+    #[inline]
+    #[must_use]
+    pub fn single(cpu: usize) -> Self {
+        CpuSet(cpu_bit(cpu))
+    }
+
+    /// The set whose mask is `bits`: storage that keeps the raw mask
+    /// converts here, inside this crate only.
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        CpuSet(bits)
+    }
+
+    /// The raw mask: bit `i` set iff CPU `i` is a member.
+    #[inline]
+    #[must_use]
+    pub fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// Adds `cpu`.
+    #[inline]
+    pub fn insert(&mut self, cpu: usize) {
+        self.0 |= cpu_bit(cpu);
+    }
+
+    /// Removes `cpu`.
+    #[inline]
+    pub fn remove(&mut self, cpu: usize) {
+        self.0 &= !cpu_bit(cpu);
+    }
+
+    /// The set without `cpu`.
+    #[inline]
+    #[must_use]
+    pub fn without(self, cpu: usize) -> Self {
+        CpuSet(self.0 & !cpu_bit(cpu))
+    }
+
+    /// Whether `cpu` is a member.
+    #[inline]
+    #[must_use]
+    pub fn contains(self, cpu: usize) -> bool {
+        self.0 & cpu_bit(cpu) != 0
+    }
+
+    /// Whether every member of `other` is a member of `self`.
+    #[inline]
+    #[must_use]
+    pub fn is_superset(self, other: CpuSet) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Whether the set has no members.
+    #[inline]
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The number of members.
+    #[inline]
+    #[must_use]
+    pub fn len(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    /// The members, ascending.
+    #[inline]
+    pub fn iter(self) -> BitIter {
+        BitIter(self.0)
+    }
+}
+
+impl IntoIterator for CpuSet {
+    type Item = usize;
+    type IntoIter = BitIter;
+
+    #[inline]
+    fn into_iter(self) -> BitIter {
+        self.iter()
+    }
 }
 
 /// Iterator over the set-bit positions of a `u64`, ascending.
@@ -37,8 +129,7 @@ pub struct BitIter(u64);
 
 impl BitIter {
     /// Iterates the set bits of `mask` from least to most significant.
-    #[must_use]
-    pub fn new(mask: u64) -> Self {
+    pub(crate) fn new(mask: u64) -> Self {
         BitIter(mask)
     }
 }

@@ -14,8 +14,8 @@
     clippy::disallowed_types,
     reason = "hot-path membership/lookup state, pre-sized to L1 capacity so the steady \
               state never allocates; hashed with the fixed `IndexHasher` below (no \
-              per-process seed), and the only iterations are the three allow-marked \
-              order-insensitive sweeps in machine.rs"
+              per-process seed), and the only iterations are three order-insensitive \
+              sweeps in machine.rs, each commented with why its order cannot matter"
 )]
 
 use std::collections::{HashMap, HashSet};

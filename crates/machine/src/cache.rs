@@ -132,7 +132,7 @@ impl L1Cache {
     }
 
     fn mark(&mut self, set: usize) {
-        // analyze: allow(unchecked-cpu-shift) -- a set index modulo 64 is below 64, so the shift cannot wrap.
+        // A set index modulo 64 is below 64, so the shift cannot wrap.
         self.touched[set / 64] |= 1 << (set % 64);
     }
 

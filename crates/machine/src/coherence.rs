@@ -10,15 +10,17 @@
 //! invariants.
 
 use crate::addr::LineAddr;
-use crate::bits::cpu_bit;
+use crate::bits::CpuSet;
 use crate::ufo::UfoBits;
 
 /// Directory state for one line, packed so that the all-zero value is an
-/// uncached, unprotected line: `[sharers, flags]`, where `flags` holds the
+/// uncached, unprotected line: `[sharers, flags]`, where `sharers` is a
+/// [`CpuSet`]'s raw mask (converted at the accessors), `flags` holds the
 /// UFO bits' raw encoding in bits 0–1 and [`EXCLUSIVE`] in bit 2. The owner
 /// is not stored: when `EXCLUSIVE` is set it is the single sharer.
 ///
-/// A plain array rather than a struct because `vec![[0u64; 2]; n]` takes
+/// A plain array rather than a struct (or a `CpuSet` field) because
+/// `vec![[0u64; 2]; n]` takes
 /// the zeroed-allocation path: a Table 4 directory (8 MiB) costs no write at
 /// construction, and a page materializes only when a line on it is first
 /// touched. One allocation keeps the UFO check and the owner check of an
@@ -33,6 +35,13 @@ const FLAGS: usize = 1;
 const UFO_MASK: u64 = 0b11;
 /// The flag word's bit for "the single sharer holds the line exclusively".
 const EXCLUSIVE: u64 = 0b100;
+
+/// Applies `f` to an entry's sharer set.
+fn update_sharers(e: &mut Entry, f: impl FnOnce(&mut CpuSet)) {
+    let mut sharers = CpuSet::from_bits(e[SHARERS]);
+    f(&mut sharers);
+    e[SHARERS] = sharers.bits();
+}
 
 /// The full directory: dense per-line state.
 #[derive(Clone, Debug)]
@@ -89,37 +98,36 @@ impl Directory {
         (e[FLAGS] & EXCLUSIVE != 0).then(|| e[SHARERS].trailing_zeros() as usize)
     }
 
-    /// CPUs (other than `except`) currently holding the line. Walks only
-    /// the set bits of the sharer mask, so the cost tracks the actual
-    /// holder count rather than a fixed 0..64 scan.
-    #[cfg(test)]
-    pub fn holders_except(&self, line: LineAddr, except: usize) -> crate::bits::BitIter {
-        crate::bits::BitIter::new(self.holders_mask_except(line, except))
+    /// The CPUs holding the line.
+    fn sharers(&self, line: LineAddr) -> CpuSet {
+        CpuSet::from_bits(self.entry(line)[SHARERS])
     }
 
-    /// The sharer mask with `except` removed. The mask is `Copy`, so
-    /// callers that need to mutate the machine per holder can grab it
-    /// first and iterate `BitIter::new(mask)` without borrowing `self`.
-    pub fn holders_mask_except(&self, line: LineAddr, except: usize) -> u64 {
-        self.entry(line)[SHARERS] & !cpu_bit(except)
+    /// CPUs (other than `except`) currently holding the line. The set is
+    /// `Copy`, so callers that need to mutate the machine per holder can
+    /// grab it first and iterate it without borrowing `self`; iteration
+    /// walks only the members, so the cost tracks the actual holder count
+    /// rather than a fixed 0..64 scan.
+    pub fn holders_except(&self, line: LineAddr, except: usize) -> CpuSet {
+        self.sharers(line).without(except)
     }
 
     /// Whether `cpu` holds the line (in any state).
     pub fn is_sharer(&self, line: LineAddr, cpu: usize) -> bool {
-        self.entry(line)[SHARERS] & cpu_bit(cpu) != 0
+        self.sharers(line).contains(cpu)
     }
 
     /// Number of CPUs holding the line (the chaos engine scales injected
     /// nack delays by how many caches would have had to respond).
     pub fn sharer_count(&self, line: LineAddr) -> u32 {
-        self.entry(line)[SHARERS].count_ones()
+        self.sharers(line).len()
     }
 
     /// Records `cpu` as a (non-exclusive) sharer; demotes any owner flag if
     /// the owner keeps a shared copy.
     pub fn add_sharer(&mut self, line: LineAddr, cpu: usize) {
         let e = self.entry_mut(line);
-        e[SHARERS] |= cpu_bit(cpu);
+        update_sharers(e, |s| s.insert(cpu));
         e[FLAGS] &= !EXCLUSIVE;
         self.check(line);
     }
@@ -127,7 +135,7 @@ impl Directory {
     /// Records `cpu` as the sole, exclusive holder.
     pub fn set_exclusive(&mut self, line: LineAddr, cpu: usize) {
         let e = self.entry_mut(line);
-        e[SHARERS] = cpu_bit(cpu);
+        e[SHARERS] = CpuSet::single(cpu).bits();
         e[FLAGS] |= EXCLUSIVE;
         self.check(line);
     }
@@ -136,7 +144,7 @@ impl Directory {
     pub fn remove_sharer(&mut self, line: LineAddr, cpu: usize) {
         let owned = self.owner(line) == Some(cpu);
         let e = self.entry_mut(line);
-        e[SHARERS] &= !cpu_bit(cpu);
+        update_sharers(e, |s| s.remove(cpu));
         if owned {
             e[FLAGS] &= !EXCLUSIVE;
         }
@@ -181,7 +189,7 @@ mod tests {
         d.add_sharer(l, 0);
         d.add_sharer(l, 3);
         assert!(d.is_sharer(l, 0) && d.is_sharer(l, 3) && !d.is_sharer(l, 1));
-        assert_eq!(d.holders_except(l, 0).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(d.holders_except(l, 0).iter().collect::<Vec<_>>(), vec![3]);
         d.remove_sharer(l, 0);
         assert!(!d.is_sharer(l, 0));
     }
@@ -210,8 +218,8 @@ mod tests {
         assert_eq!(d.owner(l), None);
         d.set_exclusive(l, 63);
         assert_eq!(d.owner(l), Some(63));
-        assert_eq!(d.holders_mask_except(l, 0), cpu_bit(63));
-        assert_eq!(d.holders_mask_except(l, 63), 0);
+        assert_eq!(d.holders_except(l, 0), CpuSet::single(63));
+        assert_eq!(d.holders_except(l, 63), CpuSet::EMPTY);
         d.remove_sharer(l, 63);
         assert_eq!((d.owner(l), d.sharer_count(l)), (None, 0));
     }
@@ -226,7 +234,7 @@ mod tests {
         assert!(d.is_sharer(l, 5) && d.is_sharer(l, 7));
         // The former owner keeps a shared copy: removing it leaves 7.
         d.remove_sharer(l, 5);
-        assert_eq!(d.holders_mask_except(l, 63), cpu_bit(7));
+        assert_eq!(d.holders_except(l, 63), CpuSet::single(7));
         assert_eq!(d.owner(l), None);
     }
 

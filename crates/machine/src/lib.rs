@@ -67,7 +67,7 @@ pub use addr::{
     Addr, LineAddr, PageAddr, LINE_BYTES, LINE_WORDS, PAGE_BYTES, PAGE_LINES, WORD_BYTES,
 };
 pub use alloc::{AllocError, SimAlloc};
-pub use bits::{cpu_bit, BitIter};
+pub use bits::{BitIter, CpuSet};
 pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus};
 pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use crate::addr::Addr;
-use crate::bits::cpu_bit;
+use crate::bits::CpuSet;
 use crate::btm::{AbortInfo, AbortReason, BtmCpu, BtmEvent, BtmStatus};
 use crate::cache::{L1Cache, L2Cache};
 use crate::chaos::{ChaosFaultKind, ChaosState};
@@ -72,9 +72,10 @@ impl std::error::Error for AccessError {}
 /// disabled or already resolved by the caller. Scattering `.unwrap()` /
 /// `.expect()` over such sites is exactly the chaos-NACK crash class: a
 /// later protocol change silently turns the "impossible" error into a
-/// panic. The `panicking-machine-access` pass of `cargo xtask analyze`
-/// rejects those raw unwraps; this trait is the audited replacement — one
-/// place that states the invariant, with a per-site label for diagnostics.
+/// panic. Review rejects those raw unwraps (docs/ARCHITECTURE.md §7(p)
+/// says why no compiler check does); this trait is the audited
+/// replacement — one place that states the invariant, with a per-site
+/// label for diagnostics.
 pub trait PlainAccess<T> {
     /// Unwraps the result of a machine operation issued on a plain-access
     /// path, panicking with `what` and the machine error if the protocol
@@ -100,10 +101,10 @@ pub struct Machine {
     pub(crate) l1: Vec<L1Cache>,
     pub(crate) l2: L2Cache,
     pub(crate) btm: Vec<BtmCpu>,
-    /// Bitmask of CPUs with an active (live or doomed) BTM transaction —
-    /// lets conflict arbitration walk only transacting CPUs instead of
+    /// CPUs with an active (live or doomed) BTM transaction — lets
+    /// conflict arbitration walk only transacting CPUs instead of
     /// scanning `0..cpus` on every access.
-    pub(crate) live_txns: u64,
+    pub(crate) live_txns: CpuSet,
     pub(crate) ufo_enabled: Vec<bool>,
     pub(crate) clock: Vec<u64>,
     pub(crate) next_timer: Vec<u64>,
@@ -158,7 +159,7 @@ impl Machine {
             btm: (0..cpus)
                 .map(|_| BtmCpu::with_capacity(cfg.l1.sets() * cfg.l1.ways()))
                 .collect(),
-            live_txns: 0,
+            live_txns: CpuSet::EMPTY,
             ufo_enabled: vec![false; cpus],
             clock: vec![0; cpus],
             next_timer: vec![first_timer; cpus],
@@ -271,7 +272,9 @@ impl Machine {
         // preclude iterating the write set in place.
         let mut written = std::mem::take(&mut self.btm[cpu].scratch_lines);
         written.clear();
-        // analyze: allow(nondet-iteration) -- order-insensitive: each line is invalidated/removed independently, no cycles are charged per element, and the final cache/directory state commutes.
+        // Order-insensitive: each line is invalidated/removed
+        // independently, no cycles are charged per element, and the final
+        // cache/directory state commutes.
         written.extend(self.btm[cpu].write_set.iter().copied());
         for &line in &written {
             if self.l1[cpu].invalidate(line).is_some() || self.dir.is_sharer(line, cpu) {
@@ -284,7 +287,7 @@ impl Machine {
         self.stats.cpus[cpu].record_abort(info.reason);
         self.btm[cpu].last_abort = Some(info);
         self.btm[cpu].reset();
-        self.live_txns &= !cpu_bit(cpu);
+        self.live_txns.remove(cpu);
     }
 
     /// Marks another CPU's live transaction as killed; it will notice (and
@@ -324,7 +327,7 @@ impl Machine {
         b.depth = 1;
         b.ts = ts;
         b.doomed = None;
-        self.live_txns |= cpu_bit(cpu);
+        self.live_txns.insert(cpu);
         Ok(())
     }
 
@@ -351,7 +354,9 @@ impl Machine {
         // reusable scratch buffer.
         let mut writes = std::mem::take(&mut self.btm[cpu].scratch_writes);
         writes.clear();
-        // analyze: allow(nondet-iteration) -- order-insensitive: speculative writes target distinct words, so the published memory image is identical under any HashMap iteration order, and no cycles are charged per element.
+        // Order-insensitive: speculative writes target distinct words, so
+        // the published memory image is identical under any HashMap
+        // iteration order, and no cycles are charged per element.
         writes.extend(self.btm[cpu].spec_writes.iter().map(|(&a, &v)| (a, v)));
         for &(word, value) in &writes {
             self.mem.write(Addr::from_word_index(word), value);
@@ -361,7 +366,7 @@ impl Machine {
         self.l1[cpu].flash_clear_spec();
         self.stats.cpus[cpu].btm_commits += 1;
         self.btm[cpu].reset();
-        self.live_txns &= !cpu_bit(cpu);
+        self.live_txns.remove(cpu);
         Ok(())
     }
 
@@ -507,7 +512,7 @@ impl Machine {
     pub fn debug_validate(&self) {
         for (cpu, b) in self.btm.iter().enumerate() {
             assert_eq!(
-                self.live_txns & cpu_bit(cpu) != 0,
+                self.live_txns.contains(cpu),
                 b.active,
                 "live-txn mask out of sync with cpu {cpu}"
             );
@@ -545,7 +550,8 @@ impl Machine {
                     b.spec_writes.is_empty() && b.read_set.is_empty() && b.write_set.is_empty()
                 );
             } else {
-                // analyze: allow(nondet-iteration) -- order-insensitive: assertion-only sweep; every key is checked independently and nothing is charged or mutated.
+                // Order-insensitive: an assertion-only sweep; every key is
+                // checked independently and nothing is charged or mutated.
                 for &word in b.spec_writes.keys() {
                     let line = Addr::from_word_index(word).line();
                     assert!(
@@ -587,7 +593,7 @@ impl Machine {
     /// transaction would break speculative bookkeeping).
     pub fn poke(&mut self, addr: Addr, value: u64) {
         assert!(
-            self.live_txns == 0,
+            self.live_txns.is_empty(),
             "poke while a BTM transaction is active"
         );
         self.mem.write(addr, value);

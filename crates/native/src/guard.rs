@@ -58,10 +58,14 @@
 //!
 //! Everything here is raw Linux syscalls (`mmap`/`mprotect`/
 //! `rt_sigaction`/`memfd_create`) via inline assembly — the workspace has
-//! no libc dependency. The implementation exists under
-//! `cfg(all(target_os = "linux", target_arch = "x86_64"))`; elsewhere
-//! `DualMapping`/`Window` are uninhabited (the heap's matches on them
-//! compile everywhere but can never be reached), and there — or when
+//! no libc dependency. The handler, the region table it reads, and the
+//! syscall wrappers live in the `no_std` `sigguard` crate, so the
+//! handler's async-signal-safety is the crate boundary's: it cannot
+//! reach an allocator, a lock or stdio, nor any code of this crate. This
+//! module keeps the dual mapping and the window. The implementation
+//! exists under `cfg(all(target_os = "linux", target_arch = "x86_64"))`;
+//! elsewhere `DualMapping`/`Window` are uninhabited (the heap's matches
+//! on them compile everywhere but can never be reached), and there — or when
 //! `UFOTM_SKIP_GUARD` is set, e.g. under ThreadSanitizer — the heap uses
 //! plain boxed storage and [`available`] reports `false`.
 
@@ -96,356 +100,22 @@ pub(crate) use imp::{DualMapping, Window};
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[allow(
     unsafe_code,
-    reason = "the raw-syscall module: the crate's only unsafe, each site documented"
+    reason = "the dual-mapping module: the crate's only unsafe, each site documented"
 )]
 mod imp {
     //! The real (x86_64 Linux) implementation. All `unsafe` in the crate
-    //! lives in this module: raw syscalls, the signal handler, and the
-    //! word views over the two mappings.
+    //! lives in this module: the mapping syscalls and the word views over
+    //! the two mappings. The handler and its region table are `sigguard`'s.
 
     use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-    use std::sync::Once;
+
+    use sigguard::{
+        syscall2, syscall3, syscall6, Region, MAP_SHARED, PAGE_BYTES, PROT_NONE, PROT_READ,
+        PROT_WRITE, SYS_CLOSE, SYS_FTRUNCATE, SYS_MEMFD_CREATE, SYS_MMAP, SYS_MPROTECT, SYS_MUNMAP,
+    };
 
     use super::GuardStats;
     use crate::chaos::{FailSite, NativeChaos};
-
-    // ---- raw syscalls ----------------------------------------------------
-
-    const SYS_CLOSE: usize = 3;
-    const SYS_MMAP: usize = 9;
-    const SYS_MPROTECT: usize = 10;
-    const SYS_MUNMAP: usize = 11;
-    const SYS_RT_SIGACTION: usize = 13;
-    const SYS_SCHED_YIELD: usize = 24;
-    const SYS_FTRUNCATE: usize = 77;
-    const SYS_MEMFD_CREATE: usize = 319;
-
-    const PROT_NONE: usize = 0;
-    const PROT_READ: usize = 1;
-    const PROT_WRITE: usize = 2;
-    const MAP_SHARED: usize = 1;
-    const SIGSEGV: usize = 11;
-    const SA_SIGINFO: usize = 0x4;
-    const SA_RESTORER: usize = 0x0400_0000;
-    const SA_ONSTACK: usize = 0x0800_0000;
-
-    pub(crate) const PAGE_BYTES: usize = 4096;
-
-    /// Raw 6-argument syscall. Returns the kernel's raw result
-    /// (`-errno` on failure).
-    ///
-    /// # Safety
-    ///
-    /// The caller must pass arguments valid for syscall `n`.
-    unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        // SAFETY: the `syscall` instruction with the kernel's register
-        // convention; clobbers rcx/r11 as declared. Soundness of the call
-        // itself is the forwarded caller contract.
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") n as isize => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as `syscall6` — caller passes arguments valid
-    /// for syscall `n`; the tail positions are zero-filled, which every
-    /// syscall used here ignores.
-    unsafe fn syscall4(n: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
-        // SAFETY: forwarded caller contract.
-        unsafe { syscall6(n, a1, a2, a3, a4, 0, 0) }
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as `syscall6`; unused argument registers are 0.
-    unsafe fn syscall3(n: usize, a1: usize, a2: usize, a3: usize) -> isize {
-        // SAFETY: forwarded caller contract.
-        unsafe { syscall6(n, a1, a2, a3, 0, 0, 0) }
-    }
-
-    /// # Safety
-    ///
-    /// Same contract as `syscall6`; unused argument registers are 0.
-    unsafe fn syscall2(n: usize, a1: usize, a2: usize) -> isize {
-        // SAFETY: forwarded caller contract.
-        unsafe { syscall6(n, a1, a2, 0, 0, 0, 0) }
-    }
-
-    /// Async-signal-safe yield, usable from inside the SIGSEGV handler.
-    fn sched_yield() {
-        // SAFETY: sched_yield takes no arguments and has no memory effects.
-        unsafe {
-            syscall6(SYS_SCHED_YIELD, 0, 0, 0, 0, 0, 0);
-        }
-    }
-
-    /// The kernel's `struct sigaction` on x86_64 (`k_sa_handler`,
-    /// `sa_flags`, `sa_restorer`, `sa_mask`).
-    #[repr(C)]
-    struct KernelSigaction {
-        handler: usize,
-        flags: usize,
-        restorer: usize,
-        mask: u64,
-    }
-
-    /// `sigreturn` trampoline the kernel jumps to when the handler
-    /// returns (we install with `SA_RESTORER` since there is no libc to
-    /// provide one).
-    ///
-    /// # Safety
-    ///
-    /// Never called from Rust — the kernel jumps here on handler
-    /// return with the signal frame already on the stack, which is exactly
-    /// what `rt_sigreturn` (syscall 15) consumes; naked, so no prologue
-    /// disturbs that frame.
-    #[unsafe(naked)]
-    unsafe extern "C" fn restorer() {
-        core::arch::naked_asm!("mov rax, 15", "syscall");
-    }
-
-    // ---- region registry + handler ---------------------------------------
-
-    /// Fixed-size registry of guarded regions (multiple test heaps can be
-    /// live in one process; `cargo test` runs tests on concurrent
-    /// threads). Registration stores `base` last with `SeqCst` so the
-    /// handler — which may run on any thread at any instruction — never
-    /// sees a half-registered slot.
-    const MAX_REGIONS: usize = 16;
-
-    /// `REGION_BASE` sentinel: the slot is claimed by a registering
-    /// thread but its real base/length are not published yet. The
-    /// handler skips it like an empty slot.
-    const SLOT_CLAIMED: usize = usize::MAX;
-
-    static REGION_BASE: [AtomicUsize; MAX_REGIONS] = [const { AtomicUsize::new(0) }; MAX_REGIONS];
-    static REGION_LEN: [AtomicUsize; MAX_REGIONS] = [const { AtomicUsize::new(0) }; MAX_REGIONS];
-    static REGION_FAULTS_IN: [AtomicU64; MAX_REGIONS] = [const { AtomicU64::new(0) }; MAX_REGIONS];
-    static REGION_FAULTS_AFTER: [AtomicU64; MAX_REGIONS] =
-        [const { AtomicU64::new(0) }; MAX_REGIONS];
-    static REGION_LAST_FAULT: [AtomicUsize; MAX_REGIONS] =
-        [const { AtomicUsize::new(0) }; MAX_REGIONS];
-    /// Commit windows opened on the region. Here, not in the
-    /// [`DualMapping`]: a counter every committer bumps must not share a
-    /// cache line with the base addresses every heap access reads.
-    static REGION_WINDOWS: [AtomicU64; MAX_REGIONS] = [const { AtomicU64::new(0) }; MAX_REGIONS];
-
-    /// Per-region protocol word excluding committers and reopening
-    /// handlers from each other: bit 0 ([`WINDOW_OPEN`]) is set while a
-    /// commit window is open on the region, the bits above count handlers
-    /// mid-reopen ([`REOPENING`] each). A committer CASes 0 → `WINDOW_OPEN`
-    /// (so it also waits out other committers on the same heap); a handler
-    /// waits for bit 0 to clear, then adds `REOPENING`. Per region, so a
-    /// fault in heap A never waits for heap B's window.
-    static REGION_STATE: [AtomicU64; MAX_REGIONS] = [const { AtomicU64::new(0) }; MAX_REGIONS];
-    /// Address of the region's per-page closed flags (one `AtomicU8` per
-    /// page, owned by the [`DualMapping`]): nonzero = the page is
-    /// `PROT_NONE` on the public view. Only the holder of the state word —
-    /// a committer, or a handler mid-reopen — changes a page's protection
-    /// or its flag. Published before `REGION_BASE`.
-    static REGION_CLOSED: [AtomicUsize; MAX_REGIONS] = [const { AtomicUsize::new(0) }; MAX_REGIONS];
-
-    const WINDOW_OPEN: u64 = 1;
-    const REOPENING: u64 = 2;
-
-    static INSTALL: Once = Once::new();
-    static INSTALL_OK: AtomicUsize = AtomicUsize::new(0);
-    static OLD_HANDLER: AtomicUsize = AtomicUsize::new(0);
-    static OLD_FLAGS: AtomicUsize = AtomicUsize::new(0);
-    static OLD_RESTORER: AtomicUsize = AtomicUsize::new(0);
-    static OLD_MASK: AtomicU64 = AtomicU64::new(0);
-
-    /// Reinstalls the SIGSEGV disposition that was in place before
-    /// [`install_handler`], so the re-executed faulting instruction
-    /// re-faults into the old handler (or the default crash).
-    /// Async-signal-safe: atomics and one `rt_sigaction` syscall.
-    fn restore_previous_disposition() {
-        let old = KernelSigaction {
-            handler: OLD_HANDLER.load(Ordering::SeqCst),
-            flags: OLD_FLAGS.load(Ordering::SeqCst),
-            restorer: OLD_RESTORER.load(Ordering::SeqCst),
-            mask: OLD_MASK.load(Ordering::SeqCst),
-        };
-        // SAFETY: `old` is exactly the sigaction rt_sigaction reported at
-        // install time.
-        unsafe {
-            syscall4(
-                SYS_RT_SIGACTION,
-                SIGSEGV,
-                core::ptr::addr_of!(old) as usize,
-                0,
-                8,
-            );
-        }
-    }
-
-    /// The classifying SIGSEGV handler. Async-signal-safe: atomics,
-    /// `sched_yield`, `mprotect`, and `rt_sigaction` only — and no longer
-    /// just by construction: the D9 `signal-unsafe-reachable` pass walks
-    /// everything reachable from here and fails `cargo xtask analyze` on
-    /// any allocation, lock, panic, or stdio drifting in.
-    ///
-    /// # Safety
-    ///
-    /// Installed via rt_sigaction with SA_SIGINFO, so the kernel
-    /// calls it with the documented (sig, siginfo, ucontext) arguments;
-    /// never called from Rust.
-    unsafe extern "C" fn segv_handler(
-        _sig: i32,
-        info: *mut core::ffi::c_void,
-        _ucontext: *mut core::ffi::c_void,
-    ) {
-        // x86_64 siginfo_t: si_signo/si_errno/si_code then the union;
-        // for SIGSEGV the first union field (offset 16) is si_addr.
-        // SAFETY: `info` points at the kernel-written siginfo_t (SA_SIGINFO
-        // guarantees it is non-null and at least 128 bytes); offset 16 is
-        // in bounds and usize-aligned.
-        let fault_addr = unsafe { core::ptr::read(info.cast::<u8>().add(16).cast::<usize>()) };
-        for slot in 0..MAX_REGIONS {
-            let base = REGION_BASE[slot].load(Ordering::SeqCst);
-            if base == 0 || base == SLOT_CLAIMED {
-                continue;
-            }
-            let len = REGION_LEN[slot].load(Ordering::SeqCst);
-            if fault_addr < base || fault_addr >= base + len {
-                continue;
-            }
-            // Ours: a plain access touched a closed page of this heap.
-            REGION_LAST_FAULT[slot].store(fault_addr, Ordering::SeqCst);
-            let state = &REGION_STATE[slot];
-            if state.load(Ordering::SeqCst) & WINDOW_OPEN == 0 {
-                // No window: an earlier one left the page closed (or just
-                // dropped). Reopen it below and re-execute.
-                REGION_FAULTS_AFTER[slot].fetch_add(1, Ordering::SeqCst);
-            } else {
-                REGION_FAULTS_IN[slot].fetch_add(1, Ordering::SeqCst);
-            }
-            // Stall until this region's window drops, then register as a
-            // reopener in the same step, so that no window can open until
-            // the page is consistently open again. Returning re-executes
-            // the faulting instruction, so an access that raced a window
-            // lands strictly after the commit — strong atomicity by
-            // deferral.
-            let mut spins: u64 = 0;
-            loop {
-                let cur = state.load(Ordering::SeqCst);
-                if cur & WINDOW_OPEN != 0 {
-                    sched_yield();
-                    spins += 1;
-                    if spins > 1 << 32 {
-                        // A window has been open for minutes: a committer
-                        // is wedged. Fall back to the previous disposition
-                        // so the re-fault (the page is still PROT_NONE)
-                        // crashes loudly instead of hanging this thread
-                        // forever.
-                        restore_previous_disposition();
-                        return;
-                    }
-                } else if state
-                    .compare_exchange(cur, cur + REOPENING, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-            let page = (fault_addr - base) / PAGE_BYTES;
-            let flags = REGION_CLOSED[slot].load(Ordering::SeqCst) as *const AtomicU8;
-            // SAFETY: `flags` is the live `DualMapping`'s array of one flag
-            // per page of the region (published before `REGION_BASE`, and
-            // heaps are dropped only with plain accessors quiesced), and
-            // `page` < len / PAGE_BYTES by the range check above.
-            let closed = unsafe { &*flags.add(page) };
-            // Another handler may have reopened the page since the fault.
-            if closed.load(Ordering::SeqCst) != 0 {
-                // SAFETY: one whole page inside our public mapping.
-                let rc = unsafe {
-                    syscall3(
-                        SYS_MPROTECT,
-                        base + page * PAGE_BYTES,
-                        PAGE_BYTES,
-                        PROT_READ | PROT_WRITE,
-                    )
-                };
-                if rc == 0 {
-                    closed.store(0, Ordering::SeqCst);
-                } else {
-                    // The kernel refused (out of VMAs): the page stays
-                    // closed, so crash loudly on the re-fault rather than
-                    // fault here forever.
-                    restore_previous_disposition();
-                }
-            }
-            state.fetch_sub(REOPENING, Ordering::SeqCst);
-            return;
-        }
-        // Not ours (a genuine segfault elsewhere in the process): put the
-        // previous disposition back and return. The instruction re-faults
-        // straight into the old handler or the default crash.
-        restore_previous_disposition();
-    }
-
-    /// Installs the handler once per process; returns whether it is in
-    /// place.
-    fn install_handler() -> bool {
-        INSTALL.call_once(|| {
-            let act = KernelSigaction {
-                handler: segv_handler as *const () as usize,
-                flags: SA_SIGINFO | SA_RESTORER | SA_ONSTACK,
-                restorer: restorer as *const () as usize,
-                mask: 0,
-            };
-            let mut old = KernelSigaction {
-                handler: 0,
-                flags: 0,
-                restorer: 0,
-                mask: 0,
-            };
-            // SAFETY: both structs are valid kernel sigactions; size of
-            // the kernel sigset_t on x86_64 is 8 bytes.
-            let rc = unsafe {
-                syscall4(
-                    SYS_RT_SIGACTION,
-                    SIGSEGV,
-                    core::ptr::addr_of!(act) as usize,
-                    core::ptr::addr_of_mut!(old) as usize,
-                    8,
-                )
-            };
-            if rc == 0 {
-                OLD_HANDLER.store(old.handler, Ordering::SeqCst);
-                OLD_FLAGS.store(old.flags, Ordering::SeqCst);
-                OLD_RESTORER.store(old.restorer, Ordering::SeqCst);
-                OLD_MASK.store(old.mask, Ordering::SeqCst);
-                INSTALL_OK.store(1, Ordering::SeqCst);
-            }
-        });
-        INSTALL_OK.load(Ordering::SeqCst) == 1
-    }
-
-    // ---- the dual mapping -------------------------------------------------
 
     /// One `memfd` mapped twice: the public view (guardable; plain
     /// accesses) and the shadow view (always writable; every transactional
@@ -464,9 +134,10 @@ mod imp {
         txn_base: AtomicUsize,
         bytes: usize,
         fd: i32,
-        slot: usize,
+        /// This heap's slot in the fault handler's region table.
+        region: Region,
         /// Per page: nonzero while the page is `PROT_NONE` on the public
-        /// view. The handler reaches it through `REGION_CLOSED[slot]`.
+        /// view. The handler reaches it through `region`.
         closed: Box<[AtomicU8]>,
     }
 
@@ -503,7 +174,7 @@ mod imp {
         /// step fails (old kernel, slot table full, handler install
         /// refused) — the caller falls back to unguarded boxed storage.
         pub(crate) fn new(bytes: usize) -> Option<Self> {
-            if !install_handler() {
+            if !sigguard::install() {
                 return None;
             }
             let bytes = bytes.div_ceil(PAGE_BYTES) * PAGE_BYTES;
@@ -532,18 +203,12 @@ mod imp {
                 }
                 return None;
             };
-            // Claim a registry slot with a CAS to the claimed sentinel —
-            // never touching slots owned by other live heaps — then fill
-            // in this slot's length, counters and closed-flag pointer (its
-            // state word is 0: never used, or cleared by the last owner's
-            // drop), and publish the real base *last* (the handler skips
-            // both 0 and the sentinel, so it never sees a half-registered
-            // slot).
-            let claimed = REGION_BASE.iter().position(|b| {
-                b.compare_exchange(0, SLOT_CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            });
-            let Some(slot) = claimed else {
+            let closed: Box<[AtomicU8]> =
+                (0..bytes / PAGE_BYTES).map(|_| AtomicU8::new(0)).collect();
+            // SAFETY: `public_base..+bytes` is our fresh mapping, and it and
+            // `closed` live until `drop` unregisters the region.
+            let region = unsafe { Region::register(public_base, bytes, &closed) };
+            let Some(region) = region else {
                 // SAFETY: tear down both fresh mappings and the fd.
                 unsafe {
                     syscall2(SYS_MUNMAP, public_base, bytes);
@@ -552,22 +217,13 @@ mod imp {
                 }
                 return None;
             };
-            REGION_LEN[slot].store(bytes, Ordering::SeqCst);
-            REGION_FAULTS_IN[slot].store(0, Ordering::SeqCst);
-            REGION_FAULTS_AFTER[slot].store(0, Ordering::SeqCst);
-            REGION_LAST_FAULT[slot].store(0, Ordering::SeqCst);
-            REGION_WINDOWS[slot].store(0, Ordering::SeqCst);
-            let closed: Box<[AtomicU8]> =
-                (0..bytes / PAGE_BYTES).map(|_| AtomicU8::new(0)).collect();
-            REGION_CLOSED[slot].store(closed.as_ptr() as usize, Ordering::SeqCst);
-            REGION_BASE[slot].store(public_base, Ordering::SeqCst);
             Some(DualMapping {
                 public_base,
                 shadow_base,
                 txn_base: AtomicUsize::new(public_base),
                 bytes,
                 fd,
-                slot,
+                region,
                 closed,
             })
         }
@@ -625,17 +281,8 @@ mod imp {
             word_idxs: impl Iterator<Item = usize>,
             chaos: Option<(&NativeChaos, usize)>,
         ) -> Window<'_> {
-            // Waits out reopening handlers and other committers' windows
-            // on this heap; both are a handful of instructions or one
-            // syscall long.
-            while REGION_STATE[self.slot]
-                .compare_exchange(0, WINDOW_OPEN, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                std::thread::yield_now();
-            }
+            self.region.open_window();
             let win = Window { map: self };
-            REGION_WINDOWS[self.slot].fetch_add(1, Ordering::SeqCst);
             // The heap's first window: move transactions (this committer's
             // write-back first of all) to the shadow view before any page
             // closes. Checked first so later windows leave the line clean.
@@ -693,16 +340,16 @@ mod imp {
         pub(crate) fn stats(&self) -> GuardStats {
             GuardStats {
                 guarded: true,
-                windows_opened: REGION_WINDOWS[self.slot].load(Ordering::SeqCst),
-                faults_in_window: REGION_FAULTS_IN[self.slot].load(Ordering::SeqCst),
-                faults_after_window: REGION_FAULTS_AFTER[self.slot].load(Ordering::SeqCst),
+                windows_opened: self.region.windows_opened(),
+                faults_in_window: self.region.faults_in_window(),
+                faults_after_window: self.region.faults_after_window(),
             }
         }
 
         /// Byte offset (into this heap) of the most recent classified
         /// fault, if any.
         pub(crate) fn last_fault_offset(&self) -> Option<usize> {
-            let a = REGION_LAST_FAULT[self.slot].load(Ordering::SeqCst);
+            let a = self.region.last_fault();
             (a != 0).then(|| a - self.public_base)
         }
 
@@ -717,15 +364,11 @@ mod imp {
 
     impl Drop for DualMapping {
         fn drop(&mut self) {
-            // No windows can be open (Window borrows self), but a fault
-            // handler on another thread may still be inspecting the slot;
-            // callers must quiesce plain accessors before dropping heaps
-            // (all test/bench paths join their threads first). The slot's
-            // state word and flag pointer are cleared before the base, so
-            // whoever claims the slot next finds them at rest.
-            REGION_STATE[self.slot].store(0, Ordering::SeqCst);
-            REGION_CLOSED[self.slot].store(0, Ordering::SeqCst);
-            REGION_BASE[self.slot].store(0, Ordering::SeqCst);
+            // No windows can be open (Window borrows self); callers
+            // quiesce plain accessors before dropping heaps (all test and
+            // bench paths join their threads first). Unregistered before
+            // the unmap, so the handler never classifies a stale range.
+            self.region.unregister();
             // SAFETY: our mappings and fd, no further access after drop.
             unsafe {
                 syscall2(SYS_MUNMAP, self.public_base, self.bytes);
@@ -744,7 +387,7 @@ mod imp {
 
     impl Drop for Window<'_> {
         fn drop(&mut self) {
-            REGION_STATE[self.map.slot].fetch_and(!WINDOW_OPEN, Ordering::SeqCst);
+            self.map.region.close_window();
         }
     }
 }

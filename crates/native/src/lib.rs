@@ -39,9 +39,10 @@
 //! ## What this crate is *not*
 //!
 //! Not deterministic (real races, real interleavings — runs are
-//! unrepeatable by design; the `cargo xtask analyze` determinism lints
-//! exempt this crate for exactly that reason) and not cycle-accurate
-//! ([`spin_work`] is a calibrated busy-loop, not a cycle model). Unlike
+//! unrepeatable by design; the root `clippy.toml`'s determinism bans
+//! do not reach this crate, which has its own, for exactly that reason)
+//! and not cycle-accurate ([`spin_work`] is a calibrated busy-loop, not a
+//! cycle model). Unlike
 //! the weakly-atomic TL2-only backend, the hybrid *is* strongly atomic
 //! for its slow path: a slow commit holds the TL2 stripes of the lines it
 //! writes, a fast commit or a hybrid plain store yields to any slow
@@ -49,13 +50,14 @@
 //! waits out a held stripe — on guarded heaps the guard window defers
 //! racing plain accesses as well.
 //!
-//! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
+//! `unsafe` is confined to [`guard`]'s dual-mapping module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must
 //! sit in its own scoped block (`unsafe_op_in_unsafe_fn` is denied) with
 //! a `// SAFETY:` comment (`clippy::undocumented_unsafe_blocks` is
 //! denied), and every `unsafe fn` needs a `# Safety` doc section
 //! (`clippy::missing_safety_doc`, extended to private items by this
-//! crate's `clippy.toml`).
+//! crate's `clippy.toml`). The SIGSEGV handler and the raw syscalls are
+//! the `no_std` `sigguard` crate's.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -123,7 +123,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use ufotm_core::{Stop, TxScope};
-use ufotm_machine::{cpu_bit, Addr};
+use ufotm_machine::{Addr, CpuSet};
 use ufotm_ustm::UstmAbort;
 
 use crate::chaos::{lock_recover, FailSite};
@@ -173,7 +173,7 @@ const MAX_SLOTS: usize = WRITER_SHIFT as usize;
 
 fn reader_bit(tid: usize) -> u64 {
     debug_assert!(tid < MAX_SLOTS);
-    cpu_bit(tid)
+    CpuSet::single(tid).bits()
 }
 
 fn writer_byte(tid: usize) -> u64 {

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use ufotm_machine::{cpu_bit, AccessResult, Addr, LineAddr, UfoBits, LINE_WORDS};
+use ufotm_machine::{AccessResult, Addr, CpuSet, LineAddr, UfoBits, LINE_WORDS};
 use ufotm_sim::Ctx;
 
 use crate::otable::Perm;
@@ -28,8 +28,8 @@ enum Acquire {
     /// This transaction has been killed.
     Doomed { by: usize },
     /// Conflictors were killed; wait for them to release, then re-attempt.
-    /// The mask records which CPUs we are waiting out.
-    Wait { conflictors: u64 },
+    /// The set records which CPUs we are waiting out.
+    Wait { conflictors: CpuSet },
 }
 
 /// Outcome of one wait poll.
@@ -544,7 +544,7 @@ impl UstmTxn {
         &mut self,
         ctx: &mut Ctx<U>,
         line: LineAddr,
-        conflictors: u64,
+        conflictors: CpuSet,
     ) -> Result<(), UstmAbort> {
         let cpu = self.cpu;
         loop {
@@ -564,7 +564,7 @@ impl UstmTxn {
                     // whole snapshot would deadlock on mixed-age owner
                     // sets — A stalls behind an older reader while a
                     // younger reader stalls behind A).
-                    Some((_, e)) if e.owners & conflictors != conflictors => Poll::Released,
+                    Some((_, e)) if !e.owners.is_superset(conflictors) => Poll::Released,
                     Some(_) => Poll::NotYet,
                 }
             });
@@ -600,12 +600,12 @@ fn resolve_conflict(
 ) -> Acquire {
     let mut victims: Vec<usize> = Vec::new();
     let mut must_stall = false;
-    let mut mask = 0u64;
+    let mut mask = CpuSet::EMPTY;
     for o in entry.owner_cpus() {
         if o == cpu {
             continue;
         }
-        mask |= cpu_bit(o);
+        mask.insert(o);
         match u.slots[o].status {
             TxnStatus::Active => {
                 if u.slots[o].ts > my_ts {

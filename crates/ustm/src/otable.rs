@@ -14,14 +14,7 @@
 //! operation, and the CAS/lock cost is charged in cycles by the barrier
 //! code.
 
-use ufotm_machine::{Addr, BitIter, LineAddr};
-
-/// Owner masks are CPU sets, and CPU sets are `u64` bitmasks — the checked
-/// shift lives in one place, [`ufotm_machine::cpu_bit`], shared with the
-/// machine's directory and live-transaction masks. (A raw `1 << cpu` would
-/// be a masked shift in release builds, silently aliasing CPU 64 onto
-/// CPU 0 and corrupting ownership — the PR-4 overflow class.)
-use ufotm_machine::cpu_bit as owner_bit;
+use ufotm_machine::{Addr, BitIter, CpuSet, LineAddr};
 
 /// Permission a transaction set holds on a line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -39,27 +32,31 @@ pub struct OtableEntry {
     pub line: LineAddr,
     /// Permission held.
     pub perm: Perm,
-    /// Bitmask of owner CPUs (multiple only for [`Perm::Read`]).
-    pub owners: u64,
+    /// Owner CPUs (multiple only for [`Perm::Read`]). A [`CpuSet`], shared
+    /// with the machine's directory and live-transaction masks, so a CPU
+    /// enters it only by index. (A raw `1 << cpu` would be a masked shift
+    /// in release builds, silently aliasing CPU 64 onto CPU 0 and
+    /// corrupting ownership — the PR-4 overflow class.)
+    pub owners: CpuSet,
 }
 
 impl OtableEntry {
     /// Whether `cpu` is among the owners.
     #[must_use]
     pub fn owned_by(&self, cpu: usize) -> bool {
-        self.owners & owner_bit(cpu) != 0
+        self.owners.contains(cpu)
     }
 
     /// Whether `cpu` is the *sole* owner.
     #[must_use]
     pub fn sole_owner(&self, cpu: usize) -> bool {
-        self.owners == owner_bit(cpu)
+        self.owners == CpuSet::single(cpu)
     }
 
     /// Iterates over owner CPU ids (walks only the set bits of the owner
     /// mask, so cost tracks the actual owner count).
     pub fn owner_cpus(&self) -> BitIter {
-        BitIter::new(self.owners)
+        self.owners.iter()
     }
 }
 
@@ -161,7 +158,7 @@ impl Otable {
             OtableEntry {
                 line,
                 perm,
-                owners: owner_bit(cpu),
+                owners: CpuSet::single(cpu),
             },
         );
     }
@@ -178,7 +175,7 @@ impl Otable {
             .find(|e| e.line == line)
             .expect("add_reader on missing entry");
         assert_eq!(e.perm, Perm::Read, "add_reader on write entry");
-        e.owners |= owner_bit(cpu);
+        e.owners.insert(cpu);
     }
 
     /// Upgrades `cpu`'s sole read entry to write permission.
@@ -230,8 +227,8 @@ impl Otable {
             .expect("release of unowned line");
         let e = &mut self.bins[idx][pos];
         assert!(e.owned_by(cpu), "cpu {cpu} does not own {line:?}");
-        e.owners &= !owner_bit(cpu);
-        if e.owners == 0 {
+        e.owners.remove(cpu);
+        if e.owners.is_empty() {
             self.bins[idx].remove(pos);
             true
         } else {
