@@ -350,7 +350,7 @@ impl L2Cache {
     pub fn new(geo: CacheGeometry) -> Self {
         L2Cache {
             geo,
-            entries: vec![[0; 2]; geo.sets() * geo.ways()],
+            entries: crate::mem::zeroed_pairs(geo.sets() * geo.ways()),
             fill: vec![0; geo.sets()],
             tick: 0,
         }

@@ -49,28 +49,12 @@ pub(crate) struct Directory {
     lines: Vec<Entry>,
 }
 
-/// The fewest entries a directory allocates: a block of more than 32 MiB.
-///
-/// glibc's `malloc` maps a large block fresh, so a zeroed allocation costs
-/// no write. But each time a mapped block is freed, its mmap threshold
-/// rises to that block's size, up to 32 MiB. From the third Table 4
-/// machine a process builds on, an 8 MiB directory would come from the
-/// heap, and `calloc` would clear the 8 MiB the previous one left there.
-/// A block above the ceiling is always mapped fresh. Only the pages a run
-/// touches become resident; the rest is address space. Miri has its own
-/// allocator, which this does not concern.
-const MIN_ALLOC_ENTRIES: usize = if cfg!(miri) {
-    0
-} else {
-    (32 << 20) / std::mem::size_of::<Entry>() + 1
-};
-
 impl Directory {
     pub fn new(lines: u64) -> Self {
         let n = usize::try_from(lines).expect("line count fits usize");
-        let mut lines = vec![[0; 2]; n.max(MIN_ALLOC_ENTRIES)];
-        lines.truncate(n);
-        Directory { lines }
+        Directory {
+            lines: crate::mem::zeroed_pairs(n),
+        }
     }
 
     fn idx(&self, line: LineAddr) -> usize {

@@ -73,6 +73,7 @@ pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};
 pub use config::{cost, HwCmPolicy, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH, L2};
 pub use machine::{AccessError, AccessResult, CpuId, Machine, PlainAccess};
+pub use mem::zeroed_pairs;
 pub use rng::{splitmix64, SimRng};
 pub use stats::{CpuStats, MachineStats};
 pub use swap::{SwapConfig, SwapStats};

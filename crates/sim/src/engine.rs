@@ -29,6 +29,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -263,6 +264,17 @@ impl<U> Drop for FinishGuard<'_, U> {
     }
 }
 
+/// Runs logical thread `cpu`'s body on the current host thread.
+fn run_body<U>(cpu: usize, sh: &Arc<Shared<U>>, body: ThreadFn<U>) {
+    // The guard marks this logical thread done even if the body panics, so
+    // the other threads are not left waiting for a turn that never comes
+    // and the panic propagates cleanly. (Declared first: it drops after the
+    // Ctx, which parks the world it holds for the guard's handoff.)
+    let _guard = FinishGuard { cpu, shared: sh };
+    let mut ctx = Ctx::new(cpu, Arc::clone(sh));
+    body(&mut ctx);
+}
+
 /// A configured simulation, ready to [`run`](Sim::run).
 pub struct Sim<U> {
     machine: Machine,
@@ -317,12 +329,15 @@ impl<U: Send> Sim<U> {
     }
 
     /// Runs one logical thread per entry of `threads` (thread `i` on CPU
-    /// `i`) to completion and returns the final world and timing.
+    /// `i`) to completion and returns the final world and timing. CPU 0's
+    /// thread is the calling thread; each other CPU gets a scoped host
+    /// thread, so a 1-CPU run spawns none.
     ///
     /// # Panics
     ///
     /// Panics if more threads are supplied than the machine has CPUs, or if
-    /// a thread body panics.
+    /// a thread body panics (CPU 0's panic first, then the lowest CPU's,
+    /// once every thread has finished).
     pub fn run(self, threads: Vec<ThreadFn<U>>) -> SimResult<U> {
         let n = threads.len();
         assert!(
@@ -353,23 +368,20 @@ impl<U: Send> Sim<U> {
             cycle_limit: self.cycle_limit,
         });
 
+        let mut bodies = threads.into_iter().enumerate();
+        let (_, body0) = bodies.next().expect("n > 0");
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (cpu, body) in threads.into_iter().enumerate() {
-                let sh = Arc::clone(&shared);
-                handles.push(scope.spawn(move || {
-                    // The guard marks this logical thread done even if the
-                    // body panics, so the other threads are not left waiting
-                    // for a turn that never comes and the panic propagates
-                    // cleanly through join. (Declared first: it drops after
-                    // the Ctx, which parks the world it holds for the guard's
-                    // handoff.)
-                    let _guard = FinishGuard { cpu, shared: &sh };
-                    let mut ctx = Ctx::new(cpu, Arc::clone(&sh));
-                    body(&mut ctx);
-                }));
-            }
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+            let handles: Vec<_> = bodies
+                .map(|(cpu, body)| {
+                    let sh = Arc::clone(&shared);
+                    scope.spawn(move || run_body(cpu, &sh, body))
+                })
+                .collect();
+            // CPU 0 runs here, so a 1-CPU world spawns no thread. Its
+            // panic is caught until every peer has joined, and is the one
+            // resumed when several threads panicked.
+            let mine = std::panic::catch_unwind(AssertUnwindSafe(|| run_body(0, &shared, body0)));
+            let mut panic = mine.err();
             for h in handles {
                 if let Err(e) = h.join() {
                     panic.get_or_insert(e);
@@ -735,8 +747,55 @@ mod tests {
             .map(String::as_str)
             .or_else(|| payload.downcast_ref::<&str>().copied())
             .unwrap_or_default();
-        // Thread 0 joins first, so its panic is the one Sim::run resumes.
+        // CPU 0 runs on the caller, and its panic is the one Sim::run
+        // resumes.
         assert!(msg.contains("poisoned"), "peer panicked with {msg:?}");
+    }
+
+    #[test]
+    fn cpu_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let solo = Sim::new(machine(1), None).run(vec![Box::new(|ctx| {
+            let me = std::thread::current().id();
+            ctx.with(move |w| w.shared = Some(me));
+        })]);
+        assert_eq!(solo.shared, Some(caller), "a 1-CPU body runs on the caller");
+
+        let ids = Sim::new(machine(2), Vec::new()).run(
+            (0..2)
+                .map(|cpu| -> ThreadFn<Vec<_>> {
+                    Box::new(move |ctx| {
+                        let me = std::thread::current().id();
+                        ctx.with(move |w| w.shared.push((cpu, me)));
+                    })
+                })
+                .collect(),
+        );
+        let on = |cpu| ids.shared.iter().find(|&&(c, _)| c == cpu).unwrap().1;
+        assert_eq!(on(0), caller);
+        assert_ne!(on(1), caller, "CPU 1 gets a host thread of its own");
+    }
+
+    #[test]
+    #[should_panic(expected = "cpu 0 bug")]
+    fn cpu_zero_panic_propagates_while_a_peer_waits() {
+        // CPU 1 jumps ahead, so it waits for its turn while CPU 0, on the
+        // calling thread, runs and panics; the caller must join CPU 1 (its
+        // FinishGuard hands it the world) and then resume CPU 0's panic.
+        Sim::new(machine(2), ()).run(vec![
+            Box::new(|ctx| {
+                for _ in 0..10 {
+                    ctx.work(10).unwrap();
+                }
+                panic!("cpu 0 bug");
+            }),
+            Box::new(|ctx| {
+                ctx.work(1_000).unwrap();
+                for _ in 0..50 {
+                    ctx.work(10).unwrap();
+                }
+            }),
+        ]);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! shared [`World`] (the [`Machine`](ufotm_machine::Machine) plus
 //! software-shared state such as an STM's ownership table).
 //!
-//! Logical threads are backed by OS threads, so workload code is written as
-//! ordinary straight-line Rust — no hand-rolled state machines — while the
+//! Logical threads are backed by OS threads (CPU 0 by the caller's, the
+//! rest by scoped threads), so workload code is written as ordinary
+//! straight-line Rust — no hand-rolled state machines — while the
 //! simulation stays single-threaded in effect: exactly one logical thread
 //! touches the `World` at a time, and which one is a pure function of the
 //! simulated clocks. Simulated time is therefore reproducible on any host,

@@ -152,7 +152,7 @@ impl Tl2Shared {
             stats: Tl2Stats::default(),
             clock: 0,
             clock_addr: base,
-            locks: vec![[0; 2]; lock_entries as usize],
+            locks: ufotm_machine::zeroed_pairs(lock_entries as usize),
             lock_base: Addr(base.0 + 64),
             mask: lock_entries - 1,
         }
@@ -191,6 +191,11 @@ pub struct Tl2Txn {
     // timing-visible — it must not depend on hash state.
     writes: BTreeMap<u64, u64>,
     write_lines: Vec<LineAddr>,
+    /// The write set's lock stripes in acquisition order (ascending, one
+    /// each), rebuilt by every writing commit. Kept across transactions,
+    /// like the read and write sets, so a warm handle's commit allocates
+    /// nothing.
+    stripes: Vec<usize>,
     active: bool,
     consecutive_aborts: u32,
 }
@@ -205,6 +210,7 @@ impl Tl2Txn {
             reads: Vec::new(),
             writes: BTreeMap::new(),
             write_lines: Vec::new(),
+            stripes: Vec::new(),
             active: false,
             consecutive_aborts: 0,
         }
@@ -339,17 +345,16 @@ impl Tl2Txn {
             return Ok(());
         }
         // Phase 1: acquire write locks (sorted to keep lock order canonical).
-        let mut lock_idxs: Vec<usize> = Vec::with_capacity(self.write_lines.len());
-        let lines = self.write_lines.clone();
-        let line_locks: Vec<(LineAddr, usize)> = ctx.with(|w| {
+        let (stripes, lines) = (&mut self.stripes, &self.write_lines);
+        ctx.with(|w| {
             let t = w.shared.tl2();
-            let mut idxs: Vec<(LineAddr, usize)> =
-                lines.iter().map(|&l| (l, t.lock_index(l))).collect();
-            idxs.sort_by_key(|&(_, i)| i);
-            idxs.dedup_by_key(|&mut (_, i)| i);
-            idxs
+            stripes.clear();
+            stripes.extend(lines.iter().map(|&l| t.lock_index(l)));
+            stripes.sort_unstable();
+            stripes.dedup();
         });
-        for &(_, idx) in &line_locks {
+        for k in 0..self.stripes.len() {
+            let idx = self.stripes[k];
             let acquired = ctx.with(|w| {
                 let m = &mut w.machine;
                 let t = w.shared.tl2();
@@ -373,11 +378,10 @@ impl Tl2Txn {
                 }
             });
             if !acquired {
-                self.release_locks(ctx, &lock_idxs);
+                self.release_locks(ctx, k);
                 self.fail(ctx, Tl2Abort::LockBusy);
                 return Err(Tl2Abort::LockBusy);
             }
-            lock_idxs.push(idx);
         }
         // Phase 2: increment the global clock.
         let wv = ctx.with(|w| {
@@ -390,12 +394,11 @@ impl Tl2Txn {
             wv
         });
         // Phase 3: validate the read set.
-        let rv = self.rv;
-        let reads = std::mem::take(&mut self.reads);
+        let (rv, reads) = (self.rv, &self.reads);
         let valid = ctx.with(|w| {
             let m = &mut w.machine;
             let t = w.shared.tl2();
-            for &idx in &reads {
+            for &idx in reads {
                 mop(m.work(cpu, COMMIT_ENTRY_COST / 2));
                 let lw = t.lock(idx);
                 let held_by_me = lw.holder == Some(cpu);
@@ -406,20 +409,20 @@ impl Tl2Txn {
             true
         });
         if !valid {
-            self.release_locks(ctx, &lock_idxs);
+            self.release_locks(ctx, self.stripes.len());
             self.fail(ctx, Tl2Abort::CommitValidation);
             return Err(Tl2Abort::CommitValidation);
         }
-        // Phase 4: publish the write set.
-        let writes: Vec<(u64, u64)> = std::mem::take(&mut self.writes).into_iter().collect();
-        for (a, v) in writes {
+        // Phase 4: publish the write set, ascending by address.
+        for (&a, &v) in &self.writes {
             ctx.with(|w| mop(w.machine.store(cpu, Addr(a), v)));
         }
         // Phase 5: release locks stamped with the new version.
+        let stripes = &self.stripes;
         ctx.with(|w| {
             let m = &mut w.machine;
             let t = w.shared.tl2();
-            for &idx in &lock_idxs {
+            for &idx in stripes {
                 t.set_lock(
                     idx,
                     LockWord {
@@ -432,6 +435,8 @@ impl Tl2Txn {
             }
             t.stats.commits += 1;
         });
+        self.reads.clear();
+        self.writes.clear();
         self.active = false;
         self.consecutive_aborts = 0;
         Ok(())
@@ -456,13 +461,14 @@ impl Tl2Txn {
         }
     }
 
-    fn release_locks<U: HasTl2>(&mut self, ctx: &mut Ctx<U>, idxs: &[usize]) {
-        let cpu = self.cpu;
-        let idxs = idxs.to_vec();
+    /// Releases the first `held` stripes of the write set, the ones this
+    /// commit acquired, at their old versions.
+    fn release_locks<U: HasTl2>(&self, ctx: &mut Ctx<U>, held: usize) {
+        let (cpu, idxs) = (self.cpu, &self.stripes[..held]);
         ctx.with(|w| {
             let m = &mut w.machine;
             let t = w.shared.tl2();
-            for idx in idxs {
+            for &idx in idxs {
                 let lw = t.lock(idx);
                 if lw.holder == Some(cpu) {
                     t.set_lock(idx, LockWord { holder: None, ..lw });
