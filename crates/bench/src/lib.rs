@@ -36,12 +36,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use ufotm_core::{json_escape, SystemKind, ABORT_TAXONOMY};
-use ufotm_stamp::genome::{self, GenomeParams};
-use ufotm_stamp::harness::{RunOutcome, RunSpec};
-use ufotm_stamp::kmeans::{self, KmeansParams};
+use ufotm_stamp::genome::GenomeParams;
+use ufotm_stamp::harness::{run_sim, RunOutcome, RunSpec};
+use ufotm_stamp::kmeans::KmeansParams;
 use ufotm_stamp::micro::{self, MicroParams};
-use ufotm_stamp::ssca2::{self, Ssca2Params};
-use ufotm_stamp::vacation::{self, VacationParams};
+use ufotm_stamp::ssca2::Ssca2Params;
+use ufotm_stamp::vacation::VacationParams;
 
 /// Whether quick (smoke-test) mode is requested.
 #[must_use]
@@ -95,10 +95,10 @@ impl Params {
     pub fn run(&self, spec: &RunSpec) -> RunOutcome {
         match self {
             Params::Micro(p) => micro::run(spec, p),
-            Params::Kmeans(p) => kmeans::run(spec, p),
-            Params::Vacation(p) => vacation::run(spec, p),
-            Params::Genome(p) => genome::run(spec, p),
-            Params::Ssca2(p) => ssca2::run(spec, p),
+            Params::Kmeans(p) => run_sim(spec, p),
+            Params::Vacation(p) => run_sim(spec, p),
+            Params::Genome(p) => run_sim(spec, p),
+            Params::Ssca2(p) => run_sim(spec, p),
         }
     }
 }

@@ -81,15 +81,6 @@ impl HybridPolicy {
         }
     }
 
-    /// Figure 8, third bar: stall (rather than abort) on UFO faults.
-    #[must_use]
-    pub fn stall_on_ufo_fault() -> Self {
-        HybridPolicy {
-            btm_ufo_fault: BtmUfoFaultPolicy::Stall,
-            ..HybridPolicy::default()
-        }
-    }
-
     /// The progress watchdog, armed with its default limits: jittered
     /// backoff, software failover after 16 consecutive hardware aborts,
     /// the eldest-transaction seat after 8 software kills, and immediate
@@ -128,10 +119,6 @@ mod tests {
         assert_eq!(
             HybridPolicy::failover_on_nth_conflict(5).conflict_failover_after,
             Some(5)
-        );
-        assert_eq!(
-            HybridPolicy::stall_on_ufo_fault().btm_ufo_fault,
-            BtmUfoFaultPolicy::Stall
         );
         assert_eq!(HybridPolicy::default().conflict_failover_after, None);
     }

@@ -474,11 +474,14 @@ fn requester_wins_cm_still_correct() {
 }
 
 #[test]
-fn stall_on_ufo_fault_policy_still_correct() {
-    use ufotm_core::HybridPolicy;
+fn ufo_fault_stall_policy_still_correct() {
+    use ufotm_core::{BtmUfoFaultPolicy, HybridPolicy};
     let mut cfg = machine_for(SystemKind::UfoHybrid, 2);
     cfg.l1 = CacheGeometry::new(8, 2);
-    let policy = HybridPolicy::stall_on_ufo_fault();
+    let policy = HybridPolicy {
+        btm_ufo_fault: BtmUfoFaultPolicy::Stall,
+        ..HybridPolicy::default()
+    };
     let bodies: Vec<ThreadFn<TmShared>> = (0..2)
         .map(|cpu| -> ThreadFn<TmShared> {
             Box::new(move |ctx: &mut Ctx<TmShared>| {

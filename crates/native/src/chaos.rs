@@ -20,6 +20,8 @@ use std::panic::panic_any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use ufotm_machine::splitmix64;
+
 /// Maximum worker threads tracked by the liveness registry (tids `0..256`).
 pub const MAX_WORKERS: usize = 256;
 
@@ -254,7 +256,7 @@ pub struct NativeChaos {
     /// Packed one-shot panic points: bit 63 live flag, bits 50..54 site,
     /// bits 40..50 tid selector (`TID_ANY` = any), bits 0..40 hit count.
     panic_slots: [AtomicU64; PANIC_SLOTS],
-    /// Per-tid xorshift state.
+    /// Per-tid splitmix64 state.
     rng: Box<[AtomicU64]>,
     /// Per-(site, tid) hit counters; panic points trigger on exact counts.
     hits: Box<[AtomicU64]>,
@@ -311,15 +313,14 @@ impl NativeChaos {
             };
             slot.store(word, Ordering::Relaxed);
         }
-        // Seed every stream from the plan seed so schedules replay.
+        // Seed every stream from the plan seed so schedules replay: stream
+        // `s` starts at splitmix64's output `s + 1` from the plan seed, so
+        // nearby seeds and streams diverge immediately.
         for (s, cell) in self.rng.iter().enumerate() {
             let mut z = plan
                 .seed
-                .wrapping_add((s as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            // splitmix64 scramble so nearby seeds diverge immediately.
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            cell.store((z ^ (z >> 31)) | 1, Ordering::Relaxed);
+                .wrapping_add((s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            cell.store(splitmix64(&mut z), Ordering::Relaxed);
         }
         for h in self.hits.iter() {
             h.store(0, Ordering::Relaxed);
@@ -400,12 +401,12 @@ impl NativeChaos {
     }
 
     fn next_rand(&self, stream: usize) -> u64 {
+        // Load, step, store, lock-free: a stream is its worker's, and a
+        // helper striking for a dead worker's tid at worst repeats a draw.
         let cell = &self.rng[stream];
-        let mut x = cell.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        cell.store(x, Ordering::Relaxed);
+        let mut state = cell.load(Ordering::Relaxed);
+        let x = splitmix64(&mut state);
+        cell.store(state, Ordering::Relaxed);
         x
     }
 

@@ -5,7 +5,8 @@
 //! Each [`HybridThread`] runs transactions on the TL2 fast path
 //! ([`NativeTxn`]) until `failover_after` consecutive aborts (with
 //! jittered exponential backoff between attempts, the schedule of
-//! `ufotm_core::HybridPolicy` at fixed constants), then executes **one**
+//! `ufotm_core::HybridPolicy` that [`NativeThread`](crate::NativeThread)
+//! pauses on too), then executes **one**
 //! transaction on the USTM slow path ([`NativeUstmTxn`]) and returns to
 //! the fast path.
 //!
@@ -76,13 +77,13 @@
 
 use std::sync::{Barrier, Mutex};
 
-use ufotm_core::{BackendStats, HybridPolicy, Stop, TmBackend, TxScope, BACKOFF_JITTER_PCT};
+use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
 use ufotm_machine::Addr;
 
 use crate::chaos::lock_recover;
 use crate::guard::GuardStats;
 use crate::runner::{merged, run_workers_collect, Outcome, WorkerWorld};
-use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn, HELD, PLAIN_HELD};
+use crate::tl2::{spin_work, Backoff, NativeStats, NativeTl2, NativeTxn, HELD, PLAIN_HELD};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
 /// Failover policy for the native hybrid: the two watchdog thresholds
@@ -324,7 +325,7 @@ pub struct HybridThread<'a> {
     forced_failovers: u64,
     serial_commits: u64,
     serial_escalations: u64,
-    rng: u64,
+    pub(crate) backoff: Backoff,
 }
 
 impl<'a> HybridThread<'a> {
@@ -365,7 +366,7 @@ impl<'a> HybridThread<'a> {
             forced_failovers: 0,
             serial_commits: 0,
             serial_escalations: 0,
-            rng: 0x9E37_79B9_7F4A_7C15 ^ ((tid as u64 + 1) << 17),
+            backoff: Backoff::new(tid),
         }
     }
 
@@ -388,27 +389,6 @@ impl<'a> HybridThread<'a> {
             serial_commits: self.serial_commits,
             serial_escalations: self.serial_escalations,
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64; per-thread seed, jitter only (no fairness claims).
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    /// Jittered exponential backoff between fast-path retries: the
-    /// simulated hybrids' schedule ([`HybridPolicy::backoff_for`]) in spin
-    /// units, ± [`BACKOFF_JITTER_PCT`] % — jitter always on, because real
-    /// threads, unlike simulated CPUs, gain nothing from lockstep backoff.
-    fn backoff(&mut self, consecutive: u32) {
-        let base = HybridPolicy::default().backoff_for(consecutive);
-        let span = base * BACKOFF_JITTER_PCT / 100;
-        spin_work(base - span + self.next_rand() % (2 * span + 1));
-        std::thread::yield_now();
     }
 
     /// Runs one transaction to commit on the USTM slow path, beside
@@ -461,7 +441,7 @@ impl TmBackend for HybridThread<'_> {
             // Failover is decided first (above), like the simulated
             // driver: only an attempt that stays fast pays a backoff.
             if consecutive > 0 {
-                self.backoff(consecutive);
+                self.backoff.pause(consecutive);
             }
             if let Some(r) = self.fast.attempt(|t| body(t)) {
                 return r;

@@ -27,7 +27,8 @@
 //!
 //! Each path has exactly one single-shot attempt step
 //! ([`NativeTxn::attempt`], [`NativeUstmTxn::attempt`]) that every retry
-//! loop wraps, and the four `run_*threads*` entry points are type-pinned
+//! loop wraps, both TL2 retry loops pause on one jittered backoff
+//! schedule (the simulated hybrids'), and the four `run_*threads*` entry points are type-pinned
 //! wrappers over one worker runner (one scoped-thread spawn loop
 //! for the whole crate) returning one [`Outcome`] shape.
 //!

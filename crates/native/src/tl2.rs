@@ -98,8 +98,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use ufotm_core::{BackendStats, Stop, TmBackend, TxScope};
-use ufotm_machine::Addr;
+use ufotm_core::{BackendStats, HybridPolicy, Stop, TmBackend, TxScope, BACKOFF_JITTER_PCT};
+use ufotm_machine::{Addr, SimRng};
 use ufotm_tl2::Tl2Abort;
 
 use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
@@ -115,6 +115,39 @@ use crate::write_set::WriteSet;
 pub fn spin_work(cycles: u64) {
     for _ in 0..cycles {
         std::hint::spin_loop();
+    }
+}
+
+/// The native backend's one retry pause, between a driver's failed
+/// attempt and its next: [`NativeThread`] and the hybrid's fast path
+/// both hold one. The schedule is the simulated hybrids'
+/// ([`HybridPolicy::backoff_for`]) in spin units, ± [`BACKOFF_JITTER_PCT`]
+/// %, then a `yield_now` — jitter always on, because real threads, unlike
+/// simulated CPUs, gain nothing from lockstep backoff.
+#[derive(Debug)]
+pub(crate) struct Backoff {
+    rng: SimRng,
+}
+
+impl Backoff {
+    /// Thread `tid`'s pause, its jitter a stream seeded by the tid.
+    pub(crate) fn new(tid: usize) -> Self {
+        Backoff {
+            rng: SimRng::seed_from_u64(tid as u64),
+        }
+    }
+
+    /// Spin units after the `k`-th consecutive abort.
+    fn spins(&mut self, k: u32) -> u64 {
+        let base = HybridPolicy::default().backoff_for(k);
+        let span = base * BACKOFF_JITTER_PCT / 100;
+        base - span + self.rng.gen_range(0..2 * span + 1)
+    }
+
+    /// Pauses after the `k`-th consecutive abort of one transaction.
+    pub(crate) fn pause(&mut self, k: u32) {
+        spin_work(self.spins(k));
+        std::thread::yield_now();
     }
 }
 
@@ -569,7 +602,6 @@ pub struct NativeTxn<'a> {
     /// commit holds, in acquisition (= stripe) order.
     held: Vec<(usize, u64)>,
     active: bool,
-    consecutive_aborts: u32,
     /// Event counters for this handle.
     pub stats: NativeStats,
 }
@@ -597,7 +629,6 @@ impl<'a> NativeTxn<'a> {
             stripes: Vec::new(),
             held: Vec::new(),
             active: false,
-            consecutive_aborts: 0,
             stats: NativeStats::default(),
         }
     }
@@ -642,7 +673,6 @@ impl<'a> NativeTxn<'a> {
         self.reads.clear();
         self.writes.clear();
         self.active = false;
-        self.consecutive_aborts += 1;
         self.stats.count_abort(abort);
     }
 
@@ -797,7 +827,6 @@ impl<'a> NativeTxn<'a> {
         if self.writes.is_empty() {
             // Read-only fast path: every read already validated against rv.
             self.active = false;
-            self.consecutive_aborts = 0;
             self.stats.commits += 1;
             return Ok(());
         }
@@ -833,7 +862,6 @@ impl<'a> NativeTxn<'a> {
         self.writes.clear();
         self.reads.clear();
         self.active = false;
-        self.consecutive_aborts = 0;
         self.stats.commits += 1;
         Ok(())
     }
@@ -929,19 +957,11 @@ impl<'a> NativeTxn<'a> {
         Ok(wv)
     }
 
-    pub(crate) fn backoff(&self) {
-        // Exponential pause backoff: 16 spin units, doubled per
-        // consecutive abort up to 6 times. The native TL2's own schedule:
-        // the simulated TL2 path backs off in cycles by
-        // `HybridPolicy::backoff_for`, and nothing compares the two.
-        spin_work(16u64 << self.consecutive_aborts.min(6));
-    }
-
     /// One single-shot attempt: begin, run `body`, commit. `Some(r)` iff
     /// the body returned `Ok(r)` **and** the commit succeeded; otherwise
-    /// the attempt is rolled back and counted. Every TL2 retry loop in
-    /// the crate ([`NativeTxn::run`], [`NativeThread`], the hybrid's fast
-    /// path) is a loop around this.
+    /// the attempt is rolled back and counted. Both TL2 retry loops in
+    /// the crate ([`NativeThread`] and the hybrid's fast path) are loops
+    /// around this.
     #[inline]
     pub fn attempt<R, E>(
         &mut self,
@@ -958,17 +978,6 @@ impl<'a> NativeTxn<'a> {
                 }
                 None
             }
-        }
-    }
-
-    /// Runs `body` as a transaction, retrying with exponential backoff
-    /// until commit, and returns its result.
-    pub fn run<R>(&mut self, mut body: impl FnMut(&mut NativeTxn<'a>) -> Result<R, Tl2Abort>) -> R {
-        loop {
-            if let Some(r) = self.attempt(&mut body) {
-                return r;
-            }
-            self.backoff();
         }
     }
 }
@@ -998,6 +1007,7 @@ impl TxScope for NativeTxn<'_> {
 #[derive(Debug)]
 pub struct NativeThread<'a> {
     txn: NativeTxn<'a>,
+    pub(crate) backoff: Backoff,
     barrier: &'a Barrier,
     threads: usize,
 }
@@ -1008,6 +1018,7 @@ impl<'a> NativeThread<'a> {
     pub fn new(shared: &'a NativeTl2, barrier: &'a Barrier, tid: usize, threads: usize) -> Self {
         NativeThread {
             txn: NativeTxn::new(shared, tid),
+            backoff: Backoff::new(tid),
             barrier,
             threads,
         }
@@ -1022,11 +1033,13 @@ impl<'a> NativeThread<'a> {
 
 impl TmBackend for NativeThread<'_> {
     fn transaction<R>(&mut self, mut body: impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
+        let mut aborts = 0;
         loop {
             if let Some(r) = self.txn.attempt(|t| body(t)) {
                 return r;
             }
-            self.txn.backoff();
+            aborts += 1;
+            self.backoff.pause(aborts);
         }
     }
 
@@ -1127,7 +1140,33 @@ pub fn run_threads<R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HybridThread, NativeHybrid, NativeHybridPolicy};
     use ufotm_machine::LINE_BYTES;
+
+    /// One native backoff schedule: for k = 1..=10 a retry pause spins
+    /// within `backoff_for(k)` ± 25 %, jittered to both sides, and a
+    /// [`NativeThread`] and a [`HybridThread`] of the same tid draw the
+    /// same spins, pause for pause.
+    #[test]
+    fn both_native_drivers_back_off_on_one_jittered_schedule() {
+        assert_eq!(BACKOFF_JITTER_PCT, 25);
+        let (tl2, barrier) = (NativeTl2::new(64, 16, 64), Barrier::new(1));
+        let hybrid = NativeHybrid::new(64, 16, 64, 3, NativeHybridPolicy::default());
+        let mut native = NativeThread::new(&tl2, &barrier, 2, 3);
+        let mut fast = HybridThread::new(&hybrid, None, 2, 3);
+        for k in 1..=10 {
+            let base = HybridPolicy::default().backoff_for(k);
+            let spins: Vec<u64> = (0..200).map(|_| native.backoff.spins(k)).collect();
+            let fast_spins: Vec<u64> = (0..200).map(|_| fast.backoff.spins(k)).collect();
+            assert_eq!(
+                spins, fast_spins,
+                "k = {k}: the two drivers' schedules differ"
+            );
+            let (lo, hi) = (base - base / 4, base + base / 4);
+            assert!(spins.iter().all(|s| (lo..=hi).contains(s)), "k = {k}");
+            assert!(spins.iter().any(|&s| s < base) && spins.iter().any(|&s| s > base));
+        }
+    }
 
     /// The same dead owner, the same epoch: its TL2 lock is an orphan to
     /// steal, its slow-held stripe is not — whatever the registry says.

@@ -592,8 +592,7 @@ impl NativeUstmStats {
 /// A per-thread USTM transaction handle — the native mirror of
 /// [`UstmTxn`](ufotm_ustm::UstmTxn), usable step by step
 /// (begin/read/write/commit) by protocol tests and the cross-validation
-/// scripts, or through the retry loop in [`NativeUstmTxn::run`] /
-/// the hybrid's slow path.
+/// scripts, or through the retry loop of the hybrid's slow path.
 #[derive(Debug)]
 pub struct NativeUstmTxn<'a> {
     heap: &'a NativeTl2,
@@ -1062,9 +1061,8 @@ impl<'a> NativeUstmTxn<'a> {
     /// the body returned `Ok(r)` **and** the commit succeeded. A failed
     /// attempt is rolled back (explicitly, if the body surfaced its own
     /// error with the transaction still live) and, if it was killed,
-    /// parks behind its killer before returning — so callers just loop.
-    /// Both USTM retry loops ([`NativeUstmTxn::run`] and the hybrid's
-    /// slow path) are loops around this.
+    /// parks behind its killer before returning — so callers just loop,
+    /// as the hybrid's slow path does.
     #[inline]
     pub fn attempt<R, E>(
         &mut self,
@@ -1107,20 +1105,6 @@ impl<'a> NativeUstmTxn<'a> {
             self.wait_for_killer();
         }
         committed
-    }
-
-    /// Runs `body` as a transaction, retrying (with killer-waits) until
-    /// commit, and returns its result. Explicit aborts re-issue, like
-    /// the simulated `UstmTxn::run`.
-    pub fn run<R>(
-        &mut self,
-        mut body: impl FnMut(&mut NativeUstmTxn<'a>) -> Result<R, UstmAbort>,
-    ) -> R {
-        loop {
-            if let Some(r) = self.attempt(&mut body) {
-                return r;
-            }
-        }
     }
 }
 

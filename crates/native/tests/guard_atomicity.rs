@@ -171,12 +171,12 @@ fn ustm_commits_with_concurrent_plain_traffic() {
         // do not start them until the plain thread has poked at least once.
         wait_until(|| started.load(Ordering::Acquire));
         let mut txn = ufotm_native::NativeUstmTxn::new(h.tl2(), h.ustm(), 0);
-        for i in 1..=ROUNDS {
-            txn.run(|t| {
-                let v = t.read(a)?;
-                t.write(a, v + 1)?;
-                Ok(i)
-            });
+        let increment = |t: &mut ufotm_native::NativeUstmTxn<'_>| {
+            let v = t.read(a)?;
+            t.write(a, v + 1)
+        };
+        for _ in 0..ROUNDS {
+            while txn.attempt(increment).is_none() {}
         }
         stop.store(true, Ordering::Relaxed);
         let pokes = plain.join().expect("plain thread panicked");

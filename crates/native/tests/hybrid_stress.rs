@@ -15,6 +15,7 @@ use ufotm_native::{
     run_hybrid_threads, run_hybrid_threads_collect, HybridStats, HybridThread, NativeHybrid,
     NativeHybridPolicy,
 };
+use ufotm_ustm::UstmAbort;
 
 const COUNTER: Addr = Addr(512);
 const ACCT_A: Addr = Addr(1024);
@@ -447,17 +448,22 @@ fn serial_transaction_kills_a_younger_slow_owner() {
                 // `HybridThread`'s slow transaction would be serial too.
                 let (_, mut slow) = h.debug_step_handles(0);
                 let mut first = true;
-                let seen = slow.run(|t| {
-                    let v = t.read(ACCT_A)?;
-                    if std::mem::take(&mut first) {
-                        parked_tx.send(()).unwrap();
-                        loop {
-                            t.work(0)?;
-                            std::thread::yield_now();
+                let seen = loop {
+                    let attempt = slow.attempt(|t| {
+                        let v = t.read(ACCT_A)?;
+                        if std::mem::take(&mut first) {
+                            parked_tx.send(()).unwrap();
+                            loop {
+                                t.work(0)?;
+                                std::thread::yield_now();
+                            }
                         }
+                        Ok::<_, UstmAbort>(v)
+                    });
+                    if let Some(v) = attempt {
+                        break v;
                     }
-                    Ok(v)
-                });
+                };
                 (slow.stats, seen)
             });
             let serial = s.spawn(move || {

@@ -323,18 +323,20 @@ fn run_retries_until_commit() {
     let shared = heap();
     let raw = shared.debug_lock_stripe(X, 7);
     let mut a = NativeTxn::new(&shared, 0);
-    let mut attempts = 0;
-    let r = a.run(|tx| {
-        attempts += 1;
-        if attempts == 2 {
-            // First attempt hit LockBusy against the held stripe;
-            // release it so this retry can commit.
-            shared.debug_restore_stripe(X, raw);
-        }
-        tx.write(X, 11)?;
-        Ok(attempts)
-    });
-    assert_eq!(r, 2, "run returns only after a successful commit");
+    let r = (1..)
+        .find_map(|attempts| {
+            a.attempt(|tx| {
+                if attempts == 2 {
+                    // First attempt hit LockBusy against the held stripe;
+                    // release it so this retry can commit.
+                    shared.debug_restore_stripe(X, raw);
+                }
+                tx.write(X, 11)?;
+                Ok::<_, Tl2Abort>(attempts)
+            })
+        })
+        .unwrap();
+    assert_eq!(r, 2, "the loop ends only after a successful commit");
     assert_eq!(a.stats.lock_busy_aborts, 1);
     assert_eq!(shared.peek(X), 11);
 }

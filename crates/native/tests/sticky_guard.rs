@@ -58,10 +58,11 @@ fn first_plain_touch_after_a_commit_reopens_the_page_once() {
     }
     let h = world();
     h.tl2().poke(X, 7);
-    NativeUstmTxn::new(h.tl2(), h.ustm(), 0).run(|t| {
+    let committed = NativeUstmTxn::new(h.tl2(), h.ustm(), 0).attempt(|t| {
         let v = t.read(X)?;
         t.write(X, v + 1)
     });
+    assert!(committed.is_some(), "an uncontended commit");
     assert_eq!(
         h.tl2().debug_closed_pages(),
         1,
@@ -280,7 +281,8 @@ fn fast_and_serial_transactions_do_not_fault_on_a_closed_page() {
     );
     let closed = usize::from(h.guard_stats().guarded);
     h.tl2().poke(X, 1);
-    NativeUstmTxn::new(h.tl2(), h.ustm(), 0).run(|t| t.write(X, 2));
+    let committed = NativeUstmTxn::new(h.tl2(), h.ustm(), 0).attempt(|t| t.write(X, 2));
+    assert!(committed.is_some(), "an uncontended commit");
     assert_eq!(h.tl2().debug_closed_pages(), closed);
 
     let increment = |tx: &mut dyn ufotm_core::TxScope| {

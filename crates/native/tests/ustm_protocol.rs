@@ -222,8 +222,8 @@ fn younger_committer_stalls_behind_older_reader() {
     assert_eq!(ustm.owned_lines(), 0);
 }
 
-/// `run` retries a killed transaction to commit (with a killer-wait in
-/// between), so every increment lands exactly once.
+/// A loop over `attempt` retries a killed transaction to commit (with a
+/// killer-wait in between), so every increment lands exactly once.
 #[test]
 fn run_retries_killed_transactions_to_commit() {
     let (heap, ustm) = world();
@@ -234,13 +234,13 @@ fn run_retries_killed_transactions_to_commit() {
             let ustm = &ustm;
             scope.spawn(move || {
                 let mut t = NativeUstmTxn::new(heap, ustm, tid);
+                let increment = |tx: &mut NativeUstmTxn<'_>| {
+                    let v = tx.read(X)?;
+                    tx.work(32)?;
+                    tx.write(X, v + 1)
+                };
                 for _ in 0..PER {
-                    t.run(|tx| {
-                        let v = tx.read(X)?;
-                        tx.work(32)?;
-                        tx.write(X, v + 1)?;
-                        Ok(())
-                    });
+                    while t.attempt(increment).is_none() {}
                 }
                 assert_eq!(t.stats.commits, PER);
                 assert_eq!(

@@ -9,14 +9,16 @@
 //! cache overflows (long prefixes overflow the L1).
 //!
 //! The workload is one [`Workload`] impl, written once against
-//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
-//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
-//! — TL2-only or the failover hybrid, per `spec.kind`.
+//! [`TmBackend`], and runs on both substrates:
+//! [`run_sim`](crate::harness::run_sim) on the simulated machine
+//! (cycle-charged, deterministic),
+//! [`run_native`](crate::harness::run_native) on host atomics — TL2-only
+//! or the failover hybrid, per `spec.kind`.
 
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
 
-use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::harness::{chunk, Workload, STATIC_BASE};
 use crate::structures::{HashSet, Peek, SortedList};
 
 /// genome parameters.
@@ -152,28 +154,10 @@ impl Workload for GenomeParams {
     }
 }
 
-/// Runs genome under `spec` on the simulated machine.
-///
-/// # Panics
-///
-/// Panics if verification fails (see [`Workload::verify`]'s invariants).
-pub fn run(spec: &RunSpec, params: &GenomeParams) -> RunOutcome {
-    harness::run_sim(spec, params)
-}
-
-/// Runs genome on a native backend: the *same* body on real OS threads,
-/// verified by the same host-side dedup/sort replay.
-///
-/// # Panics
-///
-/// Panics if verification fails or `spec.kind` has no native backend.
-pub fn run_native(spec: &RunSpec, params: &GenomeParams) -> NativeOutcome {
-    harness::run_native(spec, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_native, run_sim, RunSpec};
     use ufotm_core::SystemKind;
 
     fn tiny() -> GenomeParams {
@@ -186,7 +170,7 @@ mod tests {
 
     #[test]
     fn genome_verifies_on_sequential() {
-        run(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
+        run_sim(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
     }
 
     #[test]
@@ -197,7 +181,7 @@ mod tests {
             SystemKind::UstmStrong,
             SystemKind::Tl2,
         ] {
-            run(&RunSpec::new(kind, 3), &tiny());
+            run_sim(&RunSpec::new(kind, 3), &tiny());
         }
     }
 

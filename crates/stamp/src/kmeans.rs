@@ -9,15 +9,16 @@
 //! Between iterations, thread 0 recomputes the centres at a barrier.
 //!
 //! The workload is one [`Workload`] impl, written once against
-//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
-//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
-//! (wall-clock ops/sec) — TL2-only or the failover hybrid, per
-//! `spec.kind`.
+//! [`TmBackend`], and runs on both substrates:
+//! [`run_sim`](crate::harness::run_sim) on the simulated machine
+//! (cycle-charged, deterministic),
+//! [`run_native`](crate::harness::run_native) on host atomics — TL2-only
+//! or the failover hybrid, per `spec.kind`.
 
 use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, LINE_WORDS};
 
-use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::harness::{chunk, Workload, STATIC_BASE};
 use crate::structures::Peek;
 
 /// kmeans parameters.
@@ -253,31 +254,10 @@ impl Workload for KmeansParams {
     }
 }
 
-/// Runs kmeans under `spec` on the simulated machine and returns the
-/// collected numbers.
-///
-/// # Panics
-///
-/// Panics if verification fails (accumulators must match a host-side
-/// recomputation exactly — integer arithmetic makes the result independent
-/// of commit order).
-pub fn run(spec: &RunSpec, params: &KmeansParams) -> RunOutcome {
-    harness::run_sim(spec, params)
-}
-
-/// Runs kmeans on a native backend: the *same* body on real OS threads,
-/// verified by the same host replay.
-///
-/// # Panics
-///
-/// Panics if verification fails or `spec.kind` has no native backend.
-pub fn run_native(spec: &RunSpec, params: &KmeansParams) -> NativeOutcome {
-    harness::run_native(spec, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_native, run_sim, RunSpec};
     use ufotm_core::SystemKind;
 
     fn tiny() -> KmeansParams {
@@ -292,14 +272,14 @@ mod tests {
     #[test]
     fn kmeans_verifies_on_sequential() {
         let spec = RunSpec::new(SystemKind::Sequential, 1);
-        let out = run(&spec, &tiny());
+        let out = run_sim(&spec, &tiny());
         assert_eq!(out.total_commits(), 96 * 2);
     }
 
     #[test]
     fn kmeans_verifies_on_ufo_hybrid() {
         let spec = RunSpec::new(SystemKind::UfoHybrid, 4);
-        let out = run(&spec, &tiny());
+        let out = run_sim(&spec, &tiny());
         assert_eq!(out.total_commits(), 96 * 2);
         assert!(out.hw_commits > 0, "kmeans txns should run in hardware");
     }
@@ -308,7 +288,7 @@ mod tests {
     fn kmeans_verifies_on_stms() {
         for kind in [SystemKind::UstmStrong, SystemKind::Tl2] {
             let spec = RunSpec::new(kind, 2);
-            let out = run(&spec, &tiny());
+            let out = run_sim(&spec, &tiny());
             assert_eq!(out.total_commits(), 96 * 2, "{kind}");
         }
     }
@@ -316,8 +296,8 @@ mod tests {
     #[test]
     fn parallel_beats_sequential_in_simulated_time() {
         let p = tiny();
-        let seq = run(&RunSpec::new(SystemKind::Sequential, 1), &p);
-        let par = run(&RunSpec::new(SystemKind::UnboundedHtm, 4), &p);
+        let seq = run_sim(&RunSpec::new(SystemKind::Sequential, 1), &p);
+        let par = run_sim(&RunSpec::new(SystemKind::UnboundedHtm, 4), &p);
         assert!(
             par.makespan < seq.makespan,
             "4-thread HTM ({}) should beat sequential ({})",

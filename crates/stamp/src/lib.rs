@@ -27,8 +27,7 @@
 //! machine through [`backend::SimBackend`] (all nine systems), and
 //! `run_native` puts the *same body* on `ufotm-native`'s real threads
 //! (TL2-only or the failover hybrid) for wall-clock throughput and
-//! sim-vs-native cross-validation. Each workload's `run`/`run_native`
-//! forward to those two.
+//! sim-vs-native cross-validation. Callers call those two directly.
 //!
 //! [`Tx`]: ufotm_core::Tx
 //! [`SystemKind`]: ufotm_core::SystemKind

@@ -8,15 +8,17 @@
 //! extension: every TM system should scale here, with hybrids committing
 //! ~everything in hardware.
 //!
-//! Like kmeans, the workload is one [`Workload`] impl written once
-//! against [`TmBackend`]: [`run`] executes it on the simulator,
-//! [`run_native`] on host atomics (TL2-only or the failover hybrid, per
-//! `spec.kind`).
+//! The workload is one [`Workload`] impl, written once against
+//! [`TmBackend`], and runs on both substrates:
+//! [`run_sim`](crate::harness::run_sim) on the simulated machine
+//! (cycle-charged, deterministic),
+//! [`run_native`](crate::harness::run_native) on host atomics — TL2-only
+//! or the failover hybrid, per `spec.kind`.
 
 use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, LINE_WORDS};
 
-use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::harness::{chunk, Workload, STATIC_BASE};
 use crate::structures::Peek;
 
 /// ssca2 parameters.
@@ -127,30 +129,10 @@ impl Workload for Ssca2Params {
     }
 }
 
-/// Runs ssca2 under `spec` on the simulated machine.
-///
-/// # Panics
-///
-/// Panics if verification fails: every node's adjacency list must contain
-/// exactly the generated targets for that source (as a multiset), and the
-/// degree fields must sum to the edge count.
-pub fn run(spec: &RunSpec, params: &Ssca2Params) -> RunOutcome {
-    harness::run_sim(spec, params)
-}
-
-/// Runs ssca2 on a native backend: the *same* body on real OS threads,
-/// verified by the same adjacency walk.
-///
-/// # Panics
-///
-/// Panics if verification fails or `spec.kind` has no native backend.
-pub fn run_native(spec: &RunSpec, params: &Ssca2Params) -> NativeOutcome {
-    harness::run_native(spec, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_native, run_sim, RunSpec};
     use ufotm_core::SystemKind;
 
     fn tiny() -> Ssca2Params {
@@ -162,7 +144,7 @@ mod tests {
 
     #[test]
     fn ssca2_verifies_on_sequential() {
-        let out = run(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
+        let out = run_sim(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
         assert_eq!(out.total_commits(), 120);
     }
 
@@ -174,14 +156,14 @@ mod tests {
             SystemKind::UstmStrong,
             SystemKind::Tl2,
         ] {
-            let out = run(&RunSpec::new(kind, 3), &tiny());
+            let out = run_sim(&RunSpec::new(kind, 3), &tiny());
             assert_eq!(out.total_commits(), 120, "{kind}");
         }
     }
 
     #[test]
     fn ssca2_hybrid_runs_mostly_in_hardware() {
-        let out = run(&RunSpec::new(SystemKind::UfoHybrid, 4), &tiny());
+        let out = run_sim(&RunSpec::new(SystemKind::UfoHybrid, 4), &tiny());
         assert!(
             out.hw_commits > out.sw_commits * 5,
             "tiny graph txns should overwhelmingly commit in hardware \
@@ -194,8 +176,8 @@ mod tests {
     #[test]
     fn ssca2_scales_in_simulated_time() {
         let p = tiny();
-        let seq = run(&RunSpec::new(SystemKind::Sequential, 1), &p);
-        let par = run(&RunSpec::new(SystemKind::UfoHybrid, 4), &p);
+        let seq = run_sim(&RunSpec::new(SystemKind::Sequential, 1), &p);
+        let par = run_sim(&RunSpec::new(SystemKind::UfoHybrid, 4), &p);
         assert!(par.makespan < seq.makespan, "4T must beat sequential");
     }
 

@@ -14,9 +14,11 @@
 //! concentrates fewer queries on a hot id range.
 //!
 //! The workload is one [`Workload`] impl, written once against
-//! [`TmBackend`], and runs on both substrates: [`run`] on the simulated
-//! machine (cycle-charged, deterministic), [`run_native`] on host atomics
-//! — TL2-only or the failover hybrid, per `spec.kind`.
+//! [`TmBackend`], and runs on both substrates:
+//! [`run_sim`](crate::harness::run_sim) on the simulated machine
+//! (cycle-charged, deterministic),
+//! [`run_native`](crate::harness::run_native) on host atomics — TL2-only
+//! or the failover hybrid, per `spec.kind`.
 //!
 //! Simplifications vs. STAMP: relations are repriced rather than deleted
 //! (BST deletion adds no new TM behaviour), and customer records accumulate
@@ -25,7 +27,7 @@
 use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, SimRng};
 
-use crate::harness::{self, chunk, NativeOutcome, RunOutcome, RunSpec, Workload, STATIC_BASE};
+use crate::harness::{chunk, Workload, STATIC_BASE};
 use crate::structures::{BstMap, Peek};
 
 /// Table indices.
@@ -238,28 +240,10 @@ impl Workload for VacationParams {
     }
 }
 
-/// Runs vacation under `spec` on the simulated machine.
-///
-/// # Panics
-///
-/// Panics if verification fails (see [`Workload::verify`]'s invariants).
-pub fn run(spec: &RunSpec, params: &VacationParams) -> RunOutcome {
-    harness::run_sim(spec, params)
-}
-
-/// Runs vacation on a native backend: the *same* body on real OS
-/// threads, verified by the same conservation check.
-///
-/// # Panics
-///
-/// Panics if verification fails or `spec.kind` has no native backend.
-pub fn run_native(spec: &RunSpec, params: &VacationParams) -> NativeOutcome {
-    harness::run_native(spec, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_native, run_sim, RunSpec};
     use ufotm_core::SystemKind;
 
     fn tiny() -> VacationParams {
@@ -276,14 +260,14 @@ mod tests {
 
     #[test]
     fn vacation_verifies_on_sequential() {
-        let out = run(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
+        let out = run_sim(&RunSpec::new(SystemKind::Sequential, 1), &tiny());
         assert_eq!(out.total_commits(), 30);
     }
 
     #[test]
     fn vacation_verifies_on_hybrids() {
         for kind in [SystemKind::UfoHybrid, SystemKind::HyTm, SystemKind::PhTm] {
-            let out = run(&RunSpec::new(kind, 3), &tiny());
+            let out = run_sim(&RunSpec::new(kind, 3), &tiny());
             assert_eq!(out.total_commits(), 30, "{kind}");
         }
     }
@@ -296,7 +280,7 @@ mod tests {
             SystemKind::Tl2,
             SystemKind::GlobalLock,
         ] {
-            let out = run(&RunSpec::new(kind, 2), &tiny());
+            let out = run_sim(&RunSpec::new(kind, 2), &tiny());
             assert_eq!(out.total_commits(), 30, "{kind}");
         }
     }
@@ -318,11 +302,11 @@ mod tests {
     #[test]
     fn low_contention_overflows_more_than_high() {
         use ufotm_machine::AbortReason;
-        let hi = run(
+        let hi = run_sim(
             &RunSpec::new(SystemKind::UfoHybrid, 4),
             &VacationParams::high_contention(),
         );
-        let lo = run(
+        let lo = run_sim(
             &RunSpec::new(SystemKind::UfoHybrid, 4),
             &VacationParams::low_contention(),
         );

@@ -610,7 +610,7 @@ fn hybrid_workload_commit_counts_agree() {
     // the same number of transactions (every logical transaction commits
     // once, on whichever path the driver picked).
     use ufotm_core::SystemKind;
-    use ufotm_stamp::harness::RunSpec;
+    use ufotm_stamp::harness::{self, RunSpec};
     use ufotm_stamp::{genome, vacation};
 
     let gp = genome::GenomeParams {
@@ -618,8 +618,8 @@ fn hybrid_workload_commit_counts_agree() {
         segment_space: 1 << 30,
         buckets: 32,
     };
-    let sim = genome::run(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
-    let native = genome::run_native(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
+    let sim = harness::run_sim(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
+    let native = harness::run_native(&RunSpec::new(SystemKind::UfoHybrid, 3), &gp);
     assert_eq!(sim.total_commits(), native.total_commits());
 
     let vp = vacation::VacationParams {
@@ -631,8 +631,8 @@ fn hybrid_workload_commit_counts_agree() {
         total_tasks: 30,
         customers: 16,
     };
-    let sim = vacation::run(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
-    let native = vacation::run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
+    let sim = harness::run_sim(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
+    let native = harness::run_native(&RunSpec::new(SystemKind::UfoHybrid, 4), &vp);
     assert_eq!(sim.total_commits(), native.total_commits());
 }
 
@@ -642,7 +642,7 @@ fn workload_results_agree_between_substrates() {
     // against the same host-side replay on both substrates, and commit
     // exactly the same number of transactions.
     use ufotm_core::SystemKind;
-    use ufotm_stamp::harness::RunSpec;
+    use ufotm_stamp::harness::{self, RunSpec};
     use ufotm_stamp::{kmeans, ssca2};
 
     let kp = kmeans::KmeansParams {
@@ -651,15 +651,15 @@ fn workload_results_agree_between_substrates() {
         clusters: 4,
         iterations: 2,
     };
-    let sim = kmeans::run(&RunSpec::new(SystemKind::Tl2, 4), &kp);
-    let native = kmeans::run_native(&RunSpec::new(SystemKind::Tl2, 4), &kp);
+    let sim = harness::run_sim(&RunSpec::new(SystemKind::Tl2, 4), &kp);
+    let native = harness::run_native(&RunSpec::new(SystemKind::Tl2, 4), &kp);
     assert_eq!(sim.total_commits(), native.hybrid.fast.commits);
 
     let sp = ssca2::Ssca2Params {
         nodes: 32,
         edges: 120,
     };
-    let sim = ssca2::run(&RunSpec::new(SystemKind::Tl2, 4), &sp);
-    let native = ssca2::run_native(&RunSpec::new(SystemKind::Tl2, 4), &sp);
+    let sim = harness::run_sim(&RunSpec::new(SystemKind::Tl2, 4), &sp);
+    let native = harness::run_native(&RunSpec::new(SystemKind::Tl2, 4), &sp);
     assert_eq!(sim.total_commits(), native.hybrid.fast.commits);
 }

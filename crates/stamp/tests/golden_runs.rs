@@ -13,7 +13,7 @@
 //! simulated timing, re-record the table in the same commit and say why.
 
 use ufotm_core::SystemKind;
-use ufotm_stamp::harness::{RunOutcome, RunSpec};
+use ufotm_stamp::harness::{run_sim, RunOutcome, RunSpec};
 use ufotm_stamp::{genome, kmeans, ssca2, vacation};
 
 const SEED: u64 = 0x601D_5EED;
@@ -72,7 +72,7 @@ fn kmeans_golden() {
     };
     check(
         "kmeans",
-        |s| kmeans::run(s, &p),
+        |s| run_sim(s, &p),
         [
             (11692, 0x112e_226e_d4ee_526f),
             (33746, 0xf750_2651_3854_16dd),
@@ -92,7 +92,7 @@ fn ssca2_golden() {
     };
     check(
         "ssca2",
-        |s| ssca2::run(s, &p),
+        |s| run_sim(s, &p),
         [
             (17678, 0x4870_f133_6d51_9a8a),
             (37686, 0x040b_3751_2b4b_ab55),
@@ -117,7 +117,7 @@ fn vacation_golden() {
     };
     check(
         "vacation",
-        |s| vacation::run(s, &p),
+        |s| run_sim(s, &p),
         [
             (15704, 0xd0c5_2c96_011b_9c22),
             (60521, 0x287c_aade_f097_2d6b),
@@ -138,7 +138,7 @@ fn genome_golden() {
     };
     check(
         "genome",
-        |s| genome::run(s, &p),
+        |s| run_sim(s, &p),
         [
             (75970, 0x089a_7217_eb80_76bd),
             (151_882, 0x5b23_e90f_0eaa_d9d3),

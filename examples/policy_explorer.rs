@@ -8,7 +8,8 @@
 use ufotm::core::{BtmUfoFaultPolicy, HybridPolicy};
 use ufotm::machine::{HwCmPolicy, UfoKillPolicy};
 use ufotm::prelude::*;
-use ufotm::stamp::genome::{self, GenomeParams};
+use ufotm::stamp::genome::GenomeParams;
+use ufotm::stamp::harness::run_sim;
 
 fn main() {
     let params = GenomeParams {
@@ -60,7 +61,7 @@ fn main() {
         spec.policy = policy;
         spec.machine.hw_cm = hw_cm;
         spec.machine.ufo_kill_policy = ufo_kill;
-        let out = genome::run(&spec, &params);
+        let out = run_sim(&spec, &params);
         let base = *baseline.get_or_insert(out.makespan);
         println!(
             "{:<52} {:>10} cycles ({:>5.2}x)  hw={:<4} sw={:<4} aborts={}",

@@ -11,7 +11,8 @@
 //! ```
 
 use ufotm::prelude::*;
-use ufotm::stamp::vacation::{self, VacationParams};
+use ufotm::stamp::harness::run_sim;
+use ufotm::stamp::vacation::VacationParams;
 
 fn main() {
     let params = VacationParams::low_contention();
@@ -21,7 +22,7 @@ fn main() {
         params.relations, params.queries, params.total_tasks
     );
 
-    let seq = vacation::run(&RunSpec::new(SystemKind::Sequential, 1), &params);
+    let seq = run_sim(&RunSpec::new(SystemKind::Sequential, 1), &params);
     println!("sequential: {} cycles\n", seq.makespan);
 
     println!(
@@ -36,7 +37,7 @@ fn main() {
         SystemKind::UstmStrong,
         SystemKind::GlobalLock,
     ] {
-        let out = vacation::run(&RunSpec::new(kind, threads), &params);
+        let out = run_sim(&RunSpec::new(kind, threads), &params);
         println!(
             "{:<14} {:>8.2}x {:>7} {:>7} {:>10} {:>10} {:>9}",
             kind.label(),

@@ -3,8 +3,9 @@
 //! system.
 
 use ufotm::prelude::*;
-use ufotm::stamp::genome::{self, GenomeParams};
-use ufotm::stamp::kmeans::{self, KmeansParams};
+use ufotm::stamp::genome::GenomeParams;
+use ufotm::stamp::harness::run_sim;
+use ufotm::stamp::kmeans::KmeansParams;
 use ufotm::stamp::micro::{self, MicroParams};
 
 fn tiny_kmeans() -> KmeansParams {
@@ -23,8 +24,8 @@ fn identical_seeds_give_identical_simulations() {
         SystemKind::UstmStrong,
         SystemKind::PhTm,
     ] {
-        let a = kmeans::run(&RunSpec::new(kind, 3), &tiny_kmeans());
-        let b = kmeans::run(&RunSpec::new(kind, 3), &tiny_kmeans());
+        let a = run_sim(&RunSpec::new(kind, 3), &tiny_kmeans());
+        let b = run_sim(&RunSpec::new(kind, 3), &tiny_kmeans());
         assert_eq!(a.makespan, b.makespan, "{kind}: nondeterministic makespan");
         assert_eq!(a.hw_commits, b.hw_commits, "{kind}");
         assert_eq!(a.sw_commits, b.sw_commits, "{kind}");
@@ -77,7 +78,7 @@ fn genome_reaches_the_same_list_on_every_system() {
         SystemKind::PhTm,
     ] {
         let threads = if kind == SystemKind::Sequential { 1 } else { 3 };
-        genome::run(&RunSpec::new(kind, threads), &p);
+        run_sim(&RunSpec::new(kind, threads), &p);
     }
 }
 
@@ -90,13 +91,13 @@ fn kmeans_accumulators_match_across_systems() {
         SystemKind::UfoHybrid,
         SystemKind::Tl2,
     ] {
-        kmeans::run(&RunSpec::new(kind, 4), &tiny_kmeans());
+        run_sim(&RunSpec::new(kind, 4), &tiny_kmeans());
     }
 }
 
 #[test]
 fn makespan_grows_with_offered_work() {
-    let small = kmeans::run(
+    let small = run_sim(
         &RunSpec::new(SystemKind::UfoHybrid, 2),
         &KmeansParams {
             points: 64,
@@ -105,7 +106,7 @@ fn makespan_grows_with_offered_work() {
             iterations: 1,
         },
     );
-    let large = kmeans::run(
+    let large = run_sim(
         &RunSpec::new(SystemKind::UfoHybrid, 2),
         &KmeansParams {
             points: 256,
