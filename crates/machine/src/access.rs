@@ -31,6 +31,7 @@ impl Machine {
     ///   arbitration (retry after the already-charged delay).
     /// * [`AccessError::TxnAbort`] if the CPU's transaction aborted
     ///   (overflow, interrupt, pending doom, page fault, …).
+    #[inline]
     pub fn load(&mut self, cpu: CpuId, addr: Addr) -> AccessResult<u64> {
         self.data_access(cpu, addr, None)
     }
@@ -46,6 +47,7 @@ impl Machine {
     ///
     /// As for [`Machine::load`], with [`AccessError::UfoFault`] raised
     /// against fault-on-write protection.
+    #[inline]
     pub fn store(&mut self, cpu: CpuId, addr: Addr, value: u64) -> AccessResult<()> {
         self.data_access(cpu, addr, Some(value)).map(|_| ())
     }

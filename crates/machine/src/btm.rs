@@ -212,14 +212,15 @@ pub struct BtmStatus {
     pub last_abort: Option<AbortInfo>,
 }
 
-/// A fixed multiplicative hasher for the BTM sets' integer keys (word and
-/// line addresses), in place of the per-process-seeded SipHash: one
-/// rotate, xor and multiply per key (Fx-style). `finish` rotates so the
-/// well-mixed high bits of the product pick the bucket, which keeps
-/// strided addresses apart. The keys are simulated addresses, never
-/// outside input, so SipHash's collision resistance bought nothing.
+/// A fixed multiplicative hasher for integer keys (word and line
+/// addresses), in place of the per-process-seeded SipHash: one rotate, xor
+/// and multiply per key (Fx-style). `finish` rotates so the well-mixed
+/// high bits of the product pick the bucket, which keeps strided addresses
+/// apart. The keys are simulated addresses, never outside input, so
+/// SipHash's collision resistance bought nothing. Named outside this crate
+/// only through [`IndexBuild`].
 #[derive(Default)]
-pub(crate) struct IndexHasher(u64);
+pub struct IndexHasher(u64);
 
 impl IndexHasher {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -245,7 +246,12 @@ impl Hasher for IndexHasher {
     }
 }
 
-type IndexBuild = BuildHasherDefault<IndexHasher>;
+/// The hasher of the simulator's address-keyed hash tables: the BTM sets
+/// here, and the STMs' per-transaction ownership and write sets. It has no
+/// per-process seed, so a table's layout, and any order read from it, is
+/// the same on every run. Code that charges simulated cycles in a table's
+/// iteration order must still fix that order itself.
+pub type IndexBuild = BuildHasherDefault<IndexHasher>;
 
 /// Per-CPU BTM machine state (crate-internal).
 #[derive(Clone, Debug, Default)]

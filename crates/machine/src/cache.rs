@@ -161,6 +161,7 @@ impl L1Cache {
     }
 
     /// Whether the line is resident.
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.position(line).is_some()
     }
@@ -170,6 +171,7 @@ impl L1Cache {
         self.position(line).map(|i| &self.entries[i])
     }
 
+    #[inline]
     pub fn entry_mut(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         let i = self.position(line)?;
         self.mark(self.geo.set_of(line));
@@ -178,6 +180,7 @@ impl L1Cache {
 
     /// Touches a resident line (LRU update) and returns its entry on a hit,
     /// so the caller updates it without probing the set again.
+    #[inline]
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         let t = self.bump();
         let e = self.entry_mut(line)?;
@@ -359,6 +362,7 @@ impl L2Cache {
     /// Touches `line`, returning `true` on a hit; on a miss the line is
     /// installed (evicting LRU — the L2 is not inclusive in this model, so
     /// evictions have no L1 side effects).
+    #[inline]
     pub fn access(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         let t = self.tick;

@@ -77,6 +77,7 @@ impl Directory {
     }
 
     /// The CPU holding the line exclusively, if any.
+    #[inline]
     pub fn owner(&self, line: LineAddr) -> Option<usize> {
         let e = self.entry(line);
         (e[FLAGS] & EXCLUSIVE != 0).then(|| e[SHARERS].trailing_zeros() as usize)
@@ -92,11 +93,13 @@ impl Directory {
     /// grab it first and iterate it without borrowing `self`; iteration
     /// walks only the members, so the cost tracks the actual holder count
     /// rather than a fixed 0..64 scan.
+    #[inline]
     pub fn holders_except(&self, line: LineAddr, except: usize) -> CpuSet {
         self.sharers(line).without(except)
     }
 
     /// Whether `cpu` holds the line (in any state).
+    #[inline]
     pub fn is_sharer(&self, line: LineAddr, cpu: usize) -> bool {
         self.sharers(line).contains(cpu)
     }
@@ -109,6 +112,7 @@ impl Directory {
 
     /// Records `cpu` as a (non-exclusive) sharer; demotes any owner flag if
     /// the owner keeps a shared copy.
+    #[inline]
     pub fn add_sharer(&mut self, line: LineAddr, cpu: usize) {
         let e = self.entry_mut(line);
         update_sharers(e, |s| s.insert(cpu));
@@ -117,6 +121,7 @@ impl Directory {
     }
 
     /// Records `cpu` as the sole, exclusive holder.
+    #[inline]
     pub fn set_exclusive(&mut self, line: LineAddr, cpu: usize) {
         let e = self.entry_mut(line);
         e[SHARERS] = CpuSet::single(cpu).bits();
@@ -125,6 +130,7 @@ impl Directory {
     }
 
     /// Removes `cpu` from the sharer set (eviction or invalidation).
+    #[inline]
     pub fn remove_sharer(&mut self, line: LineAddr, cpu: usize) {
         let owned = self.owner(line) == Some(cpu);
         let e = self.entry_mut(line);
@@ -135,16 +141,19 @@ impl Directory {
         self.check(line);
     }
 
+    #[inline]
     pub fn ufo(&self, line: LineAddr) -> UfoBits {
         // The mask keeps the value in a u8's range.
         UfoBits::from_raw((self.entry(line)[FLAGS] & UFO_MASK) as u8)
     }
 
+    #[inline]
     pub fn set_ufo(&mut self, line: LineAddr, bits: UfoBits) {
         let e = self.entry_mut(line);
         e[FLAGS] = (e[FLAGS] & !UFO_MASK) | u64::from(bits.to_raw());
     }
 
+    #[inline]
     pub fn or_ufo(&mut self, line: LineAddr, bits: UfoBits) {
         self.entry_mut(line)[FLAGS] |= u64::from(bits.to_raw());
     }

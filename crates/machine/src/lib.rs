@@ -68,7 +68,7 @@ pub use addr::{
 };
 pub use alloc::{AllocError, SimAlloc};
 pub use bits::{BitIter, CpuSet};
-pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus};
+pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus, IndexBuild};
 pub use cache::CacheGeometry;
 pub use chaos::{ChaosEvent, ChaosFaultKind, ChaosStats, FaultPlan};
 pub use config::{cost, HwCmPolicy, MachineConfig, UfoKillPolicy, BTM_MAX_DEPTH, L2};

@@ -185,6 +185,7 @@ impl Machine {
 
     /// The local cycle clock of `cpu`.
     #[must_use]
+    #[inline]
     pub fn now(&self, cpu: CpuId) -> u64 {
         self.clock[cpu]
     }
@@ -230,6 +231,7 @@ impl Machine {
 
     /// Runs the per-operation preamble: service any pending timer interrupt
     /// (which dooms an in-flight transaction) and surface a pending doom.
+    #[inline]
     pub(crate) fn begin_op(&mut self, cpu: CpuId) -> AccessResult<()> {
         if let Some(q) = self.cfg.timer_quantum {
             if self.clock[cpu] >= self.next_timer[cpu] {
@@ -469,6 +471,7 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`AccessError::TxnAbort`] if a pending doom is discovered.
+    #[inline]
     pub fn work(&mut self, cpu: CpuId, cycles: u64) -> AccessResult<()> {
         self.begin_op(cpu)?;
         self.charge(cpu, cycles);

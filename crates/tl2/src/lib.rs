@@ -22,10 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
+mod write_set;
 
 use ufotm_machine::{AccessResult, Addr, LineAddr};
 use ufotm_sim::Ctx;
+
+use write_set::WriteSet;
 
 /// Unwraps machine ops issued from TL2 runtime code (plain accesses with
 /// UFO disabled cannot fault).
@@ -186,10 +188,7 @@ pub struct Tl2Txn {
     cpu: usize,
     rv: u64,
     reads: Vec<usize>,
-    // BTreeMap, not HashMap: the phase-4 write-back issues one
-    // cycle-charged store per word, so publication order is
-    // timing-visible — it must not depend on hash state.
-    writes: BTreeMap<u64, u64>,
+    writes: WriteSet,
     write_lines: Vec<LineAddr>,
     /// The write set's lock stripes in acquisition order (ascending, one
     /// each), rebuilt by every writing commit. Kept across transactions,
@@ -208,7 +207,7 @@ impl Tl2Txn {
             cpu,
             rv: 0,
             reads: Vec::new(),
-            writes: BTreeMap::new(),
+            writes: WriteSet::new(),
             write_lines: Vec::new(),
             stripes: Vec::new(),
             active: false,
@@ -261,7 +260,7 @@ impl Tl2Txn {
     pub fn read<U: HasTl2>(&mut self, ctx: &mut Ctx<U>, addr: Addr) -> Result<u64, Tl2Abort> {
         debug_assert!(self.active);
         let cpu = self.cpu;
-        if let Some(&v) = self.writes.get(&addr.0) {
+        if let Some(v) = self.writes.get(addr.0) {
             ctx.with(|w| mop(w.machine.work(cpu, READ_COST)));
             return Ok(v);
         }
@@ -315,7 +314,7 @@ impl Tl2Txn {
         debug_assert!(self.active);
         let cpu = self.cpu;
         ctx.with(|w| mop(w.machine.work(cpu, WRITE_COST)));
-        if self.writes.insert(addr.0, value).is_none() {
+        if self.writes.put(addr.0, value) {
             let line = addr.line();
             if !self.write_lines.contains(&line) {
                 self.write_lines.push(line);
@@ -414,7 +413,7 @@ impl Tl2Txn {
             return Err(Tl2Abort::CommitValidation);
         }
         // Phase 4: publish the write set, ascending by address.
-        for (&a, &v) in &self.writes {
+        for (a, v) in self.writes.ascending() {
             ctx.with(|w| mop(w.machine.store(cpu, Addr(a), v)));
         }
         // Phase 5: release locks stamped with the new version.

@@ -1,11 +1,10 @@
 //! Transaction lifecycle and the read/write barriers (paper Algorithms 1–2).
 
-use std::collections::BTreeMap;
-
 use ufotm_machine::{AccessResult, Addr, CpuSet, LineAddr, UfoBits, LINE_WORDS};
 use ufotm_sim::Ctx;
 
 use crate::otable::Perm;
+use crate::owned::OwnedSet;
 use crate::txn::{
     TxnStatus, UstmShared, BARRIER_HIT_COST, BEGIN_COST, CAS_COST, CHAIN_ENTRY_COST, FINISH_COST,
     LOG_COST, POLL_BACKOFF,
@@ -52,10 +51,7 @@ pub struct UstmTxn {
     cpu: usize,
     ts: u64,
     active: bool,
-    // BTreeMap, not HashMap: ownership release is a cycle-charged
-    // per-line loop, so iteration order is timing-visible — it must not
-    // depend on hash state or replays diverge.
-    owned: BTreeMap<LineAddr, Perm>,
+    owned: OwnedSet,
     undo: Vec<(LineAddr, [u64; WORDS])>,
     log_count: u64,
     /// Set while unwinding: who killed us and the killer's age, so the
@@ -71,7 +67,7 @@ impl UstmTxn {
             cpu,
             ts: 0,
             active: false,
-            owned: BTreeMap::new(),
+            owned: OwnedSet::new(),
             undo: Vec::new(),
             log_count: 0,
             killed_by: None,
@@ -96,10 +92,10 @@ impl UstmTxn {
         self.ts
     }
 
-    /// Lines currently owned, with permissions (for the hybrid's
-    /// inspection, e.g. the `retry` integration).
-    pub fn owned_lines(&self) -> impl Iterator<Item = (LineAddr, Perm)> + '_ {
-        self.owned.iter().map(|(&l, &p)| (l, p))
+    /// Lines currently owned, with permissions, ascending by address (the
+    /// order `retry` demotes them in).
+    pub(crate) fn owned_lines(&mut self) -> impl Iterator<Item = (LineAddr, Perm)> + '_ {
+        self.owned.ascending_perms()
     }
 
     /// `ustm_begin`: starts a transaction (checkpoint, sequence number,
@@ -180,7 +176,7 @@ impl UstmTxn {
         debug_assert!(self.active, "read outside a USTM transaction");
         let cpu = self.cpu;
         let line = addr.line();
-        if self.owned.contains_key(&line) {
+        if self.owned.perm(line).is_some() {
             // Fast path: permission already held. Still a barrier: pending
             // kills are noticed here.
             let r = ctx.with(|w| {
@@ -199,7 +195,7 @@ impl UstmTxn {
             };
         }
         self.acquire(ctx, line, Perm::Read)?;
-        self.owned.insert(line, Perm::Read);
+        self.owned.grant(line, Perm::Read);
         Ok(ctx.with(|w| mop(w.machine.load(cpu, addr))))
     }
 
@@ -219,7 +215,7 @@ impl UstmTxn {
         debug_assert!(self.active, "write outside a USTM transaction");
         let cpu = self.cpu;
         let line = addr.line();
-        if self.owned.get(&line) == Some(&Perm::Write) {
+        if self.owned.perm(line) == Some(Perm::Write) {
             let r = ctx.with(|w| {
                 let m = &mut w.machine;
                 let u = w.shared.ustm();
@@ -237,7 +233,7 @@ impl UstmTxn {
             };
         }
         self.acquire(ctx, line, Perm::Write)?;
-        self.owned.insert(line, Perm::Write);
+        self.owned.grant(line, Perm::Write);
         ctx.with(|w| mop(w.machine.store(cpu, addr, value)));
         Ok(())
     }
@@ -343,7 +339,7 @@ impl UstmTxn {
     /// empties the undo log (rollback and `retry` both start this way).
     pub(crate) fn restore_undo<U: HasUstm>(&mut self, ctx: &mut Ctx<U>) {
         let cpu = self.cpu;
-        for (line, words) in std::mem::take(&mut self.undo).into_iter().rev() {
+        for (line, words) in self.undo.drain(..).rev() {
             ctx.with(|w| {
                 let m = &mut w.machine;
                 for (i, word) in words.iter().enumerate() {
@@ -354,14 +350,15 @@ impl UstmTxn {
     }
 
     /// Ends every transaction — committed, rolled back or woken from
-    /// `retry`: releases each owned line, then retires the slot
-    /// (`Inactive`, no pending kill or wake, descriptor cleared, this
-    /// thread's UFO faults back on). `committed` counts a commit.
+    /// `retry`: releases each owned line, ascending by address, then
+    /// retires the slot (`Inactive`, no pending kill or wake, descriptor
+    /// cleared, this thread's UFO faults back on). `committed` counts a
+    /// commit.
     pub(crate) fn retire<U: HasUstm>(&mut self, ctx: &mut Ctx<U>, committed: bool) {
         let cpu = self.cpu;
-        let lines: Vec<LineAddr> = self.owned.keys().copied().collect();
-        for line in lines {
-            self.release_line(ctx, line);
+        let lines = self.owned.ascending();
+        for &line in lines {
+            release_line(ctx, cpu, line);
         }
         ctx.with(|w| {
             let m = &mut w.machine;
@@ -406,28 +403,6 @@ impl UstmTxn {
         self.restore_undo(ctx);
         self.retire(ctx, false);
         self.killed_by = by.zip(killer_ts);
-    }
-
-    /// Releases ownership of one line (commit or abort path), clearing UFO
-    /// protection when the entry drains.
-    fn release_line<U: HasUstm>(&mut self, ctx: &mut Ctx<U>, line: LineAddr) {
-        let cpu = self.cpu;
-        ctx.with(|w| {
-            let m = &mut w.machine;
-            let u = w.shared.ustm();
-            let start = m.now(cpu);
-            let strong = u.config.strong_atomicity;
-            let bin = u.otable.bin_addr_of(line);
-            mop(m.work(cpu, CAS_COST));
-            mop(m.load(cpu, bin));
-            let removed = u.otable.release(line, cpu);
-            mop(m.store(cpu, bin, u.otable.chain_len(line) as u64));
-            if removed && strong {
-                mop(m.set_ufo_bits(cpu, line.base_addr(), UfoBits::NONE));
-            }
-            u.stats.barrier_cycles += m.now(cpu) - start;
-        });
-        self.owned.remove(&line);
     }
 
     /// Acquires `want` permission on `line`, looping through conflict
@@ -579,6 +554,26 @@ impl UstmTxn {
     }
 }
 
+/// Releases `cpu`'s ownership of one line (commit or abort path), clearing
+/// UFO protection when the entry drains.
+fn release_line<U: HasUstm>(ctx: &mut Ctx<U>, cpu: usize, line: LineAddr) {
+    ctx.with(|w| {
+        let m = &mut w.machine;
+        let u = w.shared.ustm();
+        let start = m.now(cpu);
+        let strong = u.config.strong_atomicity;
+        let bin = u.otable.bin_addr_of(line);
+        mop(m.work(cpu, CAS_COST));
+        mop(m.load(cpu, bin));
+        let removed = u.otable.release(line, cpu);
+        mop(m.store(cpu, bin, u.otable.chain_len(line) as u64));
+        if removed && strong {
+            mop(m.set_ufo_bits(cpu, line.base_addr(), UfoBits::NONE));
+        }
+        u.stats.barrier_cycles += m.now(cpu) - start;
+    });
+}
+
 /// Host-side snapshot of a line's eight words (the simulated cost is the
 /// log-write traffic charged by `log_line`).
 fn snapshot_line(m: &ufotm_machine::Machine, line: LineAddr) -> [u64; WORDS] {
@@ -598,7 +593,7 @@ fn resolve_conflict(
     my_ts: u64,
     entry: &crate::otable::OtableEntry,
 ) -> Acquire {
-    let mut victims: Vec<usize> = Vec::new();
+    let mut victims = CpuSet::EMPTY;
     let mut must_stall = false;
     let mut mask = CpuSet::EMPTY;
     for o in entry.owner_cpus() {
@@ -609,7 +604,7 @@ fn resolve_conflict(
         match u.slots[o].status {
             TxnStatus::Active => {
                 if u.slots[o].ts > my_ts {
-                    victims.push(o);
+                    victims.insert(o);
                 } else {
                     must_stall = true;
                 }
@@ -617,7 +612,7 @@ fn resolve_conflict(
             TxnStatus::Committing | TxnStatus::Aborting => must_stall = true,
             TxnStatus::Retrying => {
                 u.slots[o].woken = true;
-                victims.push(o);
+                victims.insert(o);
             }
             TxnStatus::Inactive => {
                 // Raced with a release; re-attempt will see fresh state.
@@ -627,7 +622,7 @@ fn resolve_conflict(
     if must_stall {
         return Acquire::Wait { conflictors: mask };
     }
-    for &v in &victims {
+    for v in victims {
         if u.doom(v, cpu) {
             u.stats.kills_issued += 1;
         }
@@ -816,6 +811,67 @@ mod tests {
         assert!(r.shared.stats.kills_issued >= 1, "older killed younger");
         assert!(r.shared.stats.aborts >= 1);
         assert_eq!(r.shared.stats.commits, 2);
+    }
+
+    /// `owned_lines` against an ordered-map reference through a real run:
+    /// CPU 1 issues seeded first reads, re-reads, writes, upgrades and
+    /// commits while CPU 0's older writers kill it on conflict. After
+    /// every barrier the handle must list the reference's lines and
+    /// permissions in ascending order; after a commit or a kill, nothing.
+    /// Lines are scattered so first-touch order is not ascending.
+    #[test]
+    fn owned_lines_match_the_ordered_map_reference_through_kills() {
+        use std::collections::BTreeMap;
+        use ufotm_machine::SimRng;
+        let (steps, writers) = if cfg!(miri) { (60, 3) } else { (1_500, 60) };
+        let addr = |i: u64| Addr((i * 0x9E37 % 4096) * 64);
+        let (machine, shared) = world(2, UstmConfig::default());
+        let r = Sim::new(machine, shared).run(vec![
+            Box::new(move |ctx: &mut Ctx<UstmShared>| {
+                let mut txn = UstmTxn::new(0);
+                let mut rng = SimRng::seed_from_u64(7);
+                for _ in 0..writers {
+                    let a = addr(rng.gen_range(0..16));
+                    txn.run(ctx, |t, ctx| {
+                        mop(ctx.work(1_500)); // younger transactions begin meanwhile
+                        t.write(ctx, a, 1)
+                    });
+                }
+            }) as ThreadFn<UstmShared>,
+            Box::new(move |ctx: &mut Ctx<UstmShared>| {
+                let mut txn = UstmTxn::new(1);
+                let mut rng = SimRng::seed_from_u64(11);
+                let mut model: BTreeMap<LineAddr, Perm> = BTreeMap::new();
+                let mut kills = 0;
+                txn.begin(ctx);
+                for step in 0..steps {
+                    let a = addr(rng.gen_range(0..16));
+                    let res = match rng.gen_index(0..8) {
+                        0..=3 => txn.read(ctx, a).map(|_| {
+                            model.entry(a.line()).or_insert(Perm::Read);
+                        }),
+                        4..=6 => txn.write(ctx, a, step).map(|()| {
+                            model.insert(a.line(), Perm::Write);
+                        }),
+                        _ => txn.commit(ctx).map(|()| model.clear()),
+                    };
+                    if let Err(e) = res {
+                        assert!(matches!(e, UstmAbort::Killed { .. }), "step {step}: {e}");
+                        kills += 1;
+                        model.clear();
+                    }
+                    let want: Vec<_> = model.iter().map(|(&l, &p)| (l, p)).collect();
+                    assert_eq!(txn.owned_lines().collect::<Vec<_>>(), want, "step {step}");
+                    if !txn.is_active() {
+                        txn.wait_for_killer(ctx);
+                        txn.begin(ctx);
+                    }
+                }
+                txn.commit(ctx).ok();
+                assert!(kills > 0, "the older writers never killed the reader");
+            }) as ThreadFn<UstmShared>,
+        ]);
+        assert_eq!(r.shared.otable.live_entries(), 0, "ownership drained");
     }
 
     /// Age is the reserved timestamp, not begin order: the eldest

@@ -31,6 +31,7 @@
 mod barrier;
 mod nont;
 mod otable;
+mod owned;
 mod retry;
 mod txn;
 

@@ -26,14 +26,16 @@ use crate::{HasUstm, UstmAbort};
 /// rather than deadlocking.
 pub fn retry_wait<U: HasUstm>(txn: &mut UstmTxn, ctx: &mut Ctx<U>) -> UstmAbort {
     let cpu = txn.cpu();
-    // Phase 1: undo speculative writes, demote ownership to read, park.
-    let owned: Vec<_> = txn.owned_lines().collect();
+    // Phase 1: undo speculative writes, demote ownership to read
+    // (ascending by address), park.
     txn.restore_undo(ctx);
     ctx.with(|w| {
         let m = &mut w.machine;
         let u = w.shared.ustm();
         let strong = u.config.strong_atomicity;
-        for &(line, perm) in &owned {
+        let mut owns_any = false;
+        for (line, perm) in txn.owned_lines() {
+            owns_any = true;
             if perm == Perm::Write {
                 u.otable.demote(line, cpu);
                 if strong {
@@ -42,7 +44,7 @@ pub fn retry_wait<U: HasUstm>(txn: &mut UstmTxn, ctx: &mut Ctx<U>) -> UstmAbort 
             }
         }
         u.slots[cpu].status = TxnStatus::Retrying;
-        u.slots[cpu].woken = owned.is_empty(); // spurious wake, never deadlock
+        u.slots[cpu].woken = !owns_any; // spurious wake, never deadlock
         let slot_addr = u.slot_addr(cpu);
         mop(m.store(cpu, slot_addr, 3));
         u.stats.retries_entered += 1;
